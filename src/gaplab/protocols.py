@@ -291,10 +291,6 @@ class AmplificationOutcome:
     per_trial_yes: float
     per_trial_no: float
 
-    def __iter__(self):
-        # Unpackable as the (decision, probability) pair it fundamentally is.
-        return iter((self.decision, self.probability))
-
 
 def nwz_amplify(
     verifier: Verifier, params: AmplificationParams, witness

@@ -8,6 +8,10 @@ significant component first:
     index = state + |Q| * (head + space * tape_value)
     tape_value = sum_j symbol(tape[j]) * |A|^j
 
+``successors`` builds the whole configuration graph once per reduction,
+as one array of step-map targets; the scalar ``step`` serves
+``simulate`` and is the reference that array is tested against.
+
 Reversibility is a global property of the step map, not of the
 transition table alone, so ``validate`` checks injectivity exhaustively
 over the whole configuration space and reports a witness pair when two
@@ -40,8 +44,10 @@ from dataclasses import dataclass, field, replace
 from importlib import resources
 from math import ceil, log2
 
+import numpy as np
+
 from .errors import ContractError
-from .sparse_oracle import Entry, RowOracleMatrix, ata_oracle
+from .sparse_oracle import RowOracleMatrix, ata_oracle, from_csr
 from .spectral import min_eigenvalue_bound
 
 MOVES = {"L": -1, "S": 0, "R": 1}
@@ -158,6 +164,28 @@ def step(machine: ReversibleTM, config: Configuration) -> Configuration | None:
     return Configuration(q2, head2, tuple(tape2))
 
 
+def successors(machine: ReversibleTM) -> np.ndarray:
+    """Successor index of every configuration (int64, -1 where it halts).
+
+    The vectorized ``step``: decode state, head and the symbol under the
+    head from each index, look the (state, symbol) pair up in the
+    transition table, and re-encode the moved configuration.
+    """
+    nq, na, space = len(machine.states), len(machine.alphabet), machine.space
+    table = np.array([[-1, 0, 0]] * (nq * na), dtype=np.int64)  # new state, written, move
+    for (q, a), (q2, a2, mv) in machine.transitions.items():
+        table[machine._qidx[q] * na + machine._aidx[a]] = machine._qidx[q2], machine._aidx[a2], mv
+    rest, state = np.divmod(np.arange(machine.dim, dtype=np.int64), nq)
+    tape, head = np.divmod(rest, space)
+    weight = (na ** np.arange(space, dtype=np.int64))[head]
+    symbol = tape // weight % na
+    state2, written, move = table[state * na + symbol].T
+    head2 = head + move
+    out = state2 + nq * (head2 + space * (tape + (written - symbol) * weight))
+    out[(state2 < 0) | (head2 < 0) | (head2 >= space)] = -1
+    return out
+
+
 def _padded_tape(machine: ReversibleTM, input_str: str) -> tuple[str, ...]:
     symbols = list(input_str)
     for s in symbols:
@@ -260,9 +288,22 @@ def validate(machine: ReversibleTM) -> ValidationReport:
     fail on configurations no legal run ever visits, and the
     determinant construction quantifies over all of them.
     """
+    return _audit(machine, successors(machine))
+
+
+def _audit(machine: ReversibleTM, succ: np.ndarray) -> ValidationReport:
+    """validate, on an already computed successor array.
+
+    The witnesses are the ones a sweep in index order meets first: the
+    colliding pair whose later member is smallest, and the loop reached
+    from the smallest configuration that never halts.
+    """
     issues: list[str] = []
     collision: tuple[Configuration, Configuration] | None = None
     cycle_witness: tuple[Configuration, ...] | None = None
+
+    def config(i) -> Configuration:
+        return decode_configuration(machine, int(i))
 
     for (q, a), (q2, _, _) in sorted(machine.transitions.items()):
         if q == machine.accept:
@@ -270,49 +311,39 @@ def validate(machine: ReversibleTM) -> ValidationReport:
         if q2 == machine.start:
             issues.append(f"transition ({q}, {a}) re-enters the start state")
 
-    dim = machine.dim
-    successor = [-1] * dim  # -1 = halt
-    predecessor_of = [-1] * dim
-    for i in range(dim):
-        nxt = step(machine, decode_configuration(machine, i))
-        if nxt is None:
-            continue
-        j = encode_configuration(machine, nxt)
-        successor[i] = j
-        if predecessor_of[j] != -1 and collision is None:
-            collision = (
-                decode_configuration(machine, predecessor_of[j]),
-                decode_configuration(machine, i),
-            )
-            issues.append(
-                f"step map not injective: {collision[0]} and {collision[1]} "
-                f"share successor {nxt}"
-            )
-        predecessor_of[j] = i
+    # Injectivity: sort moving configurations by target; the stable sort
+    # keeps each target's preimages in ascending order.
+    moving = np.flatnonzero(succ >= 0)
+    order = np.argsort(succ[moving], kind="stable")
+    source, target = moving[order], succ[moving][order]
+    shared = np.flatnonzero(target[1:] == target[:-1])
+    if shared.size:
+        k = shared[np.argmin(source[shared + 1])]
+        collision = (config(source[k]), config(source[k + 1]))
+        issues.append(
+            f"step map not injective: {collision[0]} and {collision[1]} "
+            f"share successor {config(target[k])}"
+        )
 
-    # Cycle scan: follow successor chains, marking each node with the
-    # sweep that first visited it.  A chain that re-meets its own sweep
-    # closed a loop.
-    mark = [0] * dim
-    for s in range(dim):
-        if mark[s]:
-            continue
-        sweep = s + 1
-        v = s
-        while v != -1 and mark[v] == 0:
-            mark[v] = sweep
-            v = successor[v]
-        if v != -1 and mark[v] == sweep and cycle_witness is None:
-            loop = [v]
-            u = successor[v]
-            while u != v:
-                loop.append(u)
-                u = successor[u]
-            cycle_witness = tuple(decode_configuration(machine, w) for w in loop)
-            issues.append(
-                f"configuration graph has a cycle of length {len(loop)} "
-                f"through {cycle_witness[0]}"
-            )
+    # Acyclicity by pointer jumping: after 2^r > dim hops every halting
+    # configuration has reached the sink appended at index dim.
+    dim = machine.dim
+    jump = np.append(np.where(succ >= 0, succ, dim), dim)
+    for _ in range(dim.bit_length()):
+        jump = jump[jump]
+    stuck = np.flatnonzero(jump[:-1] != dim)
+    if stuck.size:
+        path: dict[int, int] = {}
+        v = int(stuck[0])
+        while v not in path:
+            path[v] = len(path)
+            v = int(succ[v])
+        loop = list(path)[path[v]:]
+        cycle_witness = tuple(config(w) for w in loop)
+        issues.append(
+            f"configuration graph has a cycle of length {len(loop)} "
+            f"through {cycle_witness[0]}"
+        )
 
     return ValidationReport(
         machine=machine.name,
@@ -338,8 +369,11 @@ def augmented_adjacency(
     +-1.  Rows stay 0/1 with at most two entries and columns carry at
     most two ones, so the Gram construction applies downstream.
     """
+    from scipy.sparse import csr_matrix
+
+    succ = successors(machine)
     if check:
-        report = validate(machine)
+        report = _audit(machine, succ)
         if not report.ok:
             raise ContractError(
                 f"machine {machine.name!r} failed validation: "
@@ -348,24 +382,18 @@ def augmented_adjacency(
     s_idx = encode_configuration(machine, start_configuration(machine, input_str))
     t_idx = encode_configuration(machine, accept_configuration(machine, input_str))
 
-    def row_fn(i: int) -> list[Entry]:
-        if i == t_idx:
-            return [(s_idx, 1)]
-        nxt = step(machine, decode_configuration(machine, i))
-        cols = set()
-        if nxt is not None:
-            cols.add(encode_configuration(machine, nxt))
-        if i != s_idx:
-            cols.add(i)
-        return [(c, 1) for c in sorted(cols)]
-
-    return RowOracleMatrix(
-        dim=machine.dim,
-        sparsity_d=2,
-        entry_bound_k=1,
-        row_fn=row_fn,
-        column_ones_bound=2,
-    )
+    # Two candidate columns per row, -1 for none: the successor edge (merged
+    # into the self-loop if a configuration steps to itself) and the self-loop.
+    loop = np.arange(machine.dim, dtype=np.int64)
+    loop[s_idx] = -1
+    edge = np.where(succ == loop, -1, succ)
+    edge[t_idx], loop[t_idx] = s_idx, -1
+    pair = np.sort(np.stack([edge, loop], axis=1), axis=1)
+    present = pair >= 0
+    indptr = np.concatenate([[0], np.cumsum(present.sum(axis=1))])
+    data = np.ones(int(present.sum()), dtype=np.int64)
+    csr = csr_matrix((data, pair[present], indptr), shape=(machine.dim, machine.dim))
+    return from_csr(csr, sparsity_d=2, entry_bound_k=1, column_ones_bound=2)
 
 
 @dataclass(frozen=True)

@@ -304,8 +304,7 @@ class EvolutionParams:
 def _norm_upper_bound(matrix) -> float:
     """Upper bound on the spectral norm: sqrt of (1-norm times inf-norm)."""
     if isinstance(matrix, RowOracleMatrix):
-        a = to_csr(matrix)
-        abs_a = abs(a)
+        abs_a = abs(to_csr(matrix))
         one = abs_a.sum(axis=0).max()
         inf = abs_a.sum(axis=1).max()
         return float(sqrt(one * inf))
@@ -328,7 +327,7 @@ def expm_taylor(matrix, evo_time: float, order: int) -> np.ndarray:
     if _norm_upper_bound(matrix) * evo_time > pi * (1 + 1e-9):
         raise ContractError("||A|| * evo_time exceeds pi")
     if isinstance(matrix, RowOracleMatrix):
-        a = to_csr(matrix)
+        a = to_csr(matrix).astype(np.float64)
     else:
         a = matrix.entries if isinstance(matrix, DenseMatrix) else np.asarray(matrix)
     n = a.shape[0]

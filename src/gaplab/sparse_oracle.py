@@ -9,6 +9,11 @@ against the oracle interface first.  Dense materialization exists only
 as a desk-scale debugging and ground-truth device, gated by an explicit
 cap.
 
+Every full pass reads one cached int64 CSR form: ``to_csr`` builds it
+once through the checks of ``row``, and constructors that already hold
+the whole matrix hand theirs to ``from_csr``, which checks the declared
+contract on all rows at once.
+
 Integer-valued oracles stay integer-valued until a spectral operation
 converts them to floats.  No float arithmetic happens inside row
 construction or Gram-matrix assembly.
@@ -56,6 +61,7 @@ class RowOracleMatrix:
     declared contract and are enforced on every query.
     ``column_ones_bound`` is an optional declared bound on the number of
     ones per column, required by the Gram construction below.
+    ``row_fn`` must be pure: its rows are cached by ``to_csr``.
     """
 
     dim: int
@@ -63,6 +69,7 @@ class RowOracleMatrix:
     entry_bound_k: int
     row_fn: RowFn
     column_ones_bound: int | None = None
+    _csr: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.dim <= 0:
@@ -75,9 +82,10 @@ class RowOracleMatrix:
 class DenseMatrix:
     """Explicit square matrix with verification flags.
 
-    ``symmetric`` and ``psd`` start False and are set only after the
-    corresponding check has actually run; they are the one exception to
-    the otherwise immutable value types in this package.
+    ``symmetric`` and ``psd`` start False and are set only once the
+    property is known (by ``check_symmetric``, or by a constructor);
+    they are the one exception to the otherwise immutable value types
+    in this package.
     """
 
     dim: int
@@ -98,15 +106,6 @@ class DenseMatrix:
         dev = np.max(np.abs(a - a.T)) if self.dim > 1 else 0.0
         self.symmetric = bool(dev <= tol)
         return self.symmetric
-
-    def check_psd(self, tol: float = 1e-10) -> bool:
-        """Set the psd flag iff the smallest eigenvalue is >= -tol."""
-        if not self.symmetric and not self.check_symmetric():
-            self.psd = False
-            return False
-        w = np.linalg.eigvalsh(self.entries.astype(np.float64))
-        self.psd = bool(w[0] >= -tol)
-        return self.psd
 
 
 def row(matrix: RowOracleMatrix, i: int) -> list[Entry]:
@@ -146,11 +145,7 @@ def materialize(matrix: RowOracleMatrix, cap: int | None = None) -> DenseMatrix:
         raise ResourceLimitError(
             f"dim {matrix.dim} exceeds dense materialization cap {limit}"
         )
-    out = np.zeros((matrix.dim, matrix.dim), dtype=np.int64)
-    for i in range(matrix.dim):
-        for col, val in row(matrix, i):
-            out[i, col] = val
-    dm = DenseMatrix(dim=matrix.dim, entries=out)
+    dm = DenseMatrix(dim=matrix.dim, entries=to_csr(matrix).toarray())
     dm.check_symmetric()
     return dm
 
@@ -169,21 +164,66 @@ def identity_oracle(dim: int) -> RowOracleMatrix:
 
 
 def to_csr(matrix: RowOracleMatrix):
-    """Compressed sparse form of an oracle (no dense cap needed)."""
+    """The oracle as an int64 scipy CSR matrix, built once and cached.
+
+    This is the only code that sweeps ``row_fn``: every row passes the
+    contract checks of ``row`` on the way in.  The cached matrix is
+    shared by every later caller, which must not modify it in place.
+    """
+    if matrix._csr is None:
+        from scipy.sparse import csr_matrix
+
+        rows = [row(matrix, i) for i in range(matrix.dim)]
+        indptr = np.cumsum([0] + [len(r) for r in rows])
+        cols, vals = np.array([e for r in rows for e in r], dtype=np.int64).reshape(-1, 2).T
+        csr = csr_matrix((vals, cols, indptr), shape=(matrix.dim, matrix.dim))
+        object.__setattr__(matrix, "_csr", csr)
+    return matrix._csr
+
+
+def from_csr(
+    csr, sparsity_d: int, entry_bound_k: int, column_ones_bound: int | None = None
+) -> RowOracleMatrix:
+    """Wrap an existing integer CSR matrix as a row oracle.
+
+    Checks on all rows at once the contract ``row`` enforces per query,
+    plus the declared ones-per-column bound; the matrix then becomes the
+    oracle's cached CSR form and answers its row queries.
+    """
     from scipy.sparse import csr_matrix
 
-    indptr = [0]
-    indices: list[int] = []
-    data: list[int] = []
-    for i in range(matrix.dim):
-        for col, val in row(matrix, i):
-            indices.append(col)
-            data.append(val)
-        indptr.append(len(indices))
-    return csr_matrix(
-        (np.asarray(data, dtype=np.float64), indices, indptr),
-        shape=(matrix.dim, matrix.dim),
-    )
+    csr = csr_matrix(csr)
+    if not np.issubdtype(csr.dtype, np.integer):
+        raise ContractError("row oracles carry exact integer entries")
+    csr = csr.astype(np.int64, copy=False)
+    dim = csr.shape[0]
+    if csr.shape != (dim, dim):
+        raise ValueError(f"expected a square matrix, got shape {csr.shape}")
+    indptr, cols, vals = csr.indptr, csr.indices, csr.data
+    counts = np.diff(indptr)
+    entry_row = np.repeat(np.arange(dim), counts)
+    position = entry_row * dim + cols  # strictly increasing iff rows are sorted
+    for bad_row, what in (
+        (np.flatnonzero(counts > sparsity_d), f"has more than {sparsity_d} entries"),
+        (entry_row[(cols < 0) | (cols >= dim)], f"references a column outside [0, {dim})"),
+        (entry_row[1:][np.diff(position) <= 0], "entries not sorted by column"),
+        (entry_row[vals == 0], "contains an explicit zero"),
+        (entry_row[np.abs(vals) > entry_bound_k], f"exceeds declared bound {entry_bound_k}"),
+    ):
+        if bad_row.size:
+            raise ContractError(f"row {bad_row[0]} {what}")
+    if column_ones_bound is not None and (
+        np.bincount(cols[vals == 1], minlength=dim).max() > column_ones_bound
+    ):
+        raise ContractError(f"a column holds more than {column_ones_bound} ones")
+
+    def row_fn(i: int) -> list[Entry]:
+        lo, hi = indptr[i], indptr[i + 1]
+        return list(zip(cols[lo:hi].tolist(), vals[lo:hi].tolist()))
+
+    oracle = RowOracleMatrix(dim, sparsity_d, entry_bound_k, row_fn, column_ones_bound)
+    object.__setattr__(oracle, "_csr", csr)
+    return oracle
 
 
 def from_dense(dense: DenseMatrix | np.ndarray) -> RowOracleMatrix:
@@ -193,91 +233,47 @@ def from_dense(dense: DenseMatrix | np.ndarray) -> RowOracleMatrix:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     if not np.issubdtype(arr.dtype, np.integer):
         raise ContractError("row oracles carry exact integer entries")
-    n = arr.shape[0]
-    rows: list[list[Entry]] = [
-        [(int(j), int(arr[i, j])) for j in np.nonzero(arr[i])[0]] for i in range(n)
-    ]
-    sparsity = max((len(r) for r in rows), default=0)
-    bound = int(np.max(np.abs(arr))) if arr.size else 0
-    col_ones = None
-    if np.all((arr == 0) | (arr == 1)):
-        col_ones = int(np.max(np.sum(arr, axis=0))) if arr.size else 0
-    return RowOracleMatrix(
-        dim=n,
-        sparsity_d=max(sparsity, 1),
-        entry_bound_k=max(bound, 1),
-        row_fn=lambda i: rows[i],
-        column_ones_bound=col_ones,
-    )
+    i, j = np.nonzero(arr)
+    return from_entries(arr.shape[0], zip(i, j, arr[i, j]))
 
 
 def from_entries(dim: int, triplets: Iterable[Sequence[int]]) -> RowOracleMatrix:
-    """Build an oracle from an (i, j, value) triplet list."""
-    rows: dict[int, dict[int, int]] = {}
-    for i, j, v in triplets:
-        i, j, v = int(i), int(j), int(v)
-        if not (0 <= i < dim and 0 <= j < dim):
-            raise ValueError(f"entry ({i}, {j}) outside a {dim} x {dim} matrix")
-        if v == 0:
-            continue
-        if j in rows.setdefault(i, {}):
-            raise ValueError(f"duplicate entry at ({i}, {j})")
-        rows[i][j] = v
-    row_lists: dict[int, list[Entry]] = {
-        i: sorted(cols.items()) for i, cols in rows.items()
-    }
-    sparsity = max((len(r) for r in row_lists.values()), default=0)
-    bound = max(
-        (abs(v) for cols in rows.values() for v in cols.values()), default=0
-    )
-    all_01 = all(v == 1 for cols in rows.values() for v in cols.values())
-    col_ones = None
-    if all_01:
-        counts: dict[int, int] = {}
-        for cols in rows.values():
-            for j in cols:
-                counts[j] = counts.get(j, 0) + 1
-        col_ones = max(counts.values(), default=0)
-    return RowOracleMatrix(
-        dim=dim,
-        sparsity_d=max(sparsity, 1),
-        entry_bound_k=max(bound, 1),
-        row_fn=lambda i: row_lists.get(i, []),
-        column_ones_bound=col_ones,
-    )
+    """Build an oracle from an (i, j, value) triplet list.
 
-
-class _ColumnIndex:
-    """Lazily built transpose index for a row oracle.
-
-    A truly succinct matrix would need a column oracle of its own; at
-    desk scale one full row sweep is affordable and keeps the Gram
-    construction independent of any particular matrix family.
+    The declared bounds are the tightest the entries satisfy; a column
+    bound is declared only for 0/1 matrices.
     """
+    from scipy.sparse import coo_matrix
 
-    def __init__(self, matrix: RowOracleMatrix) -> None:
-        self._matrix = matrix
-        self._cols: dict[int, list[Entry]] | None = None
-
-    def column(self, j: int) -> list[Entry]:
-        if self._cols is None:
-            cols: dict[int, list[Entry]] = {}
-            for i in range(self._matrix.dim):
-                for c, v in row(self._matrix, i):
-                    cols.setdefault(c, []).append((i, v))
-            self._cols = cols
-        return self._cols.get(j, []) if self._cols else []
+    t = np.array([(int(i), int(j), int(v)) for i, j, v in triplets], dtype=np.int64)
+    i, j, v = t.reshape(-1, 3).T
+    outside = np.flatnonzero((i < 0) | (i >= dim) | (j < 0) | (j >= dim))
+    if outside.size:
+        k = outside[0]
+        raise ValueError(f"entry ({i[k]}, {j[k]}) outside a {dim} x {dim} matrix")
+    i, j, v = i[v != 0], j[v != 0], v[v != 0]
+    position, count = np.unique(i * dim + j, return_counts=True)
+    if np.any(count > 1):
+        raise ValueError(f"duplicate entry at {divmod(int(position[count > 1][0]), dim)}")
+    csr = coo_matrix((v, (i, j)), shape=(dim, dim)).tocsr()
+    ones = np.bincount(j, minlength=dim).max(initial=0)
+    return from_csr(
+        csr,
+        sparsity_d=max(int(np.diff(csr.indptr).max(initial=0)), 1),
+        entry_bound_k=max(int(np.abs(v).max(initial=0)), 1),
+        column_ones_bound=int(ones) if np.all(v == 1) else None,
+    )
 
 
 def ata_oracle(matrix: RowOracleMatrix) -> RowOracleMatrix:
     """Row oracle for A^T A, for 0/1 matrices with <= 2 ones per column.
 
     Row i of the Gram matrix touches only columns j that share a
-    supporting row with column i, so each query needs the (at most two)
-    rows meeting column i.  Entries land in {0, 1, 2}: a diagonal entry
-    counts the ones in column i, an off-diagonal entry counts shared
-    rows.  The result is symmetric and positive semidefinite by
-    construction.
+    supporting row with column i, which bounds its sparsity; the product
+    is taken once, over int64, on the CSR form.  Entries land in {0, 1, 2}:
+    a diagonal entry counts the ones in column i, an off-diagonal entry
+    counts shared rows.  The result is symmetric and positive
+    semidefinite by construction.
     """
     if matrix.column_ones_bound is None or matrix.column_ones_bound > 2:
         raise ContractError(
@@ -286,21 +282,14 @@ def ata_oracle(matrix: RowOracleMatrix) -> RowOracleMatrix:
     if matrix.entry_bound_k > 1:
         raise ContractError("Gram construction requires 0/1 entries")
 
-    index = _ColumnIndex(matrix)
-    gram_sparsity = min(matrix.dim, 2 * matrix.sparsity_d * matrix.column_ones_bound)
-
-    def gram_row(i: int) -> list[Entry]:
-        acc: dict[int, int] = {}
-        for r, v_ri in index.column(i):
-            for j, v_rj in row(matrix, r):
-                acc[j] = acc.get(j, 0) + v_ri * v_rj
-        return sorted((j, v) for j, v in acc.items() if v != 0)
-
-    return RowOracleMatrix(
-        dim=matrix.dim,
-        sparsity_d=gram_sparsity,
+    a = to_csr(matrix)
+    gram = (a.T @ a).tocsr()
+    gram.eliminate_zeros()
+    gram.sort_indices()
+    return from_csr(
+        gram,
+        sparsity_d=min(matrix.dim, 2 * matrix.sparsity_d * matrix.column_ones_bound),
         entry_bound_k=2,
-        row_fn=gram_row,
         column_ones_bound=None,
     )
 

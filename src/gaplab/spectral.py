@@ -24,7 +24,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import ContractError, ResourceLimitError
-from .sparse_oracle import DenseMatrix, RowOracleMatrix, materialize, row
+from .sparse_oracle import DenseMatrix, RowOracleMatrix, to_csr
 
 # Factorial-time methods refuse to run above this dimension.
 ENUMERATION_CAP = 10
@@ -38,11 +38,7 @@ SYMMETRY_TOL = 1e-12
 
 def _dense_int_rows(matrix: RowOracleMatrix | DenseMatrix | np.ndarray) -> list[list[int]]:
     if isinstance(matrix, RowOracleMatrix):
-        out = [[0] * matrix.dim for _ in range(matrix.dim)]
-        for i in range(matrix.dim):
-            for j, v in row(matrix, i):
-                out[i][j] = v
-        return out
+        return to_csr(matrix).toarray().tolist()
     arr = matrix.entries if isinstance(matrix, DenseMatrix) else np.asarray(matrix)
     if not np.issubdtype(arr.dtype, np.integer):
         raise ContractError("exact determinants require integer entries")
@@ -183,7 +179,11 @@ def det_bareiss_sparse(matrix: RowOracleMatrix) -> int:
     of dim^2.
     """
     n = matrix.dim
-    rows: list[dict[int, int]] = [dict(row(matrix, i)) for i in range(n)]
+    a = to_csr(matrix)
+    cols, vals, ptr = a.indices.tolist(), a.data.tolist(), a.indptr.tolist()
+    rows: list[dict[int, int]] = [
+        dict(zip(cols[lo:hi], vals[lo:hi])) for lo, hi in zip(ptr, ptr[1:])
+    ]
     col_rows: dict[int, set[int]] = {}
     for i, r in enumerate(rows):
         for j in r:
@@ -487,18 +487,6 @@ def spectrum_report(kind: str, ell: int, index_form: str = "odd") -> SpectrumRep
     return SpectrumReport(kind=kind, ell=ell, eigenvalues=numeric, closed_form=closed)
 
 
-def min_eigenvalue_oracle(
-    matrix: RowOracleMatrix, cap: int | None = None
-) -> float:
-    """Least eigenvalue of a symmetric row-oracle matrix.
-
-    Materializes (subject to the dense cap) and defers to the dense
-    eigensolver; the symmetric contract is enforced on the result.
-    """
-    dm = materialize(matrix, cap)
-    return min_eigenvalue(dm)
-
-
 def min_eigenvalue_sparse(matrix: RowOracleMatrix, shift: float = 1e-6) -> float:
     """Least eigenvalue of a large symmetric PSD oracle matrix.
 
@@ -510,9 +498,7 @@ def min_eigenvalue_sparse(matrix: RowOracleMatrix, shift: float = 1e-6) -> float
     """
     from scipy.sparse.linalg import eigsh
 
-    from .sparse_oracle import to_csr
-
-    a = to_csr(matrix)
+    a = to_csr(matrix).astype(np.float64)
     dev = abs(a - a.T)
     if dev.nnz and dev.max() > SYMMETRY_TOL:
         raise ContractError("matrix is not symmetric")

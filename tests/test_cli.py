@@ -1,6 +1,7 @@
 """Command-line surface: formats, determinism, exit codes, thinness."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,3 +169,51 @@ def test_floats_printed_at_full_precision(capsys):
     _, out = run_cli(capsys, "spectrum", "--kind", "path", "--ell", "2")
     value = out.strip().splitlines()[1].split(",")[2]
     assert float(value) == spectral.closed_form_eigenvalues(2)[0]
+
+
+# ---------------------------------------------------------------------------
+# golden outputs: default reports must stay byte-identical across refactors
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+GOLDEN_CASES = {
+    "spectrum_path_8": ["spectrum", "--kind", "path", "--ell", "8"],
+    "spectrum_cycle_12": ["spectrum", "--kind", "cycle", "--ell", "12"],
+    **{
+        f"det_{method}": ["det", "--instance", "triplets.json", "--method", method]
+        for method in ("auto", "bareiss", "bareiss_sparse", "cycle_cover", "permutation")
+    },
+    **{
+        f"reduce_{machine}_{x}": ["reduce", "--machine", machine, "--input", x]
+        for machine, x in (
+            ("unary_counter", "11"),
+            ("unary_counter", "1"),
+            ("binary_nonmax", "#io"),
+            ("binary_nonmax", "#ii"),
+            ("first_last_match", "aa"),
+            ("first_last_match", "ab"),
+        )
+    },
+    **{
+        f"verify_unary_counter_{x}": ["verify", "--machine", "unary_counter",
+                                      "--space", "3", "--input", x,
+                                      "--gap-exponent", "12"]
+        for x in ("11", "1")
+    },
+    "verify_toy_gram": ["verify", "--instance", "toy_gram.json", "--gap-exponent", "2"],
+    "amplify_p09": ["amplify", "--p", "0.9"],
+    **{
+        f"kitaev_{verifier}_{fmt}": ["kitaev", "--verifier", verifier, "--format", fmt]
+        for verifier in ("rotation", "rule")
+        for fmt in ("json", "csv")
+    },
+    "energy_2x2": ["energy", "--instance", "energy_2x2.json"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_golden_output(name, capsys, monkeypatch):
+    monkeypatch.chdir(GOLDEN_DIR)
+    code, out = run_cli(capsys, *GOLDEN_CASES[name])
+    assert code == 0
+    assert out.encode() == (GOLDEN_DIR / f"{name}.out").read_bytes()

@@ -170,9 +170,7 @@ def test_nwz_amplify_frozen_rotation_outcomes():
     bad = pr.nwz_amplify(verifier, params, np.array([1.0, 0.0]))
     assert bad.decision == "NO"
     assert bad.p_no == pytest.approx(1.0, abs=1e-12)
-    # Outcome unpacks as its decision pair.
-    decision, probability = good
-    assert decision == "YES" and probability == good.probability
+    assert good.probability == good.p_yes
 
 
 def test_nwz_amplify_flags_promise_violations():

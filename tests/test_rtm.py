@@ -1,9 +1,13 @@
 """Machine simulation, validation, and the determinant reduction."""
 
+import itertools
 import json
 from importlib import resources
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gaplab import rtm, sparse_oracle as so, spectral as sp
 from gaplab.errors import ContractError
@@ -202,3 +206,52 @@ def test_reduction_rejects_invalid_machine():
     machine = rtm.machine_from_dict(spec)
     with pytest.raises(ContractError):
         rtm.reduce_to_gapped(machine, "11")
+
+
+@st.composite
+def random_machines(draw):
+    """Partial transition tables over 3-4 states, alphabet {0, 1}, space 2-4."""
+    states = ["s", "acc", "p", "q"][: draw(st.integers(3, 4))]
+    keys = st.tuples(st.sampled_from(states), st.sampled_from("01"))
+    rules = st.tuples(st.sampled_from(states), st.sampled_from("01"), st.sampled_from("LSR"))
+    table = draw(st.dictionaries(keys, rules))
+    return rtm.machine_from_dict({
+        "name": "random", "states": states, "start": "s", "accept": "acc",
+        "alphabet": ["0", "1"], "blank": "0", "space": draw(st.integers(2, 4)),
+        "transitions": [[q, a, *rule] for (q, a), rule in sorted(table.items())],
+    })
+
+
+@settings(max_examples=120, deadline=None)
+@given(random_machines())
+@example(rtm.with_space(rtm.corpus_machine("unary_counter"), 3))
+@example(rtm.with_space(rtm.corpus_machine("first_last_match"), 2))
+def test_random_machine_reduction(machine):
+    def scalar_step(i):
+        nxt = rtm.step(machine, rtm.decode_configuration(machine, i))
+        return -1 if nxt is None else rtm.encode_configuration(machine, nxt)
+
+    assert rtm.successors(machine).tolist() == [scalar_step(i) for i in range(machine.dim)]
+
+    report = rtm.validate(machine)
+    if not report.ok:
+        if report.collision is not None:
+            first, second = report.collision
+            assert first != second
+            assert rtm.step(machine, first) == rtm.step(machine, second) is not None
+        if report.cycle is not None:
+            loop = list(report.cycle)
+            assert [rtm.step(machine, c) for c in loop] == loop[1:] + loop[:1]
+        return
+
+    floor = sp.min_eigenvalue_bound(machine.dim)
+    for n in range(machine.space):
+        for x in map("".join, itertools.product(machine.alphabet, repeat=n)):
+            instance = rtm.reduce_to_gapped(machine, x)
+            det = sp.det_exact(instance.adjacency)
+            accepted = rtm.simulate(machine, x).accepted
+            lam = np.linalg.eigvalsh(so.materialize(instance.gram).entries.astype(float))[0]
+            assert det in (-1, 0, 1)
+            assert (det != 0) == accepted == (lam >= floor)
+            if not accepted:
+                assert abs(lam) < 1e-10

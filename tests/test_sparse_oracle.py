@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from gaplab import sparse_oracle as so
 from gaplab.errors import ContractError, ResourceLimitError
@@ -68,38 +69,58 @@ def test_row_index_out_of_range():
         so.row(so.path_adjacency(3), 3)
 
 
-def _oracle_with(row_fn, dim=3, d=1, k=1):
-    return so.RowOracleMatrix(dim=dim, sparsity_d=d, entry_bound_k=k, row_fn=row_fn)
+def _row_zero_routes(entries, d=1, k=1, dim=3):
+    """Build calls giving row 0 these entries: a row-oracle query, and from_csr."""
+    oracle = so.RowOracleMatrix(dim=dim, sparsity_d=d, entry_bound_k=k,
+                                row_fn=lambda i: entries)
+    cols, vals = zip(*entries)
+    indptr = [0] + [len(entries)] * dim
+    csr = csr_matrix((np.array(vals), np.array(cols), indptr), shape=(dim, dim))
+    return [lambda: so.row(oracle, 0), lambda: so.from_csr(csr, d, k)]
 
 
 def test_row_contract_too_many_entries():
-    m = _oracle_with(lambda i: [(0, 1), (1, 1)])
-    with pytest.raises(ContractError):
-        so.row(m, 0)
+    for build in _row_zero_routes([(0, 1), (1, 1)]):
+        with pytest.raises(ContractError):
+            build()
 
 
 def test_row_contract_unsorted_columns():
-    m = _oracle_with(lambda i: [(1, 1), (0, 1)], d=2)
-    with pytest.raises(ContractError):
-        so.row(m, 0)
+    for entries in ([(1, 1), (0, 1)], [(1, 1), (1, 1)]):
+        for build in _row_zero_routes(entries, d=2):
+            with pytest.raises(ContractError):
+                build()
 
 
 def test_row_contract_explicit_zero():
-    m = _oracle_with(lambda i: [(0, 0)])
-    with pytest.raises(ContractError):
-        so.row(m, 0)
+    for build in _row_zero_routes([(0, 0)]):
+        with pytest.raises(ContractError):
+            build()
 
 
 def test_row_contract_entry_bound():
-    m = _oracle_with(lambda i: [(0, 2)])
-    with pytest.raises(ContractError):
-        so.row(m, 0)
+    for build in _row_zero_routes([(0, 2)]):
+        with pytest.raises(ContractError):
+            build()
 
 
 def test_row_contract_column_range():
-    m = _oracle_with(lambda i: [(3, 1)])
-    with pytest.raises(ContractError):
-        so.row(m, 0)
+    for build in _row_zero_routes([(3, 1)]):
+        with pytest.raises(ContractError):
+            build()
+
+
+def test_rows_are_swept_once():
+    calls = []
+    path = so.path_adjacency(5)
+    counted = so.RowOracleMatrix(
+        dim=5, sparsity_d=2, entry_bound_k=1,
+        row_fn=lambda i: calls.append(i) or path.row_fn(i),
+    )
+    first = so.to_csr(counted)
+    assert so.to_csr(counted) is first
+    np.testing.assert_array_equal(so.materialize(counted).entries, first.toarray())
+    assert calls == list(range(5))
 
 
 def test_materialize_respects_cap():
