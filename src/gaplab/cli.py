@@ -160,6 +160,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
             "gap_exponent": g,
             "decision": result.decision,
             "acceptance": result.acceptance,
+            "rejection": result.rejection,
             "completeness": result.completeness,
             "soundness": result.soundness,
             "separation": result.separation,

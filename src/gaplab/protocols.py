@@ -13,7 +13,9 @@ The pipeline realized here, end to end at desk scale:
   closed form;
 * a gapped-matrix instance (least eigenvalue 0 versus at least 2^-g)
   is decided by one-bit phase reading of the truncated-Taylor
-  exponential;
+  exponential, applied matrix-free to the shift-invert bottom
+  eigenvector and read on the rejection side, sin^2(lam t/2), so that
+  gaps down to 2^-MAX_GAP_EXPONENT survive double precision;
 * a verifier is compiled into a 5-local clock Hamiltonian whose ground
   energy is probed by bisection.
 
@@ -28,7 +30,7 @@ phase gap) leaves room for this padding on both sides.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import acos, ceil, comb, cos, floor, log2, pi, sqrt
+from math import acos, ceil, comb, cos, exp, floor, log2, pi, sin, sqrt
 
 import numpy as np
 
@@ -40,21 +42,21 @@ from .sparse_oracle import (
     materialize,
     norm_bound,
 )
-from .spectral import eigensystem, min_eigenvalue
+from .spectral import bottom_eigenpair, min_eigenvalue
 from .simulator import (
     QuantumCircuit,
     Statevector,
     _apply_to_columns,
     circuit_unitary,
     expm_exact,
-    expm_taylor,
-    one_bit_pe,
     pad_with_ancillas,
+    phase_read,
     run_circuit,
     taylor_order,
 )
 
-MAX_GAP_EXPONENT = 12
+UNIT_ROUNDOFF = 2.0**-53
+MAX_GAP_EXPONENT = 37  # derived in gapped_params
 CLOCK_GATE_CAP = 6
 CLOCK_QUBIT_CAP = 4
 ENERGY_BITS_CAP = 40
@@ -358,56 +360,111 @@ def amplified_accept_operator(
 
 @dataclass(frozen=True)
 class GappedParams:
-    """Derived run parameters of the gapped-matrix phase reader."""
+    """Derived run parameters of the gapped-matrix phase reader.
+
+    ``completeness`` and ``soundness`` bound the acceptance (outcome 0)
+    of the honest and of every witness; ``epsilon`` and
+    ``rejection_floor`` bound the rejection (outcome 1) on the same two
+    sides, computed without subtracting from 1: the rejection of a
+    lambda_min = 0 witness is at most epsilon, and every witness of a
+    lambda_min >= 2^-g instance reads at least rejection_floor.
+    """
 
     evo_time: float
     epsilon: float
     taylor_order: int
     completeness: float
     soundness: float
+    rejection_floor: float
 
     @property
     def midpoint(self) -> float:
         return (self.completeness + self.soundness) / 2
 
+    @property
+    def rejection_midpoint(self) -> float:
+        return (self.epsilon + self.rejection_floor) / 2
+
+    @property
+    def unitarity_tol(self) -> float:
+        return max(1e-8, 2.5 * self.epsilon)
+
 
 def gapped_params(matrix: RowOracleMatrix, g: int) -> GappedParams:
     """Evolution time, error budget, and analytic bounds for gap exponent g.
 
-    evo_time = pi/(entry bound * sparsity) keeps ||A|| t <= pi; the
-    Taylor budget epsilon = 2^-2g t^2 / 16 must stay well above the
-    double-precision floor, which caps g at 12.
+    evo_time t = pi/(entry bound k * sparsity d) keeps ||A|| t <= pi, and
+    the Taylor budget is epsilon = 2^-2g t^2 / 16.
+
+    The cap on g comes from rounding in the rejection read, which
+    computes v = (U_K - I) psi and reports ||v||^2 / 4.  Write a = 2^-g t.
+    Every witness of a lambda_min >= 2^-g instance has
+    ||(U - I) psi|| >= 2 sin(a/2) ~ a, the bottom-eigenvector witness of
+    a lambda_min = 0 instance has ||(U - I) psi|| <= t (|lam| + ||A psi -
+    lam psi||) ~ a/8 (the eigen-residual bound 2^-g/8 is checked by
+    ``decide_gapped``), the Taylor error adds at most
+    epsilon << a, and the decision threshold sits at about a/sqrt(2) in
+    this amplitude.  A rounding error up to a/8 in the computed v
+    therefore leaves every decision unchanged.  In double precision
+    (unit roundoff u = 2^-53), one sparse product with at most d terms
+    per row plus the scaling by t/k errs by at most (d + 2) u |A| |w|
+    entrywise, so the k-th term, a product of k of them, errs by at most
+    k (d + 2) u (||A|| t)^k / k!, and summing K terms adds K u (e^pi - 1).
+    With ||A|| t <= pi,
+        ||fl(v) - v|| <= u ((d + 2) pi e^pi + K (e^pi - 1)),
+    and g is admissible while this stays below 2^-g t / 8.  For the Gram
+    matrices of the machine reductions (d = 8, k = 2, t = pi/16) that
+    holds up to g = 37 (K = 38, bound 1.7e-13 against 1.8e-13), which
+    is MAX_GAP_EXPONENT, the cap of every run; denser instances meet the
+    bound earlier and are refused by the same inequality.
     """
     if g < 1:
         raise ValueError(f"gap exponent must be >= 1, got {g}")
     if g > MAX_GAP_EXPONENT:
         raise ConfigurationError(
-            f"gap exponent {g} exceeds {MAX_GAP_EXPONENT}: 2^-2g t^2/16 would "
-            f"sink below double-precision resolution"
+            f"gap exponent {g} exceeds {MAX_GAP_EXPONENT}: rounding in the "
+            f"rejection read would reach the 2^-g phase signal"
         )
     evo_time = pi / (matrix.entry_bound_k * matrix.sparsity_d)
     epsilon = 2.0 ** (-2 * g) * evo_time**2 / 16.0
     order = taylor_order(norm_bound(matrix) * evo_time, epsilon)
+    read_error = UNIT_ROUNDOFF * (
+        (matrix.sparsity_d + 2) * pi * exp(pi) + order * (exp(pi) - 1)
+    )
+    if read_error > 2.0**-g * evo_time / 8:
+        raise ConfigurationError(
+            f"gap exponent {g} too large for sparsity {matrix.sparsity_d} and entry "
+            f"bound {matrix.entry_bound_k}: rounding bound {read_error:.2e} on the "
+            f"rejection read exceeds 2^-g t/8 = {2.0**-g * evo_time / 8:.2e}"
+        )
     completeness = 1.0 - epsilon
     # Exact-exponential acceptance at eigenvalue lam is (1+cos(lam t))/2,
     # decreasing in lam on [0, pi/t]; the Taylor approximation shifts any
     # probability by at most epsilon (1 + epsilon/4).
     soundness = (1.0 + cos(2.0**-g * evo_time)) / 2 + epsilon * (1.0 + epsilon / 4)
+    # The same shift on the rejection side, where the exact value is
+    # sin^2(lam t / 2): no cancellation at any admissible g.  At lam = 0
+    # the exact rejection is 0 and the Taylor error raises it to at most
+    # (epsilon/2)^2, so epsilon = 1 - completeness bounds that side, and
+    # the rejection midpoint is 1 minus the acceptance midpoint exactly.
+    rejection_floor = sin(2.0**-g * evo_time / 2) ** 2 - epsilon * (1.0 + epsilon / 4)
     return GappedParams(
         evo_time=evo_time,
         epsilon=epsilon,
         taylor_order=order,
         completeness=completeness,
         soundness=soundness,
+        rejection_floor=rejection_floor,
     )
 
 
 def gapped_verifier(matrix: RowOracleMatrix, g: int, witness) -> float:
     """Outcome-0 probability of one-bit phase reading of e^{-iAt} on witness."""
     params = gapped_params(matrix, g)
-    u = expm_taylor(matrix, params.evo_time, params.taylor_order)
-    tol = max(1e-8, 2.5 * params.epsilon)
-    return one_bit_pe(u, witness, unitarity_tol=tol)
+    acceptance, _ = phase_read(
+        matrix, params.evo_time, params.taylor_order, witness, params.unitarity_tol
+    )
+    return acceptance
 
 
 @dataclass(frozen=True)
@@ -416,6 +473,7 @@ class GappedDecision:
 
     decision: str
     acceptance: float
+    rejection: float
     completeness: float
     soundness: float
     separation: float
@@ -427,26 +485,43 @@ class GappedDecision:
 def decide_gapped(matrix: RowOracleMatrix, g: int) -> GappedDecision:
     """Decide lambda_min = 0 versus >= 2^-g with the honest prover.
 
-    The witness is the bottom eigenvector from the dense eigensolver
-    (the best any prover can offer, acceptance being a Rayleigh
-    quotient).  YES means the acceptance cleared the midpoint of the
-    analytic completeness/soundness interval; the reported separation
-    is the distance to the far bound.
+    The witness is the bottom eigenvector from one shift-invert
+    factorization (``bottom_eigenpair``), the best any prover can offer:
+    rejection is sin^2(lam t/2) averaged over the witness's eigenbasis
+    weights.  The Taylor sum is applied to that vector only, so the run
+    costs one sparse factorization plus taylor_order sparse products,
+    and no dense matrix is built.  The factorization's pivot signs
+    certify that the instance is positive semidefinite (to within the
+    shift), which the 0 versus 2^-g promise presumes; an indefinite
+    instance raises ContractError.
+
+    The decision is read on the rejection side: YES (lambda_min = 0)
+    when the rejection falls below the midpoint of epsilon and
+    rejection_floor; the reported separation is the distance to the far
+    bound.
     """
     params = gapped_params(matrix, g)
-    dense = materialize(matrix)
-    _, vecs = eigensystem(dense)
-    witness = vecs[:, 0]
-    acceptance = gapped_verifier(matrix, g, witness)
-    if acceptance > params.midpoint:
+    try:
+        _, witness, residual = bottom_eigenpair(matrix)
+    except ContractError as exc:
+        raise ContractError(f"verify needs a positive semidefinite instance: {exc}") from exc
+    if residual > 2.0**-g / 8:
+        raise ContractError(
+            f"witness eigen-residual {residual:.3e} exceeds 2^-g/8 = {2.0**-g / 8:.3e}"
+        )
+    acceptance, rejection = phase_read(
+        matrix, params.evo_time, params.taylor_order, witness, params.unitarity_tol
+    )
+    if rejection < params.rejection_midpoint:
         decision = "YES"
-        separation = acceptance - params.soundness
+        separation = params.rejection_floor - rejection
     else:
         decision = "NO"
-        separation = params.completeness - acceptance
+        separation = rejection - params.epsilon
     return GappedDecision(
         decision=decision,
         acceptance=acceptance,
+        rejection=rejection,
         completeness=params.completeness,
         soundness=params.soundness,
         separation=separation,

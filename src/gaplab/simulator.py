@@ -8,16 +8,20 @@ bit; a gate on qubits (a, b) reads its local index the same way, first
 listed qubit least significant.
 
 The exponential e^{-iAt} comes in two flavors: spectral decomposition
-(``expm_exact``, the ground truth) and the truncated Taylor sum
-(``expm_taylor``), whose analytic tail bound is what the gapped
-verifier budgets against.
+(``expm_exact``, the ground truth) and the truncated Taylor sum, whose
+analytic tail bound is what the gapped verifier budgets against.  The
+Taylor sum has one loop, ``expm_taylor_minus_identity``, which applies
+it to a vector or column block with one sparse product per term; the
+verifier's ``phase_read`` applies it to its witness alone, and
+``expm_taylor`` (the loop on the identity) and the dense ``one_bit_pe``
+remain as small-dimension references.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from math import ceil, exp, lgamma, log, pi, sqrt
+from math import comb, exp, factorial, lgamma, log, pi, sqrt
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -29,6 +33,7 @@ MAX_QUBITS = 20
 NORM_TOL = 1e-12
 
 _INV_SQRT2 = 1.0 / sqrt(2.0)
+_MINUS_I_POWERS = (1, -1j, -1, 1j)  # (-i)^k by k mod 4
 GATE_MATRICES = {
     "H": np.array([[_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, -_INV_SQRT2]], dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -313,8 +318,14 @@ def _norm_upper_bound(matrix) -> float:
     return float(sqrt(abs_arr.sum(axis=0).max() * abs_arr.sum(axis=1).max()))
 
 
-def expm_taylor(matrix, evo_time: float, order: int) -> np.ndarray:
-    """Degree-``order`` Taylor sum for e^{-i A t}, by repeated sparse application.
+def expm_taylor_minus_identity(matrix, evo_time: float, order: int, x) -> np.ndarray:
+    """(U_K - I) x for the degree-``order`` Taylor sum U_K of e^{-i A t}.
+
+    Returns sum_{k=1..order} (-i A t)^k / k! x for a vector or a column
+    block ``x`` at the cost of ``order`` sparse products; the operator
+    itself is never formed.  Term k is (-i)^k w_k with w_k = (t/k) A w_{k-1}
+    and w_0 = x, so a real x stays real through the recurrence and the
+    powers of -i enter only when the terms are summed.
 
     Requires ||A|| * t <= pi (checked through a cheap norm bound): the
     tail estimate, and the whole phase-reading scheme downstream, live
@@ -330,13 +341,44 @@ def expm_taylor(matrix, evo_time: float, order: int) -> np.ndarray:
         a = to_csr(matrix).astype(np.float64)
     else:
         a = matrix.entries if isinstance(matrix, DenseMatrix) else np.asarray(matrix)
-    n = a.shape[0]
-    total = np.eye(n, dtype=complex)
-    term = np.eye(n, dtype=complex)
-    for j in range(1, order + 1):
-        term = (a @ term) * (-1j * evo_time / j)
-        total = total + term
+    w = np.asarray(getattr(x, "amplitudes", x))
+    total = np.zeros(w.shape, dtype=complex)
+    for k in range(1, order + 1):
+        w = (a @ w) * (evo_time / k)
+        total += _MINUS_I_POWERS[k % 4] * w
     return total
+
+
+def expm_taylor(matrix, evo_time: float, order: int) -> np.ndarray:
+    """Degree-``order`` Taylor sum for e^{-i A t} as a dense operator.
+
+    I plus ``expm_taylor_minus_identity`` applied to the identity: a
+    small-dimension oracle for tests; the verifier applies the sum to
+    its witness only.
+    """
+    n = matrix.dim if isinstance(matrix, (RowOracleMatrix, DenseMatrix)) else len(matrix)
+    eye = np.eye(n)
+    return eye + expm_taylor_minus_identity(matrix, evo_time, order, eye)
+
+
+def taylor_unitarity_defect(x: float, order: int) -> float:
+    """Certified bound on sup over |y| <= x of | |p(y)|^2 - 1 |, p the degree-K Taylor sum of e^{-iy}.
+
+    For Hermitian A with ||A|| t <= x the truncated exponential
+    U = p(A t) has U^dagger U = |p|^2(A t), so this bounds
+    ||U^dagger U - I||_2 on the whole spectral interval.  |p(y)|^2 is an
+    even polynomial that agrees with |e^{-iy}|^2 = 1 through degree K;
+    by the partial alternating binomial sum, its coefficient of y^j for
+    even j in (K, 2K] is +-2 C(j-1, K)/j!, and odd ones vanish.  The
+    bound is the sum of the coefficient magnitudes times x^j.
+    """
+    if x < 0:
+        raise ValueError("x must be nonnegative")
+    return sum(
+        2 * comb(j - 1, order) / factorial(j) * x**j
+        for j in range(order + 1, 2 * order + 1)
+        if j % 2 == 0
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +390,8 @@ def one_bit_pe(u: np.ndarray, psi, unitarity_tol: float = 1e-8) -> float:
 
     For an eigenstate with U psi = e^{-i theta} psi this is
     (1 + cos theta)/2; in general it is affine in the eigenbasis
-    weights.  Computed directly as ||(I + U) psi||^2 / 4.
+    weights.  Computed directly as ||(I + U) psi||^2 / 4 from a dense U:
+    the small-dimension reference for ``phase_read``.
 
     ``unitarity_tol`` exists because truncated-Taylor operators are
     unitary only up to their tail bound; callers that know their tail
@@ -364,6 +407,42 @@ def one_bit_pe(u: np.ndarray, psi, unitarity_tol: float = 1e-8) -> float:
     if abs(np.linalg.norm(vec) - 1.0) > 1e-9:
         raise ContractError("state is not normalized")
     return float(np.linalg.norm(vec + u @ vec) ** 2 / 4.0)
+
+
+def phase_read(
+    matrix, evo_time: float, order: int, psi, unitarity_tol: float = 1e-8
+) -> tuple[float, float]:
+    """(outcome-0, outcome-1) probabilities of one-bit phase estimation of U_K on psi.
+
+    U_K is the degree-``order`` Taylor sum of e^{-i A t}, applied to psi
+    only: v = (U_K - I) psi costs ``order`` sparse products.  Outcome 1
+    (rejection) is ||v||^2 / 4 and outcome 0 (acceptance) is
+    ||2 psi + v||^2 / 4; neither is formed as 1 minus the other, so a
+    rejection of order 2^-2g keeps its relative precision.  For an
+    eigenvector with eigenvalue lam the rejection is sin^2(lam t / 2).
+
+    Two checks replace the dense unitarity test of ``one_bit_pe``:
+    ``taylor_unitarity_defect`` certifies ||U_K^dagger U_K - I||_2 over
+    the whole interval |y| <= pi that the norm check of
+    ``expm_taylor_minus_identity`` guarantees, and the norm drift
+    | ||U_K psi|| - ||psi|| | is checked on the witness itself; both
+    against ``unitarity_tol``.
+    """
+    vec = np.asarray(getattr(psi, "amplitudes", psi))
+    if abs(np.linalg.norm(vec) - 1.0) > 1e-9:
+        raise ContractError("state is not normalized")
+    defect = taylor_unitarity_defect(pi, order)
+    if defect > unitarity_tol:
+        raise ContractError(
+            f"Taylor sum not unitary within {unitarity_tol:.1e} (certified defect {defect:.3e})"
+        )
+    v = expm_taylor_minus_identity(matrix, evo_time, order, vec)
+    drift = abs(float(np.linalg.norm(vec + v)) - float(np.linalg.norm(vec)))
+    if drift > unitarity_tol:
+        raise ContractError(f"norm drift {drift:.3e} on the witness exceeds {unitarity_tol:.1e}")
+    acceptance = float(np.linalg.norm(2 * vec + v) ** 2 / 4.0)
+    rejection = float(np.linalg.norm(v) ** 2 / 4.0)
+    return acceptance, rejection
 
 
 def measure_probability(state, qubit: int, outcome: int) -> float:

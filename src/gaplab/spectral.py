@@ -487,20 +487,50 @@ def spectrum_report(kind: str, ell: int, index_form: str = "odd") -> SpectrumRep
     return SpectrumReport(kind=kind, ell=ell, eigenvalues=numeric, closed_form=closed)
 
 
-def min_eigenvalue_sparse(matrix: RowOracleMatrix, shift: float = 1e-6) -> float:
-    """Least eigenvalue of a large symmetric PSD oracle matrix.
+def bottom_eigenpair(
+    matrix: RowOracleMatrix, shift: float = 1e-6
+) -> tuple[float, np.ndarray, float]:
+    """(lambda_min, unit eigenvector, ||A psi - lambda psi||) of a sparse PSD matrix.
 
-    Shift-invert Lanczos around -shift: for a PSD matrix every
-    eigenvalue is closer to the bottom one than to the negative shift
-    point, so the single returned value is the minimum.  Used where
-    dense diagonalization would not fit; the dense path remains the
-    ground truth at small sizes.
+    A + shift I is factored once by sparse LU with a symmetric ordering
+    and diagonal pivots only.  Then P (A + shift I) P^T = L U with
+    U = D L^T, and by Sylvester's law of inertia A + shift I is positive
+    definite exactly when every pivot of D is positive: that sign check
+    certifies A > -shift, and a failed check raises ContractError.  The
+    same factorization drives shift-invert Lanczos around -shift, where
+    the bottom eigenvalue of a matrix above -shift is the one of largest
+    magnitude.  The start vector is seeded, so the result does not
+    depend on earlier eigensolver calls in the process.
     """
-    from scipy.sparse.linalg import eigsh
+    from scipy.sparse import identity
+    from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
     a = to_csr(matrix).astype(np.float64)
     dev = abs(a - a.T)
     if dev.nnz and dev.max() > SYMMETRY_TOL:
         raise ContractError("matrix is not symmetric")
-    w = eigsh(a, k=1, sigma=-shift, which="LM", return_eigenvectors=False)
-    return float(w[0])
+    n = matrix.dim
+    lu = splu(
+        (a + shift * identity(n)).tocsc(),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+    if not (np.array_equal(lu.perm_r, lu.perm_c) and lu.U.diagonal().min() > 0):
+        raise ContractError(f"A + {shift:g} I is not positive definite (a pivot is not > 0)")
+    if n == 1:  # Lanczos needs more dimensions than eigenpairs
+        return float(a[0, 0]), np.ones(1), 0.0
+    inverse = LinearOperator((n, n), matvec=lu.solve, dtype=np.float64)
+    start = np.random.default_rng(0).standard_normal(n)
+    w, v = eigsh(a, k=1, sigma=-shift, which="LM", OPinv=inverse, v0=start)
+    lam, psi = float(w[0]), v[:, 0]
+    return lam, psi, float(np.linalg.norm(a @ psi - lam * psi))
+
+
+def min_eigenvalue_sparse(matrix: RowOracleMatrix, shift: float = 1e-6) -> float:
+    """Least eigenvalue of a large symmetric PSD oracle matrix (``bottom_eigenpair``).
+
+    Used where dense diagonalization would not fit; the dense path
+    remains the ground truth at small sizes.
+    """
+    return bottom_eigenpair(matrix, shift)[0]

@@ -75,6 +75,19 @@ def test_contract_violation_is_runtime_error(tmp_path, capsys):
     assert err.startswith("gaplab:")
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [{"kind": "path", "ell": 8}, {"dim": 2, "rows": [[0, 1], [1, 0]]}],
+    ids=["nonsymmetric_path", "indefinite"],
+)
+def test_verify_refuses_non_psd_instance(tmp_path, capsys, spec):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(spec))
+    code = cli.main(["verify", "--instance", str(path), "--gap-exponent", "2"])
+    assert code == 1
+    assert "verify needs a positive semidefinite instance" in capsys.readouterr().err
+
+
 def test_reduce_payload_matches_library(capsys):
     code, out = run_cli(capsys, "reduce", "--machine", "unary_counter",
                         "--input", "11")
@@ -200,6 +213,9 @@ GOLDEN_CASES = {
                                       "--gap-exponent", "12"]
         for x in ("11", "1")
     },
+    # The README example: the instance's own certified g = 21 at space 4.
+    "verify_unary_counter_11_default": ["verify", "--machine", "unary_counter",
+                                        "--input", "11"],
     "verify_toy_gram": ["verify", "--instance", "toy_gram.json", "--gap-exponent", "2"],
     "amplify_p09": ["amplify", "--p", "0.9"],
     **{

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gaplab import protocols as pr
+from gaplab import rtm
 from gaplab import simulator as sim
 from gaplab import sparse_oracle as so
 from gaplab import spectral as sp
@@ -214,8 +215,9 @@ def test_gapped_params_rejects_out_of_range_exponent():
     _, bounded, _ = pr.toy_gapped_instances()
     with pytest.raises(ValueError):
         pr.gapped_params(bounded, 0)
+    pr.gapped_params(bounded, pr.MAX_GAP_EXPONENT)
     with pytest.raises(ConfigurationError):
-        pr.gapped_params(bounded, 13)
+        pr.gapped_params(bounded, pr.MAX_GAP_EXPONENT + 1)
 
 
 def test_decide_gapped_toy_instances():
@@ -238,6 +240,59 @@ def test_gapped_verifier_acceptance_matches_decision():
     _, vecs = np.linalg.eigh(dense)
     acceptance = pr.gapped_verifier(singular, g, vecs[:, 0])
     assert acceptance == pytest.approx(pr.decide_gapped(singular, g).acceptance, abs=1e-12)
+
+
+# The seven instances of the verify_gapped benchmark workload, as
+# (machine, space, input, machine accepts).
+VERIFY_GAPPED_INSTANCES = [
+    ("unary_counter", 3, "11", True),
+    ("unary_counter", 3, "1", False),
+    ("unary_counter", 4, "11", True),
+    ("unary_counter", 4, "111", False),
+    ("binary_nonmax", 3, "#o", True),
+    ("binary_nonmax", 3, "#i", False),
+    ("first_last_match", 2, "a", True),
+]
+
+
+def test_decide_gapped_matches_dense_oracle():
+    from scipy.sparse.linalg import expm_multiply
+
+    singular, bounded, toy_g = pr.toy_gapped_instances()
+    cases = [(singular, toy_g, toy_g, False), (bounded, toy_g, toy_g, True)]
+    for name, space, x, accepts in VERIFY_GAPPED_INSTANCES:
+        machine = rtm.with_space(rtm.corpus_machine(name), space)
+        assert rtm.simulate(machine, x).accepted == accepts
+        instance = rtm.reduce_to_gapped(machine, x)
+        cases.append((instance.gram, 12, instance.g, accepts))
+    for matrix, g, certified_g, accepts in cases:
+        # Dense reference: materialize + eigh + dense Taylor + one_bit_pe.
+        params = pr.gapped_params(matrix, g)
+        lams, vecs = sp.eigensystem(so.materialize(matrix))
+        u = sim.expm_taylor(matrix, params.evo_time, params.taylor_order)
+        dense_acceptance = sim.one_bit_pe(u, vecs[:, 0], unitarity_tol=params.unitarity_tol)
+        dense_decision = "YES" if dense_acceptance > params.midpoint else "NO"
+        got = pr.decide_gapped(matrix, g)
+        assert got.decision == dense_decision == ("NO" if accepts else "YES")
+        assert got.acceptance == pytest.approx(dense_acceptance, abs=1e-12)
+
+        # U psi from the Taylor loop against Al-Mohy--Higham on the same witness.
+        _, psi, _ = sp.bottom_eigenpair(matrix)
+        taylor = psi + sim.expm_taylor_minus_identity(
+            matrix, params.evo_time, params.taylor_order, psi
+        )
+        reference = expm_multiply(-1j * params.evo_time * so.to_csr(matrix), psi)
+        assert np.linalg.norm(taylor - reference) <= params.epsilon
+
+        # At the instance's own certified g the read is the eigenvalue law.
+        own = pr.decide_gapped(matrix, certified_g)
+        if accepts:
+            want = np.sin(lams[0] * own.evo_time / 2) ** 2
+            assert own.decision == "NO"
+            assert own.rejection == pytest.approx(want, rel=1e-9)
+        else:
+            assert own.decision == "YES"
+            assert own.rejection < own.epsilon
 
 
 def test_pe_verifier_promise_wraps_gapped_params():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gaplab import rtm, sparse_oracle as so, spectral as sp
+from gaplab import protocols as pr, rtm, sparse_oracle as so, spectral as sp
 from gaplab.errors import ContractError
 
 
@@ -251,7 +251,8 @@ def test_random_machine_reduction(machine):
             det = sp.det_exact(instance.adjacency)
             accepted = rtm.simulate(machine, x).accepted
             lam = np.linalg.eigvalsh(so.materialize(instance.gram).entries.astype(float))[0]
+            read_zero = pr.decide_gapped(instance.gram, instance.g).decision == "YES"
             assert det in (-1, 0, 1)
-            assert (det != 0) == accepted == (lam >= floor)
+            assert (det != 0) == accepted == (lam >= floor) == (not read_zero)
             if not accepted:
                 assert abs(lam) < 1e-10

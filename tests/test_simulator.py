@@ -1,5 +1,7 @@
 """Statevector simulation, exact and truncated evolutions, phase readout."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,41 @@ def test_expm_taylor_converges_to_exact():
 def test_expm_taylor_rejects_large_arguments():
     with pytest.raises(ContractError):
         sim.expm_taylor(_gram_8(), 10.0, order=30)
+
+
+def test_taylor_loop_on_vectors_matches_the_operator():
+    rng = np.random.default_rng(5)
+    block = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
+    u = sim.expm_taylor(_gram_8(), np.pi / 4, order=20)
+    delta = sim.expm_taylor_minus_identity(_gram_8(), np.pi / 4, 20, block)
+    np.testing.assert_allclose(block + delta, u @ block, atol=1e-13)
+    real = sim.expm_taylor_minus_identity(_gram_8(), np.pi / 4, 20, block[:, 0].real)
+    np.testing.assert_allclose(real, (u - np.eye(8)) @ block[:, 0].real, atol=1e-13)
+
+
+def test_taylor_unitarity_defect_bounds_the_interval():
+    for order in (1, 2, 5, 9, 14):
+        for x in (0.5, 1.0, np.pi):
+            ys = np.linspace(-x, x, 4001)
+            p = sum((-1j * ys) ** k / math.factorial(k) for k in range(order + 1))
+            seen = np.abs(np.abs(p) ** 2 - 1).max()
+            bound = sim.taylor_unitarity_defect(x, order)
+            assert seen <= bound * (1 + 1e-9) + 1e-15
+            assert bound <= 2.5 * sim.taylor_tail_bound(x, order)
+    # Degree 2: |1 - iy - y^2/2|^2 = 1 + y^4/4 exactly.
+    assert sim.taylor_unitarity_defect(2.0, 2) == pytest.approx(4.0, rel=1e-15)
+
+
+def test_phase_read_matches_dense_one_bit_pe():
+    gram = _gram_8_dense().entries.astype(float)
+    lams, vecs = np.linalg.eigh(gram)
+    u = sim.expm_taylor(_gram_8(), np.pi / 4, order=30)
+    for idx in (0, 3, 7):
+        acceptance, rejection = sim.phase_read(_gram_8(), np.pi / 4, 30, vecs[:, idx])
+        assert acceptance == pytest.approx(sim.one_bit_pe(u, vecs[:, idx]), abs=1e-13)
+        assert rejection == pytest.approx(np.sin(lams[idx] * np.pi / 8) ** 2, rel=1e-12)
+    with pytest.raises(ContractError, match="not unitary"):
+        sim.phase_read(_gram_8(), np.pi / 4, 5, vecs[:, 0])
 
 
 def test_taylor_tail_bound_values():

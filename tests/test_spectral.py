@@ -185,6 +185,23 @@ def test_min_eigenvalue_sparse_matches_dense():
     assert sparse == pytest.approx(dense, abs=1e-9)
 
 
+def test_bottom_eigenpair_matches_dense_and_certifies_psd():
+    for gram in (so.ata_oracle(so.path_adjacency(50)), so.ata_oracle(so.cycle_adjacency(40))):
+        lam, psi, residual = sp.bottom_eigenpair(gram)
+        dense = so.materialize(gram).entries.astype(float)
+        assert lam == pytest.approx(np.linalg.eigvalsh(dense)[0], abs=1e-12)
+        assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
+        assert residual == pytest.approx(np.linalg.norm(dense @ psi - lam * psi), abs=1e-15)
+        assert residual < 1e-12
+    lam, psi, residual = sp.bottom_eigenpair(so.from_dense(np.array([[3]])))
+    assert (lam, psi.tolist(), residual) == (3.0, [1.0], 0.0)
+    # Eigenvalues -1 and 1: a negative pivot, whatever the shift-invert run would say.
+    with pytest.raises(ContractError, match="not positive definite"):
+        sp.bottom_eigenpair(so.from_dense(np.array([[0, 1], [1, 0]])))
+    with pytest.raises(ContractError, match="not symmetric"):
+        sp.bottom_eigenpair(so.path_adjacency(8))
+
+
 def test_min_eigenvalue_bound_is_a_floor():
     # The bound is tight at the path block itself, so allow solver noise.
     for ell in (1, 2, 5, 30, 100):
