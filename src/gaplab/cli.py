@@ -149,8 +149,13 @@ def _cmd_verify(args) -> tuple[dict, int]:
         g = args.gap_exponent if args.gap_exponent is not None else instance.g
         source = machine.name or args.machine
     else:
-        matrix = sparse_oracle.load_instance(args.instance)
-        g = args.gap_exponent
+        matrix, certified_g = sparse_oracle.load_gapped_instance(args.instance)
+        g = args.gap_exponent if args.gap_exponent is not None else certified_g
+        if g is None:
+            raise ConfigurationError(
+                "verify --instance requires --gap-exponent unless the file "
+                "describes a machine reduction"
+            )
         source = args.instance
     result = protocols.decide_gapped(matrix, g)
     payload = _with_seed(
@@ -359,8 +364,6 @@ def _resolve(args, parser: argparse.ArgumentParser) -> None:
             parser.error("verify requires --machine/--input or --instance")
         if args.machine is not None:
             require("input")
-        if args.machine is None and args.gap_exponent is None:
-            parser.error("verify --instance requires --gap-exponent")
     elif args.command == "amplify":
         require("p")
 

@@ -8,9 +8,11 @@ The pipeline realized here, end to end at desk scale:
 * the trace of that operator against the maximally mixed witness turns
   existence questions into trace estimates;
 * phase estimation on the product of the two canonical reflections
-  amplifies an exponentially small promise gap, with the register
-  distribution computed exactly and the median test evaluated in
-  closed form;
+  amplifies an exponentially small promise gap; by Jordan's lemma each
+  accept-operator eigenvector contributes a Fejer kernel at its walk
+  eigenphase, so the per-trial register masses are exact sums of
+  O(2^b) scalars with no register simulated, and the median test is
+  evaluated in closed form;
 * a gapped-matrix instance (least eigenvalue 0 versus at least 2^-g)
   is decided by one-bit phase reading of the truncated-Taylor
   exponential, applied matrix-free to the shift-invert bottom
@@ -60,6 +62,8 @@ MAX_GAP_EXPONENT = 37  # derived in gapped_params
 CLOCK_GATE_CAP = 6
 CLOCK_QUBIT_CAP = 4
 ENERGY_BITS_CAP = 40
+ARC_BLOCK = 1 << 16  # register outcomes per vectorized kernel sum
+GRID_TOL = 1e-12  # slack of the folded-phase cuts
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +146,13 @@ def accept_operator(verifier: Verifier) -> AcceptOperator:
     is PSD by construction and reproduces acceptance_probability for
     every witness.
     """
+    w, _ = _witness_images(verifier)
+    q = w.conj().T @ w
+    return AcceptOperator(m=verifier.witness_qubits, matrix=(q + q.conj().T) / 2)
+
+
+def _witness_images(verifier: Verifier) -> tuple[np.ndarray, np.ndarray]:
+    """Columns U|j, 0^k> over witness basis states j: (output-1 rows, output-0 rows)."""
     m = verifier.witness_qubits
     n = verifier.circuit.num_qubits
     if n > 10:
@@ -151,11 +162,9 @@ def accept_operator(verifier: Verifier) -> AcceptOperator:
     cols = []
     for j in range(2**m):
         padded = pad_with_ancillas(Statevector.basis(m, j), verifier.ancilla_k)
-        final = run_circuit(verifier.circuit, padded)
-        cols.append(final[out_rows])
-    w = np.stack(cols, axis=1)
-    q = w.conj().T @ w
-    return AcceptOperator(m=m, matrix=(q + q.conj().T) / 2)
+        cols.append(run_circuit(verifier.circuit, padded))
+    final = np.stack(cols, axis=1)
+    return final[out_rows], final[~out_rows]
 
 
 def mixed_witness_acceptance(verifier: Verifier) -> float:
@@ -169,7 +178,11 @@ def mixed_witness_acceptance(verifier: Verifier) -> float:
 
 
 def reflections(verifier: Verifier) -> tuple[np.ndarray, np.ndarray]:
-    """R0 = 2 Pi0 - I (ancillas blank) and R1 = 2 Pi1 - I (circuit accepts)."""
+    """R0 = 2 Pi0 - I (ancillas blank) and R1 = 2 Pi1 - I (circuit accepts).
+
+    Dense, on all n circuit qubits: the reference for the walk R1 R0
+    whose eigenphases ``nwz_amplify`` takes from Jordan's lemma.
+    """
     n = verifier.circuit.num_qubits
     m = verifier.witness_qubits
     idx = np.arange(2**n)
@@ -186,7 +199,7 @@ def reflections(verifier: Verifier) -> tuple[np.ndarray, np.ndarray]:
 class AmplificationParams:
     """Trial count, phase precision, and the promise thresholds.
 
-    precision_bits is the accuracy target alpha; the simulated register
+    precision_bits is the accuracy target alpha; the phase-estimation register
     carries two extra qubits so that a measured phase lands within
     2^-alpha of the true one with probability well above 15/16.
     """
@@ -243,11 +256,14 @@ class AmplificationParams:
 def qpe_register_distribution(
     w_op: np.ndarray, initial: np.ndarray, register_bits: int
 ) -> np.ndarray:
-    """Exact outcome distribution of phase estimation of w_op on a state.
+    """Outcome distribution of phase estimation of w_op on a state, simulated.
 
     Builds all 2^b controlled-power branches by sequential application,
     applies the inverse Fourier transform across the register axis, and
-    traces out the system.  No sampling anywhere.
+    traces out the system.  No sampling anywhere.  This is the test
+    oracle of the closed form in ``nwz_amplify``: it costs 2^b dense
+    products and 2^b state vectors of memory, and its rounding grows
+    with the 2^b powers (about 4e-11 in a register mass at b = 19).
     """
     n = 2**register_bits
     dim = len(initial)
@@ -266,7 +282,11 @@ def qpe_register_distribution(
 
 
 def folded_phases(register_bits: int) -> np.ndarray:
-    """Phase value |j|/2^b in [0, 1/2] read from each register outcome."""
+    """Phase value |j|/2^b in [0, 1/2] read from each register outcome.
+
+    The outcomes whose folded phase lies below a cut form the arc
+    |j| <= w (mod 2^b), which is how ``nwz_amplify`` sums them.
+    """
     n = 2**register_bits
     j = np.arange(n)
     return np.minimum(j, n - j) / n
@@ -294,29 +314,106 @@ class AmplificationOutcome:
     per_trial_no: float
 
 
+def _arc_masses(phi: float, widths: tuple[int, ...], register_bits: int) -> list[float]:
+    """Phase-estimation mass of the outcomes |j| <= w (mod N), for each width w.
+
+    An eigenphase phi on a register of N = 2^b outcomes is read as j
+    with probability F(phi - j/N), F(d) = sin^2(pi N d) / (N^2 sin^2(pi d)).
+    The numerator equals sin^2(pi N phi) for every j, and N phi is exact
+    because N is a power of two; when it is an integer the kernel is a
+    point mass on that outcome.  Otherwise the denominators are summed
+    in blocks of ARC_BLOCK outcomes, pairing j with -j, so memory stays
+    fixed while the time grows as the arc.  ``widths`` must be
+    nondecreasing: each arc extends the sum of the one before.
+    """
+    n = 2**register_bits
+    x = n * phi
+    peak = round(x)
+    frac = x - peak
+    if frac == 0.0:
+        offset = min(peak % n, -peak % n)
+        return [float(offset <= w) for w in widths]
+    scale = sin(pi * frac) ** 2 / n**2
+    masses: list[float] = []
+    total, done = 0.0, 0  # total: sum over |j| < done
+    for w in widths:
+        if 2 * w + 1 >= n:  # the arc covers the whole register
+            masses.append(1.0)
+            continue
+        for lo in range(done, w + 1, ARC_BLOCK):
+            j = np.arange(lo, min(lo + ARC_BLOCK, w + 1))
+            terms = np.zeros(len(j))
+            for t in (x - j, x + j):
+                t -= n * np.round(t / n)  # exact; keeps sin's argument in [-pi/2, pi/2]
+                terms += np.sin(t * (pi / n)) ** -2.0
+            if lo == 0:
+                terms[0] /= 2  # j = 0 is one outcome
+            total += float(terms.sum())
+        done = max(done, w + 1)
+        masses.append(scale * total)
+    return masses
+
+
+def _walk_phases(verifier: Verifier) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors v_i of Q and the walk eigenphase phi_i = acos(sqrt p_i)/pi of each.
+
+    By Jordan's lemma v_i, padded with blank ancillas, is an equal
+    mixture of two eigenvectors of R1 R0 with eigenphases +-phi_i.  The
+    angle is taken as atan2(||P0 U v_i||, ||P1 U v_i||) rather than from
+    the eigenvalue p_i: near p = 0 or 1 the square root turns an
+    eigenvalue rounding error eps into a phase error sqrt(eps), while
+    the two norms err by eps.
+    """
+    accepted, rejected = _witness_images(verifier)
+    _, vecs = np.linalg.eigh(accepted.conj().T @ accepted)
+    phases = np.arctan2(
+        np.linalg.norm(rejected @ vecs, axis=0), np.linalg.norm(accepted @ vecs, axis=0)
+    )
+    return phases / pi, vecs
+
+
+def _register_masses(phi: float, params: AmplificationParams) -> tuple[float, float]:
+    """(YES mass, mass below the NO cut) of one trial at walk eigenphase +-phi.
+
+    The register reads j with probability (F(phi - j/N) + F(-phi - j/N))/2.
+    Both outcome sets below are symmetric under j -> N - j, which maps
+    one kernel onto the other, so each mass is one kernel summed over
+    one arc.
+    """
+    n = 2**params.register_bits
+    # Folded phase min(j, N-j)/N at or below yes_cut, and below no_cut; j/N
+    # is exact, so these integer widths reproduce the float comparisons.
+    # The quarter-gap rule puts no_cut more than 8/N above yes_cut, so the
+    # widths are in the increasing order _arc_masses needs.
+    yes_width = floor((params.yes_cut + GRID_TOL) * n)
+    below_no_width = ceil((params.no_cut - GRID_TOL) * n) - 1
+    yes, below_no = _arc_masses(phi, (yes_width, below_no_width), params.register_bits)
+    return yes, below_no
+
+
 def nwz_amplify(
     verifier: Verifier, params: AmplificationParams, witness
 ) -> AmplificationOutcome:
     """Median-of-r phase estimation of R1 R0 on witness tensor blank ancillas.
 
-    The per-trial distribution is computed exactly once (trials are
-    independent and identically distributed), the median statistics
-    follow in closed form, and the returned decision is the most
-    probable outcome of the procedure.  A dominant strictly-between
-    median is reported as a promise violation rather than forced into
-    YES or NO.
+    The per-trial masses come from one eigendecomposition of the accept
+    operator Q: with eigenvalues p_i and witness weights w_i = |<v_i|witness>|^2,
+    the register distribution is sum_i w_i (F(phi_i - j/N) + F(-phi_i - j/N))/2
+    with phi_i = acos(sqrt p_i)/pi (``_register_masses``).  No register is
+    simulated; the cost is O(2^b) scalar kernel terms per eigenvalue and
+    fixed memory.  Trials are independent and identically distributed,
+    so the median statistics follow in closed form, and the returned
+    decision is the most probable outcome of the procedure.  A dominant
+    strictly-between median is reported as a promise violation rather
+    than forced into YES or NO.
     """
-    r0, r1 = reflections(verifier)
-    w_op = r1 @ r0
     vec = np.asarray(getattr(witness, "amplitudes", witness), dtype=complex)
     if abs(np.linalg.norm(vec) - 1.0) > 1e-9:
         raise ContractError("witness is not normalized")
-    initial = pad_with_ancillas(vec, verifier.ancilla_k)
-    dist = qpe_register_distribution(w_op, initial, params.register_bits)
-    phases = folded_phases(params.register_bits)
-    grid_tol = 1e-12
-    per_trial_yes = float(np.clip(dist[phases <= params.yes_cut + grid_tol].sum(), 0.0, 1.0))
-    below_no = float(np.clip(dist[phases < params.no_cut - grid_tol].sum(), 0.0, 1.0))
+    phases, vecs = _walk_phases(verifier)
+    weights = np.abs(vecs.conj().T @ vec) ** 2
+    masses = np.array([_register_masses(phi, params) for phi in phases])
+    per_trial_yes, below_no = np.clip(weights @ masses, 0.0, 1.0).tolist()
     p_yes = median_exceeds(per_trial_yes, params.trials_r)
     # Median >= no_cut iff fewer than ceil(r/2) samples fall below it.
     p_no = 1.0 - median_exceeds(below_no, params.trials_r)
@@ -343,15 +440,14 @@ def amplified_accept_operator(
     so the adversary's optimum sits at an eigenvector of Q; the
     operator diagonal in that basis with the per-eigenvector amplified
     YES probabilities captures the protocol exactly on that strategy
-    space (and in particular its extreme eigenvalues and trace).
+    space (and in particular its extreme eigenvalues and trace).  Each
+    probability is the median test on the Jordan-lemma mass of its
+    eigenvalue (``_register_masses``), O(2^b) scalar terms apiece.
     """
-    base = accept_operator(verifier)
-    w, vecs = base.eigensystem()
-    out = np.zeros_like(base.matrix)
-    for j in range(len(w)):
-        outcome = nwz_amplify(verifier, params, vecs[:, j])
-        out = out + outcome.p_yes * np.outer(vecs[:, j], vecs[:, j].conj())
-    return AcceptOperator(m=base.m, matrix=(out + out.conj().T) / 2)
+    phases, vecs = _walk_phases(verifier)
+    p_yes = [median_exceeds(_register_masses(phi, params)[0], params.trials_r) for phi in phases]
+    out = (vecs * p_yes) @ vecs.conj().T
+    return AcceptOperator(m=verifier.witness_qubits, matrix=(out + out.conj().T) / 2)
 
 
 # ---------------------------------------------------------------------------

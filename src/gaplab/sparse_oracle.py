@@ -335,6 +335,29 @@ def cycle_adjacency(ell: int) -> RowOracleMatrix:
     )
 
 
+def _read_spec(source: str | os.PathLike | dict) -> tuple[dict, str]:
+    """Parsed instance description and the directory its paths are relative to."""
+    if isinstance(source, dict):
+        return source, os.getcwd()
+    with open(source, "r", encoding="utf-8") as fh:
+        return json.load(fh), os.path.dirname(os.path.abspath(source))
+
+
+def _reduction_input(spec: dict, base: str):
+    """Machine and input string of a {"kind": "rtm"} description."""
+    from . import rtm  # deferred: rtm depends on this module
+
+    machine_ref = spec["machine"]
+    candidate = os.path.join(base, machine_ref)
+    if os.path.exists(candidate):
+        machine = rtm.load_machine(candidate)
+    else:
+        machine = rtm.corpus_machine(machine_ref)
+    if "space" in spec:
+        machine = rtm.with_space(machine, int(spec["space"]))
+    return machine, spec["input"]
+
+
 def load_instance(source: str | os.PathLike | dict) -> RowOracleMatrix:
     """Load a matrix instance from JSON (path or already-parsed dict).
 
@@ -344,15 +367,9 @@ def load_instance(source: str | os.PathLike | dict) -> RowOracleMatrix:
       {"kind": "path" | "cycle", "ell": L}            structured block
       {"kind": "rtm", "machine": PATH-OR-NAME,
        "input": STR, "space": S?}                     machine reduction
+                                                      (its augmented adjacency)
     """
-    if isinstance(source, dict):
-        spec = source
-        base = os.getcwd()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            spec = json.load(fh)
-        base = os.path.dirname(os.path.abspath(source))
-
+    spec, base = _read_spec(source)
     if "rows" in spec:
         return from_dense(np.asarray(spec["rows"], dtype=np.int64))
     if "entries" in spec:
@@ -364,15 +381,25 @@ def load_instance(source: str | os.PathLike | dict) -> RowOracleMatrix:
     if kind == "cycle":
         return cycle_adjacency(int(spec["ell"]))
     if kind == "rtm":
-        from . import rtm  # deferred: rtm depends on this module
+        from . import rtm
 
-        machine_ref = spec["machine"]
-        candidate = os.path.join(base, machine_ref)
-        if os.path.exists(candidate):
-            machine = rtm.load_machine(candidate)
-        else:
-            machine = rtm.corpus_machine(machine_ref)
-        if "space" in spec:
-            machine = rtm.with_space(machine, int(spec["space"]))
-        return rtm.augmented_adjacency(machine, spec["input"])
+        return rtm.augmented_adjacency(*_reduction_input(spec, base))
     raise ValueError(f"unrecognized instance description: {sorted(spec)}")
+
+
+def load_gapped_instance(
+    source: str | os.PathLike | dict,
+) -> tuple[RowOracleMatrix, int | None]:
+    """The matrix ``verify`` decides from an instance file, with its certified g.
+
+    A machine reduction yields the Gram A^T A of its augmented adjacency
+    and the reduction's own gap exponent; every other shape yields the
+    matrix ``load_instance`` reads and no gap exponent.
+    """
+    spec, base = _read_spec(source)
+    if spec.get("kind") == "rtm":
+        from . import rtm
+
+        instance = rtm.reduce_to_gapped(*_reduction_input(spec, base))
+        return instance.gram, instance.g
+    return load_instance(spec), None

@@ -1,6 +1,7 @@
 """Command-line surface: formats, determinism, exit codes, thinness."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +89,32 @@ def test_verify_refuses_non_psd_instance(tmp_path, capsys, spec):
     assert "verify needs a positive semidefinite instance" in capsys.readouterr().err
 
 
+def test_verify_instance_decides_the_gram_of_a_machine_reduction(tmp_path, capsys):
+    path = tmp_path / "rtm.json"
+    path.write_text(json.dumps(
+        {"kind": "rtm", "machine": "unary_counter", "input": "11", "space": 3}
+    ))
+    code, out = run_cli(capsys, "verify", "--instance", str(path))
+    assert code == 0
+    from_file = json.loads(out)
+    code, out = run_cli(capsys, "verify", "--machine", "unary_counter",
+                        "--space", "3", "--input", "11")
+    assert code == 0
+    from_machine = json.loads(out)
+    assert from_file.pop("instance") == str(path)
+    assert from_machine.pop("instance") == "unary_counter"
+    assert from_file == from_machine
+    assert from_file["decision"] == "NO"  # the machine accepts "11"
+
+
+def test_verify_matrix_instance_needs_a_gap_exponent(tmp_path, capsys):
+    path = tmp_path / "gram.json"
+    path.write_text(json.dumps({"dim": 2, "rows": [[2, 1], [1, 1]]}))
+    code = cli.main(["verify", "--instance", str(path)])
+    assert code == 1
+    assert "requires --gap-exponent" in capsys.readouterr().err
+
+
 def test_reduce_payload_matches_library(capsys):
     code, out = run_cli(capsys, "reduce", "--machine", "unary_counter",
                         "--input", "11")
@@ -135,6 +162,26 @@ def test_amplify_promise_violation_exit_code(capsys):
     code, out = run_cli(capsys, "amplify", "--p", "0.5")
     assert code == 3
     assert json.loads(out)["decision"] == "PROMISE_VIOLATED"
+
+
+def test_amplify_memory_does_not_grow_with_the_register(capsys):
+    # c - s = 2^-20 takes a 26-bit register; simulating it would hold 2^26
+    # branches of four amplitudes (4 GB).  The kernel sums run in blocks.
+    c, s = 0.5 + 2.0**-21, 0.5 - 2.0**-21
+    for p, want in ((c, "YES"), (s, "NO")):
+        tracemalloc.start()
+        try:
+            code, out = run_cli(capsys, "amplify", "--p", repr(p),
+                                "--completeness", repr(c), "--soundness", repr(s))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["register_bits"] == 26
+        assert payload["decision"] == want
+        assert payload["probability"] > 0.999
+        assert peak < 32e6
 
 
 def test_kitaev_energy_round_trip(tmp_path, capsys):

@@ -5,7 +5,7 @@ from math import acos, pi, sqrt
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gaplab import protocols as pr
@@ -187,6 +187,106 @@ def test_nwz_amplify_requires_normalized_witness():
     params = pr.AmplificationParams.from_promise(0.9, 0.1, 3)
     with pytest.raises(ContractError):
         pr.nwz_amplify(verifier, params, np.array([1.0, 1.0]))
+
+
+def qpe_oracle(verifier, params, witness):
+    """The amplification outcome by simulating the register: the route the
+    closed form in nwz_amplify replaced, kept here as its test oracle."""
+    r0, r1 = pr.reflections(verifier)
+    # The float walk R1 R0 misses unitarity by up to 1.8e-15 (gap_singular),
+    # and its 2^b simulated powers compound that into a 2.6e-12 error in a
+    # register mass at b = 12.  The closed form describes the exact walk,
+    # so the oracle simulates the nearest unitary (the polar factor) and
+    # renormalizes away the norm drift that rounding in its powers leaves.
+    left, _, right = np.linalg.svd(r1 @ r0)
+    initial = sim.pad_with_ancillas(witness, verifier.ancilla_k)
+    dist = pr.qpe_register_distribution(left @ right, initial, params.register_bits)
+    dist = dist / dist.sum()
+    phases = pr.folded_phases(params.register_bits)
+    per_trial_yes = float(np.clip(dist[phases <= params.yes_cut + 1e-12].sum(), 0, 1))
+    below_no = float(np.clip(dist[phases < params.no_cut - 1e-12].sum(), 0, 1))
+    p_yes = pr.median_exceeds(per_trial_yes, params.trials_r)
+    p_no = 1.0 - pr.median_exceeds(below_no, params.trials_r)
+    return {
+        "p_yes": p_yes,
+        "p_no": p_no,
+        "p_violation": max(1.0 - p_yes - p_no, 0.0),
+        "per_trial_yes": per_trial_yes,
+        "per_trial_no": 1.0 - below_no,
+    }
+
+
+ORACLE_VERIFIERS = ["rotation", "random_2q", "gap_singular", "gap_bounded"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(ORACLE_VERIFIERS),
+    p=st.floats(0.0, 1.0),
+    soundness=st.floats(0.0, 0.9),
+    gap=st.floats(0.05, 1.0),
+    extra_bits=st.integers(0, 4),
+    trials=st.integers(1, 7),
+    theta=st.floats(0.0, pi / 2),
+    phase=st.floats(0.0, 2 * pi),
+)
+# Grid phases N phi = N/2 and 0: p = 0 and 1 on the accepting basis state.
+@example(name="rotation", p=0.0, soundness=0.1, gap=0.8, extra_bits=0, trials=3,
+         theta=pi / 2, phase=0.0)
+@example(name="rotation", p=1.0, soundness=0.1, gap=0.8, extra_bits=0, trials=3,
+         theta=pi / 2, phase=0.0)
+# p = 1/2 (N phi = N/4, on the grid too) against c = 0.9, s = 0.1 violates the promise.
+@example(name="rotation", p=0.5, soundness=0.1, gap=0.8, extra_bits=0, trials=3,
+         theta=pi / 2, phase=0.0)
+def test_nwz_amplify_matches_simulated_register(
+    name, p, soundness, gap, extra_bits, trials, theta, phase
+):
+    if name == "rotation":
+        completeness = min(soundness + gap, 1.0)
+        verifier = pr.rotation_verifier(p, completeness, soundness)
+    else:
+        verifier = pr.corpus_verifiers()[name]
+    c, s = verifier.completeness_c, verifier.soundness_s
+    base = pr.AmplificationParams.from_promise(c, s, trials)
+    # The quarter-gap rule forces alpha >= 4 (the phase gap is at most 1/2),
+    # so registers run from b = 6 up to the b <= 12 the simulation affords.
+    assume(base.register_bits + extra_bits <= 12)
+    params = pr.AmplificationParams.from_promise(c, s, trials, base.precision_bits + extra_bits)
+    witness = np.array([np.cos(theta), np.exp(1j * phase) * np.sin(theta)])
+
+    got = pr.nwz_amplify(verifier, params, witness)
+    want = qpe_oracle(verifier, params, witness)
+    for key, value in want.items():
+        assert getattr(got, key) == pytest.approx(value, abs=1e-12), key
+    # The decision is the most probable outcome; on a near tie either may win.
+    options = {"YES": want["p_yes"], "NO": want["p_no"], "PROMISE_VIOLATED": want["p_violation"]}
+    assert options[got.decision] >= max(options.values()) - 1e-12
+    assert got.probability == pytest.approx(options[got.decision], abs=1e-12)
+
+
+def test_nwz_amplify_matches_fejer_sum_in_60_digits():
+    # The golden `amplify --p 0.9` report rests on these two masses.
+    import mpmath
+
+    params = pr.AmplificationParams.from_promise(0.9, 0.1, 3)
+    assert params.register_bits == 6
+    got = pr.nwz_amplify(pr.rotation_verifier(0.9, 0.9, 0.1), params, np.array([0.0, 1.0]))
+    n = 2**params.register_bits
+    with mpmath.workdps(60):
+        phi = mpmath.acos(mpmath.sqrt(mpmath.mpf(0.9))) / mpmath.pi
+
+        def fejer(d):
+            return mpmath.sin(mpmath.pi * n * d) ** 2 / (n**2 * mpmath.sin(mpmath.pi * d) ** 2)
+
+        # Jordan's lemma: an equal mixture of the kernels at +-phi.
+        dist = [(fejer(phi - mpmath.mpf(j) / n) + fejer(-phi - mpmath.mpf(j) / n)) / 2
+                for j in range(n)]
+        folded = [min(j, n - j) / n for j in range(n)]
+        yes = mpmath.fsum(p for p, f in zip(dist, folded) if f <= params.yes_cut + 1e-12)
+        below_no = mpmath.fsum(p for p, f in zip(dist, folded) if f < params.no_cut - 1e-12)
+        assert abs(mpmath.fsum(dist) - 1) < mpmath.mpf(10) ** -50
+        assert abs(got.per_trial_yes - yes) <= 1e-15
+        assert abs(got.per_trial_no - (1 - below_no)) <= 1e-15
 
 
 def test_amplified_operator_dichotomy():
