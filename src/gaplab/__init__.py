@@ -85,7 +85,6 @@ from .protocols import (
     binary_search_energy,
     decide_gapped,
     gapped_params,
-    gapped_verifier,
     ground_energy,
     kitaev_hamiltonian,
     mixed_witness_acceptance,

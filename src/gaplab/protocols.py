@@ -19,7 +19,7 @@ The pipeline realized here, end to end at desk scale:
   eigenvector and read on the rejection side, sin^2(lam t/2), so that
   gaps down to 2^-MAX_GAP_EXPONENT survive double precision;
 * a verifier is compiled into a 5-local clock Hamiltonian whose ground
-  energy is probed by bisection.
+  energy is bracketed by bisection on Cholesky threshold tests.
 
 Decision thresholds for the median test sit at phi_c + 2^-alpha and
 phi_s - 2^-alpha rather than at the bare phi values: a verifier whose
@@ -44,7 +44,7 @@ from .sparse_oracle import (
     materialize,
     norm_bound,
 )
-from .spectral import bottom_eigenpair, min_eigenvalue
+from .spectral import bottom_eigenpair
 from .simulator import (
     QuantumCircuit,
     Statevector,
@@ -464,6 +464,13 @@ class GappedParams:
     sides, computed without subtracting from 1: the rejection of a
     lambda_min = 0 witness is at most epsilon, and every witness of a
     lambda_min >= 2^-g instance reads at least rejection_floor.
+
+    The acceptance-side bounds are 1 minus a quantity of order 2^-2g and
+    lose it to rounding first: at evo_time pi/16 (the Gram matrices of
+    the machine reductions) completeness and midpoint round to 1.0 from
+    g = 23 and soundness from g = 24.  From there on only the rejection
+    side (epsilon, rejection_floor, and the decision's rejection and
+    separation) carries the decision.
     """
 
     evo_time: float
@@ -552,15 +559,6 @@ def gapped_params(matrix: RowOracleMatrix, g: int) -> GappedParams:
         soundness=soundness,
         rejection_floor=rejection_floor,
     )
-
-
-def gapped_verifier(matrix: RowOracleMatrix, g: int, witness) -> float:
-    """Outcome-0 probability of one-bit phase reading of e^{-iAt} on witness."""
-    params = gapped_params(matrix, g)
-    acceptance, _ = phase_read(
-        matrix, params.evo_time, params.taylor_order, witness, params.unitarity_tol
-    )
-    return acceptance
 
 
 @dataclass(frozen=True)
@@ -971,23 +969,18 @@ def rule_parameterized_verifier() -> tuple[Verifier, float]:
     return verifier, eps
 
 
-def precise_lh_bounds(verifier_or_triple, epsilon: float):
-    """(a, b, gap_ok) for the clock thresholds under the epsilon parameterization.
+def precise_lh_bounds(verifier: Verifier, epsilon: float):
+    """(a, b, gap_ok) for the verifier's clock thresholds under the epsilon parameterization.
 
-    Accepts a Verifier or a raw (completeness, soundness, gate_count)
-    triple.  The caller's epsilon must equal 1 - completeness: that is
-    the parameterization the threshold formulas assume.
+    The caller's epsilon must equal 1 - completeness: that is the
+    parameterization the threshold formulas assume.
     """
-    if hasattr(verifier_or_triple, "completeness_c"):
-        v = verifier_or_triple
-        c, s, t_count = v.completeness_c, v.soundness_s, v.gate_count_T
-    else:
-        c, s, t_count = verifier_or_triple
+    c = verifier.completeness_c
     if abs((1.0 - c) - epsilon) > 1e-12:
         raise ContractError(
             f"epsilon {epsilon} does not match 1 - completeness = {1.0 - c}"
         )
-    a, b = clock_thresholds(c, s, t_count)
+    a, b = clock_thresholds(c, verifier.soundness_s, verifier.gate_count_T)
     return a, b, b - a > 0
 
 
@@ -997,12 +990,13 @@ def ground_energy(instance: PreciseLHInstance) -> float:
 
 
 def binary_search_energy(instance, bits: int) -> float:
-    """Bracket the ground energy to 2^-bits by bisection.
+    """Bracket the ground energy to 2^-bits by bisection on threshold tests.
 
-    The desk-scale decision procedure at each step is a threshold test
-    against the dense eigensolver's value (computed once); the bracket
-    always contains it, halves each iteration, and the midpoint of the
-    final bracket is returned.
+    Each step asks whether lambda_min(H) > mu, and answers it by
+    whether the Cholesky factorization of H - mu I exists, which it does
+    exactly when H - mu I is positive definite; no eigenvalue is
+    computed.  The bracket starts as the Gershgorin interval, halves
+    each step, and the midpoint of the final bracket is returned.
     """
     if bits < 1 or bits > ENERGY_BITS_CAP:
         raise ContractError(f"bits must be in 1..{ENERGY_BITS_CAP}, got {bits}")
@@ -1012,30 +1006,20 @@ def binary_search_energy(instance, bits: int) -> float:
         dense = instance.entries
     else:
         dense = np.asarray(instance)
-    dense = np.asarray(dense)
-    if np.iscomplexobj(dense):
-        if float(np.max(np.abs(dense - dense.conj().T))) > 1e-12:
-            raise ContractError("Hamiltonian must be Hermitian")
-        herm = (dense + dense.conj().T) / 2
-    else:
-        herm = dense.astype(float)
-    ground = min_eigenvalue(_to_real_symmetric(herm))
+    if float(np.max(np.abs(dense - dense.conj().T))) > 1e-12:
+        raise ContractError("Hamiltonian must be Hermitian")
+    herm = (dense + dense.conj().T) / 2
     radii = np.sum(np.abs(herm), axis=1) - np.abs(np.diag(herm))
     lo = float(np.min(np.diag(herm).real - radii))
     hi = float(np.max(np.diag(herm).real + radii))
+    eye = np.eye(len(herm))
     target = 2.0**-bits
     while hi - lo > target:
         mid = (lo + hi) / 2
-        if ground <= mid:
+        try:
+            np.linalg.cholesky(herm - mid * eye)
+        except np.linalg.LinAlgError:
             hi = mid
         else:
             lo = mid
     return (lo + hi) / 2
-
-
-def _to_real_symmetric(herm: np.ndarray) -> np.ndarray:
-    """Real-embed a Hermitian matrix if needed for the symmetric eigensolver."""
-    if not np.iscomplexobj(herm) or np.max(np.abs(herm.imag)) <= 1e-15:
-        return herm.real
-    # [[Re, -Im], [Im, Re]] has the same spectrum, doubled.
-    return np.block([[herm.real, -herm.imag], [herm.imag, herm.real]])

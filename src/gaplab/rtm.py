@@ -47,7 +47,7 @@ from math import ceil, log2
 import numpy as np
 
 from .errors import ContractError
-from .sparse_oracle import RowOracleMatrix, ata_oracle, from_csr
+from .sparse_oracle import RowOracleMatrix, ata_oracle
 from .spectral import min_eigenvalue_bound
 
 MOVES = {"L": -1, "S": 0, "R": 1}
@@ -393,7 +393,7 @@ def augmented_adjacency(
     indptr = np.concatenate([[0], np.cumsum(present.sum(axis=1))])
     data = np.ones(int(present.sum()), dtype=np.int64)
     csr = csr_matrix((data, pair[present], indptr), shape=(machine.dim, machine.dim))
-    return from_csr(csr, sparsity_d=2, entry_bound_k=1, column_ones_bound=2)
+    return RowOracleMatrix(csr, sparsity_d=2, entry_bound_k=1, column_ones_bound=2)
 
 
 @dataclass(frozen=True)

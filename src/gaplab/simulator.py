@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from math import comb, exp, factorial, lgamma, log, pi, sqrt
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -289,21 +289,6 @@ def taylor_order(x: float, target_error: float, max_order: int = 1000) -> int:
         if taylor_tail_bound(x, k) <= target_error:
             return k
     raise ValueError(f"no order up to {max_order} reaches error {target_error}")
-
-
-@dataclass(frozen=True)
-class EvolutionParams:
-    """Evolution time, truncation order, and the error it budgets for."""
-
-    evo_time: float
-    taylor_order: int
-    target_error: float
-
-    def __post_init__(self) -> None:
-        if self.evo_time <= 0:
-            raise ValueError("evolution time must be positive")
-        if self.target_error <= 0:
-            raise ValueError("target error must be positive")
 
 
 def _norm_upper_bound(matrix) -> float:

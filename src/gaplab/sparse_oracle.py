@@ -1,97 +1,104 @@
-"""Row-sparse matrix oracles and their desk-scale dense counterparts.
+"""Row oracles, integer CSR matrices under a checked contract, and their dense counterparts.
 
-A row oracle answers "give me the nonzero entries of row i" without ever
-holding the full matrix.  That is the access model under which all
-reductions in this package are built: the matrix dimension may in
-principle be exponential in the description size, and every consumer
-(determinant checks, spectral bounds, evolution operators) is written
-against the oracle interface first.  Dense materialization exists only
-as a desk-scale debugging and ground-truth device, gated by an explicit
-cap.
-
-Every full pass reads one cached int64 CSR form: ``to_csr`` builds it
-once through the checks of ``row``, and constructors that already hold
-the whole matrix hand theirs to ``from_csr``, which checks the declared
-contract on all rows at once.
+A row oracle is an int64 CSR matrix together with the contract every
+reduction in this package declares for it: at most ``sparsity_d``
+entries per row, each at most ``entry_bound_k`` in magnitude, and
+optionally at most ``column_ones_bound`` ones per column.  The contract
+is checked once, on all rows at once, when the oracle is constructed;
+from then on every consumer (determinant checks, spectral bounds,
+evolution operators) reads the stored matrix through ``to_csr``, and
+the declared bounds, not the entries, set downstream parameters such as
+the verifier's evolution time.  Dense materialization exists only as a
+desk-scale debugging and ground-truth device, gated by an explicit cap.
 
 Integer-valued oracles stay integer-valued until a spectral operation
-converts them to floats.  No float arithmetic happens inside row
-construction or Gram-matrix assembly.
+converts them to floats.  No float arithmetic happens in construction
+or Gram-matrix assembly.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from .errors import ContractError, ResourceLimitError
 
-# Largest dimension materialize() will expand by default.  Override per
-# call, or process-wide through the environment variable below.
-DEFAULT_DENSE_CAP = 2**14
-DENSE_CAP_ENV_VAR = "GAPLAB_DENSE_CAP"
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
+
+# Largest dimension materialize() expands unless the caller passes a cap.
+DENSE_CAP = 2**14
 
 Entry = tuple[int, int]
-RowFn = Callable[[int], Sequence[Entry]]
 
 
-def dense_cap() -> int:
-    """Effective materialization cap (environment override wins)."""
-    raw = os.environ.get(DENSE_CAP_ENV_VAR)
-    if raw is None:
-        return DEFAULT_DENSE_CAP
-    cap = int(raw)
-    if cap <= 0:
-        raise ValueError(f"{DENSE_CAP_ENV_VAR} must be positive, got {raw}")
-    return cap
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RowOracleMatrix:
-    """Succinct square matrix described by a row function.
+    """Square int64 CSR matrix with a declared row contract.
 
-    ``row_fn(i)`` returns the nonzero entries of row ``i`` as
-    ``(column, value)`` pairs with integer values, sorted by column.
-    ``sparsity_d`` bounds the number of entries per row and
-    ``entry_bound_k`` bounds their magnitude; both are part of the
-    declared contract and are enforced on every query.
+    Every row holds at most ``sparsity_d`` entries, sorted by column,
+    nonzero and at most ``entry_bound_k`` in magnitude.
     ``column_ones_bound`` is an optional declared bound on the number of
     ones per column, required by the Gram construction below.
-    ``row_fn`` must be pure: its rows are cached by ``to_csr``.
+    Construction checks all of it and raises ContractError naming the
+    first offending row.  The matrix is shared by every caller of
+    ``to_csr``, which must not modify it in place.  Equality is identity.
     """
 
-    dim: int
+    csr: csr_matrix
     sparsity_d: int
     entry_bound_k: int
-    row_fn: RowFn
     column_ones_bound: int | None = None
-    _csr: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.dim <= 0:
-            raise ValueError(f"dim must be positive, got {self.dim}")
-        if self.sparsity_d < 0 or self.entry_bound_k < 0:
+        from scipy.sparse import csr_matrix
+
+        csr, d, k = self.csr, self.sparsity_d, self.entry_bound_k
+        if not (isinstance(csr, csr_matrix) and csr.dtype == np.int64):
+            raise ContractError("row oracles carry exact integer entries in an int64 CSR matrix")
+        dim = csr.shape[0]
+        if csr.shape != (dim, dim) or dim <= 0:
+            raise ValueError(f"expected a nonempty square matrix, got shape {csr.shape}")
+        if d < 0 or k < 0:
             raise ValueError("sparsity and entry bounds must be nonnegative")
+        indptr, cols, vals = csr.indptr, csr.indices, csr.data
+        counts = np.diff(indptr)
+        entry_row = np.repeat(np.arange(dim), counts)
+        position = entry_row * dim + cols  # strictly increasing iff rows are sorted
+        for bad_row, what in (
+            (np.flatnonzero(counts > d), f"has more than {d} entries"),
+            (entry_row[(cols < 0) | (cols >= dim)], f"references a column outside [0, {dim})"),
+            (entry_row[1:][np.diff(position) <= 0], "entries not sorted by column"),
+            (entry_row[vals == 0], "contains an explicit zero"),
+            (entry_row[np.abs(vals) > k], f"exceeds declared bound {k}"),
+        ):
+            if bad_row.size:
+                raise ContractError(f"row {bad_row[0]} {what}")
+        ones = self.column_ones_bound
+        if ones is not None and np.bincount(cols[vals == 1], minlength=dim).max() > ones:
+            raise ContractError(f"a column holds more than {ones} ones")
+
+    @property
+    def dim(self) -> int:
+        return self.csr.shape[0]
 
 
 @dataclass
 class DenseMatrix:
-    """Explicit square matrix with verification flags.
+    """Explicit square matrix with a verified symmetry flag.
 
-    ``symmetric`` and ``psd`` start False and are set only once the
-    property is known (by ``check_symmetric``, or by a constructor);
-    they are the one exception to the otherwise immutable value types
-    in this package.
+    ``symmetric`` starts False and is set only once the property is
+    known (by ``check_symmetric``, or by a constructor); it is the one
+    exception to the otherwise immutable value types in this package.
     """
 
     dim: int
     entries: np.ndarray
     symmetric: bool = False
-    psd: bool = False
 
     def __post_init__(self) -> None:
         self.entries = np.asarray(self.entries)
@@ -108,29 +115,18 @@ class DenseMatrix:
         return self.symmetric
 
 
+def to_csr(matrix: RowOracleMatrix) -> csr_matrix:
+    """The oracle's int64 CSR matrix: the form every full pass reads."""
+    return matrix.csr
+
+
 def row(matrix: RowOracleMatrix, i: int) -> list[Entry]:
-    """Query one row of the oracle, enforcing the declared contract."""
+    """Nonzero entries of row i as (column, value) pairs, sorted by column."""
     if not 0 <= i < matrix.dim:
         raise IndexError(f"row index {i} out of range for dim {matrix.dim}")
-    entries = list(matrix.row_fn(i))
-    if len(entries) > matrix.sparsity_d:
-        raise ContractError(
-            f"row {i} has {len(entries)} entries, declared sparsity {matrix.sparsity_d}"
-        )
-    prev_col = -1
-    for col, val in entries:
-        if not 0 <= col < matrix.dim:
-            raise ContractError(f"row {i} references column {col} outside [0, {matrix.dim})")
-        if col <= prev_col:
-            raise ContractError(f"row {i} entries not sorted by column")
-        if val == 0:
-            raise ContractError(f"row {i} contains an explicit zero at column {col}")
-        if abs(val) > matrix.entry_bound_k:
-            raise ContractError(
-                f"row {i} entry {val} exceeds declared bound {matrix.entry_bound_k}"
-            )
-        prev_col = col
-    return entries
+    a = to_csr(matrix)
+    lo, hi = a.indptr[i], a.indptr[i + 1]
+    return list(zip(a.indices[lo:hi].tolist(), a.data[lo:hi].tolist()))
 
 
 def norm_bound(matrix: RowOracleMatrix) -> int:
@@ -138,16 +134,23 @@ def norm_bound(matrix: RowOracleMatrix) -> int:
     return matrix.entry_bound_k * matrix.sparsity_d
 
 
-def materialize(matrix: RowOracleMatrix, cap: int | None = None) -> DenseMatrix:
+def materialize(matrix: RowOracleMatrix, cap: int = DENSE_CAP) -> DenseMatrix:
     """Expand an oracle to a dense integer matrix, gated by the cap."""
-    limit = dense_cap() if cap is None else cap
-    if matrix.dim > limit:
+    if matrix.dim > cap:
         raise ResourceLimitError(
-            f"dim {matrix.dim} exceeds dense materialization cap {limit}"
+            f"dim {matrix.dim} exceeds dense materialization cap {cap}"
         )
     dm = DenseMatrix(dim=matrix.dim, entries=to_csr(matrix).toarray())
     dm.check_symmetric()
     return dm
+
+
+def _ones(cols: np.ndarray, indptr: np.ndarray) -> csr_matrix:
+    """Square int64 CSR matrix with a one at each listed column."""
+    from scipy.sparse import csr_matrix
+
+    dim = len(indptr) - 1
+    return csr_matrix((np.ones(len(cols), dtype=np.int64), cols, indptr), shape=(dim, dim))
 
 
 def identity_oracle(dim: int) -> RowOracleMatrix:
@@ -155,75 +158,11 @@ def identity_oracle(dim: int) -> RowOracleMatrix:
     if dim <= 0:
         raise ValueError(f"dim must be positive, got {dim}")
     return RowOracleMatrix(
-        dim=dim,
+        _ones(np.arange(dim), np.arange(dim + 1)),
         sparsity_d=1,
         entry_bound_k=1,
-        row_fn=lambda i: [(i, 1)],
         column_ones_bound=1,
     )
-
-
-def to_csr(matrix: RowOracleMatrix):
-    """The oracle as an int64 scipy CSR matrix, built once and cached.
-
-    This is the only code that sweeps ``row_fn``: every row passes the
-    contract checks of ``row`` on the way in.  The cached matrix is
-    shared by every later caller, which must not modify it in place.
-    """
-    if matrix._csr is None:
-        from scipy.sparse import csr_matrix
-
-        rows = [row(matrix, i) for i in range(matrix.dim)]
-        indptr = np.cumsum([0] + [len(r) for r in rows])
-        cols, vals = np.array([e for r in rows for e in r], dtype=np.int64).reshape(-1, 2).T
-        csr = csr_matrix((vals, cols, indptr), shape=(matrix.dim, matrix.dim))
-        object.__setattr__(matrix, "_csr", csr)
-    return matrix._csr
-
-
-def from_csr(
-    csr, sparsity_d: int, entry_bound_k: int, column_ones_bound: int | None = None
-) -> RowOracleMatrix:
-    """Wrap an existing integer CSR matrix as a row oracle.
-
-    Checks on all rows at once the contract ``row`` enforces per query,
-    plus the declared ones-per-column bound; the matrix then becomes the
-    oracle's cached CSR form and answers its row queries.
-    """
-    from scipy.sparse import csr_matrix
-
-    csr = csr_matrix(csr)
-    if not np.issubdtype(csr.dtype, np.integer):
-        raise ContractError("row oracles carry exact integer entries")
-    csr = csr.astype(np.int64, copy=False)
-    dim = csr.shape[0]
-    if csr.shape != (dim, dim):
-        raise ValueError(f"expected a square matrix, got shape {csr.shape}")
-    indptr, cols, vals = csr.indptr, csr.indices, csr.data
-    counts = np.diff(indptr)
-    entry_row = np.repeat(np.arange(dim), counts)
-    position = entry_row * dim + cols  # strictly increasing iff rows are sorted
-    for bad_row, what in (
-        (np.flatnonzero(counts > sparsity_d), f"has more than {sparsity_d} entries"),
-        (entry_row[(cols < 0) | (cols >= dim)], f"references a column outside [0, {dim})"),
-        (entry_row[1:][np.diff(position) <= 0], "entries not sorted by column"),
-        (entry_row[vals == 0], "contains an explicit zero"),
-        (entry_row[np.abs(vals) > entry_bound_k], f"exceeds declared bound {entry_bound_k}"),
-    ):
-        if bad_row.size:
-            raise ContractError(f"row {bad_row[0]} {what}")
-    if column_ones_bound is not None and (
-        np.bincount(cols[vals == 1], minlength=dim).max() > column_ones_bound
-    ):
-        raise ContractError(f"a column holds more than {column_ones_bound} ones")
-
-    def row_fn(i: int) -> list[Entry]:
-        lo, hi = indptr[i], indptr[i + 1]
-        return list(zip(cols[lo:hi].tolist(), vals[lo:hi].tolist()))
-
-    oracle = RowOracleMatrix(dim, sparsity_d, entry_bound_k, row_fn, column_ones_bound)
-    object.__setattr__(oracle, "_csr", csr)
-    return oracle
 
 
 def from_dense(dense: DenseMatrix | np.ndarray) -> RowOracleMatrix:
@@ -257,7 +196,7 @@ def from_entries(dim: int, triplets: Iterable[Sequence[int]]) -> RowOracleMatrix
         raise ValueError(f"duplicate entry at {divmod(int(position[count > 1][0]), dim)}")
     csr = coo_matrix((v, (i, j)), shape=(dim, dim)).tocsr()
     ones = np.bincount(j, minlength=dim).max(initial=0)
-    return from_csr(
+    return RowOracleMatrix(
         csr,
         sparsity_d=max(int(np.diff(csr.indptr).max(initial=0)), 1),
         entry_bound_k=max(int(np.abs(v).max(initial=0)), 1),
@@ -286,11 +225,10 @@ def ata_oracle(matrix: RowOracleMatrix) -> RowOracleMatrix:
     gram = (a.T @ a).tocsr()
     gram.eliminate_zeros()
     gram.sort_indices()
-    return from_csr(
+    return RowOracleMatrix(
         gram,
         sparsity_d=min(matrix.dim, 2 * matrix.sparsity_d * matrix.column_ones_bound),
         entry_bound_k=2,
-        column_ones_bound=None,
     )
 
 
@@ -298,18 +236,15 @@ def path_adjacency(ell: int) -> RowOracleMatrix:
     """Lower-bidiagonal block: a directed path with a self-loop on every vertex.
 
     Row 0 holds the lone self-loop of the path's sink; row i >= 1 holds
-    the self-loop plus the edge to vertex i - 1.
+    the edge to vertex i - 1 plus the self-loop.
     """
     if ell < 1:
         raise IndexError(f"path block needs length >= 1, got {ell}")
-
-    def row_fn(i: int) -> list[Entry]:
-        if i == 0:
-            return [(0, 1)]
-        return [(i - 1, 1), (i, 1)]
-
+    i = np.arange(ell)
+    cols = np.column_stack((i - 1, i)).ravel()[1:]  # row 0 has no edge to -1
+    indptr = np.maximum(2 * np.arange(ell + 1) - 1, 0)
     return RowOracleMatrix(
-        dim=ell, sparsity_d=2, entry_bound_k=1, row_fn=row_fn, column_ones_bound=2
+        _ones(cols, indptr), sparsity_d=2, entry_bound_k=1, column_ones_bound=2
     )
 
 
@@ -322,16 +257,11 @@ def cycle_adjacency(ell: int) -> RowOracleMatrix:
     """
     if ell < 3:
         raise IndexError(f"cycle block needs length >= 3, got {ell}")
-
-    def row_fn(i: int) -> list[Entry]:
-        if i == 0:
-            return [(ell - 1, 1)]
-        if i == ell - 1:
-            return [(ell - 2, 1)]
-        return [(i - 1, 1), (i, 1)]
-
+    i = np.arange(1, ell - 1)
+    cols = np.concatenate(([ell - 1], np.column_stack((i - 1, i)).ravel(), [ell - 2]))
+    indptr = np.concatenate(([0], 2 * np.arange(ell - 1) + 1, [2 * ell - 2]))
     return RowOracleMatrix(
-        dim=ell, sparsity_d=2, entry_bound_k=1, row_fn=row_fn, column_ones_bound=2
+        _ones(cols, indptr), sparsity_d=2, entry_bound_k=1, column_ones_bound=2
     )
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import cos, pi
-from typing import Sequence
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -385,7 +384,6 @@ def structured_matrix(kind: str, ell: int) -> StructuredBlock:
     out[idx + 1, idx] = off.astype(np.int64)
     dm = DenseMatrix(dim=n, entries=out)
     dm.symmetric = True
-    dm.psd = True
     return StructuredBlock(kind=kind, ell=ell, matrix=dm)
 
 
@@ -442,10 +440,6 @@ class SpectrumReport:
     ell: int
     eigenvalues: np.ndarray
     closed_form: np.ndarray | None = None
-
-    @property
-    def min_eig(self) -> float:
-        return float(self.eigenvalues[0])
 
     @property
     def max_abs_discrepancy(self) -> float:

@@ -338,7 +338,10 @@ def test_gapped_verifier_acceptance_matches_decision():
     singular, _, g = pr.toy_gapped_instances()
     dense = so.materialize(singular).entries.astype(float)
     _, vecs = np.linalg.eigh(dense)
-    acceptance = pr.gapped_verifier(singular, g, vecs[:, 0])
+    params = pr.gapped_params(singular, g)
+    acceptance, _ = sim.phase_read(
+        singular, params.evo_time, params.taylor_order, vecs[:, 0], params.unitarity_tol
+    )
     assert acceptance == pytest.approx(pr.decide_gapped(singular, g).acceptance, abs=1e-12)
 
 
@@ -458,21 +461,22 @@ def test_kitaev_rejects_oversized_circuits():
 def test_precise_epsilon_rule_keeps_thresholds_ordered():
     for gap, gates in [(0.05, 4), (0.2, 2), (1e-3, 6)]:
         eps = pr.precise_epsilon_rule(gap, gates)
-        a, b, ok = pr.precise_lh_bounds((1.0 - eps, 1.0 - (gap - eps), gates), eps)
-        assert ok and b > a
+        a, b = pr.clock_thresholds(1.0 - eps, 1.0 - (gap - eps), gates)
+        assert b > a
 
 
 def test_precise_lh_bounds_edge_examples():
-    assert pr.precise_lh_bounds((1.0, 0.75, 2), 0.0) == (0.0, 0.03125, True)
-    a, b, ok = pr.precise_lh_bounds((0.75, 1.0, 2), 0.25)
+    assert pr.clock_thresholds(1.0, 0.75, 2) == (0.0, 0.03125)
+    a, b = pr.clock_thresholds(0.75, 1.0, 2)
     assert a == pytest.approx(1 / 12, abs=1e-15)
     assert b == 0.0
-    assert not ok
 
 
 def test_precise_lh_bounds_epsilon_consistency():
+    verifier = pr.rotation_verifier(0.9, 0.9, 0.5)
     with pytest.raises(ContractError):
-        pr.precise_lh_bounds((0.9, 0.5, 3), 0.2)
+        pr.precise_lh_bounds(verifier, 0.2)
+    assert pr.precise_lh_bounds(verifier, 0.1) == (*pr.clock_thresholds(0.9, 0.5, 1), True)
 
 
 def test_rule_parameterized_verifier_round_trip():
@@ -529,6 +533,26 @@ def test_binary_search_energy_handles_complex_hermitian():
     arr = np.array([[1.0, 1j], [-1j, 1.0]])
     estimate = pr.binary_search_energy(arr, 20)
     assert abs(estimate - 0.0) <= 2.0 ** -20
+
+
+def test_binary_search_energy_needs_no_eigensolver(monkeypatch):
+    rng = np.random.default_rng(7)
+    z = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    instances = [
+        pr.kitaev_hamiltonian(pr.rotation_verifier(0.9, 0.9, 0.1)),
+        pr.kitaev_hamiltonian(pr.rule_parameterized_verifier()[0]),
+        (z + z.conj().T) / 2,
+    ]
+    exact = [pr.ground_energy(h) if isinstance(h, pr.PreciseLHInstance)
+             else float(np.linalg.eigvalsh(h)[0]) for h in instances]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the bisection called an eigensolver")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    for instance, lam in zip(instances, exact):
+        assert abs(pr.binary_search_energy(instance, 30) - lam) <= 2.0**-30
 
 
 def test_binary_search_energy_rejects_excess_bits():

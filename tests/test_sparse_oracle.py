@@ -69,73 +69,83 @@ def test_row_index_out_of_range():
         so.row(so.path_adjacency(3), 3)
 
 
-def _row_zero_routes(entries, d=1, k=1, dim=3):
-    """Build calls giving row 0 these entries: a row-oracle query, and from_csr."""
-    oracle = so.RowOracleMatrix(dim=dim, sparsity_d=d, entry_bound_k=k,
-                                row_fn=lambda i: entries)
+def _row_zero_oracle(entries, d=1, k=1, dim=3):
+    """Construct an oracle whose row 0 holds these entries."""
     cols, vals = zip(*entries)
     indptr = [0] + [len(entries)] * dim
     csr = csr_matrix((np.array(vals), np.array(cols), indptr), shape=(dim, dim))
-    return [lambda: so.row(oracle, 0), lambda: so.from_csr(csr, d, k)]
+    return so.RowOracleMatrix(csr, d, k)
 
 
 def test_row_contract_too_many_entries():
-    for build in _row_zero_routes([(0, 1), (1, 1)]):
-        with pytest.raises(ContractError):
-            build()
+    with pytest.raises(ContractError, match="row 0 has more than 1 entries"):
+        _row_zero_oracle([(0, 1), (1, 1)])
 
 
 def test_row_contract_unsorted_columns():
     for entries in ([(1, 1), (0, 1)], [(1, 1), (1, 1)]):
-        for build in _row_zero_routes(entries, d=2):
-            with pytest.raises(ContractError):
-                build()
+        with pytest.raises(ContractError, match="row 0 entries not sorted"):
+            _row_zero_oracle(entries, d=2)
 
 
 def test_row_contract_explicit_zero():
-    for build in _row_zero_routes([(0, 0)]):
-        with pytest.raises(ContractError):
-            build()
+    with pytest.raises(ContractError, match="explicit zero"):
+        _row_zero_oracle([(0, 0)])
 
 
 def test_row_contract_entry_bound():
-    for build in _row_zero_routes([(0, 2)]):
-        with pytest.raises(ContractError):
-            build()
+    with pytest.raises(ContractError, match="exceeds declared bound 1"):
+        _row_zero_oracle([(0, 2)])
 
 
 def test_row_contract_column_range():
-    for build in _row_zero_routes([(3, 1)]):
+    with pytest.raises(ContractError, match="outside"):
+        _row_zero_oracle([(3, 1)])
+
+
+def test_row_contract_column_ones_bound():
+    csr = so.to_csr(so.from_dense(np.ones((3, 3), dtype=np.int64)))
+    with pytest.raises(ContractError, match="more than 2 ones"):
+        so.RowOracleMatrix(csr, sparsity_d=3, entry_bound_k=1, column_ones_bound=2)
+
+
+def test_constructor_requires_an_int64_csr_matrix():
+    floats, int32 = csr_matrix(np.eye(2)), csr_matrix(np.eye(2, dtype=np.int32))
+    for bad in (floats, int32, np.eye(2, dtype=np.int64)):
         with pytest.raises(ContractError):
-            build()
+            so.RowOracleMatrix(bad, sparsity_d=1, entry_bound_k=1)
+    with pytest.raises(ValueError):
+        so.RowOracleMatrix(csr_matrix(np.ones((2, 3), dtype=np.int64)), 3, 1)
 
 
-def test_rows_are_swept_once():
-    calls = []
-    path = so.path_adjacency(5)
-    counted = so.RowOracleMatrix(
-        dim=5, sparsity_d=2, entry_bound_k=1,
-        row_fn=lambda i: calls.append(i) or path.row_fn(i),
-    )
-    first = so.to_csr(counted)
-    assert so.to_csr(counted) is first
-    np.testing.assert_array_equal(so.materialize(counted).entries, first.toarray())
-    assert calls == list(range(5))
+def test_to_csr_returns_the_stored_matrix():
+    a = so.path_adjacency(5)
+    assert so.to_csr(a) is a.csr
+    assert a.dim == 5
+    np.testing.assert_array_equal(so.materialize(a).entries, a.csr.toarray())
+
+
+def test_oracle_equality_is_identity():
+    a = so.identity_oracle(3)
+    assert a == a
+    assert a != so.identity_oracle(3)
+
+
+def test_path_and_cycle_rows_match_their_definition():
+    for ell in range(1, 9):
+        expected = [[(0, 1)]] + [[(i - 1, 1), (i, 1)] for i in range(1, ell)]
+        path = so.path_adjacency(ell)
+        assert [so.row(path, i) for i in range(ell)] == expected
+    for ell in range(3, 9):
+        expected = [[(ell - 1, 1)]] + [[(i - 1, 1), (i, 1)] for i in range(1, ell - 1)]
+        expected.append([(ell - 2, 1)])
+        cycle = so.cycle_adjacency(ell)
+        assert [so.row(cycle, i) for i in range(ell)] == expected
 
 
 def test_materialize_respects_cap():
     with pytest.raises(ResourceLimitError):
         so.materialize(so.identity_oracle(10), cap=9)
-
-
-def test_dense_cap_env_override(monkeypatch):
-    monkeypatch.setenv(so.DENSE_CAP_ENV_VAR, "7")
-    assert so.dense_cap() == 7
-    with pytest.raises(ResourceLimitError):
-        so.materialize(so.identity_oracle(8))
-    monkeypatch.setenv(so.DENSE_CAP_ENV_VAR, "-1")
-    with pytest.raises(ValueError):
-        so.dense_cap()
 
 
 def test_from_dense_round_trip():
