@@ -13,7 +13,6 @@ promise gaps and compiles verifiers into clock Hamiltonians
 
 from .errors import ConfigurationError, ContractError, ResourceLimitError
 from .sparse_oracle import (
-    DenseMatrix,
     RowOracleMatrix,
     ata_oracle,
     cycle_adjacency,
@@ -29,7 +28,6 @@ from .sparse_oracle import (
 )
 from .spectral import (
     SpectrumReport,
-    StructuredBlock,
     char_poly_p,
     chebyshev_q,
     closed_form_eigenvalues,

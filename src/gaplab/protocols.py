@@ -19,7 +19,7 @@ The pipeline realized here, end to end at desk scale:
   eigenvector and read on the rejection side, sin^2(lam t/2), so that
   gaps down to 2^-MAX_GAP_EXPONENT survive double precision;
 * a verifier is compiled into a 5-local clock Hamiltonian whose ground
-  energy is bracketed by bisection on Cholesky threshold tests.
+  energy is bracketed by bisection on banded Cholesky threshold tests.
 
 Decision thresholds for the median test sit at phi_c + 2^-alpha and
 phi_s - 2^-alpha rather than at the bare phi values: a verifier whose
@@ -38,13 +38,12 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractError, ResourceLimitError
 from .sparse_oracle import (
-    DenseMatrix,
     RowOracleMatrix,
     from_entries,
     materialize,
     norm_bound,
 )
-from .spectral import bottom_eigenpair
+from .spectral import _rcm_ordered, bottom_eigenpair
 from .simulator import (
     QuantumCircuit,
     Statevector,
@@ -641,7 +640,7 @@ def pe_verifier(matrix: RowOracleMatrix, g: int) -> Verifier:
     if matrix.dim != 2:
         raise ContractError("packaged phase-reading verifier needs a 2-dim instance")
     params = gapped_params(matrix, g)
-    u = expm_exact(materialize(matrix).entries.astype(float), params.evo_time)
+    u = expm_exact(materialize(matrix).astype(float), params.evo_time)
     controlled = np.eye(4, dtype=complex)
     controlled[2:, 2:] = u  # control is the high local bit
     circuit = QuantumCircuit(2)
@@ -995,15 +994,21 @@ def binary_search_energy(instance, bits: int) -> float:
     Each step asks whether lambda_min(H) > mu, and answers it by
     whether the Cholesky factorization of H - mu I exists, which it does
     exactly when H - mu I is positive definite; no eigenvalue is
-    computed.  The bracket starts as the Gershgorin interval, halves
-    each step, and the midpoint of the final bracket is returned.
+    computed.  The factorization is banded: H is taken once into the
+    reverse Cuthill-McKee order of its pattern, a permutation
+    similarity that leaves definiteness alone, and on the clock
+    Hamiltonians its band is a few entries wide, so a step costs
+    O(dim * band^2) rather than O(dim^3).  The bracket starts as the
+    Gershgorin interval, halves each step, and the midpoint of the
+    final bracket is returned.
     """
+    from scipy.linalg import cholesky_banded
+    from scipy.sparse import csr_matrix, tril
+
     if bits < 1 or bits > ENERGY_BITS_CAP:
         raise ContractError(f"bits must be in 1..{ENERGY_BITS_CAP}, got {bits}")
     if isinstance(instance, PreciseLHInstance):
         dense = instance.materialize()
-    elif isinstance(instance, DenseMatrix):
-        dense = instance.entries
     else:
         dense = np.asarray(instance)
     if float(np.max(np.abs(dense - dense.conj().T))) > 1e-12:
@@ -1012,12 +1017,17 @@ def binary_search_energy(instance, bits: int) -> float:
     radii = np.sum(np.abs(herm), axis=1) - np.abs(np.diag(herm))
     lo = float(np.min(np.diag(herm).real - radii))
     hi = float(np.max(np.diag(herm).real + radii))
-    eye = np.eye(len(herm))
+    ordered, width = _rcm_ordered(csr_matrix(herm))
+    lower = tril(ordered, format="coo")
+    band = np.zeros((width + 1, len(herm)), dtype=herm.dtype)  # band[i - j, j] = H[i, j]
+    band[lower.row - lower.col, lower.col] = lower.data
     target = 2.0**-bits
     while hi - lo > target:
         mid = (lo + hi) / 2
+        shifted = band.copy()
+        shifted[0] -= mid
         try:
-            np.linalg.cholesky(herm - mid * eye)
+            cholesky_banded(shifted, overwrite_ab=True, lower=True, check_finite=False)
         except np.linalg.LinAlgError:
             hi = mid
         else:

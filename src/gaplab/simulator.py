@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractError, ResourceLimitError
-from .sparse_oracle import DenseMatrix, RowOracleMatrix, to_csr
+from .sparse_oracle import RowOracleMatrix, to_csr
 
 MAX_QUBITS = 20
 NORM_TOL = 1e-12
@@ -255,8 +255,7 @@ def random_circuit(
 
 
 def _hermitian_dense(matrix, tol: float = 1e-12) -> np.ndarray:
-    arr = matrix.entries if isinstance(matrix, DenseMatrix) else np.asarray(matrix)
-    arr = arr.astype(complex)
+    arr = np.asarray(matrix, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected square matrix, got {arr.shape}")
     dev = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
@@ -298,8 +297,7 @@ def _norm_upper_bound(matrix) -> float:
         one = abs_a.sum(axis=0).max()
         inf = abs_a.sum(axis=1).max()
         return float(sqrt(one * inf))
-    arr = matrix.entries if isinstance(matrix, DenseMatrix) else np.asarray(matrix)
-    abs_arr = np.abs(arr)
+    abs_arr = np.abs(np.asarray(matrix))
     return float(sqrt(abs_arr.sum(axis=0).max() * abs_arr.sum(axis=1).max()))
 
 
@@ -325,7 +323,7 @@ def expm_taylor_minus_identity(matrix, evo_time: float, order: int, x) -> np.nda
     if isinstance(matrix, RowOracleMatrix):
         a = to_csr(matrix).astype(np.float64)
     else:
-        a = matrix.entries if isinstance(matrix, DenseMatrix) else np.asarray(matrix)
+        a = np.asarray(matrix)
     w = np.asarray(getattr(x, "amplitudes", x))
     total = np.zeros(w.shape, dtype=complex)
     for k in range(1, order + 1):
@@ -341,7 +339,7 @@ def expm_taylor(matrix, evo_time: float, order: int) -> np.ndarray:
     small-dimension oracle for tests; the verifier applies the sum to
     its witness only.
     """
-    n = matrix.dim if isinstance(matrix, (RowOracleMatrix, DenseMatrix)) else len(matrix)
+    n = matrix.dim if isinstance(matrix, RowOracleMatrix) else len(matrix)
     eye = np.eye(n)
     return eye + expm_taylor_minus_identity(matrix, evo_time, order, eye)
 

@@ -1,4 +1,4 @@
-"""Row oracles, integer CSR matrices under a checked contract, and their dense counterparts.
+"""Row oracles: integer CSR matrices under a checked contract.
 
 A row oracle is an int64 CSR matrix together with the contract every
 reduction in this package declares for it: at most ``sparsity_d``
@@ -19,6 +19,7 @@ or Gram-matrix assembly.
 from __future__ import annotations
 
 import json
+import operator
 import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -87,34 +88,6 @@ class RowOracleMatrix:
         return self.csr.shape[0]
 
 
-@dataclass
-class DenseMatrix:
-    """Explicit square matrix with a verified symmetry flag.
-
-    ``symmetric`` starts False and is set only once the property is
-    known (by ``check_symmetric``, or by a constructor); it is the one
-    exception to the otherwise immutable value types in this package.
-    """
-
-    dim: int
-    entries: np.ndarray
-    symmetric: bool = False
-
-    def __post_init__(self) -> None:
-        self.entries = np.asarray(self.entries)
-        if self.entries.shape != (self.dim, self.dim):
-            raise ValueError(
-                f"entries shape {self.entries.shape} does not match dim {self.dim}"
-            )
-
-    def check_symmetric(self, tol: float = 1e-12) -> bool:
-        """Set the symmetric flag iff max |A - A^T| <= tol."""
-        a = self.entries
-        dev = np.max(np.abs(a - a.T)) if self.dim > 1 else 0.0
-        self.symmetric = bool(dev <= tol)
-        return self.symmetric
-
-
 def to_csr(matrix: RowOracleMatrix) -> csr_matrix:
     """The oracle's int64 CSR matrix: the form every full pass reads."""
     return matrix.csr
@@ -134,15 +107,13 @@ def norm_bound(matrix: RowOracleMatrix) -> int:
     return matrix.entry_bound_k * matrix.sparsity_d
 
 
-def materialize(matrix: RowOracleMatrix, cap: int = DENSE_CAP) -> DenseMatrix:
-    """Expand an oracle to a dense integer matrix, gated by the cap."""
+def materialize(matrix: RowOracleMatrix, cap: int = DENSE_CAP) -> np.ndarray:
+    """Expand an oracle to a dense int64 array, gated by the cap."""
     if matrix.dim > cap:
         raise ResourceLimitError(
             f"dim {matrix.dim} exceeds dense materialization cap {cap}"
         )
-    dm = DenseMatrix(dim=matrix.dim, entries=to_csr(matrix).toarray())
-    dm.check_symmetric()
-    return dm
+    return to_csr(matrix).toarray()
 
 
 def _ones(cols: np.ndarray, indptr: np.ndarray) -> csr_matrix:
@@ -165,9 +136,9 @@ def identity_oracle(dim: int) -> RowOracleMatrix:
     )
 
 
-def from_dense(dense: DenseMatrix | np.ndarray) -> RowOracleMatrix:
-    """Wrap an explicit matrix as a row oracle (round-trip helper)."""
-    arr = dense.entries if isinstance(dense, DenseMatrix) else np.asarray(dense)
+def from_dense(dense: np.ndarray) -> RowOracleMatrix:
+    """Wrap an explicit integer matrix as a row oracle (round-trip helper)."""
+    arr = np.asarray(dense)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     if not np.issubdtype(arr.dtype, np.integer):
@@ -176,15 +147,25 @@ def from_dense(dense: DenseMatrix | np.ndarray) -> RowOracleMatrix:
     return from_entries(arr.shape[0], zip(i, j, arr[i, j]))
 
 
+def _integer(value) -> int:
+    """``value`` as an int; a float, even 2.0, or any other type is a ContractError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ContractError(f"expected an integer, got {value!r}") from None
+
+
 def from_entries(dim: int, triplets: Iterable[Sequence[int]]) -> RowOracleMatrix:
-    """Build an oracle from an (i, j, value) triplet list.
+    """Build an oracle from an (i, j, value) triplet list of integers.
 
     The declared bounds are the tightest the entries satisfy; a column
     bound is declared only for 0/1 matrices.
     """
     from scipy.sparse import coo_matrix
 
-    t = np.array([(int(i), int(j), int(v)) for i, j, v in triplets], dtype=np.int64)
+    t = np.array(
+        [(_integer(i), _integer(j), _integer(v)) for i, j, v in triplets], dtype=np.int64
+    )
     i, j, v = t.reshape(-1, 3).T
     outside = np.flatnonzero((i < 0) | (i >= dim) | (j < 0) | (j >= dim))
     if outside.size:
@@ -284,7 +265,7 @@ def _reduction_input(spec: dict, base: str):
     else:
         machine = rtm.corpus_machine(machine_ref)
     if "space" in spec:
-        machine = rtm.with_space(machine, int(spec["space"]))
+        machine = rtm.with_space(machine, _integer(spec["space"]))
     return machine, spec["input"]
 
 
@@ -298,18 +279,29 @@ def load_instance(source: str | os.PathLike | dict) -> RowOracleMatrix:
       {"kind": "rtm", "machine": PATH-OR-NAME,
        "input": STR, "space": S?}                     machine reduction
                                                       (its augmented adjacency)
+
+    Every number (values, indices, dim, ell, space) must be a JSON
+    integer and a ``rows`` matrix must be N x N; anything else is a
+    ContractError.
     """
     spec, base = _read_spec(source)
     if "rows" in spec:
-        return from_dense(np.asarray(spec["rows"], dtype=np.int64))
+        rows = spec["rows"]
+        dim = _integer(spec.get("dim", len(rows)))
+        if len(rows) != dim:
+            raise ContractError(f"instance declares dim {dim} but has {len(rows)} rows")
+        for r in rows:
+            if not isinstance(r, list) or len(r) != dim:
+                raise ContractError(f"instance declares dim {dim} but has the row {r!r}")
+        return from_dense(np.array([[_integer(v) for v in r] for r in rows], dtype=np.int64))
     if "entries" in spec:
-        return from_entries(int(spec["dim"]), spec["entries"])
+        return from_entries(_integer(spec["dim"]), spec["entries"])
 
     kind = spec.get("kind")
     if kind == "path":
-        return path_adjacency(int(spec["ell"]))
+        return path_adjacency(_integer(spec["ell"]))
     if kind == "cycle":
-        return cycle_adjacency(int(spec["ell"]))
+        return cycle_adjacency(_integer(spec["ell"]))
     if kind == "rtm":
         from . import rtm
 

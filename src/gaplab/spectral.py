@@ -2,14 +2,17 @@
 
 Two independent concerns live here:
 
-* integer determinant algorithms (cycle covers, permutation expansion,
-  fraction-free elimination) that certify singularity exactly, with no
-  floating point anywhere on the path;
+* integer determinants that certify singularity exactly, with no
+  floating point anywhere on the path.  The production path is one
+  fraction-free elimination confined to the band of the reverse
+  Cuthill-McKee order, which brings a configuration graph's matrix to
+  bandwidth 2 or less; dense elimination, the cycle-cover sum and the
+  permutation expansion stay as small-size references;
 * eigenvalue machinery for the symmetric Gram matrices the reductions
   produce, including the closed-form spectrum of the path block and the
   tridiagonal fast path used for large sizes.
 
-The determinant routines deliberately overlap: the cycle-cover sum and
+The reference determinants deliberately overlap: the cycle-cover sum and
 the permutation expansion compute the same quantity through different
 sign bookkeeping, which makes each a check on the other.
 """
@@ -18,12 +21,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import cos, pi
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import ContractError, ResourceLimitError
-from .sparse_oracle import DenseMatrix, RowOracleMatrix, to_csr
+from .sparse_oracle import RowOracleMatrix, from_dense, to_csr
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 # Factorial-time methods refuse to run above this dimension.
 ENUMERATION_CAP = 10
@@ -35,16 +42,7 @@ SYMMETRY_TOL = 1e-12
 # exact determinants
 
 
-def _dense_int_rows(matrix: RowOracleMatrix | DenseMatrix | np.ndarray) -> list[list[int]]:
-    if isinstance(matrix, RowOracleMatrix):
-        return to_csr(matrix).toarray().tolist()
-    arr = matrix.entries if isinstance(matrix, DenseMatrix) else np.asarray(matrix)
-    if not np.issubdtype(arr.dtype, np.integer):
-        raise ContractError("exact determinants require integer entries")
-    return [[int(v) for v in r] for r in arr]
-
-
-def det_cycle_cover(matrix: RowOracleMatrix | DenseMatrix | np.ndarray) -> int:
+def det_cycle_cover(matrix: RowOracleMatrix) -> int:
     """Determinant as a signed sum over cycle covers of the digraph.
 
     Each permutation with nonzero weight is a vertex-disjoint union of
@@ -53,7 +51,7 @@ def det_cycle_cover(matrix: RowOracleMatrix | DenseMatrix | np.ndarray) -> int:
     the smallest uncovered vertex, so runtime is bounded by the number
     of covers rather than n!, but the dimension cap still applies.
     """
-    a = _dense_int_rows(matrix)
+    a = to_csr(matrix).toarray().tolist()
     n = len(a)
     if n > ENUMERATION_CAP:
         raise ResourceLimitError(
@@ -91,9 +89,7 @@ def det_cycle_cover(matrix: RowOracleMatrix | DenseMatrix | np.ndarray) -> int:
     return total
 
 
-def det_permutation_expansion(
-    matrix: RowOracleMatrix | DenseMatrix | np.ndarray,
-) -> int:
+def det_permutation_expansion(matrix: RowOracleMatrix) -> int:
     """Determinant by recursive expansion along rows.
 
     The sign of each term is tracked by the position of the chosen
@@ -101,7 +97,7 @@ def det_permutation_expansion(
     the transposition sequence sorting the permutation.  Independent of
     the cycle-cover bookkeeping above.
     """
-    a = _dense_int_rows(matrix)
+    a = to_csr(matrix).toarray().tolist()
     n = len(a)
     if n > ENUMERATION_CAP:
         raise ResourceLimitError(
@@ -124,7 +120,7 @@ def det_permutation_expansion(
     return expand(0, list(range(n)))
 
 
-def det_bareiss(matrix: RowOracleMatrix | DenseMatrix | np.ndarray) -> int:
+def det_bareiss(matrix: RowOracleMatrix) -> int:
     """Fraction-free elimination over Python integers.
 
     Every intermediate entry is an exact minor of the input, so there
@@ -134,7 +130,7 @@ def det_bareiss(matrix: RowOracleMatrix | DenseMatrix | np.ndarray) -> int:
     are skipped outright, which makes the sweep near-quadratic on the
     almost-triangular matrices the reductions emit.
     """
-    a = _dense_int_rows(matrix)
+    a = to_csr(matrix).toarray().tolist()
     n = len(a)
     if n == 0:
         return 1
@@ -168,100 +164,80 @@ def det_bareiss(matrix: RowOracleMatrix | DenseMatrix | np.ndarray) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def _rcm_ordered(a: csr_matrix) -> tuple[csr_matrix, int]:
+    """P A P^T in the reverse Cuthill-McKee order of |A| + |A^T|, and its lower bandwidth.
+
+    The order reads the sparsity pattern alone.  On a configuration
+    graph, a disjoint union of chains, it gives bandwidth 1 or 2.
+    """
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    perm = reverse_cuthill_mckee((abs(a) + abs(a.T)).tocsr(), symmetric_mode=True)
+    b = a[perm][:, perm]
+    rows = np.repeat(np.arange(b.shape[0]), np.diff(b.indptr))
+    return b, int(np.max(rows - b.indices, initial=0))
+
+
 def det_bareiss_sparse(matrix: RowOracleMatrix) -> int:
-    """Fraction-free elimination on dictionary rows with a column index.
+    """Fraction-free elimination confined to the reverse Cuthill-McKee band.
 
-    Same recurrence and exact-integer guarantees as det_bareiss, but
-    each pivot step touches only the rows actually holding an entry in
-    the pivot column, so the near-permutation matrices the reductions
-    emit eliminate in time proportional to their nonzero count instead
-    of dim^2.
+    Same recurrence and exact-integer guarantees as det_bareiss, run on
+    P A P^T (same determinant) with lower bandwidth lo.  Column k then
+    has entries only in rows k..k+lo, row swaps stay among them, and
+    rows below are untouched except for Bareiss's rescale of every
+    later row by pivot/previous pivot at each step.  That rescale
+    telescopes to the last pivot, so a row enters the window of lo + 1
+    live dictionary rows from the permuted CSR already multiplied by
+    it.  Time is O(n * lo * row length); on the reductions' chains
+    lo is at most 2.
     """
-    n = matrix.dim
-    a = to_csr(matrix)
-    cols, vals, ptr = a.indices.tolist(), a.data.tolist(), a.indptr.tolist()
-    rows: list[dict[int, int]] = [
-        dict(zip(cols[lo:hi], vals[lo:hi])) for lo, hi in zip(ptr, ptr[1:])
-    ]
-    col_rows: dict[int, set[int]] = {}
-    for i, r in enumerate(rows):
-        for j in r:
-            col_rows.setdefault(j, set()).add(i)
-
-    def swap(k: int, r: int) -> None:
-        for j in rows[k]:
-            col_rows[j].discard(k)
-        for j in rows[r]:
-            col_rows[j].discard(r)
-        rows[k], rows[r] = rows[r], rows[k]
-        for j in rows[k]:
-            col_rows[j].add(k)
-        for j in rows[r]:
-            col_rows[j].add(r)
-
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if rows[k].get(k, 0) == 0:
-            below = sorted(i for i in col_rows.get(k, ()) if i > k)
-            if not below:
+    b, lo = _rcm_ordered(to_csr(matrix))
+    n = b.shape[0]
+    cols, vals, ptr = b.indices.tolist(), b.data.tolist(), b.indptr.tolist()
+    window: list[dict[int, int]] = []
+    sign = prev = 1
+    for i in range(n + lo):
+        if i < n:  # row i enters, carrying the rescale of every step so far
+            entries = zip(cols[ptr[i] : ptr[i + 1]], vals[ptr[i] : ptr[i + 1]])
+            window.append({j: v * prev for j, v in entries})
+        k = i - lo
+        if k < 0:
+            continue
+        if k not in window[0]:
+            r = next((r for r, row_r in enumerate(window) if k in row_r), None)
+            if r is None:
                 return 0
-            swap(k, below[0])
+            window[0], window[r] = window[r], window[0]
             sign = -sign
-        pivot = rows[k][k]
-        row_k = rows[k]
-        eliminated = sorted(j for j in col_rows.get(k, ()) if j > k)
-        for i in eliminated:
-            row_i = rows[i]
-            f = row_i.pop(k)
-            col_rows[k].discard(i)
-            for j in set(row_i) | set(row_k):
-                if j <= k:
-                    continue
-                new = (row_i.get(j, 0) * pivot - f * row_k.get(j, 0)) // prev
-                if new:
-                    if j not in row_i:
-                        col_rows.setdefault(j, set()).add(i)
-                    row_i[j] = new
-                elif j in row_i:
-                    del row_i[j]
-                    col_rows[j].discard(i)
-        if pivot != prev:
-            # Rows without a pivot-column entry still rescale (their new
-            # values are exact minors too, so the division is exact).
-            skip = set(eliminated)
-            for i in range(k + 1, n):
-                if i in skip:
-                    continue
-                row_i = rows[i]
-                for j in list(row_i):
-                    if j > k:
-                        row_i[j] = row_i[j] * pivot // prev
+        row_k = window.pop(0)
+        pivot = row_k.pop(k)
+        for r, row_i in enumerate(window):
+            f = row_i.pop(k, 0)
+            if f:
+                merged = {j: v * pivot for j, v in row_i.items()}
+                for j, v in row_k.items():
+                    merged[j] = merged.get(j, 0) - f * v
+                window[r] = {j: v // prev for j, v in merged.items() if v}
+            elif pivot != prev:
+                # Exact: the rescaled entries are minors of the input too.
+                window[r] = {j: v * pivot // prev for j, v in row_i.items()}
         prev = pivot
-    return sign * rows[n - 1].get(n - 1, 0)
+    return sign * prev  # the last Bareiss pivot is the determinant, up to the swaps
 
 
-def det_exact(
-    matrix: RowOracleMatrix | DenseMatrix | np.ndarray, method: str = "auto"
-) -> int:
-    """Dispatch to an exact determinant method.
+def det_exact(matrix: RowOracleMatrix | np.ndarray, method: str = "auto") -> int:
+    """Dispatch to an exact determinant method; an array is wrapped by ``from_dense``.
 
-    ``auto`` picks elimination, which scales: the sparse-row variant for
-    oracles, the dense one otherwise.  The enumeration methods are
-    available by name for cross-validation at small dimension.
+    ``auto`` (and ``bareiss_sparse``) is the banded fraction-free
+    elimination, the one production path.  Dense elimination and the
+    two enumerations are available by name as small-size references.
     """
-    if method == "auto":
-        if isinstance(matrix, RowOracleMatrix):
-            return det_bareiss_sparse(matrix)
-        return det_bareiss(matrix)
+    if not isinstance(matrix, RowOracleMatrix):
+        matrix = from_dense(matrix)
+    if method in ("auto", "bareiss_sparse"):
+        return det_bareiss_sparse(matrix)
     if method == "bareiss":
         return det_bareiss(matrix)
-    if method == "bareiss_sparse":
-        if not isinstance(matrix, RowOracleMatrix):
-            from .sparse_oracle import from_dense
-
-            matrix = from_dense(matrix)
-        return det_bareiss_sparse(matrix)
     if method == "cycle_cover":
         return det_cycle_cover(matrix)
     if method == "permutation":
@@ -365,26 +341,15 @@ def gram_bands(kind: str, ell: int) -> tuple[np.ndarray, np.ndarray]:
     raise ValueError(f"unknown block kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class StructuredBlock:
-    """One Gram block of the two structured families, with its matrix."""
-
-    kind: str
-    ell: int
-    matrix: DenseMatrix
-
-
-def structured_matrix(kind: str, ell: int) -> StructuredBlock:
-    """Exact integer Gram matrix A^T A of a structured block."""
+def structured_matrix(kind: str, ell: int) -> np.ndarray:
+    """Exact integer Gram matrix A^T A of a structured block, as an int64 array."""
     diag, off = gram_bands(kind, ell)
     n = len(diag)
     out = np.diag(diag.astype(np.int64))
     idx = np.arange(n - 1)
     out[idx, idx + 1] = off.astype(np.int64)
     out[idx + 1, idx] = off.astype(np.int64)
-    dm = DenseMatrix(dim=n, entries=out)
-    dm.symmetric = True
-    return StructuredBlock(kind=kind, ell=ell, matrix=dm)
+    return out
 
 
 def _require_symmetric(entries: np.ndarray, tol: float = SYMMETRY_TOL) -> np.ndarray:
@@ -397,11 +362,9 @@ def _require_symmetric(entries: np.ndarray, tol: float = SYMMETRY_TOL) -> np.nda
     return arr
 
 
-def min_eigenvalue(matrix: DenseMatrix | np.ndarray, tol: float = SYMMETRY_TOL) -> float:
+def min_eigenvalue(matrix: np.ndarray, tol: float = SYMMETRY_TOL) -> float:
     """Least eigenvalue of a symmetric matrix (symmetry is a contract)."""
-    arr = matrix.entries if isinstance(matrix, DenseMatrix) else matrix
-    arr = _require_symmetric(arr, tol)
-    return float(np.linalg.eigvalsh(arr)[0])
+    return float(np.linalg.eigvalsh(_require_symmetric(matrix, tol))[0])
 
 
 def min_eigenvalue_banded(diag: np.ndarray, off: np.ndarray) -> float:
@@ -423,13 +386,10 @@ def min_eigenvalue_banded(diag: np.ndarray, off: np.ndarray) -> float:
 
 
 def eigensystem(
-    matrix: DenseMatrix | np.ndarray, tol: float = SYMMETRY_TOL
+    matrix: np.ndarray, tol: float = SYMMETRY_TOL
 ) -> tuple[np.ndarray, np.ndarray]:
     """(eigenvalues ascending, eigenvector columns) of a symmetric matrix."""
-    arr = matrix.entries if isinstance(matrix, DenseMatrix) else matrix
-    arr = _require_symmetric(arr, tol)
-    w, v = np.linalg.eigh(arr)
-    return w, v
+    return np.linalg.eigh(_require_symmetric(matrix, tol))
 
 
 @dataclass(frozen=True)

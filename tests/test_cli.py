@@ -76,6 +76,13 @@ def test_contract_violation_is_runtime_error(tmp_path, capsys):
     assert err.startswith("gaplab:")
 
 
+def test_non_integer_instance_is_runtime_error(tmp_path, capsys):
+    path = tmp_path / "fractional.json"
+    path.write_text(json.dumps({"dim": 2, "rows": [[1.5, 0], [0, 1]]}))
+    assert cli.main(["det", "--instance", str(path)]) == 1
+    assert "1.5" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "spec",
     [{"kind": "path", "ell": 8}, {"dim": 2, "rows": [[0, 1], [1, 0]]}],

@@ -336,7 +336,7 @@ def test_decide_gapped_toy_instances():
 
 def test_gapped_verifier_acceptance_matches_decision():
     singular, _, g = pr.toy_gapped_instances()
-    dense = so.materialize(singular).entries.astype(float)
+    dense = so.materialize(singular).astype(float)
     _, vecs = np.linalg.eigh(dense)
     params = pr.gapped_params(singular, g)
     acceptance, _ = sim.phase_read(
@@ -553,6 +553,16 @@ def test_binary_search_energy_needs_no_eigensolver(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     for instance, lam in zip(instances, exact):
         assert abs(pr.binary_search_energy(instance, 30) - lam) <= 2.0**-30
+
+
+def test_binary_search_energy_on_the_largest_clock_instance():
+    # 4 circuit qubits and 6 gates, the clock construction's caps: dim 1024.
+    circuit = sim.random_circuit(4, 6, np.random.default_rng(3))
+    verifier = pr.Verifier(circuit, witness_qubits=2, ancilla_k=2, output_qubit=0,
+                           completeness_c=0.999, soundness_s=0.1)
+    instance = pr.kitaev_hamiltonian(verifier)
+    lam = float(np.linalg.eigvalsh(instance.materialize())[0])
+    assert abs(pr.binary_search_energy(instance, 40) - lam) <= 2.0**-40
 
 
 def test_binary_search_energy_rejects_excess_bits():

@@ -146,7 +146,7 @@ def test_taylor_unitarity_defect_bounds_the_interval():
 
 
 def test_phase_read_matches_dense_one_bit_pe():
-    gram = _gram_8_dense().entries.astype(float)
+    gram = _gram_8_dense().astype(float)
     lams, vecs = np.linalg.eigh(gram)
     u = sim.expm_taylor(_gram_8(), np.pi / 4, order=30)
     for idx in (0, 3, 7):
@@ -176,7 +176,7 @@ def test_taylor_order_meets_target():
 
 
 def test_one_bit_pe_eigenvector_law():
-    gram = _gram_8_dense().entries.astype(float)
+    gram = _gram_8_dense().astype(float)
     lams, vecs = np.linalg.eigh(gram)
     u = sim.expm_exact(gram, np.pi / 4)
     for idx in (0, 3, 7):

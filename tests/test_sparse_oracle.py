@@ -19,25 +19,23 @@ def test_path_adjacency_rows():
 
 def test_path_adjacency_materialize():
     dm = so.materialize(so.path_adjacency(2))
-    np.testing.assert_array_equal(dm.entries, [[1, 0], [1, 1]])
-    assert not dm.symmetric
+    np.testing.assert_array_equal(dm, [[1, 0], [1, 1]])
 
 
 def test_cycle_adjacency_materialize():
     dm = so.materialize(so.cycle_adjacency(3))
-    np.testing.assert_array_equal(dm.entries, [[0, 0, 1], [1, 1, 0], [0, 1, 0]])
+    np.testing.assert_array_equal(dm, [[0, 0, 1], [1, 1, 0], [0, 1, 0]])
 
 
 def test_gram_of_path_block():
     gram = so.ata_oracle(so.path_adjacency(2))
     dm = so.materialize(gram)
-    np.testing.assert_array_equal(dm.entries, [[2, 1], [1, 1]])
-    assert dm.symmetric
+    np.testing.assert_array_equal(dm, [[2, 1], [1, 1]])
 
 
 def test_gram_of_cycle_block():
     dm = so.materialize(so.ata_oracle(so.cycle_adjacency(3)))
-    np.testing.assert_array_equal(dm.entries, [[1, 1, 0], [1, 2, 0], [0, 0, 1]])
+    np.testing.assert_array_equal(dm, [[1, 1, 0], [1, 2, 0], [0, 0, 1]])
 
 
 def test_gram_matches_dense_product():
@@ -50,13 +48,13 @@ def test_gram_matches_dense_product():
             for i in rng.choice(n, size=int(rng.integers(0, 3)), replace=False):
                 arr[i, j] = 1
         oracle = so.from_dense(arr)
-        got = so.materialize(so.ata_oracle(oracle)).entries
+        got = so.materialize(so.ata_oracle(oracle))
         np.testing.assert_array_equal(got, arr.T @ arr)
 
 
 def test_identity_oracle():
     dm = so.materialize(so.identity_oracle(5))
-    np.testing.assert_array_equal(dm.entries, np.eye(5, dtype=np.int64))
+    np.testing.assert_array_equal(dm, np.eye(5, dtype=np.int64))
 
 
 def test_norm_bound_is_entry_times_sparsity():
@@ -122,7 +120,7 @@ def test_to_csr_returns_the_stored_matrix():
     a = so.path_adjacency(5)
     assert so.to_csr(a) is a.csr
     assert a.dim == 5
-    np.testing.assert_array_equal(so.materialize(a).entries, a.csr.toarray())
+    np.testing.assert_array_equal(so.materialize(a), a.csr.toarray())
 
 
 def test_oracle_equality_is_identity():
@@ -151,7 +149,7 @@ def test_materialize_respects_cap():
 def test_from_dense_round_trip():
     arr = np.array([[0, 2], [-1, 0]])
     oracle = so.from_dense(arr)
-    np.testing.assert_array_equal(so.materialize(oracle).entries, arr)
+    np.testing.assert_array_equal(so.materialize(oracle), arr)
     assert oracle.entry_bound_k == 2
 
 
@@ -180,18 +178,18 @@ def test_from_entries_rejects_out_of_range():
 def test_to_csr_matches_materialize():
     a = so.path_adjacency(6)
     np.testing.assert_array_equal(
-        so.to_csr(a).toarray(), so.materialize(a).entries
+        so.to_csr(a).toarray(), so.materialize(a)
     )
 
 
 def test_load_instance_triplets():
     m = so.load_instance({"dim": 2, "entries": [[0, 0, 2], [0, 1, 1], [1, 0, 1], [1, 1, 1]]})
-    np.testing.assert_array_equal(so.materialize(m).entries, [[2, 1], [1, 1]])
+    np.testing.assert_array_equal(so.materialize(m), [[2, 1], [1, 1]])
 
 
 def test_load_instance_dense_rows():
     m = so.load_instance({"dim": 2, "rows": [[2, 1], [1, 1]]})
-    np.testing.assert_array_equal(so.materialize(m).entries, [[2, 1], [1, 1]])
+    np.testing.assert_array_equal(so.materialize(m), [[2, 1], [1, 1]])
 
 
 def test_load_instance_structured_kinds():
@@ -199,7 +197,7 @@ def test_load_instance_structured_kinds():
     c = so.load_instance({"kind": "cycle", "ell": 4})
     assert p.dim == 4 and c.dim == 4
     np.testing.assert_array_equal(
-        so.materialize(p).entries, so.materialize(so.path_adjacency(4)).entries
+        so.materialize(p), so.materialize(so.path_adjacency(4))
     )
 
 
@@ -217,3 +215,30 @@ def test_load_instance_from_file(tmp_path):
 def test_load_instance_unknown_shape():
     with pytest.raises(ValueError):
         so.load_instance({"what": 1})
+
+
+def test_load_instance_rejects_fractional_rows():
+    # An int64 cast would truncate 1.5 to 1 and load the identity.
+    with pytest.raises(ContractError, match="1.5"):
+        so.load_instance({"dim": 2, "rows": [[1.5, 0], [0, 1]]})
+
+
+def test_load_instance_rejects_fractional_triplets():
+    # int() would turn 0.4 into 0, and the entry would be dropped.
+    with pytest.raises(ContractError, match="0.4"):
+        so.load_instance({"dim": 1, "entries": [[0, 0, 0.4]]})
+
+
+def test_load_instance_rejects_fractional_sizes():
+    # int() would build a path of length 2 and a machine on 4 cells.
+    with pytest.raises(ContractError, match="2.5"):
+        so.load_instance({"kind": "path", "ell": 2.5})
+    with pytest.raises(ContractError, match="4.5"):
+        so.load_instance({"kind": "rtm", "machine": "unary_counter", "input": "1", "space": 4.5})
+
+
+def test_load_instance_rejects_rows_that_miss_the_declared_dim():
+    with pytest.raises(ContractError, match="dim 3"):
+        so.load_instance({"dim": 3, "rows": [[1, 0], [0, 1]]})
+    with pytest.raises(ContractError, match="dim 2"):
+        so.load_instance({"dim": 2, "rows": [[1, 0], [0, 1, 0]]})

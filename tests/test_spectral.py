@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaplab import sparse_oracle as so
+from gaplab import rtm, sparse_oracle as so
 from gaplab import spectral as sp
 from gaplab.errors import ContractError, ResourceLimitError
 
@@ -58,6 +58,44 @@ def test_det_sparse_column_swaps():
 def test_det_sparse_equals_dense_elimination(rows):
     oracle = so.from_dense(np.array(rows, dtype=np.int64))
     assert sp.det_bareiss_sparse(oracle) == sp.det_bareiss(oracle)
+
+
+@st.composite
+def permuted_banded(draw):
+    """Integer matrix of bandwidth 0-3, entries -3..3, under a random symmetric permutation."""
+    n = draw(st.integers(1, 40))
+    width = draw(st.integers(0, 3))
+    arr = np.zeros((n, n), dtype=np.int64)
+    for offset in range(-min(width, n - 1), min(width, n - 1) + 1):
+        size = n - abs(offset)
+        arr += np.diag(draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size)), offset)
+    perm = np.array(draw(st.permutations(range(n))))
+    return arr[np.ix_(perm, perm)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(permuted_banded())
+def test_det_sparse_window_on_permuted_bands(arr):
+    oracle = so.from_dense(arr)
+    det = sp.det_bareiss_sparse(oracle)
+    assert det == sp.det_bareiss(oracle)
+    if len(arr) <= 7:
+        assert det == sp.det_permutation_expansion(oracle)
+
+
+def test_det_sparse_zero_bandwidth_rescales_the_last_row():
+    # At bandwidth 0 no row is ever eliminated: each row, the last one
+    # included, gets its scale only as it enters the window.
+    assert sp.det_bareiss_sparse(so.from_dense(np.diag([2, 3, -5, 7]))) == -210
+    assert sp.det_bareiss_sparse(so.from_dense(np.diag([3, 1, 1, 2]))) == 6
+
+
+def test_det_exact_decides_unary_counter_acceptance():
+    for space in (5, 6, 7):
+        machine = rtm.with_space(rtm.corpus_machine("unary_counter"), space)
+        for x in ("", "1", "11", "111"):
+            det = sp.det_exact(rtm.augmented_adjacency(machine, x))
+            assert (det != 0) == rtm.simulate(machine, x).accepted
 
 
 def test_det_enumeration_cap():
@@ -132,28 +170,28 @@ def test_closed_form_matches_eigensolver():
 
 def test_structured_path_block():
     np.testing.assert_array_equal(
-        sp.structured_matrix("path", 2).matrix.entries, [[2, 1], [1, 1]]
+        sp.structured_matrix("path", 2), [[2, 1], [1, 1]]
     )
 
 
 def test_structured_cycle_block():
     np.testing.assert_array_equal(
-        sp.structured_matrix("cycle", 3).matrix.entries,
+        sp.structured_matrix("cycle", 3),
         [[1, 1, 0], [1, 2, 0], [0, 0, 1]],
     )
 
 
 def test_structured_equals_gram_of_adjacency():
     for ell in (1, 2, 3, 5, 12, 32):
-        left = sp.structured_matrix("path", ell).matrix.entries
-        right = so.materialize(so.ata_oracle(so.path_adjacency(ell))).entries
+        left = sp.structured_matrix("path", ell)
+        right = so.materialize(so.ata_oracle(so.path_adjacency(ell)))
         np.testing.assert_array_equal(left, right)
 
 
 def test_cycle_min_eig_equals_shorter_path():
     for ell in (3, 5, 9):
-        cyc = sp.min_eigenvalue(sp.structured_matrix("cycle", ell).matrix)
-        pat = sp.min_eigenvalue(sp.structured_matrix("path", ell - 1).matrix)
+        cyc = sp.min_eigenvalue(sp.structured_matrix("cycle", ell))
+        pat = sp.min_eigenvalue(sp.structured_matrix("path", ell - 1))
         assert cyc == pytest.approx(pat, abs=1e-12)
 
 
@@ -174,21 +212,21 @@ def test_min_eigenvalue_requires_symmetry():
 def test_min_eigenvalue_banded_matches_dense():
     for ell in (1, 2, 3, 10, 64):
         banded = sp.min_eigenvalue_banded(*sp.gram_bands("path", ell))
-        dense = sp.min_eigenvalue(sp.structured_matrix("path", ell).matrix)
+        dense = sp.min_eigenvalue(sp.structured_matrix("path", ell))
         assert banded == pytest.approx(dense, abs=1e-10)
 
 
 def test_min_eigenvalue_sparse_matches_dense():
     gram = so.ata_oracle(so.path_adjacency(50))
     sparse = sp.min_eigenvalue_sparse(gram)
-    dense = sp.min_eigenvalue(so.materialize(gram).entries.astype(float))
+    dense = sp.min_eigenvalue(so.materialize(gram).astype(float))
     assert sparse == pytest.approx(dense, abs=1e-9)
 
 
 def test_bottom_eigenpair_matches_dense_and_certifies_psd():
     for gram in (so.ata_oracle(so.path_adjacency(50)), so.ata_oracle(so.cycle_adjacency(40))):
         lam, psi, residual = sp.bottom_eigenpair(gram)
-        dense = so.materialize(gram).entries.astype(float)
+        dense = so.materialize(gram).astype(float)
         assert lam == pytest.approx(np.linalg.eigvalsh(dense)[0], abs=1e-12)
         assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
         assert residual == pytest.approx(np.linalg.norm(dense @ psi - lam * psi), abs=1e-15)
@@ -205,7 +243,7 @@ def test_bottom_eigenpair_matches_dense_and_certifies_psd():
 def test_min_eigenvalue_bound_is_a_floor():
     # The bound is tight at the path block itself, so allow solver noise.
     for ell in (1, 2, 5, 30, 100):
-        lam = sp.min_eigenvalue(sp.structured_matrix("path", ell).matrix)
+        lam = sp.min_eigenvalue(sp.structured_matrix("path", ell))
         assert lam >= sp.min_eigenvalue_bound(ell) - 1e-12
         assert sp.min_eigenvalue_bound(ell) > 0.0
 
