@@ -240,15 +240,13 @@ def _cmd_kitaev(args) -> tuple[dict, int]:
 def _cmd_energy(args) -> tuple[dict, int]:
     with open(args.instance, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if "terms" in data:
-        instance = protocols.PreciseLHInstance.from_dict(data)
-        truth = protocols.ground_energy(instance)
-        estimate = protocols.binary_search_energy(instance, args.bits)
+    if isinstance(data, dict) and "terms" in data:
+        dense = protocols.PreciseLHInstance.from_dict(data).materialize()
+        truth = protocols.ground_energy(dense)
     else:
-        matrix = sparse_oracle.load_instance(data)
-        dense = sparse_oracle.materialize(matrix)
+        dense = sparse_oracle.materialize(sparse_oracle.load_instance(data))
         truth = spectral.min_eigenvalue(dense)
-        estimate = protocols.binary_search_energy(dense, args.bits)
+    estimate = protocols.binary_search_energy(dense, args.bits)
     payload = _with_seed(
         args,
         {

@@ -15,9 +15,10 @@ The pipeline realized here, end to end at desk scale:
   evaluated in closed form;
 * a gapped-matrix instance (least eigenvalue 0 versus at least 2^-g)
   is decided by one-bit phase reading of the truncated-Taylor
-  exponential, applied matrix-free to the shift-invert bottom
-  eigenvector and read on the rejection side, sin^2(lam t/2), so that
-  gaps down to 2^-MAX_GAP_EXPONENT survive double precision;
+  exponential, applied matrix-free to the bottom eigenvector from
+  banded inverse iteration and read on the rejection side,
+  sin^2(lam t/2), so that gaps down to 2^-MAX_GAP_EXPONENT survive
+  double precision;
 * a verifier is compiled into a 5-local clock Hamiltonian whose ground
   energy is bracketed by bisection on banded Cholesky threshold tests.
 
@@ -43,7 +44,7 @@ from .sparse_oracle import (
     materialize,
     norm_bound,
 )
-from .spectral import _rcm_ordered, bottom_eigenpair
+from .spectral import _rcm_band, bottom_eigenpair
 from .simulator import (
     QuantumCircuit,
     Statevector,
@@ -578,15 +579,16 @@ class GappedDecision:
 def decide_gapped(matrix: RowOracleMatrix, g: int) -> GappedDecision:
     """Decide lambda_min = 0 versus >= 2^-g with the honest prover.
 
-    The witness is the bottom eigenvector from one shift-invert
-    factorization (``bottom_eigenpair``), the best any prover can offer:
-    rejection is sin^2(lam t/2) averaged over the witness's eigenbasis
-    weights.  The Taylor sum is applied to that vector only, so the run
-    costs one sparse factorization plus taylor_order sparse products,
-    and no dense matrix is built.  The factorization's pivot signs
-    certify that the instance is positive semidefinite (to within the
-    shift), which the 0 versus 2^-g promise presumes; an indefinite
-    instance raises ContractError.
+    The witness is the bottom eigenvector from banded inverse iteration
+    (``bottom_eigenpair``), the best any prover can offer: rejection is
+    sin^2(lam t/2) averaged over the witness's eigenbasis weights.  The
+    Taylor sum is applied to that vector only, so the run costs one
+    banded Cholesky factorization and a few solves on the reverse
+    Cuthill-McKee band plus taylor_order sparse products, and no dense
+    matrix is built.  That the factorization exists certifies that the
+    instance is positive semidefinite (to within the shift), which the
+    0 versus 2^-g promise presumes; an indefinite instance raises
+    ContractError.
 
     The decision is read on the rejection side: YES (lambda_min = 0)
     when the rejection falls below the midpoint of epsilon and
@@ -983,9 +985,16 @@ def precise_lh_bounds(verifier: Verifier, epsilon: float):
     return a, b, b - a > 0
 
 
-def ground_energy(instance: PreciseLHInstance) -> float:
-    """Least eigenvalue of the materialized instance (eigensolver truth)."""
-    return float(np.linalg.eigvalsh(instance.materialize())[0])
+def _hamiltonian(instance: PreciseLHInstance | np.ndarray) -> np.ndarray:
+    """The dense Hamiltonian: a clock instance materialized, an array as it is."""
+    if isinstance(instance, PreciseLHInstance):
+        return instance.materialize()
+    return np.asarray(instance)
+
+
+def ground_energy(instance: PreciseLHInstance | np.ndarray) -> float:
+    """Least eigenvalue of the dense Hamiltonian (eigensolver truth)."""
+    return float(np.linalg.eigvalsh(_hamiltonian(instance))[0])
 
 
 def binary_search_energy(instance, bits: int) -> float:
@@ -1003,24 +1012,18 @@ def binary_search_energy(instance, bits: int) -> float:
     final bracket is returned.
     """
     from scipy.linalg import cholesky_banded
-    from scipy.sparse import csr_matrix, tril
+    from scipy.sparse import csr_matrix
 
     if bits < 1 or bits > ENERGY_BITS_CAP:
         raise ContractError(f"bits must be in 1..{ENERGY_BITS_CAP}, got {bits}")
-    if isinstance(instance, PreciseLHInstance):
-        dense = instance.materialize()
-    else:
-        dense = np.asarray(instance)
+    dense = _hamiltonian(instance)
     if float(np.max(np.abs(dense - dense.conj().T))) > 1e-12:
         raise ContractError("Hamiltonian must be Hermitian")
     herm = (dense + dense.conj().T) / 2
     radii = np.sum(np.abs(herm), axis=1) - np.abs(np.diag(herm))
     lo = float(np.min(np.diag(herm).real - radii))
     hi = float(np.max(np.diag(herm).real + radii))
-    ordered, width = _rcm_ordered(csr_matrix(herm))
-    lower = tril(ordered, format="coo")
-    band = np.zeros((width + 1, len(herm)), dtype=herm.dtype)  # band[i - j, j] = H[i, j]
-    band[lower.row - lower.col, lower.col] = lower.data
+    band, _ = _rcm_band(csr_matrix(herm))
     target = 2.0**-bits
     while hi - lo > target:
         mid = (lo + hi) / 2

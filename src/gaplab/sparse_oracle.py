@@ -248,25 +248,50 @@ def cycle_adjacency(ell: int) -> RowOracleMatrix:
 
 def _read_spec(source: str | os.PathLike | dict) -> tuple[dict, str]:
     """Parsed instance description and the directory its paths are relative to."""
-    if isinstance(source, dict):
-        return source, os.getcwd()
-    with open(source, "r", encoding="utf-8") as fh:
-        return json.load(fh), os.path.dirname(os.path.abspath(source))
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, "r", encoding="utf-8") as fh:
+            spec, base = json.load(fh), os.path.dirname(os.path.abspath(source))
+    else:
+        spec, base = source, os.getcwd()
+    if not isinstance(spec, dict):
+        raise ContractError(f"an instance is a JSON object, got {type(spec).__name__}")
+    return spec, base
+
+
+def _field(spec: dict, key: str, kind: type):
+    """spec[key] as a JSON integer, string or array (``kind`` int, str or list).
+
+    A missing key or a value of another type is a ContractError naming
+    the key, so a malformed file is refused in one line.
+    """
+    if key not in spec:
+        raise ContractError(f"instance has no {key!r}")
+    value = spec[key]
+    if kind is int:
+        try:
+            return operator.index(value)
+        except TypeError:
+            raise ContractError(f"{key!r} must be an integer, got {value!r}") from None
+    if not isinstance(value, kind):
+        name = "string" if kind is str else "array"
+        raise ContractError(f"{key!r} must be a JSON {name}, got {value!r}")
+    return value
 
 
 def _reduction_input(spec: dict, base: str):
     """Machine and input string of a {"kind": "rtm"} description."""
     from . import rtm  # deferred: rtm depends on this module
 
-    machine_ref = spec["machine"]
+    machine_ref = _field(spec, "machine", str)
+    x = _field(spec, "input", str)
     candidate = os.path.join(base, machine_ref)
     if os.path.exists(candidate):
         machine = rtm.load_machine(candidate)
     else:
         machine = rtm.corpus_machine(machine_ref)
     if "space" in spec:
-        machine = rtm.with_space(machine, _integer(spec["space"]))
-    return machine, spec["input"]
+        machine = rtm.with_space(machine, _field(spec, "space", int))
+    return machine, x
 
 
 def load_instance(source: str | os.PathLike | dict) -> RowOracleMatrix:
@@ -281,13 +306,13 @@ def load_instance(source: str | os.PathLike | dict) -> RowOracleMatrix:
                                                       (its augmented adjacency)
 
     Every number (values, indices, dim, ell, space) must be a JSON
-    integer and a ``rows`` matrix must be N x N; anything else is a
-    ContractError.
+    integer, ``machine`` and ``input`` strings, and a ``rows`` matrix
+    N x N; a missing key or anything else is a ContractError.
     """
     spec, base = _read_spec(source)
     if "rows" in spec:
-        rows = spec["rows"]
-        dim = _integer(spec.get("dim", len(rows)))
+        rows = _field(spec, "rows", list)
+        dim = _field(spec, "dim", int) if "dim" in spec else len(rows)
         if len(rows) != dim:
             raise ContractError(f"instance declares dim {dim} but has {len(rows)} rows")
         for r in rows:
@@ -295,13 +320,17 @@ def load_instance(source: str | os.PathLike | dict) -> RowOracleMatrix:
                 raise ContractError(f"instance declares dim {dim} but has the row {r!r}")
         return from_dense(np.array([[_integer(v) for v in r] for r in rows], dtype=np.int64))
     if "entries" in spec:
-        return from_entries(_integer(spec["dim"]), spec["entries"])
+        dim, entries = _field(spec, "dim", int), _field(spec, "entries", list)
+        for t in entries:
+            if not isinstance(t, list) or len(t) != 3:
+                raise ContractError(f"'entries' must hold [i, j, value] triplets, got {t!r}")
+        return from_entries(dim, entries)
 
     kind = spec.get("kind")
     if kind == "path":
-        return path_adjacency(_integer(spec["ell"]))
+        return path_adjacency(_field(spec, "ell", int))
     if kind == "cycle":
-        return cycle_adjacency(_integer(spec["ell"]))
+        return cycle_adjacency(_field(spec, "ell", int))
     if kind == "rtm":
         from . import rtm
 

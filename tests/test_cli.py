@@ -84,6 +84,54 @@ def test_non_integer_instance_is_runtime_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "spec, key",
+    [
+        ({"entries": [[0, 0, 1]]}, "'dim'"),
+        ({"dim": "2", "entries": [[0, 0, 1]]}, "'dim'"),
+        ({"dim": 2, "entries": {"0": 1}}, "'entries'"),
+        ({"dim": 2, "entries": [[0, 0]]}, "'entries'"),
+        ({"dim": 2.0, "rows": [[1, 0], [0, 1]]}, "'dim'"),
+        ({"rows": "[[1]]"}, "'rows'"),
+        ({"kind": "path"}, "'ell'"),
+        ({"kind": "cycle", "ell": "4"}, "'ell'"),
+        ({"kind": "rtm", "input": "11"}, "'machine'"),
+        ({"kind": "rtm", "machine": 7, "input": "11"}, "'machine'"),
+        ({"kind": "rtm", "machine": "unary_counter"}, "'input'"),
+        ({"kind": "rtm", "machine": "unary_counter", "input": 11}, "'input'"),
+        ([[1, 0], [0, 1]], "JSON object"),
+    ],
+)
+@pytest.mark.parametrize("command", ["det", "verify"])
+def test_malformed_instance_is_one_line_naming_the_key(tmp_path, capsys, spec, key, command):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(spec))
+    argv = [command, "--instance", str(path)]
+    if command == "verify":
+        argv += ["--gap-exponent", "2"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("gaplab:") and err.count("\n") == 1
+    assert key in err
+
+
+def test_energy_materializes_the_clock_hamiltonian_once(tmp_path, capsys, monkeypatch):
+    instance_path = tmp_path / "instance.json"
+    assert cli.main(["kitaev", "--output", str(instance_path)]) == 0
+    calls = []
+    materialize = protocols.PreciseLHInstance.materialize
+
+    def counted(self):
+        calls.append(self)
+        return materialize(self)
+
+    monkeypatch.setattr(protocols.PreciseLHInstance, "materialize", counted)
+    code, out = run_cli(capsys, "energy", "--instance", str(instance_path), "--bits", "20")
+    assert code == 0
+    assert len(calls) == 1
+    assert json.loads(out)["abs_err"] <= 2.0**-20
+
+
+@pytest.mark.parametrize(
     "spec",
     [{"kind": "path", "ell": 8}, {"dim": 2, "rows": [[0, 1], [1, 0]]}],
     ids=["nonsymmetric_path", "indefinite"],

@@ -233,11 +233,109 @@ def test_bottom_eigenpair_matches_dense_and_certifies_psd():
         assert residual < 1e-12
     lam, psi, residual = sp.bottom_eigenpair(so.from_dense(np.array([[3]])))
     assert (lam, psi.tolist(), residual) == (3.0, [1.0], 0.0)
-    # Eigenvalues -1 and 1: a negative pivot, whatever the shift-invert run would say.
+    # Eigenvalues -1 and 1: A + shift I has no Cholesky factor.
     with pytest.raises(ContractError, match="not positive definite"):
         sp.bottom_eigenpair(so.from_dense(np.array([[0, 1], [1, 0]])))
     with pytest.raises(ContractError, match="not symmetric"):
         sp.bottom_eigenpair(so.path_adjacency(8))
+
+
+def _check_bottom_eigenpair(dense: np.ndarray) -> None:
+    """bottom_eigenpair against eigh: value, unit vector in the bottom eigenspace, residual."""
+    lam, psi, residual = sp.bottom_eigenpair(so.from_dense(dense))
+    w, v = np.linalg.eigh(dense.astype(float))
+    assert lam == pytest.approx(w[0], abs=1e-12)
+    assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
+    assert residual == pytest.approx(np.linalg.norm(dense @ psi - lam * psi), abs=1e-15)
+    assert residual < 1e-12
+    bottom = v[:, w < w[0] + 1e-9]  # the whole eigenspace when lambda_min repeats
+    assert np.linalg.norm(bottom.T @ psi) == pytest.approx(1.0, abs=1e-9)
+
+
+def _shuffled(dense: np.ndarray, seed: int) -> np.ndarray:
+    perm = np.random.default_rng(seed).permutation(len(dense))
+    return dense[np.ix_(perm, perm)]
+
+
+def test_bottom_eigenpair_on_a_long_chain():
+    # lambda_2 - lambda_min is about 5e-8: each inverse-iteration solve must
+    # still shrink the rest of the spectrum, so the shift sits far below the gap.
+    ell = 20000
+    lam, psi, residual = sp.bottom_eigenpair(so.ata_oracle(so.path_adjacency(ell)))
+    assert lam == pytest.approx(sp.min_eigenvalue_bound(ell), rel=1e-6)
+    assert residual < 1e-14
+
+
+def test_bottom_eigenpair_on_degenerate_direct_sums():
+    # Repeated chain lengths repeat lambda_min (a cycle Gram of size ell holds the
+    # path Gram of size ell - 1); a shuffle hides the blocks from the order.
+    from scipy.linalg import block_diag
+
+    path = lambda ell: sp.structured_matrix("path", ell)
+    cycle = lambda ell: sp.structured_matrix("cycle", ell)
+    singular = np.ones((2, 2), dtype=np.int64)
+    for seed, blocks in enumerate([
+        [path(9), path(9), path(4)],
+        [path(12), cycle(13), path(12), path(12)],
+        [cycle(6), singular, path(1), singular],  # lambda_min 0, twice
+    ]):
+        dense = block_diag(*blocks)
+        w = np.linalg.eigvalsh(dense.astype(float))
+        assert w[1] - w[0] < 1e-12
+        _check_bottom_eigenpair(_shuffled(dense, seed))
+
+
+def _path_laplacian(k: int) -> np.ndarray:
+    adjacency = np.eye(k, k=1, dtype=np.int64) + np.eye(k, k=-1, dtype=np.int64)
+    return np.diag(adjacency.sum(1)) - adjacency
+
+
+def test_bottom_eigenpair_beyond_bandwidth_one():
+    m = np.random.default_rng(5).integers(-2, 3, size=(9, 7))
+    eye = lambda k: np.eye(k, dtype=np.int64)
+    # The 6 x 5 grid graph: singular and PSD, RCM bandwidth 5.
+    laplacian = np.kron(eye(6), _path_laplacian(5)) + np.kron(_path_laplacian(6), eye(5))
+    for dense in (m.T @ m, laplacian, laplacian + eye(30)):
+        _, _, lo = sp._rcm_ordered(so.to_csr(so.from_dense(dense)))
+        assert lo > 1
+        _check_bottom_eigenpair(_shuffled(dense, 3))
+    with pytest.raises(ContractError, match="not positive definite"):
+        sp.bottom_eigenpair(so.from_dense(laplacian - eye(30)))
+    with pytest.raises(ContractError, match="not symmetric"):
+        sp.bottom_eigenpair(so.from_dense(np.triu(laplacian)))
+
+
+def test_band_cap_refuses_before_the_band_is_built(monkeypatch):
+    import scipy.sparse
+
+    gram = so.ata_oracle(so.path_adjacency(50))  # RCM bandwidth 1: 100 band entries
+    band, _ = sp._rcm_band(so.to_csr(gram).astype(float))
+    assert band.shape == (2, 50)
+    monkeypatch.setattr(sp, "BAND_CAP", 100)
+    sp.bottom_eigenpair(gram)
+    monkeypatch.setattr(sp, "BAND_CAP", 99)
+
+    def build(*args, **kwargs):
+        raise AssertionError("the band was built")
+
+    monkeypatch.setattr(scipy.sparse, "tril", build)
+    with pytest.raises(ResourceLimitError, match="exceeds the cap of 99"):
+        sp.bottom_eigenpair(gram)
+    with pytest.raises(ResourceLimitError, match="exceeds the cap of 99"):
+        sp.min_eigenvalue_sparse(gram)
+
+
+def test_bottom_eigenpair_needs_no_sparse_lu_or_lanczos(monkeypatch):
+    import scipy.sparse.linalg as sla
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sparse LU or Lanczos was called")
+
+    for name in ("splu", "eigsh", "LinearOperator"):
+        monkeypatch.setattr(sla, name, refuse)
+    lam, _, residual = sp.bottom_eigenpair(so.ata_oracle(so.path_adjacency(30)))
+    assert lam == pytest.approx(sp.min_eigenvalue_bound(30), abs=1e-12)
+    assert residual < 1e-12
 
 
 def test_min_eigenvalue_bound_is_a_floor():
