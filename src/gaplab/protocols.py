@@ -586,7 +586,7 @@ def decide_gapped(matrix: RowOracleMatrix, g: int) -> GappedDecision:
     banded Cholesky factorization and a few solves on the reverse
     Cuthill-McKee band plus taylor_order sparse products, and no dense
     matrix is built.  That the factorization exists certifies that the
-    instance is positive semidefinite (to within the shift), which the
+    instance is positive semidefinite (to within rounding), which the
     0 versus 2^-g promise presumes; an indefinite instance raises
     ContractError.
 
@@ -1023,7 +1023,7 @@ def binary_search_energy(instance, bits: int) -> float:
     radii = np.sum(np.abs(herm), axis=1) - np.abs(np.diag(herm))
     lo = float(np.min(np.diag(herm).real - radii))
     hi = float(np.max(np.diag(herm).real + radii))
-    band, _ = _rcm_band(csr_matrix(herm))
+    band, _ = _rcm_band(csr_matrix(herm), capped=False)  # herm itself is larger
     target = 2.0**-bits
     while hi - lo > target:
         mid = (lo + hi) / 2

@@ -147,12 +147,16 @@ def from_dense(dense: np.ndarray) -> RowOracleMatrix:
     return from_entries(arr.shape[0], zip(i, j, arr[i, j]))
 
 
-def _integer(value) -> int:
-    """``value`` as an int; a float, even 2.0, or any other type is a ContractError."""
+def _integer(value, key: str | None = None) -> int:
+    """``value`` as an int; a float, even 2.0, or any other type is a ContractError.
+
+    The error names ``key``, the instance-file field read, when given.
+    """
     try:
         return operator.index(value)
     except TypeError:
-        raise ContractError(f"expected an integer, got {value!r}") from None
+        what = f"{key!r} must be an integer" if key else "expected an integer"
+        raise ContractError(f"{what}, got {value!r}") from None
 
 
 def from_entries(dim: int, triplets: Iterable[Sequence[int]]) -> RowOracleMatrix:
@@ -268,10 +272,7 @@ def _field(spec: dict, key: str, kind: type):
         raise ContractError(f"instance has no {key!r}")
     value = spec[key]
     if kind is int:
-        try:
-            return operator.index(value)
-        except TypeError:
-            raise ContractError(f"{key!r} must be an integer, got {value!r}") from None
+        return _integer(value, key)
     if not isinstance(value, kind):
         name = "string" if kind is str else "array"
         raise ContractError(f"{key!r} must be a JSON {name}, got {value!r}")

@@ -13,8 +13,9 @@ Two independent concerns live here:
   tridiagonal fast path.  At large sizes the bottom eigenpair comes
   from the same reverse Cuthill-McKee order, as a lower band: a banded
   eigenvalue solve, one banded Cholesky factorization whose existence
-  certifies the matrix positive definite above a small shift, and a
-  few steps of inverse iteration on that factor.
+  certifies the matrix positive semidefinite up to a margin at the
+  scale of rounding in ||A||, and a few steps of inverse iteration on
+  that factor.
 
 The reference determinants deliberately overlap: the cycle-cover sum and
 the permutation expansion compute the same quantity through different
@@ -47,9 +48,16 @@ SYMMETRY_TOL = 1e-12
 # doubles of workspace).
 BAND_CAP = 2**25
 
-# Inverse-iteration solves per eigenpair; the residual stops falling
-# within 3-5 solves on the reductions' Grams.
+# Inverse-iteration solves per eigenpair at most; the residual stops
+# falling after a few (see bottom_eigenpair).
 INVERSE_ITERATIONS = 8
+
+# bottom_eigenpair factors A - sigma I at least this many times
+# eps ||A|| below lambda_min.  On 450 random integer Grams M^T M (dim
+# up to 400, entries of M up to 3000), eig_banded's lambda erred by at
+# most 1.4 eps ||A||_1, and every singular one had a factor within
+# eps ||A||_1 below lambda.
+CHOLESKY_MARGIN = 64
 
 
 # ---------------------------------------------------------------------------
@@ -192,19 +200,20 @@ def _rcm_ordered(a: csr_matrix) -> tuple[csr_matrix, np.ndarray, int]:
     return b, perm, int(np.max(rows - b.indices, initial=0))
 
 
-def _rcm_band(a: csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+def _rcm_band(a: csr_matrix, capped: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """LAPACK lower band storage of the RCM-ordered symmetric or Hermitian A, and the order.
 
     band[i - j, j] = (P A P^T)[i, j] for 0 <= i - j <= lo, the form
     ``eig_banded`` and ``cholesky_banded`` read with ``lower=True``.
-    The (lo + 1) x dim band is refused above BAND_CAP entries before
-    it is allocated.
+    The (lo + 1) x dim band is refused above BAND_CAP entries before it
+    is allocated, unless ``capped`` is False: a caller that already
+    holds A densely holds more than its band.
     """
     from scipy.sparse import tril
 
     ordered, perm, lo = _rcm_ordered(a)
     n = ordered.shape[0]
-    if n * (lo + 1) > BAND_CAP:
+    if capped and n * (lo + 1) > BAND_CAP:
         raise ResourceLimitError(
             f"band of {lo + 1} x {n} = {n * (lo + 1)} entries exceeds the cap of {BAND_CAP}"
         )
@@ -477,9 +486,7 @@ def spectrum_report(kind: str, ell: int, index_form: str = "odd") -> SpectrumRep
     return SpectrumReport(kind=kind, ell=ell, eigenvalues=numeric, closed_form=closed)
 
 
-def bottom_eigenpair(
-    matrix: RowOracleMatrix, shift: float = 1e-10
-) -> tuple[float, np.ndarray, float]:
+def bottom_eigenpair(matrix: RowOracleMatrix) -> tuple[float, np.ndarray, float]:
     """(lambda_min, unit eigenvector, ||A psi - lambda psi||) of a sparse PSD matrix.
 
     The matrix is taken once into its reverse Cuthill-McKee lower band
@@ -487,20 +494,23 @@ def bottom_eigenpair(
     that leaves the spectrum alone.  ``eig_banded`` selects the least
     eigenvalue lam of the band, without eigenvectors; that is the
     lambda_min returned, accurate to rounding in ||A||.  The band of
-    A - sigma I, sigma = max(lam, 0) - shift, is Cholesky-factored
-    once.  The factor exists exactly when A - sigma I is positive
-    definite (Sylvester's law of inertia), so success certifies
-    A > sigma >= -shift and failure raises ContractError.  Inverse
-    iteration on that factor, from a seeded start so that the result
-    does not depend on earlier calls, then gives the eigenvector; it
-    stops when the residual on the unpermuted A stops falling, or
-    after INVERSE_ITERATIONS solves, and keeps the step with the least
-    residual.  Each solve shrinks the components above lambda_min,
-    relative to its own, by a factor of at least (gap + shift) / shift,
-    gap being the distance to the next eigenvalue.  The default shift is under a twentieth
-    of that gap on a path Gram 10^5 long, and above the factorization's
-    rounding, a small multiple of 1e-16 ||A||, while ||A|| stays below
-    about 10^5.
+    A - sigma I, sigma = max(lam, 0) - tau, is Cholesky-factored once.
+    The factor exists exactly when A - sigma I is positive definite
+    (Sylvester's law of inertia), so success certifies A > sigma >= -tau
+    and failure raises ContractError.  The margin tau is CHOLESKY_MARGIN
+    eps times a bound on ||A||: it covers the rounding in lam and in the
+    factorization, which scales with ||A||, so a PSD matrix, singular or
+    not, is accepted at any norm.
+
+    Inverse iteration on that factor, from a seeded start so that the
+    result does not depend on earlier calls, then gives the
+    eigenvector; it stops when the residual on the unpermuted A stops
+    falling, or after INVERSE_ITERATIONS solves, and keeps the step with
+    the least residual.  Each solve shrinks a component at eigenvalue
+    lambda_min + gap, relative to the bottom one, by tau / (gap + tau),
+    so a component weighs at most about tau / (e k) in the residual
+    after k solves, whatever its gap.  On the reductions' Grams tau is
+    8.5e-14, and the residual falls to rounding in 3-5 solves.
     """
     from scipy.linalg import cho_solve_banded, cholesky_banded, eig_banded
 
@@ -509,13 +519,17 @@ def bottom_eigenpair(
     if dev.nnz and dev.max() > SYMMETRY_TOL:
         raise ContractError("matrix is not symmetric")
     band, perm = _rcm_band(a)
+    # Every row of |A| sums to at most (2 lo + 1) max |a_ij|, which bounds ||A||;
+    # the entries are integers, so a nonzero matrix has max |a_ij| >= 1.
+    norm = (2 * len(band) - 1) * max(float(band.max()), -float(band.min()), 1.0)
+    tau = CHOLESKY_MARGIN * np.finfo(np.float64).eps * norm
     lam = float(
         eig_banded(
             band, lower=True, eigvals_only=True, select="i", select_range=(0, 0),
             check_finite=False,
         )[0]
     )
-    sigma = max(lam, 0.0) - shift
+    sigma = max(lam, 0.0) - tau
     band[0] -= sigma
     try:
         factor = cholesky_banded(band, overwrite_ab=True, lower=True, check_finite=False)
@@ -538,11 +552,11 @@ def bottom_eigenpair(
     return lam, psi, residual
 
 
-def min_eigenvalue_sparse(matrix: RowOracleMatrix, shift: float = 1e-10) -> float:
+def min_eigenvalue_sparse(matrix: RowOracleMatrix) -> float:
     """Least eigenvalue of a large symmetric PSD oracle matrix (``bottom_eigenpair``).
 
     Runs on the matrix's reverse Cuthill-McKee band, so the cost is
     O(dim * band^2) and no dense matrix is built; the dense path
     remains the ground truth at small sizes.
     """
-    return bottom_eigenpair(matrix, shift)[0]
+    return bottom_eigenpair(matrix)[0]

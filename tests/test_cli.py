@@ -76,6 +76,19 @@ def test_contract_violation_is_runtime_error(tmp_path, capsys):
     assert err.startswith("gaplab:")
 
 
+def test_verify_decides_grams_with_large_entries(tmp_path, capsys):
+    # M^T M with entries of M to +-1000 (||A|| about 1e7), positive definite
+    # and singular: both pass the PSD certificate, whose margin scales with ||A||.
+    rng = np.random.default_rng(3)
+    for shape, decision in (((12, 8), "NO"), ((5, 8), "YES")):
+        m = rng.integers(-1000, 1001, size=shape)
+        path = tmp_path / "gram.json"
+        path.write_text(json.dumps({"rows": (m.T @ m).tolist()}))
+        code, out = run_cli(capsys, "verify", "--instance", str(path), "--gap-exponent", "1")
+        assert code == 0
+        assert json.loads(out)["decision"] == decision
+
+
 def test_non_integer_instance_is_runtime_error(tmp_path, capsys):
     path = tmp_path / "fractional.json"
     path.write_text(json.dumps({"dim": 2, "rows": [[1.5, 0], [0, 1]]}))

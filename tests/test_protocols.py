@@ -334,6 +334,22 @@ def test_decide_gapped_toy_instances():
     assert no.acceptance <= no.soundness + 1e-12
 
 
+def test_decide_gapped_on_long_chains():
+    # Chains 2e5-3e5 long, the length at which lambda_min reaches 2^-35:
+    # the witness must converge although lambda_2 - lambda_min is only a
+    # few times 1e-11, because the eigen-residual check asks for 2^-g/8.
+    from scipy.sparse import block_diag
+
+    path = so.ata_oracle(so.path_adjacency(200000))  # lambda_min 6.2e-11
+    assert pr.decide_gapped(path, 35).decision == "NO"
+    ones = so.from_dense(np.ones((2, 2), dtype=np.int64))
+    longer = so.to_csr(so.ata_oracle(so.path_adjacency(300000)))  # lambda_min 2.7e-11
+    singular = so.RowOracleMatrix(
+        block_diag([longer, so.to_csr(ones)], format="csr", dtype=np.int64), 3, 2
+    )
+    assert pr.decide_gapped(singular, pr.MAX_GAP_EXPONENT).decision == "YES"
+
+
 def test_gapped_verifier_acceptance_matches_decision():
     singular, _, g = pr.toy_gapped_instances()
     dense = so.materialize(singular).astype(float)
@@ -527,6 +543,14 @@ def test_binary_search_energy_on_plain_matrices():
     estimate = pr.binary_search_energy(arr, 30)
     exact = float(np.linalg.eigvalsh(arr)[0])
     assert abs(estimate - exact) <= 2.0 ** -30
+
+
+def test_binary_search_energy_is_not_band_capped(monkeypatch):
+    # The dense Hamiltonian is already held and outweighs its band.
+    monkeypatch.setattr(sp, "BAND_CAP", 1)
+    arr = np.array([[2.0, 1.0], [1.0, 1.0]])
+    estimate = pr.binary_search_energy(arr, 30)
+    assert abs(estimate - float(np.linalg.eigvalsh(arr)[0])) <= 2.0 ** -30
 
 
 def test_binary_search_energy_handles_complex_hermitian():

@@ -266,6 +266,41 @@ def test_bottom_eigenpair_on_a_long_chain():
     assert residual < 1e-14
 
 
+def _beside_a_singular_block(ell: int):
+    """The path Gram of size ell plus a 2 x 2 block of ones (eigenvalues 0 and 2)."""
+    from scipy.sparse import block_diag
+
+    path = so.to_csr(so.ata_oracle(so.path_adjacency(ell)))
+    ones = so.to_csr(so.from_dense(np.ones((2, 2), dtype=np.int64)))
+    return so.RowOracleMatrix(block_diag([path, ones], format="csr", dtype=np.int64), 3, 2)
+
+
+def test_bottom_eigenpair_when_the_gap_is_below_1e_10():
+    # lambda_min = 0 and lambda_2 = 2.7e-11: a Cholesky margin far above
+    # the gap would leave the path Gram's bottom vector in the witness.
+    ell = 300000
+    lam, psi, residual = sp.bottom_eigenpair(_beside_a_singular_block(ell))
+    assert abs(lam) < 1e-15
+    assert residual < 1e-14
+    assert np.linalg.norm(psi[-2:]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_bottom_eigenpair_on_large_entries():
+    # Grams of integer matrices with entries to +-1000, ||A|| about 1e7: the
+    # rounding in lambda and in the factor is near 1e-9, so the factor must
+    # sit further below lambda than any fixed small shift.
+    rng = np.random.default_rng(3)
+    for shape in ((12, 8), (5, 8)):  # positive definite, then singular
+        for _ in range(10):
+            m = rng.integers(-1000, 1001, size=shape)
+            dense = m.T @ m
+            lam, psi, residual = sp.bottom_eigenpair(so.from_dense(dense))
+            norm = np.linalg.norm(dense.astype(float), 2)
+            assert lam == pytest.approx(np.linalg.eigvalsh(dense.astype(float))[0], abs=1e-13 * norm)
+            assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
+            assert residual < 1e-13 * norm
+
+
 def test_bottom_eigenpair_on_degenerate_direct_sums():
     # Repeated chain lengths repeat lambda_min (a cycle Gram of size ell holds the
     # path Gram of size ell - 1); a shuffle hides the blocks from the order.
