@@ -40,6 +40,8 @@ import numpy as np
 from .errors import ConfigurationError, ContractError, ResourceLimitError
 from .sparse_oracle import (
     RowOracleMatrix,
+    _field,
+    _integer,
     from_entries,
     materialize,
     norm_bound,
@@ -811,18 +813,31 @@ class PreciseLHInstance:
 
     @classmethod
     def from_dict(cls, spec: dict) -> "PreciseLHInstance":
+        """Instance from its ``to_dict`` form.
+
+        A missing key, or one whose value has the wrong shape, is a
+        ContractError naming the key.
+        """
+        num_qubits = _field(spec, "qubits", int)
+        if num_qubits < 0:
+            raise ContractError(f"'qubits' must be nonnegative, got {num_qubits}")
         terms = []
-        for entry in spec["terms"]:
-            qubits = tuple(int(q) for q in entry["qubits"])
-            mat = np.array(
-                [[complex(re, im) for re, im in row] for row in entry["matrix"]]
-            )
+        for entry in _field(spec, "terms", list):
+            if not isinstance(entry, dict):
+                raise ContractError(f"each of 'terms' must be a JSON object, got {entry!r}")
+            qubits = tuple(_integer(q, "qubits") for q in _field(entry, "qubits", list))
+            try:
+                mat = np.array(
+                    [[complex(re, im) for re, im in row] for row in _field(entry, "matrix", list)]
+                )
+            except (TypeError, ValueError):
+                raise ContractError("'matrix' must be rows of [re, im] number pairs") from None
             terms.append((qubits, mat))
         return cls(
-            num_qubits=int(spec["qubits"]),
+            num_qubits=num_qubits,
             terms=terms,
-            threshold_a=float(spec["a"]),
-            threshold_b=float(spec["b"]),
+            threshold_a=_field(spec, "a", float),
+            threshold_b=_field(spec, "b", float),
         )
 
 

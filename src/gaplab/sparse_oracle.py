@@ -263,7 +263,7 @@ def _read_spec(source: str | os.PathLike | dict) -> tuple[dict, str]:
 
 
 def _field(spec: dict, key: str, kind: type):
-    """spec[key] as a JSON integer, string or array (``kind`` int, str or list).
+    """spec[key] as a JSON integer, number, string or array (``kind`` int, float, str or list).
 
     A missing key or a value of another type is a ContractError naming
     the key, so a malformed file is refused in one line.
@@ -273,6 +273,10 @@ def _field(spec: dict, key: str, kind: type):
     value = spec[key]
     if kind is int:
         return _integer(value, key)
+    if kind is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ContractError(f"{key!r} must be a JSON number, got {value!r}")
+        return float(value)
     if not isinstance(value, kind):
         name = "string" if kind is str else "array"
         raise ContractError(f"{key!r} must be a JSON {name}, got {value!r}")

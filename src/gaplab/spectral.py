@@ -3,11 +3,15 @@
 Two independent concerns live here:
 
 * integer determinants that certify singularity exactly, with no
-  floating point anywhere on the path.  The production path is one
-  fraction-free elimination confined to the band of the reverse
-  Cuthill-McKee order, which brings a configuration graph's matrix to
-  bandwidth 2 or less; dense elimination, the cycle-cover sum and the
-  permutation expansion stay as small-size references;
+  floating point on the value path.  The production path first splits
+  the matrix by its pattern: a maximum transversal either proves it
+  structurally singular or puts a zero-free diagonal in place, and the
+  strong components of that matrix's digraph give a block-triangular
+  form.  Its 1 x 1 blocks are diagonal entries; only the larger blocks,
+  the core, go through fraction-free elimination confined to the band
+  of their reverse Cuthill-McKee order.  Dense elimination, the
+  cycle-cover sum and the permutation expansion stay as small-size
+  references;
 * eigenvalue machinery for the symmetric Gram matrices the reductions
   produce, including the closed-form spectrum of the path block and the
   tridiagonal fast path.  At large sizes the bottom eigenpair comes
@@ -25,7 +29,7 @@ sign bookkeeping, which makes each a check on the other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, pi
+from math import cos, pi, prod
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -223,20 +227,17 @@ def _rcm_band(a: csr_matrix, capped: bool = True) -> tuple[np.ndarray, np.ndarra
     return band, perm
 
 
-def det_bareiss_sparse(matrix: RowOracleMatrix) -> int:
-    """Fraction-free elimination confined to the reverse Cuthill-McKee band.
+def _banded_bareiss(b: csr_matrix, lo: int) -> int:
+    """Fraction-free elimination of a CSR matrix of lower bandwidth lo.
 
-    Same recurrence and exact-integer guarantees as det_bareiss, run on
-    P A P^T (same determinant) with lower bandwidth lo.  Column k then
-    has entries only in rows k..k+lo, row swaps stay among them, and
+    Same recurrence and exact-integer guarantees as det_bareiss.  Column
+    k has entries only in rows k..k+lo, row swaps stay among them, and
     rows below are untouched except for Bareiss's rescale of every
     later row by pivot/previous pivot at each step.  That rescale
     telescopes to the last pivot, so a row enters the window of lo + 1
-    live dictionary rows from the permuted CSR already multiplied by
-    it.  Time is O(n * lo * row length); on the reductions' chains
-    lo is at most 2.
+    live dictionary rows from the CSR already multiplied by it.  Time is
+    O(n * lo * row length).
     """
-    b, _, lo = _rcm_ordered(to_csr(matrix))
     n = b.shape[0]
     cols, vals, ptr = b.indices.tolist(), b.data.tolist(), b.indptr.tolist()
     window: list[dict[int, int]] = []
@@ -270,12 +271,73 @@ def det_bareiss_sparse(matrix: RowOracleMatrix) -> int:
     return sign * prev  # the last Bareiss pivot is the determinant, up to the swaps
 
 
+def det_bareiss_sparse(matrix: RowOracleMatrix) -> int:
+    """Exact determinant by block-triangular split, then banded Bareiss on the core.
+
+    1. A maximum transversal (Hopcroft-Karp on the bipartite row/column
+       graph) matches each row to a column.  If a row stays unmatched,
+       every term of the permutation expansion has a zero factor: the
+       matrix is structurally singular and the determinant is 0.
+    2. Otherwise the matched columns, put on the diagonal, give
+       B = A P with no zero there, and det A = sgn(P) det B, where the
+       parity of P is n minus its number of cycles.
+    3. The strong components of B's digraph are the diagonal blocks of
+       a block-triangular form of B, so det B is the product of their
+       determinants: each singleton contributes its diagonal entry, and
+       the nontrivial components, cross-component entries dropped, form
+       a block-diagonal core.
+    4. The core alone goes through ``_banded_bareiss`` on its reverse
+       Cuthill-McKee order.
+
+    Only the combinatorial steps use scipy; every value is an exact
+    Python integer.  On a reduction's matrix the transversal already
+    decides a rejecting input.  An accepting one has a single cycle
+    cover, so its transversal is unique, B is triangular and no core is
+    left: the determinant is the sign.
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components, maximum_bipartite_matching
+
+    a = to_csr(matrix)
+    n = a.shape[0]
+    match = maximum_bipartite_matching(a, perm_type="column")
+    if np.any(match < 0):
+        return 0
+
+    def digraph(indices: np.ndarray, indptr: np.ndarray) -> csr_matrix:
+        # The graph routines convert to float64 first; ones of that type skip a copy.
+        return csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
+
+    cycles = connected_components(digraph(match, np.arange(n + 1)), return_labels=False)
+    # Entry (row, col) of B = A P, with B[i, i] = A[i, match[i]].
+    row = np.repeat(np.arange(n), np.diff(a.indptr))
+    position = np.empty_like(match)
+    position[match] = np.arange(n)
+    col = position[a.indices]
+    count, labels = connected_components(digraph(col, a.indptr), connection="strong")
+    single = np.bincount(labels, minlength=count)[labels] == 1
+    diagonal = a.data[row == col][single]
+    # Ones, nearly all of a reduction's diagonal, stay out of the Python product.
+    det = (-1) ** ((n - cycles) % 2) * prod(diagonal[diagonal != 1].tolist())
+    if single.all():
+        return det
+    # Core: the nontrivial components' rows and columns, renumbered, with
+    # only the entries inside one component.
+    keep = ~single[row] & (labels[row] == labels[col])
+    index = np.cumsum(~single) - 1
+    m = int(index[-1]) + 1
+    core = csr_matrix((a.data[keep], (index[row[keep]], index[col[keep]])), shape=(m, m))
+    ordered, _, lo = _rcm_ordered(core)
+    return det * _banded_bareiss(ordered, lo)
+
+
 def det_exact(matrix: RowOracleMatrix | np.ndarray, method: str = "auto") -> int:
     """Dispatch to an exact determinant method; an array is wrapped by ``from_dense``.
 
-    ``auto`` (and ``bareiss_sparse``) is the banded fraction-free
-    elimination, the one production path.  Dense elimination and the
-    two enumerations are available by name as small-size references.
+    ``auto`` (and ``bareiss_sparse``) is the block-triangular split
+    ahead of banded fraction-free elimination, the one production path.
+    Dense elimination and the two enumerations are available by name as
+    small-size references.
     """
     if not isinstance(matrix, RowOracleMatrix):
         matrix = from_dense(matrix)

@@ -144,6 +144,38 @@ def test_energy_materializes_the_clock_hamiltonian_once(tmp_path, capsys, monkey
     assert json.loads(out)["abs_err"] <= 2.0**-20
 
 
+_X = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]  # Pauli X as [re, im] pairs
+
+
+@pytest.mark.parametrize(
+    "spec, key",
+    [
+        ({"terms": [], "a": 0.1}, "'qubits'"),
+        ({"qubits": "1", "terms": [], "a": 0.1, "b": 0.2}, "'qubits'"),
+        ({"qubits": -1, "terms": [], "a": 0.1, "b": 0.2}, "'qubits'"),
+        ({"qubits": 1, "terms": {}, "a": 0.1, "b": 0.2}, "'terms'"),
+        ({"qubits": 1, "terms": [[0]], "a": 0.1, "b": 0.2}, "'terms'"),
+        ({"qubits": 1, "terms": [{"matrix": _X}], "a": 0.1, "b": 0.2}, "'qubits'"),
+        ({"qubits": 1, "terms": [{"qubits": ["0"], "matrix": _X}], "a": 0.1, "b": 0.2},
+         "'qubits'"),
+        ({"qubits": 1, "terms": [{"qubits": [0]}], "a": 0.1, "b": 0.2}, "'matrix'"),
+        ({"qubits": 1, "terms": [{"qubits": [0], "matrix": [[0, 1], [1, 0]]}],
+          "a": 0.1, "b": 0.2}, "'matrix'"),
+        ({"qubits": 1, "terms": [], "b": 0.2}, "'a'"),
+        ({"qubits": 1, "terms": [], "a": "0.1", "b": 0.2}, "'a'"),
+        ({"qubits": 1, "terms": [], "a": 0.1}, "'b'"),
+        ({"qubits": 1, "terms": [], "a": 0.1, "b": None}, "'b'"),
+    ],
+)
+def test_malformed_clock_instance_is_one_line_naming_the_key(tmp_path, capsys, spec, key):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(spec))
+    assert cli.main(["energy", "--instance", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("gaplab:") and err.count("\n") == 1
+    assert key in err
+
+
 @pytest.mark.parametrize(
     "spec",
     [{"kind": "path", "ell": 8}, {"dim": 2, "rows": [[0, 1], [1, 0]]}],

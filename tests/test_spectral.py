@@ -83,6 +83,74 @@ def test_det_sparse_window_on_permuted_bands(arr):
         assert det == sp.det_permutation_expansion(oracle)
 
 
+@st.composite
+def permuted_block_triangular(draw):
+    """Block upper-triangular integer matrix under independent row and column permutations.
+
+    Diagonal blocks of size 1-5, some made singular; couplings above the
+    blocks; sometimes an all-zero row or column (structurally singular).
+    """
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=5))
+    n = sum(sizes)
+    entries = st.integers(-3, 3)
+    arr = np.zeros((n, n), dtype=np.int64)
+    start = 0
+    for size in sizes:
+        end = start + size
+        cells = draw(st.lists(entries, min_size=size * n, max_size=size * n))
+        rows = np.array(cells, dtype=np.int64).reshape(size, n)
+        rows[:, :start] = 0
+        if draw(st.booleans()):  # singular block: last row a multiple of the first, or 0
+            rows[-1, start:end] = draw(st.integers(-2, 2)) * rows[0, start:end] if size > 1 else 0
+        arr[start:end] = rows
+        start = end
+    zero = draw(st.sampled_from([None, None, None, None, "row", "column"]))
+    line = draw(st.integers(0, n - 1))
+    if zero == "row":
+        arr[line] = 0
+    elif zero == "column":
+        arr[:, line] = 0
+    row_perm = draw(st.permutations(range(n)))
+    col_perm = draw(st.permutations(range(n)))
+    return arr[np.ix_(row_perm, col_perm)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(permuted_block_triangular())
+def test_det_sparse_block_triangular_split(arr):
+    oracle = so.from_dense(arr)
+    det = sp.det_bareiss_sparse(oracle)
+    assert det == sp.det_bareiss(oracle)
+    if len(arr) <= 7:
+        assert det == sp.det_permutation_expansion(oracle)
+
+
+def test_det_exact_regime_skips_the_banded_kernel(monkeypatch):
+    # unary_counter at space 8: 262,440 configurations.  A rejecting
+    # reduction has no perfect transversal.  An accepting one has exactly
+    # one cycle cover, so its transversal is unique, the permuted matrix is
+    # triangular, and no core is left for the banded kernel either.
+    calls = []
+    kernel = sp._banded_bareiss
+
+    def recorded(b, lo):
+        calls.append(b.shape)
+        return kernel(b, lo)
+
+    monkeypatch.setattr(sp, "_banded_bareiss", recorded)
+    machine = rtm.with_space(rtm.corpus_machine("unary_counter"), 8)
+    for x, accepted in (("11", True), ("1", False)):
+        adjacency = rtm.augmented_adjacency(machine, x)
+        assert adjacency.dim == 262_440
+        det = sp.det_exact(adjacency)
+        assert rtm.simulate(machine, x).accepted == accepted
+        assert abs(det) == (1 if accepted else 0)
+        assert calls == []
+    # The kernel still runs where a core exists: a symmetric Gram is one strong component.
+    assert sp.det_exact(so.ata_oracle(so.path_adjacency(5))) == 1
+    assert calls == [(5, 5)]
+
+
 def test_det_sparse_zero_bandwidth_rescales_the_last_row():
     # At bandwidth 0 no row is ever eliminated: each row, the last one
     # included, gets its scale only as it enters the window.
