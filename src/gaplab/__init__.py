@@ -61,7 +61,6 @@ from .rtm import (
 from .simulator import (
     Gate,
     QuantumCircuit,
-    Statevector,
     acceptance_probability,
     circuit_unitary,
     expm_exact,

@@ -79,14 +79,12 @@ def emit_report(results, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load_machine(name_or_path: str, space: int | None) -> rtm.ReversibleTM:
-    if os.path.exists(name_or_path):
-        machine = rtm.load_machine(name_or_path)
-    else:
-        machine = rtm.corpus_machine(name_or_path)
-    if space is not None:
-        machine = rtm.with_space(machine, space)
-    return machine
+def _machine_and_input(args) -> tuple[rtm.ReversibleTM, str]:
+    """--machine, --input and --space, read as the keys of an "rtm" instance file."""
+    spec = {"machine": args.machine, "input": args.input}
+    if args.space is not None:
+        spec["space"] = args.space
+    return sparse_oracle.reduction_input(spec, os.getcwd())
 
 
 def _with_seed(args, payload: dict) -> dict:
@@ -122,9 +120,9 @@ def _cmd_det(args) -> tuple[dict, int]:
 
 
 def _cmd_reduce(args) -> tuple[dict, int]:
-    machine = _load_machine(args.machine, args.space)
-    instance = rtm.reduce_to_gapped(machine, args.input)
-    accepted = rtm.simulate(machine, args.input).accepted
+    machine, x = _machine_and_input(args)
+    instance = rtm.reduce_to_gapped(machine, x)
+    accepted = rtm.simulate(machine, x).accepted
     det = spectral.det_exact(instance.adjacency)
     payload = _with_seed(
         args,
@@ -143,8 +141,8 @@ def _cmd_reduce(args) -> tuple[dict, int]:
 
 def _cmd_verify(args) -> tuple[dict, int]:
     if args.machine is not None:
-        machine = _load_machine(args.machine, args.space)
-        instance = rtm.reduce_to_gapped(machine, args.input)
+        machine, x = _machine_and_input(args)
+        instance = rtm.reduce_to_gapped(machine, x)
         matrix = instance.gram
         g = args.gap_exponent if args.gap_exponent is not None else instance.g
         source = machine.name or args.machine
@@ -243,8 +241,8 @@ def _cmd_energy(args) -> tuple[dict, int]:
     if isinstance(data, dict) and "terms" in data:
         dense = protocols.PreciseLHInstance.from_dict(data).materialize()
         truth = protocols.ground_energy(dense)
-    else:
-        dense = sparse_oracle.materialize(sparse_oracle.load_instance(data))
+    else:  # read from the path, so a machine path resolves against the file's directory
+        dense = sparse_oracle.materialize(sparse_oracle.load_instance(args.instance))
         truth = spectral.min_eigenvalue(dense)
     estimate = protocols.binary_search_energy(dense, args.bits)
     payload = _with_seed(

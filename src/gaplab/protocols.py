@@ -46,10 +46,10 @@ from .sparse_oracle import (
     materialize,
     norm_bound,
 )
-from .spectral import _rcm_band, bottom_eigenpair
+from .spectral import _rcm_band, _require_hermitian, bottom_eigenpair
 from .simulator import (
+    DENSE_QUBIT_CAP,
     QuantumCircuit,
-    Statevector,
     _apply_to_columns,
     circuit_unitary,
     expm_exact,
@@ -118,11 +118,9 @@ class AcceptOperator:
 
     def __post_init__(self) -> None:
         dim = 2**self.m
-        arr = np.asarray(self.matrix, dtype=complex)
+        arr = np.asarray(_require_hermitian(self.matrix), dtype=complex)
         if arr.shape != (dim, dim):
             raise ValueError(f"operator shape {arr.shape} does not fit m={self.m}")
-        if float(np.max(np.abs(arr - arr.conj().T))) > 1e-12:
-            raise ContractError("accept operator must be Hermitian to 1e-12")
         w = np.linalg.eigvalsh(arr)
         if w[0] < -1e-10 or w[-1] > 1 + 1e-10:
             raise ContractError(f"acceptance eigenvalues outside [0, 1]: {w[0]}, {w[-1]}")
@@ -157,15 +155,17 @@ def _witness_images(verifier: Verifier) -> tuple[np.ndarray, np.ndarray]:
     """Columns U|j, 0^k> over witness basis states j: (output-1 rows, output-0 rows)."""
     m = verifier.witness_qubits
     n = verifier.circuit.num_qubits
-    if n > 10:
-        raise ResourceLimitError(f"dense accept operator capped at 10 qubits, got {n}")
+    if n > DENSE_QUBIT_CAP:
+        raise ResourceLimitError(
+            f"dense accept operator capped at {DENSE_QUBIT_CAP} qubits, got {n}"
+        )
     idx = np.arange(2**n)
     out_rows = ((idx >> verifier.output_qubit) & 1) == 1
-    cols = []
-    for j in range(2**m):
-        padded = pad_with_ancillas(Statevector.basis(m, j), verifier.ancilla_k)
-        cols.append(run_circuit(verifier.circuit, padded))
-    final = np.stack(cols, axis=1)
+    basis = np.eye(2**m, dtype=complex)
+    final = np.stack(
+        [run_circuit(verifier.circuit, pad_with_ancillas(e, verifier.ancilla_k)) for e in basis],
+        axis=1,
+    )
     return final[out_rows], final[~out_rows]
 
 
@@ -409,7 +409,7 @@ def nwz_amplify(
     strictly-between median is reported as a promise violation rather
     than forced into YES or NO.
     """
-    vec = np.asarray(getattr(witness, "amplitudes", witness), dtype=complex)
+    vec = np.asarray(witness, dtype=complex)
     if abs(np.linalg.norm(vec) - 1.0) > 1e-9:
         raise ContractError("witness is not normalized")
     phases, vecs = _walk_phases(verifier)
@@ -777,8 +777,7 @@ class PreciseLHInstance:
             want = 2 ** len(qubits)
             if mat.shape != (want, want):
                 raise ValueError(f"term matrix shape {mat.shape} does not fit {qubits}")
-            if float(np.max(np.abs(mat - mat.conj().T))) > 1e-12:
-                raise ContractError("every term must be Hermitian")
+            _require_hermitian(mat)
             loc = max(loc, len(qubits))
         self.locality = loc
 
@@ -933,8 +932,7 @@ def history_state(verifier: Verifier, witness) -> np.ndarray:
     """Uniform superposition of the partial computations, clock in unary."""
     t_count = verifier.circuit.gate_count
     w = verifier.circuit.num_qubits
-    vec = np.asarray(getattr(witness, "amplitudes", witness), dtype=complex)
-    state = pad_with_ancillas(vec, verifier.ancilla_k)
+    state = pad_with_ancillas(witness, verifier.ancilla_k)
     dim = 2 ** (w + t_count)
     out = np.zeros(dim, dtype=complex)
     clock_value = 0
@@ -1001,10 +999,10 @@ def precise_lh_bounds(verifier: Verifier, epsilon: float):
 
 
 def _hamiltonian(instance: PreciseLHInstance | np.ndarray) -> np.ndarray:
-    """The dense Hamiltonian: a clock instance materialized, an array as it is."""
+    """The dense Hamiltonian: a clock instance materialized, an array once checked Hermitian."""
     if isinstance(instance, PreciseLHInstance):
         return instance.materialize()
-    return np.asarray(instance)
+    return _require_hermitian(instance)
 
 
 def ground_energy(instance: PreciseLHInstance | np.ndarray) -> float:
@@ -1032,8 +1030,6 @@ def binary_search_energy(instance, bits: int) -> float:
     if bits < 1 or bits > ENERGY_BITS_CAP:
         raise ContractError(f"bits must be in 1..{ENERGY_BITS_CAP}, got {bits}")
     dense = _hamiltonian(instance)
-    if float(np.max(np.abs(dense - dense.conj().T))) > 1e-12:
-        raise ContractError("Hamiltonian must be Hermitian")
     herm = (dense + dense.conj().T) / 2
     radii = np.sum(np.abs(herm), axis=1) - np.abs(np.diag(herm))
     lo = float(np.min(np.diag(herm).real - radii))

@@ -47,7 +47,7 @@ from math import ceil, log2
 import numpy as np
 
 from .errors import ContractError
-from .sparse_oracle import RowOracleMatrix, ata_oracle
+from .sparse_oracle import RowOracleMatrix, _field, ata_oracle
 from .spectral import min_eigenvalue_bound
 
 MOVES = {"L": -1, "S": 0, "R": 1}
@@ -225,10 +225,7 @@ class RunResult:
 
 
 def simulate(
-    machine: ReversibleTM,
-    input_str: str,
-    max_steps: int | None = None,
-    record_trace: bool = False,
+    machine: ReversibleTM, input_str: str, record_trace: bool = False
 ) -> RunResult:
     """Run to a halt and compare against the canonical accepting configuration.
 
@@ -236,7 +233,6 @@ def simulate(
     in the accept state with an unrestored tape or a parked-elsewhere
     head does not count, matching what the matrix reduction certifies.
     """
-    limit = machine.dim if max_steps is None else max_steps
     current = start_configuration(machine, input_str)
     target = accept_configuration(machine, input_str)
     trace = [current] if record_trace else None
@@ -249,9 +245,9 @@ def simulate(
         steps += 1
         if trace is not None:
             trace.append(current)
-        if steps > limit:
+        if steps > machine.dim:
             raise ContractError(
-                f"no halt within {limit} steps; the configuration graph has a cycle"
+                f"no halt within {machine.dim} steps; the configuration graph has a cycle"
             )
     return RunResult(
         accepted=current == target,
@@ -355,9 +351,7 @@ def _audit(machine: ReversibleTM, succ: np.ndarray) -> ValidationReport:
     )
 
 
-def augmented_adjacency(
-    machine: ReversibleTM, input_str: str, check: bool = True
-) -> RowOracleMatrix:
+def augmented_adjacency(machine: ReversibleTM, input_str: str) -> RowOracleMatrix:
     """Adjacency oracle whose determinant decides acceptance.
 
     Row i carries the successor edge of configuration i plus a
@@ -367,18 +361,17 @@ def augmented_adjacency(
     self-loops plus, when and only when the accepting configuration is
     reachable, the single computation cycle, giving determinant 0 or
     +-1.  Rows stay 0/1 with at most two entries and columns carry at
-    most two ones, so the Gram construction applies downstream.
+    most two ones, so the Gram construction applies downstream.  A
+    machine that fails ``validate`` is refused with ContractError.
     """
     from scipy.sparse import csr_matrix
 
     succ = successors(machine)
-    if check:
-        report = _audit(machine, succ)
-        if not report.ok:
-            raise ContractError(
-                f"machine {machine.name!r} failed validation: "
-                + "; ".join(report.issues)
-            )
+    report = _audit(machine, succ)
+    if not report.ok:
+        raise ContractError(
+            f"machine {machine.name!r} failed validation: " + "; ".join(report.issues)
+        )
     s_idx = encode_configuration(machine, start_configuration(machine, input_str))
     t_idx = encode_configuration(machine, accept_configuration(machine, input_str))
 
@@ -406,24 +399,18 @@ class GappedInstance:
     bound at this dimension.
     """
 
-    machine: str
-    input_str: str
     adjacency: RowOracleMatrix
     gram: RowOracleMatrix
     dim: int
     g: int
 
 
-def reduce_to_gapped(
-    machine: ReversibleTM, input_str: str, check: bool = True
-) -> GappedInstance:
+def reduce_to_gapped(machine: ReversibleTM, input_str: str) -> GappedInstance:
     """Machine + input -> Gram oracle with a 0-vs-2^-g eigenvalue promise."""
-    adjacency = augmented_adjacency(machine, input_str, check=check)
+    adjacency = augmented_adjacency(machine, input_str)
     bound = min_eigenvalue_bound(machine.dim)
     g = ceil(-log2(bound))
     return GappedInstance(
-        machine=machine.name,
-        input_str=input_str,
         adjacency=adjacency,
         gram=ata_oracle(adjacency),
         dim=machine.dim,
@@ -436,9 +423,32 @@ def reduce_to_gapped(
 
 
 def machine_from_dict(spec: dict) -> ReversibleTM:
-    """Build a machine from its JSON form."""
+    """Build a machine from its JSON form.
+
+    Every key is read through ``sparse_oracle._field``, as instance
+    files are: a missing key or a value of the wrong JSON type is a
+    ContractError naming the key.  ``name`` is optional; ``space`` is a
+    JSON integer; ``states`` and ``alphabet`` are arrays of strings, and
+    each of ``transitions`` is an array of five strings
+    [state, read, new state, written, move] with move L, S or R.
+    """
+    if not isinstance(spec, dict):
+        raise ContractError(f"a machine is a JSON object, got {type(spec).__name__}")
+
+    def strings(key: str) -> tuple[str, ...]:
+        value = _field(spec, key, list)
+        if not all(isinstance(v, str) for v in value):
+            raise ContractError(f"{key!r} must be an array of strings, got {value!r}")
+        return tuple(value)
+
     transitions: dict[tuple[str, str], tuple[str, str, int]] = {}
-    for q, a, q2, a2, mv in spec["transitions"]:
+    for rule in _field(spec, "transitions", list):
+        if not (isinstance(rule, list) and len(rule) == 5
+                and all(isinstance(v, str) for v in rule)):
+            raise ContractError(
+                f"each of 'transitions' must be an array of five strings, got {rule!r}"
+            )
+        q, a, q2, a2, mv = rule
         key = (q, a)
         if key in transitions:
             raise ValueError(f"duplicate transition for ({q}, {a})")
@@ -446,13 +456,13 @@ def machine_from_dict(spec: dict) -> ReversibleTM:
             raise ValueError(f"move must be one of {sorted(MOVES)}, got {mv!r}")
         transitions[key] = (q2, a2, MOVES[mv])
     return ReversibleTM(
-        name=spec.get("name", ""),
-        states=tuple(spec["states"]),
-        start=spec["start"],
-        accept=spec["accept"],
-        alphabet=tuple(spec["alphabet"]),
-        blank=spec["blank"],
-        space=int(spec["space"]),
+        name=_field(spec, "name", str) if "name" in spec else "",
+        states=strings("states"),
+        start=_field(spec, "start", str),
+        accept=_field(spec, "accept", str),
+        alphabet=strings("alphabet"),
+        blank=_field(spec, "blank", str),
+        space=_field(spec, "space", int),
         transitions=transitions,
     )
 

@@ -2,16 +2,18 @@
 
 Everything here is computed from amplitudes, never sampled: the
 experiments downstream resolve probability differences of order
-2^-24 and smaller, which no sampling backend could see.  Statevectors
-are dense complex arrays indexed with qubit 0 as the least significant
-bit; a gate on qubits (a, b) reads its local index the same way, first
-listed qubit least significant.
+2^-24 and smaller, which no sampling backend could see.  A state is a
+plain complex ndarray of 2^n amplitudes, indexed with qubit 0 as the
+least significant bit: ``run_circuit`` returns one, and every function
+here that takes a state takes an array.  A gate on qubits (a, b) reads
+its local index the same way, first listed qubit least significant.
 
 The exponential e^{-iAt} comes in two flavors: spectral decomposition
-(``expm_exact``, the ground truth) and the truncated Taylor sum, whose
-analytic tail bound is what the gapped verifier budgets against.  The
-Taylor sum has one loop, ``expm_taylor_minus_identity``, which applies
-it to a vector or column block with one sparse product per term; the
+of a dense Hermitian array (``expm_exact``, the ground truth) and the
+truncated Taylor sum, whose analytic tail bound is what the gapped
+verifier budgets against.  The Taylor sum reads A as a RowOracleMatrix
+and has one loop, ``expm_taylor_minus_identity``, which applies it to a
+vector or column block with one sparse product per term; the
 verifier's ``phase_read`` applies it to its witness alone, and
 ``expm_taylor`` (the loop on the identity) and the dense ``one_bit_pe``
 remain as small-dimension references.
@@ -28,9 +30,14 @@ import numpy as np
 
 from .errors import ContractError, ResourceLimitError
 from .sparse_oracle import RowOracleMatrix, to_csr
+from .spectral import _require_hermitian
 
 MAX_QUBITS = 20
+# Dense operators on a whole circuit's qubits (circuit_unitary, the
+# accept operator's columns) refuse circuits wider than this.
+DENSE_QUBIT_CAP = 10
 NORM_TOL = 1e-12
+MAX_TAYLOR_ORDER = 1000
 
 _INV_SQRT2 = 1.0 / sqrt(2.0)
 _MINUS_I_POWERS = (1, -1j, -1, 1j)  # (-i)^k by k mod 4
@@ -143,41 +150,6 @@ class QuantumCircuit:
         return cls.from_dict(json.loads(text))
 
 
-@dataclass(frozen=True)
-class Statevector:
-    """Pure state on num_qubits qubits, qubit 0 least significant."""
-
-    num_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (2**self.num_qubits,):
-            raise ValueError(
-                f"amplitude length {amps.shape} does not match {self.num_qubits} qubits"
-            )
-        object.__setattr__(self, "amplitudes", amps)
-
-    @classmethod
-    def zero(cls, num_qubits: int) -> "Statevector":
-        amps = np.zeros(2**num_qubits, dtype=complex)
-        amps[0] = 1.0
-        return cls(num_qubits, amps)
-
-    @classmethod
-    def basis(cls, num_qubits: int, index: int) -> "Statevector":
-        amps = np.zeros(2**num_qubits, dtype=complex)
-        amps[index] = 1.0
-        return cls(num_qubits, amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-
-def _as_amplitudes(state) -> np.ndarray:
-    return np.asarray(getattr(state, "amplitudes", state), dtype=complex)
-
-
 def _apply_to_columns(
     cols: np.ndarray, num_qubits: int, matrix: np.ndarray, qubits: Sequence[int]
 ) -> np.ndarray:
@@ -195,17 +167,13 @@ def _apply_to_columns(
     return moved.reshape(2**num_qubits, batch)
 
 
-def run_circuit(circuit: QuantumCircuit, state: Statevector | np.ndarray | None = None):
-    """Run the circuit on a state (|0...0> by default).
-
-    Returns the same kind it was given: Statevector in, Statevector
-    out; raw array in, raw array out.
-    """
-    wrap = state is None or isinstance(state, Statevector)
+def run_circuit(circuit: QuantumCircuit, state: np.ndarray | None = None) -> np.ndarray:
+    """The circuit's image of a state (|0...0> by default), as a new complex array."""
     if state is None:
-        amps = Statevector.zero(circuit.num_qubits).amplitudes.copy()
+        amps = np.zeros(2**circuit.num_qubits, dtype=complex)
+        amps[0] = 1.0
     else:
-        amps = _as_amplitudes(state).copy()
+        amps = np.array(state, dtype=complex)
     if amps.shape != (2**circuit.num_qubits,):
         raise ContractError(
             f"state dimension {amps.shape} does not match {circuit.num_qubits} qubits"
@@ -217,14 +185,14 @@ def run_circuit(circuit: QuantumCircuit, state: Statevector | np.ndarray | None 
     out = cols.reshape(-1)
     if abs(np.linalg.norm(out) - norm_in) > NORM_TOL * max(1.0, norm_in):
         raise ContractError("circuit application did not preserve the norm")
-    return Statevector(circuit.num_qubits, out) if wrap else out
+    return out
 
 
-def circuit_unitary(circuit: QuantumCircuit, max_qubits: int = 10) -> np.ndarray:
-    """Dense unitary of the whole circuit (small circuits only)."""
-    if circuit.num_qubits > max_qubits:
+def circuit_unitary(circuit: QuantumCircuit) -> np.ndarray:
+    """Dense unitary of the whole circuit (at most DENSE_QUBIT_CAP qubits)."""
+    if circuit.num_qubits > DENSE_QUBIT_CAP:
         raise ResourceLimitError(
-            f"dense circuit unitary capped at {max_qubits} qubits"
+            f"dense circuit unitary capped at {DENSE_QUBIT_CAP} qubits"
         )
     dim = 2**circuit.num_qubits
     cols = np.eye(dim, dtype=complex)
@@ -254,20 +222,9 @@ def random_circuit(
 # matrix exponentials
 
 
-def _hermitian_dense(matrix, tol: float = 1e-12) -> np.ndarray:
-    arr = np.asarray(matrix, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected square matrix, got {arr.shape}")
-    dev = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
-    if dev > tol:
-        raise ContractError(f"matrix not Hermitian: deviation {dev:.3e}")
-    return arr
-
-
 def expm_exact(matrix, evo_time: float) -> np.ndarray:
     """e^{-i A t} by spectral decomposition of Hermitian A."""
-    arr = _hermitian_dense(matrix)
-    w, v = np.linalg.eigh(arr)
+    w, v = np.linalg.eigh(np.asarray(_require_hermitian(matrix), dtype=complex))
     return (v * np.exp(-1j * w * evo_time)) @ v.conj().T
 
 
@@ -280,28 +237,25 @@ def taylor_tail_bound(x: float, order: int) -> float:
     return exp((order + 1) * log(x) - lgamma(order + 2) + x)
 
 
-def taylor_order(x: float, target_error: float, max_order: int = 1000) -> int:
-    """Smallest truncation order whose tail bound meets the target."""
+def taylor_order(x: float, target_error: float) -> int:
+    """Smallest truncation order, at most MAX_TAYLOR_ORDER, whose tail bound meets the target."""
     if target_error <= 0:
         raise ValueError("target error must be positive")
-    for k in range(1, max_order + 1):
+    for k in range(1, MAX_TAYLOR_ORDER + 1):
         if taylor_tail_bound(x, k) <= target_error:
             return k
-    raise ValueError(f"no order up to {max_order} reaches error {target_error}")
+    raise ValueError(f"no order up to {MAX_TAYLOR_ORDER} reaches error {target_error}")
 
 
-def _norm_upper_bound(matrix) -> float:
+def _norm_upper_bound(matrix: RowOracleMatrix) -> float:
     """Upper bound on the spectral norm: sqrt of (1-norm times inf-norm)."""
-    if isinstance(matrix, RowOracleMatrix):
-        abs_a = abs(to_csr(matrix))
-        one = abs_a.sum(axis=0).max()
-        inf = abs_a.sum(axis=1).max()
-        return float(sqrt(one * inf))
-    abs_arr = np.abs(np.asarray(matrix))
-    return float(sqrt(abs_arr.sum(axis=0).max() * abs_arr.sum(axis=1).max()))
+    abs_a = abs(to_csr(matrix))
+    return float(sqrt(abs_a.sum(axis=0).max() * abs_a.sum(axis=1).max()))
 
 
-def expm_taylor_minus_identity(matrix, evo_time: float, order: int, x) -> np.ndarray:
+def expm_taylor_minus_identity(
+    matrix: RowOracleMatrix, evo_time: float, order: int, x: np.ndarray
+) -> np.ndarray:
     """(U_K - I) x for the degree-``order`` Taylor sum U_K of e^{-i A t}.
 
     Returns sum_{k=1..order} (-i A t)^k / k! x for a vector or a column
@@ -320,11 +274,8 @@ def expm_taylor_minus_identity(matrix, evo_time: float, order: int, x) -> np.nda
         raise ValueError("evolution time must be nonnegative")
     if _norm_upper_bound(matrix) * evo_time > pi * (1 + 1e-9):
         raise ContractError("||A|| * evo_time exceeds pi")
-    if isinstance(matrix, RowOracleMatrix):
-        a = to_csr(matrix).astype(np.float64)
-    else:
-        a = np.asarray(matrix)
-    w = np.asarray(getattr(x, "amplitudes", x))
+    a = to_csr(matrix).astype(np.float64)
+    w = np.asarray(x)
     total = np.zeros(w.shape, dtype=complex)
     for k in range(1, order + 1):
         w = (a @ w) * (evo_time / k)
@@ -332,15 +283,14 @@ def expm_taylor_minus_identity(matrix, evo_time: float, order: int, x) -> np.nda
     return total
 
 
-def expm_taylor(matrix, evo_time: float, order: int) -> np.ndarray:
+def expm_taylor(matrix: RowOracleMatrix, evo_time: float, order: int) -> np.ndarray:
     """Degree-``order`` Taylor sum for e^{-i A t} as a dense operator.
 
     I plus ``expm_taylor_minus_identity`` applied to the identity: a
     small-dimension oracle for tests; the verifier applies the sum to
     its witness only.
     """
-    n = matrix.dim if isinstance(matrix, RowOracleMatrix) else len(matrix)
-    eye = np.eye(n)
+    eye = np.eye(matrix.dim)
     return eye + expm_taylor_minus_identity(matrix, evo_time, order, eye)
 
 
@@ -381,7 +331,7 @@ def one_bit_pe(u: np.ndarray, psi, unitarity_tol: float = 1e-8) -> float:
     pass it explicitly.
     """
     u = np.asarray(u, dtype=complex)
-    vec = _as_amplitudes(psi)
+    vec = np.asarray(psi, dtype=complex)
     if u.shape != (len(vec), len(vec)):
         raise ContractError(f"operator shape {u.shape} does not fit state of {len(vec)}")
     dev = float(np.max(np.abs(u.conj().T @ u - np.eye(len(vec)))))
@@ -393,7 +343,8 @@ def one_bit_pe(u: np.ndarray, psi, unitarity_tol: float = 1e-8) -> float:
 
 
 def phase_read(
-    matrix, evo_time: float, order: int, psi, unitarity_tol: float = 1e-8
+    matrix: RowOracleMatrix, evo_time: float, order: int, psi: np.ndarray,
+    unitarity_tol: float = 1e-8,
 ) -> tuple[float, float]:
     """(outcome-0, outcome-1) probabilities of one-bit phase estimation of U_K on psi.
 
@@ -411,7 +362,7 @@ def phase_read(
     | ||U_K psi|| - ||psi|| | is checked on the witness itself; both
     against ``unitarity_tol``.
     """
-    vec = np.asarray(getattr(psi, "amplitudes", psi))
+    vec = np.asarray(psi)
     if abs(np.linalg.norm(vec) - 1.0) > 1e-9:
         raise ContractError("state is not normalized")
     defect = taylor_unitarity_defect(pi, order)
@@ -430,7 +381,7 @@ def phase_read(
 
 def measure_probability(state, qubit: int, outcome: int) -> float:
     """Probability that one qubit reads the given value."""
-    amps = _as_amplitudes(state)
+    amps = np.asarray(state)
     n = amps.shape[0]
     idx = np.arange(n)
     mask = ((idx >> qubit) & 1) == outcome
@@ -439,7 +390,7 @@ def measure_probability(state, qubit: int, outcome: int) -> float:
 
 def pad_with_ancillas(witness, ancilla_k: int) -> np.ndarray:
     """witness (x) |0^k>, ancillas as the high qubits."""
-    vec = _as_amplitudes(witness)
+    vec = np.asarray(witness)
     out = np.zeros(len(vec) * 2**ancilla_k, dtype=complex)
     out[: len(vec)] = vec
     return out
@@ -448,19 +399,20 @@ def pad_with_ancillas(witness, ancilla_k: int) -> np.ndarray:
 def acceptance_probability(verifier, witness) -> float:
     """Exact probability the verifier's output qubit reads 1.
 
-    ``witness`` may be a Statevector, a raw amplitude vector on the
-    witness qubits, or a density operator (square array); acceptance is
-    linear in the density operator, so mixed witnesses average their
-    eigenvector acceptances.
+    ``witness`` may be an amplitude vector on the witness qubits or a
+    density operator (square array); acceptance is linear in the
+    density operator, so mixed witnesses average their eigenvector
+    acceptances.
     """
     m = verifier.witness_qubits
     dim = 2**m
-    raw = np.asarray(getattr(witness, "amplitudes", witness), dtype=complex)
+    raw = np.asarray(witness, dtype=complex)
     if raw.ndim == 2:
         if raw.shape != (dim, dim):
             raise ContractError(f"density operator shape {raw.shape}, want {(dim, dim)}")
-        if np.max(np.abs(raw - raw.conj().T)) > 1e-10 or abs(np.trace(raw).real - 1) > 1e-9:
-            raise ContractError("density operator must be Hermitian with unit trace")
+        _require_hermitian(raw, 1e-10)
+        if abs(np.trace(raw).real - 1) > 1e-9:
+            raise ContractError("density operator must have unit trace")
         probs, vecs = np.linalg.eigh(raw)
         return float(
             sum(

@@ -269,7 +269,7 @@ def _field(spec: dict, key: str, kind: type):
     the key, so a malformed file is refused in one line.
     """
     if key not in spec:
-        raise ContractError(f"instance has no {key!r}")
+        raise ContractError(f"missing key {key!r}")
     value = spec[key]
     if kind is int:
         return _integer(value, key)
@@ -283,8 +283,13 @@ def _field(spec: dict, key: str, kind: type):
     return value
 
 
-def _reduction_input(spec: dict, base: str):
-    """Machine and input string of a {"kind": "rtm"} description."""
+def reduction_input(spec: dict, base: str):
+    """Machine and input string of a {"kind": "rtm"} description.
+
+    ``machine`` is a machine file's path relative to ``base`` when one
+    exists there, and otherwise a corpus name; ``space``, if given,
+    replaces the machine's tape size.
+    """
     from . import rtm  # deferred: rtm depends on this module
 
     machine_ref = _field(spec, "machine", str)
@@ -339,7 +344,7 @@ def load_instance(source: str | os.PathLike | dict) -> RowOracleMatrix:
     if kind == "rtm":
         from . import rtm
 
-        return rtm.augmented_adjacency(*_reduction_input(spec, base))
+        return rtm.augmented_adjacency(*reduction_input(spec, base))
     raise ValueError(f"unrecognized instance description: {sorted(spec)}")
 
 
@@ -356,6 +361,6 @@ def load_gapped_instance(
     if spec.get("kind") == "rtm":
         from . import rtm
 
-        instance = rtm.reduce_to_gapped(*_reduction_input(spec, base))
+        instance = rtm.reduce_to_gapped(*reduction_input(spec, base))
         return instance.gram, instance.g
     return load_instance(spec), None

@@ -459,19 +459,25 @@ def structured_matrix(kind: str, ell: int) -> np.ndarray:
     return out
 
 
-def _require_symmetric(entries: np.ndarray, tol: float = SYMMETRY_TOL) -> np.ndarray:
-    arr = np.asarray(entries, dtype=np.float64)
+def _require_hermitian(matrix, tol: float = SYMMETRY_TOL) -> np.ndarray:
+    """``matrix`` as a square array of its own dtype, once max |A - A^H| <= tol is checked.
+
+    The dtype is kept, so a complex Hermitian matrix keeps its
+    imaginary part; numpy's eigensolvers take real input, integer
+    included, in float64 and complex input in complex128.
+    """
+    arr = np.asarray(matrix)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    dev = float(np.max(np.abs(arr - arr.T))) if arr.size else 0.0
+    dev = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
     if dev > tol:
-        raise ContractError(f"matrix is not symmetric: max deviation {dev:.3e} > {tol:.0e}")
+        raise ContractError(f"matrix is not Hermitian: max deviation {dev:.3e} > {tol:.0e}")
     return arr
 
 
 def min_eigenvalue(matrix: np.ndarray, tol: float = SYMMETRY_TOL) -> float:
-    """Least eigenvalue of a symmetric matrix (symmetry is a contract)."""
-    return float(np.linalg.eigvalsh(_require_symmetric(matrix, tol))[0])
+    """Least eigenvalue of a symmetric or Hermitian matrix (the symmetry is a contract)."""
+    return float(np.linalg.eigvalsh(_require_hermitian(matrix, tol))[0])
 
 
 def min_eigenvalue_banded(diag: np.ndarray, off: np.ndarray) -> float:
@@ -495,31 +501,25 @@ def min_eigenvalue_banded(diag: np.ndarray, off: np.ndarray) -> float:
 def eigensystem(
     matrix: np.ndarray, tol: float = SYMMETRY_TOL
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(eigenvalues ascending, eigenvector columns) of a symmetric matrix."""
-    return np.linalg.eigh(_require_symmetric(matrix, tol))
+    """(eigenvalues ascending, eigenvector columns) of a symmetric or Hermitian matrix."""
+    return np.linalg.eigh(_require_hermitian(matrix, tol))
 
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Eigensolver spectrum of one block, with optional closed form beside it."""
+    """Eigensolver spectrum of one block, with its closed form beside it."""
 
     kind: str
     ell: int
     eigenvalues: np.ndarray
-    closed_form: np.ndarray | None = None
+    closed_form: np.ndarray
 
     @property
     def max_abs_discrepancy(self) -> float:
-        if self.closed_form is None:
-            return 0.0
         return float(np.max(np.abs(self.closed_form - self.eigenvalues)))
 
     def rows(self) -> list[tuple[int, float, float, float]]:
-        closed = (
-            self.closed_form
-            if self.closed_form is not None
-            else np.full_like(self.eigenvalues, np.nan)
-        )
+        closed = self.closed_form
         return [
             (k + 1, float(closed[k]), float(self.eigenvalues[k]),
              abs(float(closed[k] - self.eigenvalues[k])))

@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +126,91 @@ def test_malformed_instance_is_one_line_naming_the_key(tmp_path, capsys, spec, k
     err = capsys.readouterr().err
     assert err.startswith("gaplab:") and err.count("\n") == 1
     assert key in err
+
+
+def _corpus_spec(name: str) -> dict:
+    return json.loads((resources.files("gaplab") / "corpus" / f"{name}.json").read_text())
+
+
+def _without(spec: dict, key: str) -> dict:
+    return {k: v for k, v in spec.items() if k != key}
+
+
+_MACHINE = _corpus_spec("unary_counter")
+
+
+@pytest.mark.parametrize(
+    "spec, key",
+    [
+        (_without(_MACHINE, "space"), "'space'"),
+        ({**_MACHINE, "space": 4.0}, "'space'"),
+        ({**_MACHINE, "space": "4"}, "'space'"),
+        (_without(_MACHINE, "states"), "'states'"),
+        ({**_MACHINE, "states": "start"}, "'states'"),
+        ({**_MACHINE, "alphabet": [0, 1, 2]}, "'alphabet'"),
+        (_without(_MACHINE, "start"), "'start'"),
+        ({**_MACHINE, "accept": ["acc"]}, "'accept'"),
+        (_without(_MACHINE, "blank"), "'blank'"),
+        ({**_MACHINE, "name": 7}, "'name'"),
+        (_without(_MACHINE, "transitions"), "'transitions'"),
+        ({**_MACHINE, "transitions": 5}, "'transitions'"),
+        ({**_MACHINE, "transitions": [["start", "0", "acc", "0"]]}, "'transitions'"),
+        ({**_MACHINE, "transitions": [["start", 0, "acc", "0", "S"]]}, "'transitions'"),
+        ([_MACHINE], "JSON object"),
+    ],
+)
+@pytest.mark.parametrize("command", ["reduce", "verify", "det"])
+def test_malformed_machine_file_is_one_line_naming_the_key(
+    tmp_path, capsys, spec, key, command
+):
+    machine_path = tmp_path / "m.json"
+    machine_path.write_text(json.dumps(spec))
+    if command == "det":
+        instance_path = tmp_path / "instance.json"
+        instance_path.write_text(json.dumps({"kind": "rtm", "machine": "m.json", "input": "11"}))
+        argv = ["det", "--instance", str(instance_path)]
+    else:
+        argv = [command, "--machine", str(machine_path), "--input", "11"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("gaplab:") and err.count("\n") == 1
+    assert key in err
+
+
+@pytest.mark.parametrize(
+    "name, x", [("unary_counter", "11"), ("binary_nonmax", "#io"), ("first_last_match", "ab")]
+)
+def test_machine_file_reduces_like_its_corpus_name(tmp_path, capsys, name, x):
+    path = tmp_path / f"copy_of_{name}.json"
+    path.write_text((resources.files("gaplab") / "corpus" / f"{name}.json").read_text())
+    by_name = run_cli(capsys, "reduce", "--machine", name, "--input", x)
+    by_path = run_cli(capsys, "reduce", "--machine", str(path), "--input", x)
+    assert by_name[0] == 0
+    assert by_path == by_name
+
+
+def test_instance_machine_path_resolves_against_the_file_directory(
+    tmp_path, capsys, monkeypatch
+):
+    # Two configurations, start -> accept in one step: the augmented
+    # adjacency is [[0, 1], [1, 0]], symmetric with least eigenvalue -1.
+    machine = {
+        "name": "one_step", "states": ["s", "acc"], "start": "s", "accept": "acc",
+        "alphabet": ["0"], "blank": "0", "space": 1,
+        "transitions": [["s", "0", "acc", "0", "S"]],
+    }
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    (sub / "m.json").write_text(json.dumps(machine))
+    (sub / "inst.json").write_text(json.dumps({"kind": "rtm", "machine": "m.json", "input": ""}))
+    monkeypatch.chdir(tmp_path)
+    code, out = run_cli(capsys, "det", "--instance", "sub/inst.json")
+    assert code == 0 and json.loads(out)["det"] == -1
+    code, out = run_cli(capsys, "energy", "--instance", "sub/inst.json", "--bits", "20")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["eigensolver"] == pytest.approx(-1.0, abs=1e-12)
+    assert payload["abs_err"] <= 2.0**-20
 
 
 def test_energy_materializes_the_clock_hamiltonian_once(tmp_path, capsys, monkeypatch):

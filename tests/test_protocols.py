@@ -597,3 +597,6 @@ def test_binary_search_energy_rejects_excess_bits():
 def test_binary_search_energy_rejects_nonhermitian():
     with pytest.raises(ContractError):
         pr.binary_search_energy(np.array([[0.0, 1.0], [0.0, 0.0]]), 10)
+    # eigvalsh would read only the lower triangle, [[0, 1], [1, 0]], and report -1.
+    with pytest.raises(ContractError, match="not Hermitian"):
+        pr.ground_energy(np.array([[0.0, 0.0], [1.0, 0.0]]))

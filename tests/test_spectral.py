@@ -277,6 +277,16 @@ def test_min_eigenvalue_requires_symmetry():
         sp.min_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_min_eigenvalue_and_eigensystem_take_complex_hermitian_input():
+    h = np.array([[1, 1j], [-1j, 1]])  # eigenvalues 0 and 2
+    assert abs(sp.min_eigenvalue(h)) <= 1e-12
+    w, v = sp.eigensystem(h)
+    np.testing.assert_allclose(w, [0.0, 2.0], atol=1e-12)
+    np.testing.assert_allclose(h @ v, v * w, atol=1e-12)
+    with pytest.raises(ContractError, match="not Hermitian"):
+        sp.min_eigenvalue(np.array([[1, 1j], [1j, 1]]))  # symmetric, not Hermitian
+
+
 def test_min_eigenvalue_banded_matches_dense():
     for ell in (1, 2, 3, 10, 64):
         banded = sp.min_eigenvalue_banded(*sp.gram_bands("path", ell))
