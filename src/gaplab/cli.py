@@ -242,7 +242,9 @@ def _cmd_energy(args) -> tuple[dict, int]:
         dense = protocols.PreciseLHInstance.from_dict(data).materialize()
         truth = protocols.ground_energy(dense)
     else:  # read from the path, so a machine path resolves against the file's directory
-        dense = sparse_oracle.materialize(sparse_oracle.load_instance(args.instance))
+        # A machine reduction is read as its Gram, as `verify --instance` reads it.
+        matrix, _ = sparse_oracle.load_gapped_instance(args.instance)
+        dense = sparse_oracle.materialize(matrix)
         truth = spectral.min_eigenvalue(dense)
     estimate = protocols.binary_search_energy(dense, args.bits)
     payload = _with_seed(

@@ -10,9 +10,10 @@ The pipeline realized here, end to end at desk scale:
 * phase estimation on the product of the two canonical reflections
   amplifies an exponentially small promise gap; by Jordan's lemma each
   accept-operator eigenvector contributes a Fejer kernel at its walk
-  eigenphase, so the per-trial register masses are exact sums of
-  O(2^b) scalars with no register simulated, and the median test is
-  evaluated in closed form;
+  eigenphase, so each per-trial register mass is a Fejer arc sum, taken
+  from the terms near the kernel's poles plus an Euler-Maclaurin tail in
+  a cost independent of the register size, with no register simulated,
+  and the median test is evaluated in closed form;
 * a gapped-matrix instance (least eigenvalue 0 versus at least 2^-g)
   is decided by one-bit phase reading of the truncated-Taylor
   exponential, applied matrix-free to the bottom eigenvector from
@@ -33,7 +34,7 @@ phase gap) leaves room for this padding on both sides.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import acos, ceil, comb, cos, exp, floor, log2, pi, sin, sqrt
+from math import acos, ceil, comb, cos, exp, floor, log2, pi, sin, sqrt, tan
 
 import numpy as np
 
@@ -64,8 +65,18 @@ MAX_GAP_EXPONENT = 37  # derived in gapped_params
 CLOCK_GATE_CAP = 6
 CLOCK_QUBIT_CAP = 4
 ENERGY_BITS_CAP = 40
-ARC_BLOCK = 1 << 16  # register outcomes per vectorized kernel sum
-GRID_TOL = 1e-12  # slack of the folded-phase cuts
+GRID_SLACK = 4 * UNIT_ROUNDOFF  # relative slack of the register cuts
+ARC_WINDOW = 48  # kernel terms this close to a pole are summed one by one
+POINT_MASS_FRAC = 2.0**-30  # a Fejer kernel this close to the grid is a point mass
+# B_2p/(2p)! and Q_p with d^(2p-1)/dz^(2p-1) csc^2 z = -cot z Q_p(cot^2 z), for
+# p = 1..4: the derivatives P_k(cot z) of csc^2 follow P_0(u) = 1 + u^2 and
+# P_(k+1)(u) = -(1 + u^2) P_k'(u).
+_EULER_MACLAURIN = (
+    (1 / 12, (2, 2)),
+    (-1 / 720, (16, 40, 24)),
+    (1 / 30240, (272, 1232, 1680, 720)),
+    (-1 / 1209600, (7936, 56320, 129024, 120960, 40320)),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -316,44 +327,89 @@ class AmplificationOutcome:
     per_trial_no: float
 
 
-def _arc_masses(phi: float, widths: tuple[int, ...], register_bits: int) -> list[float]:
-    """Phase-estimation mass of the outcomes |j| <= w (mod N), for each width w.
+def _csc2_tail(a: float, b: float, c: float) -> float:
+    """Sum of csc^2(c y) over y = a, a + 1, ..., b by Euler-Maclaurin (a >= ARC_WINDOW - 1/2).
+
+    The antiderivative is -cot(c y)/c and the odd derivatives of csc^2
+    are polynomials in cot, so the sum is the integral, the mean of the
+    end terms and four Bernoulli corrections.  The remainder is at most
+    2 zeta(8)/(2 pi)^8 |d^7/dy^7 csc^2(c a)| ~ 3e-2/(c^2 a^9); scaled
+    into a register mass (by at most 1/N^2 = c^2/pi^2) that is below
+    3e-18 at a = 47.5.
+    """
+    ua, ub = 1.0 / tan(c * a), 1.0 / tan(c * b)
+    total = (ua - ub) / c + (2.0 + ua * ua + ub * ub) / 2
+    power = c
+    for weight, poly in _EULER_MACLAURIN:
+        qa = qb = 0.0
+        for coef in reversed(poly):
+            qa = qa * ua * ua + coef
+            qb = qb * ub * ub + coef
+        total += weight * power * (ua * qa - ub * qb)
+        power *= c * c
+    return total
+
+
+def _csc2_run(start: int, delta: float, count: int, n: int) -> float:
+    """Sum of csc^2(pi d/N) over distances d = start + i + delta from a pole, i < count.
+
+    Every distance lies in (0, N/2 + 1).  Those below ARC_WINDOW are
+    exact (start is an integer and delta = +-frac(N phi) an exact float)
+    and are summed term by term; the rest of the run goes to
+    ``_csc2_tail``.
+    """
+    c = pi / n
+    near = min(count, max(ARC_WINDOW - start, 0))
+    total = 0.0
+    if near:
+        d = np.arange(start, start + near) + delta
+        total = float(np.sum(np.sin(c * d) ** -2.0))
+    if near < count:
+        total += _csc2_tail(start + near + delta, start + count - 1 + delta, c)
+    return total
+
+
+def _arc_mass(phi: float, width: int, register_bits: int) -> float:
+    """Phase-estimation mass of the outcomes |j| <= width (mod N) at eigenphase phi.
 
     An eigenphase phi on a register of N = 2^b outcomes is read as j
     with probability F(phi - j/N), F(d) = sin^2(pi N d) / (N^2 sin^2(pi d)).
     The numerator equals sin^2(pi N phi) for every j, and N phi is exact
-    because N is a power of two; when it is an integer the kernel is a
-    point mass on that outcome.  Otherwise the denominators are summed
-    in blocks of ARC_BLOCK outcomes, pairing j with -j, so memory stays
-    fixed while the time grows as the arc.  ``widths`` must be
-    nondecreasing: each arc extends the sum of the one before.
+    because N is a power of two.  With N phi = peak + frac, the kernel is
+    a point mass on the peak outcome when frac = 0 and within
+    (pi frac)^2/3 of one otherwise; below POINT_MASS_FRAC it is taken as
+    one, an error under 3e-18, where the peak term csc^2(pi frac/N)
+    would otherwise leave the float range as frac -> 0.  Otherwise
+    outcome j = peak - m contributes csc^2(pi (m + frac)/N), a term of
+    period N in m with its poles at m = -frac (mod N).  Each m is
+    measured from its nearest pole, so the arc splits into at most four
+    runs of positive terms that move away from a pole, summed in O(1)
+    time whatever N is (``_csc2_run``).
     """
     n = 2**register_bits
     x = n * phi
     peak = round(x)
     frac = x - peak
-    if frac == 0.0:
-        offset = min(peak % n, -peak % n)
-        return [float(offset <= w) for w in widths]
-    scale = sin(pi * frac) ** 2 / n**2
-    masses: list[float] = []
-    total, done = 0.0, 0  # total: sum over |j| < done
-    for w in widths:
-        if 2 * w + 1 >= n:  # the arc covers the whole register
-            masses.append(1.0)
-            continue
-        for lo in range(done, w + 1, ARC_BLOCK):
-            j = np.arange(lo, min(lo + ARC_BLOCK, w + 1))
-            terms = np.zeros(len(j))
-            for t in (x - j, x + j):
-                t -= n * np.round(t / n)  # exact; keeps sin's argument in [-pi/2, pi/2]
-                terms += np.sin(t * (pi / n)) ** -2.0
-            if lo == 0:
-                terms[0] /= 2  # j = 0 is one outcome
-            total += float(terms.sum())
-        done = max(done, w + 1)
-        masses.append(scale * total)
-    return masses
+    if abs(frac) < POINT_MASS_FRAC:
+        return float(min(peak % n, -peak % n) <= width)
+    if 2 * width + 1 >= n:  # the arc covers the whole register
+        return 1.0
+    half = n // 2
+    lo, hi = peak - width, peak + width
+    # Offsets r = m - kN from pole k at or above `above` lie at distance
+    # r + frac, the ones below it at -r - frac; both are positive.
+    above = 0 if frac > 0 else 1
+    total = 0.0
+    for k in range((lo + half) // n, (hi + half) // n + 1):
+        r_lo = max(lo, k * n - half) - k * n
+        r_hi = min(hi, k * n + half - 1) - k * n
+        if r_hi >= above:
+            first = max(r_lo, above)
+            total += _csc2_run(first, frac, r_hi - first + 1, n)
+        if r_lo < above:
+            last = min(r_hi, above - 1)
+            total += _csc2_run(-last, -frac, last - r_lo + 1, n)
+    return sin(pi * frac) ** 2 / n**2 * total
 
 
 def _walk_phases(verifier: Verifier) -> tuple[np.ndarray, np.ndarray]:
@@ -383,14 +439,22 @@ def _register_masses(phi: float, params: AmplificationParams) -> tuple[float, fl
     one arc.
     """
     n = 2**params.register_bits
-    # Folded phase min(j, N-j)/N at or below yes_cut, and below no_cut; j/N
-    # is exact, so these integer widths reproduce the float comparisons.
-    # The quarter-gap rule puts no_cut more than 8/N above yes_cut, so the
-    # widths are in the increasing order _arc_masses needs.
-    yes_width = floor((params.yes_cut + GRID_TOL) * n)
-    below_no_width = ceil((params.no_cut - GRID_TOL) * n) - 1
-    yes, below_no = _arc_masses(phi, (yes_width, below_no_width), params.register_bits)
-    return yes, below_no
+    # Folded phase min(j, N-j)/N at or below yes_cut, and below no_cut.  j/N
+    # and cut*N are exact, so integer widths reproduce the float comparisons;
+    # a cut within a relative GRID_SLACK of an outcome counts as on it.  With
+    # cut*N <= N/2 that slack stays below one outcome for b < 52, whereas a
+    # fixed phase slack such as 1e-12 spans more outcomes than separate the
+    # cuts from c - s = 2^-38 on.
+    yes_width = floor(params.yes_cut * n * (1 + GRID_SLACK))
+    below_no_width = ceil(params.no_cut * n * (1 - GRID_SLACK)) - 1
+    if yes_width > below_no_width:
+        raise ContractError(
+            f"YES arc (width {yes_width}) passes the NO cut (width {below_no_width})"
+        )
+    return (
+        _arc_mass(phi, yes_width, params.register_bits),
+        _arc_mass(phi, below_no_width, params.register_bits),
+    )
 
 
 def nwz_amplify(
@@ -402,10 +466,11 @@ def nwz_amplify(
     operator Q: with eigenvalues p_i and witness weights w_i = |<v_i|witness>|^2,
     the register distribution is sum_i w_i (F(phi_i - j/N) + F(-phi_i - j/N))/2
     with phi_i = acos(sqrt p_i)/pi (``_register_masses``).  No register is
-    simulated; the cost is O(2^b) scalar kernel terms per eigenvalue and
-    fixed memory.  Trials are independent and identically distributed,
-    so the median statistics follow in closed form, and the returned
-    decision is the most probable outcome of the procedure.  A dominant
+    simulated; each eigenvalue costs a fixed number of scalar kernel
+    terms (``_arc_mass``), whatever the register size b.  Trials are
+    independent and identically distributed, so the median statistics
+    follow in closed form, and the returned decision is the most
+    probable outcome of the procedure.  A dominant
     strictly-between median is reported as a promise violation rather
     than forced into YES or NO.
     """
@@ -444,7 +509,8 @@ def amplified_accept_operator(
     YES probabilities captures the protocol exactly on that strategy
     space (and in particular its extreme eigenvalues and trace).  Each
     probability is the median test on the Jordan-lemma mass of its
-    eigenvalue (``_register_masses``), O(2^b) scalar terms apiece.
+    eigenvalue (``_register_masses``), a fixed number of scalar terms
+    apiece whatever the register size.
     """
     phases, vecs = _walk_phases(verifier)
     p_yes = [median_exceeds(_register_masses(phi, params)[0], params.trials_r) for phi in phases]

@@ -193,7 +193,8 @@ def test_instance_machine_path_resolves_against_the_file_directory(
     tmp_path, capsys, monkeypatch
 ):
     # Two configurations, start -> accept in one step: the augmented
-    # adjacency is [[0, 1], [1, 0]], symmetric with least eigenvalue -1.
+    # adjacency is [[0, 1], [1, 0]] (det -1), and its Gram, which `energy`
+    # reads, is the identity.
     machine = {
         "name": "one_step", "states": ["s", "acc"], "start": "s", "accept": "acc",
         "alphabet": ["0"], "blank": "0", "space": 1,
@@ -209,7 +210,7 @@ def test_instance_machine_path_resolves_against_the_file_directory(
     code, out = run_cli(capsys, "energy", "--instance", "sub/inst.json", "--bits", "20")
     assert code == 0
     payload = json.loads(out)
-    assert payload["eigensolver"] == pytest.approx(-1.0, abs=1e-12)
+    assert payload["eigensolver"] == pytest.approx(1.0, abs=1e-12)
     assert payload["abs_err"] <= 2.0**-20
 
 
@@ -352,7 +353,8 @@ def test_amplify_promise_violation_exit_code(capsys):
 
 def test_amplify_memory_does_not_grow_with_the_register(capsys):
     # c - s = 2^-20 takes a 26-bit register; simulating it would hold 2^26
-    # branches of four amplitudes (4 GB).  The kernel sums run in blocks.
+    # branches of four amplitudes (4 GB).  Each kernel arc sum is a fixed
+    # number of scalar terms, whatever the register size.
     c, s = 0.5 + 2.0**-21, 0.5 - 2.0**-21
     for p, want in ((c, "YES"), (s, "NO")):
         tracemalloc.start()
@@ -370,6 +372,19 @@ def test_amplify_memory_does_not_grow_with_the_register(capsys):
         assert peak < 32e6
 
 
+def test_amplify_decides_a_gap_of_2_to_the_minus_40(capsys):
+    # A 46-bit register: a kernel summing its 2^46 outcomes would not finish.
+    c, s = 0.5 + 2.0**-41, 0.5 - 2.0**-41
+    for p, want in ((c, "YES"), (s, "NO")):
+        code, out = run_cli(capsys, "amplify", "--p", repr(p),
+                            "--completeness", repr(c), "--soundness", repr(s))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["register_bits"] == 46
+        assert payload["decision"] == want
+        assert payload["probability"] > 0.999
+
+
 def test_kitaev_energy_round_trip(tmp_path, capsys):
     instance_path = tmp_path / "instance.json"
     code = cli.main(["kitaev", "--verifier", "rotation", "--p", "0.9",
@@ -384,6 +399,21 @@ def test_kitaev_energy_round_trip(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["abs_err"] <= 2.0 ** -30
     assert payload["estimate"] == pytest.approx(0.012912542362503346, abs=2.0 ** -29)
+
+
+def test_energy_instance_reads_the_gram_of_a_machine_reduction(tmp_path, capsys):
+    machine_path = resources.files("gaplab") / "corpus" / "unary_counter.json"
+    (tmp_path / "m.json").write_text(machine_path.read_text())
+    path = tmp_path / "rtm.json"
+    path.write_text(json.dumps({"kind": "rtm", "machine": "m.json", "input": "11", "space": 3}))
+    code, out = run_cli(capsys, "energy", "--instance", str(path), "--bits", "30")
+    assert code == 0
+    payload = json.loads(out)
+    machine = rtm.with_space(rtm.corpus_machine("unary_counter"), 3)
+    gram = rtm.reduce_to_gapped(machine, "11").gram
+    want = spectral.min_eigenvalue(gram.csr.toarray().astype(float))
+    assert payload["eigensolver"] == pytest.approx(want, abs=1e-12)
+    assert payload["abs_err"] <= 2.0 ** -30
 
 
 def test_config_file_supplies_defaults(tmp_path, capsys):

@@ -1,7 +1,7 @@
 """Accept operators, phase-gap amplification, and the precise reductions."""
 
 import json
-from math import acos, pi, sqrt
+from math import acos, floor, pi, sqrt
 
 import numpy as np
 import pytest
@@ -287,6 +287,141 @@ def test_nwz_amplify_matches_fejer_sum_in_60_digits():
         assert abs(mpmath.fsum(dist) - 1) < mpmath.mpf(10) ** -50
         assert abs(got.per_trial_yes - yes) <= 1e-15
         assert abs(got.per_trial_no - (1 - below_no)) <= 1e-15
+
+
+def block_arc_masses(phi, widths, register_bits, block=1 << 16):
+    """The O(N) term-by-term Fejer arc sum: the test oracle of ``_arc_mass``.
+
+    Sums F over |j| <= w in blocks of outcomes, pairing j with -j and
+    reducing every offset t = N phi -+ j exactly into [-N/2, N/2]; ``widths``
+    must be nondecreasing, each arc extending the sum of the one before.
+    Each term sin^2(pi frac)/(N^2 sin^2(pi t/N)) is evaluated as
+    (sinc(frac)/sinc(t/N))^2 (frac/t)^2, which cannot overflow however
+    small frac is.
+    """
+    n = 2**register_bits
+    x = n * phi
+    peak = round(x)
+    frac = x - peak
+    if frac == 0.0:
+        offset = min(peak % n, -peak % n)
+        return [float(offset <= w) for w in widths]
+    masses = []
+    total, done = 0.0, 0  # total: sum over |j| < done
+    for w in widths:
+        if 2 * w + 1 >= n:
+            masses.append(1.0)
+            continue
+        for lo in range(done, w + 1, block):
+            j = np.arange(lo, min(lo + block, w + 1))
+            terms = np.zeros(len(j))
+            for t in (x - j, x + j):
+                t -= n * np.round(t / n)
+                terms += (np.sinc(frac) / np.sinc(t / n)) ** 2 * (frac / t) ** 2
+            if lo == 0:
+                terms[0] /= 2
+            total += float(terms.sum())
+        done = max(done, w + 1)
+        masses.append(total)
+    return masses
+
+
+@st.composite
+def arc_cases(draw, min_bits, max_bits):
+    """(phi, register_bits): phi in [0, 1/2], often within a hair of the grid j/N."""
+    bits = draw(st.integers(min_bits, max_bits))
+    n = 2**bits
+    if draw(st.booleans()):
+        phi = draw(st.floats(0.0, 0.5))
+    else:
+        j = draw(st.integers(0, n // 2))
+        hair = draw(st.sampled_from([0.0, 1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.5]))
+        phi = min(max((j + draw(st.sampled_from([-1, 1])) * hair) / n, 0.0), 0.5)
+    return phi, bits
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=arc_cases(6, 18), lo=st.floats(0.0, 1.0), hi=st.floats(0.0, 1.0))
+# A subnormal phase: scale * csc^2 of the peak term overflowed to inf * 0.
+@example(case=(2.225073858507e-311, 6), lo=0.0, hi=0.0)
+def test_arc_mass_matches_block_sum(case, lo, hi):
+    phi, bits = case
+    half = 2 ** (bits - 1)
+    widths = sorted((round(lo * half), round(hi * half)))
+    want = block_arc_masses(phi, widths, bits)
+    got = [pr._arc_mass(phi, w, bits) for w in widths]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+def inverse_square_run(y, length):
+    """sum_{i < length} (y + i)^-2 for non-integer y, from trigamma at positive
+    arguments only (mpmath shifts a negative one up term by term)."""
+    import mpmath
+
+    if y > 0:
+        return mpmath.psi(1, y) - mpmath.psi(1, y + length)
+    below = int(mpmath.ceil(-y))  # terms with y + i < 0
+    if below >= length:
+        return mpmath.psi(1, -(y + length - 1)) - mpmath.psi(1, 1 - y)
+    return inverse_square_run(y, below) + inverse_square_run(y + below, length - below)
+
+
+def trigamma_arc_mass(phi, width, register_bits):
+    """The arc mass through csc^2 z = sum_k (z - k pi)^-2: each image's run of
+    inverse squares is a trigamma difference, and nsum adds the images."""
+    import mpmath
+
+    n = 2**register_bits
+    x = mpmath.mpf(n) * mpmath.mpf(phi)  # exact, as in the float kernel
+    images = mpmath.nsum(
+        lambda k: inverse_square_run(x - width - k * n, 2 * width + 1), [-mpmath.inf, mpmath.inf]
+    )
+    return mpmath.sin(mpmath.pi * x) ** 2 / mpmath.pi**2 * images
+
+
+def test_arc_mass_matches_trigamma_route_at_46_bits():
+    import mpmath
+
+    bits = 46
+    n = 2**bits
+    params = pr.AmplificationParams.from_promise(0.5 + 2.0**-41, 0.5 - 2.0**-41, 3)
+    assert params.register_bits == bits
+    cases = [
+        (params.threshold_phi_c, floor(params.yes_cut * n)),  # the 2^-40 YES arc at c
+        ((2**20 + 1e-6) / n, 2**20 - 1),  # a hair off the grid; the arc stops short of the peak
+        ((1000 + 0.3) / n, 1000),  # the arc ends between the peak's two nearest outcomes
+        (0.3217, 2**44),  # the arc holds only the far tail, on both sides of N/2
+    ]
+    with mpmath.workdps(60):
+        for phi, width in cases:
+            want = trigamma_arc_mass(phi, width, bits)
+            # Relative: the tail-only arcs weigh 1e-12 and 2e-14.
+            assert abs(pr._arc_mass(phi, width, bits) - want) <= 1e-13 * want, (phi, width)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bits=st.integers(6, 46), m=st.integers(0, 2**53), near=st.booleans(),
+       hair=st.integers(-1000, 1000), w=st.floats(0.0, 1.0))
+def test_complementary_arcs_cover_the_register(bits, m, near, hair, w):
+    # The kernel at 1/2 - phi on the arc |j| <= N/2 - w - 1 is the kernel at
+    # phi on the outcomes the arc |j| <= w leaves out.  phi = m 2^-54 keeps
+    # 1/2 - phi exact.
+    n = 2**bits
+    if near:  # phi within 1000 * 2^-54 of a grid point j/N
+        m = min(max((m >> (54 - bits) << (54 - bits)) + hair, 0), 2**53)
+    phi = m * 2.0**-54
+    width = round(w * (n // 2 - 1))
+    total = pr._arc_mass(phi, width, bits) + pr._arc_mass(0.5 - phi, n // 2 - width - 1, bits)
+    assert total == pytest.approx(1.0, abs=1e-13)
+
+
+def test_crossing_register_cuts_are_refused():
+    # At b = 62 a one-ulp phase gap is 256 outcomes and the cuts' roundoff
+    # slack 512: the YES arc would pass the NO cut.
+    params = pr.AmplificationParams(trials_r=3, precision_bits=60,
+                                    threshold_phi_c=0.25, threshold_phi_s=0.25 + 2.0**-54)
+    with pytest.raises(ContractError, match="passes the NO cut"):
+        pr.nwz_amplify(pr.rotation_verifier(0.5, 0.6, 0.4), params, np.array([0.0, 1.0]))
 
 
 def test_amplified_operator_dichotomy():
