@@ -43,12 +43,16 @@ import os
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from math import ceil, log2
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ContractError
 from .sparse_oracle import RowOracleMatrix, _field, ata_oracle
 from .spectral import min_eigenvalue_bound
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 MOVES = {"L": -1, "S": 0, "R": 1}
 MOVE_NAMES = {v: k for k, v in MOVES.items()}
@@ -307,13 +311,14 @@ def _audit(machine: ReversibleTM, succ: np.ndarray) -> ValidationReport:
         if q2 == machine.start:
             issues.append(f"transition ({q}, {a}) re-enters the start state")
 
-    # Injectivity: sort moving configurations by target; the stable sort
-    # keeps each target's preimages in ascending order.
-    moving = np.flatnonzero(succ >= 0)
-    order = np.argsort(succ[moving], kind="stable")
-    source, target = moving[order], succ[moving][order]
-    shared = np.flatnonzero(target[1:] == target[:-1])
-    if shared.size:
+    # Injectivity: no target is hit twice.  Only a failure sorts the moving
+    # configurations by target, to name its witness; the stable sort keeps
+    # each target's preimages in ascending order.
+    if np.bincount(succ[succ >= 0], minlength=1).max() > 1:
+        moving = np.flatnonzero(succ >= 0)
+        order = np.argsort(succ[moving], kind="stable")
+        source, target = moving[order], succ[moving][order]
+        shared = np.flatnonzero(target[1:] == target[:-1])
         k = shared[np.argmin(source[shared + 1])]
         collision = (config(source[k]), config(source[k + 1]))
         issues.append(
@@ -364,8 +369,6 @@ def augmented_adjacency(machine: ReversibleTM, input_str: str) -> RowOracleMatri
     most two ones, so the Gram construction applies downstream.  A
     machine that fails ``validate`` is refused with ContractError.
     """
-    from scipy.sparse import csr_matrix
-
     succ = successors(machine)
     report = _audit(machine, succ)
     if not report.ok:
@@ -374,19 +377,36 @@ def augmented_adjacency(machine: ReversibleTM, input_str: str) -> RowOracleMatri
         )
     s_idx = encode_configuration(machine, start_configuration(machine, input_str))
     t_idx = encode_configuration(machine, accept_configuration(machine, input_str))
+    csr = _adjacency_csr(succ, s_idx, t_idx)
+    return RowOracleMatrix(csr, sparsity_d=2, entry_bound_k=1, column_ones_bound=2)
 
-    # Two candidate columns per row, -1 for none: the successor edge (merged
-    # into the self-loop if a configuration steps to itself) and the self-loop.
-    loop = np.arange(machine.dim, dtype=np.int64)
+
+def _adjacency_csr(succ: np.ndarray, s_idx: int, t_idx: int) -> csr_matrix:
+    """The CSR matrix of ``augmented_adjacency``, written row slot by row slot.
+
+    Each row has two candidate columns, -1 for none: the successor edge
+    (merged into the self-loop if a configuration steps to itself) and
+    the self-loop.  A row's last slot takes the larger, and a row with
+    both takes the smaller in its first slot, so the columns come out
+    sorted with no sort.  The dim-long temporaries die on return, before
+    the caller checks the row contract.
+    """
+    from scipy.sparse import csr_matrix
+
+    dim = len(succ)
+    loop = np.arange(dim, dtype=np.int64)
     loop[s_idx] = -1
     edge = np.where(succ == loop, -1, succ)
     edge[t_idx], loop[t_idx] = s_idx, -1
-    pair = np.sort(np.stack([edge, loop], axis=1), axis=1)
-    present = pair >= 0
-    indptr = np.concatenate([[0], np.cumsum(present.sum(axis=1))])
-    data = np.ones(int(present.sum()), dtype=np.int64)
-    csr = csr_matrix((data, pair[present], indptr), shape=(machine.dim, machine.dim))
-    return RowOracleMatrix(csr, sparsity_d=2, entry_bound_k=1, column_ones_bound=2)
+    high, low = np.maximum(edge, loop), np.minimum(edge, loop)
+    indptr = np.zeros(dim + 1, dtype=np.int64)
+    np.cumsum((high >= 0).astype(np.int64) + (low >= 0), out=indptr[1:])
+    indices = np.empty(int(indptr[-1]), dtype=np.int64)
+    filled = high >= 0
+    indices[indptr[1:][filled] - 1] = high[filled]
+    both = low >= 0
+    indices[indptr[:-1][both]] = low[both]
+    return csr_matrix((np.ones(len(indices), dtype=np.int64), indices, indptr), shape=(dim, dim))
 
 
 @dataclass(frozen=True)

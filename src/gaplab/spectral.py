@@ -15,11 +15,13 @@ Two independent concerns live here:
 * eigenvalue machinery for the symmetric Gram matrices the reductions
   produce, including the closed-form spectrum of the path block and the
   tridiagonal fast path.  At large sizes the bottom eigenpair comes
-  from the same reverse Cuthill-McKee order, as a lower band: a banded
-  eigenvalue solve, one banded Cholesky factorization whose existence
-  certifies the matrix positive semidefinite up to a margin at the
-  scale of rounding in ||A||, and a few steps of inverse iteration on
-  that factor.
+  from the same reverse Cuthill-McKee order, as a lower band written
+  straight from the CSR arrays: a banded eigenvalue solve, one banded
+  Cholesky factorization whose existence certifies the matrix positive
+  semidefinite up to a margin at the scale of rounding in ||A||, and a
+  few steps of inverse iteration on that factor.  When only lambda_min
+  is asked for, the certification still runs and the inverse iteration
+  does not.
 
 The reference determinants deliberately overlap: the cycle-cover sum and
 the permutation expansion compute the same quantity through different
@@ -208,22 +210,32 @@ def _rcm_band(a: csr_matrix, capped: bool = True) -> tuple[np.ndarray, np.ndarra
     """LAPACK lower band storage of the RCM-ordered symmetric or Hermitian A, and the order.
 
     band[i - j, j] = (P A P^T)[i, j] for 0 <= i - j <= lo, the form
-    ``eig_banded`` and ``cholesky_banded`` read with ``lower=True``.
-    The (lo + 1) x dim band is refused above BAND_CAP entries before it
-    is allocated, unless ``capped`` is False: a caller that already
-    holds A densely holds more than its band.
+    ``eig_banded`` and ``cholesky_banded`` read with ``lower=True``, in
+    float64 (complex128 for complex A).  A must be a canonical CSR
+    matrix with a symmetric pattern: the order is reverse Cuthill-McKee
+    on that pattern as it stands, and each stored entry goes straight
+    to its band slot through the inverse permutation, so no permuted
+    copy of A is built.  The (lo + 1) x dim band is refused above
+    BAND_CAP entries before it is allocated, unless ``capped`` is
+    False: a caller that already holds A densely holds more than its
+    band.
     """
-    from scipy.sparse import tril
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-    ordered, perm, lo = _rcm_ordered(a)
-    n = ordered.shape[0]
+    n = a.shape[0]
+    perm = reverse_cuthill_mckee(a, symmetric_mode=True)
+    position = np.empty_like(perm)
+    position[perm] = np.arange(n, dtype=perm.dtype)
+    col = position[a.indices]
+    offset = np.repeat(position, np.diff(a.indptr)) - col
+    lo = int(np.max(offset, initial=0))
     if capped and n * (lo + 1) > BAND_CAP:
         raise ResourceLimitError(
             f"band of {lo + 1} x {n} = {n * (lo + 1)} entries exceeds the cap of {BAND_CAP}"
         )
-    lower = tril(ordered, format="coo")
-    band = np.zeros((lo + 1, n), dtype=ordered.dtype)
-    band[lower.row - lower.col, lower.col] = lower.data
+    lower = np.flatnonzero(offset >= 0)
+    band = np.zeros((lo + 1, n), dtype=np.result_type(a.dtype, np.float64))
+    band[offset[lower], col[lower]] = a.data[lower]
     return band, perm
 
 
@@ -548,37 +560,23 @@ def spectrum_report(kind: str, ell: int, index_form: str = "odd") -> SpectrumRep
     return SpectrumReport(kind=kind, ell=ell, eigenvalues=numeric, closed_form=closed)
 
 
-def bottom_eigenpair(matrix: RowOracleMatrix) -> tuple[float, np.ndarray, float]:
-    """(lambda_min, unit eigenvector, ||A psi - lambda psi||) of a sparse PSD matrix.
+def _equals_transpose(a: csr_matrix) -> bool:
+    """Whether the canonical CSR matrix A stores the same arrays as A^T (also canonical)."""
+    t = a.T.tocsr()
+    return all(np.array_equal(getattr(a, part), getattr(t, part))
+               for part in ("indptr", "indices", "data"))
 
-    The matrix is taken once into its reverse Cuthill-McKee lower band
-    (bandwidth 1 on the reductions' Grams), a permutation similarity
-    that leaves the spectrum alone.  ``eig_banded`` selects the least
-    eigenvalue lam of the band, without eigenvectors; that is the
-    lambda_min returned, accurate to rounding in ||A||.  The band of
-    A - sigma I, sigma = max(lam, 0) - tau, is Cholesky-factored once.
-    The factor exists exactly when A - sigma I is positive definite
-    (Sylvester's law of inertia), so success certifies A > sigma >= -tau
-    and failure raises ContractError.  The margin tau is CHOLESKY_MARGIN
-    eps times a bound on ||A||: it covers the rounding in lam and in the
-    factorization, which scales with ||A||, so a PSD matrix, singular or
-    not, is accepted at any norm.
 
-    Inverse iteration on that factor, from a seeded start so that the
-    result does not depend on earlier calls, then gives the
-    eigenvector; it stops when the residual on the unpermuted A stops
-    falling, or after INVERSE_ITERATIONS solves, and keeps the step with
-    the least residual.  Each solve shrinks a component at eigenvalue
-    lambda_min + gap, relative to the bottom one, by tau / (gap + tau),
-    so a component weighs at most about tau / (e k) in the residual
-    after k solves, whatever its gap.  On the reductions' Grams tau is
-    8.5e-14, and the residual falls to rounding in 3-5 solves.
+def _certified_bottom(a: csr_matrix) -> tuple[float, np.ndarray, np.ndarray]:
+    """(lambda_min, Cholesky factor of the band of A - sigma I, RCM order) of an int64 CSR A.
+
+    The symmetry check is exact: A equals its transpose entry for entry.
+    For integer entries that is the same test as a float tolerance below
+    one.  The certification is the one ``bottom_eigenpair`` describes.
     """
-    from scipy.linalg import cho_solve_banded, cholesky_banded, eig_banded
+    from scipy.linalg import cholesky_banded, eig_banded
 
-    a = to_csr(matrix).astype(np.float64)
-    dev = abs(a - a.T)
-    if dev.nnz and dev.max() > SYMMETRY_TOL:
+    if not _equals_transpose(a):
         raise ContractError("matrix is not symmetric")
     band, perm = _rcm_band(a)
     # Every row of |A| sums to at most (2 lo + 1) max |a_ij|, which bounds ||A||;
@@ -600,6 +598,41 @@ def bottom_eigenpair(matrix: RowOracleMatrix) -> tuple[float, np.ndarray, float]
             f"A - sigma I is not positive definite at sigma = {sigma:.6g}"
             f" (least eigenvalue about {lam:.3e})"
         ) from None
+    return lam, factor, perm
+
+
+def bottom_eigenpair(matrix: RowOracleMatrix) -> tuple[float, np.ndarray, float]:
+    """(lambda_min, unit eigenvector, ||A psi - lambda psi||) of a sparse PSD matrix.
+
+    The matrix is taken once into its reverse Cuthill-McKee lower band
+    (bandwidth 1 on the reductions' Grams), a permutation similarity
+    that leaves the spectrum alone; the band is written straight from
+    the CSR arrays.  ``eig_banded`` selects the least eigenvalue lam of
+    the band, without eigenvectors; that is the lambda_min returned,
+    accurate to rounding in ||A||.  The band of A - sigma I,
+    sigma = max(lam, 0) - tau, is Cholesky-factored once.  The factor
+    exists exactly when A - sigma I is positive definite (Sylvester's
+    law of inertia), so success certifies A > sigma >= -tau and failure
+    raises ContractError.  The margin tau is CHOLESKY_MARGIN eps times a
+    bound on ||A||: it covers the rounding in lam and in the
+    factorization, which scales with ||A||, so a PSD matrix, singular or
+    not, is accepted at any norm.  ``min_eigenvalue_sparse`` stops here.
+
+    Inverse iteration on that factor, from a seeded start so that the
+    result does not depend on earlier calls, then gives the
+    eigenvector; it stops when the residual on the unpermuted A stops
+    falling, or after INVERSE_ITERATIONS solves, and keeps the step with
+    the least residual.  Each solve shrinks a component at eigenvalue
+    lambda_min + gap, relative to the bottom one, by tau / (gap + tau),
+    so a component weighs at most about tau / (e k) in the residual
+    after k solves, whatever its gap.  On the reductions' Grams tau is
+    8.5e-14, and the residual falls to rounding in 3-5 solves.
+    """
+    from scipy.linalg import cho_solve_banded
+
+    a = to_csr(matrix)
+    lam, factor, perm = _certified_bottom(a)
+    a = a.astype(np.float64)
     x = np.random.default_rng(0).standard_normal(len(perm))[perm]
     residual = np.inf
     for _ in range(INVERSE_ITERATIONS):
@@ -615,10 +648,14 @@ def bottom_eigenpair(matrix: RowOracleMatrix) -> tuple[float, np.ndarray, float]
 
 
 def min_eigenvalue_sparse(matrix: RowOracleMatrix) -> float:
-    """Least eigenvalue of a large symmetric PSD oracle matrix (``bottom_eigenpair``).
+    """Least eigenvalue of a large symmetric PSD oracle matrix, certified as ``bottom_eigenpair`` does.
 
-    Runs on the matrix's reverse Cuthill-McKee band, so the cost is
+    The same reverse Cuthill-McKee band, ``eig_banded`` value and
+    Cholesky factorization of A - sigma I, so the value equals
+    ``bottom_eigenpair(matrix)[0]`` bit for bit and an indefinite or
+    non-symmetric matrix is refused alike; the inverse iteration that
+    would give the eigenvector is not run.  The cost is
     O(dim * band^2) and no dense matrix is built; the dense path
     remains the ground truth at small sizes.
     """
-    return bottom_eigenpair(matrix)[0]
+    return _certified_bottom(to_csr(matrix))[0]

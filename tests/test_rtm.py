@@ -171,6 +171,41 @@ def test_augmented_adjacency_row_structure():
             break
     else:
         pytest.fail("no halting configuration found")
+    # Every row, on every corpus machine, against the definition.
+    for name in rtm.corpus_names():
+        kinds = set()
+        for space in (2, 3, 4):
+            machine = rtm.with_space(rtm.corpus_machine(name), space)
+            alphabet = [a for a in machine.alphabet if a != machine.blank]
+            by_outcome = {}
+            for length in range(space):
+                for word in itertools.product(alphabet, repeat=length):
+                    x = "".join(word)
+                    by_outcome.setdefault(rtm.simulate(machine, x).accepted, x)
+            for accepted, x in by_outcome.items():
+                kinds.add(accepted)
+                got = so.to_csr(rtm.augmented_adjacency(machine, x))
+                want = so.to_csr(_reference_adjacency(machine, x))
+                for part in ("indptr", "indices", "data"):
+                    assert np.array_equal(getattr(got, part), getattr(want, part)), (
+                        name, space, x, part)
+        assert kinds == {True, False}, name  # an accepting and a rejecting input
+
+
+def _reference_adjacency(machine: rtm.ReversibleTM, input_str: str) -> so.RowOracleMatrix:
+    """augmented_adjacency by its definition: self-loops plus successor edges from ``step``."""
+    s_idx = rtm.encode_configuration(machine, rtm.start_configuration(machine, input_str))
+    t_idx = rtm.encode_configuration(machine, rtm.accept_configuration(machine, input_str))
+    entries = {(t_idx, s_idx)}
+    for i in range(machine.dim):
+        if i == t_idx:
+            continue
+        if i != s_idx:
+            entries.add((i, i))
+        nxt = rtm.step(machine, rtm.decode_configuration(machine, i))
+        if nxt is not None:
+            entries.add((i, rtm.encode_configuration(machine, nxt)))
+    return so.from_entries(machine.dim, [(i, j, 1) for i, j in entries])
 
 
 def test_reduction_determinant_tracks_acceptance():

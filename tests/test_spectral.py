@@ -311,11 +311,16 @@ def test_bottom_eigenpair_matches_dense_and_certifies_psd():
         assert residual < 1e-12
     lam, psi, residual = sp.bottom_eigenpair(so.from_dense(np.array([[3]])))
     assert (lam, psi.tolist(), residual) == (3.0, [1.0], 0.0)
-    # Eigenvalues -1 and 1: A + shift I has no Cholesky factor.
-    with pytest.raises(ContractError, match="not positive definite"):
-        sp.bottom_eigenpair(so.from_dense(np.array([[0, 1], [1, 0]])))
-    with pytest.raises(ContractError, match="not symmetric"):
-        sp.bottom_eigenpair(so.path_adjacency(8))
+    # The lambda-only call keeps the certification.
+    for solve in (sp.bottom_eigenpair, sp.min_eigenvalue_sparse):
+        # Eigenvalues -1 and 1: A - sigma I has no Cholesky factor.
+        with pytest.raises(ContractError, match="not positive definite"):
+            solve(so.from_dense(np.array([[0, 1], [1, 0]])))
+        with pytest.raises(ContractError, match="not symmetric"):
+            solve(so.path_adjacency(8))
+        # Off by one in a single entry: the exact check sees it.
+        with pytest.raises(ContractError, match="not symmetric"):
+            solve(so.from_dense(np.array([[2, 1], [2, 2]])))
 
 
 def _check_bottom_eigenpair(dense: np.ndarray) -> None:
@@ -404,34 +409,103 @@ def _path_laplacian(k: int) -> np.ndarray:
 
 
 def test_bottom_eigenpair_beyond_bandwidth_one():
-    m = np.random.default_rng(5).integers(-2, 3, size=(9, 7))
-    eye = lambda k: np.eye(k, dtype=np.int64)
-    # The 6 x 5 grid graph: singular and PSD, RCM bandwidth 5.
-    laplacian = np.kron(eye(6), _path_laplacian(5)) + np.kron(_path_laplacian(6), eye(5))
-    for dense in (m.T @ m, laplacian, laplacian + eye(30)):
+    for dense in _beyond_bandwidth_one():
         _, _, lo = sp._rcm_ordered(so.to_csr(so.from_dense(dense)))
         assert lo > 1
         _check_bottom_eigenpair(_shuffled(dense, 3))
-    with pytest.raises(ContractError, match="not positive definite"):
-        sp.bottom_eigenpair(so.from_dense(laplacian - eye(30)))
-    with pytest.raises(ContractError, match="not symmetric"):
-        sp.bottom_eigenpair(so.from_dense(np.triu(laplacian)))
+    laplacian = _beyond_bandwidth_one()[1]
+    for solve in (sp.bottom_eigenpair, sp.min_eigenvalue_sparse):
+        with pytest.raises(ContractError, match="not positive definite"):
+            solve(so.from_dense(laplacian - np.eye(30, dtype=np.int64)))
+        with pytest.raises(ContractError, match="not symmetric"):
+            solve(so.from_dense(np.triu(laplacian)))
+
+
+def _beyond_bandwidth_one() -> list[np.ndarray]:
+    """A random Gram, the 6 x 5 grid Laplacian (singular, PSD) and its shift by I: RCM bandwidth 5."""
+    m = np.random.default_rng(5).integers(-2, 3, size=(9, 7))
+    eye = lambda k: np.eye(k, dtype=np.int64)
+    laplacian = np.kron(eye(6), _path_laplacian(5)) + np.kron(_path_laplacian(6), eye(5))
+    return [m.T @ m, laplacian, laplacian + eye(30)]
+
+
+def _band_by_permuting(a):
+    """The band as first built: RCM of |A| + |A^T|, A[perm][:, perm], then its lower triangle."""
+    from scipy.sparse import tril
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    perm = reverse_cuthill_mckee((abs(a) + abs(a.T)).tocsr(), symmetric_mode=True)
+    lower = tril(a[perm][:, perm], format="coo")
+    band = np.zeros((int(np.max(lower.row - lower.col, initial=0)) + 1, a.shape[0]), a.dtype)
+    band[lower.row - lower.col, lower.col] = lower.data
+    return band, perm
+
+
+def test_rcm_band_is_the_permuted_lower_triangle_bit_for_bit():
+    from scipy.sparse import csr_matrix
+
+    grams = [
+        rtm.reduce_to_gapped(rtm.with_space(rtm.corpus_machine("unary_counter"), space), x).gram
+        for space in (3, 4, 5, 6)
+        for x in ("11", "1")
+    ]
+    grams += [so.from_dense(_shuffled(dense, seed)) for dense in _beyond_bandwidth_one()
+              for seed in (0, 3)]
+    for gram in grams:
+        a = so.to_csr(gram)
+        band, perm = sp._rcm_band(a)
+        reference, reference_perm = _band_by_permuting(a.astype(np.float64))
+        assert np.array_equal(perm, reference_perm)
+        assert band.dtype == reference.dtype == np.float64
+        assert band.shape == reference.shape and band.tobytes() == reference.tobytes()
+        lam = sp.min_eigenvalue_sparse(gram)
+        assert lam == sp.bottom_eigenpair(gram)[0]
+    # Complex Hermitian input, as the energy bisection passes it.
+    rng = np.random.default_rng(2)
+    h = rng.integers(-2, 3, size=(12, 12)) * (rng.random((12, 12)) < 0.3) * (1 + 1j)
+    h = csr_matrix(_shuffled(h + h.conj().T + 3 * np.eye(12), 1))
+    band, perm = sp._rcm_band(h)
+    reference, reference_perm = _band_by_permuting(h)
+    assert np.array_equal(perm, reference_perm)
+    assert band.dtype == np.complex128 and band.tobytes() == reference.tobytes()
+
+
+def test_min_eigenvalue_sparse_runs_no_inverse_iteration(monkeypatch):
+    import scipy.linalg
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an inverse-iteration solve ran")
+
+    gram = so.ata_oracle(so.path_adjacency(40))
+    lam = sp.bottom_eigenpair(gram)[0]
+    monkeypatch.setattr(scipy.linalg, "cho_solve_banded", refuse)
+    assert sp.min_eigenvalue_sparse(gram) == lam
+    with pytest.raises(AssertionError, match="inverse-iteration"):
+        sp.bottom_eigenpair(gram)
+
+
+class _NumpyWithoutZeros:
+    """numpy as ``spectral`` sees it, except that ``zeros``, which allocates the band, fails."""
+
+    def __getattr__(self, name):
+        if name == "zeros":
+            def build(*args, **kwargs):
+                raise AssertionError("the band was built")
+            return build
+        return getattr(np, name)
 
 
 def test_band_cap_refuses_before_the_band_is_built(monkeypatch):
-    import scipy.sparse
-
     gram = so.ata_oracle(so.path_adjacency(50))  # RCM bandwidth 1: 100 band entries
-    band, _ = sp._rcm_band(so.to_csr(gram).astype(float))
+    band, _ = sp._rcm_band(so.to_csr(gram))
     assert band.shape == (2, 50)
     monkeypatch.setattr(sp, "BAND_CAP", 100)
     sp.bottom_eigenpair(gram)
+    monkeypatch.setattr(sp, "np", _NumpyWithoutZeros())
+    # Under the cap the sentinel fires, so it sits where the band is allocated.
+    with pytest.raises(AssertionError, match="the band was built"):
+        sp.min_eigenvalue_sparse(gram)
     monkeypatch.setattr(sp, "BAND_CAP", 99)
-
-    def build(*args, **kwargs):
-        raise AssertionError("the band was built")
-
-    monkeypatch.setattr(scipy.sparse, "tril", build)
     with pytest.raises(ResourceLimitError, match="exceeds the cap of 99"):
         sp.bottom_eigenpair(gram)
     with pytest.raises(ResourceLimitError, match="exceeds the cap of 99"):
