@@ -18,32 +18,23 @@ from .sparse_oracle import (
     cycle_adjacency,
     from_dense,
     from_entries,
-    identity_oracle,
     load_instance,
     materialize,
     norm_bound,
     path_adjacency,
-    row,
     to_csr,
 )
 from .spectral import (
     SpectrumReport,
-    char_poly_p,
-    chebyshev_q,
     closed_form_eigenvalues,
-    det_bareiss,
     det_bareiss_sparse,
-    det_cycle_cover,
     det_exact,
-    det_permutation_expansion,
     eigensystem,
     gram_bands,
     min_eigenvalue,
-    min_eigenvalue_banded,
     min_eigenvalue_bound,
     min_eigenvalue_sparse,
     spectrum_report,
-    structured_matrix,
 )
 from .rtm import (
     Configuration,
@@ -61,12 +52,7 @@ from .rtm import (
 from .simulator import (
     Gate,
     QuantumCircuit,
-    acceptance_probability,
-    circuit_unitary,
     expm_exact,
-    expm_taylor,
-    measure_probability,
-    one_bit_pe,
     pad_with_ancillas,
     run_circuit,
     taylor_order,
@@ -87,7 +73,6 @@ from .protocols import (
     mixed_witness_acceptance,
     nwz_amplify,
     precise_lh_bounds,
-    reflections,
     rotation_verifier,
 )
 

@@ -32,7 +32,7 @@ EXIT_PROMISE = 3
 
 DEFAULTS: dict[str, dict] = {
     "spectrum": {"kind": "path", "index_form": "odd", "format": "csv"},
-    "det": {"method": "auto", "format": "json"},
+    "det": {"format": "json"},
     "reduce": {"format": "json"},
     "verify": {"format": "json"},
     "amplify": {
@@ -114,8 +114,9 @@ def _cmd_spectrum(args) -> tuple[list[dict], int]:
 
 def _cmd_det(args) -> tuple[dict, int]:
     matrix = sparse_oracle.load_instance(args.instance)
-    value = spectral.det_exact(matrix, method=args.method)
-    payload = _with_seed(args, {"dim": matrix.dim, "det": value, "method": args.method})
+    value = spectral.det_exact(matrix)
+    # One route, so "method" is a constant; the field keeps the report's shape stable.
+    payload = _with_seed(args, {"dim": matrix.dim, "det": value, "method": "auto"})
     return payload, EXIT_OK
 
 
@@ -295,11 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("det", parents=[common], help="exact determinant of an instance")
     p.add_argument("--instance", default=None, help="instance JSON file")
-    p.add_argument(
-        "--method",
-        choices=["auto", "bareiss", "bareiss_sparse", "cycle_cover", "permutation"],
-        default=None,
-    )
 
     p = sub.add_parser("reduce", parents=[common], help="machine + input -> gapped instance")
     p.add_argument("--machine", default=None, help="corpus name or machine JSON path")

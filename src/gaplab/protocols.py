@@ -52,7 +52,6 @@ from .simulator import (
     DENSE_QUBIT_CAP,
     QuantumCircuit,
     _apply_to_columns,
-    circuit_unitary,
     expm_exact,
     pad_with_ancillas,
     phase_read,
@@ -154,8 +153,8 @@ def accept_operator(verifier: Verifier) -> AcceptOperator:
 
     Column j is the final state on witness basis j restricted to the
     output-1 subspace; stacking them gives W with Q = W^dagger W, which
-    is PSD by construction and reproduces acceptance_probability for
-    every witness.
+    is PSD by construction and whose Rayleigh quotient on every witness
+    is that witness's acceptance probability.
     """
     w, _ = _witness_images(verifier)
     q = w.conj().T @ w
@@ -187,25 +186,7 @@ def mixed_witness_acceptance(verifier: Verifier) -> float:
 
 
 # ---------------------------------------------------------------------------
-# reflections and exact phase-estimation statistics
-
-
-def reflections(verifier: Verifier) -> tuple[np.ndarray, np.ndarray]:
-    """R0 = 2 Pi0 - I (ancillas blank) and R1 = 2 Pi1 - I (circuit accepts).
-
-    Dense, on all n circuit qubits: the reference for the walk R1 R0
-    whose eigenphases ``nwz_amplify`` takes from Jordan's lemma.
-    """
-    n = verifier.circuit.num_qubits
-    m = verifier.witness_qubits
-    idx = np.arange(2**n)
-    ancilla_mask = (idx >> m) == 0  # all ancilla bits zero
-    r0 = np.where(ancilla_mask, 1.0, -1.0)
-    u = circuit_unitary(verifier.circuit)
-    out_mask = ((idx >> verifier.output_qubit) & 1) == 1
-    p1 = (u.conj().T * np.where(out_mask, 1.0, 0.0)) @ u
-    r1 = 2.0 * p1 - np.eye(2**n)
-    return np.diag(r0), r1
+# exact phase-estimation statistics
 
 
 @dataclass(frozen=True)
@@ -264,45 +245,6 @@ class AmplificationParams:
     @property
     def no_cut(self) -> float:
         return self.threshold_phi_s - 2.0**-self.precision_bits
-
-
-def qpe_register_distribution(
-    w_op: np.ndarray, initial: np.ndarray, register_bits: int
-) -> np.ndarray:
-    """Outcome distribution of phase estimation of w_op on a state, simulated.
-
-    Builds all 2^b controlled-power branches by sequential application,
-    applies the inverse Fourier transform across the register axis, and
-    traces out the system.  No sampling anywhere.  This is the test
-    oracle of the closed form in ``nwz_amplify``: it costs 2^b dense
-    products and 2^b state vectors of memory, and its rounding grows
-    with the 2^b powers (about 4e-11 in a register mass at b = 19).
-    """
-    n = 2**register_bits
-    dim = len(initial)
-    branches = np.empty((n, dim), dtype=complex)
-    v = np.asarray(initial, dtype=complex) / sqrt(n)
-    for j in range(n):
-        branches[j] = v
-        if j + 1 < n:
-            v = w_op @ v
-    transformed = np.fft.fft(branches, axis=0, norm="ortho")
-    probs = np.sum(np.abs(transformed) ** 2, axis=1)
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise ContractError(f"register distribution sums to {total}, not 1")
-    return probs
-
-
-def folded_phases(register_bits: int) -> np.ndarray:
-    """Phase value |j|/2^b in [0, 1/2] read from each register outcome.
-
-    The outcomes whose folded phase lies below a cut form the arc
-    |j| <= w (mod 2^b), which is how ``nwz_amplify`` sums them.
-    """
-    n = 2**register_bits
-    j = np.arange(n)
-    return np.minimum(j, n - j) / n
 
 
 def median_exceeds(per_trial: float, trials_r: int) -> float:
@@ -769,51 +711,6 @@ def rotation_verifier(p: float, completeness_c: float, soundness_s: float) -> Ve
     )
 
 
-def passthrough_verifier() -> Verifier:
-    """Output is the witness qubit itself; accept operator diag(0, 1)."""
-    return Verifier(
-        circuit=QuantumCircuit(1),
-        witness_qubits=1,
-        ancilla_k=0,
-        output_qubit=0,
-        completeness_c=1.0,
-        soundness_s=0.0,
-    )
-
-
-def corpus_verifiers() -> dict[str, Verifier]:
-    """The named verifier set exercised by the protocol test batteries."""
-    singular, gapped, g = toy_gapped_instances()
-    rng = np.random.default_rng(20260815)
-    random_circuit = QuantumCircuit(2)
-    for _ in range(12):
-        pick = rng.integers(4)
-        if pick == 0:
-            random_circuit.append("H", int(rng.integers(2)))
-        elif pick == 1:
-            random_circuit.append("T", int(rng.integers(2)))
-        elif pick == 2:
-            random_circuit.append("X", int(rng.integers(2)))
-        else:
-            a, b = rng.permutation(2)
-            random_circuit.append("CNOT", int(a), int(b))
-    return {
-        "passthrough": passthrough_verifier(),
-        "rotation_high": rotation_verifier(0.9, 0.9, 0.1),
-        "rotation_low": rotation_verifier(0.1, 0.9, 0.1),
-        "gap_singular": pe_verifier(singular, g),
-        "gap_bounded": pe_verifier(gapped, g),
-        "random_2q": Verifier(
-            circuit=random_circuit,
-            witness_qubits=1,
-            ancilla_k=1,
-            output_qubit=1,
-            completeness_c=0.9,
-            soundness_s=0.1,
-        ),
-    }
-
-
 # ---------------------------------------------------------------------------
 # clock Hamiltonians and ground-energy search
 
@@ -992,25 +889,6 @@ def kitaev_hamiltonian(verifier: Verifier) -> PreciseLHInstance:
         threshold_a=a,
         threshold_b=b,
     )
-
-
-def history_state(verifier: Verifier, witness) -> np.ndarray:
-    """Uniform superposition of the partial computations, clock in unary."""
-    t_count = verifier.circuit.gate_count
-    w = verifier.circuit.num_qubits
-    state = pad_with_ancillas(witness, verifier.ancilla_k)
-    dim = 2 ** (w + t_count)
-    out = np.zeros(dim, dtype=complex)
-    clock_value = 0
-    for step in range(t_count + 1):
-        if step > 0:
-            gate = verifier.circuit.gates[step - 1]
-            state = _apply_to_columns(
-                state.reshape(-1, 1), w, gate.resolved_matrix(), gate.qubits
-            ).reshape(-1)
-            clock_value |= 1 << (step - 1)
-        out[(clock_value << w) : (clock_value << w) + 2**w] += state
-    return out / sqrt(t_count + 1)
 
 
 def precise_epsilon_rule(gap_value: float, gate_count: int) -> float:

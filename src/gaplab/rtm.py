@@ -55,7 +55,6 @@ if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
 
 MOVES = {"L": -1, "S": 0, "R": 1}
-MOVE_NAMES = {v: k for k, v in MOVES.items()}
 
 
 @dataclass(frozen=True)
@@ -485,23 +484,6 @@ def machine_from_dict(spec: dict) -> ReversibleTM:
         space=_field(spec, "space", int),
         transitions=transitions,
     )
-
-
-def machine_to_dict(machine: ReversibleTM) -> dict:
-    """JSON form of a machine (inverse of machine_from_dict)."""
-    return {
-        "name": machine.name,
-        "states": list(machine.states),
-        "start": machine.start,
-        "accept": machine.accept,
-        "alphabet": list(machine.alphabet),
-        "blank": machine.blank,
-        "space": machine.space,
-        "transitions": [
-            [q, a, q2, a2, MOVE_NAMES[mv]]
-            for (q, a), (q2, a2, mv) in sorted(machine.transitions.items())
-        ],
-    }
 
 
 def load_machine(path: str | os.PathLike) -> ReversibleTM:

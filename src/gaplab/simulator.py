@@ -14,14 +14,11 @@ truncated Taylor sum, whose analytic tail bound is what the gapped
 verifier budgets against.  The Taylor sum reads A as a RowOracleMatrix
 and has one loop, ``expm_taylor_minus_identity``, which applies it to a
 vector or column block with one sparse product per term; the
-verifier's ``phase_read`` applies it to its witness alone, and
-``expm_taylor`` (the loop on the identity) and the dense ``one_bit_pe``
-remain as small-dimension references.
+verifier's ``phase_read`` applies it to its witness alone.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from math import comb, exp, factorial, lgamma, log, pi, sqrt
 from typing import Sequence
@@ -33,8 +30,8 @@ from .sparse_oracle import RowOracleMatrix, to_csr
 from .spectral import _require_hermitian
 
 MAX_QUBITS = 20
-# Dense operators on a whole circuit's qubits (circuit_unitary, the
-# accept operator's columns) refuse circuits wider than this.
+# Dense operators on a whole circuit's qubits (the accept operator's
+# columns) refuse circuits wider than this.
 DENSE_QUBIT_CAP = 10
 NORM_TOL = 1e-12
 MAX_TAYLOR_ORDER = 1000
@@ -112,43 +109,6 @@ class QuantumCircuit:
         self._check_gate(g)
         self.gates.append(g)
 
-    def to_dict(self) -> dict:
-        out = []
-        for g in self.gates:
-            if g.matrix is None:
-                out.append([g.name, *g.qubits])
-            else:
-                out.append(
-                    [
-                        g.name,
-                        list(g.qubits),
-                        [[[float(v.real), float(v.imag)] for v in row] for row in g.matrix],
-                    ]
-                )
-        return {"qubits": self.num_qubits, "gates": out}
-
-    @classmethod
-    def from_dict(cls, spec: dict) -> "QuantumCircuit":
-        circuit = cls(num_qubits=int(spec["qubits"]))
-        for entry in spec["gates"]:
-            name = entry[0].upper()
-            if name in GATE_MATRICES:
-                circuit.append(name, *(int(q) for q in entry[1:]))
-            else:
-                qubits = [int(q) for q in entry[1]]
-                mat = np.array(
-                    [[complex(re, im) for re, im in row] for row in entry[2]]
-                )
-                circuit.append(name, *qubits, matrix=mat)
-        return circuit
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "QuantumCircuit":
-        return cls.from_dict(json.loads(text))
-
 
 def _apply_to_columns(
     cols: np.ndarray, num_qubits: int, matrix: np.ndarray, qubits: Sequence[int]
@@ -186,36 +146,6 @@ def run_circuit(circuit: QuantumCircuit, state: np.ndarray | None = None) -> np.
     if abs(np.linalg.norm(out) - norm_in) > NORM_TOL * max(1.0, norm_in):
         raise ContractError("circuit application did not preserve the norm")
     return out
-
-
-def circuit_unitary(circuit: QuantumCircuit) -> np.ndarray:
-    """Dense unitary of the whole circuit (at most DENSE_QUBIT_CAP qubits)."""
-    if circuit.num_qubits > DENSE_QUBIT_CAP:
-        raise ResourceLimitError(
-            f"dense circuit unitary capped at {DENSE_QUBIT_CAP} qubits"
-        )
-    dim = 2**circuit.num_qubits
-    cols = np.eye(dim, dtype=complex)
-    for g in circuit.gates:
-        cols = _apply_to_columns(cols, circuit.num_qubits, g.resolved_matrix(), g.qubits)
-    return cols
-
-
-def random_circuit(
-    num_qubits: int, gate_count: int, rng: np.random.Generator
-) -> QuantumCircuit:
-    """Uniformly random circuit over the fixed gate set (for tests)."""
-    circuit = QuantumCircuit(num_qubits)
-    names = sorted(GATE_MATRICES)
-    for _ in range(gate_count):
-        name = names[rng.integers(len(names))]
-        if GATE_ARITY[name] == 1 or num_qubits == 1:
-            name = name if GATE_ARITY[name] == 1 else "H"
-            circuit.append(name, int(rng.integers(num_qubits)))
-        else:
-            a, b = rng.choice(num_qubits, size=2, replace=False)
-            circuit.append(name, int(a), int(b))
-    return circuit
 
 
 # ---------------------------------------------------------------------------
@@ -283,17 +213,6 @@ def expm_taylor_minus_identity(
     return total
 
 
-def expm_taylor(matrix: RowOracleMatrix, evo_time: float, order: int) -> np.ndarray:
-    """Degree-``order`` Taylor sum for e^{-i A t} as a dense operator.
-
-    I plus ``expm_taylor_minus_identity`` applied to the identity: a
-    small-dimension oracle for tests; the verifier applies the sum to
-    its witness only.
-    """
-    eye = np.eye(matrix.dim)
-    return eye + expm_taylor_minus_identity(matrix, evo_time, order, eye)
-
-
 def taylor_unitarity_defect(x: float, order: int) -> float:
     """Certified bound on sup over |y| <= x of | |p(y)|^2 - 1 |, p the degree-K Taylor sum of e^{-iy}.
 
@@ -318,30 +237,6 @@ def taylor_unitarity_defect(x: float, order: int) -> float:
 # phase-reading primitives
 
 
-def one_bit_pe(u: np.ndarray, psi, unitarity_tol: float = 1e-8) -> float:
-    """Outcome-0 probability of the Hadamard, controlled-U, Hadamard circuit.
-
-    For an eigenstate with U psi = e^{-i theta} psi this is
-    (1 + cos theta)/2; in general it is affine in the eigenbasis
-    weights.  Computed directly as ||(I + U) psi||^2 / 4 from a dense U:
-    the small-dimension reference for ``phase_read``.
-
-    ``unitarity_tol`` exists because truncated-Taylor operators are
-    unitary only up to their tail bound; callers that know their tail
-    pass it explicitly.
-    """
-    u = np.asarray(u, dtype=complex)
-    vec = np.asarray(psi, dtype=complex)
-    if u.shape != (len(vec), len(vec)):
-        raise ContractError(f"operator shape {u.shape} does not fit state of {len(vec)}")
-    dev = float(np.max(np.abs(u.conj().T @ u - np.eye(len(vec)))))
-    if dev > unitarity_tol:
-        raise ContractError(f"operator not unitary within {unitarity_tol:.1e} (dev {dev:.3e})")
-    if abs(np.linalg.norm(vec) - 1.0) > 1e-9:
-        raise ContractError("state is not normalized")
-    return float(np.linalg.norm(vec + u @ vec) ** 2 / 4.0)
-
-
 def phase_read(
     matrix: RowOracleMatrix, evo_time: float, order: int, psi: np.ndarray,
     unitarity_tol: float = 1e-8,
@@ -355,7 +250,8 @@ def phase_read(
     rejection of order 2^-2g keeps its relative precision.  For an
     eigenvector with eigenvalue lam the rejection is sin^2(lam t / 2).
 
-    Two checks replace the dense unitarity test of ``one_bit_pe``:
+    Two checks stand in for a test of U_K^dagger U_K = I, which would
+    need U_K as a dense operator:
     ``taylor_unitarity_defect`` certifies ||U_K^dagger U_K - I||_2 over
     the whole interval |y| <= pi that the norm check of
     ``expm_taylor_minus_identity`` guarantees, and the norm drift
@@ -379,52 +275,9 @@ def phase_read(
     return acceptance, rejection
 
 
-def measure_probability(state, qubit: int, outcome: int) -> float:
-    """Probability that one qubit reads the given value."""
-    amps = np.asarray(state)
-    n = amps.shape[0]
-    idx = np.arange(n)
-    mask = ((idx >> qubit) & 1) == outcome
-    return float(np.sum(np.abs(amps[mask]) ** 2))
-
-
 def pad_with_ancillas(witness, ancilla_k: int) -> np.ndarray:
     """witness (x) |0^k>, ancillas as the high qubits."""
     vec = np.asarray(witness)
     out = np.zeros(len(vec) * 2**ancilla_k, dtype=complex)
     out[: len(vec)] = vec
     return out
-
-
-def acceptance_probability(verifier, witness) -> float:
-    """Exact probability the verifier's output qubit reads 1.
-
-    ``witness`` may be an amplitude vector on the witness qubits or a
-    density operator (square array); acceptance is linear in the
-    density operator, so mixed witnesses average their eigenvector
-    acceptances.
-    """
-    m = verifier.witness_qubits
-    dim = 2**m
-    raw = np.asarray(witness, dtype=complex)
-    if raw.ndim == 2:
-        if raw.shape != (dim, dim):
-            raise ContractError(f"density operator shape {raw.shape}, want {(dim, dim)}")
-        _require_hermitian(raw, 1e-10)
-        if abs(np.trace(raw).real - 1) > 1e-9:
-            raise ContractError("density operator must have unit trace")
-        probs, vecs = np.linalg.eigh(raw)
-        return float(
-            sum(
-                p * acceptance_probability(verifier, vecs[:, i])
-                for i, p in enumerate(probs)
-                if p > 1e-15
-            )
-        )
-    if raw.shape != (dim,):
-        raise ContractError(f"witness length {raw.shape} does not fit {m} qubits")
-    if abs(np.linalg.norm(raw) - 1.0) > 1e-9:
-        raise ContractError("witness is not normalized")
-    padded = pad_with_ancillas(raw, verifier.ancilla_k)
-    final = run_circuit(verifier.circuit, padded)
-    return measure_probability(final, verifier.output_qubit, 1)

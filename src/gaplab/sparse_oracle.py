@@ -34,8 +34,6 @@ if TYPE_CHECKING:
 # Largest dimension materialize() expands unless the caller passes a cap.
 DENSE_CAP = 2**14
 
-Entry = tuple[int, int]
-
 
 @dataclass(frozen=True, eq=False)
 class RowOracleMatrix:
@@ -93,15 +91,6 @@ def to_csr(matrix: RowOracleMatrix) -> csr_matrix:
     return matrix.csr
 
 
-def row(matrix: RowOracleMatrix, i: int) -> list[Entry]:
-    """Nonzero entries of row i as (column, value) pairs, sorted by column."""
-    if not 0 <= i < matrix.dim:
-        raise IndexError(f"row index {i} out of range for dim {matrix.dim}")
-    a = to_csr(matrix)
-    lo, hi = a.indptr[i], a.indptr[i + 1]
-    return list(zip(a.indices[lo:hi].tolist(), a.data[lo:hi].tolist()))
-
-
 def norm_bound(matrix: RowOracleMatrix) -> int:
     """Cheap operator-norm bound: entry bound times row sparsity."""
     return matrix.entry_bound_k * matrix.sparsity_d
@@ -124,18 +113,6 @@ def _ones(cols: np.ndarray, indptr: np.ndarray) -> csr_matrix:
     return csr_matrix((np.ones(len(cols), dtype=np.int64), cols, indptr), shape=(dim, dim))
 
 
-def identity_oracle(dim: int) -> RowOracleMatrix:
-    """Row oracle of the dim x dim identity."""
-    if dim <= 0:
-        raise ValueError(f"dim must be positive, got {dim}")
-    return RowOracleMatrix(
-        _ones(np.arange(dim), np.arange(dim + 1)),
-        sparsity_d=1,
-        entry_bound_k=1,
-        column_ones_bound=1,
-    )
-
-
 def from_dense(dense: np.ndarray) -> RowOracleMatrix:
     """Wrap an explicit integer matrix as a row oracle (round-trip helper)."""
     arr = np.asarray(dense)
@@ -148,15 +125,18 @@ def from_dense(dense: np.ndarray) -> RowOracleMatrix:
 
 
 def _integer(value, key: str | None = None) -> int:
-    """``value`` as an int; a float, even 2.0, or any other type is a ContractError.
+    """``value`` as an int; a bool, a float, even 2.0, or any other type is a ContractError.
 
     The error names ``key``, the instance-file field read, when given.
+    JSON's true and false are refused although Python's bool is an int.
     """
-    try:
-        return operator.index(value)
-    except TypeError:
-        what = f"{key!r} must be an integer" if key else "expected an integer"
-        raise ContractError(f"{what}, got {value!r}") from None
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    what = f"{key!r} must be an integer" if key else "expected an integer"
+    raise ContractError(f"{what}, got {value!r}")
 
 
 def from_entries(dim: int, triplets: Iterable[Sequence[int]]) -> RowOracleMatrix:
@@ -224,7 +204,7 @@ def path_adjacency(ell: int) -> RowOracleMatrix:
     the edge to vertex i - 1 plus the self-loop.
     """
     if ell < 1:
-        raise IndexError(f"path block needs length >= 1, got {ell}")
+        raise ValueError(f"path block needs 'ell' >= 1, got {ell}")
     i = np.arange(ell)
     cols = np.column_stack((i - 1, i)).ravel()[1:]  # row 0 has no edge to -1
     indptr = np.maximum(2 * np.arange(ell + 1) - 1, 0)
@@ -241,7 +221,7 @@ def cycle_adjacency(ell: int) -> RowOracleMatrix:
     ell - 1 carry no self-loop.
     """
     if ell < 3:
-        raise IndexError(f"cycle block needs length >= 3, got {ell}")
+        raise ValueError(f"cycle block needs 'ell' >= 3, got {ell}")
     i = np.arange(1, ell - 1)
     cols = np.concatenate(([ell - 1], np.column_stack((i - 1, i)).ravel(), [ell - 2]))
     indptr = np.concatenate(([0], 2 * np.arange(ell - 1) + 1, [2 * ell - 2]))

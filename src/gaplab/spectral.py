@@ -9,9 +9,9 @@ Two independent concerns live here:
   strong components of that matrix's digraph give a block-triangular
   form.  Its 1 x 1 blocks are diagonal entries; only the larger blocks,
   the core, go through fraction-free elimination confined to the band
-  of their reverse Cuthill-McKee order.  Dense elimination, the
-  cycle-cover sum and the permutation expansion stay as small-size
-  references;
+  of their reverse Cuthill-McKee order.  It is the one determinant
+  route; the dense elimination and the two enumerations it is checked
+  against live with the tests, in ``tests/oracles.py``;
 * eigenvalue machinery for the symmetric Gram matrices the reductions
   produce, including the closed-form spectrum of the path block and the
   tridiagonal fast path.  At large sizes the bottom eigenpair comes
@@ -22,10 +22,6 @@ Two independent concerns live here:
   few steps of inverse iteration on that factor.  When only lambda_min
   is asked for, the certification still runs and the inverse iteration
   does not.
-
-The reference determinants deliberately overlap: the cycle-cover sum and
-the permutation expansion compute the same quantity through different
-sign bookkeeping, which makes each a check on the other.
 """
 
 from __future__ import annotations
@@ -42,9 +38,6 @@ from .sparse_oracle import RowOracleMatrix, from_dense, to_csr
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
-
-# Factorial-time methods refuse to run above this dimension.
-ENUMERATION_CAP = 10
 
 SYMMETRY_TOL = 1e-12
 
@@ -68,128 +61,6 @@ CHOLESKY_MARGIN = 64
 
 # ---------------------------------------------------------------------------
 # exact determinants
-
-
-def det_cycle_cover(matrix: RowOracleMatrix) -> int:
-    """Determinant as a signed sum over cycle covers of the digraph.
-
-    Each permutation with nonzero weight is a vertex-disjoint union of
-    directed cycles (self-loops count as 1-cycles), and its sign is
-    (-1)^(number of even-length cycles).  Enumeration walks cycles from
-    the smallest uncovered vertex, so runtime is bounded by the number
-    of covers rather than n!, but the dimension cap still applies.
-    """
-    a = to_csr(matrix).toarray().tolist()
-    n = len(a)
-    if n > ENUMERATION_CAP:
-        raise ResourceLimitError(
-            f"cycle-cover enumeration capped at dim {ENUMERATION_CAP}, got {n}"
-        )
-    succ = [[j for j in range(n) if a[i][j] != 0] for i in range(n)]
-    covered = [False] * n
-    total = 0
-
-    def visit(weight: int, even_cycles: int) -> None:
-        nonlocal total
-        try:
-            v0 = covered.index(False)
-        except ValueError:
-            total += weight if even_cycles % 2 == 0 else -weight
-            return
-        # Walk every cycle through v0 using only uncovered vertices.
-        path: list[int] = []
-
-        def extend(v: int, w: int) -> None:
-            covered[v] = True
-            path.append(v)
-            for u in succ[v]:
-                if u == v0:
-                    cyc_len = len(path)
-                    visit(w * a[v][v0], even_cycles + (1 - cyc_len % 2))
-                elif not covered[u]:
-                    extend(u, w * a[v][u])
-            path.pop()
-            covered[v] = False
-
-        extend(v0, weight)
-
-    visit(1, 0)
-    return total
-
-
-def det_permutation_expansion(matrix: RowOracleMatrix) -> int:
-    """Determinant by recursive expansion along rows.
-
-    The sign of each term is tracked by the position of the chosen
-    column among the still-available columns, which is the parity of
-    the transposition sequence sorting the permutation.  Independent of
-    the cycle-cover bookkeeping above.
-    """
-    a = to_csr(matrix).toarray().tolist()
-    n = len(a)
-    if n > ENUMERATION_CAP:
-        raise ResourceLimitError(
-            f"permutation expansion capped at dim {ENUMERATION_CAP}, got {n}"
-        )
-
-    def expand(i: int, cols: list[int]) -> int:
-        if not cols:
-            return 1
-        acc = 0
-        for pos, j in enumerate(cols):
-            v = a[i][j]
-            if v == 0:
-                continue
-            sub = expand(i + 1, cols[:pos] + cols[pos + 1 :])
-            term = v * sub
-            acc += term if pos % 2 == 0 else -term
-        return acc
-
-    return expand(0, list(range(n)))
-
-
-def det_bareiss(matrix: RowOracleMatrix) -> int:
-    """Fraction-free elimination over Python integers.
-
-    Every intermediate entry is an exact minor of the input, so there
-    is no rounding and no coefficient blowup beyond Hadamard's bound.
-    Rows whose pivot-column entry is zero need no elimination; when the
-    current and previous pivots agree they need no rescaling either and
-    are skipped outright, which makes the sweep near-quadratic on the
-    almost-triangular matrices the reductions emit.
-    """
-    a = to_csr(matrix).toarray().tolist()
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        same_scale = pivot == prev
-        for i in range(k + 1, n):
-            row_i = a[i]
-            f = row_i[k]
-            if f == 0:
-                if same_scale:
-                    continue
-                for j in range(k + 1, n):
-                    row_i[j] = row_i[j] * pivot // prev
-            else:
-                row_k = a[k]
-                for j in range(k + 1, n):
-                    row_i[j] = (row_i[j] * pivot - f * row_k[j]) // prev
-                row_i[k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
 
 
 def _rcm_ordered(a: csr_matrix) -> tuple[csr_matrix, np.ndarray, int]:
@@ -242,10 +113,11 @@ def _rcm_band(a: csr_matrix, capped: bool = True) -> tuple[np.ndarray, np.ndarra
 def _banded_bareiss(b: csr_matrix, lo: int) -> int:
     """Fraction-free elimination of a CSR matrix of lower bandwidth lo.
 
-    Same recurrence and exact-integer guarantees as det_bareiss.  Column
-    k has entries only in rows k..k+lo, row swaps stay among them, and
-    rows below are untouched except for Bareiss's rescale of every
-    later row by pivot/previous pivot at each step.  That rescale
+    Bareiss's recurrence, with its exact-integer guarantees: every
+    intermediate entry is an exact minor of the input.  Column k has
+    entries only in rows k..k+lo, row swaps stay among them, and rows
+    below are untouched except for Bareiss's rescale of every later row
+    by pivot/previous pivot at each step.  That rescale
     telescopes to the last pivot, so a row enters the window of lo + 1
     live dictionary rows from the CSR already multiplied by it.  Time is
     O(n * lo * row length).
@@ -343,57 +215,19 @@ def det_bareiss_sparse(matrix: RowOracleMatrix) -> int:
     return det * _banded_bareiss(ordered, lo)
 
 
-def det_exact(matrix: RowOracleMatrix | np.ndarray, method: str = "auto") -> int:
-    """Dispatch to an exact determinant method; an array is wrapped by ``from_dense``.
+def det_exact(matrix: RowOracleMatrix | np.ndarray) -> int:
+    """Exact integer determinant; an array is wrapped by ``from_dense`` first.
 
-    ``auto`` (and ``bareiss_sparse``) is the block-triangular split
-    ahead of banded fraction-free elimination, the one production path.
-    Dense elimination and the two enumerations are available by name as
-    small-size references.
+    The route is ``det_bareiss_sparse``: the block-triangular split
+    ahead of banded fraction-free elimination.
     """
     if not isinstance(matrix, RowOracleMatrix):
         matrix = from_dense(matrix)
-    if method in ("auto", "bareiss_sparse"):
-        return det_bareiss_sparse(matrix)
-    if method == "bareiss":
-        return det_bareiss(matrix)
-    if method == "cycle_cover":
-        return det_cycle_cover(matrix)
-    if method == "permutation":
-        return det_permutation_expansion(matrix)
-    raise ValueError(f"unknown determinant method {method!r}")
+    return det_bareiss_sparse(matrix)
 
 
 # ---------------------------------------------------------------------------
-# polynomial recurrences and closed-form spectra
-
-
-def chebyshev_q(n: int, x):
-    """Recurrence q_0 = 1, q_1 = x, q_n = x q_{n-1} - q_{n-2}.
-
-    Exact over ints and Fractions; at x = 2 cos(theta) this evaluates
-    to sin((n+1) theta) / sin(theta).
-    """
-    if n < 0:
-        raise ValueError(f"recurrence index must be nonnegative, got {n}")
-    if n == 0:
-        return x**0  # one, in the arithmetic of x
-    prev, cur = x**0, x
-    for _ in range(n - 1):
-        prev, cur = cur, x * cur - prev
-    return cur
-
-
-def char_poly_p(ell: int, lam):
-    """det(G - lam I) for the path Gram block of size ell.
-
-    Expanding the tridiagonal determinant by its last row gives
-    p_ell(lam) = q_ell(2 - lam) - q_{ell-1}(2 - lam).
-    """
-    if ell < 1:
-        raise ValueError(f"path block needs size >= 1, got {ell}")
-    y = 2 - lam
-    return chebyshev_q(ell, y) - chebyshev_q(ell - 1, y)
+# closed-form spectra
 
 
 def closed_form_eigenvalues(ell: int, index_form: str = "odd") -> np.ndarray:
@@ -460,17 +294,6 @@ def gram_bands(kind: str, ell: int) -> tuple[np.ndarray, np.ndarray]:
     raise ValueError(f"unknown block kind {kind!r}")
 
 
-def structured_matrix(kind: str, ell: int) -> np.ndarray:
-    """Exact integer Gram matrix A^T A of a structured block, as an int64 array."""
-    diag, off = gram_bands(kind, ell)
-    n = len(diag)
-    out = np.diag(diag.astype(np.int64))
-    idx = np.arange(n - 1)
-    out[idx, idx + 1] = off.astype(np.int64)
-    out[idx + 1, idx] = off.astype(np.int64)
-    return out
-
-
 def _require_hermitian(matrix, tol: float = SYMMETRY_TOL) -> np.ndarray:
     """``matrix`` as a square array of its own dtype, once max |A - A^H| <= tol is checked.
 
@@ -490,24 +313,6 @@ def _require_hermitian(matrix, tol: float = SYMMETRY_TOL) -> np.ndarray:
 def min_eigenvalue(matrix: np.ndarray, tol: float = SYMMETRY_TOL) -> float:
     """Least eigenvalue of a symmetric or Hermitian matrix (the symmetry is a contract)."""
     return float(np.linalg.eigvalsh(_require_hermitian(matrix, tol))[0])
-
-
-def min_eigenvalue_banded(diag: np.ndarray, off: np.ndarray) -> float:
-    """Least eigenvalue of a symmetric tridiagonal matrix.
-
-    Uses the banded eigensolver with index selection, so sizes in the
-    thousands stay cheap.
-    """
-    if len(diag) == 1:
-        return float(diag[0])
-    w = eigh_tridiagonal(
-        np.asarray(diag, dtype=np.float64),
-        np.asarray(off, dtype=np.float64),
-        eigvals_only=True,
-        select="i",
-        select_range=(0, 0),
-    )
-    return float(w[0])
 
 
 def eigensystem(

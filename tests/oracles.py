@@ -1,0 +1,525 @@
+"""Small-size reference implementations the tests check gaplab against.
+
+Each function here is a second, independent route to an answer the
+package computes another way, or a fixture the test batteries share.
+None of them is on a production path: they enumerate, build dense
+operators or simulate registers term by term, so they are cheap only at
+the desk-scale sizes the tests use.
+
+* determinants: dense fraction-free elimination, the cycle-cover sum
+  and the permutation expansion, against ``spectral.det_exact``.  The
+  two enumerations compute the same quantity through different sign
+  bookkeeping, which makes each a check on the other;
+* spectra: the Chebyshev recurrence and characteristic polynomial of
+  the path block, its dense integer Gram and a tridiagonal eigensolver,
+  against ``gram_bands`` and ``closed_form_eigenvalues``;
+* simulation: the dense circuit unitary, the Taylor sum as a dense
+  operator, one-bit phase estimation from a dense unitary and
+  acceptance from a simulated run, against ``phase_read``,
+  ``expm_taylor_minus_identity`` and ``accept_operator``;
+* amplification: the two reflections as dense operators and the
+  phase-estimation register simulated branch by branch, against the
+  closed form of ``nwz_amplify``;
+* fixtures: row listing, the identity oracle, a machine's JSON form
+  (the inverse of ``rtm.machine_from_dict``), random circuits, the
+  named verifier set and the clock history state.
+"""
+
+from __future__ import annotations
+
+from math import sqrt
+
+import numpy as np
+from scipy.linalg import eigh_tridiagonal
+
+from gaplab.errors import ContractError, ResourceLimitError
+from gaplab.protocols import Verifier, pe_verifier, rotation_verifier, toy_gapped_instances
+from gaplab.rtm import MOVES, ReversibleTM
+from gaplab.simulator import (
+    DENSE_QUBIT_CAP,
+    GATE_ARITY,
+    GATE_MATRICES,
+    QuantumCircuit,
+    _apply_to_columns,
+    expm_taylor_minus_identity,
+    pad_with_ancillas,
+    run_circuit,
+)
+from gaplab.sparse_oracle import RowOracleMatrix, _ones, to_csr
+from gaplab.spectral import _require_hermitian, gram_bands
+
+
+# ---------------------------------------------------------------------------
+# row oracles
+
+
+Entry = tuple[int, int]
+
+
+def row(matrix: RowOracleMatrix, i: int) -> list[Entry]:
+    """Nonzero entries of row i as (column, value) pairs, sorted by column."""
+    if not 0 <= i < matrix.dim:
+        raise IndexError(f"row index {i} out of range for dim {matrix.dim}")
+    a = to_csr(matrix)
+    lo, hi = a.indptr[i], a.indptr[i + 1]
+    return list(zip(a.indices[lo:hi].tolist(), a.data[lo:hi].tolist()))
+
+
+def identity_oracle(dim: int) -> RowOracleMatrix:
+    """Row oracle of the dim x dim identity."""
+    if dim <= 0:
+        raise ValueError(f"dim must be positive, got {dim}")
+    return RowOracleMatrix(
+        _ones(np.arange(dim), np.arange(dim + 1)),
+        sparsity_d=1,
+        entry_bound_k=1,
+        column_ones_bound=1,
+    )
+
+
+# ---------------------------------------------------------------------------
+# machines
+
+
+MOVE_NAMES = {v: k for k, v in MOVES.items()}
+
+
+def machine_to_dict(machine: ReversibleTM) -> dict:
+    """JSON form of a machine (inverse of machine_from_dict)."""
+    return {
+        "name": machine.name,
+        "states": list(machine.states),
+        "start": machine.start,
+        "accept": machine.accept,
+        "alphabet": list(machine.alphabet),
+        "blank": machine.blank,
+        "space": machine.space,
+        "transitions": [
+            [q, a, q2, a2, MOVE_NAMES[mv]]
+            for (q, a), (q2, a2, mv) in sorted(machine.transitions.items())
+        ],
+    }
+
+
+# ---------------------------------------------------------------------------
+# determinants and structured spectra
+
+
+# Factorial-time methods refuse to run above this dimension.
+ENUMERATION_CAP = 10
+
+
+def det_cycle_cover(matrix: RowOracleMatrix) -> int:
+    """Determinant as a signed sum over cycle covers of the digraph.
+
+    Each permutation with nonzero weight is a vertex-disjoint union of
+    directed cycles (self-loops count as 1-cycles), and its sign is
+    (-1)^(number of even-length cycles).  Enumeration walks cycles from
+    the smallest uncovered vertex, so runtime is bounded by the number
+    of covers rather than n!, but the dimension cap still applies.
+    """
+    a = to_csr(matrix).toarray().tolist()
+    n = len(a)
+    if n > ENUMERATION_CAP:
+        raise ResourceLimitError(
+            f"cycle-cover enumeration capped at dim {ENUMERATION_CAP}, got {n}"
+        )
+    succ = [[j for j in range(n) if a[i][j] != 0] for i in range(n)]
+    covered = [False] * n
+    total = 0
+
+    def visit(weight: int, even_cycles: int) -> None:
+        nonlocal total
+        try:
+            v0 = covered.index(False)
+        except ValueError:
+            total += weight if even_cycles % 2 == 0 else -weight
+            return
+        # Walk every cycle through v0 using only uncovered vertices.
+        path: list[int] = []
+
+        def extend(v: int, w: int) -> None:
+            covered[v] = True
+            path.append(v)
+            for u in succ[v]:
+                if u == v0:
+                    cyc_len = len(path)
+                    visit(w * a[v][v0], even_cycles + (1 - cyc_len % 2))
+                elif not covered[u]:
+                    extend(u, w * a[v][u])
+            path.pop()
+            covered[v] = False
+
+        extend(v0, weight)
+
+    visit(1, 0)
+    return total
+
+
+def det_permutation_expansion(matrix: RowOracleMatrix) -> int:
+    """Determinant by recursive expansion along rows.
+
+    The sign of each term is tracked by the position of the chosen
+    column among the still-available columns, which is the parity of
+    the transposition sequence sorting the permutation.  Independent of
+    the cycle-cover bookkeeping above.
+    """
+    a = to_csr(matrix).toarray().tolist()
+    n = len(a)
+    if n > ENUMERATION_CAP:
+        raise ResourceLimitError(
+            f"permutation expansion capped at dim {ENUMERATION_CAP}, got {n}"
+        )
+
+    def expand(i: int, cols: list[int]) -> int:
+        if not cols:
+            return 1
+        acc = 0
+        for pos, j in enumerate(cols):
+            v = a[i][j]
+            if v == 0:
+                continue
+            sub = expand(i + 1, cols[:pos] + cols[pos + 1 :])
+            term = v * sub
+            acc += term if pos % 2 == 0 else -term
+        return acc
+
+    return expand(0, list(range(n)))
+
+
+def det_bareiss(matrix: RowOracleMatrix) -> int:
+    """Fraction-free elimination over Python integers.
+
+    Every intermediate entry is an exact minor of the input, so there
+    is no rounding and no coefficient blowup beyond Hadamard's bound.
+    Rows whose pivot-column entry is zero need no elimination; when the
+    current and previous pivots agree they need no rescaling either and
+    are skipped outright, which makes the sweep near-quadratic on the
+    almost-triangular matrices the reductions emit.
+    """
+    a = to_csr(matrix).toarray().tolist()
+    n = len(a)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for r in range(k + 1, n):
+                if a[r][k] != 0:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = a[k][k]
+        same_scale = pivot == prev
+        for i in range(k + 1, n):
+            row_i = a[i]
+            f = row_i[k]
+            if f == 0:
+                if same_scale:
+                    continue
+                for j in range(k + 1, n):
+                    row_i[j] = row_i[j] * pivot // prev
+            else:
+                row_k = a[k]
+                for j in range(k + 1, n):
+                    row_i[j] = (row_i[j] * pivot - f * row_k[j]) // prev
+                row_i[k] = 0
+        prev = pivot
+    return sign * a[n - 1][n - 1]
+
+
+def chebyshev_q(n: int, x):
+    """Recurrence q_0 = 1, q_1 = x, q_n = x q_{n-1} - q_{n-2}.
+
+    Exact over ints and Fractions; at x = 2 cos(theta) this evaluates
+    to sin((n+1) theta) / sin(theta).
+    """
+    if n < 0:
+        raise ValueError(f"recurrence index must be nonnegative, got {n}")
+    if n == 0:
+        return x**0  # one, in the arithmetic of x
+    prev, cur = x**0, x
+    for _ in range(n - 1):
+        prev, cur = cur, x * cur - prev
+    return cur
+
+
+def char_poly_p(ell: int, lam):
+    """det(G - lam I) for the path Gram block of size ell.
+
+    Expanding the tridiagonal determinant by its last row gives
+    p_ell(lam) = q_ell(2 - lam) - q_{ell-1}(2 - lam).
+    """
+    if ell < 1:
+        raise ValueError(f"path block needs size >= 1, got {ell}")
+    y = 2 - lam
+    return chebyshev_q(ell, y) - chebyshev_q(ell - 1, y)
+
+
+def structured_matrix(kind: str, ell: int) -> np.ndarray:
+    """Exact integer Gram matrix A^T A of a structured block, as an int64 array."""
+    diag, off = gram_bands(kind, ell)
+    n = len(diag)
+    out = np.diag(diag.astype(np.int64))
+    idx = np.arange(n - 1)
+    out[idx, idx + 1] = off.astype(np.int64)
+    out[idx + 1, idx] = off.astype(np.int64)
+    return out
+
+
+def min_eigenvalue_banded(diag: np.ndarray, off: np.ndarray) -> float:
+    """Least eigenvalue of a symmetric tridiagonal matrix.
+
+    Uses the banded eigensolver with index selection, so sizes in the
+    thousands stay cheap.
+    """
+    if len(diag) == 1:
+        return float(diag[0])
+    w = eigh_tridiagonal(
+        np.asarray(diag, dtype=np.float64),
+        np.asarray(off, dtype=np.float64),
+        eigvals_only=True,
+        select="i",
+        select_range=(0, 0),
+    )
+    return float(w[0])
+
+
+# ---------------------------------------------------------------------------
+# dense simulation and phase reading
+
+
+def circuit_unitary(circuit: QuantumCircuit) -> np.ndarray:
+    """Dense unitary of the whole circuit (at most DENSE_QUBIT_CAP qubits)."""
+    if circuit.num_qubits > DENSE_QUBIT_CAP:
+        raise ResourceLimitError(
+            f"dense circuit unitary capped at {DENSE_QUBIT_CAP} qubits"
+        )
+    dim = 2**circuit.num_qubits
+    cols = np.eye(dim, dtype=complex)
+    for g in circuit.gates:
+        cols = _apply_to_columns(cols, circuit.num_qubits, g.resolved_matrix(), g.qubits)
+    return cols
+
+
+def random_circuit(
+    num_qubits: int, gate_count: int, rng: np.random.Generator
+) -> QuantumCircuit:
+    """Uniformly random circuit over the fixed gate set (for tests)."""
+    circuit = QuantumCircuit(num_qubits)
+    names = sorted(GATE_MATRICES)
+    for _ in range(gate_count):
+        name = names[rng.integers(len(names))]
+        if GATE_ARITY[name] == 1 or num_qubits == 1:
+            name = name if GATE_ARITY[name] == 1 else "H"
+            circuit.append(name, int(rng.integers(num_qubits)))
+        else:
+            a, b = rng.choice(num_qubits, size=2, replace=False)
+            circuit.append(name, int(a), int(b))
+    return circuit
+
+
+def expm_taylor(matrix: RowOracleMatrix, evo_time: float, order: int) -> np.ndarray:
+    """Degree-``order`` Taylor sum for e^{-i A t} as a dense operator.
+
+    I plus ``expm_taylor_minus_identity`` applied to the identity: a
+    small-dimension oracle for tests; the verifier applies the sum to
+    its witness only.
+    """
+    eye = np.eye(matrix.dim)
+    return eye + expm_taylor_minus_identity(matrix, evo_time, order, eye)
+
+
+def one_bit_pe(u: np.ndarray, psi, unitarity_tol: float = 1e-8) -> float:
+    """Outcome-0 probability of the Hadamard, controlled-U, Hadamard circuit.
+
+    For an eigenstate with U psi = e^{-i theta} psi this is
+    (1 + cos theta)/2; in general it is affine in the eigenbasis
+    weights.  Computed directly as ||(I + U) psi||^2 / 4 from a dense U:
+    the small-dimension reference for ``phase_read``.
+
+    ``unitarity_tol`` exists because truncated-Taylor operators are
+    unitary only up to their tail bound; callers that know their tail
+    pass it explicitly.
+    """
+    u = np.asarray(u, dtype=complex)
+    vec = np.asarray(psi, dtype=complex)
+    if u.shape != (len(vec), len(vec)):
+        raise ContractError(f"operator shape {u.shape} does not fit state of {len(vec)}")
+    dev = float(np.max(np.abs(u.conj().T @ u - np.eye(len(vec)))))
+    if dev > unitarity_tol:
+        raise ContractError(f"operator not unitary within {unitarity_tol:.1e} (dev {dev:.3e})")
+    if abs(np.linalg.norm(vec) - 1.0) > 1e-9:
+        raise ContractError("state is not normalized")
+    return float(np.linalg.norm(vec + u @ vec) ** 2 / 4.0)
+
+
+def measure_probability(state, qubit: int, outcome: int) -> float:
+    """Probability that one qubit reads the given value."""
+    amps = np.asarray(state)
+    n = amps.shape[0]
+    idx = np.arange(n)
+    mask = ((idx >> qubit) & 1) == outcome
+    return float(np.sum(np.abs(amps[mask]) ** 2))
+
+
+def acceptance_probability(verifier, witness) -> float:
+    """Exact probability the verifier's output qubit reads 1.
+
+    ``witness`` may be an amplitude vector on the witness qubits or a
+    density operator (square array); acceptance is linear in the
+    density operator, so mixed witnesses average their eigenvector
+    acceptances.
+    """
+    m = verifier.witness_qubits
+    dim = 2**m
+    raw = np.asarray(witness, dtype=complex)
+    if raw.ndim == 2:
+        if raw.shape != (dim, dim):
+            raise ContractError(f"density operator shape {raw.shape}, want {(dim, dim)}")
+        _require_hermitian(raw, 1e-10)
+        if abs(np.trace(raw).real - 1) > 1e-9:
+            raise ContractError("density operator must have unit trace")
+        probs, vecs = np.linalg.eigh(raw)
+        return float(
+            sum(
+                p * acceptance_probability(verifier, vecs[:, i])
+                for i, p in enumerate(probs)
+                if p > 1e-15
+            )
+        )
+    if raw.shape != (dim,):
+        raise ContractError(f"witness length {raw.shape} does not fit {m} qubits")
+    if abs(np.linalg.norm(raw) - 1.0) > 1e-9:
+        raise ContractError("witness is not normalized")
+    padded = pad_with_ancillas(raw, verifier.ancilla_k)
+    final = run_circuit(verifier.circuit, padded)
+    return measure_probability(final, verifier.output_qubit, 1)
+
+
+# ---------------------------------------------------------------------------
+# reflections, registers and verifier fixtures
+
+
+def reflections(verifier: Verifier) -> tuple[np.ndarray, np.ndarray]:
+    """R0 = 2 Pi0 - I (ancillas blank) and R1 = 2 Pi1 - I (circuit accepts).
+
+    Dense, on all n circuit qubits: the reference for the walk R1 R0
+    whose eigenphases ``nwz_amplify`` takes from Jordan's lemma.
+    """
+    n = verifier.circuit.num_qubits
+    m = verifier.witness_qubits
+    idx = np.arange(2**n)
+    ancilla_mask = (idx >> m) == 0  # all ancilla bits zero
+    r0 = np.where(ancilla_mask, 1.0, -1.0)
+    u = circuit_unitary(verifier.circuit)
+    out_mask = ((idx >> verifier.output_qubit) & 1) == 1
+    p1 = (u.conj().T * np.where(out_mask, 1.0, 0.0)) @ u
+    r1 = 2.0 * p1 - np.eye(2**n)
+    return np.diag(r0), r1
+
+
+def qpe_register_distribution(
+    w_op: np.ndarray, initial: np.ndarray, register_bits: int
+) -> np.ndarray:
+    """Outcome distribution of phase estimation of w_op on a state, simulated.
+
+    Builds all 2^b controlled-power branches by sequential application,
+    applies the inverse Fourier transform across the register axis, and
+    traces out the system.  No sampling anywhere.  This is the test
+    oracle of the closed form in ``nwz_amplify``: it costs 2^b dense
+    products and 2^b state vectors of memory, and its rounding grows
+    with the 2^b powers (about 4e-11 in a register mass at b = 19).
+    """
+    n = 2**register_bits
+    dim = len(initial)
+    branches = np.empty((n, dim), dtype=complex)
+    v = np.asarray(initial, dtype=complex) / sqrt(n)
+    for j in range(n):
+        branches[j] = v
+        if j + 1 < n:
+            v = w_op @ v
+    transformed = np.fft.fft(branches, axis=0, norm="ortho")
+    probs = np.sum(np.abs(transformed) ** 2, axis=1)
+    total = probs.sum()
+    if abs(total - 1.0) > 1e-9:
+        raise ContractError(f"register distribution sums to {total}, not 1")
+    return probs
+
+
+def folded_phases(register_bits: int) -> np.ndarray:
+    """Phase value |j|/2^b in [0, 1/2] read from each register outcome.
+
+    The outcomes whose folded phase lies below a cut form the arc
+    |j| <= w (mod 2^b), which is how ``nwz_amplify`` sums them.
+    """
+    n = 2**register_bits
+    j = np.arange(n)
+    return np.minimum(j, n - j) / n
+
+
+def passthrough_verifier() -> Verifier:
+    """Output is the witness qubit itself; accept operator diag(0, 1)."""
+    return Verifier(
+        circuit=QuantumCircuit(1),
+        witness_qubits=1,
+        ancilla_k=0,
+        output_qubit=0,
+        completeness_c=1.0,
+        soundness_s=0.0,
+    )
+
+
+def corpus_verifiers() -> dict[str, Verifier]:
+    """The named verifier set exercised by the protocol test batteries."""
+    singular, gapped, g = toy_gapped_instances()
+    rng = np.random.default_rng(20260815)
+    random_circuit = QuantumCircuit(2)
+    for _ in range(12):
+        pick = rng.integers(4)
+        if pick == 0:
+            random_circuit.append("H", int(rng.integers(2)))
+        elif pick == 1:
+            random_circuit.append("T", int(rng.integers(2)))
+        elif pick == 2:
+            random_circuit.append("X", int(rng.integers(2)))
+        else:
+            a, b = rng.permutation(2)
+            random_circuit.append("CNOT", int(a), int(b))
+    return {
+        "passthrough": passthrough_verifier(),
+        "rotation_high": rotation_verifier(0.9, 0.9, 0.1),
+        "rotation_low": rotation_verifier(0.1, 0.9, 0.1),
+        "gap_singular": pe_verifier(singular, g),
+        "gap_bounded": pe_verifier(gapped, g),
+        "random_2q": Verifier(
+            circuit=random_circuit,
+            witness_qubits=1,
+            ancilla_k=1,
+            output_qubit=1,
+            completeness_c=0.9,
+            soundness_s=0.1,
+        ),
+    }
+
+
+def history_state(verifier: Verifier, witness) -> np.ndarray:
+    """Uniform superposition of the partial computations, clock in unary."""
+    t_count = verifier.circuit.gate_count
+    w = verifier.circuit.num_qubits
+    state = pad_with_ancillas(witness, verifier.ancilla_k)
+    dim = 2 ** (w + t_count)
+    out = np.zeros(dim, dtype=complex)
+    clock_value = 0
+    for step in range(t_count + 1):
+        if step > 0:
+            gate = verifier.circuit.gates[step - 1]
+            state = _apply_to_columns(
+                state.reshape(-1, 1), w, gate.resolved_matrix(), gate.qubits
+            ).reshape(-1)
+            clock_value |= 1 << (step - 1)
+        out[(clock_value << w) : (clock_value << w) + 2**w] += state
+    return out / sqrt(t_count + 1)

