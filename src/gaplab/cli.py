@@ -7,7 +7,9 @@ enforces by comparing CLI output against direct library results.
 Reports are deterministic byte-for-byte for a fixed configuration.
 CSV carries floats at 17 significant digits; JSON uses the shortest
 round-tripping float form.  Config precedence is flags, then the
-optional --config JSON file, then built-in defaults.
+optional --config JSON file, then built-in defaults; a config key is
+checked as its flag would be, so an unknown key, a value of another
+JSON type or one outside the flag's choices is a usage error.
 
 Exit codes: 0 success, 1 contract/resource/configuration violation
 (diagnostic on stderr), 2 usage, 3 promise violation reported by an
@@ -330,14 +332,64 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _command_flags(parser: argparse.ArgumentParser, command: str) -> dict[str, argparse.Action]:
+    """The flags a config file may set for ``command``, by destination."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        a.dest: a
+        for a in sub.choices[command]._actions
+        if a.option_strings and a.dest not in ("help", "config")
+    }
+
+
+def _config_refusal(flags: dict[str, argparse.Action], command: str, key: str, value):
+    """Why a config entry is refused, or None when its flag would take the value.
+
+    The key must name a flag of the command, by its destination
+    (``index_form`` for --index-form).  The JSON type must be the
+    flag's: an integer for an int flag, a number for a float flag, a
+    string otherwise, and never a boolean.  A flag with choices takes
+    only those.
+    """
+    if key not in flags:
+        return f"config key {key!r} sets no flag of {command}"
+    action = flags[key]
+    kind = action.type or str
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        name = {int: "an integer", float: "a number"}.get(kind, "a string")
+        return f"config key {key!r} must be {name}, got {value!r}"
+    if action.choices is not None and value not in action.choices:
+        allowed = ", ".join(map(repr, action.choices))
+        return f"config key {key!r} must be one of {allowed}, got {value!r}"
+    return None
+
+
 def _resolve(args, parser: argparse.ArgumentParser) -> None:
-    """Apply config-file values, then defaults, then check required flags."""
+    """Apply config-file values, then defaults, then check required flags.
+
+    A config file that cannot be read, is not JSON or is not an object
+    raises ConfigurationError or OSError.  A key that sets no flag of
+    the command, or a value its flag would not accept, ends the run
+    with one line and exit code 2, as a bad flag does.
+    """
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            try:
+                cfg = json.load(fh)
+            except ValueError as exc:
+                raise ConfigurationError(f"config {args.config} is not JSON: {exc}") from None
+        if not isinstance(cfg, dict):
+            raise ConfigurationError(
+                f"config {args.config} must hold a JSON object, got {type(cfg).__name__}"
+            )
+        flags = _command_flags(parser, args.command)
         for key, value in cfg.items():
-            if hasattr(args, key) and getattr(args, key) is None:
-                setattr(args, key, value)
+            refusal = _config_refusal(flags, args.command, key, value)
+            if refusal:
+                parser.exit(EXIT_USAGE, f"gaplab: {refusal}\n")
+            if getattr(args, key) is None:
+                setattr(args, key, (flags[key].type or str)(value))
     for key, value in DEFAULTS[args.command].items():
         if getattr(args, key, "absent") is None:
             setattr(args, key, value)
@@ -365,8 +417,8 @@ def _resolve(args, parser: argparse.ArgumentParser) -> None:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _resolve(args, parser)
     try:
+        _resolve(args, parser)
         payload, code = HANDLERS[args.command](args)
         text = emit_report(payload, args.format)
         if args.output:

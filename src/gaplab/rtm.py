@@ -43,16 +43,12 @@ import os
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from math import ceil, log2
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ContractError
-from .sparse_oracle import RowOracleMatrix, _field, ata_oracle
+from .sparse_oracle import RowOracleMatrix, _field, _index_dtype, _ones, ata_oracle
 from .spectral import min_eigenvalue_bound
-
-if TYPE_CHECKING:
-    from scipy.sparse import csr_matrix
 
 MOVES = {"L": -1, "S": 0, "R": 1}
 
@@ -376,36 +372,35 @@ def augmented_adjacency(machine: ReversibleTM, input_str: str) -> RowOracleMatri
         )
     s_idx = encode_configuration(machine, start_configuration(machine, input_str))
     t_idx = encode_configuration(machine, accept_configuration(machine, input_str))
-    csr = _adjacency_csr(succ, s_idx, t_idx)
-    return RowOracleMatrix(csr, sparsity_d=2, entry_bound_k=1, column_ones_bound=2)
+    return _ones(*_adjacency_arrays(succ, s_idx, t_idx))
 
 
-def _adjacency_csr(succ: np.ndarray, s_idx: int, t_idx: int) -> csr_matrix:
-    """The CSR matrix of ``augmented_adjacency``, written row slot by row slot.
+def _adjacency_arrays(succ: np.ndarray, s_idx: int, t_idx: int) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices) of ``augmented_adjacency``, written row slot by row slot.
 
     Each row has two candidate columns, -1 for none: the successor edge
     (merged into the self-loop if a configuration steps to itself) and
     the self-loop.  A row's last slot takes the larger, and a row with
     both takes the smaller in its first slot, so the columns come out
-    sorted with no sort.  The dim-long temporaries die on return, before
-    the caller checks the row contract.
+    sorted with no sort.  Both arrays are written in the oracle's index
+    dtype, so the oracle keeps them as they are.  The dim-long
+    temporaries die on return, before the caller checks the row contract.
     """
-    from scipy.sparse import csr_matrix
-
     dim = len(succ)
+    index = _index_dtype(dim, 2 * dim)  # a row holds at most two entries
     loop = np.arange(dim, dtype=np.int64)
     loop[s_idx] = -1
     edge = np.where(succ == loop, -1, succ)
     edge[t_idx], loop[t_idx] = s_idx, -1
     high, low = np.maximum(edge, loop), np.minimum(edge, loop)
-    indptr = np.zeros(dim + 1, dtype=np.int64)
-    np.cumsum((high >= 0).astype(np.int64) + (low >= 0), out=indptr[1:])
-    indices = np.empty(int(indptr[-1]), dtype=np.int64)
+    indptr = np.zeros(dim + 1, dtype=index)
+    np.cumsum((high >= 0).astype(index) + (low >= 0), out=indptr[1:])
+    indices = np.empty(int(indptr[-1]), dtype=index)
     filled = high >= 0
     indices[indptr[1:][filled] - 1] = high[filled]
     both = low >= 0
     indices[indptr[:-1][both]] = low[both]
-    return csr_matrix((np.ones(len(indices), dtype=np.int64), indices, indptr), shape=(dim, dim))
+    return indptr, indices
 
 
 @dataclass(frozen=True)

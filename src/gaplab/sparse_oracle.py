@@ -1,15 +1,20 @@
-"""Row oracles: integer CSR matrices under a checked contract.
+"""Row oracles: integer CSR arrays under a checked contract.
 
-A row oracle is an int64 CSR matrix together with the contract every
-reduction in this package declares for it: at most ``sparsity_d``
-entries per row, each at most ``entry_bound_k`` in magnitude, and
-optionally at most ``column_ones_bound`` ones per column.  The contract
-is checked once, on all rows at once, when the oracle is constructed;
-from then on every consumer (determinant checks, spectral bounds,
-evolution operators) reads the stored matrix through ``to_csr``, and
-the declared bounds, not the entries, set downstream parameters such as
-the verifier's evolution time.  Dense materialization exists only as a
-desk-scale debugging and ground-truth device, gated by an explicit cap.
+A row oracle is its CSR arrays (``indptr``, ``indices`` and int64
+``data``) together with the contract every reduction in this package
+declares for them: at most ``sparsity_d`` entries per row, each at most
+``entry_bound_k`` in magnitude, and optionally at most
+``column_ones_bound`` ones per column.  The contract is checked once,
+on all rows at once, when the oracle is constructed; from then on every
+consumer (determinant checks, spectral bounds, evolution operators)
+reads the arrays through ``to_csr``, a scipy CSR matrix built on the
+same buffers, and the declared bounds, not the entries, set downstream
+parameters such as the verifier's evolution time.  Building an oracle
+from triplets, a structured block or a machine reduction, checking it
+and materializing it take numpy alone; scipy is imported when the CSR
+view is first asked for, by the Gram product or a kernel.  Dense
+materialization exists only as a desk-scale debugging and ground-truth
+device, gated by an explicit cap.
 
 Integer-valued oracles stay integer-valued until a spectral operation
 converts them to floats.  No float arithmetic happens in construction
@@ -22,6 +27,7 @@ import json
 import operator
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -35,59 +41,104 @@ if TYPE_CHECKING:
 DENSE_CAP = 2**14
 
 
+def _index_dtype(dim: int, nnz: int) -> type:
+    """The index dtype scipy keeps for a dim x dim CSR matrix: int32 while dim and nnz fit."""
+    return np.int32 if max(dim, nnz) <= np.iinfo(np.int32).max else np.int64
+
+
 @dataclass(frozen=True, eq=False)
 class RowOracleMatrix:
-    """Square int64 CSR matrix with a declared row contract.
+    """Square integer matrix as CSR arrays, with a declared row contract.
 
-    Every row holds at most ``sparsity_d`` entries, sorted by column,
-    nonzero and at most ``entry_bound_k`` in magnitude.
+    ``indptr`` and ``indices`` are stored in the index dtype scipy keeps
+    for the matrix's size (int32 while dim and nnz fit), so the CSR
+    view ``csr`` wraps them and ``data`` (int64, required) without a
+    copy.  Every row holds at most ``sparsity_d`` entries, sorted by
+    column, nonzero and at most ``entry_bound_k`` in magnitude.
     ``column_ones_bound`` is an optional declared bound on the number of
     ones per column, required by the Gram construction below.
     Construction checks all of it and raises ContractError naming the
-    first offending row.  The matrix is shared by every caller of
-    ``to_csr``, which must not modify it in place.  Equality is identity.
+    first offending row.  The arrays are shared by every caller of
+    ``to_csr``, which must not modify them in place.  Equality is
+    identity.
     """
 
-    csr: csr_matrix
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
     sparsity_d: int
     entry_bound_k: int
     column_ones_bound: int | None = None
 
     def __post_init__(self) -> None:
-        from scipy.sparse import csr_matrix
-
-        csr, d, k = self.csr, self.sparsity_d, self.entry_bound_k
-        if not (isinstance(csr, csr_matrix) and csr.dtype == np.int64):
-            raise ContractError("row oracles carry exact integer entries in an int64 CSR matrix")
-        dim = csr.shape[0]
-        if csr.shape != (dim, dim) or dim <= 0:
-            raise ValueError(f"expected a nonempty square matrix, got shape {csr.shape}")
+        vals, d, k = self.data, self.sparsity_d, self.entry_bound_k
+        if not (isinstance(vals, np.ndarray) and vals.dtype == np.int64 and vals.ndim == 1):
+            raise ContractError("row oracles carry exact integer entries in an int64 data array")
+        indptr, cols = np.asarray(self.indptr), np.asarray(self.indices)
+        for name, arr in (("indptr", indptr), ("indices", cols)):
+            if arr.ndim != 1 or not np.issubdtype(arr.dtype, np.integer):
+                raise ContractError(f"{name} must be a one-dimensional integer array")
+        dim, nnz = len(indptr) - 1, len(vals)
+        if dim <= 0:
+            raise ValueError("expected a nonempty square matrix, got no rows")
+        counts = np.diff(indptr)
+        if len(cols) != nnz or indptr[0] != 0 or indptr[-1] != nnz or counts.min() < 0:
+            raise ValueError(
+                f"malformed CSR arrays: indptr from {indptr[0]} to {indptr[-1]},"
+                f" {len(cols)} indices, {nnz} values"
+            )
         if d < 0 or k < 0:
             raise ValueError("sparsity and entry bounds must be nonnegative")
-        indptr, cols, vals = csr.indptr, csr.indices, csr.data
-        counts = np.diff(indptr)
-        entry_row = np.repeat(np.arange(dim), counts)
-        position = entry_row * dim + cols  # strictly increasing iff rows are sorted
-        for bad_row, what in (
-            (np.flatnonzero(counts > d), f"has more than {d} entries"),
-            (entry_row[(cols < 0) | (cols >= dim)], f"references a column outside [0, {dim})"),
-            (entry_row[1:][np.diff(position) <= 0], "entries not sorted by column"),
-            (entry_row[vals == 0], "contains an explicit zero"),
-            (entry_row[np.abs(vals) > k], f"exceeds declared bound {k}"),
-        ):
-            if bad_row.size:
-                raise ContractError(f"row {bad_row[0]} {what}")
+
+        def row_of(entry: np.ndarray) -> int:
+            """Row of the first entry the mask flags."""
+            return int(np.searchsorted(indptr, entry.argmax(), side="right")) - 1
+
+        # Each check reduces first and builds an nnz-long mask only to name a
+        # failing row; the one mask a valid oracle pays is the sort check's.
+        if counts.max() > d:
+            raise ContractError(f"row {int((counts > d).argmax())} has more than {d} entries")
+        if nnz and (cols.min() < 0 or cols.max() >= dim):
+            raise ContractError(
+                f"row {row_of((cols < 0) | (cols >= dim))} references a column outside [0, {dim})"
+            )
+        # Every index now lies in [0, max(dim, nnz)], so narrowing loses nothing.
+        index = _index_dtype(dim, nnz)
+        indptr, cols = indptr.astype(index, copy=False), cols.astype(index, copy=False)
+        object.__setattr__(self, "indptr", indptr)
+        object.__setattr__(self, "indices", cols)
+        descending = cols[1:] <= cols[:-1]
+        starts = indptr[1:-1]
+        descending[starts[(starts > 0) & (starts < nnz)] - 1] = False  # pairs across rows
+        if descending.any():
+            row = row_of(np.append(False, descending))  # the pair's second entry
+            raise ContractError(f"row {row} entries not sorted by column")
+        del descending
+        if np.count_nonzero(vals) < nnz:
+            raise ContractError(f"row {row_of(vals == 0)} contains an explicit zero")
+        if nnz and (vals.min() < -k or vals.max() > k):
+            row = row_of((vals < -k) | (vals > k))
+            raise ContractError(f"row {row} exceeds declared bound {k}")
         ones = self.column_ones_bound
         if ones is not None and np.bincount(cols[vals == 1], minlength=dim).max() > ones:
             raise ContractError(f"a column holds more than {ones} ones")
 
     @property
     def dim(self) -> int:
-        return self.csr.shape[0]
+        return len(self.indptr) - 1
+
+    @cached_property
+    def csr(self) -> csr_matrix:
+        """The scipy CSR matrix on the oracle's own arrays; nothing is copied."""
+        from scipy.sparse import csr_matrix
+
+        view = csr_matrix((self.data, self.indices, self.indptr), shape=(self.dim, self.dim))
+        view.has_canonical_format = True  # the contract: sorted columns, no repeats
+        return view
 
 
 def to_csr(matrix: RowOracleMatrix) -> csr_matrix:
-    """The oracle's int64 CSR matrix: the form every full pass reads."""
+    """The oracle's CSR matrix, a view on its arrays: the form every full pass reads."""
     return matrix.csr
 
 
@@ -98,19 +149,26 @@ def norm_bound(matrix: RowOracleMatrix) -> int:
 
 def materialize(matrix: RowOracleMatrix, cap: int = DENSE_CAP) -> np.ndarray:
     """Expand an oracle to a dense int64 array, gated by the cap."""
-    if matrix.dim > cap:
-        raise ResourceLimitError(
-            f"dim {matrix.dim} exceeds dense materialization cap {cap}"
-        )
-    return to_csr(matrix).toarray()
+    dim = matrix.dim
+    if dim > cap:
+        raise ResourceLimitError(f"dim {dim} exceeds dense materialization cap {cap}")
+    dense = np.zeros((dim, dim), dtype=np.int64)
+    dense[np.repeat(np.arange(dim), np.diff(matrix.indptr)), matrix.indices] = matrix.data
+    return dense
 
 
-def _ones(cols: np.ndarray, indptr: np.ndarray) -> csr_matrix:
-    """Square int64 CSR matrix with a one at each listed column."""
-    from scipy.sparse import csr_matrix
-
-    dim = len(indptr) - 1
-    return csr_matrix((np.ones(len(cols), dtype=np.int64), cols, indptr), shape=(dim, dim))
+def _ones(
+    indptr: np.ndarray, indices: np.ndarray, sparsity_d: int = 2, column_ones_bound: int = 2
+) -> RowOracleMatrix:
+    """0/1 row oracle with a one at each listed column."""
+    return RowOracleMatrix(
+        indptr,
+        indices,
+        np.ones(len(indices), dtype=np.int64),
+        sparsity_d=sparsity_d,
+        entry_bound_k=1,
+        column_ones_bound=column_ones_bound,
+    )
 
 
 def from_dense(dense: np.ndarray) -> RowOracleMatrix:
@@ -145,8 +203,6 @@ def from_entries(dim: int, triplets: Iterable[Sequence[int]]) -> RowOracleMatrix
     The declared bounds are the tightest the entries satisfy; a column
     bound is declared only for 0/1 matrices.
     """
-    from scipy.sparse import coo_matrix
-
     t = np.array(
         [(_integer(i), _integer(j), _integer(v)) for i, j, v in triplets], dtype=np.int64
     )
@@ -156,14 +212,19 @@ def from_entries(dim: int, triplets: Iterable[Sequence[int]]) -> RowOracleMatrix
         k = outside[0]
         raise ValueError(f"entry ({i[k]}, {j[k]}) outside a {dim} x {dim} matrix")
     i, j, v = i[v != 0], j[v != 0], v[v != 0]
-    position, count = np.unique(i * dim + j, return_counts=True)
-    if np.any(count > 1):
-        raise ValueError(f"duplicate entry at {divmod(int(position[count > 1][0]), dim)}")
-    csr = coo_matrix((v, (i, j)), shape=(dim, dim)).tocsr()
+    position = i * dim + j
+    order = np.argsort(position)  # row-major: the CSR order
+    position = position[order]
+    repeated = np.flatnonzero(position[1:] == position[:-1])
+    if repeated.size:
+        raise ValueError(f"duplicate entry at {divmod(int(position[repeated[0]]), dim)}")
+    counts = np.bincount(i, minlength=dim)
     ones = np.bincount(j, minlength=dim).max(initial=0)
     return RowOracleMatrix(
-        csr,
-        sparsity_d=max(int(np.diff(csr.indptr).max(initial=0)), 1),
+        np.concatenate(([0], np.cumsum(counts))),
+        j[order],
+        v[order],
+        sparsity_d=max(int(counts.max(initial=0)), 1),
         entry_bound_k=max(int(np.abs(v).max(initial=0)), 1),
         column_ones_bound=int(ones) if np.all(v == 1) else None,
     )
@@ -174,10 +235,11 @@ def ata_oracle(matrix: RowOracleMatrix) -> RowOracleMatrix:
 
     Row i of the Gram matrix touches only columns j that share a
     supporting row with column i, which bounds its sparsity; the product
-    is taken once, over int64, on the CSR form.  Entries land in {0, 1, 2}:
-    a diagonal entry counts the ones in column i, an off-diagonal entry
-    counts shared rows.  The result is symmetric and positive
-    semidefinite by construction.
+    is taken once, over int64, on the CSR form, and the oracle keeps the
+    product's arrays.  Entries land in {0, 1, 2}: a diagonal entry
+    counts the ones in column i, an off-diagonal entry counts shared
+    rows.  The result is symmetric and positive semidefinite by
+    construction.
     """
     if matrix.column_ones_bound is None or matrix.column_ones_bound > 2:
         raise ContractError(
@@ -191,7 +253,9 @@ def ata_oracle(matrix: RowOracleMatrix) -> RowOracleMatrix:
     gram.eliminate_zeros()
     gram.sort_indices()
     return RowOracleMatrix(
-        gram,
+        gram.indptr,
+        gram.indices,
+        gram.data,
         sparsity_d=min(matrix.dim, 2 * matrix.sparsity_d * matrix.column_ones_bound),
         entry_bound_k=2,
     )
@@ -207,10 +271,7 @@ def path_adjacency(ell: int) -> RowOracleMatrix:
         raise ValueError(f"path block needs 'ell' >= 1, got {ell}")
     i = np.arange(ell)
     cols = np.column_stack((i - 1, i)).ravel()[1:]  # row 0 has no edge to -1
-    indptr = np.maximum(2 * np.arange(ell + 1) - 1, 0)
-    return RowOracleMatrix(
-        _ones(cols, indptr), sparsity_d=2, entry_bound_k=1, column_ones_bound=2
-    )
+    return _ones(np.maximum(2 * np.arange(ell + 1) - 1, 0), cols)
 
 
 def cycle_adjacency(ell: int) -> RowOracleMatrix:
@@ -224,10 +285,7 @@ def cycle_adjacency(ell: int) -> RowOracleMatrix:
         raise ValueError(f"cycle block needs 'ell' >= 3, got {ell}")
     i = np.arange(1, ell - 1)
     cols = np.concatenate(([ell - 1], np.column_stack((i - 1, i)).ravel(), [ell - 2]))
-    indptr = np.concatenate(([0], 2 * np.arange(ell - 1) + 1, [2 * ell - 2]))
-    return RowOracleMatrix(
-        _ones(cols, indptr), sparsity_d=2, entry_bound_k=1, column_ones_bound=2
-    )
+    return _ones(np.concatenate(([0], 2 * np.arange(ell - 1) + 1, [2 * ell - 2])), cols)
 
 
 def _read_spec(source: str | os.PathLike | dict) -> tuple[dict, str]:

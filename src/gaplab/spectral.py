@@ -22,6 +22,12 @@ Two independent concerns live here:
   few steps of inverse iteration on that factor.  When only lambda_min
   is asked for, the certification still runs and the inverse iteration
   does not.
+
+Each function imports the scipy routines it calls when it runs, and the
+module imports none: ``eigh_tridiagonal`` loads with the first
+``spectrum_report``, the sparse and banded routines with the first
+kernel on a CSR matrix.  A process that only amplifies or builds clock
+Hamiltonians loads no scipy at all.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ from math import cos, pi, prod
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import ContractError, ResourceLimitError
 from .sparse_oracle import RowOracleMatrix, from_dense, to_csr
@@ -350,6 +355,8 @@ def spectrum_report(kind: str, ell: int, index_form: str = "odd") -> SpectrumRep
     The cycle Gram decomposes as a path Gram of size ell - 1 plus an
     isolated unit eigenvalue, so its closed form reuses the path one.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     diag, off = gram_bands(kind, ell)
     numeric = np.sort(
         eigh_tridiagonal(diag, off, eigvals_only=True)

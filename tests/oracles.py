@@ -20,6 +20,11 @@ the desk-scale sizes the tests use.
 * amplification: the two reflections as dense operators and the
   phase-estimation register simulated branch by branch, against the
   closed form of ``nwz_amplify``;
+* CSR construction: the COO-to-CSR route through scipy that built row
+  oracles before they were written as arrays, and the augmented
+  adjacency assembled triplet by triplet from its definition, against
+  ``from_entries``, the structured blocks, ``augmented_adjacency`` and
+  ``ata_oracle``;
 * fixtures: row listing, the identity oracle, a machine's JSON form
   (the inverse of ``rtm.machine_from_dict``), random circuits, the
   named verifier set and the clock history state.
@@ -31,7 +36,9 @@ from math import sqrt
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.sparse import coo_matrix
 
+from gaplab import rtm
 from gaplab.errors import ContractError, ResourceLimitError
 from gaplab.protocols import Verifier, pe_verifier, rotation_verifier, toy_gapped_instances
 from gaplab.rtm import MOVES, ReversibleTM
@@ -69,12 +76,45 @@ def identity_oracle(dim: int) -> RowOracleMatrix:
     """Row oracle of the dim x dim identity."""
     if dim <= 0:
         raise ValueError(f"dim must be positive, got {dim}")
-    return RowOracleMatrix(
-        _ones(np.arange(dim), np.arange(dim + 1)),
-        sparsity_d=1,
-        entry_bound_k=1,
-        column_ones_bound=1,
-    )
+    return _ones(np.arange(dim + 1), np.arange(dim), sparsity_d=1, column_ones_bound=1)
+
+
+def coo_csr(dim: int, triplets):
+    """The scipy CSR matrix of nonzero, distinct (i, j, value) triplets, by way of COO."""
+    t = np.array(list(triplets), dtype=np.int64).reshape(-1, 3)
+    i, j, v = t[t[:, 2] != 0].T
+    return coo_matrix((v, (i, j)), shape=(dim, dim)).tocsr()
+
+
+def coo_gram(a):
+    """A^T A of a scipy CSR matrix, canonical, as scipy's product gives it."""
+    gram = (a.T @ a).tocsr()
+    gram.eliminate_zeros()
+    gram.sort_indices()
+    return gram
+
+
+def adjacency_triplets(machine: ReversibleTM, input_str: str) -> list[tuple[int, int, int]]:
+    """The augmented adjacency's entries, row by row from its definition.
+
+    Row i holds the successor edge of configuration i and a self-loop
+    (one entry if the two coincide); the start configuration has no
+    self-loop, and the accepting configuration's row is the lone back
+    edge to the start.
+    """
+    succ = rtm.successors(machine)
+    start = rtm.encode_configuration(machine, rtm.start_configuration(machine, input_str))
+    accept = rtm.encode_configuration(machine, rtm.accept_configuration(machine, input_str))
+    out = []
+    for i, s in enumerate(succ.tolist()):
+        if i == accept:
+            cols = {start}
+        else:
+            cols = {s} if s >= 0 else set()
+            if i != start:
+                cols.add(i)
+        out.extend((i, j, 1) for j in sorted(cols))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Command-line surface: formats, determinism, exit codes, thinness."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from importlib import resources
 from pathlib import Path
@@ -445,6 +448,51 @@ def test_flags_override_config(tmp_path, capsys):
     assert len(out.strip().splitlines()) == 3
 
 
+@pytest.mark.parametrize(
+    "text, refusal",
+    [
+        (None, "No such file"),
+        ("{\"ell\": 4", "is not JSON"),
+        ("[4]", "must hold a JSON object, got list"),
+    ],
+)
+def test_unreadable_config_is_refused_in_one_line(tmp_path, capsys, text, refusal):
+    config = tmp_path / "config.json"
+    if text is not None:
+        config.write_text(text)
+    assert cli.main(["spectrum", "--config", str(config)]) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("gaplab: ") and refusal in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, config, refusal",
+    [
+        (["spectrum"], {"ell": "8"}, "'ell' must be an integer, got '8'"),
+        (["energy", "--instance", "m.json"], {"bits": 2.5}, "'bits' must be an integer, got 2.5"),
+        (["amplify"], {"p": True}, "'p' must be a number, got True"),
+        (["spectrum", "--ell", "4"], {"kind": "star"}, "'kind' must be one of 'path', 'cycle'"),
+        (["det", "--instance", "m.json"], {"method": "bareiss"}, "'method' sets no flag of det"),
+    ],
+)
+def test_config_values_a_flag_would_refuse_exit_2(tmp_path, capsys, argv, config, refusal):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv + ["--config", str(path)])
+    assert exit_info.value.code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"gaplab: config key {refusal}") and err.count("\n") == 1
+
+
+def test_config_number_for_a_float_flag_reads_as_the_flag_would(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"p": 1, "completeness": 0.9}))
+    assert run_cli(capsys, "amplify", "--config", str(path)) == run_cli(
+        capsys, "amplify", "--p", "1", "--completeness", "0.9"
+    )
+
+
 def test_seed_recorded_in_payload(capsys):
     code, out = run_cli(capsys, "amplify", "--p", "0.9", "--seed", "7")
     assert code == 0
@@ -517,3 +565,34 @@ def test_det_oracles_match_det_exact(det):
     # The golden det_auto report pins det_exact on this file at -7.
     matrix = sparse_oracle.load_instance(GOLDEN_DIR / "triplets.json")
     assert det(matrix) == spectral.det_exact(matrix) == -7
+
+
+_SCIPY_FREE_RUN = """
+import contextlib, io, json, sys
+
+import gaplab, gaplab.cli
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.startswith("scipy"))
+
+loaded = {"import gaplab, gaplab.cli": scipy_modules()}
+for argv in (["amplify", "--p", "0.9"], ["kitaev", "--verifier", "rule"],
+             ["kitaev", "--verifier", "rotation"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert gaplab.cli.main(argv) == 0
+    loaded[" ".join(argv)] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+def test_amplify_and_kitaev_load_no_scipy():
+    # pytest's own process already holds scipy, so a fresh interpreter runs the check.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, "-c", _SCIPY_FREE_RUN], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    loaded = json.loads(result.stdout)
+    assert len(loaded) == 4
+    assert loaded == {step: [] for step in loaded}

@@ -481,9 +481,8 @@ def test_decide_gapped_on_long_chains():
     assert pr.decide_gapped(path, 35).decision == "NO"
     ones = so.from_dense(np.ones((2, 2), dtype=np.int64))
     longer = so.to_csr(so.ata_oracle(so.path_adjacency(300000)))  # lambda_min 2.7e-11
-    singular = so.RowOracleMatrix(
-        block_diag([longer, so.to_csr(ones)], format="csr", dtype=np.int64), 3, 2
-    )
+    both = block_diag([longer, so.to_csr(ones)], format="csr", dtype=np.int64)
+    singular = so.RowOracleMatrix(both.indptr, both.indices, both.data, 3, 2)
     assert pr.decide_gapped(singular, pr.MAX_GAP_EXPONENT).decision == "YES"
 
 

@@ -4,9 +4,10 @@ import json
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gaplab import sparse_oracle as so
+from gaplab import rtm, sparse_oracle as so
 from gaplab.errors import ContractError, ResourceLimitError
 
 import oracles
@@ -73,8 +74,7 @@ def _row_zero_oracle(entries, d=1, k=1, dim=3):
     """Construct an oracle whose row 0 holds these entries."""
     cols, vals = zip(*entries)
     indptr = [0] + [len(entries)] * dim
-    csr = csr_matrix((np.array(vals), np.array(cols), indptr), shape=(dim, dim))
-    return so.RowOracleMatrix(csr, d, k)
+    return so.RowOracleMatrix(indptr, np.array(cols), np.array(vals), d, k)
 
 
 def test_row_contract_too_many_entries():
@@ -99,23 +99,44 @@ def test_row_contract_entry_bound():
 
 
 def test_row_contract_column_range():
-    with pytest.raises(ContractError, match="outside"):
-        _row_zero_oracle([(3, 1)])
+    # 2^32 + 1 would read as column 1 if the check ran after narrowing to int32.
+    for col in (3, -1, 2**32 + 1):
+        with pytest.raises(ContractError, match="outside"):
+            _row_zero_oracle([(col, 1)])
 
 
 def test_row_contract_column_ones_bound():
-    csr = so.to_csr(so.from_dense(np.ones((3, 3), dtype=np.int64)))
+    ones = so.from_dense(np.ones((3, 3), dtype=np.int64))
     with pytest.raises(ContractError, match="more than 2 ones"):
-        so.RowOracleMatrix(csr, sparsity_d=3, entry_bound_k=1, column_ones_bound=2)
+        so.RowOracleMatrix(
+            ones.indptr, ones.indices, ones.data,
+            sparsity_d=3, entry_bound_k=1, column_ones_bound=2,
+        )
+
+
+def test_row_contract_names_the_first_offending_row():
+    # Rows 0 and 1 are valid; row 2 breaks the contract, row 3 too.
+    indptr = [0, 1, 3, 5, 7]
+    for cols, vals, what in (
+        ([0, 0, 1, 2, 9, 3, 9], [1] * 7, "row 2 references a column outside"),
+        ([0, 0, 1, 2, 1, 3, 2], [1] * 7, "row 2 entries not sorted"),
+        ([0, 0, 1, 1, 2, 2, 3], [1, 1, 1, 0, 1, 0, 1], "row 2 contains an explicit zero"),
+        ([0, 0, 1, 1, 2, 2, 3], [1, 1, -1, 1, -3, 1, 3], "row 2 exceeds declared bound 2"),
+    ):
+        with pytest.raises(ContractError, match=what):
+            so.RowOracleMatrix(indptr, np.array(cols), np.array(vals), 2, 2)
 
 
 def test_constructor_requires_an_int64_csr_matrix():
-    floats, int32 = csr_matrix(np.eye(2)), csr_matrix(np.eye(2, dtype=np.int32))
-    for bad in (floats, int32, np.eye(2, dtype=np.int64)):
+    indptr, cols = np.arange(3), np.arange(2)
+    for bad in (np.ones(2), np.ones(2, dtype=np.int32), [1, 1], np.ones((2, 1), dtype=np.int64)):
         with pytest.raises(ContractError):
-            so.RowOracleMatrix(bad, sparsity_d=1, entry_bound_k=1)
-    with pytest.raises(ValueError):
-        so.RowOracleMatrix(csr_matrix(np.ones((2, 3), dtype=np.int64)), 3, 1)
+            so.RowOracleMatrix(indptr, cols, bad, sparsity_d=1, entry_bound_k=1)
+    with pytest.raises(ContractError):
+        so.RowOracleMatrix(indptr, cols.astype(float), np.ones(2, dtype=np.int64), 1, 1)
+    for bad_indptr in ([0], [0, 1, 1], [1, 1, 2], [0, 2, 1]):
+        with pytest.raises(ValueError):
+            so.RowOracleMatrix(bad_indptr, cols, np.ones(2, dtype=np.int64), 3, 1)
 
 
 def test_to_csr_returns_the_stored_matrix():
@@ -247,3 +268,69 @@ def test_load_instance_rejects_rows_that_miss_the_declared_dim():
         so.load_instance({"dim": 3, "rows": [[1, 0], [0, 1]]})
     with pytest.raises(ContractError, match="dim 2"):
         so.load_instance({"dim": 2, "rows": [[1, 0], [0, 1, 0]]})
+
+
+# ---------------------------------------------------------------------------
+# the CSR view shares the oracle's arrays and equals the COO-built matrix
+
+
+def _assert_view_of(oracle, reference):
+    """to_csr(oracle) wraps the oracle's arrays and equals ``reference`` in values and dtypes."""
+    view = so.to_csr(oracle)
+    for part in ("indptr", "indices", "data"):
+        mine, want = getattr(view, part), getattr(reference, part)
+        # scipy keeps a view of each array (an empty one holds no memory to share)
+        assert mine.size == 0 or np.shares_memory(mine, getattr(oracle, part)), part
+        assert mine.dtype == want.dtype, part
+        np.testing.assert_array_equal(mine, want, err_msg=part)
+    assert view.shape == reference.shape
+    if oracle.dim <= 2000:
+        np.testing.assert_array_equal(so.materialize(oracle), view.toarray())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda dim: st.tuples(
+    st.just(dim),
+    st.dictionaries(st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1)),
+                    st.integers(-3, 3), max_size=dim * dim),
+)))
+def test_from_entries_is_the_coo_route_without_a_copy(case):
+    dim, entries = case
+    triplets = [(i, j, v) for (i, j), v in entries.items()]
+    _assert_view_of(so.from_entries(dim, triplets), oracles.coo_csr(dim, triplets))
+
+
+def test_blocks_are_the_coo_route_without_a_copy():
+    for ell in range(1, 12):
+        triplets = [(0, 0, 1)] + [(i, j, 1) for i in range(1, ell) for j in (i - 1, i)]
+        _assert_view_of(so.path_adjacency(ell), oracles.coo_csr(ell, triplets))
+        gram = oracles.coo_gram(oracles.coo_csr(ell, triplets))
+        _assert_view_of(so.ata_oracle(so.path_adjacency(ell)), gram)
+    for ell in range(3, 12):
+        triplets = [(0, ell - 1, 1), (ell - 1, ell - 2, 1)]
+        triplets += [(i, j, 1) for i in range(1, ell - 1) for j in (i - 1, i)]
+        _assert_view_of(so.cycle_adjacency(ell), oracles.coo_csr(ell, triplets))
+        gram = oracles.coo_gram(oracles.coo_csr(ell, triplets))
+        _assert_view_of(so.ata_oracle(so.cycle_adjacency(ell)), gram)
+
+
+@pytest.mark.parametrize("space", [3, 4, 5, 6])
+def test_reduction_arrays_are_the_coo_route_without_a_copy(space):
+    machine = rtm.with_space(rtm.corpus_machine("unary_counter"), space)
+    for x in ("11", "1"):
+        instance = rtm.reduce_to_gapped(machine, x)
+        adjacency = oracles.coo_csr(instance.dim, oracles.adjacency_triplets(machine, x))
+        _assert_view_of(instance.adjacency, adjacency)
+        _assert_view_of(instance.gram, oracles.coo_gram(adjacency))
+
+
+def test_oracle_keeps_index_arrays_in_scipys_dtype():
+    # int64 indices are narrowed once, at construction, so the view copies nothing.
+    wide = so.RowOracleMatrix(
+        np.arange(4, dtype=np.int64), np.arange(3, dtype=np.int64),
+        np.ones(3, dtype=np.int64), 1, 1,
+    )
+    assert wide.indptr.dtype == wide.indices.dtype == np.int32
+    _assert_view_of(wide, oracles.coo_csr(3, [(i, i, 1) for i in range(3)]))
+    assert so._index_dtype(2**31 - 1, 2**31 - 1) == np.int32
+    assert so._index_dtype(2**31, 1) == so._index_dtype(1, 2**31) == np.int64

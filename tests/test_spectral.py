@@ -356,7 +356,8 @@ def _beside_a_singular_block(ell: int):
 
     path = so.to_csr(so.ata_oracle(so.path_adjacency(ell)))
     ones = so.to_csr(so.from_dense(np.ones((2, 2), dtype=np.int64)))
-    return so.RowOracleMatrix(block_diag([path, ones], format="csr", dtype=np.int64), 3, 2)
+    both = block_diag([path, ones], format="csr", dtype=np.int64)
+    return so.RowOracleMatrix(both.indptr, both.indices, both.data, 3, 2)
 
 
 def test_bottom_eigenpair_when_the_gap_is_below_1e_10():
