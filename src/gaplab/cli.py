@@ -347,8 +347,8 @@ def _config_refusal(flags: dict[str, argparse.Action], command: str, key: str, v
 
     The key must name a flag of the command, by its destination
     (``index_form`` for --index-form).  The JSON type must be the
-    flag's: an integer for an int flag, a number for a float flag, a
-    string otherwise, and never a boolean.  A flag with choices takes
+    flag's: an integer for an int flag, a number a float can hold for a
+    float flag, a string otherwise, and never a boolean.  A flag with choices takes
     only those.
     """
     if key not in flags:
@@ -359,6 +359,11 @@ def _config_refusal(flags: dict[str, argparse.Action], command: str, key: str, v
     if isinstance(value, bool) or not isinstance(value, accepted):
         name = {int: "an integer", float: "a number"}.get(kind, "a string")
         return f"config key {key!r} must be {name}, got {value!r}"
+    if kind is float and isinstance(value, int):
+        try:
+            float(value)
+        except OverflowError:
+            return f"config key {key!r} must be a number a float can hold, got {len(str(abs(value)))} digits"
     if action.choices is not None and value not in action.choices:
         allowed = ", ".join(map(repr, action.choices))
         return f"config key {key!r} must be one of {allowed}, got {value!r}"

@@ -47,7 +47,7 @@ from math import ceil, log2
 import numpy as np
 
 from .errors import ContractError
-from .sparse_oracle import RowOracleMatrix, _field, _index_dtype, _ones, ata_oracle
+from .sparse_oracle import RowOracleMatrix, _field, _index_arrays, _ones, ata_oracle
 from .spectral import min_eigenvalue_bound
 
 MOVES = {"L": -1, "S": 0, "R": 1}
@@ -382,21 +382,16 @@ def _adjacency_arrays(succ: np.ndarray, s_idx: int, t_idx: int) -> tuple[np.ndar
     (merged into the self-loop if a configuration steps to itself) and
     the self-loop.  A row's last slot takes the larger, and a row with
     both takes the smaller in its first slot, so the columns come out
-    sorted with no sort.  Both arrays are written in the oracle's index
-    dtype, so the oracle keeps them as they are.  The dim-long
-    temporaries die on return, before the caller checks the row contract.
+    sorted with no sort.  The dim-long temporaries die on return, before
+    the caller checks the row contract.
     """
-    dim = len(succ)
-    index = _index_dtype(dim, 2 * dim)  # a row holds at most two entries
-    loop = np.arange(dim, dtype=np.int64)
+    loop = np.arange(len(succ), dtype=np.int64)
     loop[s_idx] = -1
     edge = np.where(succ == loop, -1, succ)
     edge[t_idx], loop[t_idx] = s_idx, -1
     high, low = np.maximum(edge, loop), np.minimum(edge, loop)
-    indptr = np.zeros(dim + 1, dtype=index)
-    np.cumsum((high >= 0).astype(index) + (low >= 0), out=indptr[1:])
-    indices = np.empty(int(indptr[-1]), dtype=index)
     filled = high >= 0
+    indptr, indices = _index_arrays(filled.astype(np.int8) + (low >= 0))
     indices[indptr[1:][filled] - 1] = high[filled]
     both = low >= 0
     indices[indptr[:-1][both]] = low[both]

@@ -157,18 +157,29 @@ def materialize(matrix: RowOracleMatrix, cap: int = DENSE_CAP) -> np.ndarray:
     return dense
 
 
-def _ones(
-    indptr: np.ndarray, indices: np.ndarray, sparsity_d: int = 2, column_ones_bound: int = 2
-) -> RowOracleMatrix:
-    """0/1 row oracle with a one at each listed column."""
+def _ones(indptr: np.ndarray, indices: np.ndarray) -> RowOracleMatrix:
+    """0/1 row oracle with a one at each listed column, at most two per row and column."""
     return RowOracleMatrix(
         indptr,
         indices,
         np.ones(len(indices), dtype=np.int64),
-        sparsity_d=sparsity_d,
+        sparsity_d=2,
         entry_bound_k=1,
-        column_ones_bound=column_ones_bound,
+        column_ones_bound=2,
     )
+
+
+def _index_arrays(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``indptr`` for per-row entry counts and an unfilled ``indices`` to write into.
+
+    Both come in the oracle's index dtype, so a producer that fills
+    ``indices`` hands the constructor arrays it keeps as they are.
+    """
+    dim, nnz = len(counts), int(counts.sum())
+    index = _index_dtype(dim, nnz)
+    indptr = np.zeros(dim + 1, dtype=index)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr, np.empty(nnz, dtype=index)
 
 
 def from_dense(dense: np.ndarray) -> RowOracleMatrix:

@@ -52,7 +52,7 @@ from gaplab.simulator import (
     pad_with_ancillas,
     run_circuit,
 )
-from gaplab.sparse_oracle import RowOracleMatrix, _ones, to_csr
+from gaplab.sparse_oracle import RowOracleMatrix, to_csr
 from gaplab.spectral import _require_hermitian, gram_bands
 
 
@@ -76,7 +76,7 @@ def identity_oracle(dim: int) -> RowOracleMatrix:
     """Row oracle of the dim x dim identity."""
     if dim <= 0:
         raise ValueError(f"dim must be positive, got {dim}")
-    return _ones(np.arange(dim + 1), np.arange(dim), sparsity_d=1, column_ones_bound=1)
+    return RowOracleMatrix(np.arange(dim + 1), np.arange(dim), np.ones(dim, dtype=np.int64), 1, 1, 1)
 
 
 def coo_csr(dim: int, triplets):
@@ -95,26 +95,24 @@ def coo_gram(a):
 
 
 def adjacency_triplets(machine: ReversibleTM, input_str: str) -> list[tuple[int, int, int]]:
-    """The augmented adjacency's entries, row by row from its definition.
+    """The augmented adjacency's entries by its definition, stepping the machine with ``step``.
 
-    Row i holds the successor edge of configuration i and a self-loop
-    (one entry if the two coincide); the start configuration has no
-    self-loop, and the accepting configuration's row is the lone back
-    edge to the start.
+    Every configuration has a self-loop and an edge to its successor,
+    except that the start configuration has no self-loop and the
+    accepting configuration's row is the lone back edge to the start.
     """
-    succ = rtm.successors(machine)
-    start = rtm.encode_configuration(machine, rtm.start_configuration(machine, input_str))
-    accept = rtm.encode_configuration(machine, rtm.accept_configuration(machine, input_str))
-    out = []
-    for i, s in enumerate(succ.tolist()):
-        if i == accept:
-            cols = {start}
-        else:
-            cols = {s} if s >= 0 else set()
-            if i != start:
-                cols.add(i)
-        out.extend((i, j, 1) for j in sorted(cols))
-    return out
+    s_idx = rtm.encode_configuration(machine, rtm.start_configuration(machine, input_str))
+    t_idx = rtm.encode_configuration(machine, rtm.accept_configuration(machine, input_str))
+    entries = {(t_idx, s_idx)}
+    for i in range(machine.dim):
+        if i == t_idx:
+            continue
+        if i != s_idx:
+            entries.add((i, i))
+        nxt = rtm.step(machine, rtm.decode_configuration(machine, i))
+        if nxt is not None:
+            entries.add((i, rtm.encode_configuration(machine, nxt)))
+    return sorted((i, j, 1) for i, j in entries)
 
 
 # ---------------------------------------------------------------------------

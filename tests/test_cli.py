@@ -471,6 +471,7 @@ def test_unreadable_config_is_refused_in_one_line(tmp_path, capsys, text, refusa
         (["spectrum"], {"ell": "8"}, "'ell' must be an integer, got '8'"),
         (["energy", "--instance", "m.json"], {"bits": 2.5}, "'bits' must be an integer, got 2.5"),
         (["amplify"], {"p": True}, "'p' must be a number, got True"),
+        (["amplify"], {"p": 10**400}, "'p' must be a number a float can hold, got 401 digits"),
         (["spectrum", "--ell", "4"], {"kind": "star"}, "'kind' must be one of 'path', 'cycle'"),
         (["det", "--instance", "m.json"], {"method": "bareiss"}, "'method' sets no flag of det"),
     ],

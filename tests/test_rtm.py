@@ -187,27 +187,11 @@ def test_augmented_adjacency_row_structure():
             for accepted, x in by_outcome.items():
                 kinds.add(accepted)
                 got = so.to_csr(rtm.augmented_adjacency(machine, x))
-                want = so.to_csr(_reference_adjacency(machine, x))
+                want = oracles.coo_csr(machine.dim, oracles.adjacency_triplets(machine, x))
                 for part in ("indptr", "indices", "data"):
                     assert np.array_equal(getattr(got, part), getattr(want, part)), (
                         name, space, x, part)
         assert kinds == {True, False}, name  # an accepting and a rejecting input
-
-
-def _reference_adjacency(machine: rtm.ReversibleTM, input_str: str) -> so.RowOracleMatrix:
-    """augmented_adjacency by its definition: self-loops plus successor edges from ``step``."""
-    s_idx = rtm.encode_configuration(machine, rtm.start_configuration(machine, input_str))
-    t_idx = rtm.encode_configuration(machine, rtm.accept_configuration(machine, input_str))
-    entries = {(t_idx, s_idx)}
-    for i in range(machine.dim):
-        if i == t_idx:
-            continue
-        if i != s_idx:
-            entries.add((i, i))
-        nxt = rtm.step(machine, rtm.decode_configuration(machine, i))
-        if nxt is not None:
-            entries.add((i, rtm.encode_configuration(machine, nxt)))
-    return so.from_entries(machine.dim, [(i, j, 1) for i, j in entries])
 
 
 def test_reduction_determinant_tracks_acceptance():
