@@ -20,8 +20,11 @@ Two independent concerns live here:
   Cholesky factorization whose existence certifies the matrix positive
   semidefinite up to a margin at the scale of rounding in ||A||, and a
   few steps of inverse iteration on that factor.  When only lambda_min
-  is asked for, the certification still runs and the inverse iteration
-  does not.
+  is asked for, a direct sum of path blocks (every reduction's Gram)
+  is recognised from exact integer tests on its CSR arrays and answered
+  from the closed form of its longest path of each kind, with no band;
+  any other matrix gets the band's certified value, without the
+  inverse iteration.
 
 Each function imports the scipy routines it calls when it runs, and the
 module imports none: ``eigh_tridiagonal`` loads with the first
@@ -33,7 +36,7 @@ Hamiltonians loads no scipy at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, pi, prod
+from math import pi, prod, sin
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -256,16 +259,29 @@ def closed_form_eigenvalues(ell: int, index_form: str = "odd") -> np.ndarray:
     return 2.0 * (1.0 - np.cos(num * pi / (2.0 * ell + 1.0)))
 
 
+def _chain_floor(m: int) -> float:
+    """4 sin^2(pi / (2 m)): the least eigenvalue of the m - 1 vertex chain tridiag(-1, 2, -1).
+
+    The path Gram with one end 1 of size ell has the same least
+    eigenvalue at m = 2 ell + 1.  The sine form has no cancellation: its
+    relative error stays within a few ulp at every m, where
+    2 (1 - cos(pi / m)) loses a relative 1e-3 at m = 2 * 10^7.
+    """
+    s = sin(pi / (2 * m))
+    return 4.0 * s * s
+
+
 def min_eigenvalue_bound(dim: int) -> float:
     """Smallest possible nonzero Gram eigenvalue at a given dimension.
 
-    Equals the bottom of the closed-form path spectrum at ell = dim;
-    any reduction output of this dimension with nonzero determinant has
-    its least eigenvalue at or above this value.
+    Equals the bottom of the closed-form path spectrum at ell = dim,
+    4 sin^2(pi / (2 (2 dim + 1))); any reduction output of this
+    dimension with nonzero determinant has its least eigenvalue at or
+    above this value.
     """
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
-    return 2.0 * (1.0 - cos(pi / (2.0 * dim + 1.0)))
+    return _chain_floor(2 * dim + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -372,24 +388,28 @@ def spectrum_report(kind: str, ell: int, index_form: str = "odd") -> SpectrumRep
     return SpectrumReport(kind=kind, ell=ell, eigenvalues=numeric, closed_form=closed)
 
 
-def _equals_transpose(a: csr_matrix) -> bool:
-    """Whether the canonical CSR matrix A stores the same arrays as A^T (also canonical)."""
+def _symmetric_csr(matrix: RowOracleMatrix) -> csr_matrix:
+    """The oracle's CSR matrix, once it is checked to equal its transpose entry for entry.
+
+    The CSR arrays are canonical, and so are A^T's after ``tocsr``, so
+    equal arrays are equal matrices.  For integer entries the exact test
+    is the same as a float tolerance below one.
+    """
+    a = to_csr(matrix)
     t = a.T.tocsr()
-    return all(np.array_equal(getattr(a, part), getattr(t, part))
-               for part in ("indptr", "indices", "data"))
+    if not all(np.array_equal(getattr(a, part), getattr(t, part))
+               for part in ("indptr", "indices", "data")):
+        raise ContractError("matrix is not symmetric")
+    return a
 
 
 def _certified_bottom(a: csr_matrix) -> tuple[float, np.ndarray, np.ndarray]:
-    """(lambda_min, Cholesky factor of the band of A - sigma I, RCM order) of an int64 CSR A.
+    """(lambda_min, Cholesky factor of the band of A - sigma I, RCM order) of a symmetric int64 CSR A.
 
-    The symmetry check is exact: A equals its transpose entry for entry.
-    For integer entries that is the same test as a float tolerance below
-    one.  The certification is the one ``bottom_eigenpair`` describes.
+    The certification is the one ``bottom_eigenpair`` describes.
     """
     from scipy.linalg import cholesky_banded, eig_banded
 
-    if not _equals_transpose(a):
-        raise ContractError("matrix is not symmetric")
     band, perm = _rcm_band(a)
     # Every row of |A| sums to at most (2 lo + 1) max |a_ij|, which bounds ||A||;
     # the entries are integers, so a nonzero matrix has max |a_ij| >= 1.
@@ -428,7 +448,8 @@ def bottom_eigenpair(matrix: RowOracleMatrix) -> tuple[float, np.ndarray, float]
     raises ContractError.  The margin tau is CHOLESKY_MARGIN eps times a
     bound on ||A||: it covers the rounding in lam and in the
     factorization, which scales with ||A||, so a PSD matrix, singular or
-    not, is accepted at any norm.  ``min_eigenvalue_sparse`` stops here.
+    not, is accepted at any norm.  ``min_eigenvalue_sparse`` stops here
+    on a matrix that is not a path sum.
 
     Inverse iteration on that factor, from a seeded start so that the
     result does not depend on earlier calls, then gives the
@@ -442,7 +463,7 @@ def bottom_eigenpair(matrix: RowOracleMatrix) -> tuple[float, np.ndarray, float]
     """
     from scipy.linalg import cho_solve_banded
 
-    a = to_csr(matrix)
+    a = _symmetric_csr(matrix)
     lam, factor, perm = _certified_bottom(a)
     a = a.astype(np.float64)
     x = np.random.default_rng(0).standard_normal(len(perm))[perm]
@@ -459,15 +480,80 @@ def bottom_eigenpair(matrix: RowOracleMatrix) -> tuple[float, np.ndarray, float]
     return lam, psi, residual
 
 
-def min_eigenvalue_sparse(matrix: RowOracleMatrix) -> float:
-    """Least eigenvalue of a large symmetric PSD oracle matrix, certified as ``bottom_eigenpair`` does.
+def _path_sum_bottom(a: csr_matrix) -> float | None:
+    """lambda_min of a symmetric integer A that is a direct sum of path blocks; None for any other A.
 
-    The same reverse Cuthill-McKee band, ``eig_banded`` value and
-    Cholesky factorization of A - sigma I, so the value equals
-    ``bottom_eigenpair(matrix)[0]`` bit for bit and an indefinite or
-    non-symmetric matrix is refused alike; the inverse iteration that
+    The form is read from exact integer tests on the CSR arrays: every
+    off-diagonal entry is +-1, no vertex has more than two off-diagonal
+    neighbours, and the off-diagonal pattern has dim - #components
+    edges, so it is a forest of paths.  A degree-2 (interior) vertex
+    has diagonal 2, a degree-1 (end) vertex diagonal 1 or 2, and an
+    isolated vertex diagonal d >= 0.  The signs do not matter: on a
+    tree a diagonal +-1 similarity flips any edge.  A path of ell >= 2
+    vertices then has least eigenvalue
+      0 with both ends 1 (the path Laplacian),
+      4 sin^2(pi / (2 (2 ell + 1))) with one end 1 (the path Gram),
+      4 sin^2(pi / (2 (ell + 1))) with no end 1 (tridiag(-1, 2, -1)),
+    and an isolated vertex d.  Every block is positive semidefinite, so
+    passing the tests is the certification, and only the longest path
+    of each kind is evaluated.
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    n, nnz = a.shape[0], a.nnz
+    diag = a.diagonal()
+    degree = np.diff(a.indptr) - (diag != 0)  # the row contract stores no zeros
+    off = nnz - np.count_nonzero(diag)  # stored off-diagonal entries, two per edge
+    unit = np.count_nonzero(a.data == 1) + np.count_nonzero(a.data == -1)
+    if unit - np.count_nonzero(np.abs(diag) == 1) != off or degree.max() > 2:
+        return None
+    # An end's diagonal is 1 or 2, an interior one 2, an isolated one d >= 0.
+    if np.any(diag < degree) or np.any((diag > 2) & (degree > 0)):
+        return None
+    # On a symmetric pattern the strong components are the connected ones, and
+    # need no transpose; the graph routines convert to float64, so ones of that
+    # type skip a copy.
+    count, labels = connected_components(
+        csr_matrix((np.ones(nnz), a.indices, a.indptr), shape=(n, n)), connection="strong"
+    )
+    if off != 2 * (n - count):  # some component holds a cycle
+        return None
+    size = np.bincount(labels)
+    ends_one = np.bincount(labels[(degree == 1) & (diag == 1)], minlength=count)
+    path = size > 1
+    if np.any(path & (ends_one == 2)):
+        return 0.0
+    isolated = diag[degree == 0]
+    one_end, no_end = size[path & (ends_one == 1)], size[path & (ends_one == 0)]
+    bottoms = [float(isolated.min())] if isolated.size else []
+    if one_end.size:
+        bottoms.append(min_eigenvalue_bound(int(one_end.max())))
+    if no_end.size:
+        bottoms.append(_chain_floor(int(no_end.max()) + 1))
+    return min(bottoms)
+
+
+def min_eigenvalue_sparse(matrix: RowOracleMatrix) -> float:
+    """Least eigenvalue of a large symmetric PSD oracle matrix, exact in form or certified.
+
+    The symmetry check is ``bottom_eigenpair``'s.  A direct sum of path
+    blocks, the form of every reversible machine's reduction Gram, is
+    recognised from its CSR arrays and answered in closed form
+    (``_path_sum_bottom``) in O(dim + nnz): no band is built, so
+    BAND_CAP does not bound it, and a rejecting reduction's singular
+    Gram gives exactly 0.0.  That value and ``bottom_eigenpair``'s are
+    independent routes, which agree within the Cholesky margin tau.
+
+    Any other matrix takes ``bottom_eigenpair``'s route: the same
+    reverse Cuthill-McKee band, ``eig_banded`` value and Cholesky
+    factorization of A - sigma I, so the value equals
+    ``bottom_eigenpair(matrix)[0]`` bit for bit and an indefinite matrix
+    or a band over BAND_CAP is refused alike; the inverse iteration that
     would give the eigenvector is not run.  The cost is
     O(dim * band^2) and no dense matrix is built; the dense path
     remains the ground truth at small sizes.
     """
-    return _certified_bottom(to_csr(matrix))[0]
+    a = _symmetric_csr(matrix)
+    lam = _path_sum_bottom(a)
+    return _certified_bottom(a)[0] if lam is None else lam

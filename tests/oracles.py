@@ -12,7 +12,9 @@ the desk-scale sizes the tests use.
   bookkeeping, which makes each a check on the other;
 * spectra: the Chebyshev recurrence and characteristic polynomial of
   the path block, its dense integer Gram and a tridiagonal eigensolver,
-  against ``gram_bands`` and ``closed_form_eigenvalues``;
+  against ``gram_bands`` and ``closed_form_eigenvalues``; a walk of
+  every block of a direct sum of paths with its textbook least
+  eigenvalue in 50-digit arithmetic, against ``min_eigenvalue_sparse``;
 * simulation: the dense circuit unitary, the Taylor sum as a dense
   operator, one-bit phase estimation from a dense unitary and
   acceptance from a simulated run, against ``phase_read``,
@@ -324,6 +326,68 @@ def min_eigenvalue_banded(diag: np.ndarray, off: np.ndarray) -> float:
         select_range=(0, 0),
     )
     return float(w[0])
+
+
+def path_sum_bottom(matrix: RowOracleMatrix, digits: int = 50):
+    """lambda_min of a symmetric direct sum of path blocks, as an mpmath number.
+
+    Each block is walked in plain Python from one end to the other
+    through the stored rows.  A block that is not a path with
+    off-diagonals +-1, interior diagonals 2 and end diagonals 1 or 2,
+    nor an isolated vertex with a nonnegative diagonal d, raises
+    ValueError.  A path of ell >= 2 vertices has the textbook least
+    eigenvalue, taken at ``digits`` decimal digits: 0 with both ends 1
+    (the path Laplacian), 2 - 2 cos(pi / (2 ell + 1)) with one end 1
+    (the path Gram, a root of ``char_poly_p``) and
+    2 - 2 cos(pi / (ell + 1)) with no end 1 (tridiag(-1, 2, -1)); an
+    isolated vertex has d.
+    """
+    import mpmath
+
+    a = to_csr(matrix)
+    n = a.shape[0]
+    ptr, cols, vals = a.indptr.tolist(), a.indices.tolist(), a.data.tolist()
+    diag, neighbours = [0] * n, [[] for _ in range(n)]
+    for i in range(n):
+        for j, v in zip(cols[ptr[i] : ptr[i + 1]], vals[ptr[i] : ptr[i + 1]]):
+            if j == i:
+                diag[i] = v
+            elif v in (1, -1):
+                neighbours[i].append(j)
+            else:
+                raise ValueError(f"off-diagonal entry {v} at ({i}, {j})")
+    seen, isolated, paths = [False] * n, set(), set()
+    for start in range(n):
+        if seen[start] or len(neighbours[start]) > 1:
+            continue  # walks start at an end
+        walk, seen[start] = [start], True
+        while True:
+            ahead = [j for j in neighbours[walk[-1]] if len(walk) == 1 or j != walk[-2]]
+            if not ahead:
+                break
+            if len(ahead) > 1 or seen[ahead[0]]:
+                raise ValueError(f"vertex {walk[-1]} branches or closes a cycle")
+            walk.append(ahead[0])
+            seen[ahead[0]] = True
+        ends = (diag[walk[0]], diag[walk[-1]])
+        if len(walk) == 1:
+            if ends[0] < 0:
+                raise ValueError(f"isolated vertex {start} has diagonal {ends[0]}")
+            isolated.add(ends[0])
+        elif any(diag[i] != 2 for i in walk[1:-1]) or not set(ends) <= {1, 2}:
+            raise ValueError(f"path from vertex {start} has diagonals outside the form")
+        else:
+            paths.add((ends.count(1), len(walk)))
+    if not all(seen):
+        raise ValueError("a component holds a cycle")
+    with mpmath.workdps(digits):
+        bottoms = [mpmath.mpf(d) for d in isolated]
+        for ones, ell in paths:
+            if ones == 2:
+                bottoms.append(mpmath.mpf(0))
+            else:
+                bottoms.append(2 - 2 * mpmath.cos(mpmath.pi / (2 * ell + 1 if ones else ell + 1)))
+        return min(bottoms)
 
 
 # ---------------------------------------------------------------------------

@@ -451,17 +451,19 @@ def test_rcm_band_is_the_permuted_lower_triangle_bit_for_bit():
         for space in (3, 4, 5, 6)
         for x in ("11", "1")
     ]
-    grams += [so.from_dense(_shuffled(dense, seed)) for dense in _beyond_bandwidth_one()
-              for seed in (0, 3)]
-    for gram in grams:
+    outside_path_sums = [so.from_dense(_shuffled(dense, seed))
+                         for dense in _beyond_bandwidth_one() for seed in (0, 3)]
+    for gram in grams + outside_path_sums:
         a = so.to_csr(gram)
         band, perm = sp._rcm_band(a)
         reference, reference_perm = _band_by_permuting(a.astype(np.float64))
         assert np.array_equal(perm, reference_perm)
         assert band.dtype == reference.dtype == np.float64
         assert band.shape == reference.shape and band.tobytes() == reference.tobytes()
-        lam = sp.min_eigenvalue_sparse(gram)
-        assert lam == sp.bottom_eigenpair(gram)[0]
+    # The reductions' Grams are path sums, read in closed form (checked against
+    # the band and in 50 digits below); every other matrix takes the band.
+    for gram in outside_path_sums:
+        assert sp.min_eigenvalue_sparse(gram) == sp.bottom_eigenpair(gram)[0]
     # Complex Hermitian input, as the energy bisection passes it.
     rng = np.random.default_rng(2)
     h = rng.integers(-2, 3, size=(12, 12)) * (rng.random((12, 12)) < 0.3) * (1 + 1j)
@@ -478,7 +480,7 @@ def test_min_eigenvalue_sparse_runs_no_inverse_iteration(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an inverse-iteration solve ran")
 
-    gram = so.ata_oracle(so.path_adjacency(40))
+    gram = so.from_dense(_beyond_bandwidth_one()[2])  # not a path sum: the band route
     lam = sp.bottom_eigenpair(gram)[0]
     monkeypatch.setattr(scipy.linalg, "cho_solve_banded", refuse)
     assert sp.min_eigenvalue_sparse(gram) == lam
@@ -498,20 +500,26 @@ class _NumpyWithoutZeros:
 
 
 def test_band_cap_refuses_before_the_band_is_built(monkeypatch):
-    gram = so.ata_oracle(so.path_adjacency(50))  # RCM bandwidth 1: 100 band entries
+    # The shifted grid Laplacian is no path sum; RCM bandwidth 5: 180 band entries.
+    gram = so.from_dense(_shuffled(_beyond_bandwidth_one()[2], 3))
+    path = so.ata_oracle(so.path_adjacency(50))
     band, _ = sp._rcm_band(so.to_csr(gram))
-    assert band.shape == (2, 50)
-    monkeypatch.setattr(sp, "BAND_CAP", 100)
+    assert band.shape == (6, 30)
+    monkeypatch.setattr(sp, "BAND_CAP", 180)
     sp.bottom_eigenpair(gram)
     monkeypatch.setattr(sp, "np", _NumpyWithoutZeros())
     # Under the cap the sentinel fires, so it sits where the band is allocated.
     with pytest.raises(AssertionError, match="the band was built"):
         sp.min_eigenvalue_sparse(gram)
-    monkeypatch.setattr(sp, "BAND_CAP", 99)
-    with pytest.raises(ResourceLimitError, match="exceeds the cap of 99"):
+    monkeypatch.setattr(sp, "BAND_CAP", 179)
+    with pytest.raises(ResourceLimitError, match="exceeds the cap of 179"):
         sp.bottom_eigenpair(gram)
-    with pytest.raises(ResourceLimitError, match="exceeds the cap of 99"):
+    with pytest.raises(ResourceLimitError, match="exceeds the cap of 179"):
         sp.min_eigenvalue_sparse(gram)
+    # A path sum builds no band, so the cap does not bound its lambda_min.
+    monkeypatch.setattr(sp, "BAND_CAP", 1)
+    assert sp.min_eigenvalue_sparse(path) == sp.min_eigenvalue_bound(50)
+    assert sp.min_eigenvalue_sparse(so.from_dense(np.diag([7, 3]))) == 3.0  # isolated vertices
 
 
 def test_bottom_eigenpair_needs_no_sparse_lu_or_lanczos(monkeypatch):
@@ -533,6 +541,131 @@ def test_min_eigenvalue_bound_is_a_floor():
         lam = sp.min_eigenvalue(oracles.structured_matrix("path", ell))
         assert lam >= sp.min_eigenvalue_bound(ell) - 1e-12
         assert sp.min_eigenvalue_bound(ell) > 0.0
+
+
+def test_min_eigenvalue_bound_has_no_cancellation():
+    # 2 (1 - cos(pi / (2 dim + 1))) erred by a relative 1.6e-5 at dim 10^6
+    # and 0.10 at 10^8.
+    import mpmath
+
+    eps = np.finfo(np.float64).eps
+    dims = sorted(set(range(1, 200)) | {int(10 ** (e / 8)) for e in range(8, 65)})
+    assert dims[-1] == 10**8
+    with mpmath.workdps(50):
+        for dim in dims:
+            exact = 2 - 2 * mpmath.cos(mpmath.pi / (2 * dim + 1))
+            assert abs(sp.min_eigenvalue_bound(dim) - exact) <= 4 * eps * exact
+
+
+# Inputs of each corpus machine, accepting and rejecting, that fit from space 2 or 3 on.
+_CORPUS_INPUTS = {
+    "unary_counter": ("", "1"),
+    "binary_nonmax": ("", "#o"),
+    "first_last_match": ("a", "P"),
+}
+
+
+def test_min_eigenvalue_sparse_reads_reductions_in_closed_form(monkeypatch):
+    import scipy.linalg
+    import scipy.sparse.csgraph
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the band route ran")
+
+    eps = np.finfo(np.float64).eps
+    decided = set()
+    for name, inputs in _CORPUS_INPUTS.items():
+        for space in (2, 3, 4, 5):
+            machine = rtm.with_space(rtm.corpus_machine(name), space)
+            for x in (x for x in inputs if len(x) < space):
+                instance = rtm.reduce_to_gapped(machine, x)
+                det = sp.det_exact(instance.adjacency)
+                banded = sp.bottom_eigenpair(instance.gram)[0]
+                with monkeypatch.context() as patch:
+                    patch.setattr(scipy.sparse.csgraph, "reverse_cuthill_mckee", refuse)
+                    patch.setattr(scipy.linalg, "eig_banded", refuse)
+                    patch.setattr(scipy.linalg, "cholesky_banded", refuse)
+                    lam = sp.min_eigenvalue_sparse(instance.gram)
+                if det == 0:
+                    assert lam == 0.0
+                else:
+                    assert lam >= sp.min_eigenvalue_bound(instance.dim)
+                # Two independent routes: within the band route's Cholesky margin.
+                norm = float(abs(so.to_csr(instance.gram)).sum(axis=1).max())
+                assert abs(lam - banded) <= sp.CHOLESKY_MARGIN * eps * norm
+                exact = oracles.path_sum_bottom(instance.gram)
+                assert abs(lam - exact) <= 4 * eps * exact
+                decided.add((name, det != 0))
+    assert len(decided) == 6  # every machine accepted and rejected
+
+
+@st.composite
+def shuffled_path_sums(draw):
+    """A direct sum of blocks of 1-300 vertices with random +-1 couplings, symmetrically shuffled.
+
+    A block of ell >= 2 vertices is a path with interior diagonals 2 and
+    end diagonals 1 or 2; a block of one vertex has diagonal 0-2.
+    """
+    blocks = draw(st.lists(
+        st.tuples(st.integers(1, 300), st.sampled_from((1, 2)), st.sampled_from((1, 2)),
+                  st.integers(0, 2)),
+        min_size=1, max_size=5,
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    triplets, start = [], 0
+    for ell, first, last, alone in blocks:
+        diagonal = [alone] if ell == 1 else [first] + [2] * (ell - 2) + [last]
+        triplets += [(start + k, start + k, d) for k, d in enumerate(diagonal)]
+        for k, sign in enumerate(rng.choice((-1, 1), size=ell - 1).tolist()):
+            triplets += [(start + k, start + k + 1, sign), (start + k + 1, start + k, sign)]
+        start += ell
+    perm = rng.permutation(start)
+    return so.from_entries(start, [(perm[i], perm[j], v) for i, j, v in triplets])
+
+
+@settings(max_examples=150, deadline=None)
+@given(shuffled_path_sums())
+def test_min_eigenvalue_sparse_on_shuffled_path_sums(gram):
+    eps = np.finfo(np.float64).eps
+    lam = sp.min_eigenvalue_sparse(gram)
+    assert sp._path_sum_bottom(so.to_csr(gram)) == lam  # the closed-form route answered
+    exact = oracles.path_sum_bottom(gram)
+    assert abs(lam - exact) <= 4 * eps * exact
+    if gram.dim <= 400:
+        dense = so.materialize(gram).astype(float)
+        assert lam == pytest.approx(np.linalg.eigvalsh(dense)[0], abs=1e-12)
+
+
+_NEAR_MISSES = {
+    "3-cycle": [[2, 1, 1], [1, 2, 1], [1, 1, 2]],
+    "interior diagonal 3": [[1, 1, 0, 0], [1, 3, -1, 0], [0, -1, 2, 1], [0, 0, 1, 1]],
+    "off-diagonal 2": [[2, 2], [2, 2]],
+    "degree-3 vertex": [[3, 1, 1, -1], [1, 1, 0, 0], [1, 0, 1, 0], [-1, 0, 0, 1]],
+    "degree-3 vertex, no diagonal": [[0, 1, 1, 1], [1, 2, 0, 0], [1, 0, 2, 0], [1, 0, 0, 2]],
+    "negative isolated diagonal": [[-1]],
+}
+
+
+@pytest.mark.parametrize("defect", sorted(_NEAR_MISSES))
+def test_min_eigenvalue_sparse_near_misses_take_the_band(defect, monkeypatch):
+    from scipy.linalg import block_diag
+
+    path_sum = block_diag(oracles.structured_matrix("path", 7), [[2]], _path_laplacian(5))
+    dense = _shuffled(block_diag(path_sum, _NEAR_MISSES[defect]).astype(np.int64), 4)
+    gram = so.from_dense(dense)
+    assert sp._path_sum_bottom(so.to_csr(gram)) is None
+    banded = []
+    certified = sp._certified_bottom
+    monkeypatch.setattr(sp, "_certified_bottom", lambda a: banded.append(a) or certified(a))
+
+    def outcome(solve):
+        try:
+            return solve(gram)
+        except ContractError as error:
+            return str(error)
+
+    assert outcome(sp.min_eigenvalue_sparse) == outcome(lambda g: sp.bottom_eigenpair(g)[0])
+    assert len(banded) == 2
 
 
 def test_min_eigenvalue_scaling_window():
