@@ -328,7 +328,7 @@ def min_eigenvalue_banded(diag: np.ndarray, off: np.ndarray) -> float:
     return float(w[0])
 
 
-def path_sum_bottom(matrix: RowOracleMatrix, digits: int = 50):
+def path_sum_bottom(matrix: RowOracleMatrix):
     """lambda_min of a symmetric direct sum of path blocks, as an mpmath number.
 
     Each block is walked in plain Python from one end to the other
@@ -336,7 +336,7 @@ def path_sum_bottom(matrix: RowOracleMatrix, digits: int = 50):
     off-diagonals +-1, interior diagonals 2 and end diagonals 1 or 2,
     nor an isolated vertex with a nonnegative diagonal d, raises
     ValueError.  A path of ell >= 2 vertices has the textbook least
-    eigenvalue, taken at ``digits`` decimal digits: 0 with both ends 1
+    eigenvalue, taken at 50 decimal digits: 0 with both ends 1
     (the path Laplacian), 2 - 2 cos(pi / (2 ell + 1)) with one end 1
     (the path Gram, a root of ``char_poly_p``) and
     2 - 2 cos(pi / (ell + 1)) with no end 1 (tridiag(-1, 2, -1)); an
@@ -380,7 +380,7 @@ def path_sum_bottom(matrix: RowOracleMatrix, digits: int = 50):
             paths.add((ends.count(1), len(walk)))
     if not all(seen):
         raise ValueError("a component holds a cycle")
-    with mpmath.workdps(digits):
+    with mpmath.workdps(50):
         bottoms = [mpmath.mpf(d) for d in isolated]
         for ones, ell in paths:
             if ones == 2:
