@@ -53,7 +53,6 @@ from .simulator import (
     Gate,
     QuantumCircuit,
     expm_exact,
-    pad_with_ancillas,
     run_circuit,
     taylor_order,
     taylor_tail_bound,

@@ -21,7 +21,9 @@ The pipeline realized here, end to end at desk scale:
   sin^2(lam t/2), so that gaps down to 2^-MAX_GAP_EXPONENT survive
   double precision;
 * a verifier is compiled into a 5-local clock Hamiltonian whose ground
-  energy is bracketed by bisection on banded Cholesky threshold tests.
+  energy is read from its (T+1) 2^n legal-clock block, exactly, rather
+  than from all 2^(n+T) clock strings, and is bracketed by bisection on
+  banded Cholesky threshold tests.
 
 Decision thresholds for the median test sit at phi_c + 2^-alpha and
 phi_s - 2^-alpha rather than at the bare phi values: a verifier whose
@@ -53,7 +55,6 @@ from .simulator import (
     QuantumCircuit,
     _apply_to_columns,
     expm_exact,
-    pad_with_ancillas,
     phase_read,
     run_circuit,
     taylor_order,
@@ -171,11 +172,8 @@ def _witness_images(verifier: Verifier) -> tuple[np.ndarray, np.ndarray]:
         )
     idx = np.arange(2**n)
     out_rows = ((idx >> verifier.output_qubit) & 1) == 1
-    basis = np.eye(2**m, dtype=complex)
-    final = np.stack(
-        [run_circuit(verifier.circuit, pad_with_ancillas(e, verifier.ancilla_k)) for e in basis],
-        axis=1,
-    )
+    # Column j is |j, 0^k>: the ancillas are the high qubits.
+    final = run_circuit(verifier.circuit, np.eye(2**n, 2**m, dtype=complex))
     return final[out_rows], final[~out_rows]
 
 
@@ -715,15 +713,80 @@ def rotation_verifier(p: float, completeness_c: float, soundness_s: float) -> Ve
 # clock Hamiltonians and ground-energy search
 
 
+@dataclass(frozen=True, eq=False)
+class _ClockSource:
+    """What ``kitaev_hamiltonian`` compiled: the circuit's gates, ancillas and output.
+
+    The gate matrices are read-only copies, and the clock terms are
+    built from these same arrays, so the two cannot drift apart.
+    """
+
+    circuit_qubits: int
+    gates: tuple[tuple[tuple[int, ...], np.ndarray], ...]
+    ancillas: tuple[int, ...]
+    output_qubit: int
+
+    @classmethod
+    def of(cls, verifier: Verifier) -> "_ClockSource":
+        gates = []
+        for gate in verifier.circuit.gates:
+            mat = np.array(gate.resolved_matrix())
+            mat.flags.writeable = False
+            gates.append((gate.qubits, mat))
+        n = verifier.circuit.num_qubits
+        return cls(n, tuple(gates), tuple(range(verifier.witness_qubits, n)),
+                   verifier.output_qubit)
+
+    def legal_block(self) -> np.ndarray:
+        """The clock Hamiltonian on span{|1^t 0^(T-t)>} (x) C^(2^n), index t 2^n + x.
+
+        Gate t contributes 1/2 (|t-1><t-1| + |t><t|) (x) I
+        - 1/2 (|t><t-1| (x) U_t + h.c.), with U_t the gate on the whole
+        n-qubit register; the input terms add |0><0| (x) sum_a n_a and the
+        output term |T><T| (x) |0><0|_output.  Every term maps legal
+        clock strings to legal ones and illegal to illegal, is PSD, and
+        charges each illegal string at least 1 through the clock terms,
+        while a history state with blank ancillas has energy at most
+        1/(T+1) <= 1/2, so this block holds the least eigenvalue.
+        """
+        n, steps = self.circuit_qubits, len(self.gates)
+        dim = 2**n
+        x = np.arange(dim)
+        diag = np.zeros((steps + 1, dim))
+        diag[:-1] += 0.5
+        diag[1:] += 0.5
+        diag[0] += sum((x >> a) & 1 for a in self.ancillas)
+        diag[-1] += ((x >> self.output_qubit) & 1) == 0
+        block = np.zeros((steps + 1, dim, steps + 1, dim), dtype=complex)
+        eye = np.eye(dim, dtype=complex)
+        for t, (qubits, mat) in enumerate(self.gates, start=1):
+            u = _apply_to_columns(eye, n, mat, qubits)
+            block[t, :, t - 1] -= 0.5 * u
+            block[t - 1, :, t] -= 0.5 * u.conj().T
+        flat = block.reshape((steps + 1) * dim, (steps + 1) * dim)
+        np.fill_diagonal(flat, diag.ravel())
+        return flat
+
+
 @dataclass
 class PreciseLHInstance:
-    """Local Hamiltonian with exponentially close decision thresholds."""
+    """Local Hamiltonian with exponentially close decision thresholds.
+
+    An instance compiled by ``kitaev_hamiltonian`` also keeps its
+    ``source`` (the gates, ancillas and output it was compiled from), and
+    its energy is read from the (T+1) 2^n legal-clock block of that
+    source instead of the 2^(n+T) sum of its terms.  The source is not
+    serialized, shown or compared: an instance read back by
+    ``from_dict`` has none and is solved densely, the only route for an
+    arbitrary term list.
+    """
 
     num_qubits: int
     terms: list[tuple[tuple[int, ...], np.ndarray]]
     threshold_a: float
     threshold_b: float
     locality: int = field(init=False)
+    source: _ClockSource | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.threshold_b - self.threshold_a <= 0:
@@ -813,6 +876,12 @@ def _diag_projector(bits: dict[int, int], arity: int) -> np.ndarray:
     return np.diag(diag.astype(complex))
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two matrices: the same single products, broadcast without its set-up."""
+    rows, cols = a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(rows, cols)
+
+
 def clock_thresholds(completeness_c: float, soundness_s: float, gate_count: int):
     """(a, b) = ((1-c)/(T+1), (1-s)/T^3)."""
     t = gate_count
@@ -827,7 +896,9 @@ def kitaev_hamiltonian(verifier: Verifier) -> PreciseLHInstance:
     output term penalizes rejection at time T, clock terms penalize
     illegal 01 patterns, and each propagation term entangles a gate
     with a 1-3 qubit clock window, so locality never exceeds 2 + 3.
-    The thresholds are (1-c)/(T+1) and (1-s)/T^3.
+    The thresholds are (1-c)/(T+1) and (1-s)/T^3.  The instance keeps
+    the gates it was compiled from as its ``source``, whose legal-clock
+    block ``ground_energy`` and ``binary_search_energy`` solve.
     """
     t_count = verifier.circuit.gate_count
     if t_count < 1:
@@ -837,10 +908,11 @@ def kitaev_hamiltonian(verifier: Verifier) -> PreciseLHInstance:
     w = verifier.circuit.num_qubits
     if w > CLOCK_QUBIT_CAP:
         raise ResourceLimitError(f"clock construction capped at {CLOCK_QUBIT_CAP} circuit qubits")
+    source = _ClockSource.of(verifier)
     clock = [w + i for i in range(t_count)]
     terms: list[tuple[tuple[int, ...], np.ndarray]] = []
 
-    for a in range(verifier.witness_qubits, w):
+    for a in source.ancillas:
         # ancilla = 1 while the clock has not started
         terms.append(((a, clock[0]), _diag_projector({0: 1, 1: 0}, 2)))
     terms.append(
@@ -849,9 +921,7 @@ def kitaev_hamiltonian(verifier: Verifier) -> PreciseLHInstance:
     for i in range(t_count - 1):
         terms.append(((clock[i], clock[i + 1]), _diag_projector({0: 0, 1: 1}, 2)))
 
-    for step in range(1, t_count + 1):
-        gate = verifier.circuit.gates[step - 1]
-        u = gate.resolved_matrix()
+    for step, (gate_qubits, u) in enumerate(source.gates, start=1):
         gate_dim = u.shape[0]
         if step == 1 and t_count == 1:
             window = (clock[0],)
@@ -874,11 +944,11 @@ def kitaev_hamiltonian(verifier: Verifier) -> PreciseLHInstance:
         hop[cur_idx, prev_idx] = 1
         # Local index order: gate qubits first (low bits), clock window after.
         mat = 0.5 * (
-            np.kron(p_prev + p_cur, np.eye(gate_dim))
-            - np.kron(hop, u)
-            - np.kron(hop.conj().T, u.conj().T)
+            _kron(p_prev + p_cur, np.eye(gate_dim))
+            - _kron(hop, u)
+            - _kron(hop.conj().T, u.conj().T)
         )
-        terms.append(((*gate.qubits, *window), mat))
+        terms.append(((*gate_qubits, *window), mat))
 
     a, b = clock_thresholds(
         verifier.completeness_c, verifier.soundness_s, t_count
@@ -888,6 +958,7 @@ def kitaev_hamiltonian(verifier: Verifier) -> PreciseLHInstance:
         terms=terms,
         threshold_a=a,
         threshold_b=b,
+        source=source,
     )
 
 
@@ -943,14 +1014,21 @@ def precise_lh_bounds(verifier: Verifier, epsilon: float):
 
 
 def _hamiltonian(instance: PreciseLHInstance | np.ndarray) -> np.ndarray:
-    """The dense Hamiltonian: a clock instance materialized, an array once checked Hermitian."""
+    """The matrix whose least eigenvalue is the instance's ground energy.
+
+    A compiled clock instance gives its (T+1) 2^n legal-clock block
+    (``_ClockSource.legal_block``), any other instance its dense
+    2^num_qubits sum of terms, and an array itself once checked Hermitian.
+    """
     if isinstance(instance, PreciseLHInstance):
+        if instance.source is not None:
+            return instance.source.legal_block()
         return instance.materialize()
     return _require_hermitian(instance)
 
 
 def ground_energy(instance: PreciseLHInstance | np.ndarray) -> float:
-    """Least eigenvalue of the dense Hamiltonian (eigensolver truth)."""
+    """Least eigenvalue of the Hamiltonian (eigensolver truth), read from ``_hamiltonian``."""
     return float(np.linalg.eigvalsh(_hamiltonian(instance))[0])
 
 
@@ -960,10 +1038,11 @@ def binary_search_energy(instance, bits: int) -> float:
     Each step asks whether lambda_min(H) > mu, and answers it by
     whether the Cholesky factorization of H - mu I exists, which it does
     exactly when H - mu I is positive definite; no eigenvalue is
-    computed.  The factorization is banded: H is taken once into the
-    reverse Cuthill-McKee order of its pattern, a permutation
-    similarity that leaves definiteness alone, and on the clock
-    Hamiltonians its band is a few entries wide, so a step costs
+    computed.  H is the matrix ``_hamiltonian`` gives, the legal-clock
+    block for a compiled clock instance.  The factorization is banded: H
+    is taken once into the reverse Cuthill-McKee order of its pattern, a
+    permutation similarity that leaves definiteness alone, and on the
+    clock Hamiltonians its band is a few entries wide, so a step costs
     O(dim * band^2) rather than O(dim^3).  The bracket starts as the
     Gershgorin interval, halves each step, and the midpoint of the
     final bracket is returned.

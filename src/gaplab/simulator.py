@@ -113,37 +113,50 @@ class QuantumCircuit:
 def _apply_to_columns(
     cols: np.ndarray, num_qubits: int, matrix: np.ndarray, qubits: Sequence[int]
 ) -> np.ndarray:
-    """Apply a local unitary to every column of a (2^n, batch) array."""
+    """Apply a local unitary to every column of a (2^n, batch) array.
+
+    Each output amplitude is the sum of the gate row's products taken in
+    local-index order, with elementwise products and sums rather than a
+    BLAS product, whose kernel (and so its rounding) changes with the
+    batch width: a column's image is the same bits alone or in a block.
+    """
     j = len(qubits)
     batch = cols.shape[1]
     tensor = cols.reshape([2] * num_qubits + [batch])
-    g = matrix.reshape([2] * (2 * j))
-    # Gate axes after reshape: outputs MSB..LSB, then inputs MSB..LSB.
-    # State axis of qubit q is num_qubits - 1 - q.
-    in_axes = list(range(j, 2 * j))
+    # State axis of qubit q is num_qubits - 1 - q; moved to the front,
+    # the gate's qubits index the rows in local order (first qubit lowest).
     state_axes = [num_qubits - 1 - q for q in reversed(qubits)]
-    moved = np.tensordot(g, tensor, axes=(in_axes, state_axes))
-    moved = np.moveaxis(moved, list(range(j)), state_axes)
+    local = np.moveaxis(tensor, state_axes, list(range(j))).reshape(2**j, -1)
+    out = matrix[:, :1] * local[0]
+    for i in range(1, 2**j):
+        out += matrix[:, i : i + 1] * local[i]
+    moved = np.moveaxis(out.reshape(tensor.shape), list(range(j)), state_axes)
     return moved.reshape(2**num_qubits, batch)
 
 
 def run_circuit(circuit: QuantumCircuit, state: np.ndarray | None = None) -> np.ndarray:
-    """The circuit's image of a state (|0...0> by default), as a new complex array."""
+    """The circuit's image of a state (|0...0> by default), as a new complex array.
+
+    ``state`` may also be a (2^n, k) block, whose k columns run through
+    one gate loop together; the norm check holds column by column.
+    """
+    dim = 2**circuit.num_qubits
     if state is None:
-        amps = np.zeros(2**circuit.num_qubits, dtype=complex)
+        amps = np.zeros(dim, dtype=complex)
         amps[0] = 1.0
     else:
         amps = np.array(state, dtype=complex)
-    if amps.shape != (2**circuit.num_qubits,):
+    if amps.ndim not in (1, 2) or amps.shape[0] != dim:
         raise ContractError(
             f"state dimension {amps.shape} does not match {circuit.num_qubits} qubits"
         )
-    norm_in = np.linalg.norm(amps)
-    cols = amps.reshape(-1, 1)
+    norm_in = np.linalg.norm(amps, axis=0)
+    cols = amps.reshape(dim, -1)
     for g in circuit.gates:
         cols = _apply_to_columns(cols, circuit.num_qubits, g.resolved_matrix(), g.qubits)
-    out = cols.reshape(-1)
-    if abs(np.linalg.norm(out) - norm_in) > NORM_TOL * max(1.0, norm_in):
+    out = cols.reshape(amps.shape)
+    drift = np.abs(np.linalg.norm(out, axis=0) - norm_in)
+    if np.any(drift > NORM_TOL * np.maximum(1.0, norm_in)):
         raise ContractError("circuit application did not preserve the norm")
     return out
 
@@ -273,11 +286,3 @@ def phase_read(
     acceptance = float(np.linalg.norm(2 * vec + v) ** 2 / 4.0)
     rejection = float(np.linalg.norm(v) ** 2 / 4.0)
     return acceptance, rejection
-
-
-def pad_with_ancillas(witness, ancilla_k: int) -> np.ndarray:
-    """witness (x) |0^k>, ancillas as the high qubits."""
-    vec = np.asarray(witness)
-    out = np.zeros(len(vec) * 2**ancilla_k, dtype=complex)
-    out[: len(vec)] = vec
-    return out

@@ -17,8 +17,8 @@ the desk-scale sizes the tests use.
   eigenvalue in 50-digit arithmetic, against ``min_eigenvalue_sparse``;
 * simulation: the dense circuit unitary, the Taylor sum as a dense
   operator, one-bit phase estimation from a dense unitary and
-  acceptance from a simulated run, against ``phase_read``,
-  ``expm_taylor_minus_identity`` and ``accept_operator``;
+  acceptance from a simulated run of one padded witness, against
+  ``phase_read``, ``expm_taylor_minus_identity`` and ``accept_operator``;
 * amplification: the two reflections as dense operators and the
   phase-estimation register simulated branch by branch, against the
   closed form of ``nwz_amplify``;
@@ -27,6 +27,10 @@ the desk-scale sizes the tests use.
   adjacency assembled triplet by triplet from its definition, against
   ``from_entries``, the structured blocks, ``augmented_adjacency`` and
   ``ata_oracle``;
+* clock Hamiltonians: the dense 2^(n+T) sum of a compiled instance's
+  terms and its least eigenvalue, and the indices of the legal clock
+  strings in it, against the legal-clock block that ``ground_energy``
+  solves;
 * fixtures: row listing, the identity oracle, a machine's JSON form
   (the inverse of ``rtm.machine_from_dict``), random circuits, the
   named verifier set and the clock history state.
@@ -42,7 +46,13 @@ from scipy.sparse import coo_matrix
 
 from gaplab import rtm
 from gaplab.errors import ContractError, ResourceLimitError
-from gaplab.protocols import Verifier, pe_verifier, rotation_verifier, toy_gapped_instances
+from gaplab.protocols import (
+    PreciseLHInstance,
+    Verifier,
+    pe_verifier,
+    rotation_verifier,
+    toy_gapped_instances,
+)
 from gaplab.rtm import MOVES, ReversibleTM
 from gaplab.simulator import (
     DENSE_QUBIT_CAP,
@@ -51,7 +61,6 @@ from gaplab.simulator import (
     QuantumCircuit,
     _apply_to_columns,
     expm_taylor_minus_identity,
-    pad_with_ancillas,
     run_circuit,
 )
 from gaplab.sparse_oracle import RowOracleMatrix, to_csr
@@ -459,6 +468,14 @@ def one_bit_pe(u: np.ndarray, psi, unitarity_tol: float = 1e-8) -> float:
     return float(np.linalg.norm(vec + u @ vec) ** 2 / 4.0)
 
 
+def pad_with_ancillas(witness, ancilla_k: int) -> np.ndarray:
+    """witness (x) |0^k>, ancillas as the high qubits: one column of ``_witness_images``' block."""
+    vec = np.asarray(witness)
+    out = np.zeros(len(vec) * 2**ancilla_k, dtype=complex)
+    out[: len(vec)] = vec
+    return out
+
+
 def measure_probability(state, qubit: int, outcome: int) -> float:
     """Probability that one qubit reads the given value."""
     amps = np.asarray(state)
@@ -625,3 +642,14 @@ def history_state(verifier: Verifier, witness) -> np.ndarray:
             clock_value |= 1 << (step - 1)
         out[(clock_value << w) : (clock_value << w) + 2**w] += state
     return out / sqrt(t_count + 1)
+
+
+def dense_ground_energy(instance: PreciseLHInstance) -> float:
+    """Least eigenvalue of the dense 2^num_qubits sum of the instance's terms."""
+    return float(np.linalg.eigvalsh(instance.materialize())[0])
+
+
+def legal_clock_indices(circuit_qubits: int, gate_count: int) -> np.ndarray:
+    """Dense indices of |1^t 0^(T-t)> (x) |x>, in the legal block's order t 2^n + x."""
+    clocks = (1 << np.arange(gate_count + 1)) - 1
+    return ((clocks[:, None] << circuit_qubits) | np.arange(2**circuit_qubits)).ravel()

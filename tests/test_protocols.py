@@ -1,5 +1,6 @@
 """Accept operators, phase-gap amplification, and the precise reductions."""
 
+import dataclasses
 import json
 from math import acos, floor, pi, sqrt
 
@@ -30,6 +31,37 @@ def test_accept_operator_passthrough():
 def test_accept_operator_rotation():
     q = pr.accept_operator(pr.rotation_verifier(0.9, 0.9, 0.1))
     np.testing.assert_allclose(q.matrix, [[0, 0], [0, 0.9]], atol=1e-12)
+
+
+def _random_verifier(circuit_qubits, ancilla_k, gate_count, output_qubit, seed,
+                     completeness_c=0.9, soundness_s=0.1):
+    """Random circuit over the fixed gates, with every other gate a random unitary when n > 1."""
+    rng = np.random.default_rng(seed)
+    circuit = oracles.random_circuit(circuit_qubits, gate_count, rng)
+    if circuit_qubits > 1:
+        for i in range(0, gate_count, 2):
+            z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            pair = tuple(int(q) for q in rng.choice(circuit_qubits, size=2, replace=False))
+            circuit.gates[i] = sim.Gate("U", pair, np.linalg.qr(z)[0])
+    return pr.Verifier(circuit, witness_qubits=circuit_qubits - ancilla_k, ancilla_k=ancilla_k,
+                       output_qubit=output_qubit, completeness_c=completeness_c,
+                       soundness_s=soundness_s)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_batched_witness_images_equal_per_column_runs(m):
+    for k in range(3):
+        for seed in range(4):
+            verifier = _random_verifier(m + k, k, 9, seed % (m + k), seed)
+            columns = np.stack(
+                [sim.run_circuit(verifier.circuit, oracles.pad_with_ancillas(e, k))
+                 for e in np.eye(2**m)],
+                axis=1,
+            )
+            out_rows = ((np.arange(2 ** (m + k)) >> verifier.output_qubit) & 1) == 1
+            accepted, rejected = pr._witness_images(verifier)
+            assert np.array_equal(accepted, columns[out_rows])
+            assert np.array_equal(rejected, columns[~out_rows])
 
 
 def test_accept_operator_matches_direct_acceptance():
@@ -201,7 +233,7 @@ def qpe_oracle(verifier, params, witness):
     # so the oracle simulates the nearest unitary (the polar factor) and
     # renormalizes away the norm drift that rounding in its powers leaves.
     left, _, right = np.linalg.svd(r1 @ r0)
-    initial = sim.pad_with_ancillas(witness, verifier.ancilla_k)
+    initial = oracles.pad_with_ancillas(witness, verifier.ancilla_k)
     dist = oracles.qpe_register_distribution(left @ right, initial, params.register_bits)
     dist = dist / dist.sum()
     phases = oracles.folded_phases(params.register_bits)
@@ -601,6 +633,95 @@ def test_history_state_energy_is_exact():
     assert energy == pytest.approx(0.05, abs=1e-12)
 
 
+# Both eigensolvers err by a small multiple of eps ||H||: the largest
+# |legal - dense| seen over 800 random verifiers up to the caps was
+# 5.1 eps ||H||_2.  The tests scale it by ||H||_1 >= ||H||_2, which
+# costs no SVD of the dense matrix.
+CLOCK_ENERGY_TOL = 16 * np.finfo(float).eps
+
+
+def _norm_1(arr: np.ndarray) -> float:
+    return float(np.abs(arr).sum(axis=0).max())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    circuit_qubits=st.integers(1, pr.CLOCK_QUBIT_CAP),
+    gate_count=st.integers(1, pr.CLOCK_GATE_CAP),
+    ancilla_k=st.integers(0, pr.CLOCK_QUBIT_CAP - 1),
+    output_qubit=st.integers(0, pr.CLOCK_QUBIT_CAP - 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(circuit_qubits=4, gate_count=6, ancilla_k=3, output_qubit=3, seed=0)
+@example(circuit_qubits=3, gate_count=6, ancilla_k=2, output_qubit=0, seed=1)
+@example(circuit_qubits=3, gate_count=5, ancilla_k=2, output_qubit=2, seed=2)
+def test_clock_ground_energy_matches_the_dense_oracle(
+    circuit_qubits, gate_count, ancilla_k, output_qubit, seed
+):
+    assume(ancilla_k < circuit_qubits and output_qubit < circuit_qubits)
+    verifier = _random_verifier(circuit_qubits, ancilla_k, gate_count, output_qubit, seed,
+                                completeness_c=0.999)
+    instance = pr.kitaev_hamiltonian(verifier)
+    dense = instance.materialize()
+    legal = oracles.legal_clock_indices(circuit_qubits, gate_count)
+    illegal = np.setdiff1d(np.arange(len(dense)), legal)
+    # The terms never couple legal clock strings to illegal ones, and on the
+    # legal ones they are the block, entry for entry.
+    assert not dense[np.ix_(illegal, legal)].any()
+    assert np.array_equal(dense[np.ix_(legal, legal)], instance.source.legal_block())
+    bound = CLOCK_ENERGY_TOL * _norm_1(dense)
+    assert abs(pr.ground_energy(instance) - oracles.dense_ground_energy(instance)) <= bound
+
+
+def test_compiled_clock_energy_never_materializes(monkeypatch):
+    circuit = oracles.random_circuit(4, 6, np.random.default_rng(3))
+    instances = [
+        pr.kitaev_hamiltonian(pr.rotation_verifier(0.9, 0.9, 0.1)),
+        pr.kitaev_hamiltonian(pr.rule_parameterized_verifier()[0]),
+        pr.kitaev_hamiltonian(pr.Verifier(circuit, witness_qubits=2, ancilla_k=2, output_qubit=0,
+                                          completeness_c=0.999, soundness_s=0.1)),
+    ]
+
+    def refuse(self):
+        raise AssertionError("a compiled clock instance was materialized")
+
+    monkeypatch.setattr(pr.PreciseLHInstance, "materialize", refuse)
+    for instance, dim in zip(instances, [8, 20, 112]):
+        assert pr._hamiltonian(instance).shape == (dim, dim)
+        lam = pr.ground_energy(instance)
+        assert abs(pr.binary_search_energy(instance, 40) - lam) <= 2.0**-40
+
+
+def test_clock_source_is_a_snapshot_of_the_gates():
+    verifier = pr.rotation_verifier(0.9, 0.9, 0.1)
+    instance = pr.kitaev_hamiltonian(verifier)
+    before = pr.ground_energy(instance)
+    verifier.circuit.append("X", 1)  # the verifier changes; the compiled instance does not
+    verifier.circuit.gates[0].matrix[:] = np.eye(4)
+    assert pr.ground_energy(instance) == before
+    _, mat = instance.source.gates[0]
+    with pytest.raises(ValueError):
+        mat[0, 0] = 0
+
+
+@pytest.mark.parametrize("kind", ["rotation", "rule"])
+def test_clock_energy_against_a_60_digit_legal_block(kind):
+    import mpmath
+
+    if kind == "rotation":
+        verifier = pr.rotation_verifier(0.9, 0.9, 0.1)
+    else:
+        verifier, _ = pr.rule_parameterized_verifier()
+    instance = pr.kitaev_hamiltonian(verifier)
+    block = instance.source.legal_block()
+    with mpmath.workdps(60):
+        exact = mpmath.matrix([[mpmath.mpc(z.real, z.imag) for z in row] for row in block])
+        lam = min(mpmath.eighe(exact, eigvals_only=True))
+        err = float(abs(lam - pr.ground_energy(instance)))
+    # ||block|| <= ||H||, so this is the stricter form of 2 eps ||H||.
+    assert err <= 2 * np.finfo(float).eps * np.linalg.norm(block, 2)
+
+
 def test_kitaev_rejects_oversized_circuits():
     rng = np.random.default_rng(1)
     circuit = oracles.random_circuit(2, 7, rng)
@@ -654,14 +775,23 @@ def test_precise_instance_threshold_contract():
 
 
 def test_precise_instance_json_round_trip():
-    instance = pr.kitaev_hamiltonian(pr.rotation_verifier(0.9, 0.9, 0.1))
-    blob = json.dumps(instance.to_dict())
-    again = pr.PreciseLHInstance.from_dict(json.loads(blob))
-    assert again.num_qubits == instance.num_qubits
-    assert again.locality == instance.locality
-    np.testing.assert_allclose(
-        again.materialize(), instance.materialize(), atol=1e-12
-    )
+    for verifier in (pr.rotation_verifier(0.9, 0.9, 0.1), pr.rule_parameterized_verifier()[0]):
+        instance = pr.kitaev_hamiltonian(verifier)
+        blob = json.dumps(instance.to_dict())
+        again = pr.PreciseLHInstance.from_dict(json.loads(blob))
+        assert again.num_qubits == instance.num_qubits
+        assert again.locality == instance.locality
+        np.testing.assert_allclose(
+            again.materialize(), instance.materialize(), atol=1e-12
+        )
+        # The compiled source is neither serialized, shown nor compared ...
+        assert instance.source is not None and again.source is None
+        assert "source" not in blob and "source" not in repr(instance)
+        assert not next(f for f in dataclasses.fields(again) if f.name == "source").compare
+        # ... and the file instance, solved densely, lands on the same energy.
+        bound = CLOCK_ENERGY_TOL * _norm_1(again.materialize())
+        assert abs(pr.ground_energy(again) - pr.ground_energy(instance)) <= bound
+        assert abs(pr.binary_search_energy(again, 30) - pr.ground_energy(instance)) <= 2.0**-30
 
 
 # --- eigenvalue search ------------------------------------------------------
@@ -721,7 +851,7 @@ def test_binary_search_energy_on_the_largest_clock_instance():
     verifier = pr.Verifier(circuit, witness_qubits=2, ancilla_k=2, output_qubit=0,
                            completeness_c=0.999, soundness_s=0.1)
     instance = pr.kitaev_hamiltonian(verifier)
-    lam = float(np.linalg.eigvalsh(instance.materialize())[0])
+    lam = oracles.dense_ground_energy(instance)
     assert abs(pr.binary_search_energy(instance, 40) - lam) <= 2.0**-40
 
 

@@ -76,10 +76,16 @@ def test_run_circuit_rejects_norm_violations():
     circuit.append("shrink", 0, matrix=np.array([[1.0, 0.0], [0.0, 0.5]]))
     with pytest.raises(ContractError):
         sim.run_circuit(circuit, np.array([0.0, 1.0]))
+    # A column block is checked column by column: |0> keeps its norm, |1> does not.
+    assert np.array_equal(sim.run_circuit(circuit, np.eye(2)[:, :1]), np.eye(2)[:, :1])
+    with pytest.raises(ContractError, match="preserve the norm"):
+        sim.run_circuit(circuit, np.eye(2))
+    with pytest.raises(ContractError, match="does not match"):
+        sim.run_circuit(circuit, np.eye(4, 2))
 
 
 def test_pad_with_ancillas():
-    padded = sim.pad_with_ancillas(np.array([0.0, 1.0]), 1)
+    padded = oracles.pad_with_ancillas(np.array([0.0, 1.0]), 1)
     np.testing.assert_allclose(padded, [0.0, 1.0, 0.0, 0.0])
 
 
