@@ -16,10 +16,10 @@ The pipeline realized here, end to end at desk scale:
   and the median test is evaluated in closed form;
 * a gapped-matrix instance (least eigenvalue 0 versus at least 2^-g)
   is decided by one-bit phase reading of the truncated-Taylor
-  exponential, applied matrix-free to the bottom eigenvector from
-  banded inverse iteration and read on the rejection side,
-  sin^2(lam t/2), so that gaps down to 2^-MAX_GAP_EXPONENT survive
-  double precision;
+  exponential, applied matrix-free to the bottom eigenvector (on a
+  reduction's Gram, the closed form on its own path's rows) and read on
+  the rejection side, sin^2(lam t/2), so that gaps down to
+  2^-MAX_GAP_EXPONENT survive double precision;
 * a verifier is compiled into a 5-local clock Hamiltonian whose ground
   energy is read from its (T+1) 2^n legal-clock block, exactly, rather
   than from all 2^(n+T) clock strings, and is bracketed by bisection on
@@ -49,7 +49,7 @@ from .sparse_oracle import (
     materialize,
     norm_bound,
 )
-from .spectral import _rcm_band, _require_hermitian, bottom_eigenpair
+from .spectral import _bottom_block_eigenpair, _rcm_band, _require_hermitian
 from .simulator import (
     DENSE_QUBIT_CAP,
     QuantumCircuit,
@@ -478,7 +478,9 @@ class GappedParams:
     the machine reductions) completeness and midpoint round to 1.0 from
     g = 23 and soundness from g = 24.  From there on only the rejection
     side (epsilon, rejection_floor, and the decision's rejection and
-    separation) carries the decision.
+    separation) carries the decision.  ``read_error`` bounds the
+    rounding in the read's amplitude ||(U_K - I) psi|| (see
+    ``gapped_params``).
     """
 
     evo_time: float
@@ -487,6 +489,7 @@ class GappedParams:
     completeness: float
     soundness: float
     rejection_floor: float
+    read_error: float
 
     @property
     def midpoint(self) -> float:
@@ -566,6 +569,7 @@ def gapped_params(matrix: RowOracleMatrix, g: int) -> GappedParams:
         completeness=completeness,
         soundness=soundness,
         rejection_floor=rejection_floor,
+        read_error=read_error,
     )
 
 
@@ -587,16 +591,35 @@ class GappedDecision:
 def decide_gapped(matrix: RowOracleMatrix, g: int) -> GappedDecision:
     """Decide lambda_min = 0 versus >= 2^-g with the honest prover.
 
-    The witness is the bottom eigenvector from banded inverse iteration
-    (``bottom_eigenpair``), the best any prover can offer: rejection is
-    sin^2(lam t/2) averaged over the witness's eigenbasis weights.  The
-    Taylor sum is applied to that vector only, so the run costs one
-    banded Cholesky factorization and a few solves on the reverse
-    Cuthill-McKee band plus taylor_order sparse products, and no dense
-    matrix is built.  That the factorization exists certifies that the
-    instance is positive semidefinite (to within rounding), which the
-    0 versus 2^-g promise presumes; an indefinite instance raises
-    ContractError.
+    The witness is the bottom eigenvector (``bottom_eigenpair``), the
+    best any prover can offer: rejection is sin^2(lam t/2) averaged over
+    the witness's eigenbasis weights.  The Taylor sum is applied to that
+    vector only, at the cost of taylor_order sparse products, and no
+    dense matrix is built.
+
+    On a direct sum of paths, every reduction's Gram, the witness is the
+    closed-form eigenvector of one path that attains lambda_min, and the
+    products run on that path's rows alone (``principal_rows``): the
+    same column order and the same declared d and k, so t, the Taylor
+    order and each row's floating-point sum are those of the whole
+    matrix, whose other rows would only carry zeros.  The first product
+    rounds each row's sum once (``exact_first``): its products, entries
+    +-1 and 2 times the witness, are exact, and on an eigenvector it
+    cancels to about lambda / ||A|| of its terms, which plain row sums
+    turned into errors of up to 16 ulps in the rejection on the corpus
+    Grams.  The read is then cross-checked against the closed form: the
+    exact-exponential rejection of an eigenvector is sin^2(lam t/2), the
+    Taylor sum moves it by at most epsilon (1 + epsilon/4) and rounding
+    by at most ``read_error``, and a larger difference raises
+    ContractError.  The decision stays the read's.  On a rejecting reduction the witness is
+    a signed constant, A psi is exactly 0, and the rejection is exactly
+    0.0.
+
+    Any other matrix gets its witness from banded inverse iteration on
+    the reverse Cuthill-McKee band, read on the whole matrix.  That the
+    band's Cholesky factorization exists certifies that the instance is
+    positive semidefinite (to within rounding), which the 0 versus 2^-g
+    promise presumes; an indefinite instance raises ContractError.
 
     The decision is read on the rejection side: YES (lambda_min = 0)
     when the rejection falls below the midpoint of epsilon and
@@ -605,16 +628,26 @@ def decide_gapped(matrix: RowOracleMatrix, g: int) -> GappedDecision:
     """
     params = gapped_params(matrix, g)
     try:
-        _, witness, residual = bottom_eigenpair(matrix)
+        pair = _bottom_block_eigenpair(matrix)
     except ContractError as exc:
         raise ContractError(f"verify needs a positive semidefinite instance: {exc}") from exc
-    if residual > 2.0**-g / 8:
+    if pair.residual > 2.0**-g / 8:
         raise ContractError(
-            f"witness eigen-residual {residual:.3e} exceeds 2^-g/8 = {2.0**-g / 8:.3e}"
+            f"witness eigen-residual {pair.residual:.3e} exceeds 2^-g/8 = {2.0**-g / 8:.3e}"
         )
+    closed_form = pair.rows is not None
     acceptance, rejection = phase_read(
-        matrix, params.evo_time, params.taylor_order, witness, params.unitarity_tol
+        pair.block, params.evo_time, params.taylor_order, pair.psi, params.unitarity_tol,
+        exact_first=closed_form,
     )
+    if closed_form:
+        law = sin(pair.lam * params.evo_time / 2) ** 2
+        budget = params.epsilon * (1.0 + params.epsilon / 4) + params.read_error
+        if abs(rejection - law) > budget:
+            raise ContractError(
+                f"phase read rejection {rejection!r} differs from sin^2(lam t/2) = {law!r}"
+                f" at the closed-form lam = {pair.lam!r} by more than {budget:.3e}"
+            )
     if rejection < params.rejection_midpoint:
         decision = "YES"
         separation = params.rejection_floor - rejection
@@ -806,6 +839,19 @@ class PreciseLHInstance:
             _require_hermitian(mat)
             loc = max(loc, len(qubits))
         self.locality = loc
+
+    def __eq__(self, other: object) -> bool:
+        """Equal qubit counts, thresholds and terms, each term matrix compared entry for entry."""
+        if not isinstance(other, PreciseLHInstance):
+            return NotImplemented
+        return (
+            (self.num_qubits, self.threshold_a, self.threshold_b, len(self.terms))
+            == (other.num_qubits, other.threshold_a, other.threshold_b, len(other.terms))
+            and all(
+                tuple(q) == tuple(r) and np.array_equal(m, n)
+                for (q, m), (r, n) in zip(self.terms, other.terms)
+            )
+        )
 
     def materialize(self) -> np.ndarray:
         """Dense Hamiltonian; term embedding follows the circuit convention."""

@@ -21,13 +21,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb, exp, factorial, lgamma, log, pi, sqrt
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import ContractError, ResourceLimitError
 from .sparse_oracle import RowOracleMatrix, to_csr
 from .spectral import _require_hermitian
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 MAX_QUBITS = 20
 # Dense operators on a whole circuit's qubits (the accept operator's
@@ -191,13 +194,44 @@ def taylor_order(x: float, target_error: float) -> int:
 
 
 def _norm_upper_bound(matrix: RowOracleMatrix) -> float:
-    """Upper bound on the spectral norm: sqrt of (1-norm times inf-norm)."""
-    abs_a = abs(to_csr(matrix))
-    return float(sqrt(abs_a.sum(axis=0).max() * abs_a.sum(axis=1).max()))
+    """Upper bound on the spectral norm: sqrt of (1-norm times inf-norm).
+
+    Both norms come straight from the CSR arrays: row sums of |a_ij| as
+    differences of one int64 running sum, column sums by ``bincount``,
+    exact while they stay below 2^53.
+    """
+    magnitude = np.abs(matrix.data)
+    running = np.concatenate(([0], np.cumsum(magnitude)))
+    rows = running[matrix.indptr[1:]] - running[matrix.indptr[:-1]]
+    cols = np.bincount(matrix.indices, weights=magnitude, minlength=matrix.dim)
+    return float(sqrt(int(cols.max()) * int(rows.max())))
+
+
+def _rounded_once_products(a: csr_matrix, x: np.ndarray) -> np.ndarray:
+    """A x for a vector x, each row's sum rounded once, when every product a_ij x_j is exact.
+
+    A row's products go down one column of a zero-padded table, and a
+    TwoSum cascade along the table (Ogita, Rump and Oishi, SIAM J. Sci.
+    Comput. 26:1955, 2005) keeps the exact error of each addition, so
+    the row's sum is as accurate as if it were carried in twice the
+    working precision and then rounded.
+    """
+    counts = np.diff(a.indptr)
+    row = np.repeat(np.arange(len(counts)), counts)
+    table = np.zeros((max(int(counts.max()), 1), len(counts)), dtype=np.result_type(a.dtype, x))
+    table[np.arange(a.nnz) - a.indptr[row], row] = a.data * x[a.indices]
+    total, error = table[0], np.zeros_like(table[0])
+    for term in table[1:]:
+        partial = total + term
+        back = partial - total
+        error += (total - (partial - back)) + (term - back)
+        total = partial
+    return total + error
 
 
 def expm_taylor_minus_identity(
-    matrix: RowOracleMatrix, evo_time: float, order: int, x: np.ndarray
+    matrix: RowOracleMatrix, evo_time: float, order: int, x: np.ndarray,
+    exact_first: bool = False,
 ) -> np.ndarray:
     """(U_K - I) x for the degree-``order`` Taylor sum U_K of e^{-i A t}.
 
@@ -206,6 +240,13 @@ def expm_taylor_minus_identity(
     itself is never formed.  Term k is (-i)^k w_k with w_k = (t/k) A w_{k-1}
     and w_0 = x, so a real x stays real through the recurrence and the
     powers of -i enter only when the terms are summed.
+
+    With ``exact_first`` (a vector x whose products a_ij x_j are all
+    exact, as for entries +-1 and +-2) the first product rounds each
+    row's sum once.  That product carries the read's cancellation: on an
+    eigenvector at a small lambda each row of A x is about ||A|| / lambda
+    times smaller than its terms, and every later term is smaller again
+    by lambda t.
 
     Requires ||A|| * t <= pi (checked through a cheap norm bound): the
     tail estimate, and the whole phase-reading scheme downstream, live
@@ -221,7 +262,8 @@ def expm_taylor_minus_identity(
     w = np.asarray(x)
     total = np.zeros(w.shape, dtype=complex)
     for k in range(1, order + 1):
-        w = (a @ w) * (evo_time / k)
+        product = _rounded_once_products(a, w) if exact_first and k == 1 else a @ w
+        w = product * (evo_time / k)
         total += _MINUS_I_POWERS[k % 4] * w
     return total
 
@@ -252,7 +294,7 @@ def taylor_unitarity_defect(x: float, order: int) -> float:
 
 def phase_read(
     matrix: RowOracleMatrix, evo_time: float, order: int, psi: np.ndarray,
-    unitarity_tol: float = 1e-8,
+    unitarity_tol: float = 1e-8, exact_first: bool = False,
 ) -> tuple[float, float]:
     """(outcome-0, outcome-1) probabilities of one-bit phase estimation of U_K on psi.
 
@@ -269,7 +311,8 @@ def phase_read(
     the whole interval |y| <= pi that the norm check of
     ``expm_taylor_minus_identity`` guarantees, and the norm drift
     | ||U_K psi|| - ||psi|| | is checked on the witness itself; both
-    against ``unitarity_tol``.
+    against ``unitarity_tol``.  ``exact_first`` is passed on to
+    ``expm_taylor_minus_identity``.
     """
     vec = np.asarray(psi)
     if abs(np.linalg.norm(vec) - 1.0) > 1e-9:
@@ -279,7 +322,7 @@ def phase_read(
         raise ContractError(
             f"Taylor sum not unitary within {unitarity_tol:.1e} (certified defect {defect:.3e})"
         )
-    v = expm_taylor_minus_identity(matrix, evo_time, order, vec)
+    v = expm_taylor_minus_identity(matrix, evo_time, order, vec, exact_first)
     drift = abs(float(np.linalg.norm(vec + v)) - float(np.linalg.norm(vec)))
     if drift > unitarity_tol:
         raise ContractError(f"norm drift {drift:.3e} on the witness exceeds {unitarity_tol:.1e}")

@@ -147,6 +147,34 @@ def norm_bound(matrix: RowOracleMatrix) -> int:
     return matrix.entry_bound_k * matrix.sparsity_d
 
 
+def principal_rows(matrix: RowOracleMatrix, rows: np.ndarray) -> RowOracleMatrix:
+    """The rows at ascending indices ``rows``, renumbered 0..len(rows) - 1, under the same contract.
+
+    Every entry of those rows must lie in a column among ``rows``, as
+    on a connected component of a symmetric pattern; ValueError
+    otherwise.  The rows are cut from ``indptr`` slices, and the
+    renumbering keeps each row's column order, so a product with the
+    result sums every row's terms in the order the whole matrix does.
+    The declared d and k carry over, and with them every parameter
+    derived from them.
+    """
+    starts = matrix.indptr[rows]
+    counts = matrix.indptr[rows + 1] - starts
+    indptr, _ = _index_arrays(counts)
+    entries = np.repeat(starts - indptr[:-1], counts) + np.arange(indptr[-1])
+    cols = matrix.indices[entries]
+    local = np.searchsorted(rows, cols)
+    if np.any(rows[np.minimum(local, len(rows) - 1)] != cols):
+        raise ValueError("the rows hold an entry outside their own columns")
+    return RowOracleMatrix(
+        indptr,
+        local,
+        matrix.data[entries],
+        sparsity_d=matrix.sparsity_d,
+        entry_bound_k=matrix.entry_bound_k,
+    )
+
+
 def materialize(matrix: RowOracleMatrix, cap: int = DENSE_CAP) -> np.ndarray:
     """Expand an oracle to a dense int64 array, gated by the cap."""
     dim = matrix.dim

@@ -14,23 +14,23 @@ Two independent concerns live here:
   against live with the tests, in ``tests/oracles.py``;
 * eigenvalue machinery for the symmetric Gram matrices the reductions
   produce, including the closed-form spectrum of the path block and the
-  tridiagonal fast path.  At large sizes the bottom eigenpair comes
-  from the same reverse Cuthill-McKee order, as a lower band written
-  straight from the CSR arrays: a banded eigenvalue solve, one banded
-  Cholesky factorization whose existence certifies the matrix positive
-  semidefinite up to a margin at the scale of rounding in ||A||, and a
-  few steps of inverse iteration on that factor.  When only lambda_min
-  is asked for, a direct sum of path blocks (every reduction's Gram)
-  is recognised from exact integer tests on its CSR arrays and answered
-  from the closed form of its longest path of each kind, with no band;
-  any other matrix gets the band's certified value, without the
-  inverse iteration.
+  tridiagonal fast path.  A direct sum of path blocks (every
+  reduction's Gram) is recognised from exact integer tests on its CSR
+  arrays, with no band: lambda_min is the closed form of its longest
+  path of each kind, and the bottom eigenvector the closed form of one
+  block that attains it, put in path order by a breadth-first walk.
+  Any other matrix goes into the same reverse Cuthill-McKee order, as
+  a lower band written straight from the CSR arrays: a banded
+  eigenvalue solve, one banded Cholesky factorization whose existence
+  certifies the matrix positive semidefinite up to a margin at the
+  scale of rounding in ||A||, and, when the eigenvector is asked for, a
+  few steps of inverse iteration on that factor.
 
 Each function imports the scipy routines it calls when it runs, and the
 module imports none: ``eigh_tridiagonal`` loads with the first
-``spectrum_report``, the sparse and banded routines with the first
-kernel on a CSR matrix.  A process that only amplifies or builds clock
-Hamiltonians loads no scipy at all.
+``spectrum_report``, the sparse, graph and banded routines with the
+first kernel on a CSR matrix.  A process that only amplifies or builds
+clock Hamiltonians loads no scipy at all.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ContractError, ResourceLimitError
-from .sparse_oracle import RowOracleMatrix, from_dense, to_csr
+from .sparse_oracle import RowOracleMatrix, from_dense, principal_rows, to_csr
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
@@ -433,37 +433,10 @@ def _certified_bottom(a: csr_matrix) -> tuple[float, np.ndarray, np.ndarray]:
     return lam, factor, perm
 
 
-def bottom_eigenpair(matrix: RowOracleMatrix) -> tuple[float, np.ndarray, float]:
-    """(lambda_min, unit eigenvector, ||A psi - lambda psi||) of a sparse PSD matrix.
-
-    The matrix is taken once into its reverse Cuthill-McKee lower band
-    (bandwidth 1 on the reductions' Grams), a permutation similarity
-    that leaves the spectrum alone; the band is written straight from
-    the CSR arrays.  ``eig_banded`` selects the least eigenvalue lam of
-    the band, without eigenvectors; that is the lambda_min returned,
-    accurate to rounding in ||A||.  The band of A - sigma I,
-    sigma = max(lam, 0) - tau, is Cholesky-factored once.  The factor
-    exists exactly when A - sigma I is positive definite (Sylvester's
-    law of inertia), so success certifies A > sigma >= -tau and failure
-    raises ContractError.  The margin tau is CHOLESKY_MARGIN eps times a
-    bound on ||A||: it covers the rounding in lam and in the
-    factorization, which scales with ||A||, so a PSD matrix, singular or
-    not, is accepted at any norm.  ``min_eigenvalue_sparse`` stops here
-    on a matrix that is not a path sum.
-
-    Inverse iteration on that factor, from a seeded start so that the
-    result does not depend on earlier calls, then gives the
-    eigenvector; it stops when the residual on the unpermuted A stops
-    falling, or after INVERSE_ITERATIONS solves, and keeps the step with
-    the least residual.  Each solve shrinks a component at eigenvalue
-    lambda_min + gap, relative to the bottom one, by tau / (gap + tau),
-    so a component weighs at most about tau / (e k) in the residual
-    after k solves, whatever its gap.  On the reductions' Grams tau is
-    8.5e-14, and the residual falls to rounding in 3-5 solves.
-    """
+def _banded_eigenpair(a: csr_matrix) -> tuple[float, np.ndarray, float]:
+    """``bottom_eigenpair`` on the band of a symmetric int64 CSR A: certified lambda_min, then inverse iteration."""
     from scipy.linalg import cho_solve_banded
 
-    a = _symmetric_csr(matrix)
     lam, factor, perm = _certified_bottom(a)
     a = a.astype(np.float64)
     x = np.random.default_rng(0).standard_normal(len(perm))[perm]
@@ -480,8 +453,27 @@ def bottom_eigenpair(matrix: RowOracleMatrix) -> tuple[float, np.ndarray, float]
     return lam, psi, residual
 
 
-def _path_sum_bottom(a: csr_matrix) -> float | None:
-    """lambda_min of a symmetric integer A that is a direct sum of path blocks; None for any other A.
+@dataclass(frozen=True)
+class _LeastPath:
+    """The block of a recognised path sum that attains its lambda_min, before it is ordered.
+
+    ``kind`` names the block's closed form: "vertex" (an isolated
+    vertex), "constant" (a path with both ends 1), "cos" (one end 1) or
+    "sin" (no end 1).  The arrays are the recogniser's own, so finding
+    the block costs no more than its lambda_min.
+    """
+
+    lam: float
+    kind: str
+    component: int
+    labels: np.ndarray
+    degree: np.ndarray
+    diag: np.ndarray
+    pattern: csr_matrix
+
+
+def _path_sum_bottom(a: csr_matrix) -> _LeastPath | None:
+    """lambda_min of a symmetric integer A that is a direct sum of path blocks, and a block attaining it; None for any other A.
 
     The form is read from exact integer tests on the CSR arrays: every
     off-diagonal entry is +-1, no vertex has more than two off-diagonal
@@ -514,24 +506,152 @@ def _path_sum_bottom(a: csr_matrix) -> float | None:
     # On a symmetric pattern the strong components are the connected ones, and
     # need no transpose; the graph routines convert to float64, so ones of that
     # type skip a copy.
-    count, labels = connected_components(
-        csr_matrix((np.ones(nnz), a.indices, a.indptr), shape=(n, n)), connection="strong"
-    )
+    pattern = csr_matrix((np.ones(nnz), a.indices, a.indptr), shape=(n, n))
+    count, labels = connected_components(pattern, connection="strong")
     if off != 2 * (n - count):  # some component holds a cycle
         return None
     size = np.bincount(labels)
     ends_one = np.bincount(labels[(degree == 1) & (diag == 1)], minlength=count)
     path = size > 1
-    if np.any(path & (ends_one == 2)):
-        return 0.0
-    isolated = diag[degree == 0]
-    one_end, no_end = size[path & (ends_one == 1)], size[path & (ends_one == 0)]
-    bottoms = [float(isolated.min())] if isolated.size else []
-    if one_end.size:
-        bottoms.append(min_eigenvalue_bound(int(one_end.max())))
-    if no_end.size:
-        bottoms.append(_chain_floor(int(no_end.max()) + 1))
-    return min(bottoms)
+
+    def least(lam: float, kind: str, component) -> _LeastPath:
+        return _LeastPath(lam, kind, int(component), labels, degree, diag, pattern)
+
+    laplacians = np.flatnonzero(path & (ends_one == 2))
+    if laplacians.size:
+        return least(0.0, "constant", laplacians[0])
+    candidates = []
+    isolated = np.flatnonzero(degree == 0)
+    if isolated.size:
+        vertex = isolated[np.argmin(diag[isolated])]
+        candidates.append(least(float(diag[vertex]), "vertex", labels[vertex]))
+    for kind, ends in (("cos", 1), ("sin", 0)):
+        blocks = np.flatnonzero(path & (ends_one == ends))
+        if blocks.size:
+            longest = blocks[np.argmax(size[blocks])]
+            ell = int(size[longest])
+            lam = min_eigenvalue_bound(ell) if ends else _chain_floor(ell + 1)
+            candidates.append(least(lam, kind, longest))
+    return min(candidates, key=lambda c: c.lam)
+
+
+def _path_eigenvector(block: RowOracleMatrix, rows: np.ndarray, least: _LeastPath) -> np.ndarray:
+    """Unit eigenvector at least.lam of the block on ``rows`` (ascending), in closed form.
+
+    A breadth-first walk on the pattern from an end of a path visits its
+    vertices in path order, j = 0 .. ell - 1, in one C pass.  With every
+    coupling -1 the eigenvector is (Yueh 2005; Strang and MacNamara,
+    SIAM Review 56, 2014)
+      1                              with both ends 1,
+      cos((j + 1/2) pi / (2 ell + 1)) counted from the end that is 1,
+      sin((j + 1) pi / (ell + 1))     with no end 1,
+    and the signs s_{j+1} = -a_{j, j+1} s_j, one cumulative product of
+    +-1, carry it to the block's own couplings: diag(s) A diag(s) has
+    every coupling -1.
+    """
+    from scipy.sparse.csgraph import breadth_first_order
+
+    ell = len(rows)
+    if least.kind == "vertex":
+        return np.ones(1)
+    ends = rows[least.degree[rows] == 1]
+    start = ends[np.argmin(least.diag[ends])]  # for "cos", the end whose diagonal is 1
+    walk = breadth_first_order(least.pattern, int(start), return_predecessors=False)
+    j = np.arange(ell)
+    if least.kind == "constant":
+        phi = np.ones(ell)
+    elif least.kind == "cos":
+        phi = np.cos((j + 0.5) * (pi / (2 * ell + 1)))
+    else:
+        phi = np.sin((j + 1) * (pi / (ell + 1)))
+    position = np.empty(ell, dtype=np.int64)  # each local row's place on the path
+    position[np.searchsorted(rows, walk)] = j
+    row = position[np.repeat(j, np.diff(block.indptr))]
+    forward = position[block.indices] == row + 1
+    coupling = np.empty(ell - 1, dtype=np.int64)
+    coupling[row[forward]] = block.data[forward]
+    signs = np.cumprod(np.concatenate(([1], -coupling)))
+    psi = (signs * phi)[position]
+    return psi / np.linalg.norm(psi)
+
+
+@dataclass(frozen=True)
+class _BlockEigenpair:
+    """lambda_min and a unit eigenvector with its residual, on ``block``.
+
+    ``block`` is the matrix's principal block on ``rows`` (ascending)
+    and ``psi`` lives on it; ``rows`` is None when the block is the
+    whole matrix.
+    """
+
+    lam: float
+    psi: np.ndarray
+    residual: float
+    block: RowOracleMatrix
+    rows: np.ndarray | None
+
+
+def _bottom_block_eigenpair(matrix: RowOracleMatrix) -> _BlockEigenpair:
+    """``bottom_eigenpair`` on the least block of a path sum, or on the whole band otherwise.
+
+    On a path sum the residual is taken on the block's rows: A psi is
+    exactly 0 off a connected component, so that is the whole
+    residual.
+    """
+    a = _symmetric_csr(matrix)
+    least = _path_sum_bottom(a)
+    if least is None:
+        return _BlockEigenpair(*_banded_eigenpair(a), block=matrix, rows=None)
+    rows = np.flatnonzero(least.labels == least.component)
+    block = principal_rows(matrix, rows)
+    psi = _path_eigenvector(block, rows, least)
+    residual = float(np.linalg.norm(to_csr(block).astype(np.float64) @ psi - least.lam * psi))
+    return _BlockEigenpair(least.lam, psi, residual, block, rows)
+
+
+def bottom_eigenpair(matrix: RowOracleMatrix) -> tuple[float, np.ndarray, float]:
+    """(lambda_min, unit eigenvector, ||A psi - lambda psi||) of a sparse PSD matrix.
+
+    The symmetry check is exact on the integer entries.  A direct sum
+    of path blocks, the form of every reversible machine's reduction
+    Gram, is recognised by ``_path_sum_bottom`` and answered in closed
+    form: lambda_min is ``min_eigenvalue_sparse``'s, bit for bit, and
+    the eigenvector is the closed form of one block that attains it
+    (``_path_eigenvector``), zero elsewhere.  No band is built, and the
+    cost is O(dim + nnz).  On a rejecting reduction's Gram lambda_min
+    is exactly 0.0 and the witness a signed constant on a path, whose
+    residual is exactly 0.
+
+    Any other matrix is taken once into its reverse Cuthill-McKee lower
+    band, a permutation similarity that leaves the spectrum alone; the
+    band is written straight from the CSR arrays.  ``eig_banded``
+    selects the least eigenvalue lam of the band, without eigenvectors;
+    that is the lambda_min returned, accurate to rounding in ||A||.
+    The band of A - sigma I, sigma = max(lam, 0) - tau, is
+    Cholesky-factored once.  The factor exists exactly when
+    A - sigma I is positive definite (Sylvester's law of inertia), so
+    success certifies A > sigma >= -tau and failure raises
+    ContractError.  The margin tau is CHOLESKY_MARGIN eps times a bound
+    on ||A||: it covers the rounding in lam and in the factorization,
+    which scales with ||A||, so a PSD matrix, singular or not, is
+    accepted at any norm.  ``min_eigenvalue_sparse`` stops here on a
+    matrix that is not a path sum.
+
+    Inverse iteration on that factor, from a seeded start so that the
+    result does not depend on earlier calls, then gives the
+    eigenvector; it stops when the residual on the unpermuted A stops
+    falling, or after INVERSE_ITERATIONS solves, and keeps the step with
+    the least residual.  Each solve shrinks a component at eigenvalue
+    lambda_min + gap, relative to the bottom one, by tau / (gap + tau),
+    so a component weighs at most about tau / (e k) in the residual
+    after k solves, whatever its gap.
+    """
+    pair = _bottom_block_eigenpair(matrix)
+    if pair.rows is None:
+        return pair.lam, pair.psi, pair.residual
+    psi = np.zeros(matrix.dim)
+    psi[pair.rows] = pair.psi
+    return pair.lam, psi, pair.residual
 
 
 def min_eigenvalue_sparse(matrix: RowOracleMatrix) -> float:
@@ -542,8 +662,9 @@ def min_eigenvalue_sparse(matrix: RowOracleMatrix) -> float:
     recognised from its CSR arrays and answered in closed form
     (``_path_sum_bottom``) in O(dim + nnz): no band is built, so
     BAND_CAP does not bound it, and a rejecting reduction's singular
-    Gram gives exactly 0.0.  That value and ``bottom_eigenpair``'s are
-    independent routes, which agree within the Cholesky margin tau.
+    Gram gives exactly 0.0.  No block is ordered and no eigenvector is
+    written.  That value and the band's are independent routes, which
+    agree within the Cholesky margin tau.
 
     Any other matrix takes ``bottom_eigenpair``'s route: the same
     reverse Cuthill-McKee band, ``eig_banded`` value and Cholesky
@@ -555,5 +676,5 @@ def min_eigenvalue_sparse(matrix: RowOracleMatrix) -> float:
     remains the ground truth at small sizes.
     """
     a = _symmetric_csr(matrix)
-    lam = _path_sum_bottom(a)
-    return _certified_bottom(a)[0] if lam is None else lam
+    least = _path_sum_bottom(a)
+    return _certified_bottom(a)[0] if least is None else least.lam

@@ -1,6 +1,7 @@
 """Accept operators, phase-gap amplification, and the precise reductions."""
 
 import dataclasses
+import itertools
 import json
 from math import acos, floor, pi, sqrt
 
@@ -582,6 +583,87 @@ def test_decide_gapped_matches_dense_oracle():
             assert own.rejection < own.epsilon
 
 
+def test_decide_gapped_refuses_a_doctored_closed_form(monkeypatch):
+    # Space 3 on "11": lambda_min = 0.081 at g = 12.  Moving lambda by a
+    # relative 1e-4 keeps the witness's eigen-residual (8.1e-6) under
+    # 2^-g/8 = 3.1e-5, but moves sin^2(lam t/2) by 1.3e-8, far past
+    # epsilon (1.4e-10) plus the rounding bound (1.4e-13).
+    gram = rtm.reduce_to_gapped(rtm.with_space(rtm.corpus_machine("unary_counter"), 3), "11").gram
+    honest = pr.decide_gapped(gram, 12)
+    recognise = sp._path_sum_bottom
+    for factor in (1 + 1e-4, 1 - 1e-4):
+        monkeypatch.setattr(
+            sp, "_path_sum_bottom", lambda a: dataclasses.replace(recognise(a), lam=recognise(a).lam * factor)
+        )
+        with pytest.raises(ContractError, match=r"differs from sin\^2\(lam t/2\)"):
+            pr.decide_gapped(gram, 12)
+    monkeypatch.setattr(sp, "_path_sum_bottom", recognise)
+    assert pr.decide_gapped(gram, 12) == honest
+
+
+def test_closed_form_read_against_60_digits():
+    # The witness is an eigenvector, so the read is the Taylor polynomial at
+    # y = lam t: rejection |p_K(y) - 1|^2 / 4, acceptance |p_K(y) + 1|^2 / 4.
+    # With each row of the first product rounded once the read lands within
+    # 2.3 ulps of it here; with plain row sums it erred by up to 16.
+    import mpmath
+
+    eps = np.finfo(np.float64).eps
+    cases = [("unary_counter", space, "11") for space in (3, 4, 5, 6)] + [
+        ("unary_counter", 6, "1111"), ("binary_nonmax", 3, "#o"), ("binary_nonmax", 4, "#oi"),
+        ("first_last_match", 2, "a"), ("first_last_match", 3, "aa"), ("first_last_match", 4, "aba"),
+    ]
+    with mpmath.workdps(60):
+        for name, space, x in cases:
+            gram = rtm.reduce_to_gapped(rtm.with_space(rtm.corpus_machine(name), space), x).gram
+            got = pr.decide_gapped(gram, 12)
+            y = oracles.path_sum_bottom(gram) * mpmath.mpf(got.evo_time)
+            v = mpmath.fsum((-1j * y) ** k / mpmath.factorial(k) for k in range(1, got.taylor_order + 1))
+            assert got.decision == "NO"
+            assert abs(got.rejection - abs(v) ** 2 / 4) <= 4 * eps * abs(v) ** 2 / 4
+            assert abs(got.acceptance - abs(2 + v) ** 2 / 4) <= 4 * eps
+
+
+def _rejecting_corpus_inputs():
+    """(machine at spaces 2-6, input) for every rejected input of up to two symbols, one at space 6."""
+    for name in rtm.corpus_names():
+        for space in range(2, 7):
+            machine = rtm.with_space(rtm.corpus_machine(name), space)
+            letters = [a for a in machine.alphabet if a != machine.blank]
+            for n in range(min(space, 2 if space == 6 else 3)):
+                for x in map("".join, itertools.product(letters, repeat=n)):
+                    if not rtm.simulate(machine, x).accepted:
+                        yield machine, x
+
+
+def test_rejecting_corpus_grams_read_exactly_zero(monkeypatch):
+    # The witness is a signed constant on a path with both ends 1: every row
+    # of A psi sums +-c and +-2c to exactly 0, so the read is exactly 0.
+    import scipy.linalg
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the band route ran")
+
+    for name in ("eig_banded", "cholesky_banded", "cho_solve_banded"):
+        monkeypatch.setattr(scipy.linalg, name, refuse)
+    read_dims = []
+    phase_read = pr.phase_read
+    monkeypatch.setattr(pr, "phase_read", lambda m, *rest, **kw: read_dims.append(m.dim) or phase_read(m, *rest, **kw))
+    eps = np.finfo(np.float64).eps
+    seen = set()
+    for machine, x in _rejecting_corpus_inputs():
+        gram = rtm.reduce_to_gapped(machine, x).gram
+        lam, psi, residual = sp.bottom_eigenpair(gram)
+        assert (lam, residual) == (0.0, 0.0)
+        decision = pr.decide_gapped(gram, 12)
+        assert decision.decision == "YES" and decision.rejection == 0.0
+        assert abs(decision.acceptance - 1.0) <= 2 * eps
+        # The read ran on the witness's own block, a few rows of the Gram.
+        assert read_dims[-1] == np.count_nonzero(psi) < gram.dim
+        seen.add(machine.name)
+    assert len(seen) == 3 and len(read_dims) > 100
+
+
 def test_pe_verifier_promise_wraps_gapped_params():
     singular, _, g = pr.toy_gapped_instances()
     verifier = pr.pe_verifier(singular, g)
@@ -772,6 +854,19 @@ def test_precise_instance_threshold_contract():
             threshold_a=0.5,
             threshold_b=0.25,
         )
+
+
+def test_precise_instance_equality_compares_terms():
+    make = lambda: pr.kitaev_hamiltonian(pr.rotation_verifier(0.9, 0.9, 0.1))
+    first, second = make(), make()
+    assert first is not second and first == second and not first != second
+    other = pr.kitaev_hamiltonian(pr.rotation_verifier(0.8, 0.9, 0.1))
+    assert first != other
+    assert first != dataclasses.replace(first, threshold_b=first.threshold_b * 2)
+    assert first != dataclasses.replace(first, terms=first.terms[:-1])
+    again = pr.PreciseLHInstance.from_dict(json.loads(json.dumps(first.to_dict())))
+    assert again.source is None and again == first  # the source is not compared
+    assert first != "an instance"
 
 
 def test_precise_instance_json_round_trip():

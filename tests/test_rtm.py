@@ -273,7 +273,7 @@ def test_random_machine_reduction(machine):
             accepted = rtm.simulate(machine, x).accepted
             lam = np.linalg.eigvalsh(so.materialize(instance.gram).astype(float))[0]
             # Every reduction Gram is a direct sum of paths, read in closed form.
-            assert sp._path_sum_bottom(so.to_csr(instance.gram)) == pytest.approx(lam, abs=1e-12)
+            assert sp._path_sum_bottom(so.to_csr(instance.gram)).lam == pytest.approx(lam, abs=1e-12)
             read_zero = pr.decide_gapped(instance.gram, instance.g).decision == "YES"
             assert det in (-1, 0, 1)
             assert (det != 0) == accepted == (lam >= floor) == (not read_zero)

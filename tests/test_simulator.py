@@ -132,6 +132,49 @@ def test_taylor_loop_on_vectors_matches_the_operator():
     np.testing.assert_allclose(real, (u - np.eye(8)) @ block[:, 0].real, atol=1e-13)
 
 
+def test_norm_upper_bound_reads_the_csr_arrays():
+    # The same value as sqrt(max column sum * max row sum) of scipy's |A|.
+    rng = np.random.default_rng(4)
+    for n in [1, 1, 2, 3] + list(rng.integers(1, 40, size=40)):
+        dense = rng.integers(-9, 10, size=(n, n)) * (rng.random((n, n)) < 0.3)
+        matrix = so.from_dense(dense)
+        magnitude = abs(so.to_csr(matrix))
+        want = float(math.sqrt(magnitude.sum(axis=0).max() * magnitude.sum(axis=1).max()))
+        assert sim._norm_upper_bound(matrix) == want
+
+
+def test_first_product_rounds_each_row_once():
+    # Entries +-1 and +-2 make every product exact, so a row's sum errs only
+    # by the final rounding and the cascade's second-order term (Ogita, Rump
+    # and Oishi, Prop. 4.5): |got - exact| <= u |exact| + gamma_{m-1}^2 sum |a_ij x_j|.
+    from fractions import Fraction
+
+    u = np.finfo(np.float64).eps / 2
+    rng = np.random.default_rng(9)
+    for _ in range(60):
+        n = int(rng.integers(1, 12))
+        dense = rng.choice([-2, -1, 0, 0, 0, 1, 2], size=(n, n))
+        a = so.to_csr(so.from_dense(dense)).astype(np.float64)
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 7, size=n)
+        x[rng.integers(n)] = -x.sum()  # a row or two with cancellation
+        z = x + 1j * rng.permutation(x)
+        got, got_complex = sim._rounded_once_products(a, x), sim._rounded_once_products(a, z)
+        assert np.array_equal(got_complex.real, got)
+        for i in range(n):
+            terms = [Fraction(int(dense[i, j])) * Fraction(float(x[j])) for j in range(n)]
+            exact = sum(terms, Fraction(0))
+            m = np.count_nonzero(dense[i])
+            gamma = (m - 1) * u / (1 - (m - 1) * u)
+            bound = u * abs(exact) + gamma**2 * sum(abs(t) for t in terms)
+            assert abs(Fraction(float(got[i])) - exact) <= bound
+            assert got_complex[i].imag == sim._rounded_once_products(a, z.imag)[i]
+    # The whole read: the first product is the only one that changes.
+    gram, psi = _gram_8(), np.linalg.eigh(_gram_8_dense().astype(float))[1][:, 0]
+    exact_first = sim.expm_taylor_minus_identity(gram, np.pi / 4, 20, psi, exact_first=True)
+    plain = sim.expm_taylor_minus_identity(gram, np.pi / 4, 20, psi)
+    np.testing.assert_allclose(exact_first, plain, rtol=0, atol=1e-14)
+
+
 def test_taylor_unitarity_defect_bounds_the_interval():
     for order in (1, 2, 5, 9, 14):
         for x in (0.5, 1.0, np.pi):

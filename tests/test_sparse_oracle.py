@@ -164,6 +164,27 @@ def test_path_and_cycle_rows_match_their_definition():
         assert [oracles.row(cycle, i) for i in range(ell)] == expected
 
 
+def test_principal_rows_cut_a_component():
+    from scipy.sparse.csgraph import connected_components
+
+    machine = rtm.with_space(rtm.corpus_machine("unary_counter"), 4)
+    gram = rtm.reduce_to_gapped(machine, "11").gram
+    a = so.to_csr(gram)
+    count, labels = connected_components(a, directed=False)
+    sizes = np.bincount(labels)
+    for component in [int(sizes.argmax()), int(sizes.argmin()), *range(0, count, 97)]:
+        rows = np.flatnonzero(labels == component)
+        block = so.principal_rows(gram, rows)
+        reference = a[rows][:, rows]  # scipy's fancy indexing keeps the column order
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(block, part), getattr(reference, part))
+        assert block.indices.dtype == gram.indices.dtype and block.data.dtype == np.int64
+        assert (block.sparsity_d, block.entry_bound_k) == (gram.sparsity_d, gram.entry_bound_k)
+    rows = np.flatnonzero(labels == int(sizes.argmax()))
+    with pytest.raises(ValueError, match="outside their own columns"):
+        so.principal_rows(gram, rows[:-1])
+
+
 def test_materialize_respects_cap():
     with pytest.raises(ResourceLimitError):
         so.materialize(oracles.identity_oracle(10), cap=9)

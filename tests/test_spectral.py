@@ -341,30 +341,45 @@ def _shuffled(dense: np.ndarray, seed: int) -> np.ndarray:
     return dense[np.ix_(perm, perm)]
 
 
+# Blocks that keep a matrix off the closed-form route, onto the band: the
+# 3-cycle Laplacian (eigenvalues 0, 3, 3) holds a cycle, and twice the 2 x 2
+# ones block (eigenvalues 0, 4) a coupling of 2.  The second keeps a chain's
+# RCM bandwidth at 1: at bandwidth 2, eig_banded's reduction to tridiagonal
+# form costs O(dim^2), 420 s at dim 300,000.
+_TRIANGLE = np.array([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], dtype=np.int64)
+_DOUBLED = np.full((2, 2), 2, dtype=np.int64)
+
+
+def _path_gram_beside(ell: int, block: np.ndarray) -> so.RowOracleMatrix:
+    """The path Gram of size ell, then a small dense block."""
+    from scipy.sparse import block_diag
+
+    path = so.to_csr(so.ata_oracle(so.path_adjacency(ell)))
+    both = block_diag([path, so.to_csr(so.from_dense(block))], format="csr", dtype=np.int64)
+    return so.RowOracleMatrix(both.indptr, both.indices, both.data, 3, max(2, int(block.max())))
+
+
 def test_bottom_eigenpair_on_a_long_chain():
     # lambda_2 - lambda_min is about 5e-8: each inverse-iteration solve must
     # still shrink the rest of the spectrum, so the shift sits far below the gap.
+    # The shifted doubled block (eigenvalues 1, 5) keeps the matrix off the
+    # closed-form route and lambda_min at the path's.
     ell = 20000
-    lam, psi, residual = sp.bottom_eigenpair(so.ata_oracle(so.path_adjacency(ell)))
+    gram = _path_gram_beside(ell, _DOUBLED + np.eye(2, dtype=np.int64))
+    assert sp._path_sum_bottom(so.to_csr(gram)) is None
+    lam, psi, residual = sp.bottom_eigenpair(gram)
     assert lam == pytest.approx(sp.min_eigenvalue_bound(ell), rel=1e-6)
     assert residual < 1e-14
 
 
-def _beside_a_singular_block(ell: int):
-    """The path Gram of size ell plus a 2 x 2 block of ones (eigenvalues 0 and 2)."""
-    from scipy.sparse import block_diag
-
-    path = so.to_csr(so.ata_oracle(so.path_adjacency(ell)))
-    ones = so.to_csr(so.from_dense(np.ones((2, 2), dtype=np.int64)))
-    both = block_diag([path, ones], format="csr", dtype=np.int64)
-    return so.RowOracleMatrix(both.indptr, both.indices, both.data, 3, 2)
-
-
 def test_bottom_eigenpair_when_the_gap_is_below_1e_10():
-    # lambda_min = 0 and lambda_2 = 2.7e-11: a Cholesky margin far above
-    # the gap would leave the path Gram's bottom vector in the witness.
+    # lambda_min = 0 (the doubled block's) and lambda_2 = 2.7e-11 (the
+    # path's): a Cholesky margin far above the gap would leave the path
+    # Gram's bottom vector in the witness.
     ell = 300000
-    lam, psi, residual = sp.bottom_eigenpair(_beside_a_singular_block(ell))
+    gram = _path_gram_beside(ell, _DOUBLED)
+    assert sp._path_sum_bottom(so.to_csr(gram)) is None
+    lam, psi, residual = sp.bottom_eigenpair(gram)
     assert abs(lam) < 1e-15
     assert residual < 1e-14
     assert np.linalg.norm(psi[-2:]) == pytest.approx(1.0, abs=1e-12)
@@ -389,17 +404,21 @@ def test_bottom_eigenpair_on_large_entries():
 def test_bottom_eigenpair_on_degenerate_direct_sums():
     # Repeated chain lengths repeat lambda_min (a cycle Gram of size ell holds the
     # path Gram of size ell - 1); a shuffle hides the blocks from the order.
+    # Each sum also holds a shifted triangle, a cycle above lambda_min, so it
+    # is no path sum and takes the band route.
     from scipy.linalg import block_diag
 
     path = lambda ell: oracles.structured_matrix("path", ell)
     cycle = lambda ell: oracles.structured_matrix("cycle", ell)
     singular = np.ones((2, 2), dtype=np.int64)
+    triangle = _TRIANGLE + np.eye(3, dtype=np.int64)
     for seed, blocks in enumerate([
-        [path(9), path(9), path(4)],
-        [path(12), cycle(13), path(12), path(12)],
-        [cycle(6), singular, path(1), singular],  # lambda_min 0, twice
+        [path(9), path(9), triangle, path(4)],
+        [path(12), cycle(13), path(12), triangle, path(12)],
+        [cycle(6), singular, path(1), singular, triangle],  # lambda_min 0, twice
     ]):
         dense = block_diag(*blocks)
+        assert sp._path_sum_bottom(so.to_csr(so.from_dense(dense))) is None
         w = np.linalg.eigvalsh(dense.astype(float))
         assert w[1] - w[0] < 1e-12
         _check_bottom_eigenpair(_shuffled(dense, seed))
@@ -530,7 +549,11 @@ def test_bottom_eigenpair_needs_no_sparse_lu_or_lanczos(monkeypatch):
 
     for name in ("splu", "eigsh", "LinearOperator"):
         monkeypatch.setattr(sla, name, refuse)
-    lam, _, residual = sp.bottom_eigenpair(so.ata_oracle(so.path_adjacency(30)))
+    # The shifted triangle keeps this off the closed-form route (which needs no
+    # solver at all); lambda_min is the path Gram's.
+    gram = _path_gram_beside(30, _TRIANGLE + np.eye(3, dtype=np.int64))
+    assert sp._path_sum_bottom(so.to_csr(gram)) is None
+    lam, _, residual = sp.bottom_eigenpair(gram)
     assert lam == pytest.approx(sp.min_eigenvalue_bound(30), abs=1e-12)
     assert residual < 1e-12
 
@@ -580,7 +603,7 @@ def test_min_eigenvalue_sparse_reads_reductions_in_closed_form(monkeypatch):
             for x in (x for x in inputs if len(x) < space):
                 instance = rtm.reduce_to_gapped(machine, x)
                 det = sp.det_exact(instance.adjacency)
-                banded = sp.bottom_eigenpair(instance.gram)[0]
+                banded = sp._certified_bottom(so.to_csr(instance.gram))[0]
                 with monkeypatch.context() as patch:
                     patch.setattr(scipy.sparse.csgraph, "reverse_cuthill_mckee", refuse)
                     patch.setattr(scipy.linalg, "eig_banded", refuse)
@@ -600,18 +623,23 @@ def test_min_eigenvalue_sparse_reads_reductions_in_closed_form(monkeypatch):
 
 
 @st.composite
-def shuffled_path_sums(draw):
-    """A direct sum of blocks of 1-300 vertices with random +-1 couplings, symmetrically shuffled.
+def shuffled_path_sums(draw, max_ell=300):
+    """A direct sum of blocks of 1-``max_ell`` vertices with random +-1 couplings, symmetrically shuffled.
 
     A block of ell >= 2 vertices is a path with interior diagonals 2 and
     end diagonals 1 or 2; a block of one vertex has diagonal 0-2.
     """
     blocks = draw(st.lists(
-        st.tuples(st.integers(1, 300), st.sampled_from((1, 2)), st.sampled_from((1, 2)),
+        st.tuples(st.integers(1, max_ell), st.sampled_from((1, 2)), st.sampled_from((1, 2)),
                   st.integers(0, 2)),
         min_size=1, max_size=5,
     ))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _path_sum(blocks, draw(st.integers(0, 2**32 - 1)))
+
+
+def _path_sum(blocks, seed: int) -> so.RowOracleMatrix:
+    """The shuffled direct sum of (ell, first end, last end, isolated diagonal) blocks."""
+    rng = np.random.default_rng(seed)
     triplets, start = [], 0
     for ell, first, last, alone in blocks:
         diagonal = [alone] if ell == 1 else [first] + [2] * (ell - 2) + [last]
@@ -628,12 +656,83 @@ def shuffled_path_sums(draw):
 def test_min_eigenvalue_sparse_on_shuffled_path_sums(gram):
     eps = np.finfo(np.float64).eps
     lam = sp.min_eigenvalue_sparse(gram)
-    assert sp._path_sum_bottom(so.to_csr(gram)) == lam  # the closed-form route answered
+    assert sp._path_sum_bottom(so.to_csr(gram)).lam == lam  # the closed-form route answered
     exact = oracles.path_sum_bottom(gram)
     assert abs(lam - exact) <= 4 * eps * exact
     if gram.dim <= 400:
         dense = so.materialize(gram).astype(float)
         assert lam == pytest.approx(np.linalg.eigvalsh(dense)[0], abs=1e-12)
+
+
+def _check_closed_form_witness(gram: so.RowOracleMatrix, monkeypatch) -> None:
+    """bottom_eigenpair of a path sum against eigh, with every band routine refused.
+
+    The witness lives on one connected block, its lambda is
+    ``min_eigenvalue_sparse``'s bit for bit, and the residual taken on
+    the block's rows equals the one taken on all of A.
+    """
+    import scipy.linalg
+    import scipy.sparse.csgraph
+    from scipy.sparse.csgraph import connected_components
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the band route ran")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(scipy.sparse.csgraph, "reverse_cuthill_mckee", refuse)
+        for name in ("eig_banded", "cholesky_banded", "cho_solve_banded"):
+            patch.setattr(scipy.linalg, name, refuse)
+        _check_bottom_eigenpair(so.materialize(gram))
+        pair = sp._bottom_block_eigenpair(gram)
+        lam, psi, residual = sp.bottom_eigenpair(gram)
+    assert lam == pair.lam == sp.min_eigenvalue_sparse(gram)
+    assert np.array_equal(psi[pair.rows], pair.psi) and np.count_nonzero(psi) <= len(pair.rows)
+    a = so.to_csr(gram)
+    _, labels = connected_components(a, directed=False)
+    assert len(set(labels[pair.rows].tolist())) == 1
+    assert np.count_nonzero(labels == labels[pair.rows[0]]) == len(pair.rows)
+    full = float(np.linalg.norm(a.astype(np.float64) @ psi - lam * psi))
+    assert residual == pair.residual == full
+
+
+@settings(max_examples=150, deadline=None)
+@given(shuffled_path_sums(max_ell=40))
+def test_bottom_eigenpair_writes_the_closed_form_witness(gram):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _check_closed_form_witness(gram, monkeypatch)
+
+
+# Ties between blocks, and each kind as the least block: (ell, first end,
+# last end, isolated diagonal) as in ``shuffled_path_sums``.
+_WITNESS_CASES = {
+    "two equal one-end paths": [(7, 1, 2, 0), (7, 2, 1, 0)],
+    "one end of 6 and no end of 12": [(6, 1, 2, 0), (12, 2, 2, 0)],
+    "laplacian and isolated 0": [(5, 1, 1, 0), (1, 1, 1, 0)],
+    "isolated 0 and laplacian": [(1, 1, 1, 0), (5, 1, 1, 0), (3, 2, 1, 2)],
+    "isolated 0 alone at the bottom": [(9, 1, 2, 0), (1, 2, 2, 0), (4, 2, 2, 1)],
+    "isolated 1": [(1, 1, 1, 2), (1, 1, 1, 1)],
+    "no end": [(20, 2, 2, 0), (3, 1, 2, 0), (1, 1, 1, 2)],
+    "one end": [(10, 2, 1, 0), (10, 2, 2, 0), (2, 2, 2, 0)],
+    "laplacians of 2 and 40": [(2, 1, 1, 0), (40, 1, 1, 0), (30, 1, 2, 0)],
+    "all four kinds": [(8, 2, 2, 0), (6, 1, 2, 0), (4, 1, 1, 0), (1, 1, 1, 0)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WITNESS_CASES))
+def test_closed_form_witness_on_ties_and_every_kind(case, monkeypatch):
+    for seed in range(3):
+        _check_closed_form_witness(_path_sum(_WITNESS_CASES[case], seed), monkeypatch)
+
+
+def test_block_residual_is_the_full_residual_on_reductions():
+    for name, inputs in _CORPUS_INPUTS.items():
+        for space in (3, 4, 5):
+            machine = rtm.with_space(rtm.corpus_machine(name), space)
+            for x in (x for x in inputs if len(x) < space):
+                gram = rtm.reduce_to_gapped(machine, x).gram
+                lam, psi, residual = sp.bottom_eigenpair(gram)
+                a = so.to_csr(gram).astype(np.float64)
+                assert residual == float(np.linalg.norm(a @ psi - lam * psi)) < 1e-15
 
 
 _NEAR_MISSES = {
