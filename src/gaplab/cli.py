@@ -245,10 +245,14 @@ def _cmd_energy(args) -> tuple[dict, int]:
         dense = protocols.PreciseLHInstance.from_dict(data).materialize()
         truth = protocols.ground_energy(dense)
     else:  # read from the path, so a machine path resolves against the file's directory
-        # A machine reduction is read as its Gram, as `verify --instance` reads it.
-        matrix, _ = sparse_oracle.load_gapped_instance(args.instance)
+        # A machine reduction is read as its Gram, as `verify --instance` reads it,
+        # and checked against its closed-form lambda_min instead of a dense solve.
+        matrix, g = sparse_oracle.load_gapped_instance(args.instance)
         dense = sparse_oracle.materialize(matrix)
-        truth = spectral.min_eigenvalue(dense)
+        if g is None:
+            truth = spectral.min_eigenvalue(dense)
+        else:
+            truth = spectral.min_eigenvalue_sparse(matrix)
     estimate = protocols.binary_search_energy(dense, args.bits)
     payload = _with_seed(
         args,

@@ -116,12 +116,17 @@ class RowOracleMatrix:
         del descending
         if np.count_nonzero(vals) < nnz:
             raise ContractError(f"row {row_of(vals == 0)} contains an explicit zero")
-        if nnz and (vals.min() < -k or vals.max() > k):
+        low, high = (int(vals.min()), int(vals.max())) if nnz else (0, 0)
+        if low < -k or high > k:
             row = row_of((vals < -k) | (vals > k))
             raise ContractError(f"row {row} exceeds declared bound {k}")
         ones = self.column_ones_bound
-        if ones is not None and np.bincount(cols[vals == 1], minlength=dim).max() > ones:
-            raise ContractError(f"a column holds more than {ones} ones")
+        if ones is not None:
+            # A 0/1 matrix, every reduction's adjacency, counts its indices as
+            # they stand: no masked copy ahead of bincount's own cast to intp.
+            counted = cols if low == high == 1 else cols[vals == 1]
+            if np.bincount(counted, minlength=dim).max() > ones:
+                raise ContractError(f"a column holds more than {ones} ones")
 
     @property
     def dim(self) -> int:

@@ -171,13 +171,18 @@ def det_bareiss_sparse(matrix: RowOracleMatrix) -> int:
        every term of the permutation expansion has a zero factor: the
        matrix is structurally singular and the determinant is 0.
     2. Otherwise the matched columns, put on the diagonal, give
-       B = A P with no zero there, and det A = sgn(P) det B, where the
-       parity of P is n minus its number of cycles.
+       B = A P with no zero there, and det A = sgn(P) det B.  The parity
+       of P is read from its moved points alone: k moved points in c
+       cycles give parity k - c, and the cycles are counted on the
+       k x k permutation they form.  On an accepting reduction the
+       moved points are the configurations of the computation cycle
+       (6 for ``unary_counter`` on ``11``), however large the matrix.
     3. The strong components of B's digraph are the diagonal blocks of
        a block-triangular form of B, so det B is the product of their
        determinants: each singleton contributes its diagonal entry, and
        the nontrivial components, cross-component entries dropped, form
-       a block-diagonal core.
+       a block-diagonal core.  Only B's diagonal entries other than 1
+       enter the product, found among the entries other than 1.
     4. The core alone goes through ``_banded_bareiss`` on its reverse
        Cuthill-McKee order.
 
@@ -185,7 +190,8 @@ def det_bareiss_sparse(matrix: RowOracleMatrix) -> int:
     Python integer.  On a reduction's matrix the transversal already
     decides a rejecting input.  An accepting one has a single cycle
     cover, so its transversal is unique, B is triangular and no core is
-    left: the determinant is the sign.
+    left: the determinant is the sign, with no nnz-long pass beyond the
+    strong components.
     """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components, maximum_bipartite_matching
@@ -198,23 +204,31 @@ def det_bareiss_sparse(matrix: RowOracleMatrix) -> int:
 
     def digraph(indices: np.ndarray, indptr: np.ndarray) -> csr_matrix:
         # The graph routines convert to float64 first; ones of that type skip a copy.
-        return csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
+        m = len(indptr) - 1
+        return csr_matrix((np.ones(len(indices)), indices, indptr), shape=(m, m))
 
-    cycles = connected_components(digraph(match, np.arange(n + 1)), return_labels=False)
+    moved = np.flatnonzero(match != np.arange(n))
+    k = len(moved)
+    cycles = connected_components(
+        digraph(np.searchsorted(moved, match[moved]), np.arange(k + 1)), return_labels=False
+    ) if k else 0
+    sign = (-1) ** ((k - cycles) % 2)
     # Entry (row, col) of B = A P, with B[i, i] = A[i, match[i]].
-    row = np.repeat(np.arange(n), np.diff(a.indptr))
     position = np.empty_like(match)
     position[match] = np.arange(n)
     col = position[a.indices]
     count, labels = connected_components(digraph(col, a.indptr), connection="strong")
+    # B's diagonal entries other than 1; the ones, nearly all of a reduction's
+    # diagonal, stay out of the Python product.
+    nonunit = np.flatnonzero(a.data != 1)
+    nonunit = nonunit[col[nonunit] == np.searchsorted(a.indptr, nonunit, side="right") - 1]
+    if count == n:  # every component is one vertex: det B is B's diagonal product
+        return sign * prod(a.data[nonunit].tolist())
     single = np.bincount(labels, minlength=count)[labels] == 1
-    diagonal = a.data[row == col][single]
-    # Ones, nearly all of a reduction's diagonal, stay out of the Python product.
-    det = (-1) ** ((n - cycles) % 2) * prod(diagonal[diagonal != 1].tolist())
-    if single.all():
-        return det
+    det = sign * prod(a.data[nonunit[single[col[nonunit]]]].tolist())
     # Core: the nontrivial components' rows and columns, renumbered, with
     # only the entries inside one component.
+    row = np.repeat(np.arange(n), np.diff(a.indptr))
     keep = ~single[row] & (labels[row] == labels[col])
     index = np.cumsum(~single) - 1
     m = int(index[-1]) + 1

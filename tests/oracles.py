@@ -22,6 +22,10 @@ the desk-scale sizes the tests use.
 * amplification: the two reflections as dense operators and the
   phase-estimation register simulated branch by branch, against the
   closed form of ``nwz_amplify``;
+* machines: the successor array by decoding and re-encoding every
+  configuration, and the audit's witnesses from a scan in index order
+  and pointer jumping run for every round, against ``successors`` and
+  ``_audit``;
 * CSR construction: the COO-to-CSR route through scipy that built row
   oracles before they were written as arrays, and the augmented
   adjacency assembled triplet by triplet from its definition, against
@@ -148,6 +152,62 @@ def machine_to_dict(machine: ReversibleTM) -> dict:
             for (q, a), (q2, a2, mv) in sorted(machine.transitions.items())
         ],
     }
+
+
+def decoded_successors(machine: ReversibleTM) -> np.ndarray:
+    """Successor array by decoding and re-encoding every configuration, against ``successors``.
+
+    The vectorized ``step`` as the reduction first computed it: state,
+    head and the symbol under the head from each index, the (state,
+    symbol) rule from the transition table, and the moved configuration
+    packed again; int64, -1 where the machine halts.
+    """
+    nq, na, space = len(machine.states), len(machine.alphabet), machine.space
+    table = np.array([[-1, 0, 0]] * (nq * na), dtype=np.int64)  # new state, written, move
+    for (q, a), (q2, a2, mv) in machine.transitions.items():
+        table[machine._qidx[q] * na + machine._aidx[a]] = machine._qidx[q2], machine._aidx[a2], mv
+    rest, state = np.divmod(np.arange(machine.dim, dtype=np.int64), nq)
+    tape, head = np.divmod(rest, space)
+    weight = (na ** np.arange(space, dtype=np.int64))[head]
+    symbol = tape // weight % na
+    state2, written, move = table[state * na + symbol].T
+    head2 = head + move
+    out = state2 + nq * (head2 + space * (tape + (written - symbol) * weight))
+    out[(state2 < 0) | (head2 < 0) | (head2 >= space)] = -1
+    return out
+
+
+def audit_witnesses(succ: np.ndarray) -> tuple[tuple[int, int] | None, tuple[int, ...] | None]:
+    """(collision, cycle) of a successor array, as indices, against ``rtm._audit``.
+
+    The collision is the first one a scan in index order meets: the
+    configuration that steps onto a target already taken, with the
+    target's first preimage.  The cycle comes from pointer jumping run
+    for all dim.bit_length() rounds, with no early exit: the loop
+    reached from the smallest configuration that is not then on the
+    sink appended at index dim.
+    """
+    collision = None
+    first: dict[int, int] = {}
+    for i, t in enumerate(succ.tolist()):
+        if t >= 0:
+            if t in first:
+                collision = (first[t], i)
+                break
+            first[t] = i
+    dim = len(succ)
+    jump = np.append(np.where(succ >= 0, succ, dim), dim)
+    for _ in range(dim.bit_length()):
+        jump = jump[jump]
+    stuck = np.flatnonzero(jump[:-1] != dim)
+    if not stuck.size:
+        return collision, None
+    seen: list[int] = []
+    v = int(stuck[0])
+    while v not in seen:
+        seen.append(v)
+        v = int(succ[v])
+    return collision, tuple(seen[seen.index(v):])
 
 
 # ---------------------------------------------------------------------------

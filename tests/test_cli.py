@@ -431,6 +431,24 @@ def test_energy_instance_reads_the_gram_of_a_machine_reduction(tmp_path, capsys)
     assert payload["abs_err"] <= 2.0 ** -30
 
 
+def test_energy_checks_a_machine_reduction_in_closed_form(tmp_path, capsys, monkeypatch):
+    # The cross-check of an `rtm` file is min_eigenvalue_sparse, with no dense solve.
+    path = tmp_path / "rtm.json"
+    path.write_text(json.dumps({"kind": "rtm", "machine": "unary_counter", "input": "11",
+                                "space": 4}))
+
+    def refused(matrix, tol=None):
+        raise AssertionError("dense eigensolver called")
+
+    monkeypatch.setattr(spectral, "min_eigenvalue", refused)
+    code, out = run_cli(capsys, "energy", "--instance", str(path), "--bits", "20")
+    assert code == 0
+    payload = json.loads(out)
+    gram = rtm.reduce_to_gapped(rtm.with_space(rtm.corpus_machine("unary_counter"), 4), "11").gram
+    assert payload["eigensolver"] == spectral.min_eigenvalue_sparse(gram)
+    assert payload["abs_err"] <= 2.0 ** -20
+
+
 def test_config_file_supplies_defaults(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"ell": 4, "kind": "path"}))

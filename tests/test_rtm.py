@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -231,30 +232,58 @@ def test_reduction_rejects_invalid_machine():
 
 @st.composite
 def random_machines(draw):
-    """Partial transition tables over 3-4 states, alphabet {0, 1}, space 2-4."""
+    """Partial transition tables over 3-4 states, alphabet {0, 1} or {0, 1, 2}, space 1-4.
+
+    Three symbols put base-3 digits under the head; space 1 sends every
+    L and R move off a tape end.
+    """
     states = ["s", "acc", "p", "q"][: draw(st.integers(3, 4))]
-    keys = st.tuples(st.sampled_from(states), st.sampled_from("01"))
-    rules = st.tuples(st.sampled_from(states), st.sampled_from("01"), st.sampled_from("LSR"))
+    alphabet = "012"[: draw(st.integers(2, 3))]
+    keys = st.tuples(st.sampled_from(states), st.sampled_from(alphabet))
+    rules = st.tuples(st.sampled_from(states), st.sampled_from(alphabet), st.sampled_from("LSR"))
     table = draw(st.dictionaries(keys, rules))
     return rtm.machine_from_dict({
         "name": "random", "states": states, "start": "s", "accept": "acc",
-        "alphabet": ["0", "1"], "blank": "0", "space": draw(st.integers(2, 4)),
+        "alphabet": list(alphabet), "blank": "0", "space": draw(st.integers(1, 4)),
         "transitions": [[q, a, *rule] for (q, a), rule in sorted(table.items())],
     })
+
+
+def _configs(machine, indices):
+    """The configurations at these indices, or None for no witness."""
+    if indices is None:
+        return None
+    return tuple(rtm.decode_configuration(machine, int(i)) for i in indices)
+
+
+# One cell, three symbols: every L and R move leaves the tape, S moves stay.
+_ONE_CELL = rtm.machine_from_dict({
+    "name": "one_cell", "states": ["s", "acc", "p"], "start": "s", "accept": "acc",
+    "alphabet": ["0", "1", "2"], "blank": "0", "space": 1,
+    "transitions": [["s", "0", "p", "2", "S"], ["s", "1", "p", "0", "L"],
+                    ["p", "2", "acc", "1", "S"], ["p", "1", "acc", "1", "R"]],
+})
 
 
 @settings(max_examples=120, deadline=None)
 @given(random_machines())
 @example(rtm.with_space(rtm.corpus_machine("unary_counter"), 3))
 @example(rtm.with_space(rtm.corpus_machine("first_last_match"), 2))
+@example(_ONE_CELL)
 def test_random_machine_reduction(machine):
     def scalar_step(i):
         nxt = rtm.step(machine, rtm.decode_configuration(machine, i))
         return -1 if nxt is None else rtm.encode_configuration(machine, nxt)
 
-    assert rtm.successors(machine).tolist() == [scalar_step(i) for i in range(machine.dim)]
+    succ = rtm.successors(machine)
+    assert succ.dtype == np.int64
+    assert succ.tolist() == [scalar_step(i) for i in range(machine.dim)]
+    assert np.array_equal(succ, oracles.decoded_successors(machine))
 
     report = rtm.validate(machine)
+    collision, cycle = oracles.audit_witnesses(succ)
+    assert report.collision == _configs(machine, collision)
+    assert report.cycle == _configs(machine, cycle)
     if not report.ok:
         if report.collision is not None:
             first, second = report.collision
@@ -271,7 +300,10 @@ def test_random_machine_reduction(machine):
             instance = rtm.reduce_to_gapped(machine, x)
             det = sp.det_exact(instance.adjacency)
             accepted = rtm.simulate(machine, x).accepted
-            lam = np.linalg.eigvalsh(so.materialize(instance.gram).astype(float))[0]
+            if machine.dim <= 256:  # every two-symbol machine and the small three-symbol ones
+                lam = np.linalg.eigvalsh(so.materialize(instance.gram).astype(float))[0]
+            else:  # up to 1,296 configurations: the 50-digit walk of every path
+                lam = float(oracles.path_sum_bottom(instance.gram))
             # Every reduction Gram is a direct sum of paths, read in closed form.
             assert sp._path_sum_bottom(so.to_csr(instance.gram)).lam == pytest.approx(lam, abs=1e-12)
             read_zero = pr.decide_gapped(instance.gram, instance.g).decision == "YES"
@@ -279,3 +311,80 @@ def test_random_machine_reduction(machine):
             assert (det != 0) == accepted == (lam >= floor) == (not read_zero)
             if not accepted:
                 assert abs(lam) < 1e-10
+
+
+@pytest.mark.parametrize("name", ["binary_nonmax", "first_last_match", "unary_counter"])
+def test_successors_match_the_decoded_reference(name):
+    for space in range(1, 9):
+        machine = rtm.with_space(rtm.corpus_machine(name), space)
+        if machine.dim > 10**6:  # first_last_match at space 8 has 31 million
+            break
+        got = rtm.successors(machine)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, oracles.decoded_successors(machine)), space
+
+
+def test_successors_peak_memory_stays_near_the_result():
+    machine = rtm.with_space(rtm.corpus_machine("unary_counter"), 8)
+    assert machine.dim == 262_440
+    tracemalloc.start()
+    try:
+        succ = rtm.successors(machine)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * succ.nbytes, (peak, succ.nbytes)
+
+
+def _bare_machine(dim: int) -> rtm.ReversibleTM:
+    """No rules, one symbol, one cell: configuration i is state i, for ``_audit`` on any map."""
+    states = [f"c{i}" for i in range(dim)]
+    return rtm.ReversibleTM("bare", states, states[0], states[1], ("0",), "0", 1, {})
+
+
+@st.composite
+def successor_maps(draw):
+    """Maps on 2-300 configurations: chains up to the whole space, cycles of 2^k, collisions."""
+    dim = draw(st.integers(2, 300))
+    order = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(dim)
+    succ = np.full(dim, -1, dtype=np.int64)
+    start = 0
+    while start < dim:
+        if draw(st.booleans()):
+            part = order[start : start + 2 ** draw(st.integers(0, 8))]
+            succ[part] = np.roll(part, -1)
+        else:
+            part = order[start : start + draw(st.integers(1, dim))]
+            succ[part[:-1]] = part[1:]
+        start += len(part)
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+        succ[i] = succ[j]
+    return succ
+
+
+def _chain(dim: int) -> np.ndarray:
+    return np.append(np.arange(1, dim), -1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(successor_maps())
+@example(_chain(256))  # 256 hops to the sink: every one of the 9 rounds
+@example(_chain(257))
+@example(np.array([1, 0]))
+@example(np.append(np.roll(np.arange(128), -1), _chain(128) + 128))  # a 2^7 cycle beside a chain
+@example(np.full(5, -1))  # everything halts at once
+def test_audit_matches_full_rounds_pointer_jumping(succ):
+    machine = _bare_machine(len(succ))
+    report = rtm._audit(machine, succ)
+    collision, cycle = oracles.audit_witnesses(succ)
+    issues = []
+    if collision is not None:
+        first, second, target = _configs(machine, (*collision, succ[collision[0]]))
+        issues.append(f"step map not injective: {first} and {second} share successor {target}")
+    if cycle is not None:
+        start = rtm.decode_configuration(machine, cycle[0])
+        issues.append(f"configuration graph has a cycle of length {len(cycle)} through {start}")
+    assert report.issues == tuple(issues)
+    assert report.collision == _configs(machine, collision)
+    assert report.cycle == _configs(machine, cycle)

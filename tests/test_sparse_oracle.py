@@ -112,6 +112,11 @@ def test_row_contract_column_ones_bound():
             ones.indptr, ones.indices, ones.data,
             sparsity_d=3, entry_bound_k=1, column_ones_bound=2,
         )
+    # Entries other than 1 do not count: each column below holds two ones.
+    mixed = so.from_dense(np.array([[1, -1, 1], [2, 1, -1], [1, 1, 1]]))
+    so.RowOracleMatrix(mixed.indptr, mixed.indices, mixed.data, 3, 2, column_ones_bound=2)
+    with pytest.raises(ContractError, match="more than 1 ones"):
+        so.RowOracleMatrix(mixed.indptr, mixed.indices, mixed.data, 3, 2, column_ones_bound=1)
 
 
 def test_row_contract_names_the_first_offending_row():

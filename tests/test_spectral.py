@@ -127,6 +127,67 @@ def test_det_sparse_block_triangular_split(arr):
         assert det == oracles.det_permutation_expansion(oracle)
 
 
+@st.composite
+def transversal_splits(draw):
+    """(A, matched column of each row, whether a core is left) with a known transversal.
+
+    B is lower triangular with a nonzero diagonal (entries -3..3, units
+    or not, on and off it), so its one perfect transversal is the
+    diagonal.  Its columns go to sigma: the identity, one transposition
+    or an n-cycle, moving 0, 2 or all points.  With ``core``, a few
+    diagonal blocks of size 2-3 are filled with nonzeros, which makes
+    them nontrivial strong components.
+    """
+    n = draw(st.integers(1, 9))
+    nonzero = st.integers(-3, 3).filter(bool)
+    b = np.tril(np.array(draw(st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n)),
+                         dtype=np.int64).reshape(n, n), -1)
+    b[np.arange(n), np.arange(n)] = draw(st.lists(nonzero, min_size=n, max_size=n))
+    core = n >= 2 and draw(st.booleans())
+    if core:
+        start = 0
+        while start < n - 1:
+            size = min(draw(st.integers(2, 3)), n - start)
+            block = draw(st.lists(nonzero, min_size=size * size, max_size=size * size))
+            b[start : start + size, start : start + size] = np.reshape(block, (size, size))
+            start += size + draw(st.integers(0, 2))
+    moves = draw(st.sampled_from(["none", "two", "all"])) if n >= 2 else "none"
+    order = np.array(draw(st.permutations(range(n))))
+    sigma = np.arange(n)
+    if moves == "two":
+        sigma[order[:2]] = order[1::-1]
+    elif moves == "all":
+        sigma[order] = np.roll(order, -1)
+    a = np.zeros_like(b)
+    a[:, sigma] = b
+    return a, sigma, core
+
+
+@settings(max_examples=400, deadline=None)
+@given(transversal_splits())
+def test_det_split_on_known_transversals(split):
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
+    a, sigma, core = split
+    oracle = so.from_dense(a)
+    if not core:  # the transversal is unique, and it is sigma
+        assert np.array_equal(maximum_bipartite_matching(oracle.csr, perm_type="column"), sigma)
+    calls = []
+    kernel = sp._banded_bareiss
+
+    def recorded(b, lo):
+        calls.append(b.shape)
+        return kernel(b, lo)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sp, "_banded_bareiss", recorded)
+        det = sp.det_exact(oracle)
+    assert det == oracles.det_bareiss(oracle)
+    if len(a) <= 7:
+        assert det == oracles.det_permutation_expansion(oracle)
+    assert bool(calls) == core
+
+
 def test_det_exact_regime_skips_the_banded_kernel(monkeypatch):
     # unary_counter at space 8: 262,440 configurations.  A rejecting
     # reduction has no perfect transversal.  An accepting one has exactly
