@@ -603,23 +603,24 @@ def decide_gapped(matrix: RowOracleMatrix, g: int) -> GappedDecision:
     same column order and the same declared d and k, so t, the Taylor
     order and each row's floating-point sum are those of the whole
     matrix, whose other rows would only carry zeros.  The first product
-    rounds each row's sum once (``exact_first``): its products, entries
-    +-1 and 2 times the witness, are exact, and on an eigenvector it
-    cancels to about lambda / ||A|| of its terms, which plain row sums
-    turned into errors of up to 16 ulps in the rejection on the corpus
-    Grams.  The read is then cross-checked against the closed form: the
-    exact-exponential rejection of an eigenvector is sin^2(lam t/2), the
-    Taylor sum moves it by at most epsilon (1 + epsilon/4) and rounding
-    by at most ``read_error``, and a larger difference raises
-    ContractError.  The decision stays the read's.  On a rejecting reduction the witness is
-    a signed constant, A psi is exactly 0, and the rejection is exactly
-    0.0.
+    rounds each row's sum once (``expm_taylor_minus_identity``): its
+    products, entries +-1 and 2 times the witness, are exact, and on an
+    eigenvector it cancels to about lambda / ||A|| of its terms, which
+    plain row sums turned into errors of up to 16 ulps in the rejection
+    on the corpus Grams.  The read is then cross-checked against the
+    closed form: the exact-exponential rejection of an eigenvector is
+    sin^2(lam t/2), the Taylor sum moves it by at most
+    epsilon (1 + epsilon/4) and rounding by at most ``read_error``, and
+    a larger difference raises ContractError.  The decision stays the
+    read's.  On a rejecting reduction the witness is a signed constant,
+    A psi is exactly 0, and the rejection is exactly 0.0.
 
-    Any other matrix gets its witness from banded inverse iteration on
-    the reverse Cuthill-McKee band, read on the whole matrix.  That the
-    band's Cholesky factorization exists certifies that the instance is
-    positive semidefinite (to within rounding), which the 0 versus 2^-g
-    promise presumes; an indefinite instance raises ContractError.
+    Any other matrix, up to DENSE_CAP rows, gets its witness from one
+    dense ``eigh``, read on the whole matrix.  That the Cholesky
+    factorization of A - sigma I just below lambda_min exists certifies
+    that the instance is positive semidefinite (to within rounding),
+    which the 0 versus 2^-g promise presumes; an indefinite instance
+    raises ContractError, and a larger one ResourceLimitError.
 
     The decision is read on the rejection side: YES (lambda_min = 0)
     when the rejection falls below the midpoint of epsilon and
@@ -635,12 +636,10 @@ def decide_gapped(matrix: RowOracleMatrix, g: int) -> GappedDecision:
         raise ContractError(
             f"witness eigen-residual {pair.residual:.3e} exceeds 2^-g/8 = {2.0**-g / 8:.3e}"
         )
-    closed_form = pair.rows is not None
     acceptance, rejection = phase_read(
-        pair.block, params.evo_time, params.taylor_order, pair.psi, params.unitarity_tol,
-        exact_first=closed_form,
+        pair.block, params.evo_time, params.taylor_order, pair.psi, params.unitarity_tol
     )
-    if closed_form:
+    if pair.rows is not None:  # the closed form
         law = sin(pair.lam * params.evo_time / 2) ** 2
         budget = params.epsilon * (1.0 + params.epsilon / 4) + params.read_error
         if abs(rejection - law) > budget:
@@ -1103,7 +1102,7 @@ def binary_search_energy(instance, bits: int) -> float:
     radii = np.sum(np.abs(herm), axis=1) - np.abs(np.diag(herm))
     lo = float(np.min(np.diag(herm).real - radii))
     hi = float(np.max(np.diag(herm).real + radii))
-    band, _ = _rcm_band(csr_matrix(herm), capped=False)  # herm itself is larger
+    band, _ = _rcm_band(csr_matrix(herm))
     target = 2.0**-bits
     while hi - lo > target:
         mid = (lo + hi) / 2

@@ -208,18 +208,25 @@ def _norm_upper_bound(matrix: RowOracleMatrix) -> float:
 
 
 def _rounded_once_products(a: csr_matrix, x: np.ndarray) -> np.ndarray:
-    """A x for a vector x, each row's sum rounded once, when every product a_ij x_j is exact.
+    """A x for a vector or column block x, each row's sum carried in twice the working precision.
 
     A row's products go down one column of a zero-padded table, and a
     TwoSum cascade along the table (Ogita, Rump and Oishi, SIAM J. Sci.
     Comput. 26:1955, 2005) keeps the exact error of each addition, so
     the row's sum is as accurate as if it were carried in twice the
-    working precision and then rounded.
+    working precision and then rounded.  When every product is exact,
+    as for entries +-1 and +-2, each row is rounded once; otherwise the
+    result is never less accurate than plain sums of the same products.
+    The columns of a block ride along a trailing axis.
     """
     counts = np.diff(a.indptr)
     row = np.repeat(np.arange(len(counts)), counts)
-    table = np.zeros((max(int(counts.max()), 1), len(counts)), dtype=np.result_type(a.dtype, x))
-    table[np.arange(a.nnz) - a.indptr[row], row] = a.data * x[a.indices]
+    table = np.zeros(
+        (max(int(counts.max()), 1), len(counts)) + x.shape[1:], dtype=np.result_type(a.dtype, x)
+    )
+    table[np.arange(a.nnz) - a.indptr[row], row] = (
+        a.data.reshape((-1,) + (1,) * (x.ndim - 1)) * x[a.indices]
+    )
     total, error = table[0], np.zeros_like(table[0])
     for term in table[1:]:
         partial = total + term
@@ -230,8 +237,7 @@ def _rounded_once_products(a: csr_matrix, x: np.ndarray) -> np.ndarray:
 
 
 def expm_taylor_minus_identity(
-    matrix: RowOracleMatrix, evo_time: float, order: int, x: np.ndarray,
-    exact_first: bool = False,
+    matrix: RowOracleMatrix, evo_time: float, order: int, x: np.ndarray
 ) -> np.ndarray:
     """(U_K - I) x for the degree-``order`` Taylor sum U_K of e^{-i A t}.
 
@@ -241,12 +247,10 @@ def expm_taylor_minus_identity(
     and w_0 = x, so a real x stays real through the recurrence and the
     powers of -i enter only when the terms are summed.
 
-    With ``exact_first`` (a vector x whose products a_ij x_j are all
-    exact, as for entries +-1 and +-2) the first product rounds each
-    row's sum once.  That product carries the read's cancellation: on an
-    eigenvector at a small lambda each row of A x is about ||A|| / lambda
-    times smaller than its terms, and every later term is smaller again
-    by lambda t.
+    The first product sums each row by ``_rounded_once_products``.  That
+    product carries the read's cancellation: on an eigenvector at a
+    small lambda each row of A x is about ||A|| / lambda times smaller
+    than its terms, and every later term is smaller again by lambda t.
 
     Requires ||A|| * t <= pi (checked through a cheap norm bound): the
     tail estimate, and the whole phase-reading scheme downstream, live
@@ -262,8 +266,7 @@ def expm_taylor_minus_identity(
     w = np.asarray(x)
     total = np.zeros(w.shape, dtype=complex)
     for k in range(1, order + 1):
-        product = _rounded_once_products(a, w) if exact_first and k == 1 else a @ w
-        w = product * (evo_time / k)
+        w = (_rounded_once_products(a, w) if k == 1 else a @ w) * (evo_time / k)
         total += _MINUS_I_POWERS[k % 4] * w
     return total
 
@@ -294,7 +297,7 @@ def taylor_unitarity_defect(x: float, order: int) -> float:
 
 def phase_read(
     matrix: RowOracleMatrix, evo_time: float, order: int, psi: np.ndarray,
-    unitarity_tol: float = 1e-8, exact_first: bool = False,
+    unitarity_tol: float = 1e-8
 ) -> tuple[float, float]:
     """(outcome-0, outcome-1) probabilities of one-bit phase estimation of U_K on psi.
 
@@ -311,8 +314,7 @@ def phase_read(
     the whole interval |y| <= pi that the norm check of
     ``expm_taylor_minus_identity`` guarantees, and the norm drift
     | ||U_K psi|| - ||psi|| | is checked on the witness itself; both
-    against ``unitarity_tol``.  ``exact_first`` is passed on to
-    ``expm_taylor_minus_identity``.
+    against ``unitarity_tol``.
     """
     vec = np.asarray(psi)
     if abs(np.linalg.norm(vec) - 1.0) > 1e-9:
@@ -322,7 +324,7 @@ def phase_read(
         raise ContractError(
             f"Taylor sum not unitary within {unitarity_tol:.1e} (certified defect {defect:.3e})"
         )
-    v = expm_taylor_minus_identity(matrix, evo_time, order, vec, exact_first)
+    v = expm_taylor_minus_identity(matrix, evo_time, order, vec)
     drift = abs(float(np.linalg.norm(vec + v)) - float(np.linalg.norm(vec)))
     if drift > unitarity_tol:
         raise ContractError(f"norm drift {drift:.3e} on the witness exceeds {unitarity_tol:.1e}")

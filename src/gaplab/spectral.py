@@ -16,19 +16,17 @@ Two independent concerns live here:
   produce, including the closed-form spectrum of the path block and the
   tridiagonal fast path.  A direct sum of path blocks (every
   reduction's Gram) is recognised from exact integer tests on its CSR
-  arrays, with no band: lambda_min is the closed form of its longest
-  path of each kind, and the bottom eigenvector the closed form of one
-  block that attains it, put in path order by a breadth-first walk.
-  Any other matrix goes into the same reverse Cuthill-McKee order, as
-  a lower band written straight from the CSR arrays: a banded
-  eigenvalue solve, one banded Cholesky factorization whose existence
-  certifies the matrix positive semidefinite up to a margin at the
-  scale of rounding in ||A||, and, when the eigenvector is asked for, a
-  few steps of inverse iteration on that factor.
+  arrays: lambda_min is the closed form of its longest path of each
+  kind, and the bottom eigenvector the closed form of one block that
+  attains it, put in path order by a breadth-first walk.  Any other
+  matrix is materialized, up to DENSE_CAP rows, for one dense ``eigh``
+  of its bottom eigenpair and one Cholesky factorization whose
+  existence certifies the matrix positive semidefinite up to a margin
+  at the scale of rounding in ||A||.
 
 Each function imports the scipy routines it calls when it runs, and the
 module imports none: ``eigh_tridiagonal`` loads with the first
-``spectrum_report``, the sparse, graph and banded routines with the
+``spectrum_report``, the sparse, graph and dense routines with the
 first kernel on a CSR matrix.  A process that only amplifies or builds
 clock Hamiltonians loads no scipy at all.
 """
@@ -41,29 +39,27 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ContractError, ResourceLimitError
-from .sparse_oracle import RowOracleMatrix, from_dense, principal_rows, to_csr
+from .errors import ContractError
+from .sparse_oracle import (
+    RowOracleMatrix,
+    from_dense,
+    materialize,
+    norm_bound,
+    principal_rows,
+    to_csr,
+)
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
 
 SYMMETRY_TOL = 1e-12
 
-# Banded kernels refuse a (lo + 1) x dim band above this many entries
-# (256 MiB of float64 for the band itself; eig_banded and the factor
-# each take about as much again, and the eigenvalue solver 7 dim
-# doubles of workspace).
-BAND_CAP = 2**25
-
-# Inverse-iteration solves per eigenpair at most; the residual stops
-# falling after a few (see bottom_eigenpair).
-INVERSE_ITERATIONS = 8
-
-# bottom_eigenpair factors A - sigma I at least this many times
-# eps ||A|| below lambda_min.  On 450 random integer Grams M^T M (dim
-# up to 400, entries of M up to 3000), eig_banded's lambda erred by at
-# most 1.4 eps ||A||_1, and every singular one had a factor within
-# eps ||A||_1 below lambda.
+# The PSD certificate factors A - sigma I at least this many times
+# eps ||A|| below lambda_min.  On random integer Grams M^T M (entries of
+# M up to 3000), dense eigh's lambda erred by at most 1.2 eps ||A||_1
+# (450 at dim up to 400, singular ones against 0; 120 regular ones at
+# dim up to 40 against 40 digits), and every singular one had a factor
+# within 0.25 eps ||A||_1 below lambda.
 CHOLESKY_MARGIN = 64
 
 
@@ -85,19 +81,16 @@ def _rcm_ordered(a: csr_matrix) -> tuple[csr_matrix, np.ndarray, int]:
     return b, perm, int(np.max(rows - b.indices, initial=0))
 
 
-def _rcm_band(a: csr_matrix, capped: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def _rcm_band(a: csr_matrix) -> tuple[np.ndarray, np.ndarray]:
     """LAPACK lower band storage of the RCM-ordered symmetric or Hermitian A, and the order.
 
     band[i - j, j] = (P A P^T)[i, j] for 0 <= i - j <= lo, the form
-    ``eig_banded`` and ``cholesky_banded`` read with ``lower=True``, in
-    float64 (complex128 for complex A).  A must be a canonical CSR
-    matrix with a symmetric pattern: the order is reverse Cuthill-McKee
-    on that pattern as it stands, and each stored entry goes straight
-    to its band slot through the inverse permutation, so no permuted
-    copy of A is built.  The (lo + 1) x dim band is refused above
-    BAND_CAP entries before it is allocated, unless ``capped`` is
-    False: a caller that already holds A densely holds more than its
-    band.
+    ``cholesky_banded`` reads with ``lower=True``, in float64
+    (complex128 for complex A).  A must be a canonical CSR matrix with a
+    symmetric pattern: the order is reverse Cuthill-McKee on that
+    pattern as it stands, and each stored entry goes straight to its
+    band slot through the inverse permutation, so no permuted copy of A
+    is built.
     """
     from scipy.sparse.csgraph import reverse_cuthill_mckee
 
@@ -108,10 +101,6 @@ def _rcm_band(a: csr_matrix, capped: bool = True) -> tuple[np.ndarray, np.ndarra
     col = position[a.indices]
     offset = np.repeat(position, np.diff(a.indptr)) - col
     lo = int(np.max(offset, initial=0))
-    if capped and n * (lo + 1) > BAND_CAP:
-        raise ResourceLimitError(
-            f"band of {lo + 1} x {n} = {n * (lo + 1)} entries exceeds the cap of {BAND_CAP}"
-        )
     lower = np.flatnonzero(offset >= 0)
     band = np.zeros((lo + 1, n), dtype=np.result_type(a.dtype, np.float64))
     band[offset[lower], col[lower]] = a.data[lower]
@@ -417,53 +406,26 @@ def _symmetric_csr(matrix: RowOracleMatrix) -> csr_matrix:
     return a
 
 
-def _certified_bottom(a: csr_matrix) -> tuple[float, np.ndarray, np.ndarray]:
-    """(lambda_min, Cholesky factor of the band of A - sigma I, RCM order) of a symmetric int64 CSR A.
+def _certified_bottom(matrix: RowOracleMatrix) -> tuple[float, np.ndarray, float]:
+    """(lambda_min, unit eigenvector, residual) of a symmetric matrix, densely, certified PSD.
 
     The certification is the one ``bottom_eigenpair`` describes.
     """
-    from scipy.linalg import cholesky_banded, eig_banded
+    from scipy.linalg import eigh
 
-    band, perm = _rcm_band(a)
-    # Every row of |A| sums to at most (2 lo + 1) max |a_ij|, which bounds ||A||;
-    # the entries are integers, so a nonzero matrix has max |a_ij| >= 1.
-    norm = (2 * len(band) - 1) * max(float(band.max()), -float(band.min()), 1.0)
-    tau = CHOLESKY_MARGIN * np.finfo(np.float64).eps * norm
-    lam = float(
-        eig_banded(
-            band, lower=True, eigvals_only=True, select="i", select_range=(0, 0),
-            check_finite=False,
-        )[0]
-    )
-    sigma = max(lam, 0.0) - tau
-    band[0] -= sigma
+    dense = materialize(matrix).astype(np.float64)
+    w, v = eigh(dense, subset_by_index=[0, 0], check_finite=False)
+    lam, psi = float(w[0]), v[:, 0]
+    residual = float(np.linalg.norm(dense @ psi - lam * psi))
+    sigma = max(lam, 0.0) - CHOLESKY_MARGIN * np.finfo(np.float64).eps * norm_bound(matrix)
+    dense.flat[:: len(dense) + 1] -= sigma
     try:
-        factor = cholesky_banded(band, overwrite_ab=True, lower=True, check_finite=False)
+        np.linalg.cholesky(dense)
     except np.linalg.LinAlgError:
         raise ContractError(
             f"A - sigma I is not positive definite at sigma = {sigma:.6g}"
             f" (least eigenvalue about {lam:.3e})"
         ) from None
-    return lam, factor, perm
-
-
-def _banded_eigenpair(a: csr_matrix) -> tuple[float, np.ndarray, float]:
-    """``bottom_eigenpair`` on the band of a symmetric int64 CSR A: certified lambda_min, then inverse iteration."""
-    from scipy.linalg import cho_solve_banded
-
-    lam, factor, perm = _certified_bottom(a)
-    a = a.astype(np.float64)
-    x = np.random.default_rng(0).standard_normal(len(perm))[perm]
-    residual = np.inf
-    for _ in range(INVERSE_ITERATIONS):
-        x = cho_solve_banded((factor, True), x, check_finite=False)
-        x /= np.linalg.norm(x)
-        step = np.empty_like(x)
-        step[perm] = x
-        step_residual = float(np.linalg.norm(a @ step - lam * step))
-        if step_residual >= residual:
-            break
-        psi, residual = step, step_residual
     return lam, psi, residual
 
 
@@ -606,7 +568,7 @@ class _BlockEigenpair:
 
 
 def _bottom_block_eigenpair(matrix: RowOracleMatrix) -> _BlockEigenpair:
-    """``bottom_eigenpair`` on the least block of a path sum, or on the whole band otherwise.
+    """``bottom_eigenpair`` on the least block of a path sum, or on the whole matrix otherwise.
 
     On a path sum the residual is taken on the block's rows: A psi is
     exactly 0 off a connected component, so that is the whole
@@ -615,7 +577,7 @@ def _bottom_block_eigenpair(matrix: RowOracleMatrix) -> _BlockEigenpair:
     a = _symmetric_csr(matrix)
     least = _path_sum_bottom(a)
     if least is None:
-        return _BlockEigenpair(*_banded_eigenpair(a), block=matrix, rows=None)
+        return _BlockEigenpair(*_certified_bottom(matrix), block=matrix, rows=None)
     rows = np.flatnonzero(least.labels == least.component)
     block = principal_rows(matrix, rows)
     psi = _path_eigenvector(block, rows, least)
@@ -631,34 +593,22 @@ def bottom_eigenpair(matrix: RowOracleMatrix) -> tuple[float, np.ndarray, float]
     Gram, is recognised by ``_path_sum_bottom`` and answered in closed
     form: lambda_min is ``min_eigenvalue_sparse``'s, bit for bit, and
     the eigenvector is the closed form of one block that attains it
-    (``_path_eigenvector``), zero elsewhere.  No band is built, and the
-    cost is O(dim + nnz).  On a rejecting reduction's Gram lambda_min
-    is exactly 0.0 and the witness a signed constant on a path, whose
-    residual is exactly 0.
+    (``_path_eigenvector``), zero elsewhere.  No dense matrix is built,
+    and the cost is O(dim + nnz).  On a rejecting reduction's Gram
+    lambda_min is exactly 0.0 and the witness a signed constant on a
+    path, whose residual is exactly 0.
 
-    Any other matrix is taken once into its reverse Cuthill-McKee lower
-    band, a permutation similarity that leaves the spectrum alone; the
-    band is written straight from the CSR arrays.  ``eig_banded``
-    selects the least eigenvalue lam of the band, without eigenvectors;
-    that is the lambda_min returned, accurate to rounding in ||A||.
-    The band of A - sigma I, sigma = max(lam, 0) - tau, is
-    Cholesky-factored once.  The factor exists exactly when
-    A - sigma I is positive definite (Sylvester's law of inertia), so
-    success certifies A > sigma >= -tau and failure raises
-    ContractError.  The margin tau is CHOLESKY_MARGIN eps times a bound
-    on ||A||: it covers the rounding in lam and in the factorization,
-    which scales with ||A||, so a PSD matrix, singular or not, is
-    accepted at any norm.  ``min_eigenvalue_sparse`` stops here on a
-    matrix that is not a path sum.
-
-    Inverse iteration on that factor, from a seeded start so that the
-    result does not depend on earlier calls, then gives the
-    eigenvector; it stops when the residual on the unpermuted A stops
-    falling, or after INVERSE_ITERATIONS solves, and keeps the step with
-    the least residual.  Each solve shrinks a component at eigenvalue
-    lambda_min + gap, relative to the bottom one, by tau / (gap + tau),
-    so a component weighs at most about tau / (e k) in the residual
-    after k solves, whatever its gap.
+    Any other matrix is materialized, and refused with
+    ResourceLimitError above DENSE_CAP rows before its dim^2 array is
+    allocated.  One dense ``eigh`` selects the least eigenvalue lam and
+    its eigenvector, accurate to rounding in ||A||.  Then A - sigma I,
+    sigma = max(lam, 0) - tau, is Cholesky-factored once.  The factor
+    exists exactly when A - sigma I is positive definite (Sylvester's
+    law of inertia), so success certifies A > sigma >= -tau and failure
+    raises ContractError.  The margin tau is CHOLESKY_MARGIN eps times
+    the contract's bound on ||A|| (``norm_bound``): it covers the
+    rounding in lam and in the factorization, which scales with ||A||,
+    so a PSD matrix, singular or not, is accepted at any norm.
     """
     pair = _bottom_block_eigenpair(matrix)
     if pair.rows is None:
@@ -674,21 +624,13 @@ def min_eigenvalue_sparse(matrix: RowOracleMatrix) -> float:
     The symmetry check is ``bottom_eigenpair``'s.  A direct sum of path
     blocks, the form of every reversible machine's reduction Gram, is
     recognised from its CSR arrays and answered in closed form
-    (``_path_sum_bottom``) in O(dim + nnz): no band is built, so
-    BAND_CAP does not bound it, and a rejecting reduction's singular
-    Gram gives exactly 0.0.  No block is ordered and no eigenvector is
-    written.  That value and the band's are independent routes, which
-    agree within the Cholesky margin tau.
-
-    Any other matrix takes ``bottom_eigenpair``'s route: the same
-    reverse Cuthill-McKee band, ``eig_banded`` value and Cholesky
-    factorization of A - sigma I, so the value equals
-    ``bottom_eigenpair(matrix)[0]`` bit for bit and an indefinite matrix
-    or a band over BAND_CAP is refused alike; the inverse iteration that
-    would give the eigenvector is not run.  The cost is
-    O(dim * band^2) and no dense matrix is built; the dense path
-    remains the ground truth at small sizes.
+    (``_path_sum_bottom``) in O(dim + nnz), at any dim: a rejecting
+    reduction's singular Gram gives exactly 0.0, and no block is ordered
+    and no eigenvector is written.  Any other matrix takes
+    ``bottom_eigenpair``'s dense route, so the value equals
+    ``bottom_eigenpair(matrix)[0]`` bit for bit, and an indefinite
+    matrix or one above DENSE_CAP rows is refused alike.
     """
     a = _symmetric_csr(matrix)
     least = _path_sum_bottom(a)
-    return _certified_bottom(a)[0] if least is None else least.lam
+    return _certified_bottom(matrix)[0] if least is None else least.lam

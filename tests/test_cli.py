@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from importlib import resources
 from pathlib import Path
@@ -289,6 +290,34 @@ def test_verify_refuses_non_psd_instance(tmp_path, capsys, spec):
     code = cli.main(["verify", "--instance", str(path), "--gap-exponent", "2"])
     assert code == 1
     assert "verify needs a positive semidefinite instance" in capsys.readouterr().err
+
+
+def test_verify_refuses_a_large_dense_instance_before_allocating_it(tmp_path, capsys, monkeypatch):
+    # The path Gram of 20,000 beside [[3, 2], [2, 3]], shuffled: no path sum, so
+    # the dense route, and its 20,002 rows are over DENSE_CAP.
+    ell, dim = 20000, 20002
+    k = np.arange(ell)
+    rows = np.concatenate([k, k[:-1], k[1:], [ell, ell, ell + 1, ell + 1]])
+    cols = np.concatenate([k, k[1:], k[:-1], [ell, ell + 1, ell, ell + 1]])
+    vals = np.concatenate([np.full(ell - 1, 2), [1], np.ones(2 * (ell - 1), int), [3, 2, 2, 3]])
+    perm = np.random.default_rng(0).permutation(dim)
+    path = tmp_path / "chain.json"
+    entries = np.stack([perm[rows], perm[cols], vals], axis=1).tolist()
+    path.write_text(json.dumps({"dim": dim, "entries": entries}))
+    zeros = np.zeros
+
+    def refuse_square(shape, *args, **kwargs):
+        if np.prod(shape) >= dim * dim:
+            raise AssertionError("a dim x dim array was allocated")
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", refuse_square)
+    start = time.perf_counter()
+    code = cli.main(["verify", "--instance", str(path), "--gap-exponent", "2"])
+    elapsed = time.perf_counter() - start
+    assert code == 1
+    assert "dim 20002 exceeds dense materialization cap" in capsys.readouterr().err
+    assert elapsed < 1.0
 
 
 def test_verify_instance_decides_the_gram_of_a_machine_reduction(tmp_path, capsys):

@@ -168,11 +168,9 @@ def test_first_product_rounds_each_row_once():
             bound = u * abs(exact) + gamma**2 * sum(abs(t) for t in terms)
             assert abs(Fraction(float(got[i])) - exact) <= bound
             assert got_complex[i].imag == sim._rounded_once_products(a, z.imag)[i]
-    # The whole read: the first product is the only one that changes.
-    gram, psi = _gram_8(), np.linalg.eigh(_gram_8_dense().astype(float))[1][:, 0]
-    exact_first = sim.expm_taylor_minus_identity(gram, np.pi / 4, 20, psi, exact_first=True)
-    plain = sim.expm_taylor_minus_identity(gram, np.pi / 4, 20, psi)
-    np.testing.assert_allclose(exact_first, plain, rtol=0, atol=1e-14)
+        # A column block is summed column by column, to the same bits.
+        block = sim._rounded_once_products(a, np.stack([x, z.imag], axis=1))
+        assert np.array_equal(block, np.stack([got, got_complex.imag], axis=1))
 
 
 def test_taylor_unitarity_defect_bounds_the_interval():

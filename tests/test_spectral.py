@@ -385,9 +385,12 @@ def test_bottom_eigenpair_matches_dense_and_certifies_psd():
             solve(so.from_dense(np.array([[2, 1], [2, 2]])))
 
 
-def _check_bottom_eigenpair(dense: np.ndarray) -> None:
-    """bottom_eigenpair against eigh: value, unit vector in the bottom eigenspace, residual."""
-    lam, psi, residual = sp.bottom_eigenpair(so.from_dense(dense))
+def _check_bottom_eigenpair(dense: np.ndarray, pair=None) -> None:
+    """bottom_eigenpair against eigh: value, unit vector in the bottom eigenspace, residual.
+
+    ``pair``, when given, is bottom_eigenpair's result on ``dense``, computed by the caller.
+    """
+    lam, psi, residual = pair or sp.bottom_eigenpair(so.from_dense(dense))
     w, v = np.linalg.eigh(dense.astype(float))
     assert lam == pytest.approx(w[0], abs=1e-12)
     assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
@@ -402,11 +405,9 @@ def _shuffled(dense: np.ndarray, seed: int) -> np.ndarray:
     return dense[np.ix_(perm, perm)]
 
 
-# Blocks that keep a matrix off the closed-form route, onto the band: the
+# Blocks that keep a matrix off the closed-form route, onto the dense one: the
 # 3-cycle Laplacian (eigenvalues 0, 3, 3) holds a cycle, and twice the 2 x 2
-# ones block (eigenvalues 0, 4) a coupling of 2.  The second keeps a chain's
-# RCM bandwidth at 1: at bandwidth 2, eig_banded's reduction to tridiagonal
-# form costs O(dim^2), 420 s at dim 300,000.
+# ones block (eigenvalues 0, 4) a coupling of 2.
 _TRIANGLE = np.array([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], dtype=np.int64)
 _DOUBLED = np.full((2, 2), 2, dtype=np.int64)
 
@@ -418,32 +419,6 @@ def _path_gram_beside(ell: int, block: np.ndarray) -> so.RowOracleMatrix:
     path = so.to_csr(so.ata_oracle(so.path_adjacency(ell)))
     both = block_diag([path, so.to_csr(so.from_dense(block))], format="csr", dtype=np.int64)
     return so.RowOracleMatrix(both.indptr, both.indices, both.data, 3, max(2, int(block.max())))
-
-
-def test_bottom_eigenpair_on_a_long_chain():
-    # lambda_2 - lambda_min is about 5e-8: each inverse-iteration solve must
-    # still shrink the rest of the spectrum, so the shift sits far below the gap.
-    # The shifted doubled block (eigenvalues 1, 5) keeps the matrix off the
-    # closed-form route and lambda_min at the path's.
-    ell = 20000
-    gram = _path_gram_beside(ell, _DOUBLED + np.eye(2, dtype=np.int64))
-    assert sp._path_sum_bottom(so.to_csr(gram)) is None
-    lam, psi, residual = sp.bottom_eigenpair(gram)
-    assert lam == pytest.approx(sp.min_eigenvalue_bound(ell), rel=1e-6)
-    assert residual < 1e-14
-
-
-def test_bottom_eigenpair_when_the_gap_is_below_1e_10():
-    # lambda_min = 0 (the doubled block's) and lambda_2 = 2.7e-11 (the
-    # path's): a Cholesky margin far above the gap would leave the path
-    # Gram's bottom vector in the witness.
-    ell = 300000
-    gram = _path_gram_beside(ell, _DOUBLED)
-    assert sp._path_sum_bottom(so.to_csr(gram)) is None
-    lam, psi, residual = sp.bottom_eigenpair(gram)
-    assert abs(lam) < 1e-15
-    assert residual < 1e-14
-    assert np.linalg.norm(psi[-2:]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_bottom_eigenpair_on_large_entries():
@@ -466,7 +441,7 @@ def test_bottom_eigenpair_on_degenerate_direct_sums():
     # Repeated chain lengths repeat lambda_min (a cycle Gram of size ell holds the
     # path Gram of size ell - 1); a shuffle hides the blocks from the order.
     # Each sum also holds a shifted triangle, a cycle above lambda_min, so it
-    # is no path sum and takes the band route.
+    # is no path sum and takes the dense route.
     from scipy.linalg import block_diag
 
     path = lambda ell: oracles.structured_matrix("path", ell)
@@ -540,8 +515,8 @@ def test_rcm_band_is_the_permuted_lower_triangle_bit_for_bit():
         assert np.array_equal(perm, reference_perm)
         assert band.dtype == reference.dtype == np.float64
         assert band.shape == reference.shape and band.tobytes() == reference.tobytes()
-    # The reductions' Grams are path sums, read in closed form (checked against
-    # the band and in 50 digits below); every other matrix takes the band.
+    # The reductions' Grams are path sums, read in closed form (checked in 50
+    # digits below); every other matrix takes the dense route.
     for gram in outside_path_sums:
         assert sp.min_eigenvalue_sparse(gram) == sp.bottom_eigenpair(gram)[0]
     # Complex Hermitian input, as the energy bisection passes it.
@@ -554,51 +529,32 @@ def test_rcm_band_is_the_permuted_lower_triangle_bit_for_bit():
     assert band.dtype == np.complex128 and band.tobytes() == reference.tobytes()
 
 
-def test_min_eigenvalue_sparse_runs_no_inverse_iteration(monkeypatch):
-    import scipy.linalg
+def test_dense_cap_refuses_before_the_matrix_is_built(monkeypatch):
+    # Neither is a path sum: the shifted grid Laplacian (dim 30) and the path
+    # Gram of 20,000 beside [[3, 2], [2, 3]] (dim 20,002, over DENSE_CAP).
+    small = so.from_dense(_shuffled(_beyond_bandwidth_one()[2], 3))
+    large = _path_gram_beside(20000, _DOUBLED + np.eye(2, dtype=np.int64))
+    path = so.ata_oracle(so.path_adjacency(20000))
+    assert so.DENSE_CAP < large.dim
+    zeros = np.zeros
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("an inverse-iteration solve ran")
+    def refuse_square(dim: int):
+        def guarded(shape, *args, **kwargs):
+            if np.prod(shape) >= dim * dim:
+                raise AssertionError("a dim x dim array was allocated")
+            return zeros(shape, *args, **kwargs)
+        return guarded
 
-    gram = so.from_dense(_beyond_bandwidth_one()[2])  # not a path sum: the band route
-    lam = sp.bottom_eigenpair(gram)[0]
-    monkeypatch.setattr(scipy.linalg, "cho_solve_banded", refuse)
-    assert sp.min_eigenvalue_sparse(gram) == lam
-    with pytest.raises(AssertionError, match="inverse-iteration"):
-        sp.bottom_eigenpair(gram)
-
-
-class _NumpyWithoutZeros:
-    """numpy as ``spectral`` sees it, except that ``zeros``, which allocates the band, fails."""
-
-    def __getattr__(self, name):
-        if name == "zeros":
-            def build(*args, **kwargs):
-                raise AssertionError("the band was built")
-            return build
-        return getattr(np, name)
-
-
-def test_band_cap_refuses_before_the_band_is_built(monkeypatch):
-    # The shifted grid Laplacian is no path sum; RCM bandwidth 5: 180 band entries.
-    gram = so.from_dense(_shuffled(_beyond_bandwidth_one()[2], 3))
-    path = so.ata_oracle(so.path_adjacency(50))
-    band, _ = sp._rcm_band(so.to_csr(gram))
-    assert band.shape == (6, 30)
-    monkeypatch.setattr(sp, "BAND_CAP", 180)
-    sp.bottom_eigenpair(gram)
-    monkeypatch.setattr(sp, "np", _NumpyWithoutZeros())
-    # Under the cap the sentinel fires, so it sits where the band is allocated.
-    with pytest.raises(AssertionError, match="the band was built"):
-        sp.min_eigenvalue_sparse(gram)
-    monkeypatch.setattr(sp, "BAND_CAP", 179)
-    with pytest.raises(ResourceLimitError, match="exceeds the cap of 179"):
-        sp.bottom_eigenpair(gram)
-    with pytest.raises(ResourceLimitError, match="exceeds the cap of 179"):
-        sp.min_eigenvalue_sparse(gram)
-    # A path sum builds no band, so the cap does not bound its lambda_min.
-    monkeypatch.setattr(sp, "BAND_CAP", 1)
-    assert sp.min_eigenvalue_sparse(path) == sp.min_eigenvalue_bound(50)
+    # Under the cap the sentinel fires, so it sits where the matrix is allocated.
+    monkeypatch.setattr(np, "zeros", refuse_square(small.dim))
+    with pytest.raises(AssertionError, match="dim x dim"):
+        sp.min_eigenvalue_sparse(small)
+    monkeypatch.setattr(np, "zeros", refuse_square(large.dim))
+    for solve in (sp.bottom_eigenpair, sp.min_eigenvalue_sparse):
+        with pytest.raises(ResourceLimitError, match="dim 20002 exceeds dense materialization cap"):
+            solve(large)
+    # A path sum is never materialized, so the cap does not bound its lambda_min.
+    assert sp.min_eigenvalue_sparse(path) == sp.min_eigenvalue_bound(20000)
     assert sp.min_eigenvalue_sparse(so.from_dense(np.diag([7, 3]))) == 3.0  # isolated vertices
 
 
@@ -611,7 +567,7 @@ def test_bottom_eigenpair_needs_no_sparse_lu_or_lanczos(monkeypatch):
     for name in ("splu", "eigsh", "LinearOperator"):
         monkeypatch.setattr(sla, name, refuse)
     # The shifted triangle keeps this off the closed-form route (which needs no
-    # solver at all); lambda_min is the path Gram's.
+    # solver at all), onto the dense one; lambda_min is the path Gram's.
     gram = _path_gram_beside(30, _TRIANGLE + np.eye(3, dtype=np.int64))
     assert sp._path_sum_bottom(so.to_csr(gram)) is None
     lam, _, residual = sp.bottom_eigenpair(gram)
@@ -654,7 +610,7 @@ def test_min_eigenvalue_sparse_reads_reductions_in_closed_form(monkeypatch):
     import scipy.sparse.csgraph
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the band route ran")
+        raise AssertionError("the dense route ran")
 
     eps = np.finfo(np.float64).eps
     decided = set()
@@ -664,19 +620,16 @@ def test_min_eigenvalue_sparse_reads_reductions_in_closed_form(monkeypatch):
             for x in (x for x in inputs if len(x) < space):
                 instance = rtm.reduce_to_gapped(machine, x)
                 det = sp.det_exact(instance.adjacency)
-                banded = sp._certified_bottom(so.to_csr(instance.gram))[0]
                 with monkeypatch.context() as patch:
                     patch.setattr(scipy.sparse.csgraph, "reverse_cuthill_mckee", refuse)
-                    patch.setattr(scipy.linalg, "eig_banded", refuse)
-                    patch.setattr(scipy.linalg, "cholesky_banded", refuse)
+                    patch.setattr(sp, "materialize", refuse)
+                    patch.setattr(scipy.linalg, "eigh", refuse)
                     lam = sp.min_eigenvalue_sparse(instance.gram)
                 if det == 0:
                     assert lam == 0.0
                 else:
                     assert lam >= sp.min_eigenvalue_bound(instance.dim)
-                # Two independent routes: within the band route's Cholesky margin.
-                norm = float(abs(so.to_csr(instance.gram)).sum(axis=1).max())
-                assert abs(lam - banded) <= sp.CHOLESKY_MARGIN * eps * norm
+                # Two independent routes: the closed form and a 50-digit path walk.
                 exact = oracles.path_sum_bottom(instance.gram)
                 assert abs(lam - exact) <= 4 * eps * exact
                 decided.add((name, det != 0))
@@ -726,7 +679,7 @@ def test_min_eigenvalue_sparse_on_shuffled_path_sums(gram):
 
 
 def _check_closed_form_witness(gram: so.RowOracleMatrix, monkeypatch) -> None:
-    """bottom_eigenpair of a path sum against eigh, with every band routine refused.
+    """bottom_eigenpair of a path sum against eigh, with the ordering and every dense routine refused.
 
     The witness lives on one connected block, its lambda is
     ``min_eigenvalue_sparse``'s bit for bit, and the residual taken on
@@ -737,16 +690,20 @@ def _check_closed_form_witness(gram: so.RowOracleMatrix, monkeypatch) -> None:
     from scipy.sparse.csgraph import connected_components
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the band route ran")
+        raise AssertionError("the closed form fell through to another route")
 
+    dense = so.materialize(gram)
     with monkeypatch.context() as patch:
         patch.setattr(scipy.sparse.csgraph, "reverse_cuthill_mckee", refuse)
-        for name in ("eig_banded", "cholesky_banded", "cho_solve_banded"):
-            patch.setattr(scipy.linalg, name, refuse)
-        _check_bottom_eigenpair(so.materialize(gram))
+        # A path sum that fell through to the dense route would fail here, at any dim.
+        for module in (so, sp):  # spectral holds materialize by name
+            patch.setattr(module, "materialize", refuse)
+        patch.setattr(np.linalg, "eigh", refuse)
+        patch.setattr(scipy.linalg, "eigh", refuse)
         pair = sp._bottom_block_eigenpair(gram)
         lam, psi, residual = sp.bottom_eigenpair(gram)
-    assert lam == pair.lam == sp.min_eigenvalue_sparse(gram)
+        assert lam == pair.lam == sp.min_eigenvalue_sparse(gram)
+    _check_bottom_eigenpair(dense, (lam, psi, residual))
     assert np.array_equal(psi[pair.rows], pair.psi) and np.count_nonzero(psi) <= len(pair.rows)
     a = so.to_csr(gram)
     _, labels = connected_components(a, directed=False)
@@ -814,9 +771,9 @@ def test_min_eigenvalue_sparse_near_misses_take_the_band(defect, monkeypatch):
     dense = _shuffled(block_diag(path_sum, _NEAR_MISSES[defect]).astype(np.int64), 4)
     gram = so.from_dense(dense)
     assert sp._path_sum_bottom(so.to_csr(gram)) is None
-    banded = []
+    dense_runs = []
     certified = sp._certified_bottom
-    monkeypatch.setattr(sp, "_certified_bottom", lambda a: banded.append(a) or certified(a))
+    monkeypatch.setattr(sp, "_certified_bottom", lambda a: dense_runs.append(a) or certified(a))
 
     def outcome(solve):
         try:
@@ -825,7 +782,7 @@ def test_min_eigenvalue_sparse_near_misses_take_the_band(defect, monkeypatch):
             return str(error)
 
     assert outcome(sp.min_eigenvalue_sparse) == outcome(lambda g: sp.bottom_eigenpair(g)[0])
-    assert len(banded) == 2
+    assert len(dense_runs) == 2
 
 
 def test_min_eigenvalue_scaling_window():
