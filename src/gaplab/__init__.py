@@ -29,9 +29,7 @@ from .spectral import (
     closed_form_eigenvalues,
     det_bareiss_sparse,
     det_exact,
-    eigensystem,
     gram_bands,
-    min_eigenvalue,
     min_eigenvalue_bound,
     min_eigenvalue_sparse,
     spectrum_report,

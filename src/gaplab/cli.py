@@ -250,7 +250,7 @@ def _cmd_energy(args) -> tuple[dict, int]:
         matrix, g = sparse_oracle.load_gapped_instance(args.instance)
         dense = sparse_oracle.materialize(matrix)
         if g is None:
-            truth = spectral.min_eigenvalue(dense)
+            truth = protocols.ground_energy(dense)
         else:
             truth = spectral.min_eigenvalue_sparse(matrix)
     estimate = protocols.binary_search_energy(dense, args.bits)

@@ -18,8 +18,8 @@ The pipeline realized here, end to end at desk scale:
   is decided by one-bit phase reading of the truncated-Taylor
   exponential, applied matrix-free to the bottom eigenvector (on a
   reduction's Gram, the closed form on its own path's rows) and read on
-  the rejection side, sin^2(lam t/2), so that gaps down to
-  2^-MAX_GAP_EXPONENT survive double precision;
+  the rejection side, sin^2(lam t/2), so that gaps down to 2^-37 on a
+  reduction's Gram survive double precision;
 * a verifier is compiled into a 5-local clock Hamiltonian whose ground
   energy is read from its (T+1) 2^n legal-clock block, exactly, rather
   than from all 2^(n+T) clock strings, and is bracketed by bisection on
@@ -42,6 +42,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractError, ResourceLimitError
 from .sparse_oracle import (
+    DENSE_CAP,
     RowOracleMatrix,
     _field,
     _integer,
@@ -61,9 +62,6 @@ from .simulator import (
 )
 
 UNIT_ROUNDOFF = 2.0**-53
-MAX_GAP_EXPONENT = 37  # derived in gapped_params
-CLOCK_GATE_CAP = 6
-CLOCK_QUBIT_CAP = 4
 ENERGY_BITS_CAP = 40
 GRID_SLACK = 4 * UNIT_ROUNDOFF  # relative slack of the register cuts
 ARC_WINDOW = 48  # kernel terms this close to a pole are summed one by one
@@ -528,17 +526,12 @@ def gapped_params(matrix: RowOracleMatrix, g: int) -> GappedParams:
         ||fl(v) - v|| <= u ((d + 2) pi e^pi + K (e^pi - 1)),
     and g is admissible while this stays below 2^-g t / 8.  For the Gram
     matrices of the machine reductions (d = 8, k = 2, t = pi/16) that
-    holds up to g = 37 (K = 38, bound 1.7e-13 against 1.8e-13), which
-    is MAX_GAP_EXPONENT, the cap of every run; denser instances meet the
-    bound earlier and are refused by the same inequality.
+    holds up to g = 37 (K = 38, bound 1.7e-13 against 1.8e-13); sparser
+    instances reach a little further (g = 38 at d = 3, 39 at d = 2), and
+    this inequality is the only upper limit on g.
     """
     if g < 1:
         raise ValueError(f"gap exponent must be >= 1, got {g}")
-    if g > MAX_GAP_EXPONENT:
-        raise ConfigurationError(
-            f"gap exponent {g} exceeds {MAX_GAP_EXPONENT}: rounding in the "
-            f"rejection read would reach the 2^-g phase signal"
-        )
     evo_time = pi / (matrix.entry_bound_k * matrix.sparsity_d)
     epsilon = 2.0 ** (-2 * g) * evo_time**2 / 16.0
     order = taylor_order(norm_bound(matrix) * evo_time, epsilon)
@@ -779,10 +772,17 @@ class _ClockSource:
         clock strings to legal ones and illegal to illegal, is PSD, and
         charges each illegal string at least 1 through the clock terms,
         while a history state with blank ancillas has energy at most
-        1/(T+1) <= 1/2, so this block holds the least eigenvalue.
+        1/(T+1) <= 1/2, so this block holds the least eigenvalue.  A block
+        of more than DENSE_CAP rows raises ResourceLimitError before
+        anything is allocated.
         """
         n, steps = self.circuit_qubits, len(self.gates)
         dim = 2**n
+        rows = (steps + 1) * dim
+        if rows > DENSE_CAP:
+            raise ResourceLimitError(
+                f"legal clock block of {rows} rows exceeds dense materialization cap {DENSE_CAP}"
+            )
         x = np.arange(dim)
         diag = np.zeros((steps + 1, dim))
         diag[:-1] += 0.5
@@ -795,7 +795,7 @@ class _ClockSource:
             u = _apply_to_columns(eye, n, mat, qubits)
             block[t, :, t - 1] -= 0.5 * u
             block[t - 1, :, t] -= 0.5 * u.conj().T
-        flat = block.reshape((steps + 1) * dim, (steps + 1) * dim)
+        flat = block.reshape(rows, rows)
         np.fill_diagonal(flat, diag.ravel())
         return flat
 
@@ -855,8 +855,8 @@ class PreciseLHInstance:
     def materialize(self) -> np.ndarray:
         """Dense Hamiltonian; term embedding follows the circuit convention."""
         dim = 2**self.num_qubits
-        if dim > 2**14:
-            raise ResourceLimitError(f"dense Hamiltonian at {self.num_qubits} qubits")
+        if dim > DENSE_CAP:
+            raise ResourceLimitError(f"dim {dim} exceeds dense materialization cap {DENSE_CAP}")
         total = np.zeros((dim, dim), dtype=complex)
         for qubits, mat in self.terms:
             total += _apply_to_columns(
@@ -948,11 +948,7 @@ def kitaev_hamiltonian(verifier: Verifier) -> PreciseLHInstance:
     t_count = verifier.circuit.gate_count
     if t_count < 1:
         raise ContractError("clock construction needs at least one gate")
-    if t_count > CLOCK_GATE_CAP:
-        raise ResourceLimitError(f"clock construction capped at {CLOCK_GATE_CAP} gates")
     w = verifier.circuit.num_qubits
-    if w > CLOCK_QUBIT_CAP:
-        raise ResourceLimitError(f"clock construction capped at {CLOCK_QUBIT_CAP} circuit qubits")
     source = _ClockSource.of(verifier)
     clock = [w + i for i in range(t_count)]
     terms: list[tuple[tuple[int, ...], np.ndarray]] = []

@@ -3,8 +3,7 @@
 A row oracle is its CSR arrays (``indptr``, ``indices`` and int64
 ``data``) together with the contract every reduction in this package
 declares for them: at most ``sparsity_d`` entries per row, each at most
-``entry_bound_k`` in magnitude, and optionally at most
-``column_ones_bound`` ones per column.  The contract is checked once,
+``entry_bound_k`` in magnitude.  The contract is checked once,
 on all rows at once, when the oracle is constructed; from then on every
 consumer (determinant checks, spectral bounds, evolution operators)
 reads the arrays through ``to_csr``, a scipy CSR matrix built on the
@@ -14,7 +13,7 @@ from triplets, a structured block or a machine reduction, checking it
 and materializing it take numpy alone; scipy is imported when the CSR
 view is first asked for, by the Gram product or a kernel.  Dense
 materialization exists only as a desk-scale debugging and ground-truth
-device, gated by an explicit cap.
+device, refused above DENSE_CAP rows.
 
 Integer-valued oracles stay integer-valued until a spectral operation
 converts them to floats.  No float arithmetic happens in construction
@@ -37,7 +36,8 @@ from .errors import ContractError, ResourceLimitError
 if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
 
-# Largest dimension materialize() expands unless the caller passes a cap.
+# Most rows of a dense matrix or Hamiltonian: materialize(), the dense
+# solvers and the clock block refuse larger ones before allocating them.
 DENSE_CAP = 2**14
 
 
@@ -55,8 +55,6 @@ class RowOracleMatrix:
     view ``csr`` wraps them and ``data`` (int64, required) without a
     copy.  Every row holds at most ``sparsity_d`` entries, sorted by
     column, nonzero and at most ``entry_bound_k`` in magnitude.
-    ``column_ones_bound`` is an optional declared bound on the number of
-    ones per column, required by the Gram construction below.
     Construction checks all of it and raises ContractError naming the
     first offending row.  The arrays are shared by every caller of
     ``to_csr``, which must not modify them in place.  Equality is
@@ -68,7 +66,6 @@ class RowOracleMatrix:
     data: np.ndarray
     sparsity_d: int
     entry_bound_k: int
-    column_ones_bound: int | None = None
 
     def __post_init__(self) -> None:
         vals, d, k = self.data, self.sparsity_d, self.entry_bound_k
@@ -120,13 +117,6 @@ class RowOracleMatrix:
         if low < -k or high > k:
             row = row_of((vals < -k) | (vals > k))
             raise ContractError(f"row {row} exceeds declared bound {k}")
-        ones = self.column_ones_bound
-        if ones is not None:
-            # A 0/1 matrix, every reduction's adjacency, counts its indices as
-            # they stand: no masked copy ahead of bincount's own cast to intp.
-            counted = cols if low == high == 1 else cols[vals == 1]
-            if np.bincount(counted, minlength=dim).max() > ones:
-                raise ContractError(f"a column holds more than {ones} ones")
 
     @property
     def dim(self) -> int:
@@ -180,25 +170,20 @@ def principal_rows(matrix: RowOracleMatrix, rows: np.ndarray) -> RowOracleMatrix
     )
 
 
-def materialize(matrix: RowOracleMatrix, cap: int = DENSE_CAP) -> np.ndarray:
-    """Expand an oracle to a dense int64 array, gated by the cap."""
+def materialize(matrix: RowOracleMatrix) -> np.ndarray:
+    """Expand an oracle to a dense int64 array, refused above DENSE_CAP rows."""
     dim = matrix.dim
-    if dim > cap:
-        raise ResourceLimitError(f"dim {dim} exceeds dense materialization cap {cap}")
+    if dim > DENSE_CAP:
+        raise ResourceLimitError(f"dim {dim} exceeds dense materialization cap {DENSE_CAP}")
     dense = np.zeros((dim, dim), dtype=np.int64)
     dense[np.repeat(np.arange(dim), np.diff(matrix.indptr)), matrix.indices] = matrix.data
     return dense
 
 
 def _ones(indptr: np.ndarray, indices: np.ndarray) -> RowOracleMatrix:
-    """0/1 row oracle with a one at each listed column, at most two per row and column."""
+    """0/1 row oracle with a one at each listed column, at most two per row."""
     return RowOracleMatrix(
-        indptr,
-        indices,
-        np.ones(len(indices), dtype=np.int64),
-        sparsity_d=2,
-        entry_bound_k=1,
-        column_ones_bound=2,
+        indptr, indices, np.ones(len(indices), dtype=np.int64), sparsity_d=2, entry_bound_k=1
     )
 
 
@@ -244,8 +229,7 @@ def _integer(value, key: str | None = None) -> int:
 def from_entries(dim: int, triplets: Iterable[Sequence[int]]) -> RowOracleMatrix:
     """Build an oracle from an (i, j, value) triplet list of integers.
 
-    The declared bounds are the tightest the entries satisfy; a column
-    bound is declared only for 0/1 matrices.
+    The declared bounds are the tightest the entries satisfy.
     """
     t = np.array(
         [(_integer(i), _integer(j), _integer(v)) for i, j, v in triplets], dtype=np.int64
@@ -263,34 +247,30 @@ def from_entries(dim: int, triplets: Iterable[Sequence[int]]) -> RowOracleMatrix
     if repeated.size:
         raise ValueError(f"duplicate entry at {divmod(int(position[repeated[0]]), dim)}")
     counts = np.bincount(i, minlength=dim)
-    ones = np.bincount(j, minlength=dim).max(initial=0)
     return RowOracleMatrix(
         np.concatenate(([0], np.cumsum(counts))),
         j[order],
         v[order],
         sparsity_d=max(int(counts.max(initial=0)), 1),
         entry_bound_k=max(int(np.abs(v).max(initial=0)), 1),
-        column_ones_bound=int(ones) if np.all(v == 1) else None,
     )
 
 
 def ata_oracle(matrix: RowOracleMatrix) -> RowOracleMatrix:
-    """Row oracle for A^T A, for 0/1 matrices with <= 2 ones per column.
+    """Row oracle for A^T A, for +-1 matrices with at most two nonzeros per column.
 
-    Row i of the Gram matrix touches only columns j that share a
-    supporting row with column i, which bounds its sparsity; the product
-    is taken once, over int64, on the CSR form, and the oracle keeps the
-    product's arrays.  Entries land in {0, 1, 2}: a diagonal entry
-    counts the ones in column i, an off-diagonal entry counts shared
-    rows.  The result is symmetric and positive semidefinite by
+    The product is taken once, over int64, on the CSR form, and the
+    oracle keeps the product's arrays, less any entry that +-1 terms
+    cancel to zero.  A diagonal entry counts the nonzeros of column i,
+    so a column with more than two puts an entry above the declared
+    bound 2 and the Gram's own contract check refuses it.  Row i
+    touches only columns that share a row with column i; the declared
+    sparsity min(dim, 4d) gives every reduction's Gram the evolution
+    time pi/16.  The result is symmetric and positive semidefinite by
     construction.
     """
-    if matrix.column_ones_bound is None or matrix.column_ones_bound > 2:
-        raise ContractError(
-            "Gram construction requires a declared column bound of at most 2 ones"
-        )
     if matrix.entry_bound_k > 1:
-        raise ContractError("Gram construction requires 0/1 entries")
+        raise ContractError("Gram construction requires entries in {-1, 0, 1}")
 
     a = to_csr(matrix)
     gram = (a.T @ a).tocsr()
@@ -300,7 +280,7 @@ def ata_oracle(matrix: RowOracleMatrix) -> RowOracleMatrix:
         gram.indptr,
         gram.indices,
         gram.data,
-        sparsity_d=min(matrix.dim, 2 * matrix.sparsity_d * matrix.column_ones_bound),
+        sparsity_d=min(matrix.dim, 4 * matrix.sparsity_d),
         entry_bound_k=2,
     )
 

@@ -334,18 +334,6 @@ def _require_hermitian(matrix, tol: float = SYMMETRY_TOL) -> np.ndarray:
     return arr
 
 
-def min_eigenvalue(matrix: np.ndarray, tol: float = SYMMETRY_TOL) -> float:
-    """Least eigenvalue of a symmetric or Hermitian matrix (the symmetry is a contract)."""
-    return float(np.linalg.eigvalsh(_require_hermitian(matrix, tol))[0])
-
-
-def eigensystem(
-    matrix: np.ndarray, tol: float = SYMMETRY_TOL
-) -> tuple[np.ndarray, np.ndarray]:
-    """(eigenvalues ascending, eigenvector columns) of a symmetric or Hermitian matrix."""
-    return np.linalg.eigh(_require_hermitian(matrix, tol))
-
-
 @dataclass(frozen=True)
 class SpectrumReport:
     """Eigensolver spectrum of one block, with its closed form beside it."""

@@ -91,7 +91,7 @@ def identity_oracle(dim: int) -> RowOracleMatrix:
     """Row oracle of the dim x dim identity."""
     if dim <= 0:
         raise ValueError(f"dim must be positive, got {dim}")
-    return RowOracleMatrix(np.arange(dim + 1), np.arange(dim), np.ones(dim, dtype=np.int64), 1, 1, 1)
+    return RowOracleMatrix(np.arange(dim + 1), np.arange(dim), np.ones(dim, dtype=np.int64), 1, 1)
 
 
 def coo_csr(dim: int, triplets):

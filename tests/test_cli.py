@@ -455,7 +455,7 @@ def test_energy_instance_reads_the_gram_of_a_machine_reduction(tmp_path, capsys)
     payload = json.loads(out)
     machine = rtm.with_space(rtm.corpus_machine("unary_counter"), 3)
     gram = rtm.reduce_to_gapped(machine, "11").gram
-    want = spectral.min_eigenvalue(gram.csr.toarray().astype(float))
+    want = protocols.ground_energy(gram.csr.toarray().astype(float))
     assert payload["eigensolver"] == pytest.approx(want, abs=1e-12)
     assert payload["abs_err"] <= 2.0 ** -30
 
@@ -466,10 +466,10 @@ def test_energy_checks_a_machine_reduction_in_closed_form(tmp_path, capsys, monk
     path.write_text(json.dumps({"kind": "rtm", "machine": "unary_counter", "input": "11",
                                 "space": 4}))
 
-    def refused(matrix, tol=None):
+    def refused(matrix):
         raise AssertionError("dense eigensolver called")
 
-    monkeypatch.setattr(spectral, "min_eigenvalue", refused)
+    monkeypatch.setattr(protocols, "ground_energy", refused)
     code, out = run_cli(capsys, "energy", "--instance", str(path), "--bits", "20")
     assert code == 0
     payload = json.loads(out)

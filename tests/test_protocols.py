@@ -482,12 +482,18 @@ def test_gapped_params_frozen_toy_values():
 
 
 def test_gapped_params_rejects_out_of_range_exponent():
+    # The rounding bound on the rejection read is the only upper limit on g:
+    # it binds from g = 38 on a reduction's Gram (d = 8, k = 2) and from
+    # g = 40 on the toy pair (d = 2, k = 2).
     _, bounded, _ = pr.toy_gapped_instances()
+    gram = rtm.reduce_to_gapped(rtm.corpus_machine("unary_counter"), "11").gram
+    assert (gram.sparsity_d, gram.entry_bound_k) == (8, 2)
     with pytest.raises(ValueError):
         pr.gapped_params(bounded, 0)
-    pr.gapped_params(bounded, pr.MAX_GAP_EXPONENT)
-    with pytest.raises(ConfigurationError):
-        pr.gapped_params(bounded, pr.MAX_GAP_EXPONENT + 1)
+    for matrix, last in ((gram, 37), (bounded, 39)):
+        pr.gapped_params(matrix, last)
+        with pytest.raises(ConfigurationError, match="rounding bound"):
+            pr.gapped_params(matrix, last + 1)
 
 
 def test_decide_gapped_toy_instances():
@@ -504,6 +510,12 @@ def test_decide_gapped_toy_instances():
     assert no.acceptance <= no.soundness + 1e-12
 
 
+def test_decide_gapped_toy_instances_at_the_largest_admitted_exponent():
+    singular, bounded, _ = pr.toy_gapped_instances()
+    assert pr.decide_gapped(singular, 39).decision == "YES"
+    assert pr.decide_gapped(bounded, 39).decision == "NO"
+
+
 def test_decide_gapped_on_long_chains():
     # Chains 2e5-3e5 long, the length at which lambda_min reaches 2^-35:
     # the witness must converge although lambda_2 - lambda_min is only a
@@ -516,7 +528,7 @@ def test_decide_gapped_on_long_chains():
     longer = so.to_csr(so.ata_oracle(so.path_adjacency(300000)))  # lambda_min 2.7e-11
     both = block_diag([longer, so.to_csr(ones)], format="csr", dtype=np.int64)
     singular = so.RowOracleMatrix(both.indptr, both.indices, both.data, 3, 2)
-    assert pr.decide_gapped(singular, pr.MAX_GAP_EXPONENT).decision == "YES"
+    assert pr.decide_gapped(singular, 37).decision == "YES"
 
 
 def test_gapped_verifier_acceptance_matches_decision():
@@ -556,7 +568,7 @@ def test_decide_gapped_matches_dense_oracle():
     for matrix, g, certified_g, accepts in cases:
         # Dense reference: materialize + eigh + dense Taylor + one_bit_pe.
         params = pr.gapped_params(matrix, g)
-        lams, vecs = sp.eigensystem(so.materialize(matrix))
+        lams, vecs = np.linalg.eigh(so.materialize(matrix))
         u = oracles.expm_taylor(matrix, params.evo_time, params.taylor_order)
         dense_acceptance = oracles.one_bit_pe(u, vecs[:, 0], unitarity_tol=params.unitarity_tol)
         dense_decision = "YES" if dense_acceptance > params.midpoint else "NO"
@@ -690,7 +702,7 @@ def test_kitaev_rotation_instance():
     assert instance.locality == 3
     assert len(instance.terms) == 3
     dense = instance.materialize()
-    lam = sp.min_eigenvalue(np.real(dense))
+    lam = pr.ground_energy(np.real(dense))
     assert lam == pytest.approx(0.012912542362503346, abs=1e-10)
     assert lam <= instance.threshold_a
     assert instance.threshold_a == pytest.approx(0.05, abs=1e-12)
@@ -726,12 +738,14 @@ def _norm_1(arr: np.ndarray) -> float:
     return float(np.abs(arr).sum(axis=0).max())
 
 
+# The dense oracle holds all 2^(n+T) clock strings, so the strategy stops
+# at 4 circuit qubits and 6 gates, dim 1024.
 @settings(max_examples=40, deadline=None)
 @given(
-    circuit_qubits=st.integers(1, pr.CLOCK_QUBIT_CAP),
-    gate_count=st.integers(1, pr.CLOCK_GATE_CAP),
-    ancilla_k=st.integers(0, pr.CLOCK_QUBIT_CAP - 1),
-    output_qubit=st.integers(0, pr.CLOCK_QUBIT_CAP - 1),
+    circuit_qubits=st.integers(1, 4),
+    gate_count=st.integers(1, 6),
+    ancilla_k=st.integers(0, 3),
+    output_qubit=st.integers(0, 3),
     seed=st.integers(0, 2**32 - 1),
 )
 @example(circuit_qubits=4, gate_count=6, ancilla_k=3, output_qubit=3, seed=0)
@@ -804,13 +818,47 @@ def test_clock_energy_against_a_60_digit_legal_block(kind):
     assert err <= 2 * np.finfo(float).eps * np.linalg.norm(block, 2)
 
 
-def test_kitaev_rejects_oversized_circuits():
-    rng = np.random.default_rng(1)
-    circuit = oracles.random_circuit(2, 7, rng)
-    verifier = pr.Verifier(circuit, witness_qubits=1, ancilla_k=1, output_qubit=0,
-                           completeness_c=0.9, soundness_s=0.1)
-    with pytest.raises(ResourceLimitError):
-        pr.kitaev_hamiltonian(verifier)
+def test_clocks_of_many_gates_or_qubits_match_the_dense_oracle():
+    # 2 qubits with 7 gates and 5 qubits with 3 gates: legal blocks of 32 and
+    # 128 rows, dense Hamiltonians of 512 and 256.
+    for n, ancilla_k, gates, output in ((2, 1, 7, 0), (5, 2, 3, 4)):
+        verifier = _random_verifier(n, ancilla_k, gates, output, seed=gates,
+                                    completeness_c=0.999)
+        instance = pr.kitaev_hamiltonian(verifier)
+        assert instance.locality <= 5
+        dense = instance.materialize()
+        legal = oracles.legal_clock_indices(n, gates)
+        assert np.array_equal(dense[np.ix_(legal, legal)], instance.source.legal_block())
+        lam = pr.ground_energy(instance)
+        bound = CLOCK_ENERGY_TOL * _norm_1(dense)
+        assert abs(lam - oracles.dense_ground_energy(instance)) <= bound
+        assert abs(pr.binary_search_energy(instance, 40) - lam) <= 2.0**-40
+
+
+def test_clock_block_over_the_dense_cap_is_refused_before_allocating(monkeypatch):
+    # 10 circuit qubits and 16 gates: 17 * 2^10 = 17,408 legal rows.
+    big = pr.kitaev_hamiltonian(_random_verifier(10, 2, 16, 0, seed=0, completeness_c=0.9999))
+    small = pr.kitaev_hamiltonian(pr.rotation_verifier(0.9, 0.9, 0.1))
+    assert so.DENSE_CAP < 17 * 2**10
+    zeros = np.zeros
+
+    def refuse_square(rows: int):
+        def guarded(shape, *args, **kwargs):
+            if np.prod(shape) >= rows * rows:
+                raise AssertionError("a rows x rows array was allocated")
+            return zeros(shape, *args, **kwargs)
+        return guarded
+
+    # On the 8-row block under the cap the sentinel fires, so it sits at the allocation.
+    monkeypatch.setattr(np, "zeros", refuse_square(8))
+    with pytest.raises(AssertionError, match="rows x rows"):
+        pr.ground_energy(small)
+    monkeypatch.setattr(np, "zeros", refuse_square(17 * 2**10))
+    for solve in (pr.ground_energy, lambda h: pr.binary_search_energy(h, 10)):
+        with pytest.raises(ResourceLimitError, match="legal clock block of 17408 rows exceeds"):
+            solve(big)
+    with pytest.raises(ResourceLimitError, match="dim 67108864 exceeds dense materialization cap"):
+        big.materialize()
 
 
 def test_precise_epsilon_rule_keeps_thresholds_ordered():

@@ -105,18 +105,17 @@ def test_row_contract_column_range():
             _row_zero_oracle([(col, 1)])
 
 
-def test_row_contract_column_ones_bound():
-    ones = so.from_dense(np.ones((3, 3), dtype=np.int64))
-    with pytest.raises(ContractError, match="more than 2 ones"):
-        so.RowOracleMatrix(
-            ones.indptr, ones.indices, ones.data,
-            sparsity_d=3, entry_bound_k=1, column_ones_bound=2,
-        )
-    # Entries other than 1 do not count: each column below holds two ones.
-    mixed = so.from_dense(np.array([[1, -1, 1], [2, 1, -1], [1, 1, 1]]))
-    so.RowOracleMatrix(mixed.indptr, mixed.indices, mixed.data, 3, 2, column_ones_bound=2)
-    with pytest.raises(ContractError, match="more than 1 ones"):
-        so.RowOracleMatrix(mixed.indptr, mixed.indices, mixed.data, 3, 2, column_ones_bound=1)
+def test_ata_oracle_refuses_crowded_columns_and_drops_cancelled_entries():
+    # Column 1 holds three nonzeros, so the Gram's diagonal entry 3 breaks its bound 2.
+    crowded = so.from_dense(np.array([[1, -1, 0], [0, 1, 1], [1, -1, 0]]))
+    with pytest.raises(ContractError, match="row 1 exceeds declared bound 2"):
+        so.ata_oracle(crowded)
+    # Columns 0 and 1 share rows 0 and 1, where +-1 products cancel to zero.
+    a = np.array([[1, 1, 0], [1, -1, 0], [0, 0, -1]])
+    gram = so.ata_oracle(so.from_dense(a))
+    np.testing.assert_array_equal(so.materialize(gram), a.T @ a)
+    assert np.count_nonzero(gram.data) == len(gram.data) == 3
+    assert (gram.sparsity_d, gram.entry_bound_k) == (3, 2)
 
 
 def test_row_contract_names_the_first_offending_row():
@@ -192,7 +191,7 @@ def test_principal_rows_cut_a_component():
 
 def test_materialize_respects_cap():
     with pytest.raises(ResourceLimitError):
-        so.materialize(oracles.identity_oracle(10), cap=9)
+        so.materialize(oracles.identity_oracle(so.DENSE_CAP + 1))
 
 
 def test_from_dense_round_trip():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaplab import protocols as pr
 from gaplab import rtm, sparse_oracle as so
 from gaplab import spectral as sp
 from gaplab.errors import ContractError, ResourceLimitError
@@ -320,8 +321,8 @@ def test_structured_equals_gram_of_adjacency():
 
 def test_cycle_min_eig_equals_shorter_path():
     for ell in (3, 5, 9):
-        cyc = sp.min_eigenvalue(oracles.structured_matrix("cycle", ell))
-        pat = sp.min_eigenvalue(oracles.structured_matrix("path", ell - 1))
+        cyc = np.linalg.eigvalsh(oracles.structured_matrix("cycle", ell))[0]
+        pat = np.linalg.eigvalsh(oracles.structured_matrix("path", ell - 1))[0]
         assert cyc == pytest.approx(pat, abs=1e-12)
 
 
@@ -336,30 +337,27 @@ def test_gram_bands_shape():
 
 def test_min_eigenvalue_requires_symmetry():
     with pytest.raises(ContractError):
-        sp.min_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        pr.ground_energy(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_min_eigenvalue_and_eigensystem_take_complex_hermitian_input():
+def test_ground_energy_takes_complex_hermitian_input():
     h = np.array([[1, 1j], [-1j, 1]])  # eigenvalues 0 and 2
-    assert abs(sp.min_eigenvalue(h)) <= 1e-12
-    w, v = sp.eigensystem(h)
-    np.testing.assert_allclose(w, [0.0, 2.0], atol=1e-12)
-    np.testing.assert_allclose(h @ v, v * w, atol=1e-12)
+    assert abs(pr.ground_energy(h)) <= 1e-12
     with pytest.raises(ContractError, match="not Hermitian"):
-        sp.min_eigenvalue(np.array([[1, 1j], [1j, 1]]))  # symmetric, not Hermitian
+        pr.ground_energy(np.array([[1, 1j], [1j, 1]]))  # symmetric, not Hermitian
 
 
 def test_min_eigenvalue_banded_matches_dense():
     for ell in (1, 2, 3, 10, 64):
         banded = oracles.min_eigenvalue_banded(*sp.gram_bands("path", ell))
-        dense = sp.min_eigenvalue(oracles.structured_matrix("path", ell))
+        dense = np.linalg.eigvalsh(oracles.structured_matrix("path", ell))[0]
         assert banded == pytest.approx(dense, abs=1e-10)
 
 
 def test_min_eigenvalue_sparse_matches_dense():
     gram = so.ata_oracle(so.path_adjacency(50))
     sparse = sp.min_eigenvalue_sparse(gram)
-    dense = sp.min_eigenvalue(so.materialize(gram).astype(float))
+    dense = np.linalg.eigvalsh(so.materialize(gram).astype(float))[0]
     assert sparse == pytest.approx(dense, abs=1e-9)
 
 
@@ -578,7 +576,7 @@ def test_bottom_eigenpair_needs_no_sparse_lu_or_lanczos(monkeypatch):
 def test_min_eigenvalue_bound_is_a_floor():
     # The bound is tight at the path block itself, so allow solver noise.
     for ell in (1, 2, 5, 30, 100):
-        lam = sp.min_eigenvalue(oracles.structured_matrix("path", ell))
+        lam = np.linalg.eigvalsh(oracles.structured_matrix("path", ell))[0]
         assert lam >= sp.min_eigenvalue_bound(ell) - 1e-12
         assert sp.min_eigenvalue_bound(ell) > 0.0
 
