@@ -592,10 +592,12 @@ def decide_gapped(matrix: RowOracleMatrix, g: int) -> GappedDecision:
 
     On a direct sum of paths, every reduction's Gram, the witness is the
     closed-form eigenvector of one path that attains lambda_min, and the
-    products run on that path's rows alone (``principal_rows``): the
-    same column order and the same declared d and k, so t, the Taylor
-    order and each row's floating-point sum are those of the whole
-    matrix, whose other rows would only carry zeros.  The first product
+    products run on that path's rows alone: the same column order and
+    the same declared d and k, so t, the Taylor order and each row's
+    floating-point sum are those of the whole matrix, whose other rows
+    would only carry zeros.  A reduction's Gram, held as its factor A,
+    is never formed: its block is written from the rows of A that touch
+    the block's columns.  The first product
     rounds each row's sum once (``expm_taylor_minus_identity``): its
     products, entries +-1 and 2 times the witness, are exact, and on an
     eigenvector it cancels to about lambda / ||A|| of its terms, which

@@ -8,12 +8,13 @@ on all rows at once, when the oracle is constructed; from then on every
 consumer (determinant checks, spectral bounds, evolution operators)
 reads the arrays through ``to_csr``, a scipy CSR matrix built on the
 same buffers, and the declared bounds, not the entries, set downstream
-parameters such as the verifier's evolution time.  Building an oracle
-from triplets, a structured block or a machine reduction, checking it
-and materializing it take numpy alone; scipy is imported when the CSR
-view is first asked for, by the Gram product or a kernel.  Dense
-materialization exists only as a desk-scale debugging and ground-truth
-device, refused above DENSE_CAP rows.
+parameters such as the verifier's evolution time.  A Gram A^T A is
+held as its checked factor A (``GramOracle``) and formed only when its
+arrays are read.  Building an oracle from triplets, a structured block
+or a machine reduction, checking it and materializing it take numpy
+alone; scipy is imported when a CSR view is first asked for, by a Gram
+product or a kernel.  Dense materialization exists only as a desk-scale
+debugging and ground-truth device, refused above DENSE_CAP rows.
 
 Integer-valued oracles stay integer-valued until a spectral operation
 converts them to floats.  No float arithmetic happens in construction
@@ -256,33 +257,67 @@ def from_entries(dim: int, triplets: Iterable[Sequence[int]]) -> RowOracleMatrix
     )
 
 
-def ata_oracle(matrix: RowOracleMatrix) -> RowOracleMatrix:
+class GramOracle(RowOracleMatrix):
+    """The row oracle of A^T A, held as its checked factor A until its arrays are asked for.
+
+    ``factor`` is A, a +-1 matrix with at most two nonzeros per column,
+    and ``column_counts`` those counts, which are the Gram's diagonal.
+    Construction checks both with one ``bincount`` of A's columns: a
+    column with more than two nonzeros would put a diagonal entry above
+    the declared bound 2, and is refused in the words of the contract
+    check.  The declared bounds are those of every reduction's Gram:
+    row i touches only columns that share a row of A with column i, so
+    the sparsity is min(dim, 4d) for A's row bound d, and the entry
+    bound is 2, which give every reduction's Gram the evolution time
+    pi/16.  ``indptr``, ``indices``, ``data`` and ``csr`` come
+    from one scipy product A^T A over int64, taken on first access and
+    kept, so every consumer of a row oracle takes this one too.  The
+    spectral routines read a Gram of this class from A's column counts
+    and two-entry rows instead, and never form it.  The result is
+    symmetric and positive semidefinite by construction.
+    """
+
+    factor: RowOracleMatrix
+    column_counts: np.ndarray
+
+    def __init__(self, factor: RowOracleMatrix) -> None:
+        if factor.entry_bound_k > 1:
+            raise ContractError("Gram construction requires entries in {-1, 0, 1}")
+        counts = np.bincount(factor.indices, minlength=factor.dim)
+        # The first crowded column is the first Gram row that breaks the bound 2.
+        if counts.max(initial=0) > 2:
+            raise ContractError(f"row {int((counts > 2).argmax())} exceeds declared bound 2")
+        object.__setattr__(self, "factor", factor)
+        object.__setattr__(self, "column_counts", counts)
+        object.__setattr__(self, "sparsity_d", min(factor.dim, 4 * factor.sparsity_d))
+        object.__setattr__(self, "entry_bound_k", 2)
+
+    @property
+    def dim(self) -> int:
+        return self.factor.dim
+
+    @cached_property
+    def _product(self) -> RowOracleMatrix:
+        """A^T A, formed once: scipy's product already drops the entries +-1 terms cancel."""
+        a = to_csr(self.factor)
+        gram = (a.T @ a).tocsr()
+        gram.sort_indices()
+        return RowOracleMatrix(
+            gram.indptr, gram.indices, gram.data, self.sparsity_d, self.entry_bound_k
+        )
+
+    indptr = property(lambda self: self._product.indptr)
+    indices = property(lambda self: self._product.indices)
+    data = property(lambda self: self._product.data)
+
+
+def ata_oracle(matrix: RowOracleMatrix) -> GramOracle:
     """Row oracle for A^T A, for +-1 matrices with at most two nonzeros per column.
 
-    The product is taken once, over int64, on the CSR form, and the
-    oracle keeps the product's arrays, less any entry that +-1 terms
-    cancel to zero.  A diagonal entry counts the nonzeros of column i,
-    so a column with more than two puts an entry above the declared
-    bound 2 and the Gram's own contract check refuses it.  Row i
-    touches only columns that share a row with column i; the declared
-    sparsity min(dim, 4d) gives every reduction's Gram the evolution
-    time pi/16.  The result is symmetric and positive semidefinite by
-    construction.
+    The checks cost one ``bincount``; the product is taken only when
+    the Gram's arrays are first read (``GramOracle``).
     """
-    if matrix.entry_bound_k > 1:
-        raise ContractError("Gram construction requires entries in {-1, 0, 1}")
-
-    a = to_csr(matrix)
-    gram = (a.T @ a).tocsr()
-    gram.eliminate_zeros()
-    gram.sort_indices()
-    return RowOracleMatrix(
-        gram.indptr,
-        gram.indices,
-        gram.data,
-        sparsity_d=min(matrix.dim, 4 * matrix.sparsity_d),
-        entry_bound_k=2,
-    )
+    return GramOracle(matrix)
 
 
 def path_adjacency(ell: int) -> RowOracleMatrix:

@@ -15,10 +15,13 @@ Two independent concerns live here:
 * eigenvalue machinery for the symmetric Gram matrices the reductions
   produce, including the closed-form spectrum of the path block and the
   tridiagonal fast path.  A direct sum of path blocks (every
-  reduction's Gram) is recognised from exact integer tests on its CSR
-  arrays: lambda_min is the closed form of its longest path of each
-  kind, and the bottom eigenvector the closed form of one block that
-  attains it, put in path order by a breadth-first walk.  Any other
+  reduction's Gram) is recognised from exact integer tests on its
+  diagonal and its +-1 edges, which a Gram held as its factor A gives
+  from A's column counts and two-entry rows, without forming A^T A,
+  and any other matrix from its CSR arrays: lambda_min is the closed
+  form of its longest path of each kind, and the bottom eigenvector the
+  closed form of one block that attains it, put in path order by a
+  breadth-first walk of that block's own rows.  Any other
   matrix is materialized, up to DENSE_CAP rows, for one dense ``eigh``
   of its bottom eigenpair and one Cholesky factorization whose
   existence certifies the matrix positive semidefinite up to a margin
@@ -41,6 +44,7 @@ import numpy as np
 
 from .errors import ContractError
 from .sparse_oracle import (
+    GramOracle,
     RowOracleMatrix,
     from_dense,
     materialize,
@@ -424,7 +428,9 @@ class _LeastPath:
     ``kind`` names the block's closed form: "vertex" (an isolated
     vertex), "constant" (a path with both ends 1), "cos" (one end 1) or
     "sin" (no end 1).  The arrays are the recogniser's own, so finding
-    the block costs no more than its lambda_min.
+    the block costs no more than its lambda_min: the diagonal, each
+    vertex's degree and component label, and the edges (u, v) with
+    their +-1 couplings.
     """
 
     lam: float
@@ -433,53 +439,51 @@ class _LeastPath:
     labels: np.ndarray
     degree: np.ndarray
     diag: np.ndarray
-    pattern: csr_matrix
+    u: np.ndarray
+    v: np.ndarray
+    coupling: np.ndarray
 
 
-def _path_sum_bottom(a: csr_matrix) -> _LeastPath | None:
-    """lambda_min of a symmetric integer A that is a direct sum of path blocks, and a block attaining it; None for any other A.
+def _path_forest_bottom(
+    diag: np.ndarray, u: np.ndarray, v: np.ndarray, coupling: np.ndarray
+) -> _LeastPath | None:
+    """lambda_min of the symmetric matrix with this diagonal and +-1 edges, if it is a path sum.
 
-    The form is read from exact integer tests on the CSR arrays: every
-    off-diagonal entry is +-1, no vertex has more than two off-diagonal
-    neighbours, and the off-diagonal pattern has dim - #components
-    edges, so it is a forest of paths.  A degree-2 (interior) vertex
-    has diagonal 2, a degree-1 (end) vertex diagonal 1 or 2, and an
-    isolated vertex diagonal d >= 0.  The signs do not matter: on a
-    tree a diagonal +-1 similarity flips any edge.  A path of ell >= 2
-    vertices then has least eigenvalue
+    Each edge (u, v) stands for the two entries at (u, v) and (v, u).
+    No vertex may have more than two neighbours, and the edges must
+    number dim - #components, so they form a forest of paths.  A
+    degree-2 (interior) vertex has diagonal 2, a degree-1 (end) vertex
+    diagonal 1 or 2, and an isolated vertex diagonal d >= 0.  The signs
+    do not matter: on a tree a diagonal +-1 similarity flips any edge.
+    A path of ell >= 2 vertices then has least eigenvalue
       0 with both ends 1 (the path Laplacian),
       4 sin^2(pi / (2 (2 ell + 1))) with one end 1 (the path Gram),
       4 sin^2(pi / (2 (ell + 1))) with no end 1 (tridiag(-1, 2, -1)),
     and an isolated vertex d.  Every block is positive semidefinite, so
     passing the tests is the certification, and only the longest path
-    of each kind is evaluated.
+    of each kind is evaluated.  None when a test fails.
     """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
-    n, nnz = a.shape[0], a.nnz
-    diag = a.diagonal()
-    degree = np.diff(a.indptr) - (diag != 0)  # the row contract stores no zeros
-    off = nnz - np.count_nonzero(diag)  # stored off-diagonal entries, two per edge
-    unit = np.count_nonzero(a.data == 1) + np.count_nonzero(a.data == -1)
-    if unit - np.count_nonzero(np.abs(diag) == 1) != off or degree.max() > 2:
+    n = len(diag)
+    degree = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
+    if degree.max(initial=0) > 2:
         return None
     # An end's diagonal is 1 or 2, an interior one 2, an isolated one d >= 0.
     if np.any(diag < degree) or np.any((diag > 2) & (degree > 0)):
         return None
-    # On a symmetric pattern the strong components are the connected ones, and
-    # need no transpose; the graph routines convert to float64, so ones of that
-    # type skip a copy.
-    pattern = csr_matrix((np.ones(nnz), a.indices, a.indptr), shape=(n, n))
-    count, labels = connected_components(pattern, connection="strong")
-    if off != 2 * (n - count):  # some component holds a cycle
+    # The graph routines convert to float64, so ones of that type skip a copy.
+    graph = csr_matrix((np.ones(len(u)), (u, v)), shape=(n, n))
+    count, labels = connected_components(graph, connection="weak")
+    if len(u) != n - count:  # some component holds a cycle, or a repeated edge
         return None
     size = np.bincount(labels)
     ends_one = np.bincount(labels[(degree == 1) & (diag == 1)], minlength=count)
     path = size > 1
 
     def least(lam: float, kind: str, component) -> _LeastPath:
-        return _LeastPath(lam, kind, int(component), labels, degree, diag, pattern)
+        return _LeastPath(lam, kind, int(component), labels, degree, diag, u, v, coupling)
 
     laplacians = np.flatnonzero(path & (ends_one == 2))
     if laplacians.size:
@@ -499,13 +503,81 @@ def _path_sum_bottom(a: csr_matrix) -> _LeastPath | None:
     return min(candidates, key=lambda c: c.lam)
 
 
+def _factor_path_sum(gram: GramOracle) -> _LeastPath | None:
+    """``_path_forest_bottom`` of F^T F read from the factor F, or None where F does not fix it.
+
+    The diagonal counts F's column nonzeros, and each row of F with two
+    entries, at columns u < v, puts the coupling F[r, u] F[r, v] = +-1
+    at (u, v).  That is all of F^T F when no row of F has three or more
+    entries and no two rows share both columns; a shared pair shows up
+    as a repeated edge, which the forest test refuses.  No product, no
+    transpose and no symmetry check is needed.
+    """
+    f = gram.factor
+    counts = np.diff(f.indptr)
+    if counts.max(initial=0) > 2:
+        return None
+    first = f.indptr[:-1][counts == 2]
+    return _path_forest_bottom(
+        gram.column_counts, f.indices[first], f.indices[first + 1], f.data[first] * f.data[first + 1]
+    )
+
+
+def _path_sum_bottom(a: csr_matrix | RowOracleMatrix) -> _LeastPath | None:
+    """lambda_min of a symmetric integer A that is a direct sum of path blocks, and a block attaining it; None for any other A.
+
+    The form is read from exact integer tests (``_path_forest_bottom``)
+    on a diagonal and a +-1 edge list.  A Gram held as its factor
+    (``GramOracle``) gives both from the factor (``_factor_path_sum``).
+    Any other row oracle, and a Gram whose factor does not fix the
+    reading, gives them from its CSR arrays, once they are checked to
+    equal their transpose; a CSR matrix is taken as symmetric.  Every
+    off-diagonal entry must then be +-1.
+    """
+    if isinstance(a, GramOracle):
+        least = _factor_path_sum(a)
+        if least is not None:
+            return least
+    if isinstance(a, RowOracleMatrix):
+        a = _symmetric_csr(a)
+    row = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    upper = a.indices > row
+    coupling = a.data[upper]
+    if np.any((coupling != 1) & (coupling != -1)):
+        return None
+    return _path_forest_bottom(a.diagonal(), row[upper], a.indices[upper], coupling)
+
+
+def _path_block(least: _LeastPath, rows: np.ndarray, matrix: RowOracleMatrix) -> RowOracleMatrix:
+    """``principal_rows(matrix, rows)`` for the least block on ``rows``, written from its diagonal and edges.
+
+    The entries of a path sum's component are its diagonal and the
+    couplings of its own edges, so the block needs none of the matrix's
+    arrays; each row's columns come out sorted, as in the matrix.
+    """
+    inside = least.labels[least.u] == least.component
+    u, v = np.searchsorted(rows, least.u[inside]), np.searchsorted(rows, least.v[inside])
+    coupling = least.coupling[inside]
+    diag = least.diag[rows]
+    loops = np.flatnonzero(diag)
+    i, j = np.concatenate((loops, u, v)), np.concatenate((loops, v, u))
+    order = np.lexsort((j, i))
+    return RowOracleMatrix(
+        np.concatenate(([0], np.cumsum(np.bincount(i, minlength=len(rows))))),
+        j[order],
+        np.concatenate((diag[loops], coupling, coupling))[order],
+        sparsity_d=matrix.sparsity_d,
+        entry_bound_k=matrix.entry_bound_k,
+    )
+
+
 def _path_eigenvector(block: RowOracleMatrix, rows: np.ndarray, least: _LeastPath) -> np.ndarray:
     """Unit eigenvector at least.lam of the block on ``rows`` (ascending), in closed form.
 
-    A breadth-first walk on the pattern from an end of a path visits its
-    vertices in path order, j = 0 .. ell - 1, in one C pass.  With every
-    coupling -1 the eigenvector is (Yueh 2005; Strang and MacNamara,
-    SIAM Review 56, 2014)
+    A breadth-first walk on the block's own rows from an end of the
+    path visits them in path order, j = 0 .. ell - 1, in one C pass.
+    With every coupling -1 the eigenvector is (Yueh 2005; Strang and
+    MacNamara, SIAM Review 56, 2014)
       1                              with both ends 1,
       cos((j + 1/2) pi / (2 ell + 1)) counted from the end that is 1,
       sin((j + 1) pi / (ell + 1))     with no end 1,
@@ -518,9 +590,9 @@ def _path_eigenvector(block: RowOracleMatrix, rows: np.ndarray, least: _LeastPat
     ell = len(rows)
     if least.kind == "vertex":
         return np.ones(1)
-    ends = rows[least.degree[rows] == 1]
-    start = ends[np.argmin(least.diag[ends])]  # for "cos", the end whose diagonal is 1
-    walk = breadth_first_order(least.pattern, int(start), return_predecessors=False)
+    ends = np.flatnonzero(least.degree[rows] == 1)
+    start = ends[np.argmin(least.diag[rows[ends]])]  # for "cos", the end whose diagonal is 1
+    walk = breadth_first_order(to_csr(block), int(start), return_predecessors=False)
     j = np.arange(ell)
     if least.kind == "constant":
         phi = np.ones(ell)
@@ -529,7 +601,7 @@ def _path_eigenvector(block: RowOracleMatrix, rows: np.ndarray, least: _LeastPat
     else:
         phi = np.sin((j + 1) * (pi / (ell + 1)))
     position = np.empty(ell, dtype=np.int64)  # each local row's place on the path
-    position[np.searchsorted(rows, walk)] = j
+    position[walk] = j
     row = position[np.repeat(j, np.diff(block.indptr))]
     forward = position[block.indices] == row + 1
     coupling = np.empty(ell - 1, dtype=np.int64)
@@ -558,27 +630,36 @@ class _BlockEigenpair:
 def _bottom_block_eigenpair(matrix: RowOracleMatrix) -> _BlockEigenpair:
     """``bottom_eigenpair`` on the least block of a path sum, or on the whole matrix otherwise.
 
-    On a path sum the residual is taken on the block's rows: A psi is
-    exactly 0 off a connected component, so that is the whole
-    residual.
+    On a path sum the residual is taken on the block's rows, each row's
+    sum rounded once (``_rounded_once_products``): A psi is exactly 0
+    off a connected component, so that is the whole residual.  The
+    block of a Gram held as its factor is written from the recogniser's
+    edges (``_path_block``), so the Gram is never formed.
     """
-    a = _symmetric_csr(matrix)
-    least = _path_sum_bottom(a)
+    from .simulator import _rounded_once_products  # deferred: simulator imports this module
+
+    least = _path_sum_bottom(matrix)
     if least is None:
         return _BlockEigenpair(*_certified_bottom(matrix), block=matrix, rows=None)
     rows = np.flatnonzero(least.labels == least.component)
-    block = principal_rows(matrix, rows)
+    if isinstance(matrix, GramOracle):
+        block = _path_block(least, rows, matrix)
+    else:
+        block = principal_rows(matrix, rows)
     psi = _path_eigenvector(block, rows, least)
-    residual = float(np.linalg.norm(to_csr(block).astype(np.float64) @ psi - least.lam * psi))
+    product = _rounded_once_products(to_csr(block).astype(np.float64), psi)
+    residual = float(np.linalg.norm(product - least.lam * psi))
     return _BlockEigenpair(least.lam, psi, residual, block, rows)
 
 
 def bottom_eigenpair(matrix: RowOracleMatrix) -> tuple[float, np.ndarray, float]:
     """(lambda_min, unit eigenvector, ||A psi - lambda psi||) of a sparse PSD matrix.
 
-    The symmetry check is exact on the integer entries.  A direct sum
-    of path blocks, the form of every reversible machine's reduction
-    Gram, is recognised by ``_path_sum_bottom`` and answered in closed
+    The symmetry check is exact on the integer entries; a Gram held as
+    its factor (``GramOracle``) is symmetric by construction and is read
+    from the factor, never formed.  A direct sum of path blocks, the
+    form of every reversible machine's reduction Gram, is recognised by
+    ``_path_sum_bottom`` and answered in closed
     form: lambda_min is ``min_eigenvalue_sparse``'s, bit for bit, and
     the eigenvector is the closed form of one block that attains it
     (``_path_eigenvector``), zero elsewhere.  No dense matrix is built,
@@ -611,7 +692,7 @@ def min_eigenvalue_sparse(matrix: RowOracleMatrix) -> float:
 
     The symmetry check is ``bottom_eigenpair``'s.  A direct sum of path
     blocks, the form of every reversible machine's reduction Gram, is
-    recognised from its CSR arrays and answered in closed form
+    recognised from its diagonal and edges and answered in closed form
     (``_path_sum_bottom``) in O(dim + nnz), at any dim: a rejecting
     reduction's singular Gram gives exactly 0.0, and no block is ordered
     and no eigenvector is written.  Any other matrix takes
@@ -619,6 +700,5 @@ def min_eigenvalue_sparse(matrix: RowOracleMatrix) -> float:
     ``bottom_eigenpair(matrix)[0]`` bit for bit, and an indefinite
     matrix or one above DENSE_CAP rows is refused alike.
     """
-    a = _symmetric_csr(matrix)
-    least = _path_sum_bottom(a)
+    least = _path_sum_bottom(matrix)
     return _certified_bottom(matrix)[0] if least is None else least.lam

@@ -30,7 +30,8 @@ the desk-scale sizes the tests use.
   oracles before they were written as arrays, and the augmented
   adjacency assembled triplet by triplet from its definition, against
   ``from_entries``, the structured blocks, ``augmented_adjacency`` and
-  ``ata_oracle``;
+  ``ata_oracle``; a Gram's formed arrays rebuilt from triplets, whose
+  reading a Gram held as its factor must equal;
 * clock Hamiltonians: the dense 2^(n+T) sum of a compiled instance's
   terms and its least eigenvalue, and the indices of the legal clock
   strings in it, against the legal-clock block that ``ground_energy``
@@ -67,7 +68,8 @@ from gaplab.simulator import (
     expm_taylor_minus_identity,
     run_circuit,
 )
-from gaplab.sparse_oracle import RowOracleMatrix, to_csr
+from gaplab import spectral
+from gaplab.sparse_oracle import GramOracle, RowOracleMatrix, from_entries, to_csr
 from gaplab.spectral import _require_hermitian, gram_bands
 
 
@@ -107,6 +109,43 @@ def coo_gram(a):
     gram.eliminate_zeros()
     gram.sort_indices()
     return gram
+
+
+def explicit_gram(gram: RowOracleMatrix) -> RowOracleMatrix:
+    """A Gram's formed arrays as a plain row oracle, built from their (i, j, value) triplets.
+
+    The spectral routines read it from its CSR arrays, as they read any
+    matrix that is not held as its factor.
+    """
+    a = to_csr(gram).tocoo()
+    return from_entries(gram.dim, zip(a.row.tolist(), a.col.tolist(), a.data.tolist()))
+
+
+def assert_factor_reading_is_explicit(gram: GramOracle) -> None:
+    """A Gram held as its factor reads as its formed arrays do, bit for bit.
+
+    lambda_min, the least block's rows and arrays, the witness and its
+    residual equal those of ``explicit_gram(gram)``.  The product is
+    formed exactly when the factor does not fix a path sum.
+    """
+
+    def bits(x) -> bytes:
+        return np.asarray(x, dtype=np.float64).tobytes()
+
+    lam = spectral.min_eigenvalue_sparse(gram)
+    pair = spectral._bottom_block_eigenpair(gram)
+    assert ("_product" in vars(gram)) == (spectral._factor_path_sum(gram) is None)
+    explicit = explicit_gram(gram)
+    want = spectral._bottom_block_eigenpair(explicit)
+    assert bits(lam) == bits(pair.lam) == bits(want.lam)
+    assert bits(spectral.min_eigenvalue_sparse(explicit)) == bits(lam)
+    assert (pair.rows is None) == (want.rows is None)
+    assert pair.rows is None or np.array_equal(pair.rows, want.rows)
+    for part in ("indptr", "indices", "data"):
+        mine, theirs = getattr(pair.block, part), getattr(want.block, part)
+        assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs), part
+    assert bits(pair.psi) == bits(want.psi)
+    assert bits(pair.residual) == bits(want.residual)
 
 
 def adjacency_triplets(machine: ReversibleTM, input_str: str) -> list[tuple[int, int, int]]:

@@ -644,3 +644,33 @@ def test_amplify_and_kitaev_load_no_scipy():
     loaded = json.loads(result.stdout)
     assert len(loaded) == 4
     assert loaded == {step: [] for step in loaded}
+
+
+def _refuse_the_gram_product(monkeypatch):
+    def refuse(self):
+        raise AssertionError("A^T A was formed")
+
+    monkeypatch.setattr(sparse_oracle.GramOracle, "_product", property(refuse))
+
+
+def test_a_reduction_at_space_8_never_forms_its_gram(monkeypatch, capsys):
+    _refuse_the_gram_product(monkeypatch)
+    machine = rtm.with_space(rtm.corpus_machine("unary_counter"), 8)
+    for x, accepts in (("11", True), ("1", False)):
+        instance = rtm.reduce_to_gapped(machine, x)
+        lam = spectral.min_eigenvalue_sparse(instance.gram)
+        decision = protocols.decide_gapped(instance.gram, instance.g)
+        assert (lam >= spectral.min_eigenvalue_bound(instance.dim)) == accepts
+        assert decision.decision == ("NO" if accepts else "YES")
+        code, out = run_cli(capsys, "reduce", "--machine", "unary_counter", "--space", "8",
+                            "--input", x)
+        assert code == 0 and json.loads(out)["accepts"] == accepts
+
+
+def test_reduce_and_verify_at_space_10_never_form_the_gram(monkeypatch, capsys):
+    _refuse_the_gram_product(monkeypatch)
+    machine = ["--machine", "unary_counter", "--space", "10", "--input", "11"]
+    code, out = run_cli(capsys, "reduce", *machine)
+    assert code == 0 and json.loads(out)["dim"] == 2_952_450
+    code, out = run_cli(capsys, "verify", *machine, "--gap-exponent", "37")
+    assert code == 0 and json.loads(out)["decision"] == "NO"

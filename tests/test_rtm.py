@@ -313,6 +313,18 @@ def test_random_machine_reduction(machine):
                 assert abs(lam) < 1e-10
 
 
+@settings(max_examples=60, deadline=None)
+@given(random_machines())
+@example(rtm.with_space(rtm.corpus_machine("binary_nonmax"), 3))
+@example(_ONE_CELL)
+def test_random_reduction_grams_read_from_their_factor_as_when_formed(machine):
+    if not rtm.validate(machine).ok:
+        return
+    for n in range(machine.space):
+        for x in map("".join, itertools.product(machine.alphabet, repeat=n)):
+            oracles.assert_factor_reading_is_explicit(rtm.reduce_to_gapped(machine, x).gram)
+
+
 @pytest.mark.parametrize("name", ["binary_nonmax", "first_last_match", "unary_counter"])
 def test_successors_match_the_decoded_reference(name):
     for space in range(1, 9):

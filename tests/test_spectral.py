@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaplab import protocols as pr
-from gaplab import rtm, sparse_oracle as so
+from gaplab import rtm, simulator as sim, sparse_oracle as so
 from gaplab import spectral as sp
 from gaplab.errors import ContractError, ResourceLimitError
 
@@ -707,7 +707,8 @@ def _check_closed_form_witness(gram: so.RowOracleMatrix, monkeypatch) -> None:
     _, labels = connected_components(a, directed=False)
     assert len(set(labels[pair.rows].tolist())) == 1
     assert np.count_nonzero(labels == labels[pair.rows[0]]) == len(pair.rows)
-    full = float(np.linalg.norm(a.astype(np.float64) @ psi - lam * psi))
+    # Each row's sum is rounded once, on the block and on all of A alike.
+    full = float(np.linalg.norm(sim._rounded_once_products(a.astype(np.float64), psi) - lam * psi))
     assert residual == pair.residual == full
 
 
@@ -748,7 +749,42 @@ def test_block_residual_is_the_full_residual_on_reductions():
                 gram = rtm.reduce_to_gapped(machine, x).gram
                 lam, psi, residual = sp.bottom_eigenpair(gram)
                 a = so.to_csr(gram).astype(np.float64)
-                assert residual == float(np.linalg.norm(a @ psi - lam * psi)) < 1e-15
+                full = sim._rounded_once_products(a, psi) - lam * psi
+                assert residual == float(np.linalg.norm(full)) < 1e-15
+
+
+@st.composite
+def signed_factors(draw, max_ell=8):
+    """Square +-1 matrices with at most two nonzeros per column.
+
+    Row- and column-shuffled, signed path and cycle adjacencies, plus up
+    to four entries wherever a column has room.  Those make rows of
+    three entries, rows that share both columns (with products that
+    cancel or repeat) and Grams that are no path sum.
+    """
+    entries, start = [], 0
+    blocks = st.tuples(st.booleans(), st.integers(1, max_ell))
+    for cyclic, ell in draw(st.lists(blocks, min_size=1, max_size=4)):
+        block = so.cycle_adjacency(ell) if cyclic and ell >= 3 else so.path_adjacency(ell)
+        a = so.to_csr(block).tocoo()
+        entries += zip((a.row + start).tolist(), (a.col + start).tolist())
+        start += ell
+    for i, j in draw(st.lists(st.tuples(st.integers(0, start - 1), st.integers(0, start - 1)),
+                              max_size=4)):
+        if (i, j) not in entries and sum(col == j for _, col in entries) < 2:
+            entries.append((i, j))
+    rows, cols = draw(st.permutations(range(start))), draw(st.permutations(range(start)))
+    signs = draw(st.lists(st.sampled_from((-1, 1)), min_size=len(entries), max_size=len(entries)))
+    return so.from_entries(start, [(rows[i], cols[j], v) for (i, j), v in zip(entries, signs)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(signed_factors())
+@example(so.from_dense(np.array([[1, 1, 0], [1, -1, 0], [0, 0, -1]])))  # a pair that cancels
+@example(so.from_dense(np.array([[1, 1, 0], [-1, -1, 0], [0, 0, 1]])))  # a repeated pair
+@example(so.from_dense(np.array([[1, -1, 1], [0, 1, 0], [0, 0, 1]])))  # a row of three
+def test_signed_factor_grams_read_from_their_factor_as_when_formed(factor):
+    oracles.assert_factor_reading_is_explicit(so.ata_oracle(factor))
 
 
 _NEAR_MISSES = {
