@@ -143,34 +143,6 @@ def norm_bound(matrix: RowOracleMatrix) -> int:
     return matrix.entry_bound_k * matrix.sparsity_d
 
 
-def principal_rows(matrix: RowOracleMatrix, rows: np.ndarray) -> RowOracleMatrix:
-    """The rows at ascending indices ``rows``, renumbered 0..len(rows) - 1, under the same contract.
-
-    Every entry of those rows must lie in a column among ``rows``, as
-    on a connected component of a symmetric pattern; ValueError
-    otherwise.  The rows are cut from ``indptr`` slices, and the
-    renumbering keeps each row's column order, so a product with the
-    result sums every row's terms in the order the whole matrix does.
-    The declared d and k carry over, and with them every parameter
-    derived from them.
-    """
-    starts = matrix.indptr[rows]
-    counts = matrix.indptr[rows + 1] - starts
-    indptr, _ = _index_arrays(counts)
-    entries = np.repeat(starts - indptr[:-1], counts) + np.arange(indptr[-1])
-    cols = matrix.indices[entries]
-    local = np.searchsorted(rows, cols)
-    if np.any(rows[np.minimum(local, len(rows) - 1)] != cols):
-        raise ValueError("the rows hold an entry outside their own columns")
-    return RowOracleMatrix(
-        indptr,
-        local,
-        matrix.data[entries],
-        sparsity_d=matrix.sparsity_d,
-        entry_bound_k=matrix.entry_bound_k,
-    )
-
-
 def materialize(matrix: RowOracleMatrix) -> np.ndarray:
     """Expand an oracle to a dense int64 array, refused above DENSE_CAP rows."""
     dim = matrix.dim
@@ -272,9 +244,10 @@ class GramOracle(RowOracleMatrix):
     pi/16.  ``indptr``, ``indices``, ``data`` and ``csr`` come
     from one scipy product A^T A over int64, taken on first access and
     kept, so every consumer of a row oracle takes this one too.  The
-    spectral routines read a Gram of this class from A's column counts
-    and two-entry rows instead, and never form it.  The result is
-    symmetric and positive semidefinite by construction.
+    spectral routines read a Gram of this class from ``path_edges``
+    instead, and never form it.  The result is symmetric and positive
+    semidefinite by construction.  Its repr names the factor and forms
+    nothing; ``dataclasses.replace`` does not apply to it.
     """
 
     factor: RowOracleMatrix
@@ -309,6 +282,32 @@ class GramOracle(RowOracleMatrix):
     indptr = property(lambda self: self._product.indptr)
     indices = property(lambda self: self._product.indices)
     data = property(lambda self: self._product.data)
+
+    def __repr__(self) -> str:
+        formed = "formed" if "_product" in vars(self) else "not formed"
+        return (
+            f"GramOracle(dim={self.dim}, factor sparsity_d={self.factor.sparsity_d},"
+            f" sparsity_d={self.sparsity_d}, entry_bound_k={self.entry_bound_k}, {formed})"
+        )
+
+    def path_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+        """A^T A as (diagonal, u, v, coupling) read from A, or None where A does not fix it.
+
+        The diagonal is A's column counts, and each row of A with two
+        entries, at columns u < v, puts the coupling A[r, u] A[r, v] =
+        +-1 at (u, v) and (v, u).  That is all of A^T A when no row of A
+        has three or more entries (None) and no two rows share both
+        columns; a shared pair comes out as a repeated edge, whose
+        couplings A^T A adds, so a caller must refuse repeated edges.
+        No product, no transpose and no symmetry check is needed.
+        """
+        f = self.factor
+        counts = np.diff(f.indptr)
+        if counts.max(initial=0) > 2:
+            return None
+        first = f.indptr[:-1][counts == 2]
+        coupling = f.data[first] * f.data[first + 1]
+        return self.column_counts, f.indices[first], f.indices[first + 1], coupling
 
 
 def ata_oracle(matrix: RowOracleMatrix) -> GramOracle:

@@ -49,7 +49,6 @@ from .sparse_oracle import (
     from_dense,
     materialize,
     norm_bound,
-    principal_rows,
     to_csr,
 )
 
@@ -503,45 +502,28 @@ def _path_forest_bottom(
     return min(candidates, key=lambda c: c.lam)
 
 
-def _factor_path_sum(gram: GramOracle) -> _LeastPath | None:
-    """``_path_forest_bottom`` of F^T F read from the factor F, or None where F does not fix it.
-
-    The diagonal counts F's column nonzeros, and each row of F with two
-    entries, at columns u < v, puts the coupling F[r, u] F[r, v] = +-1
-    at (u, v).  That is all of F^T F when no row of F has three or more
-    entries and no two rows share both columns; a shared pair shows up
-    as a repeated edge, which the forest test refuses.  No product, no
-    transpose and no symmetry check is needed.
-    """
-    f = gram.factor
-    counts = np.diff(f.indptr)
-    if counts.max(initial=0) > 2:
-        return None
-    first = f.indptr[:-1][counts == 2]
-    return _path_forest_bottom(
-        gram.column_counts, f.indices[first], f.indices[first + 1], f.data[first] * f.data[first + 1]
-    )
-
-
 def _path_sum_bottom(a: csr_matrix | RowOracleMatrix) -> _LeastPath | None:
     """lambda_min of a symmetric integer A that is a direct sum of path blocks, and a block attaining it; None for any other A.
 
     The form is read from exact integer tests (``_path_forest_bottom``)
-    on a diagonal and a +-1 edge list.  A Gram held as its factor
-    (``GramOracle``) gives both from the factor (``_factor_path_sum``).
-    Any other row oracle, and a Gram whose factor does not fix the
-    reading, gives them from its CSR arrays, once they are checked to
-    equal their transpose; a CSR matrix is taken as symmetric.  Every
-    off-diagonal entry must then be +-1.
+    on a diagonal and a +-1 edge list.  A Gram held as its factor gives
+    both from the factor (``GramOracle.path_edges``).  Any other row
+    oracle, and a Gram whose factor does not fix the reading, gives them
+    from its CSR arrays, once they are checked to equal their transpose;
+    a CSR matrix is taken as symmetric.  Every off-diagonal entry must
+    then be +-1.
     """
     if isinstance(a, GramOracle):
-        least = _factor_path_sum(a)
+        edges = a.path_edges()
+        least = None if edges is None else _path_forest_bottom(*edges)
         if least is not None:
             return least
     if isinstance(a, RowOracleMatrix):
         a = _symmetric_csr(a)
-    row = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
-    upper = a.indices > row
+    # Rows in the indices' own dtype, and the upper entries gathered by
+    # position, keep the nnz-long temporaries small.
+    row = np.repeat(np.arange(a.shape[0], dtype=a.indices.dtype), np.diff(a.indptr))
+    upper = np.flatnonzero(a.indices > row)
     coupling = a.data[upper]
     if np.any((coupling != 1) & (coupling != -1)):
         return None
@@ -549,11 +531,13 @@ def _path_sum_bottom(a: csr_matrix | RowOracleMatrix) -> _LeastPath | None:
 
 
 def _path_block(least: _LeastPath, rows: np.ndarray, matrix: RowOracleMatrix) -> RowOracleMatrix:
-    """``principal_rows(matrix, rows)`` for the least block on ``rows``, written from its diagonal and edges.
+    """The principal block of ``matrix`` on ``rows``, the least block, written from its diagonal and edges.
 
     The entries of a path sum's component are its diagonal and the
     couplings of its own edges, so the block needs none of the matrix's
-    arrays; each row's columns come out sorted, as in the matrix.
+    arrays; each row's columns come out sorted, as in the matrix, and
+    the rows are renumbered 0..len(rows) - 1.  The declared d and k
+    carry over, and with them every parameter derived from them.
     """
     inside = least.labels[least.u] == least.component
     u, v = np.searchsorted(rows, least.u[inside]), np.searchsorted(rows, least.v[inside])
@@ -633,8 +617,8 @@ def _bottom_block_eigenpair(matrix: RowOracleMatrix) -> _BlockEigenpair:
     On a path sum the residual is taken on the block's rows, each row's
     sum rounded once (``_rounded_once_products``): A psi is exactly 0
     off a connected component, so that is the whole residual.  The
-    block of a Gram held as its factor is written from the recogniser's
-    edges (``_path_block``), so the Gram is never formed.
+    block is written from the recogniser's edges (``_path_block``), so
+    a Gram held as its factor is never formed.
     """
     from .simulator import _rounded_once_products  # deferred: simulator imports this module
 
@@ -642,10 +626,7 @@ def _bottom_block_eigenpair(matrix: RowOracleMatrix) -> _BlockEigenpair:
     if least is None:
         return _BlockEigenpair(*_certified_bottom(matrix), block=matrix, rows=None)
     rows = np.flatnonzero(least.labels == least.component)
-    if isinstance(matrix, GramOracle):
-        block = _path_block(least, rows, matrix)
-    else:
-        block = principal_rows(matrix, rows)
+    block = _path_block(least, rows, matrix)
     psi = _path_eigenvector(block, rows, least)
     product = _rounded_once_products(to_csr(block).astype(np.float64), psi)
     residual = float(np.linalg.norm(product - least.lam * psi))

@@ -31,7 +31,9 @@ the desk-scale sizes the tests use.
   adjacency assembled triplet by triplet from its definition, against
   ``from_entries``, the structured blocks, ``augmented_adjacency`` and
   ``ata_oracle``; a Gram's formed arrays rebuilt from triplets, whose
-  reading a Gram held as its factor must equal;
+  reading a Gram held as its factor must equal, and the principal rows
+  of a component cut from CSR slices, against the least block the
+  spectral routines write from a path sum's edges;
 * clock Hamiltonians: the dense 2^(n+T) sum of a compiled instance's
   terms and its least eigenvalue, and the indices of the legal clock
   strings in it, against the legal-clock block that ``ground_energy``
@@ -69,7 +71,7 @@ from gaplab.simulator import (
     run_circuit,
 )
 from gaplab import spectral
-from gaplab.sparse_oracle import GramOracle, RowOracleMatrix, from_entries, to_csr
+from gaplab.sparse_oracle import GramOracle, RowOracleMatrix, _index_arrays, from_entries, to_csr
 from gaplab.spectral import _require_hermitian, gram_bands
 
 
@@ -111,6 +113,33 @@ def coo_gram(a):
     return gram
 
 
+def principal_rows(matrix: RowOracleMatrix, rows: np.ndarray) -> RowOracleMatrix:
+    """The rows at ascending indices ``rows``, renumbered 0..len(rows) - 1, under the same contract.
+
+    Every entry of those rows must lie in a column among ``rows``, as
+    on a connected component of a symmetric pattern; ValueError
+    otherwise.  The rows are cut from ``indptr`` slices of the matrix's
+    own arrays, and the renumbering keeps each row's column order: the
+    reference for the least block ``spectral._path_block`` writes from
+    a path sum's edges.
+    """
+    starts = matrix.indptr[rows]
+    counts = matrix.indptr[rows + 1] - starts
+    indptr, _ = _index_arrays(counts)
+    entries = np.repeat(starts - indptr[:-1], counts) + np.arange(indptr[-1])
+    cols = matrix.indices[entries]
+    local = np.searchsorted(rows, cols)
+    if np.any(rows[np.minimum(local, len(rows) - 1)] != cols):
+        raise ValueError("the rows hold an entry outside their own columns")
+    return RowOracleMatrix(
+        indptr,
+        local,
+        matrix.data[entries],
+        sparsity_d=matrix.sparsity_d,
+        entry_bound_k=matrix.entry_bound_k,
+    )
+
+
 def explicit_gram(gram: RowOracleMatrix) -> RowOracleMatrix:
     """A Gram's formed arrays as a plain row oracle, built from their (i, j, value) triplets.
 
@@ -125,7 +154,8 @@ def assert_factor_reading_is_explicit(gram: GramOracle) -> None:
     """A Gram held as its factor reads as its formed arrays do, bit for bit.
 
     lambda_min, the least block's rows and arrays, the witness and its
-    residual equal those of ``explicit_gram(gram)``.  The product is
+    residual equal those of ``explicit_gram(gram)``, and the block
+    equals ``principal_rows`` of the formed arrays.  The product is
     formed exactly when the factor does not fix a path sum.
     """
 
@@ -134,16 +164,22 @@ def assert_factor_reading_is_explicit(gram: GramOracle) -> None:
 
     lam = spectral.min_eigenvalue_sparse(gram)
     pair = spectral._bottom_block_eigenpair(gram)
-    assert ("_product" in vars(gram)) == (spectral._factor_path_sum(gram) is None)
+    edges = gram.path_edges()
+    unread = edges is None or spectral._path_forest_bottom(*edges) is None
+    assert ("_product" in vars(gram)) == unread
     explicit = explicit_gram(gram)
     want = spectral._bottom_block_eigenpair(explicit)
     assert bits(lam) == bits(pair.lam) == bits(want.lam)
     assert bits(spectral.min_eigenvalue_sparse(explicit)) == bits(lam)
     assert (pair.rows is None) == (want.rows is None)
     assert pair.rows is None or np.array_equal(pair.rows, want.rows)
+    cut = want.block if want.rows is None else principal_rows(explicit, want.rows)
     for part in ("indptr", "indices", "data"):
         mine, theirs = getattr(pair.block, part), getattr(want.block, part)
         assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs), part
+        assert theirs.dtype == getattr(cut, part).dtype
+        assert np.array_equal(theirs, getattr(cut, part)), part
+    assert (pair.block.sparsity_d, pair.block.entry_bound_k) == (gram.sparsity_d, gram.entry_bound_k)
     assert bits(pair.psi) == bits(want.psi)
     assert bits(pair.residual) == bits(want.residual)
 

@@ -118,6 +118,16 @@ def test_ata_oracle_refuses_crowded_columns_and_drops_cancelled_entries():
     assert (gram.sparsity_d, gram.entry_bound_k) == (3, 2)
 
 
+def test_gram_repr_names_its_factor_and_forms_nothing():
+    gram = so.ata_oracle(so.path_adjacency(5))
+    assert repr(gram) == (
+        "GramOracle(dim=5, factor sparsity_d=2, sparsity_d=5, entry_bound_k=2, not formed)"
+    )
+    assert "_product" not in vars(gram)
+    so.to_csr(gram)
+    assert repr(gram).endswith(", formed)")
+
+
 def test_row_contract_names_the_first_offending_row():
     # Rows 0 and 1 are valid; row 2 breaks the contract, row 3 too.
     indptr = [0, 1, 3, 5, 7]
@@ -178,7 +188,7 @@ def test_principal_rows_cut_a_component():
     sizes = np.bincount(labels)
     for component in [int(sizes.argmax()), int(sizes.argmin()), *range(0, count, 97)]:
         rows = np.flatnonzero(labels == component)
-        block = so.principal_rows(gram, rows)
+        block = oracles.principal_rows(gram, rows)
         reference = a[rows][:, rows]  # scipy's fancy indexing keeps the column order
         for part in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(block, part), getattr(reference, part))
@@ -186,7 +196,7 @@ def test_principal_rows_cut_a_component():
         assert (block.sparsity_d, block.entry_bound_k) == (gram.sparsity_d, gram.entry_bound_k)
     rows = np.flatnonzero(labels == int(sizes.argmax()))
     with pytest.raises(ValueError, match="outside their own columns"):
-        so.principal_rows(gram, rows[:-1])
+        oracles.principal_rows(gram, rows[:-1])
 
 
 def test_materialize_respects_cap():
