@@ -402,25 +402,29 @@ def augmented_adjacency(machine: ReversibleTM, input_str: str) -> RowOracleMatri
 
 
 def _adjacency_arrays(succ: np.ndarray, s_idx: int, t_idx: int) -> tuple[np.ndarray, np.ndarray]:
-    """(indptr, indices) of ``augmented_adjacency``, written row slot by row slot.
+    """(indptr, indices) of ``augmented_adjacency`` for an audited (acyclic) successor array.
 
-    Each row has two candidate columns, -1 for none: the successor edge
-    (merged into the self-loop if a configuration steps to itself) and
-    the self-loop.  A row's last slot takes the larger, and a row with
-    both takes the smaller in its first slot, so the columns come out
-    sorted with no sort.  The dim-long temporaries die on return, before
-    the caller checks the row contract.
+    Row i holds i and its successor, so it counts 1 + (succ >= 0); the
+    start row drops the self-loop and may be empty, and the accept row
+    is the back edge alone.  Two scatters write min(succ, i) into each
+    row's first slot and then max(succ, i) into its last, so a halting
+    row's one slot ends at i.  The start row takes neither, since an
+    empty one would write into its neighbours' slots.  Every temporary
+    is in the index dtype, so the peak stays near the result's size.
     """
-    loop = np.arange(len(succ), dtype=np.int64)
-    loop[s_idx] = -1
-    edge = np.where(succ == loop, -1, succ)
-    edge[t_idx], loop[t_idx] = s_idx, -1
-    high, low = np.maximum(edge, loop), np.minimum(edge, loop)
-    filled = high >= 0
-    indptr, indices = _index_arrays(filled.astype(np.int8) + (low >= 0))
-    indices[indptr[1:][filled] - 1] = high[filled]
-    both = low >= 0
-    indices[indptr[:-1][both]] = low[both]
+    moves = succ >= 0
+    counts = moves.view(np.int8) + np.int8(1)
+    counts[s_idx], counts[t_idx] = moves[s_idx], 1
+    indptr, indices = _index_arrays(counts)
+    del moves, counts
+    rows = np.arange(len(succ), dtype=indices.dtype)
+    column = np.empty_like(rows)
+    for part in (slice(0, s_idx), slice(s_idx + 1, None)):
+        i, target, out = rows[part], succ[part], column[part]
+        indices[indptr[:-1][part]] = np.minimum(target, i, out=out)
+        indices[indptr[1:][part] - 1] = np.maximum(target, i, out=out)
+    indices[indptr[s_idx]:indptr[s_idx + 1]] = succ[s_idx]
+    indices[indptr[t_idx]] = s_idx
     return indptr, indices
 
 

@@ -169,7 +169,8 @@ def _index_arrays(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     dim, nnz = len(counts), int(counts.sum())
     index = _index_dtype(dim, nnz)
     indptr = np.zeros(dim + 1, dtype=index)
-    np.cumsum(counts, out=indptr[1:])
+    indptr[1:] = counts
+    np.cumsum(indptr[1:], out=indptr[1:])  # in place: no cast copy of narrow counts
     return indptr, np.empty(nnz, dtype=index)
 
 
@@ -233,7 +234,7 @@ class GramOracle(RowOracleMatrix):
     """The row oracle of A^T A, held as its checked factor A until its arrays are asked for.
 
     ``factor`` is A, a +-1 matrix with at most two nonzeros per column,
-    and ``column_counts`` those counts, which are the Gram's diagonal.
+    and ``column_counts`` those counts in int8, the Gram's diagonal.
     Construction checks both with one ``bincount`` of A's columns: a
     column with more than two nonzeros would put a diagonal entry above
     the declared bound 2, and is refused in the words of the contract
@@ -261,7 +262,7 @@ class GramOracle(RowOracleMatrix):
         if counts.max(initial=0) > 2:
             raise ContractError(f"row {int((counts > 2).argmax())} exceeds declared bound 2")
         object.__setattr__(self, "factor", factor)
-        object.__setattr__(self, "column_counts", counts)
+        object.__setattr__(self, "column_counts", counts.astype(np.int8))
         object.__setattr__(self, "sparsity_d", min(factor.dim, 4 * factor.sparsity_d))
         object.__setattr__(self, "entry_bound_k", 2)
 

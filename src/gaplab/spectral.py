@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import pi, prod, sin
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -428,8 +428,8 @@ class _LeastPath:
     vertex), "constant" (a path with both ends 1), "cos" (one end 1) or
     "sin" (no end 1).  The arrays are the recogniser's own, so finding
     the block costs no more than its lambda_min: the diagonal, each
-    vertex's degree and component label, and the edges (u, v) with
-    their +-1 couplings.
+    vertex's degree and component label.  ``edges`` gives the edges
+    (u, v) with their +-1 couplings, read only when the block is written.
     """
 
     lam: float
@@ -438,19 +438,19 @@ class _LeastPath:
     labels: np.ndarray
     degree: np.ndarray
     diag: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    coupling: np.ndarray
+    edges: Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 def _path_forest_bottom(
-    diag: np.ndarray, u: np.ndarray, v: np.ndarray, coupling: np.ndarray
+    diag: np.ndarray, degree: np.ndarray, components: tuple[int, np.ndarray], edges: Callable
 ) -> _LeastPath | None:
     """lambda_min of the symmetric matrix with this diagonal and +-1 edges, if it is a path sum.
 
-    Each edge (u, v) stands for the two entries at (u, v) and (v, u).
-    No vertex may have more than two neighbours, and the edges must
-    number dim - #components, so they form a forest of paths.  A
+    ``degree`` counts each vertex's edges and ``components`` is the
+    (count, labels) of their connected components; ``edges`` is kept
+    for the block's writer.  No vertex may have more than two
+    neighbours, and the edges must number dim - #components, so they
+    form a forest of paths.  A
     degree-2 (interior) vertex has diagonal 2, a degree-1 (end) vertex
     diagonal 1 or 2, and an isolated vertex diagonal d >= 0.  The signs
     do not matter: on a tree a diagonal +-1 similarity flips any edge.
@@ -462,27 +462,20 @@ def _path_forest_bottom(
     passing the tests is the certification, and only the longest path
     of each kind is evaluated.  None when a test fails.
     """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    n = len(diag)
-    degree = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
+    count, labels = components
     if degree.max(initial=0) > 2:
         return None
     # An end's diagonal is 1 or 2, an interior one 2, an isolated one d >= 0.
     if np.any(diag < degree) or np.any((diag > 2) & (degree > 0)):
         return None
-    # The graph routines convert to float64, so ones of that type skip a copy.
-    graph = csr_matrix((np.ones(len(u)), (u, v)), shape=(n, n))
-    count, labels = connected_components(graph, connection="weak")
-    if len(u) != n - count:  # some component holds a cycle, or a repeated edge
+    if degree.sum() != 2 * (len(diag) - count):  # a component holds a cycle, or a repeated edge
         return None
     size = np.bincount(labels)
     ends_one = np.bincount(labels[(degree == 1) & (diag == 1)], minlength=count)
     path = size > 1
 
     def least(lam: float, kind: str, component) -> _LeastPath:
-        return _LeastPath(lam, kind, int(component), labels, degree, diag, u, v, coupling)
+        return _LeastPath(lam, kind, int(component), labels, degree, diag, edges)
 
     laplacians = np.flatnonzero(path & (ends_one == 2))
     if laplacians.size:
@@ -502,32 +495,62 @@ def _path_forest_bottom(
     return min(candidates, key=lambda c: c.lam)
 
 
+def _edge_list_bottom(
+    diag: np.ndarray, u: np.ndarray, v: np.ndarray, coupling: np.ndarray
+) -> _LeastPath | None:
+    """``_path_forest_bottom`` on the edges (u, v): degrees by ``bincount``, weak components."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    n = len(diag)
+    degree = np.bincount(u, minlength=n)
+    degree += np.bincount(v, minlength=n)
+    # The graph routines convert to float64, so ones of that type skip a copy.
+    graph = csr_matrix((np.ones(len(u)), (u, v)), shape=(n, n))
+    components = connected_components(graph, connection="weak")
+    return _path_forest_bottom(diag, degree, components, lambda: (u, v, coupling))
+
+
 def _path_sum_bottom(a: csr_matrix | RowOracleMatrix) -> _LeastPath | None:
     """lambda_min of a symmetric integer A that is a direct sum of path blocks, and a block attaining it; None for any other A.
 
-    The form is read from exact integer tests (``_path_forest_bottom``)
-    on a diagonal and a +-1 edge list.  A Gram held as its factor gives
-    both from the factor (``GramOracle.path_edges``).  Any other row
-    oracle, and a Gram whose factor does not fix the reading, gives them
-    from its CSR arrays, once they are checked to equal their transpose;
-    a CSR matrix is taken as symmetric.  Every off-diagonal entry must
-    then be +-1.
+    The form is read from exact integer tests (``_path_forest_bottom``).
+    A Gram held as its factor gives its diagonal and edges from the
+    factor (``GramOracle.path_edges``).  Any other row oracle, and a
+    Gram whose factor does not fix the reading, is read from its CSR
+    arrays once they are checked to equal their transpose; a CSR matrix
+    is taken as symmetric.  Every off-diagonal entry must then be +-1;
+    a degree is a row's length less its diagonal entry, and the
+    components are the strong ones of the matrix's own pattern, which
+    on a symmetric pattern are the connected ones: no transpose.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     if isinstance(a, GramOracle):
         edges = a.path_edges()
-        least = None if edges is None else _path_forest_bottom(*edges)
+        least = None if edges is None else _edge_list_bottom(*edges)
         if least is not None:
             return least
     if isinstance(a, RowOracleMatrix):
         a = _symmetric_csr(a)
-    # Rows in the indices' own dtype, and the upper entries gathered by
-    # position, keep the nnz-long temporaries small.
-    row = np.repeat(np.arange(a.shape[0], dtype=a.indices.dtype), np.diff(a.indptr))
-    upper = np.flatnonzero(a.indices > row)
-    coupling = a.data[upper]
-    if np.any((coupling != 1) & (coupling != -1)):
+    n, nnz = a.shape[0], a.nnz
+    diag = a.diagonal()
+    loops = np.count_nonzero(diag)  # the row contract stores no zeros
+    unit = np.count_nonzero(a.data == 1) + np.count_nonzero(a.data == -1)
+    if unit - np.count_nonzero(np.abs(diag) == 1) != nnz - loops:
         return None
-    return _path_forest_bottom(a.diagonal(), row[upper], a.indices[upper], coupling)
+    # The graph routines convert to float64, so ones of that type skip a copy.
+    pattern = csr_matrix((np.ones(nnz), a.indices, a.indptr), shape=(n, n))
+    components = connected_components(pattern, connection="strong")
+    degree = np.diff(a.indptr) - (diag != 0)
+
+    def edges():  # the upper entries; rows in the indices' dtype keep the temporaries small
+        row = np.repeat(np.arange(n, dtype=a.indices.dtype), np.diff(a.indptr))
+        upper = np.flatnonzero(a.indices > row)
+        return row[upper], a.indices[upper], a.data[upper]
+
+    return _path_forest_bottom(diag, degree, components, edges)
 
 
 def _path_block(least: _LeastPath, rows: np.ndarray, matrix: RowOracleMatrix) -> RowOracleMatrix:
@@ -539,9 +562,10 @@ def _path_block(least: _LeastPath, rows: np.ndarray, matrix: RowOracleMatrix) ->
     the rows are renumbered 0..len(rows) - 1.  The declared d and k
     carry over, and with them every parameter derived from them.
     """
-    inside = least.labels[least.u] == least.component
-    u, v = np.searchsorted(rows, least.u[inside]), np.searchsorted(rows, least.v[inside])
-    coupling = least.coupling[inside]
+    u, v, coupling = least.edges()
+    inside = least.labels[u] == least.component
+    u, v = np.searchsorted(rows, u[inside]), np.searchsorted(rows, v[inside])
+    coupling = coupling[inside]
     diag = least.diag[rows]
     loops = np.flatnonzero(diag)
     i, j = np.concatenate((loops, u, v)), np.concatenate((loops, v, u))
@@ -549,7 +573,7 @@ def _path_block(least: _LeastPath, rows: np.ndarray, matrix: RowOracleMatrix) ->
     return RowOracleMatrix(
         np.concatenate(([0], np.cumsum(np.bincount(i, minlength=len(rows))))),
         j[order],
-        np.concatenate((diag[loops], coupling, coupling))[order],
+        np.concatenate((diag[loops], coupling, coupling), dtype=np.int64)[order],
         sparsity_d=matrix.sparsity_d,
         entry_bound_k=matrix.entry_bound_k,
     )

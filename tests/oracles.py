@@ -28,12 +28,14 @@ the desk-scale sizes the tests use.
   ``_audit``;
 * CSR construction: the COO-to-CSR route through scipy that built row
   oracles before they were written as arrays, and the augmented
-  adjacency assembled triplet by triplet from its definition, against
-  ``from_entries``, the structured blocks, ``augmented_adjacency`` and
-  ``ata_oracle``; a Gram's formed arrays rebuilt from triplets, whose
-  reading a Gram held as its factor must equal, and the principal rows
-  of a component cut from CSR slices, against the least block the
-  spectral routines write from a path sum's edges;
+  adjacency assembled triplet by triplet from its definition, by
+  stepping the machine or from a successor array, against
+  ``from_entries``, the structured blocks, ``augmented_adjacency``,
+  ``_adjacency_arrays`` and ``ata_oracle``; a Gram's formed arrays
+  rebuilt from triplets, whose reading a Gram held as its factor must
+  equal, and the principal rows of a component cut from CSR slices,
+  against the least block the spectral routines write from a path
+  sum's edges;
 * clock Hamiltonians: the dense 2^(n+T) sum of a compiled instance's
   terms and its least eigenvalue, and the indices of the legal clock
   strings in it, against the legal-clock block that ``ground_energy``
@@ -165,7 +167,7 @@ def assert_factor_reading_is_explicit(gram: GramOracle) -> None:
     lam = spectral.min_eigenvalue_sparse(gram)
     pair = spectral._bottom_block_eigenpair(gram)
     edges = gram.path_edges()
-    unread = edges is None or spectral._path_forest_bottom(*edges) is None
+    unread = edges is None or spectral._edge_list_bottom(*edges) is None
     assert ("_product" in vars(gram)) == unread
     explicit = explicit_gram(gram)
     want = spectral._bottom_block_eigenpair(explicit)
@@ -203,6 +205,26 @@ def adjacency_triplets(machine: ReversibleTM, input_str: str) -> list[tuple[int,
         if nxt is not None:
             entries.add((i, rtm.encode_configuration(machine, nxt)))
     return sorted((i, j, 1) for i, j in entries)
+
+
+def successor_adjacency(succ: np.ndarray, s_idx: int, t_idx: int) -> tuple[np.ndarray, np.ndarray]:
+    """The augmented adjacency's (indptr, indices) from a successor array, by its definition.
+
+    A self-loop on every row but the start's, and the successor edge
+    (where one exists) on every row but the accept's, whose row holds
+    only the back edge (accept, start); assembled through scipy's COO
+    route, against ``rtm._adjacency_arrays``.
+    """
+    entries = {(t_idx, s_idx)}
+    for i, j in enumerate(succ.tolist()):
+        if i == t_idx:
+            continue
+        if i != s_idx:
+            entries.add((i, i))
+        if j >= 0:
+            entries.add((i, j))
+    a = coo_csr(len(succ), [(i, j, 1) for i, j in entries])
+    return a.indptr, a.indices
 
 
 # ---------------------------------------------------------------------------

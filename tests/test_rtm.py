@@ -195,6 +195,53 @@ def test_augmented_adjacency_row_structure():
         assert kinds == {True, False}, name  # an accepting and a rejecting input
 
 
+@st.composite
+def injective_chains(draw):
+    """Injective acyclic successor arrays on 2-9 configurations: a shuffled order cut into chains."""
+    dim = draw(st.integers(2, 9))
+    order = draw(st.permutations(range(dim)))
+    links = draw(st.lists(st.booleans(), min_size=dim, max_size=dim))
+    succ = np.full(dim, -1, dtype=np.int64)
+    for a, b, linked in zip(order, order[1:], links):
+        if linked:
+            succ[a] = b
+    return succ
+
+
+@settings(max_examples=80, deadline=None)
+@given(injective_chains())
+@example(np.full(3, -1))  # every start halts: an empty row at 0, in the middle and at dim - 1
+@example(np.array([1, 2, -1]))  # one chain: starts that step, into the accept and next to it
+@example(np.array([-1, 0, -1, 2]))
+def test_adjacency_arrays_match_the_definition(succ):
+    for t_idx in np.flatnonzero(succ < 0).tolist():
+        for s_idx in range(len(succ)):
+            if s_idx == t_idx:
+                continue
+            got = rtm._adjacency_arrays(succ, s_idx, t_idx)
+            want = oracles.successor_adjacency(succ, s_idx, t_idx)
+            for mine, theirs in zip(got, want):
+                assert mine.dtype == theirs.dtype, (s_idx, t_idx)
+                assert np.array_equal(mine, theirs), (succ, s_idx, t_idx)
+
+
+def test_adjacency_arrays_peak_memory_stays_near_the_result():
+    machine = rtm.with_space(rtm.corpus_machine("unary_counter"), 7)
+    succ = rtm.successors(machine)
+    s_idx, t_idx = (
+        rtm.encode_configuration(machine, config(machine, "11"))
+        for config in (rtm.start_configuration, rtm.accept_configuration)
+    )
+    tracemalloc.start()
+    try:
+        indptr, indices = rtm._adjacency_arrays(succ, s_idx, t_idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    result = indptr.nbytes + indices.nbytes
+    assert peak <= 3.5 * result, (peak, result)
+
+
 def test_reduction_determinant_tracks_acceptance():
     machine = rtm.corpus_machine("unary_counter")
     accept = rtm.reduce_to_gapped(machine, "11")
