@@ -28,7 +28,7 @@ import operator
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -54,12 +54,14 @@ class RowOracleMatrix:
     ``indptr`` and ``indices`` are stored in the index dtype scipy keeps
     for the matrix's size (int32 while dim and nnz fit), so the CSR
     view ``csr`` wraps them and ``data`` (int64, required) without a
-    copy.  Every row holds at most ``sparsity_d`` entries, sorted by
-    column, nonzero and at most ``entry_bound_k`` in magnitude.
-    Construction checks all of it and raises ContractError naming the
-    first offending row.  The arrays are shared by every caller of
-    ``to_csr``, which must not modify them in place.  Equality is
-    identity.
+    copy.  ``data`` may be a read-only view: a 0/1 pattern's is one
+    zero-stride int64 one (``_ones``), whose ``nbytes`` still reports
+    8 bytes per entry though it holds one.  Every row holds at most
+    ``sparsity_d`` entries, sorted by column, nonzero and at most
+    ``entry_bound_k`` in magnitude.  Construction checks all of it and
+    raises ContractError naming the first offending row.  The arrays
+    are shared by every caller of ``to_csr``, which must not modify
+    them in place.  Equality is identity.
     """
 
     indptr: np.ndarray
@@ -153,10 +155,26 @@ def materialize(matrix: RowOracleMatrix) -> np.ndarray:
     return dense
 
 
+def pattern_ones(n: int, dtype: type = np.float64) -> np.ndarray:
+    """n ones as one read-only, zero-stride view of a single scalar: a pattern's values in 8 bytes.
+
+    The default is float64, the type scipy's graph routines convert a
+    CSR matrix's values to, so a graph built on these is read as it
+    stands.  ``nbytes`` reports n times the item size all the same.
+    """
+    return np.broadcast_to(dtype(1), (n,))
+
+
 def _ones(indptr: np.ndarray, indices: np.ndarray) -> RowOracleMatrix:
-    """0/1 row oracle with a one at each listed column, at most two per row."""
+    """0/1 row oracle with a one at each listed column, at most two per row.
+
+    ``data`` is ``pattern_ones`` in int64: read-only and zero-stride,
+    so the oracle keeps its index arrays and no nnz-long buffer of
+    ones; its ``nbytes`` overstates it.  The row contract checks it
+    like any other.
+    """
     return RowOracleMatrix(
-        indptr, indices, np.ones(len(indices), dtype=np.int64), sparsity_d=2, entry_bound_k=1
+        indptr, indices, pattern_ones(len(indices), np.int64), sparsity_d=2, entry_bound_k=1
     )
 
 
@@ -291,8 +309,10 @@ class GramOracle(RowOracleMatrix):
             f" sparsity_d={self.sparsity_d}, entry_bound_k={self.entry_bound_k}, {formed})"
         )
 
-    def path_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
-        """A^T A as (diagonal, u, v, coupling) read from A, or None where A does not fix it.
+    def path_edges(
+        self,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, Callable[[], np.ndarray]] | None:
+        """A^T A as (diagonal, u, v, couplings) read from A, or None where A does not fix it.
 
         The diagonal is A's column counts, and each row of A with two
         entries, at columns u < v, puts the coupling A[r, u] A[r, v] =
@@ -301,14 +321,20 @@ class GramOracle(RowOracleMatrix):
         columns; a shared pair comes out as a repeated edge, whose
         couplings A^T A adds, so a caller must refuse repeated edges.
         No product, no transpose and no symmetry check is needed.
+        ``couplings`` forms the int64 couplings when it is called, which
+        only the writer of a witness block does: lambda_min reads the
+        pattern alone, and A's ``data`` may be a zero-stride view.
         """
         f = self.factor
         counts = np.diff(f.indptr)
         if counts.max(initial=0) > 2:
             return None
         first = f.indptr[:-1][counts == 2]
-        coupling = f.data[first] * f.data[first + 1]
-        return self.column_counts, f.indices[first], f.indices[first + 1], coupling
+
+        def couplings() -> np.ndarray:
+            return f.data[first] * f.data[first + 1]
+
+        return self.column_counts, f.indices[first], f.indices[first + 1], couplings
 
 
 def ata_oracle(matrix: RowOracleMatrix) -> GramOracle:

@@ -49,6 +49,7 @@ from .sparse_oracle import (
     from_dense,
     materialize,
     norm_bound,
+    pattern_ones,
     to_csr,
 )
 
@@ -195,9 +196,8 @@ def det_bareiss_sparse(matrix: RowOracleMatrix) -> int:
         return 0
 
     def digraph(indices: np.ndarray, indptr: np.ndarray) -> csr_matrix:
-        # The graph routines convert to float64 first; ones of that type skip a copy.
         m = len(indptr) - 1
-        return csr_matrix((np.ones(len(indices)), indices, indptr), shape=(m, m))
+        return csr_matrix((pattern_ones(len(indices)), indices, indptr), shape=(m, m))
 
     moved = np.flatnonzero(match != np.arange(n))
     k = len(moved)
@@ -496,19 +496,25 @@ def _path_forest_bottom(
 
 
 def _edge_list_bottom(
-    diag: np.ndarray, u: np.ndarray, v: np.ndarray, coupling: np.ndarray
+    diag: np.ndarray, u: np.ndarray, v: np.ndarray, couplings: Callable[[], np.ndarray]
 ) -> _LeastPath | None:
-    """``_path_forest_bottom`` on the edges (u, v): degrees by ``bincount``, weak components."""
+    """``_path_forest_bottom`` on the edges (u, v): degrees by ``bincount``, weak components.
+
+    The degrees are held in int8: each vertex is a column of a Gram's
+    factor, and its edges are among the at most two rows of that column.
+    The edge graph is dropped before the forest tests, and the couplings
+    are formed only for the block's writer.
+    """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
     n = len(diag)
-    degree = np.bincount(u, minlength=n)
+    degree = np.bincount(u, minlength=n).astype(np.int8)
     degree += np.bincount(v, minlength=n)
-    # The graph routines convert to float64, so ones of that type skip a copy.
-    graph = csr_matrix((np.ones(len(u)), (u, v)), shape=(n, n))
+    graph = csr_matrix((pattern_ones(len(u)), (u, v)), shape=(n, n))
     components = connected_components(graph, connection="weak")
-    return _path_forest_bottom(diag, degree, components, lambda: (u, v, coupling))
+    del graph
+    return _path_forest_bottom(diag, degree, components, lambda: (u, v, couplings()))
 
 
 def _path_sum_bottom(a: csr_matrix | RowOracleMatrix) -> _LeastPath | None:
@@ -540,8 +546,7 @@ def _path_sum_bottom(a: csr_matrix | RowOracleMatrix) -> _LeastPath | None:
     unit = np.count_nonzero(a.data == 1) + np.count_nonzero(a.data == -1)
     if unit - np.count_nonzero(np.abs(diag) == 1) != nnz - loops:
         return None
-    # The graph routines convert to float64, so ones of that type skip a copy.
-    pattern = csr_matrix((np.ones(nnz), a.indices, a.indptr), shape=(n, n))
+    pattern = csr_matrix((pattern_ones(nnz), a.indices, a.indptr), shape=(n, n))
     components = connected_components(pattern, connection="strong")
     degree = np.diff(a.indptr) - (diag != 0)
 

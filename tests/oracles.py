@@ -42,12 +42,15 @@ the desk-scale sizes the tests use.
   solves;
 * fixtures: row listing, the identity oracle, a machine's JSON form
   (the inverse of ``rtm.machine_from_dict``), random circuits, the
-  named verifier set and the clock history state.
+  named verifier set, the clock history state and the tracemalloc
+  peak of one call.
 """
 
 from __future__ import annotations
 
+import tracemalloc
 from math import sqrt
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -810,3 +813,22 @@ def legal_clock_indices(circuit_qubits: int, gate_count: int) -> np.ndarray:
     """Dense indices of |1^t 0^(T-t)> (x) |x>, in the legal block's order t 2^n + x."""
     clocks = (1 << np.arange(gate_count + 1)) - 1
     return ((clocks[:, None] << circuit_qubits) | np.arange(2**circuit_qubits)).ravel()
+
+
+# ---------------------------------------------------------------------------
+# memory
+
+
+def traced_peak(fn: Callable[[], object]) -> tuple[object, int]:
+    """(fn(), the tracemalloc peak in bytes while it ran).
+
+    Only what the call allocates through Python's and numpy's
+    allocators counts, not what was live before it; tracing stops
+    even when the call raises.
+    """
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import time
-import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -401,13 +400,9 @@ def test_amplify_memory_does_not_grow_with_the_register(capsys):
     # number of scalar terms, whatever the register size.
     c, s = 0.5 + 2.0**-21, 0.5 - 2.0**-21
     for p, want in ((c, "YES"), (s, "NO")):
-        tracemalloc.start()
-        try:
-            code, out = run_cli(capsys, "amplify", "--p", repr(p),
-                                "--completeness", repr(c), "--soundness", repr(s))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (code, out), peak = oracles.traced_peak(lambda: run_cli(
+            capsys, "amplify", "--p", repr(p), "--completeness", repr(c), "--soundness", repr(s)
+        ))
         assert code == 0
         payload = json.loads(out)
         assert payload["register_bits"] == 26

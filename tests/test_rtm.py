@@ -2,7 +2,6 @@
 
 import itertools
 import json
-import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -232,14 +231,42 @@ def test_adjacency_arrays_peak_memory_stays_near_the_result():
         rtm.encode_configuration(machine, config(machine, "11"))
         for config in (rtm.start_configuration, rtm.accept_configuration)
     )
-    tracemalloc.start()
-    try:
-        indptr, indices = rtm._adjacency_arrays(succ, s_idx, t_idx)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (indptr, indices), peak = oracles.traced_peak(
+        lambda: rtm._adjacency_arrays(succ, s_idx, t_idx)
+    )
     result = indptr.nbytes + indices.nbytes
     assert peak <= 3.5 * result, (peak, result)
+
+
+def _space_7_reduction() -> rtm.GappedInstance:
+    """``unary_counter`` on 11 at space 7, the instance the memory guards trace.
+
+    The adjacency's data must be zero-stride: ``nbytes`` reports nnz x 8
+    on such a view, so only the stride shows that no ones are stored.
+    """
+    instance = rtm.reduce_to_gapped(rtm.with_space(rtm.corpus_machine("unary_counter"), 7), "11")
+    assert instance.adjacency.data.strides == (0,)
+    return instance
+
+
+def _index_bytes(matrix: so.RowOracleMatrix) -> int:
+    return matrix.indptr.nbytes + matrix.indices.nbytes
+
+
+def test_det_peak_memory_stays_near_the_adjacency_indices():
+    adjacency = _space_7_reduction().adjacency
+    sp.det_exact(adjacency)  # a first call imports scipy's graph routines, traced as well
+    det, peak = oracles.traced_peak(lambda: sp.det_exact(adjacency))
+    assert det == -1
+    assert peak <= 3 * _index_bytes(adjacency), (peak, _index_bytes(adjacency))
+
+
+def test_lambda_min_peak_memory_stays_near_the_adjacency_indices():
+    instance = _space_7_reduction()
+    sp.min_eigenvalue_sparse(instance.gram)
+    lam, peak = oracles.traced_peak(lambda: sp.min_eigenvalue_sparse(instance.gram))
+    assert lam >= 2.0 ** -instance.g
+    assert peak <= 3.5 * _index_bytes(instance.adjacency), (peak, _index_bytes(instance.adjacency))
 
 
 def test_reduction_determinant_tracks_acceptance():
@@ -386,12 +413,7 @@ def test_successors_match_the_decoded_reference(name):
 def test_successors_peak_memory_stays_near_the_result():
     machine = rtm.with_space(rtm.corpus_machine("unary_counter"), 8)
     assert machine.dim == 262_440
-    tracemalloc.start()
-    try:
-        succ = rtm.successors(machine)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    succ, peak = oracles.traced_peak(lambda: rtm.successors(machine))
     assert peak < 2 * succ.nbytes, (peak, succ.nbytes)
 
 

@@ -1,13 +1,14 @@
 """Row-oracle contracts, constructors, and instance loading."""
 
 import json
+from math import ceil, log2
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaplab import rtm, sparse_oracle as so
+from gaplab import protocols as pr, rtm, sparse_oracle as so, spectral as sp
 from gaplab.errors import ContractError, ResourceLimitError
 
 import oracles
@@ -369,3 +370,54 @@ def test_oracle_keeps_index_arrays_in_scipys_dtype():
     _assert_view_of(wide, oracles.coo_csr(3, [(i, i, 1) for i in range(3)]))
     assert so._index_dtype(2**31 - 1, 2**31 - 1) == np.int32
     assert so._index_dtype(2**31, 1) == so._index_dtype(1, 2**31) == np.int64
+
+
+# ---------------------------------------------------------------------------
+# a pattern's data is one zero-stride one, read by every consumer as a copy of ones
+
+
+def _reduction_adjacency(x: str) -> so.RowOracleMatrix:
+    return rtm.reduce_to_gapped(rtm.with_space(rtm.corpus_machine("unary_counter"), 4), x).adjacency
+
+
+@pytest.mark.parametrize("make", [
+    lambda: so.path_adjacency(1),
+    lambda: so.path_adjacency(9),
+    lambda: so.cycle_adjacency(3),
+    lambda: so.cycle_adjacency(9),
+    lambda: _reduction_adjacency("11"),
+    lambda: _reduction_adjacency("1"),
+], ids=["path-1", "path-9", "cycle-3", "cycle-9", "reduction-accepts", "reduction-rejects"])
+def test_pattern_data_reads_as_a_contiguous_copy_of_ones(make):
+    adjacency = make()
+    assert adjacency.data.strides == (0,)
+    with pytest.raises(ValueError):
+        so.to_csr(adjacency).data[0] = 2
+    copy = so.RowOracleMatrix(
+        adjacency.indptr, adjacency.indices, np.ones(len(adjacency.indices), dtype=np.int64),
+        adjacency.sparsity_d, adjacency.entry_bound_k,
+    )
+
+    def bits(x) -> bytes:
+        return np.asarray(x, dtype=np.float64).tobytes()
+
+    def readings(oracle: so.RowOracleMatrix) -> tuple:
+        gram = so.ata_oracle(oracle)
+        g = ceil(-log2(sp.min_eigenvalue_bound(oracle.dim)))
+        lam, psi, residual = sp.bottom_eigenpair(gram)
+        read = (
+            sp.det_exact(oracle),
+            so.materialize(oracle).tobytes(),
+            so.norm_bound(oracle),
+            bits(sp.min_eigenvalue_sparse(gram)),
+            bits(lam),
+            psi.dtype,
+            psi.tobytes(),
+            bits(residual),
+            repr(pr.decide_gapped(gram, g)),
+        )
+        # The readings above never form the product; its arrays come last.
+        formed = tuple((part.dtype, part.tobytes()) for part in (gram.indptr, gram.indices, gram.data))
+        return read + formed + (sp.det_exact(gram),)
+
+    assert readings(adjacency) == readings(copy)
