@@ -242,18 +242,18 @@ def _cmd_energy(args) -> tuple[dict, int]:
     with open(args.instance, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if isinstance(data, dict) and "terms" in data:
-        dense = protocols.PreciseLHInstance.from_dict(data).materialize()
-        truth = protocols.ground_energy(dense)
+        instance = protocols.PreciseLHInstance.from_dict(data).materialize()
+        truth = protocols.ground_energy(instance)
     else:  # read from the path, so a machine path resolves against the file's directory
         # A machine reduction is read as its Gram, as `verify --instance` reads it,
-        # and checked against its closed-form lambda_min instead of a dense solve.
-        matrix, g = sparse_oracle.load_gapped_instance(args.instance)
-        dense = sparse_oracle.materialize(matrix)
+        # and checked against its closed-form lambda_min instead of a dense solve;
+        # the bisection reads the oracle's own rows either way.
+        instance, g = sparse_oracle.load_gapped_instance(args.instance)
         if g is None:
-            truth = protocols.ground_energy(dense)
+            truth = protocols.ground_energy(sparse_oracle.materialize(instance))
         else:
-            truth = spectral.min_eigenvalue_sparse(matrix)
-    estimate = protocols.binary_search_energy(dense, args.bits)
+            truth = spectral.min_eigenvalue_sparse(instance)
+    estimate = protocols.binary_search_energy(instance, args.bits)
     payload = _with_seed(
         args,
         {

@@ -50,7 +50,7 @@ from .sparse_oracle import (
     materialize,
     norm_bound,
 )
-from .spectral import _bottom_block_eigenpair, _rcm_band, _require_hermitian
+from .spectral import _bottom_block_eigenpair, _rcm_band, _require_hermitian, _symmetric_csr
 from .simulator import (
     DENSE_QUBIT_CAP,
     QuantumCircuit,
@@ -1081,33 +1081,48 @@ def binary_search_energy(instance, bits: int) -> float:
     Each step asks whether lambda_min(H) > mu, and answers it by
     whether the Cholesky factorization of H - mu I exists, which it does
     exactly when H - mu I is positive definite; no eigenvalue is
-    computed.  H is the matrix ``_hamiltonian`` gives, the legal-clock
-    block for a compiled clock instance.  The factorization is banded: H
-    is taken once into the reverse Cuthill-McKee order of its pattern, a
-    permutation similarity that leaves definiteness alone, and on the
-    clock Hamiltonians its band is a few entries wide, so a step costs
-    O(dim * band^2) rather than O(dim^3).  The bracket starts as the
-    Gershgorin interval, halves each step, and the midpoint of the
-    final bracket is returned.
+    computed.  A row oracle is H as it stands: its CSR arrays once they
+    are checked symmetric (a Gram held as its factor is its product,
+    symmetric by construction), with its Gershgorin interval read from
+    its rows in exact integers, so no dense copy is made.  Any other
+    instance is the matrix ``_hamiltonian`` gives, the legal-clock block
+    for a compiled clock instance.  The factorization is banded: H is
+    taken once into the reverse Cuthill-McKee order of its pattern, a
+    permutation similarity that leaves definiteness alone.  Its band is
+    a few entries wide on the clock Hamiltonians and one on the corpus
+    reductions' Grams, so a step costs O(dim * band^2) rather than
+    O(dim^3), and each step factors one reused work array in place.
+    The bracket starts as the Gershgorin interval, halves each step,
+    and the midpoint of the final bracket is returned.
     """
     from scipy.linalg import cholesky_banded
     from scipy.sparse import csr_matrix
 
     if bits < 1 or bits > ENERGY_BITS_CAP:
         raise ContractError(f"bits must be in 1..{ENERGY_BITS_CAP}, got {bits}")
-    dense = _hamiltonian(instance)
-    herm = (dense + dense.conj().T) / 2
-    radii = np.sum(np.abs(herm), axis=1) - np.abs(np.diag(herm))
-    lo = float(np.min(np.diag(herm).real - radii))
-    hi = float(np.max(np.diag(herm).real + radii))
-    band, _ = _rcm_band(csr_matrix(herm))
+    if isinstance(instance, RowOracleMatrix):
+        h = _symmetric_csr(instance)
+        diag = h.diagonal()
+        sums = np.concatenate(([0], np.cumsum(np.abs(h.data))))  # |h|'s row sums as differences
+        radii = sums[h.indptr[1:]] - sums[h.indptr[:-1]] - np.abs(diag)
+        lo, hi = float(np.min(diag - radii)), float(np.max(diag + radii))
+        del diag, sums, radii  # dim- and nnz-long, freed before the band is built
+    else:
+        dense = _hamiltonian(instance)
+        herm = (dense + dense.conj().T) / 2
+        radii = np.sum(np.abs(herm), axis=1) - np.abs(np.diag(herm))
+        lo = float(np.min(np.diag(herm).real - radii))
+        hi = float(np.max(np.diag(herm).real + radii))
+        h = csr_matrix(herm)
+    band, _ = _rcm_band(h)
+    work = np.empty_like(band)
     target = 2.0**-bits
     while hi - lo > target:
         mid = (lo + hi) / 2
-        shifted = band.copy()
-        shifted[0] -= mid
+        work[...] = band
+        work[0] -= mid
         try:
-            cholesky_banded(shifted, overwrite_ab=True, lower=True, check_finite=False)
+            cholesky_banded(work, overwrite_ab=True, lower=True, check_finite=False)
         except np.linalg.LinAlgError:
             hi = mid
         else:

@@ -145,12 +145,12 @@ def norm_bound(matrix: RowOracleMatrix) -> int:
     return matrix.entry_bound_k * matrix.sparsity_d
 
 
-def materialize(matrix: RowOracleMatrix) -> np.ndarray:
-    """Expand an oracle to a dense int64 array, refused above DENSE_CAP rows."""
+def materialize(matrix: RowOracleMatrix, dtype: type = np.int64) -> np.ndarray:
+    """Expand an oracle to a dense array of ``dtype``, refused above DENSE_CAP rows."""
     dim = matrix.dim
     if dim > DENSE_CAP:
         raise ResourceLimitError(f"dim {dim} exceeds dense materialization cap {DENSE_CAP}")
-    dense = np.zeros((dim, dim), dtype=np.int64)
+    dense = np.zeros((dim, dim), dtype=dtype)
     dense[np.repeat(np.arange(dim), np.diff(matrix.indptr)), matrix.indices] = matrix.data
     return dense
 

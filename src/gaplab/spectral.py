@@ -90,7 +90,8 @@ def _rcm_band(a: csr_matrix) -> tuple[np.ndarray, np.ndarray]:
 
     band[i - j, j] = (P A P^T)[i, j] for 0 <= i - j <= lo, the form
     ``cholesky_banded`` reads with ``lower=True``, in float64
-    (complex128 for complex A).  A must be a canonical CSR matrix with a
+    (complex128 for complex A) and in Fortran order, which LAPACK
+    factors in place.  A must be a canonical CSR matrix with a
     symmetric pattern: the order is reverse Cuthill-McKee on that
     pattern as it stands, and each stored entry goes straight to its
     band slot through the inverse permutation, so no permuted copy of A
@@ -106,7 +107,7 @@ def _rcm_band(a: csr_matrix) -> tuple[np.ndarray, np.ndarray]:
     offset = np.repeat(position, np.diff(a.indptr)) - col
     lo = int(np.max(offset, initial=0))
     lower = np.flatnonzero(offset >= 0)
-    band = np.zeros((lo + 1, n), dtype=np.result_type(a.dtype, np.float64))
+    band = np.zeros((lo + 1, n), dtype=np.result_type(a.dtype, np.float64), order="F")
     band[offset[lower], col[lower]] = a.data[lower]
     return band, perm
 
@@ -387,9 +388,13 @@ def _symmetric_csr(matrix: RowOracleMatrix) -> csr_matrix:
 
     The CSR arrays are canonical, and so are A^T's after ``tocsr``, so
     equal arrays are equal matrices.  For integer entries the exact test
-    is the same as a float tolerance below one.
+    is the same as a float tolerance below one.  A Gram held as its
+    factor is its product A^T A, symmetric by construction, and is
+    returned unchecked.
     """
     a = to_csr(matrix)
+    if isinstance(matrix, GramOracle):
+        return a
     t = a.T.tocsr()
     if not all(np.array_equal(getattr(a, part), getattr(t, part))
                for part in ("indptr", "indices", "data")):
@@ -402,16 +407,16 @@ def _certified_bottom(matrix: RowOracleMatrix) -> tuple[float, np.ndarray, float
 
     The certification is the one ``bottom_eigenpair`` describes.
     """
-    from scipy.linalg import eigh
+    from scipy.linalg import cho_factor, eigh
 
-    dense = materialize(matrix).astype(np.float64)
+    dense = materialize(matrix, np.float64)
     w, v = eigh(dense, subset_by_index=[0, 0], check_finite=False)
     lam, psi = float(w[0]), v[:, 0]
     residual = float(np.linalg.norm(dense @ psi - lam * psi))
     sigma = max(lam, 0.0) - CHOLESKY_MARGIN * np.finfo(np.float64).eps * norm_bound(matrix)
     dense.flat[:: len(dense) + 1] -= sigma
-    try:
-        np.linalg.cholesky(dense)
+    try:  # A is symmetric, so its transpose is A in Fortran order, which LAPACK factors in place
+        cho_factor(dense.T, lower=True, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError:
         raise ContractError(
             f"A - sigma I is not positive definite at sigma = {sigma:.6g}"

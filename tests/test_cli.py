@@ -455,6 +455,27 @@ def test_energy_instance_reads_the_gram_of_a_machine_reduction(tmp_path, capsys)
     assert payload["abs_err"] <= 2.0 ** -30
 
 
+@pytest.mark.parametrize("space", [6, 7])  # dims 21,870 and 76,545, over DENSE_CAP
+def test_energy_bisects_a_machine_reduction_past_the_dense_cap(tmp_path, capsys, monkeypatch,
+                                                               space):
+    def refused(*args, **kwargs):
+        raise AssertionError("materialize called")
+
+    for module in (sparse_oracle, spectral, protocols):
+        monkeypatch.setattr(module, "materialize", refused)
+    machine = rtm.with_space(rtm.corpus_machine("unary_counter"), space)
+    for x in ("11", "1"):
+        path = tmp_path / f"rtm_{x}.json"
+        path.write_text(json.dumps({"kind": "rtm", "machine": "unary_counter", "input": x,
+                                    "space": space}))
+        code, out = run_cli(capsys, "energy", "--instance", str(path), "--bits", "30")
+        assert code == 0
+        payload = json.loads(out)
+        lam = spectral.min_eigenvalue_sparse(rtm.reduce_to_gapped(machine, x).gram)
+        assert payload["eigensolver"] == lam
+        assert abs(payload["estimate"] - lam) <= 2.0**-30
+
+
 def test_energy_checks_a_machine_reduction_in_closed_form(tmp_path, capsys, monkeypatch):
     # The cross-check of an `rtm` file is min_eigenvalue_sparse, with no dense solve.
     path = tmp_path / "rtm.json"
@@ -587,6 +608,7 @@ GOLDEN_CASES = {
         for fmt in ("json", "csv")
     },
     "energy_2x2": ["energy", "--instance", "energy_2x2.json"],
+    "energy_rtm_unary_counter_11": ["energy", "--instance", "rtm_unary_counter_11.json"],
 }
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 from math import acos, floor, pi, sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -988,6 +989,61 @@ def test_binary_search_energy_on_the_largest_clock_instance():
     instance = pr.kitaev_hamiltonian(verifier)
     lam = oracles.dense_ground_energy(instance)
     assert abs(pr.binary_search_energy(instance, 40) - lam) <= 2.0**-40
+
+
+def _energy_oracles():
+    """The energy_2x2 and toy_gram golden files, and unary_counter's reduction Grams at spaces 3-5."""
+    golden = Path(__file__).parent / "golden"
+    for name in ("energy_2x2", "toy_gram"):
+        yield so.load_instance(golden / f"{name}.json")
+    for space in (3, 4, 5):
+        machine = rtm.with_space(rtm.corpus_machine("unary_counter"), space)
+        for x in ("11", "1"):
+            yield rtm.reduce_to_gapped(machine, x).gram
+
+
+def test_binary_search_energy_reads_a_row_oracle_as_its_dense_copy_reads():
+    for matrix in _energy_oracles():
+        dense = so.materialize(matrix)
+        assert pr.binary_search_energy(matrix, 40) == pr.binary_search_energy(dense, 40)
+    with pytest.raises(ContractError, match="not symmetric"):
+        pr.binary_search_energy(so.from_dense(np.array([[1, 1], [0, 1]])), 10)
+
+
+def test_binary_search_energy_on_a_reduction_gram_needs_no_closed_form(monkeypatch):
+    machine = rtm.with_space(rtm.corpus_machine("unary_counter"), 5)
+    grams = {x: rtm.reduce_to_gapped(machine, x).gram for x in ("11", "1")}
+    want = {x: sp.min_eigenvalue_sparse(gram) for x, gram in grams.items()}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the bisection read the closed form")
+
+    for name in ("min_eigenvalue_bound", "_chain_floor", "_path_sum_bottom"):
+        monkeypatch.setattr(sp, name, refuse)
+    for x, gram in grams.items():
+        assert abs(pr.binary_search_energy(gram, 40) - want[x]) <= 2.0**-40
+
+
+def test_binary_search_energy_on_a_row_oracle_builds_no_dense_matrix(monkeypatch):
+    import tracemalloc
+
+    machine = rtm.with_space(rtm.corpus_machine("unary_counter"), 5)
+    gram = rtm.reduce_to_gapped(machine, "11").gram  # dim 6,075; A^T A is formed below
+    want = sp.min_eigenvalue_sparse(gram)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the bisection materialized its matrix")
+
+    for module in (so, sp, pr):  # spectral and protocols hold materialize by name
+        monkeypatch.setattr(module, "materialize", refuse)
+    tracemalloc.start()
+    try:
+        estimate = pr.binary_search_energy(gram, 30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(estimate - want) <= 2.0**-30
+    assert peak < gram.dim**2  # not even a dim x dim array of bytes
 
 
 def test_binary_search_energy_rejects_excess_bits():

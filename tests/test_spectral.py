@@ -1,5 +1,7 @@
 """Exact determinants, closed-form spectra, and eigenvalue floors."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -525,6 +527,19 @@ def test_rcm_band_is_the_permuted_lower_triangle_bit_for_bit():
     reference, reference_perm = _band_by_permuting(h)
     assert np.array_equal(perm, reference_perm)
     assert band.dtype == np.complex128 and band.tobytes() == reference.tobytes()
+
+
+def test_every_corpus_reduction_gram_has_a_tridiagonal_rcm_band():
+    # What the energy bisection factors: one subdiagonal, so each step is O(dim).
+    # Every input of up to two symbols at spaces 2-5, and of up to one at space 6.
+    for name in rtm.corpus_names():
+        for space in range(2, 7):
+            machine = rtm.with_space(rtm.corpus_machine(name), space)
+            letters = [a for a in machine.alphabet if a != machine.blank]
+            for n in range(min(space, 2 if space == 6 else 3)):
+                for x in map("".join, itertools.product(letters, repeat=n)):
+                    band, _ = sp._rcm_band(so.to_csr(rtm.reduce_to_gapped(machine, x).gram))
+                    assert band.shape[0] == 2, (name, space, x)
 
 
 def test_dense_cap_refuses_before_the_matrix_is_built(monkeypatch):
