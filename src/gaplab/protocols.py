@@ -20,9 +20,10 @@ The pipeline realized here, end to end at desk scale:
   reduction's Gram, the closed form on its own path's rows) and read on
   the rejection side, sin^2(lam t/2), so that gaps down to 2^-37 on a
   reduction's Gram survive double precision;
-* a verifier is compiled into a 5-local clock Hamiltonian whose ground
-  energy is read from its (T+1) 2^n legal-clock block, exactly, rather
-  than from all 2^(n+T) clock strings, and is bracketed by bisection on
+* a verifier is compiled into a 5-local clock Hamiltonian, held as its
+  gate list (its terms are built only when read), whose ground energy
+  is read from its (T+1) 2^n legal-clock block, exactly, rather than
+  from all 2^(n+T) clock strings, and is bracketed by bisection on
   banded Cholesky threshold tests.
 
 Decision thresholds for the median test sit at phi_c + 2^-alpha and
@@ -46,7 +47,6 @@ from .sparse_oracle import (
     RowOracleMatrix,
     _field,
     _integer,
-    from_entries,
     materialize,
     norm_bound,
 )
@@ -701,13 +701,12 @@ def toy_gapped_instances() -> tuple[RowOracleMatrix, RowOracleMatrix, int]:
     Both are declared with entry bound 2 and sparsity 2 so they share
     evo_time; the first has least eigenvalue 0, the second has least
     eigenvalue (3 - sqrt(5))/2 >= 2^-2, so the pair is a YES/NO
-    instance pair at gap exponent 2.
+    instance pair at gap exponent 2.  Both are written as their CSR
+    arrays, two full rows each, and checked by the row contract.
     """
-    from dataclasses import replace
-
-    singular = from_entries(2, [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)])
-    singular = replace(singular, entry_bound_k=2)
-    gapped = from_entries(2, [(0, 0, 2), (0, 1, 1), (1, 0, 1), (1, 1, 1)])
+    indptr, indices = np.array([0, 2, 4]), np.array([0, 1, 0, 1])
+    singular = RowOracleMatrix(indptr, indices, np.array([1, 1, 1, 1], dtype=np.int64), 2, 2)
+    gapped = RowOracleMatrix(indptr, indices, np.array([2, 1, 1, 1], dtype=np.int64), 2, 2)
     return singular, gapped, 2
 
 
@@ -744,8 +743,10 @@ def rotation_verifier(p: float, completeness_c: float, soundness_s: float) -> Ve
 class _ClockSource:
     """What ``kitaev_hamiltonian`` compiled: the circuit's gates, ancillas and output.
 
-    The gate matrices are read-only copies, and the clock terms are
-    built from these same arrays, so the two cannot drift apart.
+    The gate matrices are read-only copies, and the clock terms and the
+    legal-clock block are both built from these same arrays, so the two
+    cannot drift apart.  Clock qubit n + t - 1 follows gate t, after the
+    n circuit qubits.
     """
 
     circuit_qubits: int
@@ -763,6 +764,62 @@ class _ClockSource:
         n = verifier.circuit.num_qubits
         return cls(n, tuple(gates), tuple(range(verifier.witness_qubits, n)),
                    verifier.output_qubit)
+
+    def _window(self, step: int) -> tuple[tuple[int, ...], int, int]:
+        """The clock window of gate ``step`` (1..T), and its local states before and after it."""
+        steps, clock = len(self.gates), self.circuit_qubits + step - 1
+        if steps == 1:
+            return (clock,), 0, 1
+        if step == 1:
+            return (clock, clock + 1), 0, 1  # |00> -> |10>, low bit is c_1
+        if step == steps:
+            return (clock - 1, clock), 1, 3  # |10> -> |11>
+        return (clock - 1, clock, clock + 1), 1, 3  # |100> -> |110>
+
+    @property
+    def locality(self) -> int:
+        """The largest arity of the clock terms, read from the gates: none of them is built.
+
+        The input, output and clock terms act on two qubits, and each
+        propagation term on its gate's qubits and a clock window of 1, 2
+        or 3 qubits (``_window``).
+        """
+        return max([2] + [len(qubits) + len(self._window(step)[0])
+                          for step, (qubits, _) in enumerate(self.gates, start=1)])
+
+    def terms(self) -> list[tuple[tuple[int, ...], np.ndarray]]:
+        """Kitaev's clock terms: input, output, clock, then one propagation term per gate.
+
+        Input terms pin ancillas at time zero, the output term penalizes
+        rejection at time T, clock terms penalize illegal 01 patterns,
+        and each propagation term entangles a gate with its clock window.
+        """
+        clock = [self.circuit_qubits + i for i in range(len(self.gates))]
+        terms: list[tuple[tuple[int, ...], np.ndarray]] = []
+        for a in self.ancillas:
+            # ancilla = 1 while the clock has not started
+            terms.append(((a, clock[0]), _diag_projector({0: 1, 1: 0}, 2)))
+        terms.append(((self.output_qubit, clock[-1]), _diag_projector({0: 0, 1: 1}, 2)))
+        for i in range(len(clock) - 1):
+            terms.append(((clock[i], clock[i + 1]), _diag_projector({0: 0, 1: 1}, 2)))
+
+        for step, (gate_qubits, u) in enumerate(self.gates, start=1):
+            window, prev_idx, cur_idx = self._window(step)
+            cdim = 2 ** len(window)
+            p_prev = np.zeros((cdim, cdim), dtype=complex)
+            p_cur = np.zeros((cdim, cdim), dtype=complex)
+            hop = np.zeros((cdim, cdim), dtype=complex)
+            p_prev[prev_idx, prev_idx] = 1
+            p_cur[cur_idx, cur_idx] = 1
+            hop[cur_idx, prev_idx] = 1
+            # Local index order: gate qubits first (low bits), clock window after.
+            mat = 0.5 * (
+                _kron(p_prev + p_cur, np.eye(u.shape[0]))
+                - _kron(hop, u)
+                - _kron(hop.conj().T, u.conj().T)
+            )
+            terms.append(((*gate_qubits, *window), mat))
+        return terms
 
     def legal_block(self) -> np.ndarray:
         """The clock Hamiltonian on span{|1^t 0^(T-t)>} (x) C^(2^n), index t 2^n + x.
@@ -802,21 +859,65 @@ class _ClockSource:
         return flat
 
 
+def _checked_locality(terms: list[tuple[tuple[int, ...], np.ndarray]], num_qubits: int) -> int:
+    """The largest arity among ``terms``, each checked Hermitian on distinct qubits in range."""
+    loc = 0
+    for qubits, mat in terms:
+        if len(set(qubits)) != len(qubits):
+            raise ValueError(f"term repeats a qubit: {qubits}")
+        if any(not 0 <= q < num_qubits for q in qubits):
+            raise ValueError(f"term touches a qubit outside 0..{num_qubits - 1}")
+        want = 2 ** len(qubits)
+        if mat.shape != (want, want):
+            raise ValueError(f"term matrix shape {mat.shape} does not fit {qubits}")
+        _require_hermitian(mat)
+        loc = max(loc, len(qubits))
+    return loc
+
+
+class _TermsOnFirstRead:
+    """``PreciseLHInstance.terms``: a given list, or one built from the source when first read.
+
+    A dataclass field whose default is a descriptor is set and read
+    through it; this one raises AttributeError when asked for a class
+    default, so the field has none.  ``terms=None`` with a ``source``
+    keeps no list: the first read builds the clock terms
+    (``_ClockSource.terms``), checks them as the constructor checks a
+    given list, and keeps them.
+    """
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            raise AttributeError("terms")
+        terms = vars(instance)["terms"]
+        if terms is None:
+            terms = instance.source.terms()
+            _checked_locality(terms, instance.num_qubits)
+            vars(instance)["terms"] = terms
+        return terms
+
+    def __set__(self, instance, terms) -> None:
+        vars(instance)["terms"] = terms
+
+
 @dataclass
 class PreciseLHInstance:
     """Local Hamiltonian with exponentially close decision thresholds.
 
-    An instance compiled by ``kitaev_hamiltonian`` also keeps its
-    ``source`` (the gates, ancillas and output it was compiled from), and
-    its energy is read from the (T+1) 2^n legal-clock block of that
-    source instead of the 2^(n+T) sum of its terms.  The source is not
-    serialized, shown or compared: an instance read back by
-    ``from_dict`` has none and is solved densely, the only route for an
-    arbitrary term list.
+    An instance compiled by ``kitaev_hamiltonian`` is held as its
+    ``source`` (the gates, ancillas and output it was compiled from),
+    with ``terms=None``.  Its locality is read from the gates, its
+    terms are built and checked only when first read (by ``to_dict``,
+    ``materialize``, ``==`` or a caller), and its energy is read from
+    the (T+1) 2^n legal-clock block of that source instead of the
+    2^(n+T) sum of its terms, so compiling and solving builds no term.
+    The source is not serialized, shown or compared: an instance read
+    back by ``from_dict`` has its terms and no source, and is solved
+    densely, the only route for an arbitrary term list.
     """
 
     num_qubits: int
-    terms: list[tuple[tuple[int, ...], np.ndarray]]
+    terms: list[tuple[tuple[int, ...], np.ndarray]] = _TermsOnFirstRead()  # no default
     threshold_a: float
     threshold_b: float
     locality: int = field(init=False)
@@ -828,18 +929,12 @@ class PreciseLHInstance:
                 f"thresholds must satisfy a < b, got a={self.threshold_a}, "
                 f"b={self.threshold_b}"
             )
-        loc = 0
-        for qubits, mat in self.terms:
-            if len(set(qubits)) != len(qubits):
-                raise ValueError(f"term repeats a qubit: {qubits}")
-            if any(not 0 <= q < self.num_qubits for q in qubits):
-                raise ValueError(f"term touches a qubit outside 0..{self.num_qubits - 1}")
-            want = 2 ** len(qubits)
-            if mat.shape != (want, want):
-                raise ValueError(f"term matrix shape {mat.shape} does not fit {qubits}")
-            _require_hermitian(mat)
-            loc = max(loc, len(qubits))
-        self.locality = loc
+        if vars(self)["terms"] is not None:  # the stored list; self.terms would build one
+            self.locality = _checked_locality(self.terms, self.num_qubits)
+        elif self.source is not None:
+            self.locality = self.source.locality
+        else:
+            raise ValueError("an instance without terms needs the source to build them from")
 
     def __eq__(self, other: object) -> bool:
         """Equal qubit counts, thresholds and terms, each term matrix compared entry for entry."""
@@ -943,65 +1038,21 @@ def kitaev_hamiltonian(verifier: Verifier) -> PreciseLHInstance:
     output term penalizes rejection at time T, clock terms penalize
     illegal 01 patterns, and each propagation term entangles a gate
     with a 1-3 qubit clock window, so locality never exceeds 2 + 3.
-    The thresholds are (1-c)/(T+1) and (1-s)/T^3.  The instance keeps
-    the gates it was compiled from as its ``source``, whose legal-clock
-    block ``ground_energy`` and ``binary_search_energy`` solve.
+    The thresholds are (1-c)/(T+1) and (1-s)/T^3.  The instance is held
+    as the gates it was compiled from, its ``source``: the terms are
+    built when first read, and ``ground_energy`` and
+    ``binary_search_energy`` solve the source's legal-clock block.
     """
     t_count = verifier.circuit.gate_count
     if t_count < 1:
         raise ContractError("clock construction needs at least one gate")
-    w = verifier.circuit.num_qubits
-    source = _ClockSource.of(verifier)
-    clock = [w + i for i in range(t_count)]
-    terms: list[tuple[tuple[int, ...], np.ndarray]] = []
-
-    for a in source.ancillas:
-        # ancilla = 1 while the clock has not started
-        terms.append(((a, clock[0]), _diag_projector({0: 1, 1: 0}, 2)))
-    terms.append(
-        ((verifier.output_qubit, clock[-1]), _diag_projector({0: 0, 1: 1}, 2))
-    )
-    for i in range(t_count - 1):
-        terms.append(((clock[i], clock[i + 1]), _diag_projector({0: 0, 1: 1}, 2)))
-
-    for step, (gate_qubits, u) in enumerate(source.gates, start=1):
-        gate_dim = u.shape[0]
-        if step == 1 and t_count == 1:
-            window = (clock[0],)
-            prev_idx, cur_idx = 0, 1
-        elif step == 1:
-            window = (clock[0], clock[1])
-            prev_idx, cur_idx = 0, 1  # |00> -> |10>, low bit is c_1
-        elif step == t_count:
-            window = (clock[-2], clock[-1])
-            prev_idx, cur_idx = 1, 3  # |10> -> |11>
-        else:
-            window = (clock[step - 2], clock[step - 1], clock[step])
-            prev_idx, cur_idx = 1, 3  # |100> -> |110>
-        cdim = 2 ** len(window)
-        p_prev = np.zeros((cdim, cdim), dtype=complex)
-        p_cur = np.zeros((cdim, cdim), dtype=complex)
-        hop = np.zeros((cdim, cdim), dtype=complex)
-        p_prev[prev_idx, prev_idx] = 1
-        p_cur[cur_idx, cur_idx] = 1
-        hop[cur_idx, prev_idx] = 1
-        # Local index order: gate qubits first (low bits), clock window after.
-        mat = 0.5 * (
-            _kron(p_prev + p_cur, np.eye(gate_dim))
-            - _kron(hop, u)
-            - _kron(hop.conj().T, u.conj().T)
-        )
-        terms.append(((*gate_qubits, *window), mat))
-
-    a, b = clock_thresholds(
-        verifier.completeness_c, verifier.soundness_s, t_count
-    )
+    a, b = clock_thresholds(verifier.completeness_c, verifier.soundness_s, t_count)
     return PreciseLHInstance(
-        num_qubits=w + t_count,
-        terms=terms,
+        num_qubits=verifier.circuit.num_qubits + t_count,
+        terms=None,
         threshold_a=a,
         threshold_b=b,
-        source=source,
+        source=_ClockSource.of(verifier),
     )
 
 

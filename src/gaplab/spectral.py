@@ -202,8 +202,11 @@ def det_bareiss_sparse(matrix: RowOracleMatrix) -> int:
 
     moved = np.flatnonzero(match != np.arange(n))
     k = len(moved)
+    # On a permutation's digraph the weak components are the strong ones, its
+    # cycles, and the strong count takes no transpose.
     cycles = connected_components(
-        digraph(np.searchsorted(moved, match[moved]), np.arange(k + 1)), return_labels=False
+        digraph(np.searchsorted(moved, match[moved]), np.arange(k + 1)),
+        connection="strong", return_labels=False,
     ) if k else 0
     sign = (-1) ** ((k - cycles) % 2)
     # Entry (row, col) of B = A P, with B[i, i] = A[i, match[i]].
@@ -503,19 +506,23 @@ def _path_forest_bottom(
 def _edge_list_bottom(
     diag: np.ndarray, u: np.ndarray, v: np.ndarray, couplings: Callable[[], np.ndarray]
 ) -> _LeastPath | None:
-    """``_path_forest_bottom`` on the edges (u, v): degrees by ``bincount``, weak components.
+    """``_path_forest_bottom`` on the edges (u, v): degrees counted in int8, weak components.
 
-    The degrees are held in int8: each vertex is a column of a Gram's
-    factor, and its edges are among the at most two rows of that column.
-    The edge graph is dropped before the forest tests, and the couplings
-    are formed only for the block's writer.
+    The degrees are counted straight into int8 by ``np.add.at`` with an
+    int8 one, which no degree can wrap: each vertex is a column of a
+    Gram's factor, and its edges are among the at most two rows of that
+    column, so it has at most 2.  The count copies neither endpoint
+    array, where ``bincount`` would copy each to intp.  The edge graph
+    is dropped before the forest tests, and the couplings are formed
+    only for the block's writer.
     """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
     n = len(diag)
-    degree = np.bincount(u, minlength=n).astype(np.int8)
-    degree += np.bincount(v, minlength=n)
+    degree = np.zeros(n, dtype=np.int8)
+    np.add.at(degree, u, np.int8(1))
+    np.add.at(degree, v, np.int8(1))
     graph = csr_matrix((pattern_ones(len(u)), (u, v)), shape=(n, n))
     components = connected_components(graph, connection="weak")
     del graph

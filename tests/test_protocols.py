@@ -789,6 +789,100 @@ def test_compiled_clock_energy_never_materializes(monkeypatch):
         assert abs(pr.binary_search_energy(instance, 40) - lam) <= 2.0**-40
 
 
+def test_compiling_and_solving_a_clock_builds_no_term(monkeypatch):
+    verifiers = [
+        pr.rotation_verifier(0.9, 0.9, 0.1),
+        pr.rule_parameterized_verifier()[0],
+        _random_verifier(4, 2, 6, 1, seed=5, completeness_c=0.999),
+    ]
+    instances = [pr.kitaev_hamiltonian(v) for v in verifiers]
+    energies = [pr.ground_energy(i) for i in instances]
+    bisected = [pr.binary_search_energy(i, 40) for i in instances]
+
+    def refuse(self):
+        raise AssertionError("a clock term was built")
+
+    monkeypatch.setattr(pr._ClockSource, "terms", refuse)
+    for verifier, lam, mid in zip(verifiers, energies, bisected):
+        instance = pr.kitaev_hamiltonian(verifier)
+        assert 2 <= instance.locality <= 5
+        pr._hamiltonian(instance)
+        # Bit for bit what the same instance reads once its terms exist.
+        assert pr.ground_energy(instance) == lam
+        assert pr.binary_search_energy(instance, 40) == mid
+        assert vars(instance)["terms"] is None
+    with pytest.raises(AssertionError, match="a clock term was built"):
+        instances[0].to_dict()
+    monkeypatch.undo()
+    for instance, lam, mid in zip(instances, energies, bisected):
+        instance.to_dict()  # builds the terms, which the solvers do not read
+        assert (pr.ground_energy(instance), pr.binary_search_energy(instance, 40)) == (lam, mid)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    circuit_qubits=st.integers(1, 5),
+    gate_count=st.integers(1, 8),
+    ancilla_k=st.integers(0, 4),
+    output_qubit=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(circuit_qubits=1, gate_count=1, ancilla_k=0, output_qubit=0, seed=0)
+@example(circuit_qubits=3, gate_count=2, ancilla_k=1, output_qubit=2, seed=0)
+@example(circuit_qubits=3, gate_count=3, ancilla_k=0, output_qubit=0, seed=1)
+def test_clock_locality_from_the_gates_is_the_terms_arity(
+    circuit_qubits, gate_count, ancilla_k, output_qubit, seed
+):
+    assume(ancilla_k < circuit_qubits and output_qubit < circuit_qubits)
+    verifier = _random_verifier(circuit_qubits, ancilla_k, gate_count, output_qubit, seed,
+                                completeness_c=0.999)
+    instance = pr.kitaev_hamiltonian(verifier)
+    from_gates = instance.locality
+    assert vars(instance)["terms"] is None
+    terms = instance.terms
+    assert from_gates == max(len(qubits) for qubits, _ in terms) <= 5
+    # The same terms given to the constructor: locality read from them, as from a file.
+    given_terms = pr.PreciseLHInstance(instance.num_qubits, terms, instance.threshold_a,
+                                       instance.threshold_b)
+    assert given_terms.locality == from_gates and given_terms == instance
+    # One input term per ancilla, one output term, T - 1 clock and T propagation terms.
+    assert len(terms) == ancilla_k + 2 * gate_count
+
+
+def test_clock_terms_are_checked_when_first_read(monkeypatch):
+    instance = pr.kitaev_hamiltonian(pr.rotation_verifier(0.9, 0.9, 0.1))
+    build = pr._ClockSource.terms
+
+    def overlapping(self):
+        qubits, mat = build(self)[-1]
+        return [((qubits[0],) * len(qubits), mat)]
+
+    monkeypatch.setattr(pr._ClockSource, "terms", overlapping)
+    with pytest.raises(ValueError, match="term repeats a qubit"):
+        instance.terms
+    with pytest.raises(ValueError, match="needs the source"):
+        pr.PreciseLHInstance(1, None, 0.1, 0.2)
+    with pytest.raises(ContractError, match="a < b"):  # checked first, whatever the terms
+        pr.PreciseLHInstance(1, None, 0.2, 0.1)
+
+
+def test_toy_gapped_instances_equal_their_entry_built_reference():
+    singular, gapped, g = pr.toy_gapped_instances()
+    reference = (
+        dataclasses.replace(
+            so.from_entries(2, [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)]), entry_bound_k=2
+        ),
+        so.from_entries(2, [(0, 0, 2), (0, 1, 1), (1, 0, 1), (1, 1, 1)]),
+    )
+    assert g == 2
+    for made, want in zip((singular, gapped), reference):
+        for name in ("indptr", "indices", "data"):
+            got, expected = getattr(made, name), getattr(want, name)
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        assert (made.sparsity_d, made.entry_bound_k) == (want.sparsity_d, want.entry_bound_k)
+        assert (made.sparsity_d, made.entry_bound_k) == (2, 2)
+
+
 def test_clock_source_is_a_snapshot_of_the_gates():
     verifier = pr.rotation_verifier(0.9, 0.9, 0.1)
     instance = pr.kitaev_hamiltonian(verifier)

@@ -119,6 +119,14 @@ def test_ata_oracle_refuses_crowded_columns_and_drops_cancelled_entries():
     assert (gram.sparsity_d, gram.entry_bound_k) == (3, 2)
 
 
+@pytest.mark.parametrize("rows", [258, 300])
+def test_ata_oracle_refuses_a_column_an_int8_count_would_wrap(rows):
+    # An int8 counter would read 258 entries as 2 and 300 as 44.
+    factor = so.from_entries(rows, [(i, 0, (-1) ** i) for i in range(rows)])
+    with pytest.raises(ContractError, match="row 0 exceeds declared bound 2"):
+        so.ata_oracle(factor)
+
+
 def test_gram_repr_names_its_factor_and_forms_nothing():
     gram = so.ata_oracle(so.path_adjacency(5))
     assert repr(gram) == (
