@@ -229,7 +229,7 @@ def _cmd_kitaev(args) -> tuple[dict, int]:
             {
                 "qubits": instance.num_qubits,
                 "locality": instance.locality,
-                "terms": len(instance.terms),
+                "terms": instance.term_count,
                 "a": instance.threshold_a,
                 "b": instance.threshold_b,
                 "lambda_min": lam,

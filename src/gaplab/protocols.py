@@ -787,6 +787,11 @@ class _ClockSource:
         return max([2] + [len(qubits) + len(self._window(step)[0])
                           for step, (qubits, _) in enumerate(self.gates, start=1)])
 
+    @property
+    def term_count(self) -> int:
+        """The count ``terms`` builds: one per ancilla, the output, T - 1 clock, T propagation."""
+        return len(self.ancillas) + 2 * len(self.gates)
+
     def terms(self) -> list[tuple[tuple[int, ...], np.ndarray]]:
         """Kitaev's clock terms: input, output, clock, then one propagation term per gate.
 
@@ -935,6 +940,12 @@ class PreciseLHInstance:
             self.locality = self.source.locality
         else:
             raise ValueError("an instance without terms needs the source to build them from")
+
+    @property
+    def term_count(self) -> int:
+        """len(terms), read from the source while the terms are not built."""
+        terms = vars(self)["terms"]
+        return self.source.term_count if terms is None else len(terms)
 
     def __eq__(self, other: object) -> bool:
         """Equal qubit counts, thresholds and terms, each term matrix compared entry for entry."""

@@ -21,16 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb, exp, factorial, lgamma, log, pi, sqrt
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ContractError, ResourceLimitError
-from .sparse_oracle import RowOracleMatrix, to_csr
+from .sparse_oracle import RowOracleMatrix
 from .spectral import _require_hermitian
-
-if TYPE_CHECKING:
-    from scipy.sparse import csr_matrix
 
 MAX_QUBITS = 20
 # Dense operators on a whole circuit's qubits (the accept operator's
@@ -207,26 +204,57 @@ def _norm_upper_bound(matrix: RowOracleMatrix) -> float:
     return float(sqrt(int(cols.max()) * int(rows.max())))
 
 
-def _rounded_once_products(a: csr_matrix, x: np.ndarray) -> np.ndarray:
-    """A x for a vector or column block x, each row's sum carried in twice the working precision.
+def _padded_rows(matrix: RowOracleMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The oracle's rows padded to one length, row i down column i: (columns, float64 entries).
 
-    A row's products go down one column of a zero-padded table, and a
-    TwoSum cascade along the table (Ogita, Rump and Oishi, SIAM J. Sci.
-    Comput. 26:1955, 2005) keeps the exact error of each addition, so
-    the row's sum is as accurate as if it were carried in twice the
+    Each row keeps its entries in column order; a padding slot has
+    entry 0 at column dim, which ``_product_table`` reads as a zero
+    appended to x, so every padded product is exactly +0.0.
+    """
+    counts = np.diff(matrix.indptr)
+    dim = len(counts)
+    # intp: numpy gathers by it without a converted copy of the index.
+    columns = np.full((max(int(counts.max()), 1), dim), dim, dtype=np.intp)
+    entries = np.zeros(columns.shape)
+    starts = matrix.indptr[:-1].astype(np.intp)
+    for slot, (column, entry) in enumerate(zip(columns, entries)):
+        rows = np.flatnonzero(counts > slot)
+        at = starts[rows] + slot
+        column[rows], entry[rows] = matrix.indices[at], matrix.data[at]
+    return columns, entries
+
+
+def _product_table(rows: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
+    """The products a_ij x_j of the padded ``rows`` for a vector or column block x.
+
+    A product is the float64 entry times x_j, as in a float64 CSR
+    product; the columns of a block ride along a trailing axis.
+    """
+    columns, entries = rows
+    padded = np.concatenate((x, np.zeros((1,) + x.shape[1:], dtype=x.dtype)))
+    table = np.take(padded, columns, axis=0).astype(np.result_type(np.float64, x), copy=False)
+    table *= entries.reshape(entries.shape + (1,) * (x.ndim - 1))  # x_j a_ij, the same bits
+    return table
+
+
+def _row_sums(table: np.ndarray) -> np.ndarray:
+    """Each row's products added in column order onto 0: bit for bit scipy's CSR row loop."""
+    total = np.zeros(table.shape[1:], dtype=table.dtype)
+    for term in table:
+        total += term
+    return total
+
+
+def _rounded_once_sums(table: np.ndarray) -> np.ndarray:
+    """Each row's products summed in twice the working precision, then rounded.
+
+    A TwoSum cascade along the table (Ogita, Rump and Oishi, SIAM J.
+    Sci. Comput. 26:1955, 2005) keeps the exact error of each addition,
+    so the row's sum is as accurate as if it were carried in twice the
     working precision and then rounded.  When every product is exact,
     as for entries +-1 and +-2, each row is rounded once; otherwise the
     result is never less accurate than plain sums of the same products.
-    The columns of a block ride along a trailing axis.
     """
-    counts = np.diff(a.indptr)
-    row = np.repeat(np.arange(len(counts)), counts)
-    table = np.zeros(
-        (max(int(counts.max()), 1), len(counts)) + x.shape[1:], dtype=np.result_type(a.dtype, x)
-    )
-    table[np.arange(a.nnz) - a.indptr[row], row] = (
-        a.data.reshape((-1,) + (1,) * (x.ndim - 1)) * x[a.indices]
-    )
     total, error = table[0], np.zeros_like(table[0])
     for term in table[1:]:
         partial = total + term
@@ -234,6 +262,11 @@ def _rounded_once_products(a: csr_matrix, x: np.ndarray) -> np.ndarray:
         error += (total - (partial - back)) + (term - back)
         total = partial
     return total + error
+
+
+def _rounded_once_products(matrix: RowOracleMatrix, x: np.ndarray) -> np.ndarray:
+    """A x for a vector or column block x, each row's sum rounded once (``_rounded_once_sums``)."""
+    return _rounded_once_sums(_product_table(_padded_rows(matrix), x))
 
 
 def expm_taylor_minus_identity(
@@ -245,12 +278,15 @@ def expm_taylor_minus_identity(
     block ``x`` at the cost of ``order`` sparse products; the operator
     itself is never formed.  Term k is (-i)^k w_k with w_k = (t/k) A w_{k-1}
     and w_0 = x, so a real x stays real through the recurrence and the
-    powers of -i enter only when the terms are summed.
+    powers of -i enter only when the terms are summed.  Every product
+    reads the oracle's own arrays, padded once (``_padded_rows``).
 
-    The first product sums each row by ``_rounded_once_products``.  That
+    The first product sums each row by ``_rounded_once_sums``.  That
     product carries the read's cancellation: on an eigenvector at a
     small lambda each row of A x is about ||A|| / lambda times smaller
     than its terms, and every later term is smaller again by lambda t.
+    Those later products add each row's products in column order
+    (``_row_sums``), the sums of a float64 CSR product.
 
     Requires ||A|| * t <= pi (checked through a cheap norm bound): the
     tail estimate, and the whole phase-reading scheme downstream, live
@@ -262,11 +298,11 @@ def expm_taylor_minus_identity(
         raise ValueError("evolution time must be nonnegative")
     if _norm_upper_bound(matrix) * evo_time > pi * (1 + 1e-9):
         raise ContractError("||A|| * evo_time exceeds pi")
-    a = to_csr(matrix).astype(np.float64)
+    rows = _padded_rows(matrix)
     w = np.asarray(x)
     total = np.zeros(w.shape, dtype=complex)
     for k in range(1, order + 1):
-        w = (_rounded_once_products(a, w) if k == 1 else a @ w) * (evo_time / k)
+        w = (_rounded_once_sums if k == 1 else _row_sums)(_product_table(rows, w)) * (evo_time / k)
         total += _MINUS_I_POWERS[k % 4] * w
     return total
 

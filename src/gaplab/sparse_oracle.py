@@ -4,17 +4,19 @@ A row oracle is its CSR arrays (``indptr``, ``indices`` and int64
 ``data``) together with the contract every reduction in this package
 declares for them: at most ``sparsity_d`` entries per row, each at most
 ``entry_bound_k`` in magnitude.  The contract is checked once,
-on all rows at once, when the oracle is constructed; from then on every
-consumer (determinant checks, spectral bounds, evolution operators)
-reads the arrays through ``to_csr``, a scipy CSR matrix built on the
-same buffers, and the declared bounds, not the entries, set downstream
-parameters such as the verifier's evolution time.  A Gram A^T A is
-held as its checked factor A (``GramOracle``) and formed only when its
-arrays are read.  Building an oracle from triplets, a structured block
-or a machine reduction, checking it and materializing it take numpy
-alone; scipy is imported when a CSR view is first asked for, by a Gram
-product or a kernel.  Dense materialization exists only as a desk-scale
-debugging and ground-truth device, refused above DENSE_CAP rows.
+on all rows at once, when the oracle is constructed; from then on the
+declared bounds, not the entries, set downstream parameters such as
+the verifier's evolution time.  The path-sum recogniser, the witness's
+residual and the Taylor products of the phase read take the arrays as
+they stand, in numpy; the scipy kernels (determinants, symmetry checks,
+the energy band) read them through ``to_csr``, a scipy CSR matrix
+built on the same buffers.  A Gram A^T A is held as its checked factor
+A (``GramOracle``) and formed only when its arrays are read.  Building
+an oracle from triplets, a structured block or a machine reduction,
+checking it and materializing it take numpy alone; scipy is imported
+when a CSR view is first asked for, by a Gram product or a kernel.
+Dense materialization exists only as a desk-scale debugging and
+ground-truth device, refused above DENSE_CAP rows.
 
 Integer-valued oracles stay integer-valued until a spectral operation
 converts them to floats.  No float arithmetic happens in construction
@@ -311,7 +313,7 @@ class GramOracle(RowOracleMatrix):
 
     def path_edges(
         self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, Callable[[], np.ndarray]] | None:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, Callable[[np.ndarray], np.ndarray]] | None:
         """A^T A as (diagonal, u, v, couplings) read from A, or None where A does not fix it.
 
         The diagonal is A's column counts, and each row of A with two
@@ -321,9 +323,10 @@ class GramOracle(RowOracleMatrix):
         columns; a shared pair comes out as a repeated edge, whose
         couplings A^T A adds, so a caller must refuse repeated edges.
         No product, no transpose and no symmetry check is needed.
-        ``couplings`` forms the int64 couplings when it is called, which
-        only the writer of a witness block does: lambda_min reads the
-        pattern alone, and A's ``data`` may be a zero-stride view.
+        ``couplings(picked)`` forms the int64 couplings of the edges
+        ``picked`` when it is called, which only the writer of a witness
+        block does: lambda_min reads the pattern alone, and A's ``data``
+        may be a zero-stride view.
         """
         f = self.factor
         counts = np.diff(f.indptr)
@@ -331,8 +334,8 @@ class GramOracle(RowOracleMatrix):
             return None
         first = f.indptr[:-1][counts == 2]
 
-        def couplings() -> np.ndarray:
-            return f.data[first] * f.data[first + 1]
+        def couplings(picked: np.ndarray) -> np.ndarray:
+            return f.data[first[picked]] * f.data[first[picked] + 1]
 
         return self.column_counts, f.indices[first], f.indices[first + 1], couplings
 

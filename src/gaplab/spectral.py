@@ -20,8 +20,9 @@ Two independent concerns live here:
   from A's column counts and two-entry rows, without forming A^T A,
   and any other matrix from its CSR arrays: lambda_min is the closed
   form of its longest path of each kind, and the bottom eigenvector the
-  closed form of one block that attains it, put in path order by a
-  breadth-first walk of that block's own rows.  Any other
+  closed form of one block that attains it, in the path order of the
+  recogniser's own walk.  The paths are read in numpy by walking them
+  from their ends, and a long one by pointer jumping.  Any other
   matrix is materialized, up to DENSE_CAP rows, for one dense ``eigh``
   of its bottom eigenpair and one Cholesky factorization whose
   existence certifies the matrix positive semidefinite up to a margin
@@ -30,8 +31,9 @@ Two independent concerns live here:
 Each function imports the scipy routines it calls when it runs, and the
 module imports none: ``eigh_tridiagonal`` loads with the first
 ``spectrum_report``, the sparse, graph and dense routines with the
-first kernel on a CSR matrix.  A process that only amplifies or builds
-clock Hamiltonians loads no scipy at all.
+first determinant, symmetry check or dense eigenpair.  A process that
+only amplifies, builds clock Hamiltonians or decides a reduction's Gram
+loads no scipy at all.
 """
 
 from __future__ import annotations
@@ -429,36 +431,182 @@ def _certified_bottom(matrix: RowOracleMatrix) -> tuple[float, np.ndarray, float
 
 
 @dataclass(frozen=True)
+class _PathForest:
+    """Every path of two or more vertices in a graph of degree <= 2 and no cycle.
+
+    Path p runs between its ends ``first[p]`` < ``last[p]`` through
+    ``size[p]`` vertices, the least of them ``least[p]``; the arrays are
+    in the edges' index dtype.  ``order(p, end)`` lists path p's
+    vertices from ``end``, one of its two ends, to the other.
+    """
+
+    first: np.ndarray
+    last: np.ndarray
+    size: np.ndarray
+    least: np.ndarray
+    order: Callable[[int, int], np.ndarray]
+
+
+def _dart_ranks(degree: np.ndarray, u: np.ndarray, v: np.ndarray, ends: np.ndarray):
+    """Each path through the ends ``ends``, by pointer jumping on the darts of the edges (u, v).
+
+    Dart 2e runs from u[e] to v[e] and dart 2e + 1 back.  A dart whose
+    head is an end is its own successor; any other leaves its head by
+    the head's other edge, read as in ``_path_forest`` from the sum of
+    the head's edge ids less the edge it came in by.  Each round adds a
+    dart's successor's rank to its own and jumps to the successor's
+    successor, doubling how far it has looked ahead, so after about
+    log2 ell rounds every dart of a path of ell vertices points at the
+    last dart before the end it runs into, and its rank counts the
+    darts between.  The rounds stop once the darts leaving ``ends``,
+    which are their paths' longest, have settled; the darts of a cycle
+    never do, and their entries mean nothing.  Returns each end's far
+    end, its path's vertex count, and the tables that order a path: for
+    every dart its rank, the end it runs into and its head.
+    """
+    n, m = len(degree), len(u)
+    edge = np.arange(m)  # ids in intp, which numpy gathers by without a converted copy
+    edge_sum = np.zeros(n, dtype=edge.dtype)
+    np.add.at(edge_sum, u, edge)
+    np.add.at(edge_sum, v, edge)
+    head = np.empty(2 * m, dtype=u.dtype)
+    head[0::2], head[1::2] = v, u
+    succ = np.arange(2 * m)
+    inner = np.flatnonzero(degree[head] == 2)
+    rank = np.zeros(2 * m, dtype=u.dtype)
+    rank[inner] = 1
+    y = head[inner]
+    out = edge_sum[y] - inner // 2
+    succ[inner] = 2 * out + (u[out] != y)
+    del edge, inner, y, out
+    out = edge_sum[ends]  # an end's one edge
+    leaving = 2 * out + (u[out] != ends)
+    del edge_sum, out
+    for _ in range((2 * m).bit_length()):
+        if np.all(degree[head[succ[leaving]]] == 1):
+            break
+        rank += rank[succ]
+        succ = succ[succ]
+    end = head[succ]
+    return end[leaving], rank[leaving] + 2, (rank, end, head)
+
+
+def _path_forest(degree: np.ndarray, u: np.ndarray, v: np.ndarray) -> _PathForest | None:
+    """The paths of the edges (u, v) at degree <= 2, walked in from their ends; None on a cycle.
+
+    An edge whose two ends have degree 1 is a path of two vertices.
+    Every other path sends one walker in from each end, and each step
+    moves all walkers at once: a vertex keeps the sum of its
+    neighbours, wrapping in the index dtype, so the next vertex is that
+    sum less the one a walker came from.  A walker that reaches an end
+    has its path's size, and its running minimum the path's least
+    vertex; of the two walkers on a path, the one from the lesser end
+    reports it.  Walkers still out after about log2(dim) steps are on
+    long paths, whose darts are ranked by pointer jumping instead
+    (``_dart_ranks``), so a path of ell vertices costs O(ell log ell),
+    not ell numpy steps.  The walks never enter a cycle or a repeated
+    edge, which have no end, so the edges the paths account for fall
+    short of all of them exactly when one is there.
+    """
+    n, m = len(degree), len(u)
+    near = np.zeros(n, dtype=u.dtype)
+    np.add.at(near, u, v)
+    np.add.at(near, v, u)
+    inner_u, inner_v = degree[u] == 2, degree[v] == 2
+    from_v, from_u = np.flatnonzero(inner_u & ~inner_v), np.flatnonzero(inner_v & ~inner_u)
+    start = np.concatenate((v[from_v], u[from_u]))
+    cur = np.concatenate((u[from_v], v[from_u]))
+    del from_v, from_u
+    pair = np.flatnonzero(~(inner_u | inner_v))
+    del inner_u, inner_v
+    # Each path of three or more vertices has two walkers and is reported by one.
+    filled = len(pair)
+    paths = filled + len(start) // 2
+    first, last, size, least = (np.empty(paths, dtype=u.dtype) for _ in range(4))
+    ends = u[pair], v[pair]
+    np.minimum(*ends, out=first[:filled])
+    np.maximum(*ends, out=last[:filled])
+    size[:filled], least[:filled] = 2, first[:filled]
+    del pair, ends
+    prev, low, ell, limit = start, np.minimum(start, cur), 2, max(n.bit_length(), 3)
+    while len(cur) and ell < limit:
+        prev, cur = cur, near[cur] - prev
+        np.minimum(low, cur, out=low)
+        ell += 1
+        done = degree[cur] == 1
+        if done.any():
+            keep = np.flatnonzero(done & (start < cur))
+            report = slice(filled, filled + len(keep))
+            first[report], last[report], size[report], least[report] = (
+                start[keep], cur[keep], ell, low[keep])
+            filled = report.stop
+            on = np.flatnonzero(~done)
+            start, prev, cur, low = start[on], prev[on], cur[on], low[on]
+    del prev, low
+    ranks = None
+    if len(cur):  # the walkers left are on paths of more than `limit` vertices
+        far, length, ranks = _dart_ranks(degree, u, v, start)
+        keep = np.flatnonzero(start < far)
+        report = slice(filled, filled + len(keep))
+        first[report], last[report], size[report] = start[keep], far[keep], length[keep]
+        _, end, head = ranks
+        lowest = np.full(n, n, dtype=head.dtype)
+        np.minimum.at(lowest, end, head)  # each end's darts reach all but the far end
+        np.minimum(first[report], lowest[last[report]], out=least[report])
+    if int(np.sum(size, dtype=np.int64)) - paths != m:
+        return None  # some edge lies on no path
+
+    def order(path: int, end: int) -> np.ndarray:
+        ell = int(size[path])
+        if ell > limit:  # a long path: its darts toward the far end, placed by their ranks
+            rank, far, head = ranks
+            toward = np.flatnonzero(far == int(first[path]) + int(last[path]) - end)
+            walk = np.empty(ell, dtype=np.intp)
+            walk[0] = end
+            walk[ell - 1 - rank[toward]] = head[toward]
+            return walk
+        walk, wrap = [end], 1 << (8 * near.itemsize)
+        for _ in range(ell - 1):  # an end's neighbour sum is its one neighbour
+            walk.append((int(near[walk[-1]]) - (walk[-2] if len(walk) > 1 else 0)) % wrap)
+        return np.array(walk, dtype=np.intp)
+
+    return _PathForest(first, last, size, least, order)
+
+
+@dataclass(frozen=True)
 class _LeastPath:
     """The block of a recognised path sum that attains its lambda_min, before it is ordered.
 
     ``kind`` names the block's closed form: "vertex" (an isolated
     vertex), "constant" (a path with both ends 1), "cos" (one end 1) or
-    "sin" (no end 1).  The arrays are the recogniser's own, so finding
-    the block costs no more than its lambda_min: the diagonal, each
-    vertex's degree and component label.  ``edges`` gives the edges
-    (u, v) with their +-1 couplings, read only when the block is written.
+    "sin" (no end 1).  ``order`` lists the block's vertices in path
+    order from ``start``, the end its closed form is counted from (for
+    "cos" the end whose diagonal is 1, else the lesser end), or the
+    vertex itself.  ``diag`` is the matrix's diagonal and (u, v) its
+    edges; ``couplings(picked)`` forms the +-1 couplings of the edges
+    ``picked``, which only the block's writer asks for.
     """
 
     lam: float
     kind: str
-    component: int
-    labels: np.ndarray
-    degree: np.ndarray
+    start: int
     diag: np.ndarray
-    edges: Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray]]
+    u: np.ndarray
+    v: np.ndarray
+    couplings: Callable[[np.ndarray], np.ndarray]
+    order: Callable[[], np.ndarray]
 
 
 def _path_forest_bottom(
-    diag: np.ndarray, degree: np.ndarray, components: tuple[int, np.ndarray], edges: Callable
+    diag: np.ndarray, degree: np.ndarray, u: np.ndarray, v: np.ndarray, couplings: Callable
 ) -> _LeastPath | None:
-    """lambda_min of the symmetric matrix with this diagonal and +-1 edges, if it is a path sum.
+    """lambda_min of the symmetric matrix with this diagonal and +-1 edges (u, v), if a path sum.
 
-    ``degree`` counts each vertex's edges and ``components`` is the
-    (count, labels) of their connected components; ``edges`` is kept
-    for the block's writer.  No vertex may have more than two
-    neighbours, and the edges must number dim - #components, so they
-    form a forest of paths.  A
+    ``degree`` counts each vertex's edges, and ``couplings(picked)``
+    forms the couplings of the edges ``picked``, for the block's writer
+    only.  No vertex may have more than two
+    neighbours, and the edges must form a forest of paths
+    (``_path_forest``).  A
     degree-2 (interior) vertex has diagonal 2, a degree-1 (end) vertex
     diagonal 1 or 2, and an isolated vertex diagonal d >= 0.  The signs
     do not matter: on a tree a diagonal +-1 similarity flips any edge.
@@ -468,65 +616,62 @@ def _path_forest_bottom(
       4 sin^2(pi / (2 (ell + 1))) with no end 1 (tridiag(-1, 2, -1)),
     and an isolated vertex d.  Every block is positive semidefinite, so
     passing the tests is the certification, and only the longest path
-    of each kind is evaluated.  None when a test fails.
+    of each kind is evaluated; of equal paths, the one with the least
+    vertex.  None when a test fails.
     """
-    count, labels = components
     if degree.max(initial=0) > 2:
         return None
     # An end's diagonal is 1 or 2, an interior one 2, an isolated one d >= 0.
     if np.any(diag < degree) or np.any((diag > 2) & (degree > 0)):
         return None
-    if degree.sum() != 2 * (len(diag) - count):  # a component holds a cycle, or a repeated edge
+    forest = _path_forest(degree, u, v)
+    if forest is None:  # a component holds a cycle, or a repeated edge
         return None
-    size = np.bincount(labels)
-    ends_one = np.bincount(labels[(degree == 1) & (diag == 1)], minlength=count)
-    path = size > 1
+    ends_one = (diag[forest.first] == 1).astype(np.int8) + (diag[forest.last] == 1)
 
-    def least(lam: float, kind: str, component) -> _LeastPath:
-        return _LeastPath(lam, kind, int(component), labels, degree, diag, edges)
+    def block(lam: float, kind: str, flagged: np.ndarray) -> _LeastPath:
+        # Of the flagged paths, the one with the least vertex: no two share one.
+        lowest = forest.least.min(where=flagged, initial=len(diag))
+        path = int(np.argmax(flagged & (forest.least == lowest)))
+        first, last = int(forest.first[path]), int(forest.last[path])
+        start = last if diag[last] < diag[first] else first
+        return _LeastPath(lam, kind, start, diag, u, v, couplings,
+                          lambda: forest.order(path, start))
 
-    laplacians = np.flatnonzero(path & (ends_one == 2))
-    if laplacians.size:
-        return least(0.0, "constant", laplacians[0])
+    laplacians = ends_one == 2
+    if laplacians.any():
+        return block(0.0, "constant", laplacians)
     candidates = []
-    isolated = np.flatnonzero(degree == 0)
-    if isolated.size:
-        vertex = isolated[np.argmin(diag[isolated])]
-        candidates.append(least(float(diag[vertex]), "vertex", labels[vertex]))
+    isolated = degree == 0  # masks, not index arrays: a third of a reduction's vertices
+    if isolated.any():
+        vertex = int(np.argmax(isolated & (diag == diag[isolated].min())))
+        candidates.append(_LeastPath(float(diag[vertex]), "vertex", vertex, diag, u, v,
+                                     couplings, lambda: np.array([vertex])))
     for kind, ends in (("cos", 1), ("sin", 0)):
-        blocks = np.flatnonzero(path & (ends_one == ends))
-        if blocks.size:
-            longest = blocks[np.argmax(size[blocks])]
-            ell = int(size[longest])
+        flagged = ends_one == ends
+        if flagged.any():
+            ell = int(forest.size.max(where=flagged, initial=0))
             lam = min_eigenvalue_bound(ell) if ends else _chain_floor(ell + 1)
-            candidates.append(least(lam, kind, longest))
+            candidates.append(block(lam, kind, flagged & (forest.size == ell)))
     return min(candidates, key=lambda c: c.lam)
 
 
 def _edge_list_bottom(
-    diag: np.ndarray, u: np.ndarray, v: np.ndarray, couplings: Callable[[], np.ndarray]
+    diag: np.ndarray, u: np.ndarray, v: np.ndarray, couplings: Callable[[np.ndarray], np.ndarray]
 ) -> _LeastPath | None:
-    """``_path_forest_bottom`` on the edges (u, v): degrees counted in int8, weak components.
+    """``_path_forest_bottom`` on the edges (u, v), their degrees counted in int8.
 
     The degrees are counted straight into int8 by ``np.add.at`` with an
     int8 one, which no degree can wrap: each vertex is a column of a
     Gram's factor, and its edges are among the at most two rows of that
     column, so it has at most 2.  The count copies neither endpoint
-    array, where ``bincount`` would copy each to intp.  The edge graph
-    is dropped before the forest tests, and the couplings are formed
-    only for the block's writer.
+    array, where ``bincount`` would copy each to intp.  The couplings
+    are formed only for the block's writer.
     """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    n = len(diag)
-    degree = np.zeros(n, dtype=np.int8)
+    degree = np.zeros(len(diag), dtype=np.int8)
     np.add.at(degree, u, np.int8(1))
     np.add.at(degree, v, np.int8(1))
-    graph = csr_matrix((pattern_ones(len(u)), (u, v)), shape=(n, n))
-    components = connected_components(graph, connection="weak")
-    del graph
-    return _path_forest_bottom(diag, degree, components, lambda: (u, v, couplings()))
+    return _path_forest_bottom(diag, degree, u, v, couplings)
 
 
 def _path_sum_bottom(a: csr_matrix | RowOracleMatrix) -> _LeastPath | None:
@@ -538,13 +683,9 @@ def _path_sum_bottom(a: csr_matrix | RowOracleMatrix) -> _LeastPath | None:
     Gram whose factor does not fix the reading, is read from its CSR
     arrays once they are checked to equal their transpose; a CSR matrix
     is taken as symmetric.  Every off-diagonal entry must then be +-1;
-    a degree is a row's length less its diagonal entry, and the
-    components are the strong ones of the matrix's own pattern, which
-    on a symmetric pattern are the connected ones: no transpose.
+    a degree is a row's length less its diagonal entry, and the edges
+    are the entries above the diagonal.
     """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
     if isinstance(a, GramOracle):
         edges = a.path_edges()
         least = None if edges is None else _edge_list_bottom(*edges)
@@ -552,22 +693,19 @@ def _path_sum_bottom(a: csr_matrix | RowOracleMatrix) -> _LeastPath | None:
             return least
     if isinstance(a, RowOracleMatrix):
         a = _symmetric_csr(a)
-    n, nnz = a.shape[0], a.nnz
-    diag = a.diagonal()
-    loops = np.count_nonzero(diag)  # the row contract stores no zeros
-    unit = np.count_nonzero(a.data == 1) + np.count_nonzero(a.data == -1)
-    if unit - np.count_nonzero(np.abs(diag) == 1) != nnz - loops:
+    indptr, indices, data = a.indptr, a.indices, a.data
+    n = len(indptr) - 1
+    counts = np.diff(indptr)
+    row = np.repeat(np.arange(n, dtype=indices.dtype), counts)
+    loop = indices == row
+    if np.any(np.abs(data[~loop]) != 1):
         return None
-    pattern = csr_matrix((pattern_ones(nnz), a.indices, a.indptr), shape=(n, n))
-    components = connected_components(pattern, connection="strong")
-    degree = np.diff(a.indptr) - (diag != 0)
-
-    def edges():  # the upper entries; rows in the indices' dtype keep the temporaries small
-        row = np.repeat(np.arange(n, dtype=a.indices.dtype), np.diff(a.indptr))
-        upper = np.flatnonzero(a.indices > row)
-        return row[upper], a.indices[upper], a.data[upper]
-
-    return _path_forest_bottom(diag, degree, components, edges)
+    diag = np.zeros(n, dtype=data.dtype)
+    diag[row[loop]] = data[loop]
+    upper = np.flatnonzero(indices > row)
+    return _path_forest_bottom(
+        diag, counts - (diag != 0), row[upper], indices[upper], lambda picked: data[upper[picked]]
+    )
 
 
 def _path_block(least: _LeastPath, rows: np.ndarray, matrix: RowOracleMatrix) -> RowOracleMatrix:
@@ -579,10 +717,11 @@ def _path_block(least: _LeastPath, rows: np.ndarray, matrix: RowOracleMatrix) ->
     the rows are renumbered 0..len(rows) - 1.  The declared d and k
     carry over, and with them every parameter derived from them.
     """
-    u, v, coupling = least.edges()
-    inside = least.labels[u] == least.component
-    u, v = np.searchsorted(rows, u[inside]), np.searchsorted(rows, v[inside])
-    coupling = coupling[inside]
+    on_block = np.zeros(len(least.diag), dtype=bool)
+    on_block[rows] = True
+    picked = np.flatnonzero(on_block[least.u])
+    u, v = np.searchsorted(rows, least.u[picked]), np.searchsorted(rows, least.v[picked])
+    coupling = least.couplings(picked)
     diag = least.diag[rows]
     loops = np.flatnonzero(diag)
     i, j = np.concatenate((loops, u, v)), np.concatenate((loops, v, u))
@@ -596,12 +735,14 @@ def _path_block(least: _LeastPath, rows: np.ndarray, matrix: RowOracleMatrix) ->
     )
 
 
-def _path_eigenvector(block: RowOracleMatrix, rows: np.ndarray, least: _LeastPath) -> np.ndarray:
+def _path_eigenvector(
+    block: RowOracleMatrix, rows: np.ndarray, order: np.ndarray, least: _LeastPath
+) -> np.ndarray:
     """Unit eigenvector at least.lam of the block on ``rows`` (ascending), in closed form.
 
-    A breadth-first walk on the block's own rows from an end of the
-    path visits them in path order, j = 0 .. ell - 1, in one C pass.
-    With every coupling -1 the eigenvector is (Yueh 2005; Strang and
+    ``order`` lists the rows in path order, j = 0 .. ell - 1, from the
+    end the closed form is counted from.  With every coupling -1 the
+    eigenvector is (Yueh 2005; Strang and
     MacNamara, SIAM Review 56, 2014)
       1                              with both ends 1,
       cos((j + 1/2) pi / (2 ell + 1)) counted from the end that is 1,
@@ -610,14 +751,10 @@ def _path_eigenvector(block: RowOracleMatrix, rows: np.ndarray, least: _LeastPat
     +-1, carry it to the block's own couplings: diag(s) A diag(s) has
     every coupling -1.
     """
-    from scipy.sparse.csgraph import breadth_first_order
-
     ell = len(rows)
     if least.kind == "vertex":
         return np.ones(1)
-    ends = np.flatnonzero(least.degree[rows] == 1)
-    start = ends[np.argmin(least.diag[rows[ends]])]  # for "cos", the end whose diagonal is 1
-    walk = breadth_first_order(to_csr(block), int(start), return_predecessors=False)
+    walk = np.searchsorted(rows, order)
     j = np.arange(ell)
     if least.kind == "constant":
         phi = np.ones(ell)
@@ -666,10 +803,11 @@ def _bottom_block_eigenpair(matrix: RowOracleMatrix) -> _BlockEigenpair:
     least = _path_sum_bottom(matrix)
     if least is None:
         return _BlockEigenpair(*_certified_bottom(matrix), block=matrix, rows=None)
-    rows = np.flatnonzero(least.labels == least.component)
+    order = least.order()
+    rows = np.sort(order)
     block = _path_block(least, rows, matrix)
-    psi = _path_eigenvector(block, rows, least)
-    product = _rounded_once_products(to_csr(block).astype(np.float64), psi)
+    psi = _path_eigenvector(block, rows, order, least)
+    product = _rounded_once_products(block, psi)
     residual = float(np.linalg.norm(product - least.lam * psi))
     return _BlockEigenpair(least.lam, psi, residual, block, rows)
 

@@ -620,6 +620,20 @@ def test_golden_output(name, capsys, monkeypatch):
     assert out.encode() == (GOLDEN_DIR / f"{name}.out").read_bytes()
 
 
+@pytest.mark.parametrize("verifier", ["rotation", "rule"])
+def test_kitaev_text_report_builds_no_term(verifier, capsys, monkeypatch):
+    # The report's term count is read from the compiled gates.
+    def refuse(self):
+        raise AssertionError("a clock term was built")
+
+    monkeypatch.setattr(protocols._ClockSource, "terms", refuse)
+    monkeypatch.chdir(GOLDEN_DIR)
+    name = f"kitaev_{verifier}_csv"
+    code, out = run_cli(capsys, *GOLDEN_CASES[name])
+    assert code == 0
+    assert out.encode() == (GOLDEN_DIR / f"{name}.out").read_bytes()
+
+
 @pytest.mark.parametrize(
     "det",
     [oracles.det_bareiss, oracles.det_cycle_cover, oracles.det_permutation_expansion,
@@ -642,7 +656,9 @@ def scipy_modules():
 
 loaded = {"import gaplab, gaplab.cli": scipy_modules()}
 for argv in (["amplify", "--p", "0.9"], ["kitaev", "--verifier", "rule"],
-             ["kitaev", "--verifier", "rotation"]):
+             ["kitaev", "--verifier", "rotation"],
+             ["verify", "--machine", "unary_counter", "--space", "4", "--input", "11"],
+             ["verify", "--machine", "unary_counter", "--space", "4", "--input", "1"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert gaplab.cli.main(argv) == 0
     loaded[" ".join(argv)] = scipy_modules()
@@ -650,7 +666,7 @@ print(json.dumps(loaded))
 """
 
 
-def test_amplify_and_kitaev_load_no_scipy():
+def test_amplify_kitaev_and_verify_machine_load_no_scipy():
     # pytest's own process already holds scipy, so a fresh interpreter runs the check.
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
@@ -659,7 +675,7 @@ def test_amplify_and_kitaev_load_no_scipy():
         capture_output=True, text=True, check=True,
     )
     loaded = json.loads(result.stdout)
-    assert len(loaded) == 4
+    assert len(loaded) == 6
     assert loaded == {step: [] for step in loaded}
 
 

@@ -815,8 +815,10 @@ def test_compiling_and_solving_a_clock_builds_no_term(monkeypatch):
         instances[0].to_dict()
     monkeypatch.undo()
     for instance, lam, mid in zip(instances, energies, bisected):
+        count = instance.term_count  # read from the source, before any term exists
         instance.to_dict()  # builds the terms, which the solvers do not read
         assert (pr.ground_energy(instance), pr.binary_search_energy(instance, 40)) == (lam, mid)
+        assert count == instance.term_count == len(instance.terms)
 
 
 @settings(max_examples=60, deadline=None)

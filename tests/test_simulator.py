@@ -154,7 +154,7 @@ def test_first_product_rounds_each_row_once():
     for _ in range(60):
         n = int(rng.integers(1, 12))
         dense = rng.choice([-2, -1, 0, 0, 0, 1, 2], size=(n, n))
-        a = so.to_csr(so.from_dense(dense)).astype(np.float64)
+        a = so.from_dense(dense)
         x = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 7, size=n)
         x[rng.integers(n)] = -x.sum()  # a row or two with cancellation
         z = x + 1j * rng.permutation(x)
@@ -171,6 +171,37 @@ def test_first_product_rounds_each_row_once():
         # A column block is summed column by column, to the same bits.
         block = sim._rounded_once_products(a, np.stack([x, z.imag], axis=1))
         assert np.array_equal(block, np.stack([got, got_complex.imag], axis=1))
+
+
+def _scipy_taylor_minus_identity(matrix, evo_time, order, x):
+    """The Taylor sum with scipy's CSR product for every term after the first."""
+    a = so.to_csr(matrix).astype(np.float64)
+    w, total = x, np.zeros(x.shape, dtype=complex)
+    for k in range(1, order + 1):
+        w = (sim._rounded_once_products(matrix, w) if k == 1 else a @ w) * (evo_time / k)
+        total += (-1j) ** (k % 4) * w
+    return total
+
+
+def test_plain_products_are_scipys_csr_row_loop_bit_for_bit():
+    # Each row's products added in column order onto 0, as scipy's CSR product
+    # adds them: the same bits, signed zeros included, for vectors, column
+    # blocks and complex vectors, and so the same Taylor sum.
+    rng = np.random.default_rng(12)
+    for _ in range(150):
+        n = int(rng.integers(1, 30))
+        dense = rng.integers(-9, 10, size=(n, n)) * (rng.random((n, n)) < rng.random())
+        matrix = so.from_dense(dense)
+        a = so.to_csr(matrix).astype(np.float64)
+        rows = sim._padded_rows(matrix)
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, size=n)
+        x[rng.random(n) < 0.2] = -0.0
+        for vector in (x, rng.standard_normal((n, 3)), x + 1j * rng.permutation(x)):
+            got = sim._row_sums(sim._product_table(rows, vector))
+            assert got.tobytes() == (a @ vector).tobytes()
+        t = np.pi / max(sim._norm_upper_bound(matrix), 1.0)
+        got = sim.expm_taylor_minus_identity(matrix, t, 12, x)
+        assert got.tobytes() == _scipy_taylor_minus_identity(matrix, t, 12, x).tobytes()
 
 
 def test_taylor_unitarity_defect_bounds_the_interval():

@@ -691,6 +691,83 @@ def test_min_eigenvalue_sparse_on_shuffled_path_sums(gram):
         assert lam == pytest.approx(np.linalg.eigvalsh(dense)[0], abs=1e-12)
 
 
+@st.composite
+def degree_two_edge_lists(draw):
+    """(n, u, v): paths, isolated vertices, cycles and repeated edges, on shuffled vertices.
+
+    The edges come in any order and either orientation, as int32
+    endpoints; paths run to 40 vertices, past the walk's log2(n) steps.
+    """
+    parts = draw(st.lists(st.tuples(st.sampled_from(("path", "path", "cycle", "repeated")),
+                                    st.integers(1, 40)), min_size=1, max_size=6))
+    edges, n = [], 0
+    for kind, k in parts:
+        if kind == "path":
+            edges += [(n + i, n + i + 1) for i in range(k - 1)]
+        elif kind == "cycle":
+            k = max(k, 3)
+            edges += [(n + i, n + (i + 1) % k) for i in range(k)]
+        else:
+            k = 2
+            edges += [(n, n + 1), (n, n + 1)]
+        n += k
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pairs = rng.permutation(n)[np.array(edges, dtype=np.int64).reshape(-1, 2)]
+    flip = rng.random(len(pairs)) < 0.5
+    pairs[flip] = pairs[flip, ::-1]
+    pairs = pairs[rng.permutation(len(pairs))].astype(np.int32)
+    return n, np.ascontiguousarray(pairs[:, 0]), np.ascontiguousarray(pairs[:, 1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(degree_two_edge_lists())
+@example((5, np.array([0, 1], dtype=np.int32), np.array([1, 0], dtype=np.int32)))  # repeated
+@example((40, np.arange(39, dtype=np.int32), np.arange(1, 40, dtype=np.int32)))  # one long path
+def test_path_forest_reads_what_connected_components_reads(graph):
+    # scipy's connected components is the oracle: the same paths, with the
+    # same sizes, ends and least vertices, and None exactly when a cycle is there.
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    n, u, v = graph
+    degree = np.bincount(np.concatenate((u, v)), minlength=n)
+    forest = sp._path_forest(degree, u, v)
+    count, labels = connected_components(
+        csr_matrix((np.ones(len(u)), (u, v)), shape=(n, n)), directed=False
+    )
+    size = np.bincount(labels, minlength=count)
+    if np.any(np.bincount(labels[u], minlength=count) >= size):  # as many edges as vertices
+        assert forest is None
+        return
+    want = []
+    for component in np.flatnonzero(size > 1).tolist():
+        vertices = np.flatnonzero(labels == component)
+        ends = vertices[degree[vertices] == 1].tolist()
+        want.append((len(vertices), min(ends), max(ends), int(vertices[0])))
+    got = list(zip(*(part.tolist() for part in (forest.size, forest.first, forest.last,
+                                                  forest.least))))
+    assert sorted(got) == sorted(want)
+    edges = set(zip(u.tolist(), v.tolist())) | set(zip(v.tolist(), u.tolist()))
+    for path, (ell, first, last, _) in enumerate(got):
+        for end, other in ((first, last), (last, first)):
+            walk = forest.order(path, end).tolist()
+            assert len(walk) == ell and len(set(walk)) == ell
+            assert walk[0] == end and walk[-1] == other
+            assert all(pair in edges for pair in zip(walk, walk[1:]))
+
+
+def test_a_million_vertex_path_is_finished_by_pointer_jumping(monkeypatch):
+    # One path of 10^6 vertices: past log2(dim) steps the walk hands it to
+    # pointer jumping, and lambda_min and the decision are the closed form's.
+    jumped = []
+    ranks = sp._dart_ranks
+    monkeypatch.setattr(sp, "_dart_ranks", lambda *args: jumped.append(1) or ranks(*args))
+    gram = so.ata_oracle(so.path_adjacency(10**6))
+    assert sp.min_eigenvalue_sparse(gram) == sp.min_eigenvalue_bound(10**6)
+    assert pr.decide_gapped(gram, 30).decision == "YES"
+    assert len(jumped) == 2
+
+
 def _check_closed_form_witness(gram: so.RowOracleMatrix, monkeypatch) -> None:
     """bottom_eigenpair of a path sum against eigh, with the ordering and every dense routine refused.
 
@@ -723,7 +800,7 @@ def _check_closed_form_witness(gram: so.RowOracleMatrix, monkeypatch) -> None:
     assert len(set(labels[pair.rows].tolist())) == 1
     assert np.count_nonzero(labels == labels[pair.rows[0]]) == len(pair.rows)
     # Each row's sum is rounded once, on the block and on all of A alike.
-    full = float(np.linalg.norm(sim._rounded_once_products(a.astype(np.float64), psi) - lam * psi))
+    full = float(np.linalg.norm(sim._rounded_once_products(gram, psi) - lam * psi))
     assert residual == pair.residual == full
 
 
@@ -763,8 +840,7 @@ def test_block_residual_is_the_full_residual_on_reductions():
             for x in (x for x in inputs if len(x) < space):
                 gram = rtm.reduce_to_gapped(machine, x).gram
                 lam, psi, residual = sp.bottom_eigenpair(gram)
-                a = so.to_csr(gram).astype(np.float64)
-                full = sim._rounded_once_products(a, psi) - lam * psi
+                full = sim._rounded_once_products(gram, psi) - lam * psi
                 assert residual == float(np.linalg.norm(full)) < 1e-15
 
 
