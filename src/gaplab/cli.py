@@ -117,7 +117,8 @@ def _cmd_spectrum(args) -> tuple[list[dict], int]:
 def _cmd_det(args) -> tuple[dict, int]:
     matrix = sparse_oracle.load_instance(args.instance)
     value = spectral.det_exact(matrix)
-    # One route, so "method" is a constant; the field keeps the report's shape stable.
+    # det_exact picks its route from the matrix, so "method" is a constant; the
+    # field keeps the report's shape stable.
     payload = _with_seed(args, {"dim": matrix.dim, "det": value, "method": "auto"})
     return payload, EXIT_OK
 

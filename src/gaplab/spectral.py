@@ -3,15 +3,20 @@
 Two independent concerns live here:
 
 * integer determinants that certify singularity exactly, with no
-  floating point on the value path.  The production path first splits
-  the matrix by its pattern: a maximum transversal either proves it
-  structurally singular or puts a zero-free diagonal in place, and the
-  strong components of that matrix's digraph give a block-triangular
-  form.  Its 1 x 1 blocks are diagonal entries; only the larger blocks,
-  the core, go through fraction-free elimination confined to the band
-  of their reverse Cuthill-McKee order.  It is the one determinant
-  route; the dense elimination and the two enumerations it is checked
-  against live with the tests, in ``tests/oracles.py``;
+  floating point on the value path.  A matrix with at most one entry
+  off the diagonal in each row, as every reduction's augmented
+  adjacency and the path and cycle blocks are, has a closed form: the
+  diagonal product off the cycles of its successor map, times one
+  factor per cycle, the cycles found in numpy by min-label pointer
+  doubling.  Any other matrix is split by its pattern: a maximum
+  transversal either proves it structurally singular or puts a
+  zero-free diagonal in place, and the strong components of that
+  matrix's digraph give a block-triangular form.  Its 1 x 1 blocks are
+  diagonal entries; only the larger blocks, the core, go through
+  fraction-free elimination confined to the band of their reverse
+  Cuthill-McKee order.  The dense elimination and the two enumerations
+  both routes are checked against live with the tests, in
+  ``tests/oracles.py``;
 * eigenvalue machinery for the symmetric Gram matrices the reductions
   produce, including the closed-form spectrum of the path block and the
   tridiagonal fast path.  A direct sum of path blocks (every
@@ -31,9 +36,10 @@ Two independent concerns live here:
 Each function imports the scipy routines it calls when it runs, and the
 module imports none: ``eigh_tridiagonal`` loads with the first
 ``spectrum_report``, the sparse, graph and dense routines with the
-first determinant, symmetry check or dense eigenpair.  A process that
-only amplifies, builds clock Hamiltonians or decides a reduction's Gram
-loads no scipy at all.
+first determinant off the closed form, symmetry check or dense
+eigenpair.  A process that only amplifies, builds clock Hamiltonians,
+or reduces a machine, takes its adjacency's determinant and decides
+its Gram loads no scipy at all.
 """
 
 from __future__ import annotations
@@ -183,11 +189,13 @@ def det_bareiss_sparse(matrix: RowOracleMatrix) -> int:
        Cuthill-McKee order.
 
     Only the combinatorial steps use scipy; every value is an exact
-    Python integer.  On a reduction's matrix the transversal already
-    decides a rejecting input.  An accepting one has a single cycle
-    cover, so its transversal is unique, B is triangular and no core is
-    left: the determinant is the sign, with no nnz-long pass beyond the
-    strong components.
+    Python integer.  ``det_exact`` sends here only the matrices its
+    closed form (``_successor_det``) leaves: a Gram, or any matrix with
+    a row of two entries off the diagonal or a successor walk that
+    enters a cycle from outside it.  On a reduction's matrix, which the
+    closed form takes, the transversal would already decide a rejecting
+    input, and an accepting one, with a single cycle cover, leaves no
+    core.
     """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components, maximum_bipartite_matching
@@ -235,15 +243,139 @@ def det_bareiss_sparse(matrix: RowOracleMatrix) -> int:
     return det * _banded_bareiss(ordered, lo)
 
 
+def _walk_minima(succ: np.ndarray, label: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least label on each vertex's walk along ``succ``, by min-label pointer doubling.
+
+    ``succ`` maps each vertex to its successor, and a vertex with none
+    to itself; ``label`` holds -1 there and the vertex's own index
+    elsewhere.  Both are overwritten: after round r, label[v] is the
+    least label of the 2^r vertices from v on, and succ[v], while v is
+    still in the rounds, the last of them.  Labels only fall, so the
+    rounds stop at the first that changes none; then each label is at
+    most its 2^r-th successor's, hence by induction at most every later
+    one's, and it is the least on the whole walk: -1 if the walk ends,
+    else the least vertex of the cycle it runs into.  That takes about
+    log2 of the longest walk in rounds.  A vertex whose label is -1
+    keeps it and leaves the rounds, so each round reads only the
+    vertices still out, in the index dtype.  Returns the vertices whose
+    walk never ends, ascending, and their labels.
+    """
+    out = np.flatnonzero(label >= 0).astype(succ.dtype)
+    own, far = label[out], succ[out]
+    while True:
+        ahead = label[far]
+        if not np.any(ahead < own):
+            return out, own
+        np.minimum(own, ahead, out=own)
+        far = succ[far]
+        label[out], succ[out] = own, far
+        keep = np.flatnonzero(own >= 0)
+        out, own, far = out[keep], own[keep], far[keep]
+
+
+def _successor_det(matrix: RowOracleMatrix) -> int | None:
+    """det A for A = D + F, F with at most one entry per row, off the diagonal; else None.
+
+    Row v holds D_v on the diagonal and at most one entry c_v in
+    column succ(v) != v.  A permutation with a nonzero term sends each
+    v to v or to succ(v), and the v it moves are closed under succ and
+    permuted by it: they are a union of cycles of succ.  So
+      det A = prod of D_v over the v on no cycle
+              * prod over cycles C of (prod_C D - (-1)^|C| prod_C c),
+    a k-cycle's permutation having sign (-1)^(k-1).  Every reduction's
+    augmented adjacency has this form (its self-loops, its successor
+    arcs and the one back edge), and so do the path and cycle blocks.
+
+    The cycles come from ``_walk_minima``.  A vertex whose walk never
+    ends lies on a cycle when succ permutes those vertices; where a
+    walk runs into a cycle from outside it, A is left to the general
+    route (None) unless it is singular by the tests below.  An empty
+    row gives 0 at once.  Before any labelling, the rows with no
+    diagonal entry are walked forward together for up to log2(dim)
+    steps: if one reaches a row with no successor, every term of det A
+    has a zero factor, so det A = 0.  That decides every rejecting
+    reduction, whose start row lies on a path.  The products are exact
+    Python integers over the entries other than 1.  The dim-long arrays
+    are in the index dtype.
+    """
+    indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
+    spare = np.diff(indptr)
+    if spare.max() > 2:
+        return None
+    if spare.min() == 0:
+        return 0
+    np.subtract(indptr[1:], 1, out=spare)
+    last = indices[spare]  # each row's last column and its first
+    del spare
+    succ = indices[indptr[:-1]]
+    rows = np.arange(matrix.dim, dtype=succ.dtype)
+    at_first = succ == rows
+    loop = last == rows
+    loop |= at_first
+    if not np.all(loop | (succ == last)):
+        return None  # a row with two entries off the diagonal
+    last -= succ  # succ = last where the first column is the diagonal, else first
+    last *= at_first
+    succ += last
+    del last, at_first
+    zeros = np.flatnonzero(~loop)
+    del loop
+    walker = zeros
+    for _ in range(matrix.dim.bit_length()):
+        ahead = succ[walker]
+        if np.any(ahead == walker):
+            return 0
+        walker = ahead
+        if np.array_equal(walker, zeros):
+            break  # every walker is back: all lie on cycles
+    end = succ == rows
+    label = rows  # -1 where the walk ends at once, else the vertex
+    label *= ~end
+    label -= end
+    del end
+    cycle, name = _walk_minima(succ, label)
+    del succ
+    if np.any(label[zeros] < 0):
+        return 0
+    det = 1
+    special = np.flatnonzero(data != 1)
+    if len(special):
+        row = np.searchsorted(indptr, special.astype(indptr.dtype), side="right") - 1
+        off_cycle = (indices[special] == row) & (label[row] < 0)
+        det = prod(data[special[off_cycle]].tolist())
+    first, last = indptr[cycle], indptr[cycle + 1] - 1
+    at_first = indices[first] == cycle
+    arc = np.where(at_first, last, first)
+    if not np.array_equal(np.sort(indices[arc]), cycle):
+        return None  # a walk runs into a cycle from outside it
+    on_diagonal = at_first | (indices[last] == cycle)
+    diagonal = np.where(on_diagonal, data[np.where(at_first, first, last)], 0)
+    coupling = data[arc]
+    names, sizes = np.unique(name, return_counts=True)
+    products = {key: [1, 1] for key in names.tolist()}  # (prod D, prod c) of each cycle
+    nonunit = (diagonal != 1) | (coupling != 1)
+    for key, d, c in zip(*(a[nonunit].tolist() for a in (name, diagonal, coupling))):
+        products[key][0] *= d
+        products[key][1] *= c
+    for key, k in zip(names.tolist(), sizes.tolist()):
+        d, c = products[key]
+        det *= d - (-1) ** k * c
+    return det
+
+
 def det_exact(matrix: RowOracleMatrix | np.ndarray) -> int:
     """Exact integer determinant; an array is wrapped by ``from_dense`` first.
 
-    The route is ``det_bareiss_sparse``: the block-triangular split
-    ahead of banded fraction-free elimination.
+    A matrix with at most one entry off the diagonal in each row, every
+    reduction's augmented adjacency among them, takes the closed form
+    of ``_successor_det``, in numpy alone.  Any other takes
+    ``det_bareiss_sparse``: the block-triangular split ahead of banded
+    fraction-free elimination.
     """
     if not isinstance(matrix, RowOracleMatrix):
         matrix = from_dense(matrix)
-    return det_bareiss_sparse(matrix)
+    det = _successor_det(matrix)
+    return det_bareiss_sparse(matrix) if det is None else det
 
 
 # ---------------------------------------------------------------------------

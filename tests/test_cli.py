@@ -654,11 +654,13 @@ import gaplab, gaplab.cli
 def scipy_modules():
     return sorted(name for name in sys.modules if name.startswith("scipy"))
 
+machine = ["--machine", "unary_counter", "--space", "4"]
 loaded = {"import gaplab, gaplab.cli": scipy_modules()}
 for argv in (["amplify", "--p", "0.9"], ["kitaev", "--verifier", "rule"],
              ["kitaev", "--verifier", "rotation"],
-             ["verify", "--machine", "unary_counter", "--space", "4", "--input", "11"],
-             ["verify", "--machine", "unary_counter", "--space", "4", "--input", "1"]):
+             ["verify", *machine, "--input", "11"], ["verify", *machine, "--input", "1"],
+             ["reduce", *machine, "--input", "11"], ["reduce", *machine, "--input", "1"],
+             ["det", "--instance", sys.argv[1]]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert gaplab.cli.main(argv) == 0
     loaded[" ".join(argv)] = scipy_modules()
@@ -666,16 +668,19 @@ print(json.dumps(loaded))
 """
 
 
-def test_amplify_kitaev_and_verify_machine_load_no_scipy():
+def test_amplify_kitaev_verify_reduce_and_det_load_no_scipy(tmp_path):
     # pytest's own process already holds scipy, so a fresh interpreter runs the check.
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    instance = tmp_path / "rtm.json"
+    instance.write_text(json.dumps(
+        {"kind": "rtm", "machine": "unary_counter", "input": "11", "space": 4}))
     result = subprocess.run(
-        [sys.executable, "-c", _SCIPY_FREE_RUN], env={**os.environ, "PYTHONPATH": path},
-        capture_output=True, text=True, check=True,
+        [sys.executable, "-c", _SCIPY_FREE_RUN, str(instance)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
     )
     loaded = json.loads(result.stdout)
-    assert len(loaded) == 6
+    assert len(loaded) == 9
     assert loaded == {step: [] for step in loaded}
 
 

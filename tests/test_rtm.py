@@ -255,7 +255,7 @@ def _index_bytes(matrix: so.RowOracleMatrix) -> int:
 
 def test_det_peak_memory_stays_near_the_adjacency_indices():
     adjacency = _space_7_reduction().adjacency
-    sp.det_exact(adjacency)  # a first call imports scipy's graph routines, traced as well
+    sp.det_exact(adjacency)  # a warm-up call, untraced; the numpy route imports nothing
     det, peak = oracles.traced_peak(lambda: sp.det_exact(adjacency))
     assert det == -1
     assert peak <= 3 * _index_bytes(adjacency), (peak, _index_bytes(adjacency))

@@ -188,7 +188,129 @@ def test_det_split_on_known_transversals(split):
     assert det == oracles.det_bareiss(oracle)
     if len(a) <= 7:
         assert det == oracles.det_permutation_expansion(oracle)
-    assert bool(calls) == core
+    # A matrix of the successor form never reaches the split, core or not.
+    assert bool(calls) == (core and not _successor_form(a))
+
+
+def _successor_form(a: np.ndarray) -> bool:
+    """Whether ``spectral._successor_det`` answers for the dense integer matrix ``a``.
+
+    Every row must hold at most one entry off the diagonal, its
+    successor; and the vertices whose walk along successors never ends
+    must be permuted by them, so that no walk enters a cycle from
+    outside it.  Read from the definition, one walk per vertex.
+    """
+    succ = {}
+    for i, row in enumerate(a):
+        off = [j for j in np.flatnonzero(row) if j != i]
+        if len(off) > 1:
+            return False
+        if off:
+            succ[i] = int(off[0])
+    endless = []
+    for v in range(len(a)):
+        w = v
+        for _ in range(len(a)):
+            w = succ.get(w)
+            if w is None:
+                break
+        else:
+            endless.append(v)
+    return sorted(succ[v] for v in endless) == endless
+
+
+@st.composite
+def successor_sums(draw):
+    """D + P for a partial permutation P, relabelled.
+
+    The vertices split into blocks: cycles of 2..n vertices and paths,
+    isolated vertices among them, each path or cycle running through
+    its block in order.  D draws zeros, ones and entries up to 2^35 in
+    magnitude, P's entries the same without zeros, so products need
+    Python integers.  A random symmetric relabelling Q A Q^T, which
+    keeps the determinant, scatters the blocks.
+    """
+    n = draw(st.integers(1, 10))
+    big = 2 ** 35
+    value = st.one_of(st.sampled_from([1, 1, -1, 2]), st.integers(-big, big))
+    diagonal = draw(st.lists(st.one_of(st.just(0), value), min_size=n, max_size=n))
+    a = np.diag(np.array(diagonal, dtype=np.int64))
+    start = 0
+    while start < n:
+        size = draw(st.integers(1, n - start))
+        cycle = size >= 2 and draw(st.booleans())
+        block = list(range(start, start + size))
+        for v, w in zip(block, block[1:] + ([start] if cycle else [])):
+            a[v, w] = draw(value.filter(bool))
+        start += size
+    order = draw(st.permutations(range(n)))
+    return a[np.ix_(order, order)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(successor_sums())
+def test_successor_det_matches_elimination(a):
+    oracle = so.from_dense(a)
+    det = sp._successor_det(oracle)
+    assert det is not None
+    assert det == oracles.det_bareiss(oracle) == sp.det_bareiss_sparse(oracle)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(-1, n - 1), min_size=n, max_size=n),
+    st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+    st.lists(st.integers(-3, 3).filter(bool), min_size=n, max_size=n),
+)))
+def test_successor_det_on_any_successor_map(drawn):
+    # Any map, so a column may hold several entries off the diagonal and a
+    # walk may run into a cycle from outside it.  Only the latter is left to
+    # the split, unless an empty row or a walk from a zero diagonal entry to
+    # a row with no successor already gives 0.
+    succ, diagonal, coupling = drawn
+    a = np.diag(np.array(diagonal, dtype=np.int64))
+    for v, (w, c) in enumerate(zip(succ, coupling)):
+        if w >= 0 and w != v:
+            a[v, w] = c
+    oracle = so.from_dense(a)
+    det = sp._successor_det(oracle)
+    reference = oracles.det_bareiss(oracle)
+    if _successor_form(a):
+        assert det == reference
+    else:
+        assert det is None or det == reference == 0
+
+
+def test_det_exact_sends_other_matrices_to_the_split(monkeypatch):
+    calls = []
+    split = sp.det_bareiss_sparse
+
+    def recorded(matrix):
+        calls.append(matrix.dim)
+        return split(matrix)
+
+    monkeypatch.setattr(sp, "det_bareiss_sparse", recorded)
+    others = {
+        "a row with two entries off the diagonal": [[1, 0, 0], [1, 0, 2], [0, 1, 0]],
+        "a row of three entries": [[1, 1, 1], [1, 1, 0], [0, 1, 1]],
+        "a walk into a cycle, its column holding two":
+            [[1, 1, 0], [0, 2, 1], [0, 1, 3]],
+    }
+    for name, rows in others.items():
+        a = np.array(rows, dtype=np.int64)
+        calls.clear()
+        assert sp.det_exact(a) == oracles.det_bareiss(so.from_dense(a)), name
+        assert calls == [3], name
+    members = {
+        "a path": so.path_adjacency(6),
+        "a cycle": so.cycle_adjacency(5),
+        "two walks ending in one column": so.from_dense(
+            np.array([[2, 0, 1], [0, 3, 1], [0, 0, 5]], dtype=np.int64)),
+    }
+    calls.clear()
+    for name, oracle in members.items():
+        assert sp.det_exact(oracle) == oracles.det_bareiss(oracle), name
+    assert calls == []
 
 
 def test_det_exact_regime_skips_the_banded_kernel(monkeypatch):
@@ -215,6 +337,24 @@ def test_det_exact_regime_skips_the_banded_kernel(monkeypatch):
     # The kernel still runs where a core exists: a symmetric Gram is one strong component.
     assert sp.det_exact(so.ata_oracle(so.path_adjacency(5))) == 1
     assert calls == [(5, 5)]
+
+
+def test_rejecting_reductions_are_decided_before_any_labelling(monkeypatch):
+    # The start row has no diagonal entry and, on a rejecting input, a walk
+    # that ends; an accepting one's start row lies on the computation cycle.
+    calls = []
+    minima = sp._walk_minima
+
+    def recorded(succ, label):
+        calls.append(len(succ))
+        return minima(succ, label)
+
+    monkeypatch.setattr(sp, "_walk_minima", recorded)
+    machine = rtm.with_space(rtm.corpus_machine("unary_counter"), 6)
+    assert sp.det_exact(rtm.augmented_adjacency(machine, "1")) == 0
+    assert calls == []
+    assert sp.det_exact(rtm.augmented_adjacency(machine, "11")) == -1
+    assert calls == [machine.dim]
 
 
 def test_det_sparse_zero_bandwidth_rescales_the_last_row():
