@@ -23,11 +23,11 @@ configurations collide.  It also checks the structural facts the matrix
 reduction leans on: the start configuration has no predecessor, the
 accept state has no outgoing transitions, and the step map has no
 cycles anywhere in configuration space (a stray 2-cycle among unreachable
-configurations would silently zero out every determinant).  Acyclicity
-is decided by pointer jumping to a sink appended after the last
-configuration; the jumping stops as soon as every configuration has
-reached the sink, so a map of short chains pays a few rounds, not
-log2(dim).
+configurations would silently zero out every determinant).  Injectivity
+is read from a mask of the targets hit, and acyclicity is decided by
+pointer jumping to a sink appended after the last configuration
+(``spectral._endless``), on the configurations still out alone, so a map
+of short chains pays a few rounds on a few configurations.
 
 The reduction emits the augmented adjacency matrix of the configuration
 graph: successor edges, a back edge from the canonical accepting
@@ -49,14 +49,23 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from importlib import resources
 from math import ceil, log2
 
 import numpy as np
 
 from .errors import ContractError
-from .sparse_oracle import RowOracleMatrix, _field, _index_arrays, _ones, ata_oracle
-from .spectral import min_eigenvalue_bound
+from .sparse_oracle import (
+    GramOracle,
+    RowOracleMatrix,
+    _field,
+    _index_arrays,
+    _index_dtype,
+    _ones,
+    ata_oracle,
+)
+from .spectral import _endless, min_eigenvalue_bound
 
 MOVES = {"L": -1, "S": 0, "R": 1}
 
@@ -328,13 +337,18 @@ def _audit(machine: ReversibleTM, succ: np.ndarray) -> ValidationReport:
         if q2 == machine.start:
             issues.append(f"transition ({q}, {a}) re-enters the start state")
 
-    # Injectivity: no target is hit twice (bin 0 counts the halting ones).
-    # Only a failure sorts the moving configurations by target, to name its
-    # witness; the stable sort keeps each target's preimages in ascending order.
-    if np.bincount(succ + 1, minlength=2)[1:].max() > 1:
-        moving = np.flatnonzero(succ >= 0)
-        order = np.argsort(succ[moving], kind="stable")
-        source, target = moving[order], succ[moving][order]
+    # Injectivity: as many targets are hit as configurations move.  The hit
+    # mask's spare last slot takes the halting ones' -1.  Only a failure sorts
+    # the moving configurations by target, to name its witness; the stable
+    # sort keeps each target's preimages in ascending order.
+    dim = machine.dim
+    moving = succ >= 0
+    hit = np.zeros(dim + 1, dtype=bool)
+    hit[succ] = True
+    if np.count_nonzero(hit[:-1]) < np.count_nonzero(moving):
+        moving_at = np.flatnonzero(moving)
+        order = np.argsort(succ[moving_at], kind="stable")
+        source, target = moving_at[order], succ[moving_at][order]
         shared = np.flatnonzero(target[1:] == target[:-1])
         k = shared[np.argmin(source[shared + 1])]
         collision = (config(source[k]), config(source[k + 1]))
@@ -342,21 +356,20 @@ def _audit(machine: ReversibleTM, succ: np.ndarray) -> ValidationReport:
             f"step map not injective: {collision[0]} and {collision[1]} "
             f"share successor {config(target[k])}"
         )
+    del hit, moving
 
-    # Acyclicity by pointer jumping: after 2^r > dim hops every halting
-    # configuration has reached the sink appended at index dim.  Chains
-    # reach it long before that, and a cycle never does, so the rounds stop
-    # as soon as every configuration sits on the sink.
-    dim = machine.dim
-    jump = np.append(np.where(succ >= 0, succ, dim), dim)
-    for _ in range(dim.bit_length()):
-        jump = jump[jump]
-        if jump.min() == dim:
-            break
-    stuck = np.flatnonzero(jump[:-1] != dim)
-    if stuck.size:
+    # Acyclicity: the configurations whose walk never reaches the sink at
+    # index dim, by pointer jumping in one array of the index dtype.
+    jump = np.empty(dim + 1, dtype=_index_dtype(dim, 0))
+    jump[:-1], jump[-1] = succ, dim
+    # Read as unsigned, a halting -1 is the largest value, so it clips to dim.
+    unsigned = jump.view(jump.dtype.str.replace("i", "u"))
+    np.minimum(unsigned, dim, out=unsigned)
+    out = _endless(jump)
+    del jump
+    if len(out):
         path: dict[int, int] = {}
-        v = int(stuck[0])
+        v = int(out[0])
         while v not in path:
             path[v] = len(path)
             v = int(succ[v])
@@ -390,7 +403,9 @@ def augmented_adjacency(machine: ReversibleTM, input_str: str) -> RowOracleMatri
     most two ones, so the Gram construction applies downstream.  A
     machine that fails ``validate`` is refused with ContractError.
     """
-    succ = successors(machine)
+    # Narrowed to the index dtype, the successor array costs half as much in
+    # the audit and the build, and it is let go before the contract check.
+    succ = successors(machine).astype(_index_dtype(machine.dim, 0))
     report = _audit(machine, succ)
     if not report.ok:
         raise ContractError(
@@ -398,7 +413,9 @@ def augmented_adjacency(machine: ReversibleTM, input_str: str) -> RowOracleMatri
         )
     s_idx = encode_configuration(machine, start_configuration(machine, input_str))
     t_idx = encode_configuration(machine, accept_configuration(machine, input_str))
-    return _ones(*_adjacency_arrays(succ, s_idx, t_idx))
+    arrays = _adjacency_arrays(succ, s_idx, t_idx)
+    del succ
+    return _ones(*arrays)
 
 
 def _adjacency_arrays(succ: np.ndarray, s_idx: int, t_idx: int) -> tuple[np.ndarray, np.ndarray]:
@@ -409,20 +426,31 @@ def _adjacency_arrays(succ: np.ndarray, s_idx: int, t_idx: int) -> tuple[np.ndar
     is the back edge alone.  Two scatters write min(succ, i) into each
     row's first slot and then max(succ, i) into its last, so a halting
     row's one slot ends at i.  The start row takes neither, since an
-    empty one would write into its neighbours' slots.  Every temporary
-    is in the index dtype, so the peak stays near the result's size.
+    empty one would write into its neighbours' slots.  Each column is
+    computed in place in a fresh array of the row indices, dropped
+    before the next, and the last slots are read from ``indptr``
+    itself, lowered by one and restored; so the one dim-long temporary
+    is that array, in the index dtype.
     """
     moves = succ >= 0
     counts = moves.view(np.int8) + np.int8(1)
     counts[s_idx], counts[t_idx] = moves[s_idx], 1
+    del moves
     indptr, indices = _index_arrays(counts)
-    del moves, counts
-    rows = np.arange(len(succ), dtype=indices.dtype)
-    column = np.empty_like(rows)
-    for part in (slice(0, s_idx), slice(s_idx + 1, None)):
-        i, target, out = rows[part], succ[part], column[part]
-        indices[indptr[:-1][part]] = np.minimum(target, i, out=out)
-        indices[indptr[1:][part] - 1] = np.maximum(target, i, out=out)
+    del counts
+    parts = (slice(0, s_idx), slice(s_idx + 1, None))
+    column = np.arange(len(succ), dtype=indices.dtype)
+    np.minimum(succ, column, out=column)
+    for part in parts:
+        indices[indptr[:-1][part]] = column[part]
+    del column
+    column = np.arange(len(succ), dtype=indices.dtype)
+    np.maximum(succ, column, out=column)
+    indptr[1:] -= 1  # each row's last slot
+    for part in parts:
+        indices[indptr[1:][part]] = column[part]
+    indptr[1:] += 1
+    del column
     indices[indptr[s_idx]:indptr[s_idx + 1]] = succ[s_idx]
     indices[indptr[t_idx]] = s_idx
     return indptr, indices
@@ -432,16 +460,20 @@ def _adjacency_arrays(succ: np.ndarray, s_idx: int, t_idx: int) -> tuple[np.ndar
 class GappedInstance:
     """Matrix decision instance with a certified eigenvalue dichotomy.
 
-    ``gram`` is A^T A for the augmented adjacency A.  Its least
-    eigenvalue is exactly 0 when the machine rejects the input and at
-    least 2^-g when it accepts, with g derived from the closed-form
+    ``gram`` is A^T A for the augmented adjacency A, built on its first
+    read: ``reduce`` takes only A's determinant and forms no Gram.  Its
+    least eigenvalue is exactly 0 when the machine rejects the input and
+    at least 2^-g when it accepts, with g derived from the closed-form
     bound at this dimension.
     """
 
     adjacency: RowOracleMatrix
-    gram: RowOracleMatrix
     dim: int
     g: int
+
+    @cached_property
+    def gram(self) -> GramOracle:
+        return ata_oracle(self.adjacency)
 
 
 def reduce_to_gapped(machine: ReversibleTM, input_str: str) -> GappedInstance:
@@ -449,12 +481,7 @@ def reduce_to_gapped(machine: ReversibleTM, input_str: str) -> GappedInstance:
     adjacency = augmented_adjacency(machine, input_str)
     bound = min_eigenvalue_bound(machine.dim)
     g = ceil(-log2(bound))
-    return GappedInstance(
-        adjacency=adjacency,
-        gram=ata_oracle(adjacency),
-        dim=machine.dim,
-        g=g,
-    )
+    return GappedInstance(adjacency=adjacency, dim=machine.dim, g=g)
 
 
 # ---------------------------------------------------------------------------

@@ -266,7 +266,7 @@ def _rounded_once_sums(table: np.ndarray) -> np.ndarray:
 
 def _rounded_once_products(matrix: RowOracleMatrix, x: np.ndarray) -> np.ndarray:
     """A x for a vector or column block x, each row's sum rounded once (``_rounded_once_sums``)."""
-    return _rounded_once_sums(_product_table(_padded_rows(matrix), x))
+    return _rounded_once_sums(_product_table(matrix.padded, x))
 
 
 def expm_taylor_minus_identity(
@@ -279,7 +279,7 @@ def expm_taylor_minus_identity(
     itself is never formed.  Term k is (-i)^k w_k with w_k = (t/k) A w_{k-1}
     and w_0 = x, so a real x stays real through the recurrence and the
     powers of -i enter only when the terms are summed.  Every product
-    reads the oracle's own arrays, padded once (``_padded_rows``).
+    reads the oracle's own arrays, padded once (``RowOracleMatrix.padded``).
 
     The first product sums each row by ``_rounded_once_sums``.  That
     product carries the read's cancellation: on an eigenvector at a
@@ -298,7 +298,7 @@ def expm_taylor_minus_identity(
         raise ValueError("evolution time must be nonnegative")
     if _norm_upper_bound(matrix) * evo_time > pi * (1 + 1e-9):
         raise ContractError("||A|| * evo_time exceeds pi")
-    rows = _padded_rows(matrix)
+    rows = matrix.padded
     w = np.asarray(x)
     total = np.zeros(w.shape, dtype=complex)
     for k in range(1, order + 1):

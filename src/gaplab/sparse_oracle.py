@@ -97,9 +97,11 @@ class RowOracleMatrix:
             return int(np.searchsorted(indptr, entry.argmax(), side="right")) - 1
 
         # Each check reduces first and builds an nnz-long mask only to name a
-        # failing row; the one mask a valid oracle pays is the sort check's.
+        # failing row; the one mask a valid oracle pays is the sort check's,
+        # made after the row counts are let go.
         if counts.max() > d:
             raise ContractError(f"row {int((counts > d).argmax())} has more than {d} entries")
+        del counts
         if nnz and (cols.min() < 0 or cols.max() >= dim):
             raise ContractError(
                 f"row {row_of((cols < 0) | (cols >= dim))} references a column outside [0, {dim})"
@@ -109,12 +111,14 @@ class RowOracleMatrix:
         indptr, cols = indptr.astype(index, copy=False), cols.astype(index, copy=False)
         object.__setattr__(self, "indptr", indptr)
         object.__setattr__(self, "indices", cols)
-        descending = cols[1:] <= cols[:-1]
-        starts = indptr[1:-1]
-        descending[starts[(starts > 0) & (starts < nnz)] - 1] = False  # pairs across rows
+        # descending[j]: entry j is not above the entry before it.  A row's
+        # first entry has no such pair; the slot past the end takes the starts
+        # of trailing empty rows.
+        descending = np.zeros(nnz + 1, dtype=bool)
+        np.less_equal(cols[1:], cols[:-1], out=descending[1:nnz])
+        descending[indptr] = False
         if descending.any():
-            row = row_of(np.append(False, descending))  # the pair's second entry
-            raise ContractError(f"row {row} entries not sorted by column")
+            raise ContractError(f"row {row_of(descending)} entries not sorted by column")
         del descending
         if np.count_nonzero(vals) < nnz:
             raise ContractError(f"row {row_of(vals == 0)} contains an explicit zero")
@@ -135,6 +139,17 @@ class RowOracleMatrix:
         view = csr_matrix((self.data, self.indices, self.indptr), shape=(self.dim, self.dim))
         view.has_canonical_format = True  # the contract: sorted columns, no repeats
         return view
+
+    @cached_property
+    def padded(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows padded to one length, as the Taylor products read them; built once.
+
+        See ``simulator._padded_rows``.  The witness's residual and its
+        phase read both take these, so a block is padded once.
+        """
+        from .simulator import _padded_rows  # deferred: simulator imports this module
+
+        return _padded_rows(self)
 
 
 def to_csr(matrix: RowOracleMatrix) -> csr_matrix:
@@ -255,7 +270,8 @@ class GramOracle(RowOracleMatrix):
 
     ``factor`` is A, a +-1 matrix with at most two nonzeros per column,
     and ``column_counts`` those counts in int8, the Gram's diagonal.
-    Construction checks both with one ``bincount`` of A's columns: a
+    Construction counts A's columns straight into int8 (``np.add.at``,
+    which copies neither the indices nor a dim-long intp count): a
     column with more than two nonzeros would put a diagonal entry above
     the declared bound 2, and is refused in the words of the contract
     check.  The declared bounds are those of every reduction's Gram:
@@ -277,12 +293,16 @@ class GramOracle(RowOracleMatrix):
     def __init__(self, factor: RowOracleMatrix) -> None:
         if factor.entry_bound_k > 1:
             raise ContractError("Gram construction requires entries in {-1, 0, 1}")
-        counts = np.bincount(factor.indices, minlength=factor.dim)
-        # The first crowded column is the first Gram row that breaks the bound 2.
-        if counts.max(initial=0) > 2:
-            raise ContractError(f"row {int((counts > 2).argmax())} exceeds declared bound 2")
+        counts = np.zeros(factor.dim, dtype=np.int8)
+        np.add.at(counts, factor.indices, np.int8(1))
+        # A count wraps only in a column of 128 or more entries, and then falls
+        # short, so the total tells.  The first crowded column is the first
+        # Gram row that breaks the bound 2.
+        if counts.max(initial=0) > 2 or counts.sum(dtype=np.int64) != len(factor.indices):
+            crowded = np.bincount(factor.indices, minlength=factor.dim) > 2
+            raise ContractError(f"row {int(crowded.argmax())} exceeds declared bound 2")
         object.__setattr__(self, "factor", factor)
-        object.__setattr__(self, "column_counts", counts.astype(np.int8))
+        object.__setattr__(self, "column_counts", counts)
         object.__setattr__(self, "sparsity_d", min(factor.dim, 4 * factor.sparsity_d))
         object.__setattr__(self, "entry_bound_k", 2)
 
@@ -313,8 +333,12 @@ class GramOracle(RowOracleMatrix):
 
     def path_edges(
         self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, Callable[[np.ndarray], np.ndarray]] | None:
-        """A^T A as (diagonal, u, v, couplings) read from A, or None where A does not fix it.
+    ) -> tuple[
+        np.ndarray,
+        Callable[..., tuple[np.ndarray, np.ndarray]],
+        Callable[[slice, np.ndarray], np.ndarray],
+    ] | None:
+        """A^T A as (diagonal, edges, couplings) read from A, or None where A does not fix it.
 
         The diagonal is A's column counts, and each row of A with two
         entries, at columns u < v, puts the coupling A[r, u] A[r, v] =
@@ -323,28 +347,41 @@ class GramOracle(RowOracleMatrix):
         columns; a shared pair comes out as a repeated edge, whose
         couplings A^T A adds, so a caller must refuse repeated edges.
         No product, no transpose and no symmetry check is needed.
-        ``couplings(picked)`` forms the int64 couplings of the edges
-        ``picked`` when it is called, which only the writer of a witness
-        block does: lambda_min reads the pattern alone, and A's ``data``
-        may be a zero-stride view.
+        ``edges(rows)`` reads the arrays (u, v) of A's rows ``rows``, a
+        slice (all of them by default), afresh at each call, in A's
+        index dtype, so a caller keeps them only while it needs them
+        and may read them a block of rows at a time.
+        ``couplings(rows, picked)`` forms the int64 couplings of the
+        edges ``picked`` among those of ``rows`` when it is called,
+        which only the writer of a witness block does: lambda_min reads
+        the pattern alone, and A's ``data`` may be a zero-stride view.
         """
         f = self.factor
-        counts = np.diff(f.indptr)
-        if counts.max(initial=0) > 2:
+        if f.sparsity_d > 2 and np.diff(f.indptr).max(initial=0) > 2:
             return None
-        first = f.indptr[:-1][counts == 2]
 
-        def couplings(picked: np.ndarray) -> np.ndarray:
-            return f.data[first[picked]] * f.data[first[picked] + 1]
+        def first(rows: slice) -> np.ndarray:
+            """Where each row of two among ``rows`` starts, in intp, which numpy gathers by fastest."""
+            lo, hi, _ = rows.indices(f.dim)
+            starts = f.indptr[lo:hi + 1]
+            return starts[np.flatnonzero(starts[1:] - starts[:-1] == 2)].astype(np.intp)
 
-        return self.column_counts, f.indices[first], f.indices[first + 1], couplings
+        def edges(rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
+            at = first(rows)
+            return f.indices[at], f.indices[at + 1]
+
+        def couplings(rows: slice, picked: np.ndarray) -> np.ndarray:
+            at = first(rows)[picked]
+            return f.data[at] * f.data[at + 1]
+
+        return self.column_counts, edges, couplings
 
 
 def ata_oracle(matrix: RowOracleMatrix) -> GramOracle:
     """Row oracle for A^T A, for +-1 matrices with at most two nonzeros per column.
 
-    The checks cost one ``bincount``; the product is taken only when
-    the Gram's arrays are first read (``GramOracle``).
+    The checks cost one int8 column count; the product is taken only
+    when the Gram's arrays are first read (``GramOracle``).
     """
     return GramOracle(matrix)
 

@@ -7,8 +7,9 @@ Two independent concerns live here:
   off the diagonal in each row, as every reduction's augmented
   adjacency and the path and cycle blocks are, has a closed form: the
   diagonal product off the cycles of its successor map, times one
-  factor per cycle, the cycles found in numpy by min-label pointer
-  doubling.  Any other matrix is split by its pattern: a maximum
+  factor per cycle, the rows on cycles found in numpy by pointer
+  jumping on the rows still out, then named by min-label doubling on
+  those rows alone.  Any other matrix is split by its pattern: a maximum
   transversal either proves it structurally singular or puts a
   zero-free diagonal in place, and the strong components of that
   matrix's digraph give a block-triangular form.  Its 1 x 1 blocks are
@@ -73,6 +74,19 @@ SYMMETRY_TOL = 1e-12
 # dim up to 40 against 40 digits), and every singular one had a factor
 # within 0.25 eps ||A||_1 below lambda.
 CHOLESKY_MARGIN = 64
+
+# Where a dim-long step would hold several arrays of its own, the rows
+# are read in blocks of _ROW_BLOCK rows, or in 64 blocks where that is
+# more: a block's temporaries stay near a 64th of such an array or a few
+# tens of kilobytes, and the blocks' own calls a few dozen per read.
+_ROW_BLOCK = 2**13
+
+
+def _row_blocks(dim: int):
+    """Consecutive slices of max(_ROW_BLOCK, ceil(dim / 64)) rows, the last shorter, that cover range(dim)."""
+    size = max(_ROW_BLOCK, -(-dim // 64))
+    for lo in range(0, dim, size):
+        yield slice(lo, min(lo + size, dim))
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +240,7 @@ def det_bareiss_sparse(matrix: RowOracleMatrix) -> int:
     count, labels = connected_components(digraph(col, a.indptr), connection="strong")
     # B's diagonal entries other than 1; the ones, nearly all of a reduction's
     # diagonal, stay out of the Python product.
-    nonunit = np.flatnonzero(a.data != 1)
+    nonunit = np.flatnonzero(a.data != 1).astype(a.indptr.dtype)  # else numpy copies indptr to intp
     nonunit = nonunit[col[nonunit] == np.searchsorted(a.indptr, nonunit, side="right") - 1]
     if count == n:  # every component is one vertex: det B is B's diagonal product
         return sign * prod(a.data[nonunit].tolist())
@@ -243,34 +257,59 @@ def det_bareiss_sparse(matrix: RowOracleMatrix) -> int:
     return det * _banded_bareiss(ordered, lo)
 
 
-def _walk_minima(succ: np.ndarray, label: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least label on each vertex's walk along ``succ``, by min-label pointer doubling.
+def _walk_minima(succ: np.ndarray, label: np.ndarray) -> np.ndarray:
+    """Least label on each vertex's cycle of the permutation ``succ``, by min-label pointer doubling.
 
-    ``succ`` maps each vertex to its successor, and a vertex with none
-    to itself; ``label`` holds -1 there and the vertex's own index
-    elsewhere.  Both are overwritten: after round r, label[v] is the
-    least label of the 2^r vertices from v on, and succ[v], while v is
-    still in the rounds, the last of them.  Labels only fall, so the
-    rounds stop at the first that changes none; then each label is at
-    most its 2^r-th successor's, hence by induction at most every later
-    one's, and it is the least on the whole walk: -1 if the walk ends,
-    else the least vertex of the cycle it runs into.  That takes about
-    log2 of the longest walk in rounds.  A vertex whose label is -1
-    keeps it and leaves the rounds, so each round reads only the
-    vertices still out, in the index dtype.  Returns the vertices whose
-    walk never ends, ascending, and their labels.
+    ``label`` holds each vertex's own index.  Both arrays are
+    overwritten: after round r, label[v] is the least label of the 2^r
+    vertices from v on, and succ[v] the last of them.  Labels only fall,
+    so the rounds stop at the first that changes none; then each label
+    is at most its 2^r-th successor's, hence by induction at most every
+    later one's, and it is the least vertex of v's cycle.  That takes
+    about log2 of the longest cycle in rounds.  Returns the labels.
     """
-    out = np.flatnonzero(label >= 0).astype(succ.dtype)
-    own, far = label[out], succ[out]
     while True:
-        ahead = label[far]
-        if not np.any(ahead < own):
-            return out, own
-        np.minimum(own, ahead, out=own)
-        far = succ[far]
-        label[out], succ[out] = own, far
-        keep = np.flatnonzero(own >= 0)
-        out, own, far = out[keep], own[keep], far[keep]
+        ahead = label[succ]
+        if not np.any(ahead < label):
+            return label
+        np.minimum(label, ahead, out=label)
+        succ = succ[succ]
+
+
+def _endless(jump: np.ndarray) -> np.ndarray:
+    """The vertices whose walk along ``jump`` never reaches its sink, ascending, by pointer jumping.
+
+    ``jump`` holds each vertex's successor, and the sink, its last
+    entry, which maps to itself, where a walk ends; it is overwritten.
+    Every vertex whose walk ends within two steps is sent to the sink
+    first, so only the others are ever out.  Each round sets
+    jump[v] = jump[jump[v]] on the vertices still out and lets go of
+    those that reach the sink: by induction jump[v] is then the sink
+    exactly when the walk from v ends within 2^r + 1 steps, and the
+    2^r-th vertex on from v otherwise.  After 2^r > dim every walk that
+    ends has, so the vertices left never end.  A map of short walks
+    pays a few rounds on a few vertices, not log2(dim) on all of them.
+    The arrays are in ``jump``'s dtype but the list of vertices still
+    out, which numpy gathers by without a converted copy.
+    """
+    sink = len(jump) - 1
+    moving = jump != sink
+    far = moving[jump[:-1]]
+    far &= moving[:-1]  # the walk lasts three steps or more
+    del moving
+    pruned = jump[:-1]  # sent to the sink by arithmetic, which is faster than a masked write
+    pruned -= sink
+    pruned *= far
+    pruned += sink
+    out = np.flatnonzero(far)
+    del far
+    for _ in range(sink.bit_length()):
+        if not len(out):
+            break
+        far = jump[jump[out]]
+        jump[out] = far
+        out = out[far != sink]
+    return out
 
 
 def _successor_det(matrix: RowOracleMatrix) -> int | None:
@@ -286,68 +325,69 @@ def _successor_det(matrix: RowOracleMatrix) -> int | None:
     augmented adjacency has this form (its self-loops, its successor
     arcs and the one back edge), and so do the path and cycle blocks.
 
-    The cycles come from ``_walk_minima``.  A vertex whose walk never
-    ends lies on a cycle when succ permutes those vertices; where a
-    walk runs into a cycle from outside it, A is left to the general
-    route (None) unless it is singular by the tests below.  An empty
-    row gives 0 at once.  Before any labelling, the rows with no
-    diagonal entry are walked forward together for up to log2(dim)
-    steps: if one reaches a row with no successor, every term of det A
-    has a zero factor, so det A = 0.  That decides every rejecting
-    reduction, whose start row lies on a path.  The products are exact
-    Python integers over the entries other than 1.  The dim-long arrays
-    are in the index dtype.
+    The successors are read from each row's first and last column, a
+    block of rows at a time (``_row_blocks``), into one array of the index
+    dtype that sends a row with no successor to a sink past the last
+    row.  An empty row gives 0 at once.  Before any labelling, the rows
+    with no diagonal entry are walked forward together for up to
+    log2(dim) steps: if one reaches a row with no successor, every term
+    of det A has a zero factor, so det A = 0.  That decides every
+    rejecting reduction, whose start row lies on a path.  Otherwise
+    ``_endless`` finds the rows whose walk never ends, and a zero
+    diagonal entry among the others again gives 0.  Those rows lie on
+    cycles when succ permutes them; where a walk runs into a cycle from
+    outside it, A is left to the general route (None).  The cycles are
+    named by ``_walk_minima`` on that permutation alone, a few rows on a
+    reduction.  The products are exact Python integers over the entries
+    other than 1.
     """
     indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
+    dim = matrix.dim
     spare = np.diff(indptr)
     if spare.max() > 2:
         return None
     if spare.min() == 0:
         return 0
-    np.subtract(indptr[1:], 1, out=spare)
-    last = indices[spare]  # each row's last column and its first
     del spare
-    succ = indices[indptr[:-1]]
-    rows = np.arange(matrix.dim, dtype=succ.dtype)
-    at_first = succ == rows
-    loop = last == rows
-    loop |= at_first
-    if not np.all(loop | (succ == last)):
-        return None  # a row with two entries off the diagonal
-    last -= succ  # succ = last where the first column is the diagonal, else first
-    last *= at_first
-    succ += last
-    del last, at_first
+    succ = np.empty(dim + 1, dtype=indices.dtype)
+    succ[dim] = dim
+    loop = np.empty(dim, dtype=bool)
+    for part in _row_blocks(dim):
+        rows = np.arange(part.start, part.stop, dtype=indices.dtype)
+        first, last = indices[indptr[:-1][part]], indices[indptr[1:][part] - 1]
+        at_first = first == rows
+        np.logical_or(at_first, last == rows, out=loop[part])
+        if not np.all(loop[part] | (first == last)):
+            return None  # a row with two entries off the diagonal
+        other = np.where(at_first, last, first)  # the column that is not the row's own
+        succ[part] = np.where(other == rows, dim, other)
     zeros = np.flatnonzero(~loop)
     del loop
-    walker = zeros
-    for _ in range(matrix.dim.bit_length()):
-        ahead = succ[walker]
-        if np.any(ahead == walker):
+    walker, back = zeros, False
+    for _ in range(dim.bit_length()):
+        walker = succ[walker]
+        if np.any(walker == dim):
             return 0
-        walker = ahead
-        if np.array_equal(walker, zeros):
+        back = np.array_equal(walker, zeros)
+        if back:
             break  # every walker is back: all lie on cycles
-    end = succ == rows
-    label = rows  # -1 where the walk ends at once, else the vertex
-    label *= ~end
-    label -= end
-    del end
-    cycle, name = _walk_minima(succ, label)
+    cycle = _endless(succ)
     del succ
-    if np.any(label[zeros] < 0):
+    if not back and not np.all(np.isin(zeros, cycle)):
         return 0
     det = 1
     special = np.flatnonzero(data != 1)
     if len(special):
         row = np.searchsorted(indptr, special.astype(indptr.dtype), side="right") - 1
-        off_cycle = (indices[special] == row) & (label[row] < 0)
+        off_cycle = (indices[special] == row) & ~np.isin(row, cycle)
         det = prod(data[special[off_cycle]].tolist())
     first, last = indptr[cycle], indptr[cycle + 1] - 1
     at_first = indices[first] == cycle
     arc = np.where(at_first, last, first)
     if not np.array_equal(np.sort(indices[arc]), cycle):
         return None  # a walk runs into a cycle from outside it
+    around = np.searchsorted(cycle, indices[arc])  # the permutation, on positions in `cycle`
+    name = _walk_minima(around, np.arange(len(cycle), dtype=around.dtype))
     on_diagonal = at_first | (indices[last] == cycle)
     diagonal = np.where(on_diagonal, data[np.where(at_first, first, last)], 0)
     coupling = data[arc]
@@ -562,23 +602,6 @@ def _certified_bottom(matrix: RowOracleMatrix) -> tuple[float, np.ndarray, float
     return lam, psi, residual
 
 
-@dataclass(frozen=True)
-class _PathForest:
-    """Every path of two or more vertices in a graph of degree <= 2 and no cycle.
-
-    Path p runs between its ends ``first[p]`` < ``last[p]`` through
-    ``size[p]`` vertices, the least of them ``least[p]``; the arrays are
-    in the edges' index dtype.  ``order(p, end)`` lists path p's
-    vertices from ``end``, one of its two ends, to the other.
-    """
-
-    first: np.ndarray
-    last: np.ndarray
-    size: np.ndarray
-    least: np.ndarray
-    order: Callable[[int, int], np.ndarray]
-
-
 def _dart_ranks(degree: np.ndarray, u: np.ndarray, v: np.ndarray, ends: np.ndarray):
     """Each path through the ends ``ends``, by pointer jumping on the darts of the edges (u, v).
 
@@ -623,43 +646,60 @@ def _dart_ranks(degree: np.ndarray, u: np.ndarray, v: np.ndarray, ends: np.ndarr
     return end[leaving], rank[leaving] + 2, (rank, end, head)
 
 
-def _path_forest(degree: np.ndarray, u: np.ndarray, v: np.ndarray) -> _PathForest | None:
-    """The paths of the edges (u, v) at degree <= 2, walked in from their ends; None on a cycle.
+Edges = Callable[..., tuple[np.ndarray, np.ndarray]]
+Couplings = Callable[[slice, np.ndarray], np.ndarray]
+Report = Callable[[np.ndarray, np.ndarray, "np.ndarray | int", np.ndarray], None]
 
-    An edge whose two ends have degree 1 is a path of two vertices.
-    Every other path sends one walker in from each end, and each step
-    moves all walkers at once: a vertex keeps the sum of its
-    neighbours, wrapping in the index dtype, so the next vertex is that
-    sum less the one a walker came from.  A walker that reaches an end
-    has its path's size, and its running minimum the path's least
-    vertex; of the two walkers on a path, the one from the lesser end
-    reports it.  Walkers still out after about log2(dim) steps are on
-    long paths, whose darts are ranked by pointer jumping instead
-    (``_dart_ranks``), so a path of ell vertices costs O(ell log ell),
-    not ell numpy steps.  The walks never enter a cycle or a repeated
-    edge, which have no end, so the edges the paths account for fall
-    short of all of them exactly when one is there.
+
+def _path_forest(
+    degree: np.ndarray, near: np.ndarray, edges: Edges, report: Report
+) -> Callable[[int, int, int], np.ndarray] | None:
+    """The paths of a graph of degree <= 2, walked in from their ends; None on a cycle.
+
+    ``degree`` counts each vertex's edges and ``near`` holds the sum of
+    its neighbours, wrapping in the index dtype; ``edges(rows)`` gives
+    the edge arrays (u, v) of a slice of the matrix's rows (all of them
+    by default), which only long paths read.  Each path of two or more
+    vertices is handed to ``report(first, last, size, least)`` in
+    batches: its ends ``first`` < ``last``, its vertex count (an array,
+    or one int for the whole batch) and its least vertex.  An end's
+    neighbour sum is its one neighbour, so the ends are read a block of
+    vertices at a time (``_row_blocks``): an end whose neighbour is an
+    end is a path of two vertices, and every other path sends one
+    walker in from each end.  Each step moves all walkers at once: the
+    next vertex is the neighbour sum less the vertex a walker came from.
+    A walker that reaches an end has its path's size, and its running
+    minimum the path's least vertex; of the two walkers on a path, the
+    one from the lesser end reports it.  Walkers still out after about
+    log2(dim) steps are on long paths, whose darts are ranked by pointer
+    jumping instead (``_dart_ranks``), so a path of ell vertices costs
+    O(ell log ell), not ell numpy steps.  The walks never enter a cycle
+    or a repeated edge, which have no end, so the edges the paths
+    account for fall short of all of them exactly when one is there.
+    Returns ``order(end, other, size)``, which lists the vertices of the
+    path between the ends ``end`` and ``other`` from ``end`` on.
     """
-    n, m = len(degree), len(u)
-    near = np.zeros(n, dtype=u.dtype)
-    np.add.at(near, u, v)
-    np.add.at(near, v, u)
-    inner_u, inner_v = degree[u] == 2, degree[v] == 2
-    from_v, from_u = np.flatnonzero(inner_u & ~inner_v), np.flatnonzero(inner_v & ~inner_u)
-    start = np.concatenate((v[from_v], u[from_u]))
-    cur = np.concatenate((u[from_v], v[from_u]))
-    del from_v, from_u
-    pair = np.flatnonzero(~(inner_u | inner_v))
-    del inner_u, inner_v
-    # Each path of three or more vertices has two walkers and is reported by one.
-    filled = len(pair)
-    paths = filled + len(start) // 2
-    first, last, size, least = (np.empty(paths, dtype=u.dtype) for _ in range(4))
-    ends = u[pair], v[pair]
-    np.minimum(*ends, out=first[:filled])
-    np.maximum(*ends, out=last[:filled])
-    size[:filled], least[:filled] = 2, first[:filled]
-    del pair, ends
+    n = len(degree)
+    m = int(degree.sum(dtype=np.int64)) // 2
+    pairs, starts, curs = [], [], []
+    for part in _row_blocks(n):
+        end = np.flatnonzero(degree[part] == 1) + part.start
+        other = near[end].astype(np.intp)  # intp, which numpy gathers by fastest
+        pair = degree[other] == 1
+        pairs.append(end[np.flatnonzero(pair & (end < other))].astype(near.dtype))
+        # Each path of three or more vertices has two walkers and is reported by one.
+        walker = np.flatnonzero(~pair)
+        starts.append(end[walker].astype(near.dtype))
+        curs.append(other[walker].astype(near.dtype))
+    del end, other, pair, walker
+    first = np.concatenate(pairs)
+    del pairs
+    report(first, near[first], 2, first)
+    covered = len(first)  # the edges on the paths reported so far
+    del first
+    start, cur = np.concatenate(starts), np.concatenate(curs)
+    del starts, curs
+    found = []  # (first, last, size, least) of the paths the walkers finish
     prev, low, ell, limit = start, np.minimum(start, cur), 2, max(n.bit_length(), 3)
     while len(cur) and ell < limit:
         prev, cur = cur, near[cur] - prev
@@ -668,31 +708,38 @@ def _path_forest(degree: np.ndarray, u: np.ndarray, v: np.ndarray) -> _PathFores
         done = degree[cur] == 1
         if done.any():
             keep = np.flatnonzero(done & (start < cur))
-            report = slice(filled, filled + len(keep))
-            first[report], last[report], size[report], least[report] = (
-                start[keep], cur[keep], ell, low[keep])
-            filled = report.stop
-            on = np.flatnonzero(~done)
-            start, prev, cur, low = start[on], prev[on], cur[on], low[on]
+            found.append((start[keep], cur[keep], ell, low[keep]))
+            # One walker array at a time, each by mask: no index list is built.
+            done = ~done
+            start = start[done]
+            prev = prev[done]
+            cur = cur[done]
+            low = low[done]
     del prev, low
+    if found:
+        first, last, size, least = zip(*found)
+        count = [len(part) for part in first]
+        size = np.repeat(np.array(size, dtype=near.dtype), count)
+        report(np.concatenate(first), np.concatenate(last), size, np.concatenate(least))
+        covered += int(np.sum(size, dtype=np.int64)) - sum(count)
+    del found
     ranks = None
     if len(cur):  # the walkers left are on paths of more than `limit` vertices
-        far, length, ranks = _dart_ranks(degree, u, v, start)
+        far, length, ranks = _dart_ranks(degree, *edges(), start)
         keep = np.flatnonzero(start < far)
-        report = slice(filled, filled + len(keep))
-        first[report], last[report], size[report] = start[keep], far[keep], length[keep]
+        first, last, size = start[keep], far[keep], length[keep]
         _, end, head = ranks
         lowest = np.full(n, n, dtype=head.dtype)
         np.minimum.at(lowest, end, head)  # each end's darts reach all but the far end
-        np.minimum(first[report], lowest[last[report]], out=least[report])
-    if int(np.sum(size, dtype=np.int64)) - paths != m:
+        report(first, last, size, np.minimum(first, lowest[last]))
+        covered += int(np.sum(size, dtype=np.int64)) - len(keep)
+    if covered != m:
         return None  # some edge lies on no path
 
-    def order(path: int, end: int) -> np.ndarray:
-        ell = int(size[path])
+    def order(end: int, other: int, ell: int) -> np.ndarray:
         if ell > limit:  # a long path: its darts toward the far end, placed by their ranks
             rank, far, head = ranks
-            toward = np.flatnonzero(far == int(first[path]) + int(last[path]) - end)
+            toward = np.flatnonzero(far == other)
             walk = np.empty(ell, dtype=np.intp)
             walk[0] = end
             walk[ell - 1 - rank[toward]] = head[toward]
@@ -702,7 +749,7 @@ def _path_forest(degree: np.ndarray, u: np.ndarray, v: np.ndarray) -> _PathFores
             walk.append((int(near[walk[-1]]) - (walk[-2] if len(walk) > 1 else 0)) % wrap)
         return np.array(walk, dtype=np.intp)
 
-    return _PathForest(first, last, size, least, order)
+    return order
 
 
 @dataclass(frozen=True)
@@ -714,29 +761,29 @@ class _LeastPath:
     "sin" (no end 1).  ``order`` lists the block's vertices in path
     order from ``start``, the end its closed form is counted from (for
     "cos" the end whose diagonal is 1, else the lesser end), or the
-    vertex itself.  ``diag`` is the matrix's diagonal and (u, v) its
-    edges; ``couplings(picked)`` forms the +-1 couplings of the edges
-    ``picked``, which only the block's writer asks for.
+    vertex itself.  ``diag`` is the matrix's diagonal, ``edges(rows)``
+    gives the edges (u, v) of a slice of the matrix's rows afresh, and
+    ``couplings(rows, picked)`` forms the +-1 couplings of the edges
+    ``picked`` among them, which only the block's writer asks for.
     """
 
     lam: float
     kind: str
     start: int
     diag: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    couplings: Callable[[np.ndarray], np.ndarray]
+    edges: Edges
+    couplings: Couplings
     order: Callable[[], np.ndarray]
 
 
 def _path_forest_bottom(
-    diag: np.ndarray, degree: np.ndarray, u: np.ndarray, v: np.ndarray, couplings: Callable
+    diag: np.ndarray, degree: np.ndarray, near: np.ndarray, edges: Edges, couplings: Couplings
 ) -> _LeastPath | None:
     """lambda_min of the symmetric matrix with this diagonal and +-1 edges (u, v), if a path sum.
 
-    ``degree`` counts each vertex's edges, and ``couplings(picked)``
-    forms the couplings of the edges ``picked``, for the block's writer
-    only.  No vertex may have more than two
+    ``degree`` counts each vertex's edges and ``near`` sums its
+    neighbours; ``edges`` and ``couplings`` read the edges and their
+    couplings, as ``_LeastPath`` says.  No vertex may have more than two
     neighbours, and the edges must form a forest of paths
     (``_path_forest``).  A
     degree-2 (interior) vertex has diagonal 2, a degree-1 (end) vertex
@@ -749,61 +796,84 @@ def _path_forest_bottom(
     and an isolated vertex d.  Every block is positive semidefinite, so
     passing the tests is the certification, and only the longest path
     of each kind is evaluated; of equal paths, the one with the least
-    vertex.  None when a test fails.
+    vertex, and of the Laplacians, whose lambda is 0 at any length, the
+    one with the least vertex.  Each batch the walk reports is folded
+    into that choice at once, so no array over all paths is kept.  None
+    when a test fails.
     """
     if degree.max(initial=0) > 2:
         return None
     # An end's diagonal is 1 or 2, an interior one 2, an isolated one d >= 0.
     if np.any(diag < degree) or np.any((diag > 2) & (degree > 0)):
         return None
-    forest = _path_forest(degree, u, v)
-    if forest is None:  # a component holds a cycle, or a repeated edge
+    chosen: dict[int, tuple[int, int, int, int]] = {}  # ends at 1 -> (size, least, first, last)
+
+    def report(first, last, size, least) -> None:
+        ends = (diag[first] == 1).astype(np.int8) + (diag[last] == 1)
+        if not np.isscalar(size):  # keep the longest of each kind; a Laplacian's lambda is 0 at any length
+            longest = np.zeros(3, dtype=size.dtype)
+            np.maximum.at(longest, ends, size)
+            longest[2] = 0
+            keep = np.flatnonzero(size >= longest[ends])
+            ends, first, last, size, least = ends[keep], first[keep], last[keep], size[keep], least[keep]
+        lowest = np.full(3, len(diag), dtype=least.dtype)  # ufunc.at is fast on one dtype
+        np.minimum.at(lowest, ends, least)
+        for kind in np.flatnonzero(lowest < len(diag)).tolist():
+            # Of the kind's paths, the one with the least vertex: no two share one.
+            p = int(np.argmax(least == lowest[kind]))
+            path = (int(size) if np.isscalar(size) else int(size[p]), int(lowest[kind]),
+                    int(first[p]), int(last[p]))
+            held = chosen.get(kind, path)
+            if (0 if kind == 2 else -path[0], path[1]) <= (0 if kind == 2 else -held[0], held[1]):
+                chosen[kind] = path
+
+    order = _path_forest(degree, near, edges, report)
+    if order is None:  # a component holds a cycle, or a repeated edge
         return None
-    ends_one = (diag[forest.first] == 1).astype(np.int8) + (diag[forest.last] == 1)
 
-    def block(lam: float, kind: str, flagged: np.ndarray) -> _LeastPath:
-        # Of the flagged paths, the one with the least vertex: no two share one.
-        lowest = forest.least.min(where=flagged, initial=len(diag))
-        path = int(np.argmax(flagged & (forest.least == lowest)))
-        first, last = int(forest.first[path]), int(forest.last[path])
+    def block(lam: float, kind: str, path: tuple[int, int, int, int]) -> _LeastPath:
+        ell, _, first, last = path
         start = last if diag[last] < diag[first] else first
-        return _LeastPath(lam, kind, start, diag, u, v, couplings,
-                          lambda: forest.order(path, start))
+        return _LeastPath(lam, kind, start, diag, edges, couplings,
+                          lambda: order(start, first + last - start, ell))
 
-    laplacians = ends_one == 2
-    if laplacians.any():
-        return block(0.0, "constant", laplacians)
+    if 2 in chosen:
+        return block(0.0, "constant", chosen[2])
     candidates = []
     isolated = degree == 0  # masks, not index arrays: a third of a reduction's vertices
     if isolated.any():
         vertex = int(np.argmax(isolated & (diag == diag[isolated].min())))
-        candidates.append(_LeastPath(float(diag[vertex]), "vertex", vertex, diag, u, v,
+        candidates.append(_LeastPath(float(diag[vertex]), "vertex", vertex, diag, edges,
                                      couplings, lambda: np.array([vertex])))
     for kind, ends in (("cos", 1), ("sin", 0)):
-        flagged = ends_one == ends
-        if flagged.any():
-            ell = int(forest.size.max(where=flagged, initial=0))
+        if ends in chosen:
+            ell = chosen[ends][0]
             lam = min_eigenvalue_bound(ell) if ends else _chain_floor(ell + 1)
-            candidates.append(block(lam, kind, flagged & (forest.size == ell)))
+            candidates.append(block(lam, kind, chosen[ends]))
     return min(candidates, key=lambda c: c.lam)
 
 
-def _edge_list_bottom(
-    diag: np.ndarray, u: np.ndarray, v: np.ndarray, couplings: Callable[[np.ndarray], np.ndarray]
-) -> _LeastPath | None:
-    """``_path_forest_bottom`` on the edges (u, v), their degrees counted in int8.
+def _edge_list_bottom(diag: np.ndarray, edges: Edges, couplings: Couplings) -> _LeastPath | None:
+    """``_path_forest_bottom`` on the edges ``edges()`` = (u, v), their degrees counted in int8.
 
-    The degrees are counted straight into int8 by ``np.add.at`` with an
-    int8 one, which no degree can wrap: each vertex is a column of a
-    Gram's factor, and its edges are among the at most two rows of that
-    column, so it has at most 2.  The count copies neither endpoint
-    array, where ``bincount`` would copy each to intp.  The couplings
-    are formed only for the block's writer.
+    One pass over the edges, a block of rows at a time, counts the
+    degrees and sums the neighbours.  The degrees go straight into int8
+    by ``np.add.at`` with an int8 one, which no degree can wrap: each
+    vertex is a column of a Gram's factor, and its edges are among the
+    at most two rows of that column, so it has at most 2.  Neither
+    count copies an endpoint array, where ``bincount`` would copy each
+    to intp.  The couplings are formed only for the block's writer.
     """
-    degree = np.zeros(len(diag), dtype=np.int8)
-    np.add.at(degree, u, np.int8(1))
-    np.add.at(degree, v, np.int8(1))
-    return _path_forest_bottom(diag, degree, u, v, couplings)
+    n = len(diag)
+    degree = np.zeros(n, dtype=np.int8)
+    near = np.zeros(n, dtype=edges(slice(0, 0))[0].dtype)
+    for part in _row_blocks(n):
+        u, v = edges(part)
+        np.add.at(degree, u, np.int8(1))
+        np.add.at(degree, v, np.int8(1))
+        np.add.at(near, u, v)
+        np.add.at(near, v, u)
+    return _path_forest_bottom(diag, degree, near, edges, couplings)
 
 
 def _path_sum_bottom(a: csr_matrix | RowOracleMatrix) -> _LeastPath | None:
@@ -835,9 +905,21 @@ def _path_sum_bottom(a: csr_matrix | RowOracleMatrix) -> _LeastPath | None:
     diag = np.zeros(n, dtype=data.dtype)
     diag[row[loop]] = data[loop]
     upper = np.flatnonzero(indices > row)
-    return _path_forest_bottom(
-        diag, counts - (diag != 0), row[upper], indices[upper], lambda picked: data[upper[picked]]
-    )
+    u, v = row[upper], indices[upper]
+    near = np.zeros(n, dtype=u.dtype)
+    np.add.at(near, u, v)
+    np.add.at(near, v, u)
+
+    def entries(rows: slice) -> np.ndarray:
+        lo, hi, _ = rows.indices(n)
+        return upper[slice(*np.searchsorted(upper, (indptr[lo], indptr[hi])))]
+
+    def edges(rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        at = entries(rows)
+        return row[at], indices[at]
+
+    return _path_forest_bottom(diag, counts - (diag != 0), near, edges,
+                               lambda rows, picked: data[entries(rows)[picked]])
 
 
 def _path_block(least: _LeastPath, rows: np.ndarray, matrix: RowOracleMatrix) -> RowOracleMatrix:
@@ -851,9 +933,19 @@ def _path_block(least: _LeastPath, rows: np.ndarray, matrix: RowOracleMatrix) ->
     """
     on_block = np.zeros(len(least.diag), dtype=bool)
     on_block[rows] = True
-    picked = np.flatnonzero(on_block[least.u])
-    u, v = np.searchsorted(rows, least.u[picked]), np.searchsorted(rows, least.v[picked])
-    coupling = least.couplings(picked)
+    # The block is a whole component, so its edges are those with u on it.
+    # They are read a block of rows at a time, as the recogniser read them.
+    none = np.zeros(0, dtype=np.int64)
+    u, v, coupling = [none], [none], [none]
+    for part in _row_blocks(len(least.diag)):
+        ends = least.edges(part)
+        picked = np.flatnonzero(on_block[ends[0]])
+        if len(picked):
+            u.append(ends[0][picked])
+            v.append(ends[1][picked])
+            coupling.append(least.couplings(part, picked))
+    u, v = np.searchsorted(rows, np.concatenate(u)), np.searchsorted(rows, np.concatenate(v))
+    coupling = np.concatenate(coupling)
     diag = least.diag[rows]
     loops = np.flatnonzero(diag)
     i, j = np.concatenate((loops, u, v)), np.concatenate((loops, v, u))

@@ -42,8 +42,8 @@ the desk-scale sizes the tests use.
   solves;
 * fixtures: row listing, the identity oracle, a machine's JSON form
   (the inverse of ``rtm.machine_from_dict``), random circuits, the
-  named verifier set, the clock history state and the tracemalloc
-  peak of one call.
+  named verifier set, the clock history state, the tracemalloc peak
+  of one call and the traced transient of each stage of a run.
 """
 
 from __future__ import annotations
@@ -832,3 +832,43 @@ def traced_peak(fn: Callable[[], object]) -> tuple[object, int]:
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def traced_stages(fn: Callable[[], object], stages) -> tuple[object, dict[str, list[int]]]:
+    """(fn(), each stage's traced transients): the bytes above what a call keeps, per call.
+
+    ``stages`` lists (owner, name) pairs of functions or methods that
+    ``fn`` reaches through their owner's attribute; each is wrapped for
+    the run.  A call's transient is its peak less the larger of what
+    was live before it and after it, so a stage that frees its input is
+    not credited with it.  Stages may nest: an inner call resets the
+    peak, and its own peak is carried up to the call around it.
+    """
+    transients: dict[str, list[int]] = {}
+    open_peaks: list[int] = []
+    originals = [(owner, name, getattr(owner, name)) for owner, name in stages]
+
+    def traced(name, original):
+        def call(*args, **kwargs):
+            before, outer = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            open_peaks.append(0)
+            try:
+                return original(*args, **kwargs)
+            finally:
+                inner = open_peaks.pop()
+                after, peak = tracemalloc.get_traced_memory()
+                peak = max(peak, inner)
+                transients.setdefault(name, []).append(peak - max(before, after))
+                if open_peaks:
+                    open_peaks[-1] = max(open_peaks[-1], outer, peak)
+        return call
+
+    for owner, name, original in originals:
+        setattr(owner, name, traced(name, original))
+    try:
+        result, _ = traced_peak(fn)
+    finally:
+        for owner, name, original in originals:
+            setattr(owner, name, original)
+    return result, transients

@@ -684,6 +684,42 @@ def test_amplify_kitaev_verify_reduce_and_det_load_no_scipy(tmp_path):
     assert loaded == {step: [] for step in loaded}
 
 
+_GRAM_COUNT_RUN = """
+import contextlib, io, json
+
+import gaplab.cli
+from gaplab import sparse_oracle
+
+built = []
+construct = sparse_oracle.GramOracle.__init__
+
+def counted(self, factor):
+    built.append(factor.dim)
+    construct(self, factor)
+
+sparse_oracle.GramOracle.__init__ = counted
+machine = ["--machine", "unary_counter", "--space", "4", "--input", "11"]
+counts = {}
+for command in ("reduce", "verify"):
+    built.clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert gaplab.cli.main([command, *machine]) == 0
+    counts[command] = len(built)
+print(json.dumps(counts))
+"""
+
+
+def test_reduce_builds_no_gram_and_verify_builds_one():
+    # A fresh interpreter, so that no Gram read earlier in the process counts.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, "-c", _GRAM_COUNT_RUN],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
+    )
+    assert json.loads(result.stdout) == {"reduce": 0, "verify": 1}
+
+
 def _refuse_the_gram_product(monkeypatch):
     def refuse(self):
         raise AssertionError("A^T A was formed")

@@ -532,6 +532,22 @@ def test_decide_gapped_on_long_chains():
     assert pr.decide_gapped(singular, 37).decision == "YES"
 
 
+@pytest.mark.parametrize("x", ["11", "1"])
+def test_decide_gapped_pads_the_witness_block_once(monkeypatch, x):
+    # The witness's residual and its phase read take the same padded rows.
+    calls = []
+    pad = sim._padded_rows
+
+    def recorded(matrix):
+        calls.append(matrix.dim)
+        return pad(matrix)
+
+    monkeypatch.setattr(sim, "_padded_rows", recorded)
+    instance = rtm.reduce_to_gapped(rtm.with_space(rtm.corpus_machine("unary_counter"), 5), x)
+    assert pr.decide_gapped(instance.gram, instance.g).decision == ("NO" if x == "11" else "YES")
+    assert len(calls) == 1
+
+
 def test_gapped_verifier_acceptance_matches_decision():
     singular, _, g = pr.toy_gapped_instances()
     dense = so.materialize(singular).astype(float)

@@ -341,7 +341,8 @@ def test_det_exact_regime_skips_the_banded_kernel(monkeypatch):
 
 def test_rejecting_reductions_are_decided_before_any_labelling(monkeypatch):
     # The start row has no diagonal entry and, on a rejecting input, a walk
-    # that ends; an accepting one's start row lies on the computation cycle.
+    # that ends; an accepting one's start row lies on the computation cycle,
+    # and only that cycle's rows are labelled.
     calls = []
     minima = sp._walk_minima
 
@@ -354,7 +355,7 @@ def test_rejecting_reductions_are_decided_before_any_labelling(monkeypatch):
     assert sp.det_exact(rtm.augmented_adjacency(machine, "1")) == 0
     assert calls == []
     assert sp.det_exact(rtm.augmented_adjacency(machine, "11")) == -1
-    assert calls == [machine.dim]
+    assert calls == [rtm.simulate(machine, "11").steps + 1]
 
 
 def test_det_sparse_zero_bandwidth_rescales_the_last_row():
@@ -871,26 +872,33 @@ def test_path_forest_reads_what_connected_components_reads(graph):
 
     n, u, v = graph
     degree = np.bincount(np.concatenate((u, v)), minlength=n)
-    forest = sp._path_forest(degree, u, v)
+    got = []
+
+    def report(first, last, size, least):
+        size = np.broadcast_to(size, first.shape)
+        got.extend(zip(*(part.tolist() for part in (size, first, last, least))))
+
+    near = np.zeros(n, dtype=u.dtype)
+    np.add.at(near, u, v)
+    np.add.at(near, v, u)
+    order = sp._path_forest(degree, near, lambda: (u, v), report)
     count, labels = connected_components(
         csr_matrix((np.ones(len(u)), (u, v)), shape=(n, n)), directed=False
     )
     size = np.bincount(labels, minlength=count)
     if np.any(np.bincount(labels[u], minlength=count) >= size):  # as many edges as vertices
-        assert forest is None
+        assert order is None
         return
     want = []
     for component in np.flatnonzero(size > 1).tolist():
         vertices = np.flatnonzero(labels == component)
         ends = vertices[degree[vertices] == 1].tolist()
         want.append((len(vertices), min(ends), max(ends), int(vertices[0])))
-    got = list(zip(*(part.tolist() for part in (forest.size, forest.first, forest.last,
-                                                  forest.least))))
     assert sorted(got) == sorted(want)
     edges = set(zip(u.tolist(), v.tolist())) | set(zip(v.tolist(), u.tolist()))
-    for path, (ell, first, last, _) in enumerate(got):
+    for ell, first, last, _ in got:
         for end, other in ((first, last), (last, first)):
-            walk = forest.order(path, end).tolist()
+            walk = order(end, other, ell).tolist()
             assert len(walk) == ell and len(set(walk)) == ell
             assert walk[0] == end and walk[-1] == other
             assert all(pair in edges for pair in zip(walk, walk[1:]))
