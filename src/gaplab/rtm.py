@@ -9,12 +9,12 @@ significant component first:
     tape_value = sum_j symbol(tape[j]) * |A|^j
 
 ``successors`` builds the whole configuration graph once per reduction,
-as one array of step-map targets; the scalar ``step`` serves
-``simulate`` and is the reference that array is tested against.  A step
-moves an index by an amount that depends only on the head, the symbol
-under it and the state, so the array is one gather from a small table of
-those offsets, indexed by (head, symbol) for every tape, plus the index
-itself.
+as one array of step-map targets in the index dtype; the scalar
+``step`` serves ``simulate`` and is the reference that array is tested
+against.  A step moves an index by an amount that depends only on the
+head, the symbol under it and the state, so the array is one gather
+from a small table of those offsets, indexed by (head, symbol) for
+every tape, plus the index itself.
 
 Reversibility is a global property of the step map, not of the
 transition table alone, so ``validate`` checks injectivity exhaustively
@@ -26,8 +26,8 @@ cycles anywhere in configuration space (a stray 2-cycle among unreachable
 configurations would silently zero out every determinant).  Injectivity
 is read from a mask of the targets hit, and acyclicity is decided by
 pointer jumping to a sink appended after the last configuration
-(``spectral._endless``), on the configurations still out alone, so a map
-of short chains pays a few rounds on a few configurations.
+(``spectral._jump``, behind ``spectral._prune``), on the configurations
+still out alone: a map of short chains pays a few rounds on a few of them.
 
 The reduction emits the augmented adjacency matrix of the configuration
 graph: successor edges, a back edge from the canonical accepting
@@ -65,7 +65,7 @@ from .sparse_oracle import (
     _ones,
     ata_oracle,
 )
-from .spectral import _endless, min_eigenvalue_bound
+from .spectral import _jump, _prune, min_eigenvalue_bound
 
 MOVES = {"L": -1, "S": 0, "R": 1}
 
@@ -181,7 +181,7 @@ def step(machine: ReversibleTM, config: Configuration) -> Configuration | None:
 
 
 def successors(machine: ReversibleTM) -> np.ndarray:
-    """Successor index of every configuration (int64, -1 where it halts).
+    """Successor index of every configuration (in the index dtype, -1 where it halts).
 
     The vectorized ``step``.  With index i = q + |Q|(h + S * tape), a
     step moves i by (q2 - q) + |Q| * move + |Q| * S * (a2 - a) * |A|^h,
@@ -190,10 +190,10 @@ def successors(machine: ReversibleTM) -> np.ndarray:
     (S * |A|, |Q|) table of those offsets, indexed by a + |A| * h, holds
     -(dim + 1) where the machine halts.  One gather through the
     (|A|^S, S) key of every tape and head, two broadcast adds of the
-    index's parts and one clip at -1 give the array.  From space 8 of
-    ``unary_counter`` on, the traced peak is about 1.4 times the array;
-    a decode and re-encode of every configuration held about ten
-    dim-long temporaries at once.
+    index's parts and one clip at -1 give the array, every dim-long
+    step in the index dtype (``_index_dtype(dim, 0)``), which holds
+    every offset and index.  At space 8 of ``unary_counter`` the traced
+    peak is about 1.4 times the array.
     """
     nq, na, space = len(machine.states), len(machine.alphabet), machine.space
     rules = [machine.transitions.get((q, a)) for q in machine.states for a in machine.alphabet]
@@ -202,15 +202,16 @@ def successors(machine: ReversibleTM) -> np.ndarray:
          for r in rules],
         dtype=np.int64,
     )
+    index = _index_dtype(machine.dim, 0)
     state2, written, move = table.reshape(nq, na, 3).transpose(2, 1, 0)  # (symbol, state)
-    head = np.arange(space, dtype=np.int64)
+    head = np.arange(space, dtype=index)
     symbol = np.arange(na, dtype=np.int64)[:, None]
     h = head[:, None, None]  # the table's axes: head, symbol, state
     delta = (state2 - np.arange(nq)) + nq * move + nq * space * (written - symbol) * na**h
     delta[(state2 < 0) | (h + move < 0) | (h + move >= space)] = -machine.dim - 1
-    tape = np.arange(na**space, dtype=np.int64)[:, None]
-    out = delta.reshape(space * na, nq)[tape // na**head % na + na * head]
-    out += np.arange(nq, dtype=np.int64)
+    tape = np.arange(na**space, dtype=index)[:, None]
+    out = delta.astype(index).reshape(space * na, nq)[tape // na**head % na + na * head]
+    out += np.arange(nq, dtype=index)
     out += nq * (head + space * tape)[:, :, None]
     np.maximum(out, -1, out=out)  # every halting entry lies at or below -2
     return out.reshape(-1)
@@ -365,7 +366,7 @@ def _audit(machine: ReversibleTM, succ: np.ndarray) -> ValidationReport:
     # Read as unsigned, a halting -1 is the largest value, so it clips to dim.
     unsigned = jump.view(jump.dtype.str.replace("i", "u"))
     np.minimum(unsigned, dim, out=unsigned)
-    out = _endless(jump)
+    out = _jump(jump, _prune(jump))
     del jump
     if len(out):
         path: dict[int, int] = {}
@@ -403,9 +404,7 @@ def augmented_adjacency(machine: ReversibleTM, input_str: str) -> RowOracleMatri
     most two ones, so the Gram construction applies downstream.  A
     machine that fails ``validate`` is refused with ContractError.
     """
-    # Narrowed to the index dtype, the successor array costs half as much in
-    # the audit and the build, and it is let go before the contract check.
-    succ = successors(machine).astype(_index_dtype(machine.dim, 0))
+    succ = successors(machine)
     report = _audit(machine, succ)
     if not report.ok:
         raise ContractError(

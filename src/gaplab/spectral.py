@@ -8,16 +8,16 @@ Two independent concerns live here:
   adjacency and the path and cycle blocks are, has a closed form: the
   diagonal product off the cycles of its successor map, times one
   factor per cycle, the rows on cycles found in numpy by pointer
-  jumping on the rows still out, then named by min-label doubling on
-  those rows alone.  Any other matrix is split by its pattern: a maximum
-  transversal either proves it structurally singular or puts a
-  zero-free diagonal in place, and the strong components of that
-  matrix's digraph give a block-triangular form.  Its 1 x 1 blocks are
-  diagonal entries; only the larger blocks, the core, go through
-  fraction-free elimination confined to the band of their reverse
-  Cuthill-McKee order.  The dense elimination and the two enumerations
-  both routes are checked against live with the tests, in
-  ``tests/oracles.py``;
+  jumping on the rows still out (``_jump``), which then names the
+  cycles by their least rows.  Any other matrix is split by its
+  pattern: a maximum transversal either proves it structurally
+  singular or puts a zero-free diagonal in place, and the strong
+  components of that matrix's digraph give a block-triangular form.
+  Its 1 x 1 blocks are diagonal entries; only the larger blocks, the
+  core, go through fraction-free elimination confined to the band of
+  their reverse Cuthill-McKee order.  The dense elimination and the
+  two enumerations both routes are checked against live with the
+  tests, in ``tests/oracles.py``;
 * eigenvalue machinery for the symmetric Gram matrices the reductions
   produce, including the closed-form spectrum of the path block and the
   tridiagonal fast path.  A direct sum of path blocks (every
@@ -28,11 +28,11 @@ Two independent concerns live here:
   form of its longest path of each kind, and the bottom eigenvector the
   closed form of one block that attains it, in the path order of the
   recogniser's own walk.  The paths are read in numpy by walking them
-  from their ends, and a long one by pointer jumping.  Any other
-  matrix is materialized, up to DENSE_CAP rows, for one dense ``eigh``
-  of its bottom eigenpair and one Cholesky factorization whose
-  existence certifies the matrix positive semidefinite up to a margin
-  at the scale of rounding in ||A||.
+  from their ends, and a long one by the same pointer jumping, on its
+  darts.  Any other matrix is materialized, up to DENSE_CAP rows, for
+  one dense ``eigh`` of its bottom eigenpair and one Cholesky
+  factorization whose existence certifies the matrix positive
+  semidefinite up to a margin at the scale of rounding in ||A||.
 
 Each function imports the scipy routines it calls when it runs, and the
 module imports none: ``eigh_tridiagonal`` loads with the first
@@ -257,40 +257,45 @@ def det_bareiss_sparse(matrix: RowOracleMatrix) -> int:
     return det * _banded_bareiss(ordered, lo)
 
 
-def _walk_minima(succ: np.ndarray, label: np.ndarray) -> np.ndarray:
-    """Least label on each vertex's cycle of the permutation ``succ``, by min-label pointer doubling.
+def _jump(succ: np.ndarray, out: np.ndarray,
+          rank: np.ndarray | None = None, least: np.ndarray | None = None) -> np.ndarray:
+    """The entries ``out`` whose walk along ``succ`` never ends, by pointer jumping on them alone.
 
-    ``label`` holds each vertex's own index.  Both arrays are
-    overwritten: after round r, label[v] is the least label of the 2^r
-    vertices from v on, and succ[v] the last of them.  Labels only fall,
-    so the rounds stop at the first that changes none; then each label
-    is at most its 2^r-th successor's, hence by induction at most every
-    later one's, and it is the least vertex of v's cycle.  That takes
-    about log2 of the longest cycle in rounds.  Returns the labels.
+    ``succ`` maps each entry to its successor and the sink, its last
+    entry, to itself; an entry in ``out`` must map elsewhere, and any
+    other to the sink.  Each round sets succ[v] = succ[succ[v]] on the
+    entries still out and lets go of those that reach the sink (Wyllie,
+    1979), so after r rounds succ[v] is the sink exactly when the walk
+    from v ends within 2^r steps.  Once 2^r > len - 1, the entries left
+    lie on a cycle or run into one.  Only the sink ends a walk: a cycle
+    of 2^k entries maps each to itself after k rounds.  Before each jump
+    an entry adds its successor's ``rank`` to its own and takes the
+    lesser ``least`` label, so both cover the entries from it to the one
+    it points at.  All three arrays are overwritten, each in its dtype.
     """
-    while True:
-        ahead = label[succ]
-        if not np.any(ahead < label):
-            return label
-        np.minimum(label, ahead, out=label)
-        succ = succ[succ]
+    sink = len(succ) - 1
+    for _ in range(sink.bit_length()):
+        if not len(out):
+            break
+        ahead = succ[out]
+        if rank is not None:
+            rank[out] += rank[ahead]
+        if least is not None:
+            label = least[ahead]
+            least[out] = np.minimum(label, least[out], out=label)
+            del label
+        far = succ[ahead]
+        del ahead
+        succ[out] = far
+        out = out[far != sink]
+    return out
 
 
-def _endless(jump: np.ndarray) -> np.ndarray:
-    """The vertices whose walk along ``jump`` never reaches its sink, ascending, by pointer jumping.
+def _prune(jump: np.ndarray) -> np.ndarray:
+    """Send each entry of ``_jump``'s map whose walk ends within two steps to the sink; return the others.
 
-    ``jump`` holds each vertex's successor, and the sink, its last
-    entry, which maps to itself, where a walk ends; it is overwritten.
-    Every vertex whose walk ends within two steps is sent to the sink
-    first, so only the others are ever out.  Each round sets
-    jump[v] = jump[jump[v]] on the vertices still out and lets go of
-    those that reach the sink: by induction jump[v] is then the sink
-    exactly when the walk from v ends within 2^r + 1 steps, and the
-    2^r-th vertex on from v otherwise.  After 2^r > dim every walk that
-    ends has, so the vertices left never end.  A map of short walks
-    pays a few rounds on a few vertices, not log2(dim) on all of them.
-    The arrays are in ``jump``'s dtype but the list of vertices still
-    out, which numpy gathers by without a converted copy.
+    The others, ascending, are all ``_jump`` must move: a map of short
+    walks pays a few rounds on a few entries, not log2(len) on all.
     """
     sink = len(jump) - 1
     moving = jump != sink
@@ -301,15 +306,7 @@ def _endless(jump: np.ndarray) -> np.ndarray:
     pruned -= sink
     pruned *= far
     pruned += sink
-    out = np.flatnonzero(far)
-    del far
-    for _ in range(sink.bit_length()):
-        if not len(out):
-            break
-        far = jump[jump[out]]
-        jump[out] = far
-        out = out[far != sink]
-    return out
+    return np.flatnonzero(far)
 
 
 def _successor_det(matrix: RowOracleMatrix) -> int | None:
@@ -333,13 +330,13 @@ def _successor_det(matrix: RowOracleMatrix) -> int | None:
     log2(dim) steps: if one reaches a row with no successor, every term
     of det A has a zero factor, so det A = 0.  That decides every
     rejecting reduction, whose start row lies on a path.  Otherwise
-    ``_endless`` finds the rows whose walk never ends, and a zero
-    diagonal entry among the others again gives 0.  Those rows lie on
-    cycles when succ permutes them; where a walk runs into a cycle from
-    outside it, A is left to the general route (None).  The cycles are
-    named by ``_walk_minima`` on that permutation alone, a few rows on a
-    reduction.  The products are exact Python integers over the entries
-    other than 1.
+    ``_jump`` finds the rows whose walk never ends, behind ``_prune``,
+    and a zero diagonal entry among the others again gives 0.  Those
+    rows lie on cycles when succ permutes them; where a walk runs into
+    a cycle from outside it, A is left to the general route (None).
+    ``_jump`` names the cycles by the least position on each, on that
+    permutation alone, a few rows on a reduction.  The products are
+    exact Python integers over the entries other than 1.
     """
     indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
     dim = matrix.dim
@@ -371,7 +368,7 @@ def _successor_det(matrix: RowOracleMatrix) -> int | None:
         back = np.array_equal(walker, zeros)
         if back:
             break  # every walker is back: all lie on cycles
-    cycle = _endless(succ)
+    cycle = _jump(succ, _prune(succ))
     del succ
     if not back and not np.all(np.isin(zeros, cycle)):
         return 0
@@ -386,8 +383,10 @@ def _successor_det(matrix: RowOracleMatrix) -> int | None:
     arc = np.where(at_first, last, first)
     if not np.array_equal(np.sort(indices[arc]), cycle):
         return None  # a walk runs into a cycle from outside it
-    around = np.searchsorted(cycle, indices[arc])  # the permutation, on positions in `cycle`
-    name = _walk_minima(around, np.arange(len(cycle), dtype=around.dtype))
+    around = np.searchsorted(cycle, np.append(indices[arc], dim))  # positions in `cycle`, and a sink
+    name = np.arange(len(around))
+    _jump(around, np.arange(len(cycle)), least=name)  # each cycle named by its least position
+    name = name[:-1]
     on_diagonal = at_first | (indices[last] == cycle)
     diagonal = np.where(on_diagonal, data[np.where(at_first, first, last)], 0)
     coupling = data[arc]
@@ -603,47 +602,48 @@ def _certified_bottom(matrix: RowOracleMatrix) -> tuple[float, np.ndarray, float
 
 
 def _dart_ranks(degree: np.ndarray, u: np.ndarray, v: np.ndarray, ends: np.ndarray):
-    """Each path through the ends ``ends``, by pointer jumping on the darts of the edges (u, v).
+    """Each path through the ends ``ends``, by ``_jump`` on the darts of the edges (u, v).
 
-    Dart 2e runs from u[e] to v[e] and dart 2e + 1 back.  A dart whose
-    head is an end is its own successor; any other leaves its head by
-    the head's other edge, read as in ``_path_forest`` from the sum of
-    the head's edge ids less the edge it came in by.  Each round adds a
-    dart's successor's rank to its own and jumps to the successor's
-    successor, doubling how far it has looked ahead, so after about
-    log2 ell rounds every dart of a path of ell vertices points at the
-    last dart before the end it runs into, and its rank counts the
-    darts between.  The rounds stop once the darts leaving ``ends``,
-    which are their paths' longest, have settled; the darts of a cycle
-    never do, and their entries mean nothing.  Returns each end's far
-    end, its path's vertex count, and the tables that order a path: for
-    every dart its rank, the end it runs into and its head.
+    Dart 2e runs from u[e] to v[e], dart 2e + 1 back, and dart 2m is the
+    sink.  A dart whose head is an end runs into the sink; any other
+    leaves its head by the head's other edge, read as in ``_path_forest``
+    from the sum of the head's edge ids less the edge it came in by.
+    Every dart has rank 1, and a label: its head if that is an end, else
+    n.  Once jumped, a path's dart counts the darts from it to its end,
+    itself included, and carries that end; a cycle's darts mean nothing.
+    The arrays are in the edges' index dtype, whose edge-id sums wrap
+    but whose differences are exact.  Returns each end's far end, its
+    path's vertex count and least vertex, and the tables that order a
+    path: every dart's rank and the end it runs into.
     """
     n, m = len(degree), len(u)
-    edge = np.arange(m)  # ids in intp, which numpy gathers by without a converted copy
-    edge_sum = np.zeros(n, dtype=edge.dtype)
+    edge = np.arange(m, dtype=u.dtype)
+    edge_sum = np.zeros(n, dtype=u.dtype)
     np.add.at(edge_sum, u, edge)
     np.add.at(edge_sum, v, edge)
-    head = np.empty(2 * m, dtype=u.dtype)
-    head[0::2], head[1::2] = v, u
-    succ = np.arange(2 * m)
-    inner = np.flatnonzero(degree[head] == 2)
-    rank = np.zeros(2 * m, dtype=u.dtype)
-    rank[inner] = 1
-    y = head[inner]
-    out = edge_sum[y] - inner // 2
+    del edge
+    end = np.empty(2 * m + 1, dtype=u.dtype)  # each dart's head, until the inner ones are relabelled
+    end[0:-1:2], end[1:-1:2], end[-1] = v, u, n
+    inner = np.flatnonzero(degree[end[:-1]] == 2)
+    succ = np.full(2 * m + 1, 2 * m, dtype=u.dtype)
+    y = end[inner]
+    out = edge_sum[y]
+    out -= inner >> 1
     succ[inner] = 2 * out + (u[out] != y)
-    del edge, inner, y, out
+    del y, out
+    end[inner] = n
+    rank = np.ones(2 * m + 1, dtype=u.dtype)
     out = edge_sum[ends]  # an end's one edge
     leaving = 2 * out + (u[out] != ends)
     del edge_sum, out
-    for _ in range((2 * m).bit_length()):
-        if np.all(degree[head[succ[leaving]]] == 1):
-            break
-        rank += rank[succ]
-        succ = succ[succ]
-    end = head[succ]
-    return end[leaving], rank[leaving] + 2, (rank, end, head)
+    _jump(succ, inner, rank, end)
+    del succ, inner
+    far = end[leaving]
+    # The darts that run into an end reach every vertex of its path but the far end.
+    lowest = np.full(n + 1, n, dtype=u.dtype)  # a cycle's darts carry the label n
+    np.minimum.at(lowest, end[0:-1:2], v)
+    np.minimum.at(lowest, end[1:-1:2], u)
+    return far, rank[leaving] + 1, np.minimum(ends, lowest[far]), (rank, end)
 
 
 Edges = Callable[..., tuple[np.ndarray, np.ndarray]]
@@ -725,24 +725,22 @@ def _path_forest(
     del found
     ranks = None
     if len(cur):  # the walkers left are on paths of more than `limit` vertices
-        far, length, ranks = _dart_ranks(degree, *edges(), start)
+        far, length, least, ranks = _dart_ranks(degree, *edges(), start)
         keep = np.flatnonzero(start < far)
         first, last, size = start[keep], far[keep], length[keep]
-        _, end, head = ranks
-        lowest = np.full(n, n, dtype=head.dtype)
-        np.minimum.at(lowest, end, head)  # each end's darts reach all but the far end
-        report(first, last, size, np.minimum(first, lowest[last]))
+        report(first, last, size, least[keep])
         covered += int(np.sum(size, dtype=np.int64)) - len(keep)
     if covered != m:
         return None  # some edge lies on no path
 
     def order(end: int, other: int, ell: int) -> np.ndarray:
         if ell > limit:  # a long path: its darts toward the far end, placed by their ranks
-            rank, far, head = ranks
+            rank, far = ranks
             toward = np.flatnonzero(far == other)
+            u, v = edges()
             walk = np.empty(ell, dtype=np.intp)
             walk[0] = end
-            walk[ell - 1 - rank[toward]] = head[toward]
+            walk[ell - rank[toward]] = np.where(toward & 1, u[toward >> 1], v[toward >> 1])
             return walk
         walk, wrap = [end], 1 << (8 * near.itemsize)
         for _ in range(ell - 1):  # an end's neighbour sum is its one neighbour

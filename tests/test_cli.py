@@ -589,6 +589,8 @@ GOLDEN_CASES = {
             ("binary_nonmax", "#ii"),
             ("first_last_match", "aa"),
             ("first_last_match", "ab"),
+            ("binary_counter", "#0#"),
+            ("binary_counter", "#0"),
         )
     },
     **{

@@ -690,7 +690,7 @@ def test_rejecting_corpus_grams_read_exactly_zero(monkeypatch):
         # The read ran on the witness's own block, a few rows of the Gram.
         assert read_dims[-1] == np.count_nonzero(psi) < gram.dim
         seen.add(machine.name)
-    assert len(seen) == 3 and len(read_dims) > 100
+    assert len(seen) == 4 and len(read_dims) > 100
 
 
 def test_pe_verifier_promise_wraps_gapped_params():

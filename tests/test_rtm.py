@@ -21,7 +21,8 @@ def _golden():
 
 
 def test_corpus_names():
-    assert rtm.corpus_names() == ["binary_nonmax", "first_last_match", "unary_counter"]
+    assert rtm.corpus_names() == [
+        "binary_counter", "binary_nonmax", "first_last_match", "unary_counter"]
 
 
 def test_corpus_machines_validate():
@@ -277,31 +278,46 @@ def _reduction_job(machine: rtm.ReversibleTM, x: str):
     return instance, det, lam, rtm.simulate(machine, x).accepted
 
 
-@pytest.mark.parametrize("x", ["11", "1"])
+# The space-7 jobs the guards trace: an accepting and a rejecting input on a
+# machine of short chains and on one of chains of up to 73 steps.
+_SPACE_7_JOBS = {"11": "unary_counter", "1": "unary_counter",
+                 "#0000#": "binary_counter", "#0000": "binary_counter"}
+
+
+@pytest.mark.parametrize("x", list(_SPACE_7_JOBS))
 def test_every_reduction_stage_stays_within_the_adjacency_indices(x):
     # Each stage's traced transient, above what it keeps, is at most the
-    # adjacency's index bytes; so is the contract check's inside _ones.
-    machine = rtm.with_space(rtm.corpus_machine("unary_counter"), 7)
+    # adjacency's index bytes; so is the contract check's inside _ones.  On
+    # binary_counter lambda_min ranks every dart of every path once a long
+    # one is out, a known cost with its own bound: 3.85x measured.
+    machine = rtm.with_space(rtm.corpus_machine(_SPACE_7_JOBS[x]), 7)
     _reduction_job(machine, x)
     stages = [(rtm, "successors"), (rtm, "_audit"), (rtm, "_adjacency_arrays"), (rtm, "_ones"),
               (so.RowOracleMatrix, "__post_init__"), (rtm, "ata_oracle"), (sp, "det_exact"),
               (sp, "min_eigenvalue_sparse")]
     (instance, det, _, accepted), transients = oracles.traced_stages(
         lambda: _reduction_job(machine, x), stages)
-    assert (det != 0) == accepted == (x == "11")
+    assert (det != 0) == accepted == x.endswith(("11", "#"))
     assert sorted(transients) == sorted(name for _, name in stages)
     budget = _index_bytes(instance.adjacency)
-    over = {name: max(peaks) / budget for name, peaks in transients.items() if max(peaks) > budget}
+    bound = {"min_eigenvalue_sparse": 4.2} if machine.name == "binary_counter" else {}
+    over = {name: max(peaks) / budget for name, peaks in transients.items()
+            if max(peaks) > bound.get(name, 1.0) * budget}
     assert not over, over
 
 
-@pytest.mark.parametrize("x", ["11", "1"])
+@pytest.mark.parametrize("x", list(_SPACE_7_JOBS))
 def test_a_reduction_job_peaks_below_its_high_water_mark(x):
-    # The whole job's heap high-water mark at space 7, everything it holds at once.
-    machine = rtm.with_space(rtm.corpus_machine("unary_counter"), 7)
+    # The whole job's heap high-water mark at space 7, everything it holds at
+    # once: 2.4x the adjacency's index bytes on unary_counter, and on
+    # binary_counter 4.95x, set by its lambda_min stage.
+    machine = rtm.with_space(rtm.corpus_machine(_SPACE_7_JOBS[x]), 7)
     _reduction_job(machine, x)
-    _, peak = oracles.traced_peak(lambda: _reduction_job(machine, x))
-    assert peak <= 1.7 * 2**20, peak
+    (instance, *_), peak = oracles.traced_peak(lambda: _reduction_job(machine, x))
+    if machine.name == "unary_counter":
+        assert peak <= 1.7 * 2**20, peak
+    else:
+        assert peak <= 5.4 * _index_bytes(instance.adjacency), peak
 
 
 def test_det_of_a_gram_stays_within_its_measured_peak():
@@ -395,7 +411,7 @@ def test_random_machine_reduction(machine):
         return -1 if nxt is None else rtm.encode_configuration(machine, nxt)
 
     succ = rtm.successors(machine)
-    assert succ.dtype == np.int64
+    assert succ.dtype == so._index_dtype(machine.dim, 0)
     assert succ.tolist() == [scalar_step(i) for i in range(machine.dim)]
     assert np.array_equal(succ, oracles.decoded_successors(machine))
 
@@ -444,14 +460,15 @@ def test_random_reduction_grams_read_from_their_factor_as_when_formed(machine):
             oracles.assert_factor_reading_is_explicit(rtm.reduce_to_gapped(machine, x).gram)
 
 
-@pytest.mark.parametrize("name", ["binary_nonmax", "first_last_match", "unary_counter"])
+@pytest.mark.parametrize(
+    "name", ["binary_counter", "binary_nonmax", "first_last_match", "unary_counter"])
 def test_successors_match_the_decoded_reference(name):
     for space in range(1, 9):
         machine = rtm.with_space(rtm.corpus_machine(name), space)
         if machine.dim > 10**6:  # first_last_match at space 8 has 31 million
             break
         got = rtm.successors(machine)
-        assert got.dtype == np.int64
+        assert got.dtype == so._index_dtype(machine.dim, 0)
         assert np.array_equal(got, oracles.decoded_successors(machine)), space
 
 

@@ -344,18 +344,78 @@ def test_rejecting_reductions_are_decided_before_any_labelling(monkeypatch):
     # that ends; an accepting one's start row lies on the computation cycle,
     # and only that cycle's rows are labelled.
     calls = []
-    minima = sp._walk_minima
+    jump = sp._jump
 
-    def recorded(succ, label):
-        calls.append(len(succ))
-        return minima(succ, label)
+    def recorded(succ, out, rank=None, least=None):
+        if least is not None:  # a labelling: the cycles are named
+            calls.append(len(out))
+        return jump(succ, out, rank, least)
 
-    monkeypatch.setattr(sp, "_walk_minima", recorded)
+    monkeypatch.setattr(sp, "_jump", recorded)
     machine = rtm.with_space(rtm.corpus_machine("unary_counter"), 6)
     assert sp.det_exact(rtm.augmented_adjacency(machine, "1")) == 0
     assert calls == []
     assert sp.det_exact(rtm.augmented_adjacency(machine, "11")) == -1
     assert calls == [rtm.simulate(machine, "11").steps + 1]
+
+
+@st.composite
+def sink_maps(draw):
+    """(succ, rank, least): maps on 1-200 entries and a sink past them, with weights and labels.
+
+    The entries split into chains that end at the sink, cycles of 2^k
+    entries (1-cycles among them) and cycles of any length; then up to
+    three entries are sent anywhere, themselves included, which puts
+    tails into cycles and cuts chains.  Index dtype int32 or int64.
+    """
+    n = draw(st.integers(1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    order = rng.permutation(n)
+    succ = np.full(n + 1, n, dtype=draw(st.sampled_from([np.int32, np.int64])))
+    start = 0
+    while start < n:
+        kind = draw(st.sampled_from(["chain", "power", "cycle"]))
+        size = 2 ** draw(st.integers(0, 7)) if kind == "power" else draw(st.integers(1, n))
+        part = order[start : start + size]
+        if kind == "chain":
+            succ[part[:-1]] = part[1:]
+        else:
+            succ[part] = np.roll(part, -1)
+        start += len(part)
+    for _ in range(draw(st.integers(0, 3))):
+        succ[draw(st.integers(0, n - 1))] = draw(st.integers(0, n - 1))
+    rank = rng.integers(0, 5, n + 1).astype(succ.dtype)
+    least = rng.integers(0, 3 * n, n + 1).astype(succ.dtype)
+    return succ, rank, least
+
+
+@settings(max_examples=300, deadline=None)
+@given(sink_maps())
+@example((np.array([1, 2, 1, 3]), np.array([1, 1, 1, 0]), np.array([0, 5, 7, 9])))  # a tail into a 2-cycle
+@example((np.array([1, 1, 2]), np.array([2, 3, 0]), np.array([4, 0, 9])))  # a tail into a 1-cycle
+@example((np.append(np.roll(np.arange(128), -1), 128), np.ones(129, dtype=np.int64),
+          np.arange(129)[::-1].copy()))  # a cycle of 2^7 entries
+def test_jump_matches_a_plain_walk(drawn):
+    # Each entry still out covers the first 2^rounds entries of its walk, or
+    # all of them up to the sink; the entries that never reach it come back.
+    succ, rank, least = drawn
+    sink = len(succ) - 1
+    plain, weight, label = succ.tolist(), rank.tolist(), least.tolist()
+    out = np.flatnonzero(succ[:-1] != sink)
+    want_rank, want_least, endless = list(weight), list(label), []
+    for v in out.tolist():
+        walk = [v]
+        while len(walk) < 2 ** sink.bit_length() and plain[walk[-1]] != sink:
+            walk.append(plain[walk[-1]])
+        if plain[walk[-1]] != sink:
+            endless.append(v)
+        want_rank[v] = sum(weight[w] for w in walk)
+        want_least[v] = min(label[w] for w in walk)
+    got = sp._jump(succ, out, rank, least)
+    assert got.tolist() == endless
+    assert rank.tolist() == want_rank
+    assert least.tolist() == want_least
+    assert np.all(np.delete(succ[:-1], got) == sink)
 
 
 def test_det_sparse_zero_bandwidth_rescales_the_last_row():
@@ -908,8 +968,14 @@ def test_a_million_vertex_path_is_finished_by_pointer_jumping(monkeypatch):
     # One path of 10^6 vertices: past log2(dim) steps the walk hands it to
     # pointer jumping, and lambda_min and the decision are the closed form's.
     jumped = []
-    ranks = sp._dart_ranks
-    monkeypatch.setattr(sp, "_dart_ranks", lambda *args: jumped.append(1) or ranks(*args))
+    jump = sp._jump
+
+    def recorded(succ, out, rank=None, least=None):
+        if rank is not None:  # a ranking of darts
+            jumped.append(1)
+        return jump(succ, out, rank, least)
+
+    monkeypatch.setattr(sp, "_jump", recorded)
     gram = so.ata_oracle(so.path_adjacency(10**6))
     assert sp.min_eigenvalue_sparse(gram) == sp.min_eigenvalue_bound(10**6)
     assert pr.decide_gapped(gram, 30).decision == "YES"
