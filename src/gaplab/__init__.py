@@ -58,6 +58,7 @@ from .simulator import (
 from .protocols import (
     AcceptOperator,
     AmplificationParams,
+    ClockInstance,
     PreciseLHInstance,
     Verifier,
     accept_operator,

@@ -221,7 +221,7 @@ def _cmd_kitaev(args) -> tuple[dict, int]:
     instance = protocols.kitaev_hamiltonian(verifier)
     lam = protocols.ground_energy(instance)
     if args.format == "json":
-        payload = instance.to_dict()
+        payload = instance.terms().to_dict()
         payload["lambda_min"] = lam
         payload = _with_seed(args, payload)
     else:

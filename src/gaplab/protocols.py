@@ -21,10 +21,10 @@ The pipeline realized here, end to end at desk scale:
   the rejection side, sin^2(lam t/2), so that gaps down to 2^-37 on a
   reduction's Gram survive double precision;
 * a verifier is compiled into a 5-local clock Hamiltonian, held as its
-  gate list (its terms are built only when read), whose ground energy
-  is read from its (T+1) 2^n legal-clock block, exactly, rather than
-  from all 2^(n+T) clock strings, and is bracketed by bisection on
-  banded Cholesky threshold tests.
+  gate list (``ClockInstance``; its terms are built on request), whose
+  ground energy is read from its (T+1) 2^n legal-clock block, exactly,
+  rather than from all 2^(n+T) clock strings, and is bracketed by
+  bisection on banded Cholesky threshold tests.
 
 Decision thresholds for the median test sit at phi_c + 2^-alpha and
 phi_s - 2^-alpha rather than at the bare phi values: a verifier whose
@@ -739,31 +739,58 @@ def rotation_verifier(p: float, completeness_c: float, soundness_s: float) -> Ve
 # clock Hamiltonians and ground-energy search
 
 
+def _ordered_thresholds(a: float, b: float) -> None:
+    """Refuse thresholds that are not a < b, NaN included."""
+    if not a < b:
+        raise ContractError(f"thresholds must satisfy a < b, got a={a}, b={b}")
+
+
+def _same_operators(xs, ys) -> bool:
+    """Equal lists of (qubits, matrix) pairs, each matrix compared entry for entry."""
+    return len(xs) == len(ys) and all(
+        tuple(q) == tuple(r) and np.array_equal(m, n) for (q, m), (r, n) in zip(xs, ys)
+    )
+
+
 @dataclass(frozen=True, eq=False)
-class _ClockSource:
-    """What ``kitaev_hamiltonian`` compiled: the circuit's gates, ancillas and output.
+class ClockInstance:
+    """A verifier compiled by ``kitaev_hamiltonian``: its gates, ancillas, output and thresholds.
 
     The gate matrices are read-only copies, and the clock terms and the
     legal-clock block are both built from these same arrays, so the two
     cannot drift apart.  Clock qubit n + t - 1 follows gate t, after the
-    n circuit qubits.
+    n circuit qubits.  The locality and term count are read from the
+    gates, the ground energy from ``legal_block``, and ``==`` compares
+    the gates, so none of them builds a term; ``terms`` builds them.
     """
 
     circuit_qubits: int
     gates: tuple[tuple[tuple[int, ...], np.ndarray], ...]
     ancillas: tuple[int, ...]
     output_qubit: int
+    threshold_a: float
+    threshold_b: float
 
-    @classmethod
-    def of(cls, verifier: Verifier) -> "_ClockSource":
-        gates = []
-        for gate in verifier.circuit.gates:
-            mat = np.array(gate.resolved_matrix())
-            mat.flags.writeable = False
-            gates.append((gate.qubits, mat))
-        n = verifier.circuit.num_qubits
-        return cls(n, tuple(gates), tuple(range(verifier.witness_qubits, n)),
-                   verifier.output_qubit)
+    def __post_init__(self) -> None:
+        if not self.gates:  # no clock qubit to build a term on
+            raise ContractError("clock construction needs at least one gate")
+        _ordered_thresholds(self.threshold_a, self.threshold_b)
+
+    def __eq__(self, other: object) -> bool:
+        """Equal circuits and thresholds, each gate matrix compared entry for entry."""
+        if not isinstance(other, ClockInstance):
+            return NotImplemented
+        return (
+            (self.circuit_qubits, self.ancillas, self.output_qubit, self.threshold_a,
+             self.threshold_b)
+            == (other.circuit_qubits, other.ancillas, other.output_qubit, other.threshold_a,
+                other.threshold_b)
+            and _same_operators(self.gates, other.gates)
+        )
+
+    @property
+    def num_qubits(self) -> int:
+        return self.circuit_qubits + len(self.gates)
 
     def _window(self, step: int) -> tuple[tuple[int, ...], int, int]:
         """The clock window of gate ``step`` (1..T), and its local states before and after it."""
@@ -792,8 +819,8 @@ class _ClockSource:
         """The count ``terms`` builds: one per ancilla, the output, T - 1 clock, T propagation."""
         return len(self.ancillas) + 2 * len(self.gates)
 
-    def terms(self) -> list[tuple[tuple[int, ...], np.ndarray]]:
-        """Kitaev's clock terms: input, output, clock, then one propagation term per gate.
+    def terms(self) -> "PreciseLHInstance":
+        """Kitaev's clock terms, built and checked: input, output, clock, then one per gate.
 
         Input terms pin ancillas at time zero, the output term penalizes
         rejection at time T, clock terms penalize illegal 01 patterns,
@@ -824,7 +851,7 @@ class _ClockSource:
                 - _kron(hop.conj().T, u.conj().T)
             )
             terms.append(((*gate_qubits, *window), mat))
-        return terms
+        return PreciseLHInstance(self.num_qubits, terms, self.threshold_a, self.threshold_b)
 
     def legal_block(self) -> np.ndarray:
         """The clock Hamiltonian on span{|1^t 0^(T-t)>} (x) C^(2^n), index t 2^n + x.
@@ -864,100 +891,44 @@ class _ClockSource:
         return flat
 
 
-def _checked_locality(terms: list[tuple[tuple[int, ...], np.ndarray]], num_qubits: int) -> int:
-    """The largest arity among ``terms``, each checked Hermitian on distinct qubits in range."""
-    loc = 0
-    for qubits, mat in terms:
-        if len(set(qubits)) != len(qubits):
-            raise ValueError(f"term repeats a qubit: {qubits}")
-        if any(not 0 <= q < num_qubits for q in qubits):
-            raise ValueError(f"term touches a qubit outside 0..{num_qubits - 1}")
-        want = 2 ** len(qubits)
-        if mat.shape != (want, want):
-            raise ValueError(f"term matrix shape {mat.shape} does not fit {qubits}")
-        _require_hermitian(mat)
-        loc = max(loc, len(qubits))
-    return loc
-
-
-class _TermsOnFirstRead:
-    """``PreciseLHInstance.terms``: a given list, or one built from the source when first read.
-
-    A dataclass field whose default is a descriptor is set and read
-    through it; this one raises AttributeError when asked for a class
-    default, so the field has none.  ``terms=None`` with a ``source``
-    keeps no list: the first read builds the clock terms
-    (``_ClockSource.terms``), checks them as the constructor checks a
-    given list, and keeps them.
-    """
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            raise AttributeError("terms")
-        terms = vars(instance)["terms"]
-        if terms is None:
-            terms = instance.source.terms()
-            _checked_locality(terms, instance.num_qubits)
-            vars(instance)["terms"] = terms
-        return terms
-
-    def __set__(self, instance, terms) -> None:
-        vars(instance)["terms"] = terms
-
-
 @dataclass
 class PreciseLHInstance:
-    """Local Hamiltonian with exponentially close decision thresholds.
+    """Local Hamiltonian with exponentially close decision thresholds, as its term list.
 
-    An instance compiled by ``kitaev_hamiltonian`` is held as its
-    ``source`` (the gates, ancillas and output it was compiled from),
-    with ``terms=None``.  Its locality is read from the gates, its
-    terms are built and checked only when first read (by ``to_dict``,
-    ``materialize``, ``==`` or a caller), and its energy is read from
-    the (T+1) 2^n legal-clock block of that source instead of the
-    2^(n+T) sum of its terms, so compiling and solving builds no term.
-    The source is not serialized, shown or compared: an instance read
-    back by ``from_dict`` has its terms and no source, and is solved
-    densely, the only route for an arbitrary term list.
+    Each term is checked Hermitian on distinct qubits in range when the
+    instance is made.  A term list, from a file or from
+    ``ClockInstance.terms``, is solved densely: its 2^num_qubits sum of
+    terms is the only route for an arbitrary list.
     """
 
     num_qubits: int
-    terms: list[tuple[tuple[int, ...], np.ndarray]] = _TermsOnFirstRead()  # no default
+    terms: list[tuple[tuple[int, ...], np.ndarray]]
     threshold_a: float
     threshold_b: float
     locality: int = field(init=False)
-    source: _ClockSource | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.threshold_b - self.threshold_a <= 0:
-            raise ContractError(
-                f"thresholds must satisfy a < b, got a={self.threshold_a}, "
-                f"b={self.threshold_b}"
-            )
-        if vars(self)["terms"] is not None:  # the stored list; self.terms would build one
-            self.locality = _checked_locality(self.terms, self.num_qubits)
-        elif self.source is not None:
-            self.locality = self.source.locality
-        else:
-            raise ValueError("an instance without terms needs the source to build them from")
-
-    @property
-    def term_count(self) -> int:
-        """len(terms), read from the source while the terms are not built."""
-        terms = vars(self)["terms"]
-        return self.source.term_count if terms is None else len(terms)
+        _ordered_thresholds(self.threshold_a, self.threshold_b)
+        self.locality = 0
+        for qubits, mat in self.terms:
+            if len(set(qubits)) != len(qubits):
+                raise ValueError(f"term repeats a qubit: {qubits}")
+            if any(not 0 <= q < self.num_qubits for q in qubits):
+                raise ValueError(f"term touches a qubit outside 0..{self.num_qubits - 1}")
+            want = 2 ** len(qubits)
+            if mat.shape != (want, want):
+                raise ValueError(f"term matrix shape {mat.shape} does not fit {qubits}")
+            _require_hermitian(mat)
+            self.locality = max(self.locality, len(qubits))
 
     def __eq__(self, other: object) -> bool:
         """Equal qubit counts, thresholds and terms, each term matrix compared entry for entry."""
         if not isinstance(other, PreciseLHInstance):
             return NotImplemented
         return (
-            (self.num_qubits, self.threshold_a, self.threshold_b, len(self.terms))
-            == (other.num_qubits, other.threshold_a, other.threshold_b, len(other.terms))
-            and all(
-                tuple(q) == tuple(r) and np.array_equal(m, n)
-                for (q, m), (r, n) in zip(self.terms, other.terms)
-            )
+            (self.num_qubits, self.threshold_a, self.threshold_b)
+            == (other.num_qubits, other.threshold_a, other.threshold_b)
+            and _same_operators(self.terms, other.terms)
         )
 
     def materialize(self) -> np.ndarray:
@@ -1008,8 +979,10 @@ class PreciseLHInstance:
                 mat = np.array(
                     [[complex(re, im) for re, im in row] for row in _field(entry, "matrix", list)]
                 )
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise ContractError("'matrix' must be rows of [re, im] number pairs") from None
+            if not np.isfinite(mat).all():
+                raise ContractError("'matrix' entries must be finite")
             terms.append((qubits, mat))
         return cls(
             num_qubits=num_qubits,
@@ -1041,7 +1014,7 @@ def clock_thresholds(completeness_c: float, soundness_s: float, gate_count: int)
     return (1.0 - completeness_c) / (t + 1), (1.0 - soundness_s) / t**3
 
 
-def kitaev_hamiltonian(verifier: Verifier) -> PreciseLHInstance:
+def kitaev_hamiltonian(verifier: Verifier) -> ClockInstance:
     """Compile the verifier into a 5-local unary-clock Hamiltonian.
 
     Clock qubits sit after the circuit qubits, one per gate, with legal
@@ -1049,22 +1022,23 @@ def kitaev_hamiltonian(verifier: Verifier) -> PreciseLHInstance:
     output term penalizes rejection at time T, clock terms penalize
     illegal 01 patterns, and each propagation term entangles a gate
     with a 1-3 qubit clock window, so locality never exceeds 2 + 3.
-    The thresholds are (1-c)/(T+1) and (1-s)/T^3.  The instance is held
-    as the gates it was compiled from, its ``source``: the terms are
-    built when first read, and ``ground_energy`` and
-    ``binary_search_energy`` solve the source's legal-clock block.
+    The thresholds are (1-c)/(T+1) and (1-s)/T^3.  The instance is the
+    gates it was compiled from: ``ClockInstance.terms`` builds the terms,
+    and ``ground_energy`` and ``binary_search_energy`` solve its
+    legal-clock block.
     """
     t_count = verifier.circuit.gate_count
-    if t_count < 1:
+    if t_count < 1:  # before the thresholds, which divide by T
         raise ContractError("clock construction needs at least one gate")
     a, b = clock_thresholds(verifier.completeness_c, verifier.soundness_s, t_count)
-    return PreciseLHInstance(
-        num_qubits=verifier.circuit.num_qubits + t_count,
-        terms=None,
-        threshold_a=a,
-        threshold_b=b,
-        source=_ClockSource.of(verifier),
-    )
+    gates = []
+    for gate in verifier.circuit.gates:
+        mat = np.array(gate.resolved_matrix())
+        mat.flags.writeable = False
+        gates.append((gate.qubits, mat))
+    n = verifier.circuit.num_qubits
+    return ClockInstance(n, tuple(gates), tuple(range(verifier.witness_qubits, n)),
+                         verifier.output_qubit, a, b)
 
 
 def precise_epsilon_rule(gap_value: float, gate_count: int) -> float:
@@ -1118,21 +1092,21 @@ def precise_lh_bounds(verifier: Verifier, epsilon: float):
     return a, b, b - a > 0
 
 
-def _hamiltonian(instance: PreciseLHInstance | np.ndarray) -> np.ndarray:
+def _hamiltonian(instance: ClockInstance | PreciseLHInstance | np.ndarray) -> np.ndarray:
     """The matrix whose least eigenvalue is the instance's ground energy.
 
-    A compiled clock instance gives its (T+1) 2^n legal-clock block
-    (``_ClockSource.legal_block``), any other instance its dense
-    2^num_qubits sum of terms, and an array itself once checked Hermitian.
+    A compiled clock instance gives its (T+1) 2^n legal-clock block, a
+    term list its dense 2^num_qubits sum of terms, and an array itself
+    once checked Hermitian.
     """
+    if isinstance(instance, ClockInstance):
+        return instance.legal_block()
     if isinstance(instance, PreciseLHInstance):
-        if instance.source is not None:
-            return instance.source.legal_block()
         return instance.materialize()
     return _require_hermitian(instance)
 
 
-def ground_energy(instance: PreciseLHInstance | np.ndarray) -> float:
+def ground_energy(instance: ClockInstance | PreciseLHInstance | np.ndarray) -> float:
     """Least eigenvalue of the Hamiltonian (eigensolver truth), read from ``_hamiltonian``."""
     return float(np.linalg.eigvalsh(_hamiltonian(instance))[0])
 

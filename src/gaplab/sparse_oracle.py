@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import operator
 import os
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
@@ -428,8 +429,9 @@ def _read_spec(source: str | os.PathLike | dict) -> tuple[dict, str]:
 def _field(spec: dict, key: str, kind: type):
     """spec[key] as a JSON integer, number, string or array (``kind`` int, float, str or list).
 
-    A missing key or a value of another type is a ContractError naming
-    the key, so a malformed file is refused in one line.
+    A missing key, a value of another type or a number that is not
+    finite is a ContractError naming the key, so a malformed file is
+    refused in one line.
     """
     if key not in spec:
         raise ContractError(f"missing key {key!r}")
@@ -439,6 +441,8 @@ def _field(spec: dict, key: str, kind: type):
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ContractError(f"{key!r} must be a JSON number, got {value!r}")
+        if not abs(value) <= sys.float_info.max:  # NaN, inf, or an int beyond the floats
+            raise ContractError(f"{key!r} must be finite, got {value!r}")
         return float(value)
     if not isinstance(value, kind):
         name = "string" if kind is str else "array"

@@ -503,13 +503,15 @@ def _require_hermitian(matrix, tol: float = SYMMETRY_TOL) -> np.ndarray:
 
     The dtype is kept, so a complex Hermitian matrix keeps its
     imaginary part; numpy's eigensolvers take real input, integer
-    included, in float64 and complex input in complex128.
+    included, in float64 and complex input in complex128.  A NaN or
+    infinite entry makes the deviation NaN or inf, and is refused.
     """
     arr = np.asarray(matrix)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    dev = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
-    if dev > tol:
+    with np.errstate(invalid="ignore"):  # inf - inf: a NaN deviation, refused below
+        dev = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
+    if not dev <= tol:
         raise ContractError(f"matrix is not Hermitian: max deviation {dev:.3e} > {tol:.0e}")
     return arr
 

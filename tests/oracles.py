@@ -59,7 +59,7 @@ from scipy.sparse import coo_matrix
 from gaplab import rtm
 from gaplab.errors import ContractError, ResourceLimitError
 from gaplab.protocols import (
-    PreciseLHInstance,
+    ClockInstance,
     Verifier,
     pe_verifier,
     rotation_verifier,
@@ -804,9 +804,9 @@ def history_state(verifier: Verifier, witness) -> np.ndarray:
     return out / sqrt(t_count + 1)
 
 
-def dense_ground_energy(instance: PreciseLHInstance) -> float:
-    """Least eigenvalue of the dense 2^num_qubits sum of the instance's terms."""
-    return float(np.linalg.eigvalsh(instance.materialize())[0])
+def dense_ground_energy(instance: ClockInstance) -> float:
+    """Least eigenvalue of the dense 2^num_qubits sum of the compiled instance's terms."""
+    return float(np.linalg.eigvalsh(instance.terms().materialize())[0])
 
 
 def legal_clock_indices(circuit_qubits: int, gate_count: int) -> np.ndarray:

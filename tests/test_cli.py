@@ -267,11 +267,20 @@ _X = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]  # Pauli X as [re, im] pairs
         ({"qubits": 1, "terms": [], "a": "0.1", "b": 0.2}, "'a'"),
         ({"qubits": 1, "terms": [], "a": 0.1}, "'b'"),
         ({"qubits": 1, "terms": [], "a": 0.1, "b": None}, "'b'"),
+        # Entries and thresholds that are not finite: NaN, and 1e400, which reads as inf.
+        ({"qubits": 1, "terms": [{"qubits": [0], "matrix": [[[float("nan"), 0], [0, 0]],
+                                                            [[0, 0], [0, 0]]]}],
+          "a": 0.1, "b": 0.2}, "'matrix'"),
+        pytest.param('{"qubits": 1, "terms": [{"qubits": [0], "matrix": [[[1e400, 0], [0, 0]], '
+                     '[[0, 0], [1, 0]]]}], "a": 0.1, "b": 0.2}', "'matrix'", id="matrix_1e400"),
+        ({"qubits": 1, "terms": [], "a": float("nan"), "b": 0.2}, "'a'"),
+        pytest.param('{"qubits": 1, "terms": [], "a": 0.1, "b": 1e400}', "'b'", id="b_1e400"),
+        ({"qubits": 1, "terms": [], "a": 0.1, "b": float("nan")}, "'b'"),
     ],
 )
 def test_malformed_clock_instance_is_one_line_naming_the_key(tmp_path, capsys, spec, key):
     path = tmp_path / "instance.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(spec if isinstance(spec, str) else json.dumps(spec))  # a str is the file
     assert cli.main(["energy", "--instance", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("gaplab:") and err.count("\n") == 1
@@ -628,7 +637,7 @@ def test_kitaev_text_report_builds_no_term(verifier, capsys, monkeypatch):
     def refuse(self):
         raise AssertionError("a clock term was built")
 
-    monkeypatch.setattr(protocols._ClockSource, "terms", refuse)
+    monkeypatch.setattr(protocols.ClockInstance, "terms", refuse)
     monkeypatch.chdir(GOLDEN_DIR)
     name = f"kitaev_{verifier}_csv"
     code, out = run_cli(capsys, *GOLDEN_CASES[name])

@@ -717,8 +717,8 @@ def test_kitaev_rotation_instance():
     instance = pr.kitaev_hamiltonian(verifier)
     assert instance.num_qubits == 3
     assert instance.locality == 3
-    assert len(instance.terms) == 3
-    dense = instance.materialize()
+    assert instance.term_count == len(instance.terms().terms) == 3
+    dense = instance.terms().materialize()
     lam = pr.ground_energy(np.real(dense))
     assert lam == pytest.approx(0.012912542362503346, abs=1e-10)
     assert lam <= instance.threshold_a
@@ -728,7 +728,7 @@ def test_kitaev_rotation_instance():
 
 def test_kitaev_terms_are_positive_semidefinite():
     instance = pr.kitaev_hamiltonian(pr.rotation_verifier(0.9, 0.9, 0.1))
-    for qubits, matrix in instance.terms:
+    for qubits, matrix in instance.terms().terms:
         assert len(qubits) == len(set(qubits))
         eigs = np.linalg.eigvalsh(matrix)
         assert eigs.min() >= -1e-12
@@ -739,7 +739,7 @@ def test_history_state_energy_is_exact():
     instance = pr.kitaev_hamiltonian(verifier)
     hist = oracles.history_state(verifier, np.array([0.0, 1.0]))
     assert np.linalg.norm(hist) == pytest.approx(1.0, abs=1e-12)
-    energy = float(np.real(hist.conj() @ (instance.materialize() @ hist)))
+    energy = float(np.real(hist.conj() @ (instance.terms().materialize() @ hist)))
     # (1 - p) / (T + 1) with p = 0.9, T = 1.
     assert energy == pytest.approx(0.05, abs=1e-12)
 
@@ -775,13 +775,13 @@ def test_clock_ground_energy_matches_the_dense_oracle(
     verifier = _random_verifier(circuit_qubits, ancilla_k, gate_count, output_qubit, seed,
                                 completeness_c=0.999)
     instance = pr.kitaev_hamiltonian(verifier)
-    dense = instance.materialize()
+    dense = instance.terms().materialize()
     legal = oracles.legal_clock_indices(circuit_qubits, gate_count)
     illegal = np.setdiff1d(np.arange(len(dense)), legal)
     # The terms never couple legal clock strings to illegal ones, and on the
     # legal ones they are the block, entry for entry.
     assert not dense[np.ix_(illegal, legal)].any()
-    assert np.array_equal(dense[np.ix_(legal, legal)], instance.source.legal_block())
+    assert np.array_equal(dense[np.ix_(legal, legal)], instance.legal_block())
     bound = CLOCK_ENERGY_TOL * _norm_1(dense)
     assert abs(pr.ground_energy(instance) - oracles.dense_ground_energy(instance)) <= bound
 
@@ -818,23 +818,26 @@ def test_compiling_and_solving_a_clock_builds_no_term(monkeypatch):
     def refuse(self):
         raise AssertionError("a clock term was built")
 
-    monkeypatch.setattr(pr._ClockSource, "terms", refuse)
-    for verifier, lam, mid in zip(verifiers, energies, bisected):
+    monkeypatch.setattr(pr.ClockInstance, "terms", refuse)
+    for verifier, first, lam, mid in zip(verifiers, instances, energies, bisected):
         instance = pr.kitaev_hamiltonian(verifier)
         assert 2 <= instance.locality <= 5
         pr._hamiltonian(instance)
         # Bit for bit what the same instance reads once its terms exist.
         assert pr.ground_energy(instance) == lam
         assert pr.binary_search_energy(instance, 40) == mid
-        assert vars(instance)["terms"] is None
+        # Comparing two compilations, and replacing a threshold, read the gates alone.
+        assert instance == first and not instance != first
+        moved = dataclasses.replace(instance, threshold_b=2 * instance.threshold_b)
+        assert moved != instance and moved.gates is instance.gates
     with pytest.raises(AssertionError, match="a clock term was built"):
-        instances[0].to_dict()
+        instances[0].terms().to_dict()
     monkeypatch.undo()
     for instance, lam, mid in zip(instances, energies, bisected):
-        count = instance.term_count  # read from the source, before any term exists
-        instance.to_dict()  # builds the terms, which the solvers do not read
+        count = instance.term_count  # read from the gates, before any term exists
+        instance.terms().to_dict()  # builds the terms, which the solvers do not read
         assert (pr.ground_energy(instance), pr.binary_search_energy(instance, 40)) == (lam, mid)
-        assert count == instance.term_count == len(instance.terms)
+        assert count == instance.term_count == len(instance.terms().terms)
 
 
 @settings(max_examples=60, deadline=None)
@@ -856,32 +859,37 @@ def test_clock_locality_from_the_gates_is_the_terms_arity(
                                 completeness_c=0.999)
     instance = pr.kitaev_hamiltonian(verifier)
     from_gates = instance.locality
-    assert vars(instance)["terms"] is None
-    terms = instance.terms
-    assert from_gates == max(len(qubits) for qubits, _ in terms) <= 5
+    built = instance.terms()
+    terms = built.terms
+    assert from_gates == built.locality == max(len(qubits) for qubits, _ in terms) <= 5
     # The same terms given to the constructor: locality read from them, as from a file.
     given_terms = pr.PreciseLHInstance(instance.num_qubits, terms, instance.threshold_a,
                                        instance.threshold_b)
-    assert given_terms.locality == from_gates and given_terms == instance
+    assert given_terms.locality == from_gates and given_terms == built
     # One input term per ancilla, one output term, T - 1 clock and T propagation terms.
-    assert len(terms) == ancilla_k + 2 * gate_count
+    assert len(terms) == instance.term_count == ancilla_k + 2 * gate_count
 
 
-def test_clock_terms_are_checked_when_first_read(monkeypatch):
+def test_clock_terms_are_checked_when_built(monkeypatch):
     instance = pr.kitaev_hamiltonian(pr.rotation_verifier(0.9, 0.9, 0.1))
-    build = pr._ClockSource.terms
+    window = pr.ClockInstance._window
 
-    def overlapping(self):
-        qubits, mat = build(self)[-1]
-        return [((qubits[0],) * len(qubits), mat)]
+    def overlapping(self, step):
+        qubits, prev_idx, cur_idx = window(self, step)
+        return (self.gates[step - 1][0][0],) * len(qubits), prev_idx, cur_idx
 
-    monkeypatch.setattr(pr._ClockSource, "terms", overlapping)
+    monkeypatch.setattr(pr.ClockInstance, "_window", overlapping)
     with pytest.raises(ValueError, match="term repeats a qubit"):
-        instance.terms
-    with pytest.raises(ValueError, match="needs the source"):
-        pr.PreciseLHInstance(1, None, 0.1, 0.2)
+        instance.terms()
     with pytest.raises(ContractError, match="a < b"):  # checked first, whatever the terms
-        pr.PreciseLHInstance(1, None, 0.2, 0.1)
+        pr.PreciseLHInstance(1, [((0, 0), np.eye(4))], 0.2, 0.1)
+    # A clock with no gate has no clock qubit to build a term on.
+    empty = pr.Verifier(sim.QuantumCircuit(2), witness_qubits=1, ancilla_k=1, output_qubit=1,
+                        completeness_c=0.9, soundness_s=0.1)
+    for build in (lambda: pr.kitaev_hamiltonian(empty),
+                  lambda: dataclasses.replace(instance, gates=())):
+        with pytest.raises(ContractError, match="at least one gate"):
+            build()
 
 
 def test_toy_gapped_instances_equal_their_entry_built_reference():
@@ -901,14 +909,14 @@ def test_toy_gapped_instances_equal_their_entry_built_reference():
         assert (made.sparsity_d, made.entry_bound_k) == (2, 2)
 
 
-def test_clock_source_is_a_snapshot_of_the_gates():
+def test_clock_instance_is_a_snapshot_of_the_gates():
     verifier = pr.rotation_verifier(0.9, 0.9, 0.1)
     instance = pr.kitaev_hamiltonian(verifier)
     before = pr.ground_energy(instance)
     verifier.circuit.append("X", 1)  # the verifier changes; the compiled instance does not
     verifier.circuit.gates[0].matrix[:] = np.eye(4)
     assert pr.ground_energy(instance) == before
-    _, mat = instance.source.gates[0]
+    _, mat = instance.gates[0]
     with pytest.raises(ValueError):
         mat[0, 0] = 0
 
@@ -922,7 +930,7 @@ def test_clock_energy_against_a_60_digit_legal_block(kind):
     else:
         verifier, _ = pr.rule_parameterized_verifier()
     instance = pr.kitaev_hamiltonian(verifier)
-    block = instance.source.legal_block()
+    block = instance.legal_block()
     with mpmath.workdps(60):
         exact = mpmath.matrix([[mpmath.mpc(z.real, z.imag) for z in row] for row in block])
         lam = min(mpmath.eighe(exact, eigvals_only=True))
@@ -939,9 +947,9 @@ def test_clocks_of_many_gates_or_qubits_match_the_dense_oracle():
                                     completeness_c=0.999)
         instance = pr.kitaev_hamiltonian(verifier)
         assert instance.locality <= 5
-        dense = instance.materialize()
+        dense = instance.terms().materialize()
         legal = oracles.legal_clock_indices(n, gates)
-        assert np.array_equal(dense[np.ix_(legal, legal)], instance.source.legal_block())
+        assert np.array_equal(dense[np.ix_(legal, legal)], instance.legal_block())
         lam = pr.ground_energy(instance)
         bound = CLOCK_ENERGY_TOL * _norm_1(dense)
         assert abs(lam - oracles.dense_ground_energy(instance)) <= bound
@@ -971,7 +979,7 @@ def test_clock_block_over_the_dense_cap_is_refused_before_allocating(monkeypatch
         with pytest.raises(ResourceLimitError, match="legal clock block of 17408 rows exceeds"):
             solve(big)
     with pytest.raises(ResourceLimitError, match="dim 67108864 exceeds dense materialization cap"):
-        big.materialize()
+        big.terms().materialize()
 
 
 def test_precise_epsilon_rule_keeps_thresholds_ordered():
@@ -1015,6 +1023,14 @@ def test_precise_instance_threshold_contract():
             threshold_a=0.5,
             threshold_b=0.25,
         )
+    # The compiled path: T = 4 at c = 0.9, s = 0.1 gives a = 0.1/5 = 0.02 > b = 0.9/64 = 0.0141.
+    verifier = _random_verifier(2, 1, 4, 0, seed=0, completeness_c=0.9, soundness_s=0.1)
+    with pytest.raises(ContractError, match="thresholds must satisfy a < b"):
+        pr.kitaev_hamiltonian(verifier)
+    instance = pr.kitaev_hamiltonian(pr.rotation_verifier(0.9, 0.9, 0.1))
+    for b in (instance.threshold_a, float("nan")):
+        with pytest.raises(ContractError, match="thresholds must satisfy a < b"):
+            dataclasses.replace(instance, threshold_b=b)
 
 
 def test_precise_instance_equality_compares_terms():
@@ -1024,27 +1040,28 @@ def test_precise_instance_equality_compares_terms():
     other = pr.kitaev_hamiltonian(pr.rotation_verifier(0.8, 0.9, 0.1))
     assert first != other
     assert first != dataclasses.replace(first, threshold_b=first.threshold_b * 2)
-    assert first != dataclasses.replace(first, terms=first.terms[:-1])
-    again = pr.PreciseLHInstance.from_dict(json.loads(json.dumps(first.to_dict())))
-    assert again.source is None and again == first  # the source is not compared
-    assert first != "an instance"
+    assert first != dataclasses.replace(first, gates=first.gates * 2)
+    terms = first.terms()
+    assert terms == second.terms()
+    assert terms != dataclasses.replace(terms, threshold_b=terms.threshold_b * 2)
+    assert terms != dataclasses.replace(terms, terms=terms.terms[:-1])
+    # A file instance is compared through the term list, never with the circuit.
+    again = pr.PreciseLHInstance.from_dict(json.loads(json.dumps(terms.to_dict())))
+    assert again == terms and again != first and first != again
+    assert first != "an instance" and terms != "an instance"
 
 
 def test_precise_instance_json_round_trip():
     for verifier in (pr.rotation_verifier(0.9, 0.9, 0.1), pr.rule_parameterized_verifier()[0]):
         instance = pr.kitaev_hamiltonian(verifier)
-        blob = json.dumps(instance.to_dict())
+        blob = json.dumps(instance.terms().to_dict())
         again = pr.PreciseLHInstance.from_dict(json.loads(blob))
         assert again.num_qubits == instance.num_qubits
         assert again.locality == instance.locality
         np.testing.assert_allclose(
-            again.materialize(), instance.materialize(), atol=1e-12
+            again.materialize(), instance.terms().materialize(), atol=1e-12
         )
-        # The compiled source is neither serialized, shown nor compared ...
-        assert instance.source is not None and again.source is None
-        assert "source" not in blob and "source" not in repr(instance)
-        assert not next(f for f in dataclasses.fields(again) if f.name == "source").compare
-        # ... and the file instance, solved densely, lands on the same energy.
+        # The file instance is the term list, solved densely, and lands on the same energy.
         bound = CLOCK_ENERGY_TOL * _norm_1(again.materialize())
         assert abs(pr.ground_energy(again) - pr.ground_energy(instance)) <= bound
         assert abs(pr.binary_search_energy(again, 30) - pr.ground_energy(instance)) <= 2.0**-30
@@ -1081,7 +1098,7 @@ def test_binary_search_energy_needs_no_eigensolver(monkeypatch):
         pr.kitaev_hamiltonian(pr.rule_parameterized_verifier()[0]),
         (z + z.conj().T) / 2,
     ]
-    exact = [pr.ground_energy(h) if isinstance(h, pr.PreciseLHInstance)
+    exact = [pr.ground_energy(h) if isinstance(h, pr.ClockInstance)
              else float(np.linalg.eigvalsh(h)[0]) for h in instances]
 
     def refuse(*args, **kwargs):
@@ -1169,3 +1186,8 @@ def test_binary_search_energy_rejects_nonhermitian():
     # eigvalsh would read only the lower triangle, [[0, 1], [1, 0]], and report -1.
     with pytest.raises(ContractError, match="not Hermitian"):
         pr.ground_energy(np.array([[0.0, 0.0], [1.0, 0.0]]))
+    # A NaN or infinite entry makes the deviation NaN, which no "> tol" test refuses.
+    for arr in (np.array([[np.nan]]), np.array([[1.0, np.inf], [np.inf, 1.0]])):
+        for solve in (pr.ground_energy, lambda h: pr.binary_search_energy(h, 10)):
+            with pytest.raises(ContractError, match="not Hermitian"):
+                solve(arr)
