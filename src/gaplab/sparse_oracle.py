@@ -173,27 +173,16 @@ def materialize(matrix: RowOracleMatrix, dtype: type = np.int64) -> np.ndarray:
     return dense
 
 
-def pattern_ones(n: int, dtype: type = np.float64) -> np.ndarray:
-    """n ones as one read-only, zero-stride view of a single scalar: a pattern's values in 8 bytes.
-
-    The default is float64, the type scipy's graph routines convert a
-    CSR matrix's values to, so a graph built on these is read as it
-    stands.  ``nbytes`` reports n times the item size all the same.
-    """
-    return np.broadcast_to(dtype(1), (n,))
-
-
 def _ones(indptr: np.ndarray, indices: np.ndarray) -> RowOracleMatrix:
     """0/1 row oracle with a one at each listed column, at most two per row.
 
-    ``data`` is ``pattern_ones`` in int64: read-only and zero-stride,
-    so the oracle keeps its index arrays and no nnz-long buffer of
-    ones; its ``nbytes`` overstates it.  The row contract checks it
-    like any other.
+    ``data`` is one int64 one broadcast to every entry: a read-only,
+    zero-stride view, so the oracle keeps its index arrays and no
+    nnz-long buffer of ones; its ``nbytes`` overstates it.  The row
+    contract checks it like any other.
     """
-    return RowOracleMatrix(
-        indptr, indices, pattern_ones(len(indices), np.int64), sparsity_d=2, entry_bound_k=1
-    )
+    ones = np.broadcast_to(np.int64(1), (len(indices),))
+    return RowOracleMatrix(indptr, indices, ones, sparsity_d=2, entry_bound_k=1)
 
 
 def _index_arrays(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -221,29 +210,38 @@ def from_dense(dense: np.ndarray) -> RowOracleMatrix:
     return from_entries(arr.shape[0], zip(i, j, arr[i, j]))
 
 
-def _integer(value, key: str | None = None) -> int:
-    """``value`` as an int; a bool, a float, even 2.0, or any other type is a ContractError.
+def _integer(value, key: str) -> int:
+    """``value`` as an int within int64; a bool, a float, even 2.0, or anything else is a ContractError.
 
-    The error names ``key``, the instance-file field read, when given.
-    JSON's true and false are refused although Python's bool is an int.
+    The error names ``key``, the instance-file field read.  JSON's true
+    and false are refused although Python's bool is an int, and an int
+    outside int64, which numpy could not hold, is refused before any
+    array is built.
     """
+    what = f"{key!r} must be an integer"
     if not isinstance(value, bool):
         try:
-            return operator.index(value)
+            number = operator.index(value)
         except TypeError:
             pass
-    what = f"{key!r} must be an integer" if key else "expected an integer"
+        else:
+            if -(2**63) <= number < 2**63:
+                return number
+            what += " within int64"
     raise ContractError(f"{what}, got {value!r}")
 
 
 def from_entries(dim: int, triplets: Iterable[Sequence[int]]) -> RowOracleMatrix:
     """Build an oracle from an (i, j, value) triplet list of integers.
 
-    The declared bounds are the tightest the entries satisfy.
+    The declared bounds are the tightest the entries satisfy.  A number
+    that is not an integer within int64 is a ContractError naming
+    'entries', the instance-file key the triplets are read from.
     """
-    t = np.array(
-        [(_integer(i), _integer(j), _integer(v)) for i, j, v in triplets], dtype=np.int64
-    )
+    t = np.array([
+        (_integer(i, "entries"), _integer(j, "entries"), _integer(v, "entries"))
+        for i, j, v in triplets
+    ], dtype=np.int64)
     i, j, v = t.reshape(-1, 3).T
     outside = np.flatnonzero((i < 0) | (i >= dim) | (j < 0) | (j >= dim))
     if outside.size:
@@ -495,7 +493,8 @@ def load_instance(source: str | os.PathLike | dict) -> RowOracleMatrix:
         for r in rows:
             if not isinstance(r, list) or len(r) != dim:
                 raise ContractError(f"instance declares dim {dim} but has the row {r!r}")
-        return from_dense(np.array([[_integer(v) for v in r] for r in rows], dtype=np.int64))
+        values = [[_integer(v, "rows") for v in r] for r in rows]
+        return from_dense(np.array(values, dtype=np.int64))
     if "entries" in spec:
         dim, entries = _field(spec, "dim", int), _field(spec, "entries", list)
         for t in entries:

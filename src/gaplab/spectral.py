@@ -9,15 +9,11 @@ Two independent concerns live here:
   diagonal product off the cycles of its successor map, times one
   factor per cycle, the rows on cycles found in numpy by pointer
   jumping on the rows still out (``_jump``), which then names the
-  cycles by their least rows.  Any other matrix is split by its
-  pattern: a maximum transversal either proves it structurally
-  singular or puts a zero-free diagonal in place, and the strong
-  components of that matrix's digraph give a block-triangular form.
-  Its 1 x 1 blocks are diagonal entries; only the larger blocks, the
-  core, go through fraction-free elimination confined to the band of
-  their reverse Cuthill-McKee order.  The dense elimination and the
-  two enumerations both routes are checked against live with the
-  tests, in ``tests/oracles.py``;
+  cycles by their least rows.  Any other matrix goes through
+  fraction-free elimination confined to the band of its reverse
+  Cuthill-McKee order.  The dense elimination and the two
+  enumerations both routes are checked against live with the tests,
+  in ``tests/oracles.py``;
 * eigenvalue machinery for the symmetric Gram matrices the reductions
   produce, including the closed-form spectrum of the path block and the
   tridiagonal fast path.  A direct sum of path blocks (every
@@ -58,7 +54,6 @@ from .sparse_oracle import (
     from_dense,
     materialize,
     norm_bound,
-    pattern_ones,
     to_csr,
 )
 
@@ -93,18 +88,25 @@ def _row_blocks(dim: int):
 # exact determinants
 
 
-def _rcm_ordered(a: csr_matrix) -> tuple[csr_matrix, np.ndarray, int]:
-    """(P A P^T, P's order, lower bandwidth) for the reverse Cuthill-McKee order of |A| + |A^T|.
+def _rcm(a: csr_matrix, graph: csr_matrix) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+    """The reverse Cuthill-McKee order P of ``graph``, and where it puts A's entries.
 
-    The order reads the sparsity pattern alone.  On a configuration
-    graph, a disjoint union of chains, it gives bandwidth 1 or 2.
+    ``graph`` is A's pattern made symmetric, as a canonical CSR matrix:
+    |A| + |A^T|, or A itself when its pattern is symmetric.  Returns P's
+    order, each stored entry's column in P A P^T, the lower bandwidth,
+    and each entry's offset below the diagonal there (negative above),
+    the largest of which is the bandwidth.  On a configuration graph, a
+    disjoint union of chains, the order gives bandwidth 1 or 2.  No
+    permuted copy of A is built.
     """
     from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-    perm = reverse_cuthill_mckee((abs(a) + abs(a.T)).tocsr(), symmetric_mode=True)
-    b = a[perm][:, perm]
-    rows = np.repeat(np.arange(b.shape[0]), np.diff(b.indptr))
-    return b, perm, int(np.max(rows - b.indices, initial=0))
+    perm = reverse_cuthill_mckee(graph, symmetric_mode=True)
+    position = np.empty_like(perm)
+    position[perm] = np.arange(len(perm), dtype=perm.dtype)
+    col = position[a.indices]
+    offset = np.repeat(position, np.diff(a.indptr)) - col
+    return perm, col, int(np.max(offset, initial=0)), offset
 
 
 def _rcm_band(a: csr_matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -114,45 +116,40 @@ def _rcm_band(a: csr_matrix) -> tuple[np.ndarray, np.ndarray]:
     ``cholesky_banded`` reads with ``lower=True``, in float64
     (complex128 for complex A) and in Fortran order, which LAPACK
     factors in place.  A must be a canonical CSR matrix with a
-    symmetric pattern: the order is reverse Cuthill-McKee on that
-    pattern as it stands, and each stored entry goes straight to its
-    band slot through the inverse permutation, so no permuted copy of A
-    is built.
+    symmetric pattern, whose own order ``_rcm`` gives; each stored
+    entry goes straight to its band slot.
     """
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
-
-    n = a.shape[0]
-    perm = reverse_cuthill_mckee(a, symmetric_mode=True)
-    position = np.empty_like(perm)
-    position[perm] = np.arange(n, dtype=perm.dtype)
-    col = position[a.indices]
-    offset = np.repeat(position, np.diff(a.indptr)) - col
-    lo = int(np.max(offset, initial=0))
+    perm, col, lo, offset = _rcm(a, a)
     lower = np.flatnonzero(offset >= 0)
-    band = np.zeros((lo + 1, n), dtype=np.result_type(a.dtype, np.float64), order="F")
+    band = np.zeros((lo + 1, a.shape[0]), dtype=np.result_type(a.dtype, np.float64), order="F")
     band[offset[lower], col[lower]] = a.data[lower]
     return band, perm
 
 
-def _banded_bareiss(b: csr_matrix, lo: int) -> int:
-    """Fraction-free elimination of a CSR matrix of lower bandwidth lo.
+def _banded_bareiss(a: csr_matrix, perm: np.ndarray, col: np.ndarray, lo: int) -> int:
+    """Fraction-free elimination of P A P^T, of lower bandwidth lo, read from A.
 
-    Bareiss's recurrence, with its exact-integer guarantees: every
-    intermediate entry is an exact minor of the input.  Column k has
-    entries only in rows k..k+lo, row swaps stay among them, and rows
-    below are untouched except for Bareiss's rescale of every later row
-    by pivot/previous pivot at each step.  That rescale
-    telescopes to the last pivot, so a row enters the window of lo + 1
-    live dictionary rows from the CSR already multiplied by it.  Time is
-    O(n * lo * row length).
+    Row i of P A P^T is A's row perm[i], each entry in the column
+    ``col`` holds for it (``_rcm``).  Bareiss's recurrence, with its
+    exact-integer guarantees: every intermediate entry is an exact minor
+    of the input.  Column k has entries only in rows k..k+lo, row swaps
+    stay among them, and rows below are untouched except for Bareiss's
+    rescale of every later row by pivot/previous pivot at each step.
+    That rescale telescopes to the last pivot, so a row enters the
+    window of lo + 1 live dictionary rows from A already multiplied by
+    it.  While that pivot is 1, a pivot alone in its row or column is
+    a factor of det (Laplace expansion) and scales nothing, so a
+    triangular matrix costs its diagonal's product, not entries that
+    grow at every step.  Time is O(n * lo * row length).
     """
-    n = b.shape[0]
-    cols, vals, ptr = b.indices.tolist(), b.data.tolist(), b.indptr.tolist()
+    n = a.shape[0]
+    cols, vals, ptr, order = col.tolist(), a.data.tolist(), a.indptr.tolist(), perm.tolist()
     window: list[dict[int, int]] = []
-    sign = prev = 1
+    sign = prev = lone = 1
     for i in range(n + lo):
         if i < n:  # row i enters, carrying the rescale of every step so far
-            entries = zip(cols[ptr[i] : ptr[i + 1]], vals[ptr[i] : ptr[i + 1]])
+            p = order[i]
+            entries = zip(cols[ptr[p] : ptr[p + 1]], vals[ptr[p] : ptr[p + 1]])
             window.append({j: v * prev for j, v in entries})
         k = i - lo
         if k < 0:
@@ -165,6 +162,11 @@ def _banded_bareiss(b: csr_matrix, lo: int) -> int:
             sign = -sign
         row_k = window.pop(0)
         pivot = row_k.pop(k)
+        if prev == 1 and (not row_k or not any(k in row_i for row_i in window)):
+            lone *= pivot  # expanded along its row or column; nothing is rescaled
+            for row_i in window:
+                row_i.pop(k, None)
+            continue
         for r, row_i in enumerate(window):
             f = row_i.pop(k, 0)
             if f:
@@ -176,85 +178,24 @@ def _banded_bareiss(b: csr_matrix, lo: int) -> int:
                 # Exact: the rescaled entries are minors of the input too.
                 window[r] = {j: v * pivot // prev for j, v in row_i.items()}
         prev = pivot
-    return sign * prev  # the last Bareiss pivot is the determinant, up to the swaps
+    return sign * lone * prev  # the last Bareiss pivot is the rest's determinant
 
 
 def det_bareiss_sparse(matrix: RowOracleMatrix) -> int:
-    """Exact determinant by block-triangular split, then banded Bareiss on the core.
+    """Exact determinant by banded Bareiss on the reverse Cuthill-McKee order of |A| + |A^T|.
 
-    1. A maximum transversal (Hopcroft-Karp on the bipartite row/column
-       graph) matches each row to a column.  If a row stays unmatched,
-       every term of the permutation expansion has a zero factor: the
-       matrix is structurally singular and the determinant is 0.
-    2. Otherwise the matched columns, put on the diagonal, give
-       B = A P with no zero there, and det A = sgn(P) det B.  The parity
-       of P is read from its moved points alone: k moved points in c
-       cycles give parity k - c, and the cycles are counted on the
-       k x k permutation they form.  On an accepting reduction the
-       moved points are the configurations of the computation cycle
-       (6 for ``unary_counter`` on ``11``), however large the matrix.
-    3. The strong components of B's digraph are the diagonal blocks of
-       a block-triangular form of B, so det B is the product of their
-       determinants: each singleton contributes its diagonal entry, and
-       the nontrivial components, cross-component entries dropped, form
-       a block-diagonal core.  Only B's diagonal entries other than 1
-       enter the product, found among the entries other than 1.
-    4. The core alone goes through ``_banded_bareiss`` on its reverse
-       Cuthill-McKee order.
-
-    Only the combinatorial steps use scipy; every value is an exact
-    Python integer.  ``det_exact`` sends here only the matrices its
-    closed form (``_successor_det``) leaves: a Gram, or any matrix with
-    a row of two entries off the diagonal or a successor walk that
-    enters a cycle from outside it.  On a reduction's matrix, which the
-    closed form takes, the transversal would already decide a rejecting
-    input, and an accepting one, with a single cycle cover, leaves no
-    core.
+    The order P (``_rcm``) is a symmetric permutation, so
+    det P A P^T = det A, and it confines P A P^T to a lower bandwidth
+    lo; ``_banded_bareiss`` eliminates it with lo + 1 rows alive,
+    reading A's rows through the order.  Only the order uses scipy;
+    every value is an exact Python integer.  ``det_exact`` sends here
+    only the matrices its closed form (``_successor_det``) leaves: a
+    Gram, or any matrix with a row of two entries off the diagonal or a
+    successor walk that enters a cycle from outside it.
     """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components, maximum_bipartite_matching
-
     a = to_csr(matrix)
-    n = a.shape[0]
-    match = maximum_bipartite_matching(a, perm_type="column")
-    if np.any(match < 0):
-        return 0
-
-    def digraph(indices: np.ndarray, indptr: np.ndarray) -> csr_matrix:
-        m = len(indptr) - 1
-        return csr_matrix((pattern_ones(len(indices)), indices, indptr), shape=(m, m))
-
-    moved = np.flatnonzero(match != np.arange(n))
-    k = len(moved)
-    # On a permutation's digraph the weak components are the strong ones, its
-    # cycles, and the strong count takes no transpose.
-    cycles = connected_components(
-        digraph(np.searchsorted(moved, match[moved]), np.arange(k + 1)),
-        connection="strong", return_labels=False,
-    ) if k else 0
-    sign = (-1) ** ((k - cycles) % 2)
-    # Entry (row, col) of B = A P, with B[i, i] = A[i, match[i]].
-    position = np.empty_like(match)
-    position[match] = np.arange(n)
-    col = position[a.indices]
-    count, labels = connected_components(digraph(col, a.indptr), connection="strong")
-    # B's diagonal entries other than 1; the ones, nearly all of a reduction's
-    # diagonal, stay out of the Python product.
-    nonunit = np.flatnonzero(a.data != 1).astype(a.indptr.dtype)  # else numpy copies indptr to intp
-    nonunit = nonunit[col[nonunit] == np.searchsorted(a.indptr, nonunit, side="right") - 1]
-    if count == n:  # every component is one vertex: det B is B's diagonal product
-        return sign * prod(a.data[nonunit].tolist())
-    single = np.bincount(labels, minlength=count)[labels] == 1
-    det = sign * prod(a.data[nonunit[single[col[nonunit]]]].tolist())
-    # Core: the nontrivial components' rows and columns, renumbered, with
-    # only the entries inside one component.
-    row = np.repeat(np.arange(n), np.diff(a.indptr))
-    keep = ~single[row] & (labels[row] == labels[col])
-    index = np.cumsum(~single) - 1
-    m = int(index[-1]) + 1
-    core = csr_matrix((a.data[keep], (index[row[keep]], index[col[keep]])), shape=(m, m))
-    ordered, _, lo = _rcm_ordered(core)
-    return det * _banded_bareiss(ordered, lo)
+    perm, col, lo = _rcm(a, (abs(a) + abs(a.T)).tocsr())[:3]  # the offsets, freed here
+    return _banded_bareiss(a, perm, col, lo)
 
 
 def _jump(succ: np.ndarray, out: np.ndarray,
@@ -333,7 +274,7 @@ def _successor_det(matrix: RowOracleMatrix) -> int | None:
     ``_jump`` finds the rows whose walk never ends, behind ``_prune``,
     and a zero diagonal entry among the others again gives 0.  Those
     rows lie on cycles when succ permutes them; where a walk runs into
-    a cycle from outside it, A is left to the general route (None).
+    a cycle from outside it, A is left to ``det_bareiss_sparse`` (None).
     ``_jump`` names the cycles by the least position on each, on that
     permutation alone, a few rows on a reduction.  The products are
     exact Python integers over the entries other than 1.
@@ -408,8 +349,8 @@ def det_exact(matrix: RowOracleMatrix | np.ndarray) -> int:
     A matrix with at most one entry off the diagonal in each row, every
     reduction's augmented adjacency among them, takes the closed form
     of ``_successor_det``, in numpy alone.  Any other takes
-    ``det_bareiss_sparse``: the block-triangular split ahead of banded
-    fraction-free elimination.
+    ``det_bareiss_sparse``: banded fraction-free elimination in the
+    reverse Cuthill-McKee order.
     """
     if not isinstance(matrix, RowOracleMatrix):
         matrix = from_dense(matrix)

@@ -127,6 +127,10 @@ def test_non_integer_instance_is_runtime_error(tmp_path, capsys):
         ({"kind": "path", "ell": 0}, "'ell'"),
         ({"kind": "cycle", "ell": 2}, "'ell'"),
         ({"dim": True, "entries": [[0, 0, 5]]}, "'dim'"),
+        # Integers past int64, which numpy cannot hold.
+        ({"dim": 2, "entries": [[0, 0, 2**63]]}, "'entries'"),
+        ({"rows": [[2**63, 0], [0, 1]]}, "'rows'"),
+        ({"dim": 2**63, "entries": [[0, 0, 1]]}, "'dim'"),
     ],
 )
 @pytest.mark.parametrize("command", ["det", "verify"])

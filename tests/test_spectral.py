@@ -1,6 +1,7 @@
 """Exact determinants, closed-form spectra, and eigenvalue floors."""
 
 import itertools
+from math import prod
 
 import numpy as np
 import pytest
@@ -169,18 +170,14 @@ def transversal_splits(draw):
 @settings(max_examples=400, deadline=None)
 @given(transversal_splits())
 def test_det_split_on_known_transversals(split):
-    from scipy.sparse.csgraph import maximum_bipartite_matching
-
-    a, sigma, core = split
+    a, _, _ = split
     oracle = so.from_dense(a)
-    if not core:  # the transversal is unique, and it is sigma
-        assert np.array_equal(maximum_bipartite_matching(oracle.csr, perm_type="column"), sigma)
     calls = []
     kernel = sp._banded_bareiss
 
-    def recorded(b, lo):
+    def recorded(b, perm, col, lo):
         calls.append(b.shape)
-        return kernel(b, lo)
+        return kernel(b, perm, col, lo)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sp, "_banded_bareiss", recorded)
@@ -188,8 +185,8 @@ def test_det_split_on_known_transversals(split):
     assert det == oracles.det_bareiss(oracle)
     if len(a) <= 7:
         assert det == oracles.det_permutation_expansion(oracle)
-    # A matrix of the successor form never reaches the split, core or not.
-    assert bool(calls) == (core and not _successor_form(a))
+    # The kernel runs exactly on the matrices the successor form leaves.
+    assert bool(calls) == (not _successor_form(a))
 
 
 def _successor_form(a: np.ndarray) -> bool:
@@ -314,16 +311,16 @@ def test_det_exact_sends_other_matrices_to_the_split(monkeypatch):
 
 
 def test_det_exact_regime_skips_the_banded_kernel(monkeypatch):
-    # unary_counter at space 8: 262,440 configurations.  A rejecting
-    # reduction has no perfect transversal.  An accepting one has exactly
-    # one cycle cover, so its transversal is unique, the permuted matrix is
-    # triangular, and no core is left for the banded kernel either.
+    # unary_counter at space 8: 262,440 configurations.  Every reduction's
+    # augmented adjacency has at most one entry off the diagonal in each
+    # row, so the closed form of _successor_det decides it, accepting or
+    # rejecting, and the banded kernel never runs.
     calls = []
     kernel = sp._banded_bareiss
 
-    def recorded(b, lo):
+    def recorded(b, perm, col, lo):
         calls.append(b.shape)
-        return kernel(b, lo)
+        return kernel(b, perm, col, lo)
 
     monkeypatch.setattr(sp, "_banded_bareiss", recorded)
     machine = rtm.with_space(rtm.corpus_machine("unary_counter"), 8)
@@ -334,7 +331,7 @@ def test_det_exact_regime_skips_the_banded_kernel(monkeypatch):
         assert rtm.simulate(machine, x).accepted == accepted
         assert abs(det) == (1 if accepted else 0)
         assert calls == []
-    # The kernel still runs where a core exists: a symmetric Gram is one strong component.
+    # The kernel still runs on what the closed form leaves: a Gram has rows of three entries.
     assert sp.det_exact(so.ata_oracle(so.path_adjacency(5))) == 1
     assert calls == [(5, 5)]
 
@@ -419,8 +416,8 @@ def test_jump_matches_a_plain_walk(drawn):
 
 
 def test_det_sparse_zero_bandwidth_rescales_the_last_row():
-    # At bandwidth 0 no row is ever eliminated: each row, the last one
-    # included, gets its scale only as it enters the window.
+    # At bandwidth 0 no row is ever eliminated: each pivot is alone in its
+    # row and column, so each, the last one included, is a factor as it stands.
     assert sp.det_bareiss_sparse(so.from_dense(np.diag([2, 3, -5, 7]))) == -210
     assert sp.det_bareiss_sparse(so.from_dense(np.diag([3, 1, 1, 2]))) == 6
 
@@ -445,6 +442,22 @@ def test_det_exact_values_stay_python_ints():
     oracle = so.from_entries(2, [(0, 0, 2 ** 35), (1, 1, 2 ** 35)])
     assert oracles.det_bareiss(oracle) == 2 ** 70
     assert sp.det_bareiss_sparse(oracle) == 2 ** 70
+
+
+def test_det_of_a_relabelled_triangular_matrix_is_its_diagonal_product():
+    # Two subdiagonals, so rows of three entries and no closed form; in RCM
+    # order the matrix is triangular, each pivot alone in its row (lower) or
+    # its column (upper), and the determinant runs to thousands of bits.
+    rng = np.random.default_rng(7)
+    n = 3000
+    diagonal = rng.choice([-3, -2, 2, 3], n)
+    below = [(i, i - d, int(rng.choice([-2, -1, 1, 2]))) for d in (1, 2) for i in range(d, n)]
+    relabel = rng.permutation(n)
+    for lower in (True, False):
+        entries = [(i, i, int(v)) for i, v in enumerate(diagonal)]
+        entries += [(i, j, v) if lower else (j, i, v) for i, j, v in below]
+        oracle = so.from_entries(n, [(relabel[i], relabel[j], v) for i, j, v in entries])
+        assert sp.det_exact(oracle) == prod(diagonal.tolist())
 
 
 # --- orthogonal polynomials and closed forms ------------------------------
@@ -668,7 +681,8 @@ def _path_laplacian(k: int) -> np.ndarray:
 
 def test_bottom_eigenpair_beyond_bandwidth_one():
     for dense in _beyond_bandwidth_one():
-        _, _, lo = sp._rcm_ordered(so.to_csr(so.from_dense(dense)))
+        a = so.to_csr(so.from_dense(dense))
+        _, _, lo, _ = sp._rcm(a, a)
         assert lo > 1
         _check_bottom_eigenpair(_shuffled(dense, 3))
     laplacian = _beyond_bandwidth_one()[1]
