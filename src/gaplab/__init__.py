@@ -18,7 +18,6 @@ from .sparse_oracle import (
     cycle_adjacency,
     from_dense,
     from_entries,
-    load_instance,
     materialize,
     norm_bound,
     path_adjacency,
@@ -41,6 +40,7 @@ from .rtm import (
     augmented_adjacency,
     corpus_machine,
     corpus_names,
+    load_instance,
     load_machine,
     reduce_to_gapped,
     simulate,

@@ -11,9 +11,9 @@ optional --config JSON file, then built-in defaults; a config key is
 checked as its flag would be, so an unknown key, a value of another
 JSON type or one outside the flag's choices is a usage error.
 
-Exit codes: 0 success, 1 contract/resource/configuration violation
-(diagnostic on stderr), 2 usage, 3 promise violation reported by an
-amplification run (the report is still written).
+Exit codes: 0 success, 1 contract/resource/configuration violation or
+failed allocation (one line on stderr), 2 usage, 3 promise violation
+reported by an amplification run (the report is still written).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import sys
 from typing import Sequence
 
 from . import protocols, rtm, sparse_oracle, spectral
-from .errors import ConfigurationError, ContractError, ResourceLimitError
+from .errors import ConfigurationError, ResourceLimitError
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -86,7 +86,7 @@ def _machine_and_input(args) -> tuple[rtm.ReversibleTM, str]:
     spec = {"machine": args.machine, "input": args.input}
     if args.space is not None:
         spec["space"] = args.space
-    return sparse_oracle.reduction_input(spec, os.getcwd())
+    return rtm.reduction_input(spec, os.getcwd())
 
 
 def _with_seed(args, payload: dict) -> dict:
@@ -115,7 +115,7 @@ def _cmd_spectrum(args) -> tuple[list[dict], int]:
 
 
 def _cmd_det(args) -> tuple[dict, int]:
-    matrix = sparse_oracle.load_instance(args.instance)
+    matrix = rtm.load_instance(args.instance)
     value = spectral.det_exact(matrix)
     # det_exact picks its route from the matrix, so "method" is a constant; the
     # field keeps the report's shape stable.
@@ -151,7 +151,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
         g = args.gap_exponent if args.gap_exponent is not None else instance.g
         source = machine.name or args.machine
     else:
-        matrix, certified_g = sparse_oracle.load_gapped_instance(args.instance)
+        matrix, certified_g = rtm.load_gapped_instance(args.instance)
         g = args.gap_exponent if args.gap_exponent is not None else certified_g
         if g is None:
             raise ConfigurationError(
@@ -249,7 +249,7 @@ def _cmd_energy(args) -> tuple[dict, int]:
         # A machine reduction is read as its Gram, as `verify --instance` reads it,
         # and checked against its closed-form lambda_min instead of a dense solve;
         # the bisection reads the oracle's own rows either way.
-        instance, g = sparse_oracle.load_gapped_instance(args.instance)
+        instance, g = rtm.load_gapped_instance(args.instance)
         if g is None:
             truth = protocols.ground_energy(sparse_oracle.materialize(instance))
         else:
@@ -430,14 +430,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         _resolve(args, parser)
         payload, code = HANDLERS[args.command](args)
-        text = emit_report(payload, args.format)
+        digits = sys.get_int_max_str_digits()  # a determinant may pass the default 4,300
+        sys.set_int_max_str_digits(0)
+        try:
+            text = emit_report(payload, args.format)
+        finally:
+            sys.set_int_max_str_digits(digits)
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)
-    except (ContractError, ConfigurationError, ResourceLimitError, ValueError, OSError) as exc:
-        print(f"gaplab: {exc}", file=sys.stderr)
+    except (ValueError, ResourceLimitError, MemoryError, OSError) as exc:
+        print(f"gaplab: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_ERROR
     return code
 

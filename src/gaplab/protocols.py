@@ -36,6 +36,7 @@ phase gap) leaves room for this padding on both sides.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from math import acos, ceil, comb, cos, exp, floor, log2, pi, sin, sqrt, tan
 
@@ -208,6 +209,8 @@ class AmplificationParams:
             raise ValueError(
                 "precision too coarse: 2^-alpha must be below a quarter of the phase gap"
             )
+        if self.register_bits >= sys.float_info.max_exp:  # N = 2^b must be a finite float
+            raise ValueError(f"precision bits {self.precision_bits} exceed the float range")
 
     @classmethod
     def from_promise(

@@ -1,4 +1,4 @@
-"""Reversible space-bounded machines and their matrix reductions.
+"""Reversible space-bounded machines, their matrix reductions, instance files.
 
 A machine here runs on a fixed tape of ``space`` cells (no growth), so
 its configuration space is finite: dim = |states| * space * |alphabet|^space.
@@ -55,15 +55,20 @@ from math import ceil, log2
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, ResourceLimitError
 from .sparse_oracle import (
     GramOracle,
     RowOracleMatrix,
     _field,
     _index_arrays,
     _index_dtype,
+    _integer,
     _ones,
     ata_oracle,
+    cycle_adjacency,
+    from_dense,
+    from_entries,
+    path_adjacency,
 )
 from .spectral import _jump, _prune, min_eigenvalue_bound
 
@@ -193,8 +198,10 @@ def successors(machine: ReversibleTM) -> np.ndarray:
     index's parts and one clip at -1 give the array, every dim-long
     step in the index dtype (``_index_dtype(dim, 0)``), which holds
     every offset and index.  At space 8 of ``unary_counter`` the traced
-    peak is about 1.4 times the array.
+    peak is about 1.4 times the array.  A dim beyond int64 is refused.
     """
+    if machine.dim > np.iinfo(np.int64).max:
+        raise ResourceLimitError(f"dim {machine.dim} exceeds the int64 index range")
     nq, na, space = len(machine.states), len(machine.alphabet), machine.space
     rules = [machine.transitions.get((q, a)) for q in machine.states for a in machine.alphabet]
     table = np.array(  # new state (-1: no rule), written symbol, move
@@ -484,7 +491,7 @@ def reduce_to_gapped(machine: ReversibleTM, input_str: str) -> GappedInstance:
 
 
 # ---------------------------------------------------------------------------
-# serialization and the bundled corpus
+# serialization, the bundled corpus and instance files
 
 
 def machine_from_dict(spec: dict) -> ReversibleTM:
@@ -560,3 +567,93 @@ def corpus_machine(name: str) -> ReversibleTM:
     if not path.is_file():
         raise ValueError(f"no corpus machine named {name!r}; have {corpus_names()}")
     return machine_from_dict(json.loads(path.read_text(encoding="utf-8")))
+
+
+def _read_spec(source: str | os.PathLike | dict) -> tuple[dict, str]:
+    """Parsed instance description and the directory its paths are relative to."""
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, "r", encoding="utf-8") as fh:
+            spec, base = json.load(fh), os.path.dirname(os.path.abspath(source))
+    else:
+        spec, base = source, os.getcwd()
+    if not isinstance(spec, dict):
+        raise ContractError(f"an instance is a JSON object, got {type(spec).__name__}")
+    return spec, base
+
+
+def reduction_input(spec: dict, base: str):
+    """Machine and input string of a {"kind": "rtm"} description.
+
+    ``machine`` is a machine file's path relative to ``base`` when one
+    exists there, and otherwise a corpus name; ``space``, if given,
+    replaces the machine's tape size.
+    """
+    machine_ref = _field(spec, "machine", str)
+    x = _field(spec, "input", str)
+    candidate = os.path.join(base, machine_ref)
+    if os.path.exists(candidate):
+        machine = load_machine(candidate)
+    else:
+        machine = corpus_machine(machine_ref)
+    if "space" in spec:
+        machine = with_space(machine, _field(spec, "space", int))
+    return machine, x
+
+
+def load_instance(source: str | os.PathLike | dict) -> RowOracleMatrix:
+    """Load a matrix instance from JSON (path or already-parsed dict).
+
+    Formats:
+      {"dim": N, "entries": [[i, j, v], ...]}        triplet matrix
+      {"dim": N, "rows": [[...], ...]}                dense integer matrix
+      {"kind": "path" | "cycle", "ell": L}            structured block
+      {"kind": "rtm", "machine": PATH-OR-NAME,
+       "input": STR, "space": S?}                     machine reduction
+                                                      (its augmented adjacency)
+
+    Every number (values, indices, dim, ell, space) must be a JSON
+    integer, ``machine`` and ``input`` strings, and a ``rows`` matrix
+    N x N; a missing key or anything else is a ContractError.
+    """
+    spec, base = _read_spec(source)
+    if "rows" in spec:
+        rows = _field(spec, "rows", list)
+        dim = _field(spec, "dim", int) if "dim" in spec else len(rows)
+        if len(rows) != dim:
+            raise ContractError(f"instance declares dim {dim} but has {len(rows)} rows")
+        for r in rows:
+            if not isinstance(r, list) or len(r) != dim:
+                raise ContractError(f"instance declares dim {dim} but has the row {r!r}")
+        values = [[_integer(v, "rows") for v in r] for r in rows]
+        return from_dense(np.array(values, dtype=np.int64))
+    if "entries" in spec:
+        dim, entries = _field(spec, "dim", int), _field(spec, "entries", list)
+        for t in entries:
+            if not isinstance(t, list) or len(t) != 3:
+                raise ContractError(f"'entries' must hold [i, j, value] triplets, got {t!r}")
+        return from_entries(dim, entries)
+
+    kind = spec.get("kind")
+    if kind == "path":
+        return path_adjacency(_field(spec, "ell", int))
+    if kind == "cycle":
+        return cycle_adjacency(_field(spec, "ell", int))
+    if kind == "rtm":
+        return augmented_adjacency(*reduction_input(spec, base))
+    raise ValueError(f"unrecognized instance description: {sorted(spec)}")
+
+
+def load_gapped_instance(
+    source: str | os.PathLike | dict,
+) -> tuple[RowOracleMatrix, int | None]:
+    """The matrix ``verify`` decides from an instance file, with its certified g.
+
+    A machine reduction yields the Gram A^T A of its augmented adjacency
+    and the reduction's own gap exponent; every other shape yields the
+    matrix ``load_instance`` reads and no gap exponent.
+    """
+    spec, base = _read_spec(source)
+    if spec.get("kind") == "rtm":
+        instance = reduce_to_gapped(*reduction_input(spec, base))
+        return instance.gram, instance.g
+    return load_instance(spec), None

@@ -13,8 +13,8 @@ of a dense Hermitian array (``expm_exact``, the ground truth) and the
 truncated Taylor sum, whose analytic tail bound is what the gapped
 verifier budgets against.  The Taylor sum reads A as a RowOracleMatrix
 and has one loop, ``expm_taylor_minus_identity``, which applies it to a
-vector or column block with one sparse product per term; the
-verifier's ``phase_read`` applies it to its witness alone.
+vector or column block with one product per term, on the padded rows
+``sparse_oracle`` keeps; ``phase_read`` applies it to its witness alone.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractError, ResourceLimitError
-from .sparse_oracle import RowOracleMatrix
+from .sparse_oracle import RowOracleMatrix, _product_table, _row_sums, _rounded_once_sums
 from .spectral import _require_hermitian
 
 MAX_QUBITS = 20
@@ -202,71 +202,6 @@ def _norm_upper_bound(matrix: RowOracleMatrix) -> float:
     rows = running[matrix.indptr[1:]] - running[matrix.indptr[:-1]]
     cols = np.bincount(matrix.indices, weights=magnitude, minlength=matrix.dim)
     return float(sqrt(int(cols.max()) * int(rows.max())))
-
-
-def _padded_rows(matrix: RowOracleMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """The oracle's rows padded to one length, row i down column i: (columns, float64 entries).
-
-    Each row keeps its entries in column order; a padding slot has
-    entry 0 at column dim, which ``_product_table`` reads as a zero
-    appended to x, so every padded product is exactly +0.0.
-    """
-    counts = np.diff(matrix.indptr)
-    dim = len(counts)
-    # intp: numpy gathers by it without a converted copy of the index.
-    columns = np.full((max(int(counts.max()), 1), dim), dim, dtype=np.intp)
-    entries = np.zeros(columns.shape)
-    starts = matrix.indptr[:-1].astype(np.intp)
-    for slot, (column, entry) in enumerate(zip(columns, entries)):
-        rows = np.flatnonzero(counts > slot)
-        at = starts[rows] + slot
-        column[rows], entry[rows] = matrix.indices[at], matrix.data[at]
-    return columns, entries
-
-
-def _product_table(rows: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
-    """The products a_ij x_j of the padded ``rows`` for a vector or column block x.
-
-    A product is the float64 entry times x_j, as in a float64 CSR
-    product; the columns of a block ride along a trailing axis.
-    """
-    columns, entries = rows
-    padded = np.concatenate((x, np.zeros((1,) + x.shape[1:], dtype=x.dtype)))
-    table = np.take(padded, columns, axis=0).astype(np.result_type(np.float64, x), copy=False)
-    table *= entries.reshape(entries.shape + (1,) * (x.ndim - 1))  # x_j a_ij, the same bits
-    return table
-
-
-def _row_sums(table: np.ndarray) -> np.ndarray:
-    """Each row's products added in column order onto 0: bit for bit scipy's CSR row loop."""
-    total = np.zeros(table.shape[1:], dtype=table.dtype)
-    for term in table:
-        total += term
-    return total
-
-
-def _rounded_once_sums(table: np.ndarray) -> np.ndarray:
-    """Each row's products summed in twice the working precision, then rounded.
-
-    A TwoSum cascade along the table (Ogita, Rump and Oishi, SIAM J.
-    Sci. Comput. 26:1955, 2005) keeps the exact error of each addition,
-    so the row's sum is as accurate as if it were carried in twice the
-    working precision and then rounded.  When every product is exact,
-    as for entries +-1 and +-2, each row is rounded once; otherwise the
-    result is never less accurate than plain sums of the same products.
-    """
-    total, error = table[0], np.zeros_like(table[0])
-    for term in table[1:]:
-        partial = total + term
-        back = partial - total
-        error += (total - (partial - back)) + (term - back)
-        total = partial
-    return total + error
-
-
-def _rounded_once_products(matrix: RowOracleMatrix, x: np.ndarray) -> np.ndarray:
-    """A x for a vector or column block x, each row's sum rounded once (``_rounded_once_sums``)."""
-    return _rounded_once_sums(_product_table(matrix.padded, x))
 
 
 def expm_taylor_minus_identity(

@@ -3,20 +3,20 @@
 A row oracle is its CSR arrays (``indptr``, ``indices`` and int64
 ``data``) together with the contract every reduction in this package
 declares for them: at most ``sparsity_d`` entries per row, each at most
-``entry_bound_k`` in magnitude.  The contract is checked once,
-on all rows at once, when the oracle is constructed; from then on the
-declared bounds, not the entries, set downstream parameters such as
-the verifier's evolution time.  The path-sum recogniser, the witness's
-residual and the Taylor products of the phase read take the arrays as
-they stand, in numpy; the scipy kernels (determinants, symmetry checks,
-the energy band) read them through ``to_csr``, a scipy CSR matrix
-built on the same buffers.  A Gram A^T A is held as its checked factor
-A (``GramOracle``) and formed only when its arrays are read.  Building
-an oracle from triplets, a structured block or a machine reduction,
-checking it and materializing it take numpy alone; scipy is imported
-when a CSR view is first asked for, by a Gram product or a kernel.
-Dense materialization exists only as a desk-scale debugging and
-ground-truth device, refused above DENSE_CAP rows.
+``entry_bound_k`` in magnitude, checked once, on all rows at once,
+when the oracle is constructed; from then on the declared bounds, not
+the entries, set downstream parameters such as the verifier's
+evolution time.  The path-sum recogniser reads the arrays as they
+stand, in numpy, and so do the row products A x of the witness's
+residual and of the Taylor sum, on rows padded once (``padded``); the
+scipy kernels (determinants, symmetry checks, the energy band) read
+them through ``to_csr``, a scipy CSR matrix on the same buffers.  A
+Gram A^T A is held as its checked factor A (``GramOracle``) and formed
+only when its arrays are read.  Building an oracle and checking it
+take numpy alone; scipy is imported when a CSR view is first asked
+for, by a Gram product or a kernel.  This module reads no files
+(``rtm`` reads instance files).  Dense materialization is a desk-scale
+debugging and ground-truth device, refused above DENSE_CAP rows.
 
 Integer-valued oracles stay integer-valued until a spectral operation
 converts them to floats.  No float arithmetic happens in construction
@@ -25,9 +25,7 @@ or Gram-matrix assembly.
 
 from __future__ import annotations
 
-import json
 import operator
-import os
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -143,14 +141,73 @@ class RowOracleMatrix:
 
     @cached_property
     def padded(self) -> tuple[np.ndarray, np.ndarray]:
-        """The rows padded to one length, as the Taylor products read them; built once.
-
-        See ``simulator._padded_rows``.  The witness's residual and its
-        phase read both take these, so a block is padded once.
-        """
-        from .simulator import _padded_rows  # deferred: simulator imports this module
-
+        """``_padded_rows``, built once: the witness's residual and its phase read both take them."""
         return _padded_rows(self)
+
+
+def _padded_rows(matrix: RowOracleMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The oracle's rows padded to one length, row i down column i: (columns, float64 entries).
+
+    Each row keeps its entries in column order; a padding slot has
+    entry 0 at column dim, which ``_product_table`` reads as a zero
+    appended to x, so every padded product is exactly +0.0.
+    """
+    counts = np.diff(matrix.indptr)
+    dim = len(counts)
+    # intp: numpy gathers by it without a converted copy of the index.
+    columns = np.full((max(int(counts.max()), 1), dim), dim, dtype=np.intp)
+    entries = np.zeros(columns.shape)
+    starts = matrix.indptr[:-1].astype(np.intp)
+    for slot, (column, entry) in enumerate(zip(columns, entries)):
+        rows = np.flatnonzero(counts > slot)
+        at = starts[rows] + slot
+        column[rows], entry[rows] = matrix.indices[at], matrix.data[at]
+    return columns, entries
+
+
+def _product_table(rows: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
+    """The products a_ij x_j of the padded ``rows`` for a vector or column block x.
+
+    A product is the float64 entry times x_j, as in a float64 CSR
+    product; the columns of a block ride along a trailing axis.
+    """
+    columns, entries = rows
+    padded = np.concatenate((x, np.zeros((1,) + x.shape[1:], dtype=x.dtype)))
+    table = np.take(padded, columns, axis=0).astype(np.result_type(np.float64, x), copy=False)
+    table *= entries.reshape(entries.shape + (1,) * (x.ndim - 1))  # x_j a_ij, the same bits
+    return table
+
+
+def _row_sums(table: np.ndarray) -> np.ndarray:
+    """Each row's products added in column order onto 0: bit for bit scipy's CSR row loop."""
+    total = np.zeros(table.shape[1:], dtype=table.dtype)
+    for term in table:
+        total += term
+    return total
+
+
+def _rounded_once_sums(table: np.ndarray) -> np.ndarray:
+    """Each row's products summed in twice the working precision, then rounded.
+
+    A TwoSum cascade along the table (Ogita, Rump and Oishi, SIAM J.
+    Sci. Comput. 26:1955, 2005) keeps the exact error of each addition,
+    so the row's sum is as accurate as if it were carried in twice the
+    working precision and then rounded.  When every product is exact,
+    as for entries +-1 and +-2, each row is rounded once; otherwise the
+    result is never less accurate than plain sums of the same products.
+    """
+    total, error = table[0], np.zeros_like(table[0])
+    for term in table[1:]:
+        partial = total + term
+        back = partial - total
+        error += (total - (partial - back)) + (term - back)
+        total = partial
+    return total + error
+
+
+def _rounded_once_products(matrix: RowOracleMatrix, x: np.ndarray) -> np.ndarray:
+    """A x for a vector or column block x, each row's sum rounded once (``_rounded_once_sums``)."""
+    return _rounded_once_sums(_product_table(matrix.padded, x))
 
 
 def to_csr(matrix: RowOracleMatrix) -> csr_matrix:
@@ -412,18 +469,6 @@ def cycle_adjacency(ell: int) -> RowOracleMatrix:
     return _ones(np.concatenate(([0], 2 * np.arange(ell - 1) + 1, [2 * ell - 2])), cols)
 
 
-def _read_spec(source: str | os.PathLike | dict) -> tuple[dict, str]:
-    """Parsed instance description and the directory its paths are relative to."""
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as fh:
-            spec, base = json.load(fh), os.path.dirname(os.path.abspath(source))
-    else:
-        spec, base = source, os.getcwd()
-    if not isinstance(spec, dict):
-        raise ContractError(f"an instance is a JSON object, got {type(spec).__name__}")
-    return spec, base
-
-
 def _field(spec: dict, key: str, kind: type):
     """spec[key] as a JSON integer, number, string or array (``kind`` int, float, str or list).
 
@@ -446,87 +491,3 @@ def _field(spec: dict, key: str, kind: type):
         name = "string" if kind is str else "array"
         raise ContractError(f"{key!r} must be a JSON {name}, got {value!r}")
     return value
-
-
-def reduction_input(spec: dict, base: str):
-    """Machine and input string of a {"kind": "rtm"} description.
-
-    ``machine`` is a machine file's path relative to ``base`` when one
-    exists there, and otherwise a corpus name; ``space``, if given,
-    replaces the machine's tape size.
-    """
-    from . import rtm  # deferred: rtm depends on this module
-
-    machine_ref = _field(spec, "machine", str)
-    x = _field(spec, "input", str)
-    candidate = os.path.join(base, machine_ref)
-    if os.path.exists(candidate):
-        machine = rtm.load_machine(candidate)
-    else:
-        machine = rtm.corpus_machine(machine_ref)
-    if "space" in spec:
-        machine = rtm.with_space(machine, _field(spec, "space", int))
-    return machine, x
-
-
-def load_instance(source: str | os.PathLike | dict) -> RowOracleMatrix:
-    """Load a matrix instance from JSON (path or already-parsed dict).
-
-    Formats:
-      {"dim": N, "entries": [[i, j, v], ...]}        triplet matrix
-      {"dim": N, "rows": [[...], ...]}                dense integer matrix
-      {"kind": "path" | "cycle", "ell": L}            structured block
-      {"kind": "rtm", "machine": PATH-OR-NAME,
-       "input": STR, "space": S?}                     machine reduction
-                                                      (its augmented adjacency)
-
-    Every number (values, indices, dim, ell, space) must be a JSON
-    integer, ``machine`` and ``input`` strings, and a ``rows`` matrix
-    N x N; a missing key or anything else is a ContractError.
-    """
-    spec, base = _read_spec(source)
-    if "rows" in spec:
-        rows = _field(spec, "rows", list)
-        dim = _field(spec, "dim", int) if "dim" in spec else len(rows)
-        if len(rows) != dim:
-            raise ContractError(f"instance declares dim {dim} but has {len(rows)} rows")
-        for r in rows:
-            if not isinstance(r, list) or len(r) != dim:
-                raise ContractError(f"instance declares dim {dim} but has the row {r!r}")
-        values = [[_integer(v, "rows") for v in r] for r in rows]
-        return from_dense(np.array(values, dtype=np.int64))
-    if "entries" in spec:
-        dim, entries = _field(spec, "dim", int), _field(spec, "entries", list)
-        for t in entries:
-            if not isinstance(t, list) or len(t) != 3:
-                raise ContractError(f"'entries' must hold [i, j, value] triplets, got {t!r}")
-        return from_entries(dim, entries)
-
-    kind = spec.get("kind")
-    if kind == "path":
-        return path_adjacency(_field(spec, "ell", int))
-    if kind == "cycle":
-        return cycle_adjacency(_field(spec, "ell", int))
-    if kind == "rtm":
-        from . import rtm
-
-        return rtm.augmented_adjacency(*reduction_input(spec, base))
-    raise ValueError(f"unrecognized instance description: {sorted(spec)}")
-
-
-def load_gapped_instance(
-    source: str | os.PathLike | dict,
-) -> tuple[RowOracleMatrix, int | None]:
-    """The matrix ``verify`` decides from an instance file, with its certified g.
-
-    A machine reduction yields the Gram A^T A of its augmented adjacency
-    and the reduction's own gap exponent; every other shape yields the
-    matrix ``load_instance`` reads and no gap exponent.
-    """
-    spec, base = _read_spec(source)
-    if spec.get("kind") == "rtm":
-        from . import rtm
-
-        instance = rtm.reduce_to_gapped(*reduction_input(spec, base))
-        return instance.gram, instance.g
-    return load_instance(spec), None

@@ -51,6 +51,7 @@ from .errors import ContractError
 from .sparse_oracle import (
     GramOracle,
     RowOracleMatrix,
+    _rounded_once_products,
     from_dense,
     materialize,
     norm_bound,
@@ -963,8 +964,6 @@ def _bottom_block_eigenpair(matrix: RowOracleMatrix) -> _BlockEigenpair:
     block is written from the recogniser's edges (``_path_block``), so
     a Gram held as its factor is never formed.
     """
-    from .simulator import _rounded_once_products  # deferred: simulator imports this module
-
     least = _path_sum_bottom(matrix)
     if least is None:
         return _BlockEigenpair(*_certified_bottom(matrix), block=matrix, rows=None)

@@ -657,7 +657,7 @@ def test_kitaev_text_report_builds_no_term(verifier, capsys, monkeypatch):
 )
 def test_det_oracles_match_det_exact(det):
     # The golden det_auto report pins det_exact on this file at -7.
-    matrix = sparse_oracle.load_instance(GOLDEN_DIR / "triplets.json")
+    matrix = rtm.load_instance(GOLDEN_DIR / "triplets.json")
     assert det(matrix) == spectral.det_exact(matrix) == -7
 
 
@@ -763,3 +763,57 @@ def test_reduce_and_verify_at_space_10_never_form_the_gram(monkeypatch, capsys):
     assert code == 0 and json.loads(out)["dim"] == 2_952_450
     code, out = run_cli(capsys, "verify", *machine, "--gap-exponent", "37")
     assert code == 0 and json.loads(out)["decision"] == "NO"
+
+
+def test_det_writes_a_determinant_past_the_default_digit_limit(tmp_path, capsys):
+    # det 3^9100 has 4,342 digits, past Python's default limit of 4,300 for int-to-str.
+    path = tmp_path / "threes.json"
+    path.write_text(json.dumps({"dim": 9100, "entries": [[i, i, 3] for i in range(9100)]}))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        digits = str(3**9100)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    code, out = run_cli(capsys, "det", "--instance", str(path))
+    assert code == 0 and f'"det": {digits},' in out
+    code, out = run_cli(capsys, "det", "--instance", str(path), "--format", "csv")
+    assert code == 0 and out == f"dim,det,method\n9100,{digits},auto\n"
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_amplify_refuses_a_register_past_the_float_range(capsys):
+    argv = ["amplify", "--p", "0.9", "--format", "csv", "--precision-bits"]
+    assert cli.main([*argv, "1022"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "gaplab: precision bits 1022 exceed the float range\n"
+    code, out = run_cli(capsys, *argv, "1021")
+    assert code == 0 and out.splitlines()[1] == (
+        "0.90000000000000002,0.90000000000000002,0.10000000000000001,3,1021,1023,"
+        "0.10241638234956676,0.39758361765043326,best,YES,1,1,0,0,1,0"
+    )
+
+
+def test_reduce_refuses_a_dim_past_int64(capsys):
+    # 5 states, 40 cells, 3 symbols: dim 5 * 40 * 3^40, about 2^71, refused before any array.
+    code = cli.main(["reduce", "--machine", "unary_counter", "--input", "11", "--space", "40"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"gaplab: dim {5 * 40 * 3**40} exceeds the int64 index range\n"
+    )
+
+
+@pytest.mark.parametrize("error, line", [
+    (MemoryError("Unable to allocate 1.46 PiB for an array"),
+     "Unable to allocate 1.46 PiB for an array"),
+    (MemoryError(), "MemoryError"),
+])
+def test_reduce_reports_a_failed_allocation_in_one_line(monkeypatch, capsys, error, line):
+    def allocate(machine):
+        raise error
+
+    monkeypatch.setattr(rtm, "successors", allocate)
+    code = cli.main(["reduce", "--machine", "unary_counter", "--input", "11", "--space", "5"])
+    assert code == 1
+    assert capsys.readouterr().err == f"gaplab: {line}\n"

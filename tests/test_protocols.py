@@ -536,13 +536,13 @@ def test_decide_gapped_on_long_chains():
 def test_decide_gapped_pads_the_witness_block_once(monkeypatch, x):
     # The witness's residual and its phase read take the same padded rows.
     calls = []
-    pad = sim._padded_rows
+    pad = so._padded_rows
 
     def recorded(matrix):
         calls.append(matrix.dim)
         return pad(matrix)
 
-    monkeypatch.setattr(sim, "_padded_rows", recorded)
+    monkeypatch.setattr(so, "_padded_rows", recorded)
     instance = rtm.reduce_to_gapped(rtm.with_space(rtm.corpus_machine("unary_counter"), 5), x)
     assert pr.decide_gapped(instance.gram, instance.g).decision == ("NO" if x == "11" else "YES")
     assert len(calls) == 1
@@ -1124,7 +1124,7 @@ def _energy_oracles():
     """The energy_2x2 and toy_gram golden files, and unary_counter's reduction Grams at spaces 3-5."""
     golden = Path(__file__).parent / "golden"
     for name in ("energy_2x2", "toy_gram"):
-        yield so.load_instance(golden / f"{name}.json")
+        yield rtm.load_instance(golden / f"{name}.json")
     for space in (3, 4, 5):
         machine = rtm.with_space(rtm.corpus_machine("unary_counter"), space)
         for x in ("11", "1"):
@@ -1191,3 +1191,11 @@ def test_binary_search_energy_rejects_nonhermitian():
         for solve in (pr.ground_energy, lambda h: pr.binary_search_energy(h, 10)):
             with pytest.raises(ContractError, match="not Hermitian"):
                 solve(arr)
+
+
+def test_params_refuse_a_register_past_the_float_range():
+    # b = 1022 gives 2^1024 register outcomes, the first power of 2 past the floats.
+    with pytest.raises(ValueError, match="precision bits 1022 "):
+        pr.AmplificationParams.from_promise(0.9, 0.1, 3, 1022)
+    params = pr.AmplificationParams.from_promise(0.9, 0.1, 3, 1021)
+    assert params.register_bits == 1023

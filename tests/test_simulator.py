@@ -158,7 +158,7 @@ def test_first_product_rounds_each_row_once():
         x = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 7, size=n)
         x[rng.integers(n)] = -x.sum()  # a row or two with cancellation
         z = x + 1j * rng.permutation(x)
-        got, got_complex = sim._rounded_once_products(a, x), sim._rounded_once_products(a, z)
+        got, got_complex = so._rounded_once_products(a, x), so._rounded_once_products(a, z)
         assert np.array_equal(got_complex.real, got)
         for i in range(n):
             terms = [Fraction(int(dense[i, j])) * Fraction(float(x[j])) for j in range(n)]
@@ -167,9 +167,9 @@ def test_first_product_rounds_each_row_once():
             gamma = (m - 1) * u / (1 - (m - 1) * u)
             bound = u * abs(exact) + gamma**2 * sum(abs(t) for t in terms)
             assert abs(Fraction(float(got[i])) - exact) <= bound
-            assert got_complex[i].imag == sim._rounded_once_products(a, z.imag)[i]
+            assert got_complex[i].imag == so._rounded_once_products(a, z.imag)[i]
         # A column block is summed column by column, to the same bits.
-        block = sim._rounded_once_products(a, np.stack([x, z.imag], axis=1))
+        block = so._rounded_once_products(a, np.stack([x, z.imag], axis=1))
         assert np.array_equal(block, np.stack([got, got_complex.imag], axis=1))
 
 
@@ -178,7 +178,7 @@ def _scipy_taylor_minus_identity(matrix, evo_time, order, x):
     a = so.to_csr(matrix).astype(np.float64)
     w, total = x, np.zeros(x.shape, dtype=complex)
     for k in range(1, order + 1):
-        w = (sim._rounded_once_products(matrix, w) if k == 1 else a @ w) * (evo_time / k)
+        w = (so._rounded_once_products(matrix, w) if k == 1 else a @ w) * (evo_time / k)
         total += (-1j) ** (k % 4) * w
     return total
 
@@ -193,11 +193,11 @@ def test_plain_products_are_scipys_csr_row_loop_bit_for_bit():
         dense = rng.integers(-9, 10, size=(n, n)) * (rng.random((n, n)) < rng.random())
         matrix = so.from_dense(dense)
         a = so.to_csr(matrix).astype(np.float64)
-        rows = sim._padded_rows(matrix)
+        rows = so._padded_rows(matrix)
         x = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, size=n)
         x[rng.random(n) < 0.2] = -0.0
         for vector in (x, rng.standard_normal((n, 3)), x + 1j * rng.permutation(x)):
-            got = sim._row_sums(sim._product_table(rows, vector))
+            got = so._row_sums(so._product_table(rows, vector))
             assert got.tobytes() == (a @ vector).tobytes()
         t = np.pi / max(sim._norm_upper_bound(matrix), 1.0)
         got = sim.expm_taylor_minus_identity(matrix, t, 12, x)

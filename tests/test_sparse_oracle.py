@@ -250,18 +250,18 @@ def test_to_csr_matches_materialize():
 
 
 def test_load_instance_triplets():
-    m = so.load_instance({"dim": 2, "entries": [[0, 0, 2], [0, 1, 1], [1, 0, 1], [1, 1, 1]]})
+    m = rtm.load_instance({"dim": 2, "entries": [[0, 0, 2], [0, 1, 1], [1, 0, 1], [1, 1, 1]]})
     np.testing.assert_array_equal(so.materialize(m), [[2, 1], [1, 1]])
 
 
 def test_load_instance_dense_rows():
-    m = so.load_instance({"dim": 2, "rows": [[2, 1], [1, 1]]})
+    m = rtm.load_instance({"dim": 2, "rows": [[2, 1], [1, 1]]})
     np.testing.assert_array_equal(so.materialize(m), [[2, 1], [1, 1]])
 
 
 def test_load_instance_structured_kinds():
-    p = so.load_instance({"kind": "path", "ell": 4})
-    c = so.load_instance({"kind": "cycle", "ell": 4})
+    p = rtm.load_instance({"kind": "path", "ell": 4})
+    c = rtm.load_instance({"kind": "cycle", "ell": 4})
     assert p.dim == 4 and c.dim == 4
     np.testing.assert_array_equal(
         so.materialize(p), so.materialize(so.path_adjacency(4))
@@ -269,49 +269,49 @@ def test_load_instance_structured_kinds():
 
 
 def test_load_instance_machine_reduction():
-    m = so.load_instance({"kind": "rtm", "machine": "unary_counter", "input": "11"})
+    m = rtm.load_instance({"kind": "rtm", "machine": "unary_counter", "input": "11"})
     assert m.dim == 1620
 
 
 def test_load_instance_from_file(tmp_path):
     path = tmp_path / "instance.json"
     path.write_text(json.dumps({"kind": "path", "ell": 3}))
-    assert so.load_instance(path).dim == 3
+    assert rtm.load_instance(path).dim == 3
 
 
 def test_load_instance_unknown_shape():
     with pytest.raises(ValueError):
-        so.load_instance({"what": 1})
+        rtm.load_instance({"what": 1})
 
 
 def test_load_instance_rejects_fractional_rows():
     # An int64 cast would truncate 1.5 to 1 and load the identity.
     with pytest.raises(ContractError, match="1.5"):
-        so.load_instance({"dim": 2, "rows": [[1.5, 0], [0, 1]]})
+        rtm.load_instance({"dim": 2, "rows": [[1.5, 0], [0, 1]]})
     # JSON true is a Python int too: it would load the identity.
     with pytest.raises(ContractError, match="True"):
-        so.load_instance({"dim": 2, "rows": [[True, 0], [0, True]]})
+        rtm.load_instance({"dim": 2, "rows": [[True, 0], [0, True]]})
 
 
 def test_load_instance_rejects_fractional_triplets():
     # int() would turn 0.4 into 0, and the entry would be dropped.
     with pytest.raises(ContractError, match="0.4"):
-        so.load_instance({"dim": 1, "entries": [[0, 0, 0.4]]})
+        rtm.load_instance({"dim": 1, "entries": [[0, 0, 0.4]]})
 
 
 def test_load_instance_rejects_fractional_sizes():
     # int() would build a path of length 2 and a machine on 4 cells.
     with pytest.raises(ContractError, match="2.5"):
-        so.load_instance({"kind": "path", "ell": 2.5})
+        rtm.load_instance({"kind": "path", "ell": 2.5})
     with pytest.raises(ContractError, match="4.5"):
-        so.load_instance({"kind": "rtm", "machine": "unary_counter", "input": "1", "space": 4.5})
+        rtm.load_instance({"kind": "rtm", "machine": "unary_counter", "input": "1", "space": 4.5})
 
 
 def test_load_instance_rejects_rows_that_miss_the_declared_dim():
     with pytest.raises(ContractError, match="dim 3"):
-        so.load_instance({"dim": 3, "rows": [[1, 0], [0, 1]]})
+        rtm.load_instance({"dim": 3, "rows": [[1, 0], [0, 1]]})
     with pytest.raises(ContractError, match="dim 2"):
-        so.load_instance({"dim": 2, "rows": [[1, 0], [0, 1, 0]]})
+        rtm.load_instance({"dim": 2, "rows": [[1, 0], [0, 1, 0]]})
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaplab import protocols as pr
-from gaplab import rtm, simulator as sim, sparse_oracle as so
+from gaplab import rtm, sparse_oracle as so
 from gaplab import spectral as sp
 from gaplab.errors import ContractError, ResourceLimitError
 
@@ -1028,7 +1028,7 @@ def _check_closed_form_witness(gram: so.RowOracleMatrix, monkeypatch) -> None:
     assert len(set(labels[pair.rows].tolist())) == 1
     assert np.count_nonzero(labels == labels[pair.rows[0]]) == len(pair.rows)
     # Each row's sum is rounded once, on the block and on all of A alike.
-    full = float(np.linalg.norm(sim._rounded_once_products(gram, psi) - lam * psi))
+    full = float(np.linalg.norm(so._rounded_once_products(gram, psi) - lam * psi))
     assert residual == pair.residual == full
 
 
@@ -1068,7 +1068,7 @@ def test_block_residual_is_the_full_residual_on_reductions():
             for x in (x for x in inputs if len(x) < space):
                 gram = rtm.reduce_to_gapped(machine, x).gram
                 lam, psi, residual = sp.bottom_eigenpair(gram)
-                full = sim._rounded_once_products(gram, psi) - lam * psi
+                full = so._rounded_once_products(gram, psi) - lam * psi
                 assert residual == float(np.linalg.norm(full)) < 1e-15
 
 
