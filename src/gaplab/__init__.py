@@ -48,7 +48,6 @@ from .rtm import (
     with_space,
 )
 from .simulator import (
-    Gate,
     QuantumCircuit,
     expm_exact,
     run_circuit,

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from math import acos, ceil, comb, cos, exp, floor, log2, pi, sin, sqrt, tan
+from math import acos, ceil, comb, cos, exp, floor, log, log1p, log2, pi, sin, sqrt, tan
 
 import numpy as np
 
@@ -56,6 +56,8 @@ from .simulator import (
     DENSE_QUBIT_CAP,
     QuantumCircuit,
     _apply_to_columns,
+    _check_operator,
+    _read_only,
     expm_exact,
     phase_read,
     run_circuit,
@@ -131,17 +133,19 @@ class AcceptOperator:
         arr = np.asarray(_require_hermitian(self.matrix), dtype=complex)
         if arr.shape != (dim, dim):
             raise ValueError(f"operator shape {arr.shape} does not fit m={self.m}")
-        w = np.linalg.eigvalsh(arr)
+        self._eigh = tuple(_read_only(x) for x in np.linalg.eigh(arr))
+        w = self._eigh[0]
         if w[0] < -1e-10 or w[-1] > 1 + 1e-10:
             raise ContractError(f"acceptance eigenvalues outside [0, 1]: {w[0]}, {w[-1]}")
         self.matrix = arr
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.linalg.eigh(self.matrix)
+        """(eigenvalues, eigenvectors) of the one ``eigh`` taken at construction, read-only."""
+        return self._eigh
 
     @property
     def max_acceptance(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix)[-1])
+        return float(self._eigh[0][-1])
 
     @property
     def trace(self) -> float:
@@ -205,7 +209,8 @@ class AmplificationParams:
             raise ValueError("need at least one trial")
         if not 0.0 <= self.threshold_phi_c < self.threshold_phi_s <= 0.5:
             raise ValueError("need 0 <= phi_c < phi_s <= 1/2")
-        if 2.0**-self.precision_bits >= (self.threshold_phi_s - self.threshold_phi_c) / 4:
+        gap = self.threshold_phi_s - self.threshold_phi_c
+        if self.precision_bits < 1 or 2.0**-self.precision_bits >= gap / 4:
             raise ValueError(
                 "precision too coarse: 2^-alpha must be below a quarter of the phase gap"
             )
@@ -224,6 +229,8 @@ class AmplificationParams:
             raise ValueError("need 0 <= s < c <= 1")
         phi_c = acos(sqrt(completeness_c)) / pi
         phi_s = acos(sqrt(soundness_s)) / pi
+        if phi_c == phi_s:
+            raise ValueError(f"c={completeness_c} and s={soundness_s} have the same phase {phi_c}")
         if precision_bits is None:
             precision_bits = int(floor(log2(4.0 / (phi_s - phi_c)))) + 1
         return cls(
@@ -247,12 +254,24 @@ class AmplificationParams:
 
 
 def median_exceeds(per_trial: float, trials_r: int) -> float:
-    """P(at least ceil(r/2) of r independent successes), exactly."""
+    """P(at least ceil(r/2) of r independent successes), exactly.
+
+    A binomial coefficient past the float range (from r = 1030 on)
+    enters its term through its logarithm, taken of the exact integer.
+    """
     k = ceil(trials_r / 2)
     q = min(max(per_trial, 0.0), 1.0)
-    return float(
-        sum(comb(trials_r, i) * q**i * (1 - q) ** (trials_r - i) for i in range(k, trials_r + 1))
-    )
+    if q in (0.0, 1.0):  # no term has a logarithm; every trial fails, or every one succeeds
+        return float(q == 1.0)
+
+    def term(i: int) -> float:
+        c = comb(trials_r, i)
+        try:
+            return c * q**i * (1 - q) ** (trials_r - i)
+        except OverflowError:  # c does not fit a float
+            return exp(log(c) + i * log(q) + (trials_r - i) * log1p(-q))
+
+    return float(sum(term(i) for i in range(k, trials_r + 1)))
 
 
 @dataclass(frozen=True)
@@ -741,6 +760,10 @@ def rotation_verifier(p: float, completeness_c: float, soundness_s: float) -> Ve
 # ---------------------------------------------------------------------------
 # clock Hamiltonians and ground-energy search
 
+# Clock-term projectors on local index 1 and 2 (first listed qubit low).
+_LOW_ONE_HIGH_ZERO = _read_only(np.diag(np.array([0, 1, 0, 0], dtype=complex)))
+_LOW_ZERO_HIGH_ONE = _read_only(np.diag(np.array([0, 0, 1, 0], dtype=complex)))
+
 
 def _ordered_thresholds(a: float, b: float) -> None:
     """Refuse thresholds that are not a < b, NaN included."""
@@ -759,12 +782,12 @@ def _same_operators(xs, ys) -> bool:
 class ClockInstance:
     """A verifier compiled by ``kitaev_hamiltonian``: its gates, ancillas, output and thresholds.
 
-    The gate matrices are read-only copies, and the clock terms and the
-    legal-clock block are both built from these same arrays, so the two
-    cannot drift apart.  Clock qubit n + t - 1 follows gate t, after the
-    n circuit qubits.  The locality and term count are read from the
-    gates, the ground energy from ``legal_block``, and ``==`` compares
-    the gates, so none of them builds a term; ``terms`` builds them.
+    The gates are checked (qubits, matrix) pairs with read-only copies
+    of the matrices, from which the clock terms and the legal-clock block
+    are both built, so the two cannot drift apart.  Clock qubit n + t - 1
+    follows gate t, after the n circuit qubits.  Locality and term count
+    are read from the gates, the ground energy from ``legal_block``, and
+    ``==`` compares the gates, so none of them builds a term; ``terms`` does.
     """
 
     circuit_qubits: int
@@ -778,6 +801,8 @@ class ClockInstance:
         if not self.gates:  # no clock qubit to build a term on
             raise ContractError("clock construction needs at least one gate")
         _ordered_thresholds(self.threshold_a, self.threshold_b)
+        for qubits, mat in self.gates:
+            _check_operator(qubits, mat, self.circuit_qubits, "gate")
 
     def __eq__(self, other: object) -> bool:
         """Equal circuits and thresholds, each gate matrix compared entry for entry."""
@@ -833,10 +858,10 @@ class ClockInstance:
         terms: list[tuple[tuple[int, ...], np.ndarray]] = []
         for a in self.ancillas:
             # ancilla = 1 while the clock has not started
-            terms.append(((a, clock[0]), _diag_projector({0: 1, 1: 0}, 2)))
-        terms.append(((self.output_qubit, clock[-1]), _diag_projector({0: 0, 1: 1}, 2)))
+            terms.append(((a, clock[0]), _LOW_ONE_HIGH_ZERO))
+        terms.append(((self.output_qubit, clock[-1]), _LOW_ZERO_HIGH_ONE))
         for i in range(len(clock) - 1):
-            terms.append(((clock[i], clock[i + 1]), _diag_projector({0: 0, 1: 1}, 2)))
+            terms.append(((clock[i], clock[i + 1]), _LOW_ZERO_HIGH_ONE))
 
         for step, (gate_qubits, u) in enumerate(self.gates, start=1):
             window, prev_idx, cur_idx = self._window(step)
@@ -859,7 +884,7 @@ class ClockInstance:
     def legal_block(self) -> np.ndarray:
         """The clock Hamiltonian on span{|1^t 0^(T-t)>} (x) C^(2^n), index t 2^n + x.
 
-        Gate t contributes 1/2 (|t-1><t-1| + |t><t|) (x) I
+        The t-th gate contributes 1/2 (|t-1><t-1| + |t><t|) (x) I
         - 1/2 (|t><t-1| (x) U_t + h.c.), with U_t the gate on the whole
         n-qubit register; the input terms add |0><0| (x) sum_a n_a and the
         output term |T><T| (x) |0><0|_output.  Every term maps legal
@@ -914,13 +939,7 @@ class PreciseLHInstance:
         _ordered_thresholds(self.threshold_a, self.threshold_b)
         self.locality = 0
         for qubits, mat in self.terms:
-            if len(set(qubits)) != len(qubits):
-                raise ValueError(f"term repeats a qubit: {qubits}")
-            if any(not 0 <= q < self.num_qubits for q in qubits):
-                raise ValueError(f"term touches a qubit outside 0..{self.num_qubits - 1}")
-            want = 2 ** len(qubits)
-            if mat.shape != (want, want):
-                raise ValueError(f"term matrix shape {mat.shape} does not fit {qubits}")
+            _check_operator(qubits, mat, self.num_qubits, "term")
             _require_hermitian(mat)
             self.locality = max(self.locality, len(qubits))
 
@@ -995,16 +1014,6 @@ class PreciseLHInstance:
         )
 
 
-def _diag_projector(bits: dict[int, int], arity: int) -> np.ndarray:
-    """Projector onto fixed local bit values (local qubit i is bit i)."""
-    dim = 2**arity
-    diag = np.ones(dim)
-    for local, val in bits.items():
-        idx = np.arange(dim)
-        diag *= (((idx >> local) & 1) == val).astype(float)
-    return np.diag(diag.astype(complex))
-
-
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.kron of two matrices: the same single products, broadcast without its set-up."""
     rows, cols = a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
@@ -1034,13 +1043,9 @@ def kitaev_hamiltonian(verifier: Verifier) -> ClockInstance:
     if t_count < 1:  # before the thresholds, which divide by T
         raise ContractError("clock construction needs at least one gate")
     a, b = clock_thresholds(verifier.completeness_c, verifier.soundness_s, t_count)
-    gates = []
-    for gate in verifier.circuit.gates:
-        mat = np.array(gate.resolved_matrix())
-        mat.flags.writeable = False
-        gates.append((gate.qubits, mat))
+    gates = tuple((qubits, _read_only(np.array(mat))) for qubits, mat in verifier.circuit.gates)
     n = verifier.circuit.num_qubits
-    return ClockInstance(n, tuple(gates), tuple(range(verifier.witness_qubits, n)),
+    return ClockInstance(n, gates, tuple(range(verifier.witness_qubits, n)),
                          verifier.output_qubit, a, b)
 
 

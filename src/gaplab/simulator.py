@@ -5,8 +5,9 @@ experiments downstream resolve probability differences of order
 2^-24 and smaller, which no sampling backend could see.  A state is a
 plain complex ndarray of 2^n amplitudes, indexed with qubit 0 as the
 least significant bit: ``run_circuit`` returns one, and every function
-here that takes a state takes an array.  A gate on qubits (a, b) reads
-its local index the same way, first listed qubit least significant.
+here that takes a state takes an array.  A gate is a (qubits, matrix)
+pair whose local index reads the same way, first listed qubit least
+significant.
 
 The exponential e^{-iAt} comes in two flavors: spectral decomposition
 of a dense Hermitian array (``expm_exact``, the ground truth) and the
@@ -38,7 +39,15 @@ MAX_TAYLOR_ORDER = 1000
 
 _INV_SQRT2 = 1.0 / sqrt(2.0)
 _MINUS_I_POWERS = (1, -1j, -1, 1j)  # (-i)^k by k mod 4
-GATE_MATRICES = {
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array`` itself, made read-only: one matrix that many gates or terms share."""
+    array.flags.writeable = False
+    return array
+
+
+GATE_MATRICES = {name: _read_only(matrix) for name, matrix in {
     "H": np.array([[_INV_SQRT2, _INV_SQRT2], [_INV_SQRT2, -_INV_SQRT2]], dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
     "T": np.array([[1, 0], [0, np.exp(1j * pi / 4)]], dtype=complex),
@@ -46,68 +55,52 @@ GATE_MATRICES = {
     "CNOT": np.array(
         [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex
     ),
-}
-GATE_ARITY = {"H": 1, "X": 1, "T": 1, "CNOT": 2}
+}.items()}
 
 
-@dataclass(frozen=True)
-class Gate:
-    """One circuit element: a named gate or an injected dense unitary."""
-
-    name: str
-    qubits: tuple[int, ...]
-    matrix: np.ndarray | None = None
-
-    def resolved_matrix(self) -> np.ndarray:
-        if self.matrix is not None:
-            return self.matrix
-        return GATE_MATRICES[self.name]
+def _check_operator(qubits: tuple, matrix: np.ndarray, num_qubits: int, what: str) -> None:
+    """Refuse a ``what`` (gate or term) that repeats a qubit, leaves the register, or misfits."""
+    if len(set(qubits)) != len(qubits):
+        raise ValueError(f"{what} repeats a qubit: {qubits}")
+    if any(not 0 <= q < num_qubits for q in qubits):
+        raise ValueError(f"{what} touches a qubit outside 0..{num_qubits - 1}")
+    want, shape = 2 ** len(qubits), np.shape(matrix)
+    if shape != (want, want):
+        raise ValueError(f"{what} matrix shape {shape} does not fit {qubits}")
 
 
 @dataclass
 class QuantumCircuit:
-    """Ordered gate list on a fixed qubit count."""
+    """Ordered gate list on a fixed qubit count; a gate is its (qubits, matrix) pair."""
 
     num_qubits: int
-    gates: list[Gate] = field(default_factory=list)
+    gates: list[tuple[tuple[int, ...], np.ndarray]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if not 1 <= self.num_qubits <= MAX_QUBITS:
             raise ResourceLimitError(
                 f"qubit count {self.num_qubits} outside [1, {MAX_QUBITS}]"
             )
-        for g in self.gates:
-            self._check_gate(g)
+        for qubits, matrix in self.gates:
+            self._check_gate(qubits, matrix)
 
-    def _check_gate(self, g: Gate) -> None:
-        if len(set(g.qubits)) != len(g.qubits):
-            raise ValueError(f"gate {g.name} repeats a qubit: {g.qubits}")
-        for q in g.qubits:
-            if not 0 <= q < self.num_qubits:
-                raise ValueError(f"gate {g.name} touches qubit {q} of {self.num_qubits}")
-        if g.matrix is None:
-            if g.name not in GATE_MATRICES:
-                raise ValueError(f"unknown gate {g.name!r} without an injected matrix")
-            if len(g.qubits) != GATE_ARITY[g.name]:
-                raise ValueError(f"gate {g.name} takes {GATE_ARITY[g.name]} qubits")
-        else:
-            want = 2 ** len(g.qubits)
-            if g.matrix.shape != (want, want):
-                raise ValueError(
-                    f"injected matrix shape {g.matrix.shape} does not fit "
-                    f"{len(g.qubits)} qubits"
-                )
-            if len(g.qubits) > 2:
-                raise ValueError("injected unitaries are limited to 1 or 2 qubits")
+    def _check_gate(self, qubits: tuple[int, ...], matrix: np.ndarray) -> None:
+        _check_operator(qubits, matrix, self.num_qubits, "gate")
+        if len(qubits) > 2:
+            raise ValueError("gates are limited to 1 or 2 qubits")
 
     @property
     def gate_count(self) -> int:
         return len(self.gates)
 
     def append(self, name: str, *qubits: int, matrix: np.ndarray | None = None) -> None:
-        g = Gate(name.upper(), tuple(qubits), matrix)
-        self._check_gate(g)
-        self.gates.append(g)
+        """Append a named gate of ``GATE_MATRICES``, or ``matrix`` under any name."""
+        if matrix is None:
+            matrix = GATE_MATRICES.get(name.upper())
+            if matrix is None:
+                raise ValueError(f"unknown gate {name.upper()!r} without an injected matrix")
+        self._check_gate(qubits, matrix)
+        self.gates.append((qubits, matrix))
 
 
 def _apply_to_columns(
@@ -152,8 +145,8 @@ def run_circuit(circuit: QuantumCircuit, state: np.ndarray | None = None) -> np.
         )
     norm_in = np.linalg.norm(amps, axis=0)
     cols = amps.reshape(dim, -1)
-    for g in circuit.gates:
-        cols = _apply_to_columns(cols, circuit.num_qubits, g.resolved_matrix(), g.qubits)
+    for qubits, matrix in circuit.gates:
+        cols = _apply_to_columns(cols, circuit.num_qubits, matrix, qubits)
     out = cols.reshape(amps.shape)
     drift = np.abs(np.linalg.norm(out, axis=0) - norm_in)
     if np.any(drift > NORM_TOL * np.maximum(1.0, norm_in)):

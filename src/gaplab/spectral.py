@@ -440,8 +440,8 @@ def gram_bands(kind: str, ell: int) -> tuple[np.ndarray, np.ndarray]:
     raise ValueError(f"unknown block kind {kind!r}")
 
 
-def _require_hermitian(matrix, tol: float = SYMMETRY_TOL) -> np.ndarray:
-    """``matrix`` as a square array of its own dtype, once max |A - A^H| <= tol is checked.
+def _require_hermitian(matrix) -> np.ndarray:
+    """``matrix`` as a square array of its own dtype, once max |A - A^H| <= SYMMETRY_TOL holds.
 
     The dtype is kept, so a complex Hermitian matrix keeps its
     imaginary part; numpy's eigensolvers take real input, integer
@@ -453,8 +453,8 @@ def _require_hermitian(matrix, tol: float = SYMMETRY_TOL) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     with np.errstate(invalid="ignore"):  # inf - inf: a NaN deviation, refused below
         dev = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
-    if not dev <= tol:
-        raise ContractError(f"matrix is not Hermitian: max deviation {dev:.3e} > {tol:.0e}")
+    if not dev <= SYMMETRY_TOL:
+        raise ContractError(f"matrix is not Hermitian: max deviation {dev:.3e} > {SYMMETRY_TOL:.0e}")
     return arr
 
 

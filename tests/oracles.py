@@ -68,7 +68,6 @@ from gaplab.protocols import (
 from gaplab.rtm import MOVES, ReversibleTM
 from gaplab.simulator import (
     DENSE_QUBIT_CAP,
-    GATE_ARITY,
     GATE_MATRICES,
     QuantumCircuit,
     _apply_to_columns,
@@ -77,7 +76,7 @@ from gaplab.simulator import (
 )
 from gaplab import spectral
 from gaplab.sparse_oracle import GramOracle, RowOracleMatrix, _index_arrays, from_entries, to_csr
-from gaplab.spectral import _require_hermitian, gram_bands
+from gaplab.spectral import gram_bands
 
 
 # ---------------------------------------------------------------------------
@@ -571,8 +570,8 @@ def circuit_unitary(circuit: QuantumCircuit) -> np.ndarray:
         )
     dim = 2**circuit.num_qubits
     cols = np.eye(dim, dtype=complex)
-    for g in circuit.gates:
-        cols = _apply_to_columns(cols, circuit.num_qubits, g.resolved_matrix(), g.qubits)
+    for qubits, matrix in circuit.gates:
+        cols = _apply_to_columns(cols, circuit.num_qubits, matrix, qubits)
     return cols
 
 
@@ -584,8 +583,9 @@ def random_circuit(
     names = sorted(GATE_MATRICES)
     for _ in range(gate_count):
         name = names[rng.integers(len(names))]
-        if GATE_ARITY[name] == 1 or num_qubits == 1:
-            name = name if GATE_ARITY[name] == 1 else "H"
+        one_qubit = len(GATE_MATRICES[name]) == 2
+        if one_qubit or num_qubits == 1:
+            name = name if one_qubit else "H"
             circuit.append(name, int(rng.integers(num_qubits)))
         else:
             a, b = rng.choice(num_qubits, size=2, replace=False)
@@ -659,7 +659,8 @@ def acceptance_probability(verifier, witness) -> float:
     if raw.ndim == 2:
         if raw.shape != (dim, dim):
             raise ContractError(f"density operator shape {raw.shape}, want {(dim, dim)}")
-        _require_hermitian(raw, 1e-10)
+        if np.max(np.abs(raw - raw.conj().T)) > 1e-10:
+            raise ContractError("density operator is not Hermitian")
         if abs(np.trace(raw).real - 1) > 1e-9:
             raise ContractError("density operator must have unit trace")
         probs, vecs = np.linalg.eigh(raw)
@@ -795,10 +796,8 @@ def history_state(verifier: Verifier, witness) -> np.ndarray:
     clock_value = 0
     for step in range(t_count + 1):
         if step > 0:
-            gate = verifier.circuit.gates[step - 1]
-            state = _apply_to_columns(
-                state.reshape(-1, 1), w, gate.resolved_matrix(), gate.qubits
-            ).reshape(-1)
+            qubits, matrix = verifier.circuit.gates[step - 1]
+            state = _apply_to_columns(state.reshape(-1, 1), w, matrix, qubits).reshape(-1)
             clock_value |= 1 << (step - 1)
         out[(clock_value << w) : (clock_value << w) + 2**w] += state
     return out / sqrt(t_count + 1)

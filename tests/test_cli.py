@@ -795,6 +795,47 @@ def test_amplify_refuses_a_register_past_the_float_range(capsys):
     )
 
 
+def test_amplify_refuses_a_promise_whose_phases_are_equal(capsys):
+    code = cli.main(["amplify", "--p", "0.9", "--completeness", "2e-320", "--soundness", "1e-320"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "gaplab: c=2e-320 and s=1e-320 have the same phase 0.5\n"
+
+
+@pytest.mark.parametrize("bits", ["-1100", "-1024", "-1000", "0"])
+def test_amplify_refuses_every_precision_below_one_in_one_line(capsys, bits):
+    assert cli.main(["amplify", "--p", "0.9", "--precision-bits", bits]) == 1
+    assert capsys.readouterr().err == (
+        "gaplab: precision too coarse: 2^-alpha must be below a quarter of the phase gap\n"
+    )
+
+
+def test_amplify_answers_past_1029_trials(capsys):
+    code, out = run_cli(capsys, "amplify", "--p", "0.9", "--trials", "1100")
+    assert code == 0 and json.loads(out)["decision"] == "YES"
+
+
+def test_amplify_edge_values_exit_in_one_line(capsys):
+    # Promises near 0, 1/2 and 1 and subnormal, trials 1 to 2,001 and precision
+    # bits -2,000 to 1,100: each run answers (0), refuses in one line (1) or
+    # reports a promise violation (3), and none raises.
+    phases = ["0", "5e-324", "2e-320", "1e-300", "0.4999999999999999", "0.5",
+              "0.5000000000000001", "0.9999999999999999", "1"]
+    bits = [None, "-2000", "-1100", "-1024", "-1000", "0", "1", "4", "60", "1021", "1022", "1100"]
+    runs = [["--p", "0.9", "--completeness", c, "--soundness", s]
+            + ([] if b is None else ["--precision-bits", b])
+            for c in phases for s in phases for b in bits]
+    runs += [["--p", p, "--trials", r]
+             for p in ("0.5", "1") for r in ("1", "2", "1029", "1030", "1100", "2001")]
+    for argv in runs:
+        code = cli.main(["amplify", *argv])
+        err = capsys.readouterr().err
+        if code == 1:
+            assert err.startswith("gaplab: ") and err.count("\n") == 1, argv
+        else:
+            assert code in (0, 3) and err == "", argv
+
+
 def test_reduce_refuses_a_dim_past_int64(capsys):
     # 5 states, 40 cells, 3 symbols: dim 5 * 40 * 3^40, about 2^71, refused before any array.
     code = cli.main(["reduce", "--machine", "unary_counter", "--input", "11", "--space", "40"])

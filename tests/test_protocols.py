@@ -3,7 +3,8 @@
 import dataclasses
 import itertools
 import json
-from math import acos, floor, pi, sqrt
+from fractions import Fraction
+from math import acos, comb, floor, pi, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +45,7 @@ def _random_verifier(circuit_qubits, ancilla_k, gate_count, output_qubit, seed,
         for i in range(0, gate_count, 2):
             z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             pair = tuple(int(q) for q in rng.choice(circuit_qubits, size=2, replace=False))
-            circuit.gates[i] = sim.Gate("U", pair, np.linalg.qr(z)[0])
+            circuit.gates[i] = (pair, np.linalg.qr(z)[0])
     return pr.Verifier(circuit, witness_qubits=circuit_qubits - ancilla_k, ancilla_k=ancilla_k,
                        output_qubit=output_qubit, completeness_c=completeness_c,
                        soundness_s=soundness_s)
@@ -148,6 +149,35 @@ def test_params_reject_coarse_precision():
         pr.AmplificationParams.from_promise(0.9, 0.1, 0)
 
 
+@pytest.mark.parametrize("bits", [-1100, -1024, -1000, 0, 1, 3])
+def test_params_refuse_every_precision_below_a_quarter_of_the_gap(bits):
+    # 2^-b overflows from b = -1024 on; every b < 1 is refused before it is formed.
+    with pytest.raises(ValueError, match="precision too coarse"):
+        pr.AmplificationParams.from_promise(0.9, 0.1, 3, bits)
+
+
+def test_params_refuse_a_promise_whose_phases_are_equal():
+    # Both phases round to 1/2: acos(sqrt(c)) / pi with sqrt(c) about 1e-160.
+    with pytest.raises(ValueError, match="have the same phase 0.5"):
+        pr.AmplificationParams.from_promise(2e-320, 1e-320, 3)
+
+
+def test_accept_operator_decomposes_once(monkeypatch):
+    q = pr.accept_operator(pr.rotation_verifier(0.9, 0.9, 0.1)).matrix
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)
+    op = pr.AcceptOperator(m=1, matrix=q)
+    values, vectors = op.eigensystem()
+    assert op.max_acceptance == values[-1] and op.eigensystem() is op.eigensystem()
+    assert len(calls) == 1
+    want = eigh(q)
+    assert np.array_equal(values, want[0]) and np.array_equal(vectors, want[1])
+    with pytest.raises(ValueError):
+        vectors[0, 0] = 0
+
+
 def test_folded_phase_grid():
     phases = oracles.folded_phases(3)
     np.testing.assert_allclose(
@@ -165,6 +195,31 @@ def test_median_exceeds_exact_binomials():
     assert pr.median_exceeds(q, 3) == pytest.approx(
         3 * q**2 * (1 - q) + q**3, abs=1e-15
     )
+
+
+def test_median_exceeds_is_the_plain_sum_while_every_coefficient_is_a_float():
+    for trials in (1, 2, 3, 50, 1029):  # comb(1029, 515) is the largest below 2^1024
+        k = -(-trials // 2)
+        for q in (1e-3, 0.3, 0.5, 0.7, 0.9):
+            plain = float(sum(comb(trials, i) * q**i * (1 - q) ** (trials - i)
+                              for i in range(k, trials + 1)))
+            assert pr.median_exceeds(q, trials) == plain
+
+
+@pytest.mark.parametrize("trials", [1101, 2001])
+def test_median_exceeds_past_the_float_range_of_the_coefficients(trials):
+    # The exact tail as a Fraction: with q = a/d and b = d - a, it is
+    # a^k sum_j comb(r, k + j) a^j b^(n-j) / d^r for n = r - k, by Horner in a.
+    k = -(-trials // 2)
+    n = trials - k
+    for q in (0.3, 0.49, 0.5, 0.7, 0.9):
+        a, d = Fraction(q).numerator, Fraction(q).denominator
+        total, b_power = 0, 1
+        for j in range(n, -1, -1):
+            total = total * a + comb(trials, k + j) * b_power
+            b_power *= d - a
+        exact = Fraction(total * a**k, d**trials)
+        assert abs(Fraction(pr.median_exceeds(q, trials)) - exact) <= 1e-12 * exact, q
 
 
 @given(
@@ -914,7 +969,7 @@ def test_clock_instance_is_a_snapshot_of_the_gates():
     instance = pr.kitaev_hamiltonian(verifier)
     before = pr.ground_energy(instance)
     verifier.circuit.append("X", 1)  # the verifier changes; the compiled instance does not
-    verifier.circuit.gates[0].matrix[:] = np.eye(4)
+    verifier.circuit.gates[0][1][:] = np.eye(4)
     assert pr.ground_energy(instance) == before
     _, mat = instance.gates[0]
     with pytest.raises(ValueError):

@@ -1,10 +1,12 @@
 """Statevector simulation, exact and truncated evolutions, phase readout."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from gaplab import protocols as pr
 from gaplab import simulator as sim
 from gaplab import sparse_oracle as so
 from gaplab.errors import ContractError, ResourceLimitError
@@ -41,6 +43,52 @@ def test_injected_gate_matrix():
     circuit.append("ry", 0, matrix=ry)
     out = sim.run_circuit(circuit)
     np.testing.assert_allclose(out, [0.6, 0.8], atol=1e-12)
+
+
+def _with_operator(caller, qubits, matrix):
+    """Give one (qubits, matrix) pair on two qubits to a caller of ``_check_operator``."""
+    if caller == "append":
+        sim.QuantumCircuit(2).append("u", *qubits, matrix=matrix)
+    elif caller == "circuit":
+        sim.QuantumCircuit(2, [(qubits, matrix)])
+    elif caller == "clock":
+        clock = pr.kitaev_hamiltonian(pr.rotation_verifier(0.9, 0.9, 0.1))
+        dataclasses.replace(clock, gates=((qubits, matrix),))
+    else:
+        pr.PreciseLHInstance(2, [(qubits, matrix)], 0.1, 0.2)
+
+
+@pytest.mark.parametrize("caller", ["append", "circuit", "clock", "terms"])
+@pytest.mark.parametrize(
+    "qubits, size, refusal",
+    [
+        ((0, 0), 4, r"repeats a qubit: \(0, 0\)"),
+        ((0, 2), 4, r"touches a qubit outside 0\.\.1"),
+        ((0,), 4, r"matrix shape \(4, 4\) does not fit \(0,\)"),
+        ((1, 0), 2, r"matrix shape \(2, 2\) does not fit \(1, 0\)"),
+    ],
+)
+def test_every_local_operator_is_checked_on_its_qubits_and_shape(caller, qubits, size, refusal):
+    what = "term" if caller == "terms" else "gate"
+    with pytest.raises(ValueError, match=f"^{what} {refusal}"):
+        _with_operator(caller, qubits, np.eye(size))
+    _with_operator(caller, qubits[:1], np.eye(2))  # a fitting pair passes
+
+
+def test_append_looks_up_a_named_gate_at_once():
+    circuit = sim.QuantumCircuit(3)
+    circuit.append("h", 2)
+    (qubits, matrix), = circuit.gates
+    assert qubits == (2,) and matrix is sim.GATE_MATRICES["H"]  # shared, so read-only
+    with pytest.raises(ValueError):
+        sim.GATE_MATRICES["H"][0, 0] = 0
+    with pytest.raises(ValueError, match="^unknown gate 'RY' without an injected matrix$"):
+        circuit.append("ry", 0)
+    with pytest.raises(ValueError, match=r"^gate matrix shape \(4, 4\) does not fit \(0,\)$"):
+        circuit.append("cnot", 0)
+    with pytest.raises(ValueError, match="^gates are limited to 1 or 2 qubits$"):
+        circuit.append("ccx", 0, 1, 2, matrix=np.eye(8))
+    assert len(circuit.gates) == 1  # a refused gate is never appended
 
 
 def test_random_circuit_preserves_norm():
