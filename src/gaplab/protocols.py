@@ -57,6 +57,7 @@ from .simulator import (
     QuantumCircuit,
     _apply_to_columns,
     _check_operator,
+    _check_qubits,
     _read_only,
     expm_exact,
     phase_read,
@@ -256,22 +257,22 @@ class AmplificationParams:
 def median_exceeds(per_trial: float, trials_r: int) -> float:
     """P(at least ceil(r/2) of r independent successes), exactly.
 
-    A binomial coefficient past the float range (from r = 1030 on)
-    enters its term through its logarithm, taken of the exact integer.
+    The binomial coefficient is carried from term to term as an exact
+    integer; one past the float range (from r = 1030 on) enters its term
+    through its logarithm.
     """
     k = ceil(trials_r / 2)
     q = min(max(per_trial, 0.0), 1.0)
     if q in (0.0, 1.0):  # no term has a logarithm; every trial fails, or every one succeeds
         return float(q == 1.0)
-
-    def term(i: int) -> float:
-        c = comb(trials_r, i)
+    c, terms = comb(trials_r, k), []
+    for i in range(k, trials_r + 1):
         try:
-            return c * q**i * (1 - q) ** (trials_r - i)
+            terms.append(c * q**i * (1 - q) ** (trials_r - i))
         except OverflowError:  # c does not fit a float
-            return exp(log(c) + i * log(q) + (trials_r - i) * log1p(-q))
-
-    return float(sum(term(i) for i in range(k, trials_r + 1)))
+            terms.append(exp(log(c) + i * log(q) + (trials_r - i) * log1p(-q)))
+        c = c * (trials_r - i) // (i + 1)  # comb(r, i + 1), exactly
+    return float(sum(terms))
 
 
 @dataclass(frozen=True)
@@ -803,6 +804,8 @@ class ClockInstance:
         _ordered_thresholds(self.threshold_a, self.threshold_b)
         for qubits, mat in self.gates:
             _check_operator(qubits, mat, self.circuit_qubits, "gate")
+        _check_qubits(self.ancillas, self.circuit_qubits, "ancillas")
+        _check_qubits((self.output_qubit,), self.circuit_qubits, "output")
 
     def __eq__(self, other: object) -> bool:
         """Equal circuits and thresholds, each gate matrix compared entry for entry."""

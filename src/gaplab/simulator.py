@@ -58,12 +58,17 @@ GATE_MATRICES = {name: _read_only(matrix) for name, matrix in {
 }.items()}
 
 
-def _check_operator(qubits: tuple, matrix: np.ndarray, num_qubits: int, what: str) -> None:
-    """Refuse a ``what`` (gate or term) that repeats a qubit, leaves the register, or misfits."""
+def _check_qubits(qubits: tuple, num_qubits: int, what: str) -> None:
+    """Refuse ``what`` if it repeats a qubit or leaves the register 0..num_qubits - 1."""
     if len(set(qubits)) != len(qubits):
         raise ValueError(f"{what} repeats a qubit: {qubits}")
     if any(not 0 <= q < num_qubits for q in qubits):
         raise ValueError(f"{what} touches a qubit outside 0..{num_qubits - 1}")
+
+
+def _check_operator(qubits: tuple, matrix: np.ndarray, num_qubits: int, what: str) -> None:
+    """Refuse a ``what`` (gate or term) that repeats a qubit, leaves the register, or misfits."""
+    _check_qubits(qubits, num_qubits, what)
     want, shape = 2 ** len(qubits), np.shape(matrix)
     if shape != (want, want):
         raise ValueError(f"{what} matrix shape {shape} does not fit {qubits}")

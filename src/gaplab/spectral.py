@@ -18,17 +18,19 @@ Two independent concerns live here:
   produce, including the closed-form spectrum of the path block and the
   tridiagonal fast path.  A direct sum of path blocks (every
   reduction's Gram) is recognised from exact integer tests on its
-  diagonal and its +-1 edges, which a Gram held as its factor A gives
+  diagonal and its +-1 edges.  A Gram held as its factor A gives them
   from A's column counts and two-entry rows, without forming A^T A,
-  and any other matrix from its CSR arrays: lambda_min is the closed
-  form of its longest path of each kind, and the bottom eigenvector the
-  closed form of one block that attains it, in the path order of the
-  recogniser's own walk.  The paths are read in numpy by walking them
-  from their ends, and a long one by the same pointer jumping, on its
-  darts.  Any other matrix is materialized, up to DENSE_CAP rows, for
-  one dense ``eigh`` of its bottom eigenpair and one Cholesky
-  factorization whose existence certifies the matrix positive
-  semidefinite up to a margin at the scale of rounding in ||A||.
+  and any other matrix from its CSR arrays, where a row of more than 3
+  entries is refused at once; one count reads the degrees and
+  neighbour sums of either source.  lambda_min is the closed form of
+  its longest path of each kind, and the bottom eigenvector the closed
+  form of one block that attains it, in the path order of the walk.
+  The paths are read in numpy by walking them from their ends, and a
+  long one by the same pointer jumping, on its darts.  Any other matrix
+  is materialized, up to DENSE_CAP rows, for one dense ``eigh`` of its
+  bottom eigenpair and one Cholesky factorization whose existence
+  certifies the matrix positive semidefinite up to a margin at the
+  scale of rounding in ||A||.
 
 Each function imports the scipy routines it calls when it runs, and the
 module imports none: ``eigh_tridiagonal`` loads with the first
@@ -700,37 +702,37 @@ class _LeastPath:
 
     ``kind`` names the block's closed form: "vertex" (an isolated
     vertex), "constant" (a path with both ends 1), "cos" (one end 1) or
-    "sin" (no end 1).  ``order`` lists the block's vertices in path
-    order from ``start``, the end its closed form is counted from (for
-    "cos" the end whose diagonal is 1, else the lesser end), or the
-    vertex itself.  ``diag`` is the matrix's diagonal, ``edges(rows)``
-    gives the edges (u, v) of a slice of the matrix's rows afresh, and
-    ``couplings(rows, picked)`` forms the +-1 couplings of the edges
-    ``picked`` among them, which only the block's writer asks for.
+    "sin" (no end 1).  ``order()`` lists the block's vertices in path
+    order from the end its closed form is counted from (for "cos" the
+    end whose diagonal is 1, else the lesser end), or the vertex itself.
+    ``diag`` is the matrix's diagonal, ``edges(rows)`` gives the edges
+    (u, v) of a slice of its rows afresh, and ``couplings(rows, picked)``
+    the +-1 couplings of the edges ``picked`` among them.
     """
 
     lam: float
     kind: str
-    start: int
     diag: np.ndarray
     edges: Edges
     couplings: Couplings
     order: Callable[[], np.ndarray]
 
 
-def _path_forest_bottom(
-    diag: np.ndarray, degree: np.ndarray, near: np.ndarray, edges: Edges, couplings: Couplings
-) -> _LeastPath | None:
+def _path_forest_bottom(diag: np.ndarray, edges: Edges, couplings: Couplings) -> _LeastPath | None:
     """lambda_min of the symmetric matrix with this diagonal and +-1 edges (u, v), if a path sum.
 
-    ``degree`` counts each vertex's edges and ``near`` sums its
-    neighbours; ``edges`` and ``couplings`` read the edges and their
-    couplings, as ``_LeastPath`` says.  No vertex may have more than two
-    neighbours, and the edges must form a forest of paths
-    (``_path_forest``).  A
-    degree-2 (interior) vertex has diagonal 2, a degree-1 (end) vertex
-    diagonal 1 or 2, and an isolated vertex diagonal d >= 0.  The signs
-    do not matter: on a tree a diagonal +-1 similarity flips any edge.
+    ``edges`` and ``couplings`` read the edges and their couplings, as
+    ``_LeastPath`` says.  One pass over the edges, a block of rows at a
+    time, counts each vertex's degree and sums its neighbours, in the
+    edges' index dtype.  The degrees go straight into int8 by
+    ``np.add.at`` with an int8 one, which copies no endpoint array where
+    ``bincount`` would copy each to intp; a source must keep every
+    degree below 128, which no int8 count then wraps.  No vertex may
+    have more than two neighbours, and the edges must form a forest of
+    paths (``_path_forest``).  A degree-2 (interior) vertex has diagonal
+    2, a degree-1 (end) vertex diagonal 1 or 2, and an isolated vertex
+    diagonal d >= 0.  The signs do not matter: on a tree a diagonal +-1
+    similarity flips any edge.
     A path of ell >= 2 vertices then has least eigenvalue
       0 with both ends 1 (the path Laplacian),
       4 sin^2(pi / (2 (2 ell + 1))) with one end 1 (the path Gram),
@@ -743,6 +745,15 @@ def _path_forest_bottom(
     into that choice at once, so no array over all paths is kept.  None
     when a test fails.
     """
+    n = len(diag)
+    degree = np.zeros(n, dtype=np.int8)
+    near = np.zeros(n, dtype=edges(slice(0, 0))[0].dtype)
+    for part in _row_blocks(n):
+        u, v = edges(part)
+        np.add.at(degree, u, np.int8(1))
+        np.add.at(degree, v, np.int8(1))
+        np.add.at(near, u, v)
+        np.add.at(near, v, u)
     if degree.max(initial=0) > 2:
         return None
     # An end's diagonal is 1 or 2, an interior one 2, an isolated one d >= 0.
@@ -776,7 +787,7 @@ def _path_forest_bottom(
     def block(lam: float, kind: str, path: tuple[int, int, int, int]) -> _LeastPath:
         ell, _, first, last = path
         start = last if diag[last] < diag[first] else first
-        return _LeastPath(lam, kind, start, diag, edges, couplings,
+        return _LeastPath(lam, kind, diag, edges, couplings,
                           lambda: order(start, first + last - start, ell))
 
     if 2 in chosen:
@@ -785,8 +796,8 @@ def _path_forest_bottom(
     isolated = degree == 0  # masks, not index arrays: a third of a reduction's vertices
     if isolated.any():
         vertex = int(np.argmax(isolated & (diag == diag[isolated].min())))
-        candidates.append(_LeastPath(float(diag[vertex]), "vertex", vertex, diag, edges,
-                                     couplings, lambda: np.array([vertex])))
+        candidates.append(_LeastPath(float(diag[vertex]), "vertex", diag, edges, couplings,
+                                     lambda: np.array([vertex])))
     for kind, ends in (("cos", 1), ("sin", 0)):
         if ends in chosen:
             ell = chosen[ends][0]
@@ -795,51 +806,31 @@ def _path_forest_bottom(
     return min(candidates, key=lambda c: c.lam)
 
 
-def _edge_list_bottom(diag: np.ndarray, edges: Edges, couplings: Couplings) -> _LeastPath | None:
-    """``_path_forest_bottom`` on the edges ``edges()`` = (u, v), their degrees counted in int8.
-
-    One pass over the edges, a block of rows at a time, counts the
-    degrees and sums the neighbours.  The degrees go straight into int8
-    by ``np.add.at`` with an int8 one, which no degree can wrap: each
-    vertex is a column of a Gram's factor, and its edges are among the
-    at most two rows of that column, so it has at most 2.  Neither
-    count copies an endpoint array, where ``bincount`` would copy each
-    to intp.  The couplings are formed only for the block's writer.
-    """
-    n = len(diag)
-    degree = np.zeros(n, dtype=np.int8)
-    near = np.zeros(n, dtype=edges(slice(0, 0))[0].dtype)
-    for part in _row_blocks(n):
-        u, v = edges(part)
-        np.add.at(degree, u, np.int8(1))
-        np.add.at(degree, v, np.int8(1))
-        np.add.at(near, u, v)
-        np.add.at(near, v, u)
-    return _path_forest_bottom(diag, degree, near, edges, couplings)
-
-
-def _path_sum_bottom(a: csr_matrix | RowOracleMatrix) -> _LeastPath | None:
+def _path_sum_bottom(matrix: RowOracleMatrix) -> _LeastPath | None:
     """lambda_min of a symmetric integer A that is a direct sum of path blocks, and a block attaining it; None for any other A.
 
-    The form is read from exact integer tests (``_path_forest_bottom``).
-    A Gram held as its factor gives its diagonal and edges from the
-    factor (``GramOracle.path_edges``).  Any other row oracle, and a
-    Gram whose factor does not fix the reading, is read from its CSR
-    arrays once they are checked to equal their transpose; a CSR matrix
-    is taken as symmetric.  Every off-diagonal entry must then be +-1;
-    a degree is a row's length less its diagonal entry, and the edges
-    are the entries above the diagonal.
+    The form is read from exact integer tests (``_path_forest_bottom``)
+    on one of two edge sources.  A Gram held as its factor gives its
+    diagonal and edges from the factor (``GramOracle.path_edges``), each
+    vertex a column of at most two entries and so of at most two edges.
+    Any other row oracle, and a Gram whose factor does not fix the
+    reading, is read from its CSR arrays once they are checked to equal
+    their transpose (``_symmetric_csr``).  A row of more than 3 entries
+    has more than two neighbours, so it gives None at once, which also
+    keeps every degree below int8's range.  Every off-diagonal entry
+    must then be +-1, and the edges are the entries above the diagonal.
     """
-    if isinstance(a, GramOracle):
-        edges = a.path_edges()
-        least = None if edges is None else _edge_list_bottom(*edges)
+    if isinstance(matrix, GramOracle):
+        source = matrix.path_edges()
+        least = None if source is None else _path_forest_bottom(*source)
         if least is not None:
             return least
-    if isinstance(a, RowOracleMatrix):
-        a = _symmetric_csr(a)
+    a = _symmetric_csr(matrix)
     indptr, indices, data = a.indptr, a.indices, a.data
     n = len(indptr) - 1
     counts = np.diff(indptr)
+    if counts.max(initial=0) > 3:
+        return None
     row = np.repeat(np.arange(n, dtype=indices.dtype), counts)
     loop = indices == row
     if np.any(np.abs(data[~loop]) != 1):
@@ -847,10 +838,6 @@ def _path_sum_bottom(a: csr_matrix | RowOracleMatrix) -> _LeastPath | None:
     diag = np.zeros(n, dtype=data.dtype)
     diag[row[loop]] = data[loop]
     upper = np.flatnonzero(indices > row)
-    u, v = row[upper], indices[upper]
-    near = np.zeros(n, dtype=u.dtype)
-    np.add.at(near, u, v)
-    np.add.at(near, v, u)
 
     def entries(rows: slice) -> np.ndarray:
         lo, hi, _ = rows.indices(n)
@@ -860,19 +847,29 @@ def _path_sum_bottom(a: csr_matrix | RowOracleMatrix) -> _LeastPath | None:
         at = entries(rows)
         return row[at], indices[at]
 
-    return _path_forest_bottom(diag, counts - (diag != 0), near, edges,
-                               lambda rows, picked: data[entries(rows)[picked]])
+    return _path_forest_bottom(diag, edges, lambda rows, picked: data[entries(rows)[picked]])
 
 
-def _path_block(least: _LeastPath, rows: np.ndarray, matrix: RowOracleMatrix) -> RowOracleMatrix:
-    """The principal block of ``matrix`` on ``rows``, the least block, written from its diagonal and edges.
+def _path_witness(least: _LeastPath, matrix: RowOracleMatrix) -> tuple[np.ndarray, RowOracleMatrix, np.ndarray]:
+    """The least block's rows (ascending), the block, and its unit eigenvector at least.lam, in closed form.
 
-    The entries of a path sum's component are its diagonal and the
-    couplings of its own edges, so the block needs none of the matrix's
-    arrays; each row's columns come out sorted, as in the matrix, and
-    the rows are renumbered 0..len(rows) - 1.  The declared d and k
-    carry over, and with them every parameter derived from them.
+    A path sum's component holds its diagonal and its own edges'
+    couplings, so the block needs none of the matrix's arrays; each
+    row's columns come out sorted, the rows are renumbered 0..ell - 1,
+    and the declared d and k carry over.  Along the path order of
+    ``least.order()``, j = 0 .. ell - 1, the eigenvector with every
+    coupling -1 is (Yueh 2005; Strang and MacNamara, SIAM Review 56,
+    2014)
+      1                              with both ends 1,
+      cos((j + 1/2) pi / (2 ell + 1)) counted from the end that is 1,
+      sin((j + 1) pi / (ell + 1))     with no end 1,
+    and the signs s_{j+1} = -a_{j, j+1} s_j, one cumulative product of
+    the gathered couplings, carry it to the block's own: diag(s) A
+    diag(s) has every coupling -1.
     """
+    order = least.order()
+    rows = np.sort(order)
+    ell = len(rows)
     on_block = np.zeros(len(least.diag), dtype=bool)
     on_block[rows] = True
     # The block is a whole component, so its edges are those with u on it.
@@ -890,37 +887,17 @@ def _path_block(least: _LeastPath, rows: np.ndarray, matrix: RowOracleMatrix) ->
     coupling = np.concatenate(coupling)
     diag = least.diag[rows]
     loops = np.flatnonzero(diag)
-    i, j = np.concatenate((loops, u, v)), np.concatenate((loops, v, u))
-    order = np.lexsort((j, i))
-    return RowOracleMatrix(
-        np.concatenate(([0], np.cumsum(np.bincount(i, minlength=len(rows))))),
-        j[order],
-        np.concatenate((diag[loops], coupling, coupling), dtype=np.int64)[order],
+    row, col = np.concatenate((loops, u, v)), np.concatenate((loops, v, u))
+    entries = np.lexsort((col, row))
+    block = RowOracleMatrix(
+        np.concatenate(([0], np.cumsum(np.bincount(row, minlength=ell)))),
+        col[entries],
+        np.concatenate((diag[loops], coupling, coupling), dtype=np.int64)[entries],
         sparsity_d=matrix.sparsity_d,
         entry_bound_k=matrix.entry_bound_k,
     )
-
-
-def _path_eigenvector(
-    block: RowOracleMatrix, rows: np.ndarray, order: np.ndarray, least: _LeastPath
-) -> np.ndarray:
-    """Unit eigenvector at least.lam of the block on ``rows`` (ascending), in closed form.
-
-    ``order`` lists the rows in path order, j = 0 .. ell - 1, from the
-    end the closed form is counted from.  With every coupling -1 the
-    eigenvector is (Yueh 2005; Strang and
-    MacNamara, SIAM Review 56, 2014)
-      1                              with both ends 1,
-      cos((j + 1/2) pi / (2 ell + 1)) counted from the end that is 1,
-      sin((j + 1) pi / (ell + 1))     with no end 1,
-    and the signs s_{j+1} = -a_{j, j+1} s_j, one cumulative product of
-    +-1, carry it to the block's own couplings: diag(s) A diag(s) has
-    every coupling -1.
-    """
-    ell = len(rows)
     if least.kind == "vertex":
-        return np.ones(1)
-    walk = np.searchsorted(rows, order)
+        return rows, block, np.ones(1)
     j = np.arange(ell)
     if least.kind == "constant":
         phi = np.ones(ell)
@@ -929,14 +906,12 @@ def _path_eigenvector(
     else:
         phi = np.sin((j + 1) * (pi / (ell + 1)))
     position = np.empty(ell, dtype=np.int64)  # each local row's place on the path
-    position[walk] = j
-    row = position[np.repeat(j, np.diff(block.indptr))]
-    forward = position[block.indices] == row + 1
-    coupling = np.empty(ell - 1, dtype=np.int64)
-    coupling[row[forward]] = block.data[forward]
-    signs = np.cumprod(np.concatenate(([1], -coupling)))
+    position[np.searchsorted(rows, order)] = j
+    step = np.empty(ell - 1, dtype=np.int64)  # each edge's coupling, at its nearer place
+    step[np.minimum(position[u], position[v])] = coupling
+    signs = np.cumprod(np.concatenate(([1], -step)))
     psi = (signs * phi)[position]
-    return psi / np.linalg.norm(psi)
+    return rows, block, psi / np.linalg.norm(psi)
 
 
 @dataclass(frozen=True)
@@ -961,16 +936,13 @@ def _bottom_block_eigenpair(matrix: RowOracleMatrix) -> _BlockEigenpair:
     On a path sum the residual is taken on the block's rows, each row's
     sum rounded once (``_rounded_once_products``): A psi is exactly 0
     off a connected component, so that is the whole residual.  The
-    block is written from the recogniser's edges (``_path_block``), so
-    a Gram held as its factor is never formed.
+    block is written from the recogniser's edges (``_path_witness``),
+    so a Gram held as its factor is never formed.
     """
     least = _path_sum_bottom(matrix)
     if least is None:
         return _BlockEigenpair(*_certified_bottom(matrix), block=matrix, rows=None)
-    order = least.order()
-    rows = np.sort(order)
-    block = _path_block(least, rows, matrix)
-    psi = _path_eigenvector(block, rows, order, least)
+    rows, block, psi = _path_witness(least, matrix)
     product = _rounded_once_products(block, psi)
     residual = float(np.linalg.norm(product - least.lam * psi))
     return _BlockEigenpair(least.lam, psi, residual, block, rows)
@@ -986,7 +958,7 @@ def bottom_eigenpair(matrix: RowOracleMatrix) -> tuple[float, np.ndarray, float]
     ``_path_sum_bottom`` and answered in closed
     form: lambda_min is ``min_eigenvalue_sparse``'s, bit for bit, and
     the eigenvector is the closed form of one block that attains it
-    (``_path_eigenvector``), zero elsewhere.  No dense matrix is built,
+    (``_path_witness``), zero elsewhere.  No dense matrix is built,
     and the cost is O(dim + nnz).  On a rejecting reduction's Gram
     lambda_min is exactly 0.0 and the witness a signed constant on a
     path, whose residual is exactly 0.

@@ -124,7 +124,7 @@ def principal_rows(matrix: RowOracleMatrix, rows: np.ndarray) -> RowOracleMatrix
     on a connected component of a symmetric pattern; ValueError
     otherwise.  The rows are cut from ``indptr`` slices of the matrix's
     own arrays, and the renumbering keeps each row's column order: the
-    reference for the least block ``spectral._path_block`` writes from
+    reference for the least block ``spectral._path_witness`` writes from
     a path sum's edges.
     """
     starts = matrix.indptr[rows]
@@ -169,7 +169,7 @@ def assert_factor_reading_is_explicit(gram: GramOracle) -> None:
     lam = spectral.min_eigenvalue_sparse(gram)
     pair = spectral._bottom_block_eigenpair(gram)
     edges = gram.path_edges()
-    unread = edges is None or spectral._edge_list_bottom(*edges) is None
+    unread = edges is None or spectral._path_forest_bottom(*edges) is None
     assert ("_product" in vars(gram)) == unread
     explicit = explicit_gram(gram)
     want = spectral._bottom_block_eigenpair(explicit)

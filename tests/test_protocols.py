@@ -4,7 +4,7 @@ import dataclasses
 import itertools
 import json
 from fractions import Fraction
-from math import acos, comb, floor, pi, sqrt
+from math import acos, comb, exp, floor, log, log1p, pi, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -204,6 +204,29 @@ def test_median_exceeds_is_the_plain_sum_while_every_coefficient_is_a_float():
             plain = float(sum(comb(trials, i) * q**i * (1 - q) ** (trials - i)
                               for i in range(k, trials + 1)))
             assert pr.median_exceeds(q, trials) == plain
+
+
+def test_median_exceeds_takes_one_binomial_and_matches_one_per_term(monkeypatch):
+    # The reference takes comb(r, i) afresh for every term, which costs
+    # quadratic time; the carried coefficient is the same integer, so every
+    # term, and the sum, keeps its bits.
+    def per_term(q: float, trials: int) -> float:
+        def term(i: int) -> float:
+            c = comb(trials, i)
+            try:
+                return c * q**i * (1 - q) ** (trials - i)
+            except OverflowError:
+                return exp(log(c) + i * log(q) + (trials - i) * log1p(-q))
+
+        return float(sum(term(i) for i in range(-(-trials // 2), trials + 1)))
+
+    calls = []
+    monkeypatch.setattr(pr, "comb", lambda *args: calls.append(args) or comb(*args))
+    for trials in (1, 2, 3, 50, 1029, 1030, 2001, 4001):
+        for q in (0.49, 0.9):
+            calls.clear()
+            assert pr.median_exceeds(q, trials) == per_term(q, trials), (q, trials)
+            assert len(calls) == 1
 
 
 @pytest.mark.parametrize("trials", [1101, 2001])
@@ -945,6 +968,21 @@ def test_clock_terms_are_checked_when_built(monkeypatch):
                   lambda: dataclasses.replace(instance, gates=())):
         with pytest.raises(ContractError, match="at least one gate"):
             build()
+
+
+@pytest.mark.parametrize("change, words", [
+    ({"output_qubit": 7}, "output touches a qubit outside 0..1"),
+    ({"output_qubit": -1}, "output touches a qubit outside 0..1"),
+    ({"ancillas": (9,)}, "ancillas touches a qubit outside 0..1"),
+    ({"ancillas": (1, 1)}, r"ancillas repeats a qubit: \(1, 1\)"),
+])
+def test_clock_instance_refuses_qubits_outside_its_register(change, words):
+    # Each of these once compiled to a wrong ground energy: 0.2929, 0.0 or
+    # 0.01475 where the rotation verifier's is 0.01291.
+    instance = pr.kitaev_hamiltonian(pr.rotation_verifier(0.9, 0.9, 0.1))
+    assert instance.circuit_qubits == 2
+    with pytest.raises(ValueError, match=words):
+        dataclasses.replace(instance, **change)
 
 
 def test_toy_gapped_instances_equal_their_entry_built_reference():

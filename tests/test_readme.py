@@ -18,3 +18,20 @@ def test_readme_commands_exit_zero(tmp_path):
     assert results, "the README documents no gaplab command"
     failed = {r["command"]: (r["exit"], r["stderr"]) for r in results if r["exit"] != 0}
     assert not failed
+
+
+def test_readme_names_what_exists():
+    # Every module attribute and benchmark file the prose cites is still there.
+    import importlib
+    import re
+
+    text = (ROOT / "README.md").read_text()
+    cited = re.findall(r"`(rtm|spectral|sparse_oracle|simulator|protocols)\.([A-Za-z_][\w.]*)`", text)
+    assert cited, "the README cites no module attribute"
+    for module, path in cited:
+        found = importlib.import_module(f"gaplab.{module}")
+        for name in path.split("."):
+            assert hasattr(found, name), f"{module}.{path}"
+            found = getattr(found, name)
+    for bench in set(re.findall(r"BENCH_\w+\.json", text)):
+        assert (ROOT / bench).is_file(), bench

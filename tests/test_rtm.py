@@ -441,7 +441,7 @@ def test_random_machine_reduction(machine):
             else:  # up to 1,296 configurations: the 50-digit walk of every path
                 lam = float(oracles.path_sum_bottom(instance.gram))
             # Every reduction Gram is a direct sum of paths, read in closed form.
-            assert sp._path_sum_bottom(so.to_csr(instance.gram)).lam == pytest.approx(lam, abs=1e-12)
+            assert sp._path_sum_bottom(oracles.explicit_gram(instance.gram)).lam == pytest.approx(lam, abs=1e-12)
             read_zero = pr.decide_gapped(instance.gram, instance.g).decision == "YES"
             assert det in (-1, 0, 1)
             assert (det != 0) == accepted == (lam >= floor) == (not read_zero)

@@ -668,7 +668,7 @@ def test_bottom_eigenpair_on_degenerate_direct_sums():
         [cycle(6), singular, path(1), singular, triangle],  # lambda_min 0, twice
     ]):
         dense = block_diag(*blocks)
-        assert sp._path_sum_bottom(so.to_csr(so.from_dense(dense))) is None
+        assert sp._path_sum_bottom(so.from_dense(dense)) is None
         w = np.linalg.eigvalsh(dense.astype(float))
         assert w[1] - w[0] < 1e-12
         _check_bottom_eigenpair(_shuffled(dense, seed))
@@ -797,7 +797,7 @@ def test_bottom_eigenpair_needs_no_sparse_lu_or_lanczos(monkeypatch):
     # The shifted triangle keeps this off the closed-form route (which needs no
     # solver at all), onto the dense one; lambda_min is the path Gram's.
     gram = _path_gram_beside(30, _TRIANGLE + np.eye(3, dtype=np.int64))
-    assert sp._path_sum_bottom(so.to_csr(gram)) is None
+    assert sp._path_sum_bottom(gram) is None
     lam, _, residual = sp.bottom_eigenpair(gram)
     assert lam == pytest.approx(sp.min_eigenvalue_bound(30), abs=1e-12)
     assert residual < 1e-12
@@ -898,7 +898,7 @@ def _path_sum(blocks, seed: int) -> so.RowOracleMatrix:
 def test_min_eigenvalue_sparse_on_shuffled_path_sums(gram):
     eps = np.finfo(np.float64).eps
     lam = sp.min_eigenvalue_sparse(gram)
-    assert sp._path_sum_bottom(so.to_csr(gram)).lam == lam  # the closed-form route answered
+    assert sp._path_sum_bottom(gram).lam == lam  # the closed-form route answered
     exact = oracles.path_sum_bottom(gram)
     assert abs(lam - exact) <= 4 * eps * exact
     if gram.dim <= 400:
@@ -1123,7 +1123,7 @@ def test_min_eigenvalue_sparse_near_misses_take_the_band(defect, monkeypatch):
     path_sum = block_diag(oracles.structured_matrix("path", 7), [[2]], _path_laplacian(5))
     dense = _shuffled(block_diag(path_sum, _NEAR_MISSES[defect]).astype(np.int64), 4)
     gram = so.from_dense(dense)
-    assert sp._path_sum_bottom(so.to_csr(gram)) is None
+    assert sp._path_sum_bottom(gram) is None
     dense_runs = []
     certified = sp._certified_bottom
     monkeypatch.setattr(sp, "_certified_bottom", lambda a: dense_runs.append(a) or certified(a))
@@ -1136,6 +1136,20 @@ def test_min_eigenvalue_sparse_near_misses_take_the_band(defect, monkeypatch):
 
     assert outcome(sp.min_eigenvalue_sparse) == outcome(lambda g: sp.bottom_eigenpair(g)[0])
     assert len(dense_runs) == 2
+
+
+@pytest.mark.parametrize("leaves", [127, 128, 255, 256])
+def test_a_vertex_of_128_or_more_neighbours_is_no_path_sum(leaves):
+    # A star's centre has as many neighbours as an int8 degree holds, or more;
+    # with the Laplacian diagonal and mixed signs it is PSD with lambda_min 0.
+    signs = np.random.default_rng(leaves).choice((-1, 1), size=leaves).tolist()
+    triplets = [(0, 0, leaves)] + [(k, k, 1) for k in range(1, leaves + 1)]
+    for k, sign in enumerate(signs, start=1):
+        triplets += [(0, k, sign), (k, 0, sign)]
+    star = so.from_entries(leaves + 1, triplets)
+    assert sp._path_sum_bottom(star) is None
+    want = np.linalg.eigvalsh(so.materialize(star).astype(float))[0]
+    assert sp.min_eigenvalue_sparse(star) == pytest.approx(want, abs=1e-10)
 
 
 def test_min_eigenvalue_scaling_window():
