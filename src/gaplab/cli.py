@@ -25,7 +25,7 @@ import sys
 from typing import Sequence
 
 from . import protocols, rtm, sparse_oracle, spectral
-from .errors import ConfigurationError, ResourceLimitError
+from .errors import ConfigurationError, ContractError, ResourceLimitError
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -128,6 +128,8 @@ def _cmd_reduce(args) -> tuple[dict, int]:
     instance = rtm.reduce_to_gapped(machine, x)
     accepted = rtm.simulate(machine, x).accepted
     det = spectral.det_exact(instance.adjacency)
+    if (det != 0) != accepted:
+        raise ContractError(f"routes disagree: det {det} but simulate {'accepts' if accepted else 'rejects'}")
     payload = _with_seed(
         args,
         {
@@ -242,6 +244,7 @@ def _cmd_kitaev(args) -> tuple[dict, int]:
 def _cmd_energy(args) -> tuple[dict, int]:
     with open(args.instance, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    g = None
     if isinstance(data, dict) and "terms" in data:
         instance = protocols.PreciseLHInstance.from_dict(data).materialize()
         truth = protocols.ground_energy(instance)
@@ -255,6 +258,10 @@ def _cmd_energy(args) -> tuple[dict, int]:
         else:
             truth = spectral.min_eigenvalue_sparse(instance)
     estimate = protocols.binary_search_energy(instance, args.bits)
+    abs_err = abs(estimate - truth)
+    if g is not None and abs_err > 2.0**-args.bits:  # the bisection's bracket is 2^-bits wide
+        raise ContractError(f"routes disagree: bisection {estimate!r} but closed form {truth!r},"
+                            f" {abs_err:.3g} apart > 2^-{args.bits}")
     payload = _with_seed(
         args,
         {
@@ -262,7 +269,7 @@ def _cmd_energy(args) -> tuple[dict, int]:
             "bits": args.bits,
             "estimate": estimate,
             "eigensolver": truth,
-            "abs_err": abs(estimate - truth),
+            "abs_err": abs_err,
         },
     )
     return payload, EXIT_OK

@@ -391,7 +391,7 @@ class GramOracle(RowOracleMatrix):
         self,
     ) -> tuple[
         np.ndarray,
-        Callable[..., tuple[np.ndarray, np.ndarray]],
+        Callable[[slice], tuple[np.ndarray, np.ndarray]],
         Callable[[slice, np.ndarray], np.ndarray],
     ] | None:
         """A^T A as (diagonal, edges, couplings) read from A, or None where A does not fix it.
@@ -404,9 +404,9 @@ class GramOracle(RowOracleMatrix):
         couplings A^T A adds, so a caller must refuse repeated edges.
         No product, no transpose and no symmetry check is needed.
         ``edges(rows)`` reads the arrays (u, v) of A's rows ``rows``, a
-        slice (all of them by default), afresh at each call, in A's
-        index dtype, so a caller keeps them only while it needs them
-        and may read them a block of rows at a time.
+        slice, afresh at each call, in A's index dtype, so a caller
+        keeps them only while it needs them and may read them a block
+        of rows at a time.
         ``couplings(rows, picked)`` forms the int64 couplings of the
         edges ``picked`` among those of ``rows`` when it is called,
         which only the writer of a witness block does: lambda_min reads
@@ -422,7 +422,7 @@ class GramOracle(RowOracleMatrix):
             starts = f.indptr[lo:hi + 1]
             return starts[np.flatnonzero(starts[1:] - starts[:-1] == 2)].astype(np.intp)
 
-        def edges(rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        def edges(rows: slice) -> tuple[np.ndarray, np.ndarray]:
             at = first(rows)
             return f.indices[at], f.indices[at + 1]
 

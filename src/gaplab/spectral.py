@@ -25,8 +25,8 @@ Two independent concerns live here:
   neighbour sums of either source.  lambda_min is the closed form of
   its longest path of each kind, and the bottom eigenvector the closed
   form of one block that attains it, in the path order of the walk.
-  The paths are read in numpy by walking them from their ends, and a
-  long one by the same pointer jumping, on its darts.  Any other matrix
+  The paths are read in numpy by walking every one in from its ends to
+  the far end, one step of all walkers at a time.  Any other matrix
   is materialized, up to DENSE_CAP rows, for one dense ``eigh`` of its
   bottom eigenpair and one Cholesky factorization whose existence
   certifies the matrix positive semidefinite up to a margin at the
@@ -201,8 +201,7 @@ def det_bareiss_sparse(matrix: RowOracleMatrix) -> int:
     return _banded_bareiss(a, perm, col, lo)
 
 
-def _jump(succ: np.ndarray, out: np.ndarray,
-          rank: np.ndarray | None = None, least: np.ndarray | None = None) -> np.ndarray:
+def _jump(succ: np.ndarray, out: np.ndarray, least: np.ndarray | None = None) -> np.ndarray:
     """The entries ``out`` whose walk along ``succ`` never ends, by pointer jumping on them alone.
 
     ``succ`` maps each entry to its successor and the sink, its last
@@ -213,17 +212,15 @@ def _jump(succ: np.ndarray, out: np.ndarray,
     from v ends within 2^r steps.  Once 2^r > len - 1, the entries left
     lie on a cycle or run into one.  Only the sink ends a walk: a cycle
     of 2^k entries maps each to itself after k rounds.  Before each jump
-    an entry adds its successor's ``rank`` to its own and takes the
-    lesser ``least`` label, so both cover the entries from it to the one
-    it points at.  All three arrays are overwritten, each in its dtype.
+    an entry takes its successor's ``least`` label where it is lesser,
+    so the label covers the entries from it to the one it points at.
+    Both arrays are overwritten, each in its dtype.
     """
     sink = len(succ) - 1
     for _ in range(sink.bit_length()):
         if not len(out):
             break
         ahead = succ[out]
-        if rank is not None:
-            rank[out] += rank[ahead]
         if least is not None:
             label = least[ahead]
             least[out] = np.minimum(label, least[out], out=label)
@@ -547,66 +544,19 @@ def _certified_bottom(matrix: RowOracleMatrix) -> tuple[float, np.ndarray, float
     return lam, psi, residual
 
 
-def _dart_ranks(degree: np.ndarray, u: np.ndarray, v: np.ndarray, ends: np.ndarray):
-    """Each path through the ends ``ends``, by ``_jump`` on the darts of the edges (u, v).
-
-    Dart 2e runs from u[e] to v[e], dart 2e + 1 back, and dart 2m is the
-    sink.  A dart whose head is an end runs into the sink; any other
-    leaves its head by the head's other edge, read as in ``_path_forest``
-    from the sum of the head's edge ids less the edge it came in by.
-    Every dart has rank 1, and a label: its head if that is an end, else
-    n.  Once jumped, a path's dart counts the darts from it to its end,
-    itself included, and carries that end; a cycle's darts mean nothing.
-    The arrays are in the edges' index dtype, whose edge-id sums wrap
-    but whose differences are exact.  Returns each end's far end, its
-    path's vertex count and least vertex, and the tables that order a
-    path: every dart's rank and the end it runs into.
-    """
-    n, m = len(degree), len(u)
-    edge = np.arange(m, dtype=u.dtype)
-    edge_sum = np.zeros(n, dtype=u.dtype)
-    np.add.at(edge_sum, u, edge)
-    np.add.at(edge_sum, v, edge)
-    del edge
-    end = np.empty(2 * m + 1, dtype=u.dtype)  # each dart's head, until the inner ones are relabelled
-    end[0:-1:2], end[1:-1:2], end[-1] = v, u, n
-    inner = np.flatnonzero(degree[end[:-1]] == 2)
-    succ = np.full(2 * m + 1, 2 * m, dtype=u.dtype)
-    y = end[inner]
-    out = edge_sum[y]
-    out -= inner >> 1
-    succ[inner] = 2 * out + (u[out] != y)
-    del y, out
-    end[inner] = n
-    rank = np.ones(2 * m + 1, dtype=u.dtype)
-    out = edge_sum[ends]  # an end's one edge
-    leaving = 2 * out + (u[out] != ends)
-    del edge_sum, out
-    _jump(succ, inner, rank, end)
-    del succ, inner
-    far = end[leaving]
-    # The darts that run into an end reach every vertex of its path but the far end.
-    lowest = np.full(n + 1, n, dtype=u.dtype)  # a cycle's darts carry the label n
-    np.minimum.at(lowest, end[0:-1:2], v)
-    np.minimum.at(lowest, end[1:-1:2], u)
-    return far, rank[leaving] + 1, np.minimum(ends, lowest[far]), (rank, end)
-
-
-Edges = Callable[..., tuple[np.ndarray, np.ndarray]]
+Edges = Callable[[slice], tuple[np.ndarray, np.ndarray]]
 Couplings = Callable[[slice, np.ndarray], np.ndarray]
 Report = Callable[[np.ndarray, np.ndarray, "np.ndarray | int", np.ndarray], None]
 
 
 def _path_forest(
-    degree: np.ndarray, near: np.ndarray, edges: Edges, report: Report
+    degree: np.ndarray, near: np.ndarray, report: Report
 ) -> Callable[[int, int, int], np.ndarray] | None:
-    """The paths of a graph of degree <= 2, walked in from their ends; None on a cycle.
+    """The paths of a graph of degree <= 2, each walked in from its ends to the far one; None on a cycle.
 
     ``degree`` counts each vertex's edges and ``near`` holds the sum of
-    its neighbours, wrapping in the index dtype; ``edges(rows)`` gives
-    the edge arrays (u, v) of a slice of the matrix's rows (all of them
-    by default), which only long paths read.  Each path of two or more
-    vertices is handed to ``report(first, last, size, least)`` in
+    its neighbours, wrapping in the index dtype.  Each path of two or
+    more vertices is handed to ``report(first, last, size, least)`` in
     batches: its ends ``first`` < ``last``, its vertex count (an array,
     or one int for the whole batch) and its least vertex.  An end's
     neighbour sum is its one neighbour, so the ends are read a block of
@@ -616,14 +566,14 @@ def _path_forest(
     next vertex is the neighbour sum less the vertex a walker came from.
     A walker that reaches an end has its path's size, and its running
     minimum the path's least vertex; of the two walkers on a path, the
-    one from the lesser end reports it.  Walkers still out after about
-    log2(dim) steps are on long paths, whose darts are ranked by pointer
-    jumping instead (``_dart_ranks``), so a path of ell vertices costs
-    O(ell log ell), not ell numpy steps.  The walks never enter a cycle
-    or a repeated edge, which have no end, so the edges the paths
-    account for fall short of all of them exactly when one is there.
-    Returns ``order(end, other, size)``, which lists the vertices of the
-    path between the ends ``end`` and ``other`` from ``end`` on.
+    one from the lesser end reports it.  A path of ell vertices thus
+    takes ell - 2 steps, each a few numpy calls on the walkers still
+    out, so the longest path sets the number of steps.  The walks never
+    enter a cycle or a repeated edge, which have no end, so the edges
+    the paths account for fall short of all of them exactly when one is
+    there.  Returns ``order(end, other, size)``, which lists the
+    vertices of the path between the ends ``end`` and ``other`` from
+    ``end`` on, by the same walk in Python.
     """
     n = len(degree)
     m = int(degree.sum(dtype=np.int64)) // 2
@@ -646,8 +596,8 @@ def _path_forest(
     start, cur = np.concatenate(starts), np.concatenate(curs)
     del starts, curs
     found = []  # (first, last, size, least) of the paths the walkers finish
-    prev, low, ell, limit = start, np.minimum(start, cur), 2, max(n.bit_length(), 3)
-    while len(cur) and ell < limit:
+    prev, low, ell = start, np.minimum(start, cur), 2
+    while len(cur):
         prev, cur = cur, near[cur] - prev
         np.minimum(low, cur, out=low)
         ell += 1
@@ -669,25 +619,10 @@ def _path_forest(
         report(np.concatenate(first), np.concatenate(last), size, np.concatenate(least))
         covered += int(np.sum(size, dtype=np.int64)) - sum(count)
     del found
-    ranks = None
-    if len(cur):  # the walkers left are on paths of more than `limit` vertices
-        far, length, least, ranks = _dart_ranks(degree, *edges(), start)
-        keep = np.flatnonzero(start < far)
-        first, last, size = start[keep], far[keep], length[keep]
-        report(first, last, size, least[keep])
-        covered += int(np.sum(size, dtype=np.int64)) - len(keep)
     if covered != m:
         return None  # some edge lies on no path
 
     def order(end: int, other: int, ell: int) -> np.ndarray:
-        if ell > limit:  # a long path: its darts toward the far end, placed by their ranks
-            rank, far = ranks
-            toward = np.flatnonzero(far == other)
-            u, v = edges()
-            walk = np.empty(ell, dtype=np.intp)
-            walk[0] = end
-            walk[ell - rank[toward]] = np.where(toward & 1, u[toward >> 1], v[toward >> 1])
-            return walk
         walk, wrap = [end], 1 << (8 * near.itemsize)
         for _ in range(ell - 1):  # an end's neighbour sum is its one neighbour
             walk.append((int(near[walk[-1]]) - (walk[-2] if len(walk) > 1 else 0)) % wrap)
@@ -780,7 +715,7 @@ def _path_forest_bottom(diag: np.ndarray, edges: Edges, couplings: Couplings) ->
             if (0 if kind == 2 else -path[0], path[1]) <= (0 if kind == 2 else -held[0], held[1]):
                 chosen[kind] = path
 
-    order = _path_forest(degree, near, edges, report)
+    order = _path_forest(degree, near, report)
     if order is None:  # a component holds a cycle, or a repeated edge
         return None
 
@@ -843,7 +778,7 @@ def _path_sum_bottom(matrix: RowOracleMatrix) -> _LeastPath | None:
         lo, hi, _ = rows.indices(n)
         return upper[slice(*np.searchsorted(upper, (indptr[lo], indptr[hi])))]
 
-    def edges(rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    def edges(rows: slice) -> tuple[np.ndarray, np.ndarray]:
         at = entries(rows)
         return row[at], indices[at]
 

@@ -1,5 +1,6 @@
 """Command-line surface: formats, determinism, exit codes, thinness."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -507,6 +508,21 @@ def test_energy_checks_a_machine_reduction_in_closed_form(tmp_path, capsys, monk
     assert payload["abs_err"] <= 2.0 ** -20
 
 
+def test_energy_refuses_a_bisection_off_the_closed_form(tmp_path, capsys, monkeypatch):
+    # A bisection 2^(1 - bits) off the closed form is past its 2^-bits bracket.
+    path = tmp_path / "rtm.json"
+    path.write_text(json.dumps({"kind": "rtm", "machine": "unary_counter", "input": "11",
+                                "space": 4}))
+    bisect = protocols.binary_search_energy
+    monkeypatch.setattr(protocols, "binary_search_energy",
+                        lambda instance, bits: bisect(instance, bits) + 2.0 ** (1 - bits))
+    code = cli.main(["energy", "--instance", str(path), "--bits", "20"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("gaplab: routes disagree: bisection ") and err.count("\n") == 1
+    assert "apart > 2^-20" in err
+
+
 def test_config_file_supplies_defaults(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"ell": 4, "kind": "path"}))
@@ -858,3 +874,19 @@ def test_reduce_reports_a_failed_allocation_in_one_line(monkeypatch, capsys, err
     code = cli.main(["reduce", "--machine", "unary_counter", "--input", "11", "--space", "5"])
     assert code == 1
     assert capsys.readouterr().err == f"gaplab: {line}\n"
+
+
+@pytest.mark.parametrize("x, line", [("11", "det -1 but simulate rejects"),
+                                     ("1", "det 0 but simulate accepts")])
+def test_reduce_refuses_routes_that_disagree(monkeypatch, capsys, x, line):
+    # The determinant and the simulation answer one question; a flipped
+    # simulation is refused in one line that names both.
+    simulate = rtm.simulate
+
+    def flipped(machine, input_str, **kwargs):
+        run = simulate(machine, input_str, **kwargs)
+        return dataclasses.replace(run, accepted=not run.accepted)
+
+    monkeypatch.setattr(rtm, "simulate", flipped)
+    assert cli.main(["reduce", "--machine", "unary_counter", "--input", x]) == 1
+    assert capsys.readouterr() == ("", f"gaplab: routes disagree: {line}\n")

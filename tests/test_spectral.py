@@ -343,10 +343,10 @@ def test_rejecting_reductions_are_decided_before_any_labelling(monkeypatch):
     calls = []
     jump = sp._jump
 
-    def recorded(succ, out, rank=None, least=None):
+    def recorded(succ, out, least=None):
         if least is not None:  # a labelling: the cycles are named
             calls.append(len(out))
-        return jump(succ, out, rank, least)
+        return jump(succ, out, least)
 
     monkeypatch.setattr(sp, "_jump", recorded)
     machine = rtm.with_space(rtm.corpus_machine("unary_counter"), 6)
@@ -358,7 +358,7 @@ def test_rejecting_reductions_are_decided_before_any_labelling(monkeypatch):
 
 @st.composite
 def sink_maps(draw):
-    """(succ, rank, least): maps on 1-200 entries and a sink past them, with weights and labels.
+    """(succ, least): maps on 1-200 entries and a sink past them, with labels.
 
     The entries split into chains that end at the sink, cycles of 2^k
     entries (1-cycles among them) and cycles of any length; then up to
@@ -381,36 +381,32 @@ def sink_maps(draw):
         start += len(part)
     for _ in range(draw(st.integers(0, 3))):
         succ[draw(st.integers(0, n - 1))] = draw(st.integers(0, n - 1))
-    rank = rng.integers(0, 5, n + 1).astype(succ.dtype)
     least = rng.integers(0, 3 * n, n + 1).astype(succ.dtype)
-    return succ, rank, least
+    return succ, least
 
 
 @settings(max_examples=300, deadline=None)
 @given(sink_maps())
-@example((np.array([1, 2, 1, 3]), np.array([1, 1, 1, 0]), np.array([0, 5, 7, 9])))  # a tail into a 2-cycle
-@example((np.array([1, 1, 2]), np.array([2, 3, 0]), np.array([4, 0, 9])))  # a tail into a 1-cycle
-@example((np.append(np.roll(np.arange(128), -1), 128), np.ones(129, dtype=np.int64),
-          np.arange(129)[::-1].copy()))  # a cycle of 2^7 entries
+@example((np.array([1, 2, 1, 3]), np.array([0, 5, 7, 9])))  # a tail into a 2-cycle
+@example((np.array([1, 1, 2]), np.array([4, 0, 9])))  # a tail into a 1-cycle
+@example((np.append(np.roll(np.arange(128), -1), 128), np.arange(129)[::-1].copy()))  # a cycle of 2^7 entries
 def test_jump_matches_a_plain_walk(drawn):
     # Each entry still out covers the first 2^rounds entries of its walk, or
     # all of them up to the sink; the entries that never reach it come back.
-    succ, rank, least = drawn
+    succ, least = drawn
     sink = len(succ) - 1
-    plain, weight, label = succ.tolist(), rank.tolist(), least.tolist()
+    plain, label = succ.tolist(), least.tolist()
     out = np.flatnonzero(succ[:-1] != sink)
-    want_rank, want_least, endless = list(weight), list(label), []
+    want_least, endless = list(label), []
     for v in out.tolist():
         walk = [v]
         while len(walk) < 2 ** sink.bit_length() and plain[walk[-1]] != sink:
             walk.append(plain[walk[-1]])
         if plain[walk[-1]] != sink:
             endless.append(v)
-        want_rank[v] = sum(weight[w] for w in walk)
         want_least[v] = min(label[w] for w in walk)
-    got = sp._jump(succ, out, rank, least)
+    got = sp._jump(succ, out, least)
     assert got.tolist() == endless
-    assert rank.tolist() == want_rank
     assert least.tolist() == want_least
     assert np.all(np.delete(succ[:-1], got) == sink)
 
@@ -955,7 +951,7 @@ def test_path_forest_reads_what_connected_components_reads(graph):
     near = np.zeros(n, dtype=u.dtype)
     np.add.at(near, u, v)
     np.add.at(near, v, u)
-    order = sp._path_forest(degree, near, lambda: (u, v), report)
+    order = sp._path_forest(degree, near, report)
     count, labels = connected_components(
         csr_matrix((np.ones(len(u)), (u, v)), shape=(n, n)), directed=False
     )
@@ -978,22 +974,16 @@ def test_path_forest_reads_what_connected_components_reads(graph):
             assert all(pair in edges for pair in zip(walk, walk[1:]))
 
 
-def test_a_million_vertex_path_is_finished_by_pointer_jumping(monkeypatch):
-    # One path of 10^6 vertices: past log2(dim) steps the walk hands it to
-    # pointer jumping, and lambda_min and the decision are the closed form's.
-    jumped = []
-    jump = sp._jump
+def test_a_million_vertex_path_is_walked_to_its_end(monkeypatch):
+    # One path of 10^6 vertices: its two walkers step to the far ends, no
+    # pointer jumping runs, and lambda_min and the decision are the closed form's.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a path is walked, not jumped")
 
-    def recorded(succ, out, rank=None, least=None):
-        if rank is not None:  # a ranking of darts
-            jumped.append(1)
-        return jump(succ, out, rank, least)
-
-    monkeypatch.setattr(sp, "_jump", recorded)
+    monkeypatch.setattr(sp, "_jump", refuse)
     gram = so.ata_oracle(so.path_adjacency(10**6))
     assert sp.min_eigenvalue_sparse(gram) == sp.min_eigenvalue_bound(10**6)
     assert pr.decide_gapped(gram, 30).decision == "YES"
-    assert len(jumped) == 2
 
 
 def _check_closed_form_witness(gram: so.RowOracleMatrix, monkeypatch) -> None:
