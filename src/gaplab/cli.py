@@ -123,13 +123,20 @@ def _cmd_det(args) -> tuple[dict, int]:
     return payload, EXIT_OK
 
 
+def _routes_agree(machine: rtm.ReversibleTM, x: str, routes: dict[str, tuple[object, bool]]) -> bool:
+    """Whether ``simulate`` accepts; the first route whose (value, accepts) says otherwise is refused in one line."""
+    accepted = rtm.simulate(machine, x).accepted
+    for name, (value, accepts) in routes.items():
+        if accepts != accepted:
+            raise ContractError(f"routes disagree: {name} {value} but simulate {'accepts' if accepted else 'rejects'}")
+    return accepted
+
+
 def _cmd_reduce(args) -> tuple[dict, int]:
     machine, x = _machine_and_input(args)
     instance = rtm.reduce_to_gapped(machine, x)
-    accepted = rtm.simulate(machine, x).accepted
     det = spectral.det_exact(instance.adjacency)
-    if (det != 0) != accepted:
-        raise ContractError(f"routes disagree: det {det} but simulate {'accepts' if accepted else 'rejects'}")
+    accepted = _routes_agree(machine, x, {"det": (det, det != 0)})
     payload = _with_seed(
         args,
         {
@@ -162,6 +169,10 @@ def _cmd_verify(args) -> tuple[dict, int]:
             )
         source = args.instance
     result = protocols.decide_gapped(matrix, g)
+    if args.machine is not None:  # the chain table holds det: no further pass
+        det = spectral.det_exact(instance.adjacency)
+        _routes_agree(machine, x, {"det": (det, det != 0),
+                                   "decision": (result.decision, result.decision == "NO")})
     payload = _with_seed(
         args,
         {

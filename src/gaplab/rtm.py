@@ -24,10 +24,11 @@ reduction leans on: the start configuration has no predecessor, the
 accept state has no outgoing transitions, and the step map has no
 cycles anywhere in configuration space (a stray 2-cycle among unreachable
 configurations would silently zero out every determinant).  Injectivity
-is read from a mask of the targets hit, and acyclicity is decided by
-pointer jumping to a sink appended after the last configuration
-(``spectral._jump``, behind ``spectral._prune``), on the configurations
-still out alone: a map of short chains pays a few rounds on a few of them.
+is read from a mask of the targets hit; an injective map is acyclic
+exactly when its chains, walked from their heads, cover every
+configuration (``spectral._chain_table``, kept by the reduction as its
+adjacency's chain table).  Pointer jumping (``spectral._jump``, behind
+``spectral._prune``) only names a cycle's witness.
 
 The reduction emits the augmented adjacency matrix of the configuration
 graph: successor edges, a back edge from the canonical accepting
@@ -70,7 +71,7 @@ from .sparse_oracle import (
     from_entries,
     path_adjacency,
 )
-from .spectral import _jump, _prune, min_eigenvalue_bound
+from .spectral import _Chains, _chain_table, _jump, _prune, min_eigenvalue_bound
 
 MOVES = {"L": -1, "S": 0, "R": 1}
 
@@ -322,15 +323,17 @@ def validate(machine: ReversibleTM) -> ValidationReport:
     fail on configurations no legal run ever visits, and the
     determinant construction quantifies over all of them.
     """
-    return _audit(machine, successors(machine))
+    return _audit(machine, successors(machine))[0]
 
 
-def _audit(machine: ReversibleTM, succ: np.ndarray) -> ValidationReport:
-    """validate, on an already computed successor array.
+def _audit(machine: ReversibleTM, succ: np.ndarray, start: int = -1,
+           accept: int = -1) -> tuple[ValidationReport, _Chains | None]:
+    """validate, on an already computed successor array, and its chain table cut at ``start``.
 
     The witnesses are the ones a sweep in index order meets first: the
     colliding pair whose later member is smallest, and the loop reached
-    from the smallest configuration that never halts.
+    from the smallest configuration that never halts.  The chain table
+    (``spectral._chain_table``, cut at ``start``) comes back too.
     """
     issues: list[str] = []
     collision: tuple[Configuration, Configuration] | None = None
@@ -345,16 +348,13 @@ def _audit(machine: ReversibleTM, succ: np.ndarray) -> ValidationReport:
         if q2 == machine.start:
             issues.append(f"transition ({q}, {a}) re-enters the start state")
 
-    # Injectivity: as many targets are hit as configurations move.  The hit
-    # mask's spare last slot takes the halting ones' -1.  Only a failure sorts
-    # the moving configurations by target, to name its witness; the stable
-    # sort keeps each target's preimages in ascending order.
+    # Injectivity and acyclicity come from the chain table (None: a target is
+    # hit twice).  Only a failure sorts the moving configurations by target, to
+    # name its witness, each target's preimages ascending in the stable sort.
     dim = machine.dim
-    moving = succ >= 0
-    hit = np.zeros(dim + 1, dtype=bool)
-    hit[succ] = True
-    if np.count_nonzero(hit[:-1]) < np.count_nonzero(moving):
-        moving_at = np.flatnonzero(moving)
+    chains = _chain_table(succ, start, accept)
+    if chains is None:
+        moving_at = np.flatnonzero(succ >= 0)
         order = np.argsort(succ[moving_at], kind="stable")
         source, target = moving_at[order], succ[moving_at][order]
         shared = np.flatnonzero(target[1:] == target[:-1])
@@ -364,29 +364,29 @@ def _audit(machine: ReversibleTM, succ: np.ndarray) -> ValidationReport:
             f"step map not injective: {collision[0]} and {collision[1]} "
             f"share successor {config(target[k])}"
         )
-    del hit, moving
 
-    # Acyclicity: the configurations whose walk never reaches the sink at
-    # index dim, by pointer jumping in one array of the index dtype.
-    jump = np.empty(dim + 1, dtype=_index_dtype(dim, 0))
-    jump[:-1], jump[-1] = succ, dim
-    # Read as unsigned, a halting -1 is the largest value, so it clips to dim.
-    unsigned = jump.view(jump.dtype.str.replace("i", "u"))
-    np.minimum(unsigned, dim, out=unsigned)
-    out = _jump(jump, _prune(jump))
-    del jump
-    if len(out):
-        path: dict[int, int] = {}
-        v = int(out[0])
-        while v not in path:
-            path[v] = len(path)
-            v = int(succ[v])
-        loop = list(path)[path[v]:]
-        cycle_witness = tuple(config(w) for w in loop)
-        issues.append(
-            f"configuration graph has a cycle of length {len(loop)} "
-            f"through {cycle_witness[0]}"
-        )
+    # A cycle's witness: the configurations whose walk never reaches the sink
+    # at index dim, by pointer jumping in one array of the index dtype.
+    if chains is None or chains.covered < dim:
+        jump = np.empty(dim + 1, dtype=_index_dtype(dim, 0))
+        jump[:-1], jump[-1] = succ, dim
+        # Read as unsigned, a halting -1 is the largest value, so it clips to dim.
+        unsigned = jump.view(jump.dtype.str.replace("i", "u"))
+        np.minimum(unsigned, dim, out=unsigned)
+        out = _jump(jump, _prune(jump))
+        del jump
+        if len(out):
+            path: dict[int, int] = {}
+            v = int(out[0])
+            while v not in path:
+                path[v] = len(path)
+                v = int(succ[v])
+            loop = list(path)[path[v]:]
+            cycle_witness = tuple(config(w) for w in loop)
+            issues.append(
+                f"configuration graph has a cycle of length {len(loop)} "
+                f"through {cycle_witness[0]}"
+            )
 
     return ValidationReport(
         machine=machine.name,
@@ -395,7 +395,7 @@ def _audit(machine: ReversibleTM, succ: np.ndarray) -> ValidationReport:
         issues=tuple(issues),
         collision=collision,
         cycle=cycle_witness,
-    )
+    ), chains
 
 
 def augmented_adjacency(machine: ReversibleTM, input_str: str) -> RowOracleMatrix:
@@ -409,19 +409,20 @@ def augmented_adjacency(machine: ReversibleTM, input_str: str) -> RowOracleMatri
     reachable, the single computation cycle, giving determinant 0 or
     +-1.  Rows stay 0/1 with at most two entries and columns carry at
     most two ones, so the Gram construction applies downstream.  A
-    machine that fails ``validate`` is refused with ContractError.
+    machine that fails ``validate`` is refused with ContractError.  The
+    oracle carries the audit's chain table (``spectral._chain_table``).
     """
+    s_idx = encode_configuration(machine, start_configuration(machine, input_str))
+    t_idx = encode_configuration(machine, accept_configuration(machine, input_str))
     succ = successors(machine)
-    report = _audit(machine, succ)
+    report, chains = _audit(machine, succ, s_idx, t_idx)
     if not report.ok:
         raise ContractError(
             f"machine {machine.name!r} failed validation: " + "; ".join(report.issues)
         )
-    s_idx = encode_configuration(machine, start_configuration(machine, input_str))
-    t_idx = encode_configuration(machine, accept_configuration(machine, input_str))
     arrays = _adjacency_arrays(succ, s_idx, t_idx)
     del succ
-    return _ones(*arrays)
+    return _ones(*arrays, chains=chains)
 
 
 def _adjacency_arrays(succ: np.ndarray, s_idx: int, t_idx: int) -> tuple[np.ndarray, np.ndarray]:
@@ -470,7 +471,8 @@ class GappedInstance:
     read: ``reduce`` takes only A's determinant and forms no Gram.  Its
     least eigenvalue is exactly 0 when the machine rejects the input and
     at least 2^-g when it accepts, with g derived from the closed-form
-    bound at this dimension.
+    bound at this dimension.  A's determinant and the Gram's lambda_min
+    and least block are read from A's chain table.
     """
 
     adjacency: RowOracleMatrix

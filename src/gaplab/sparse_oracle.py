@@ -70,6 +70,7 @@ class RowOracleMatrix:
     data: np.ndarray
     sparsity_d: int
     entry_bound_k: int
+    _chains = None  # a reduction's adjacency's ``spectral._chain_table``, set by ``_ones``
 
     def __post_init__(self) -> None:
         vals, d, k = self.data, self.sparsity_d, self.entry_bound_k
@@ -230,8 +231,8 @@ def materialize(matrix: RowOracleMatrix, dtype: type = np.int64) -> np.ndarray:
     return dense
 
 
-def _ones(indptr: np.ndarray, indices: np.ndarray) -> RowOracleMatrix:
-    """0/1 row oracle with a one at each listed column, at most two per row.
+def _ones(indptr: np.ndarray, indices: np.ndarray, chains=None) -> RowOracleMatrix:
+    """0/1 row oracle with a one at each listed column, at most two per row, carrying ``chains``.
 
     ``data`` is one int64 one broadcast to every entry: a read-only,
     zero-stride view, so the oracle keeps its index arrays and no
@@ -239,7 +240,9 @@ def _ones(indptr: np.ndarray, indices: np.ndarray) -> RowOracleMatrix:
     contract checks it like any other.
     """
     ones = np.broadcast_to(np.int64(1), (len(indices),))
-    return RowOracleMatrix(indptr, indices, ones, sparsity_d=2, entry_bound_k=1)
+    matrix = RowOracleMatrix(indptr, indices, ones, sparsity_d=2, entry_bound_k=1)
+    object.__setattr__(matrix, "_chains", chains)
+    return matrix
 
 
 def _index_arrays(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -337,10 +340,11 @@ class GramOracle(RowOracleMatrix):
     pi/16.  ``indptr``, ``indices``, ``data`` and ``csr`` come
     from one scipy product A^T A over int64, taken on first access and
     kept, so every consumer of a row oracle takes this one too.  The
-    spectral routines read a Gram of this class from ``path_edges``
-    instead, and never form it.  The result is symmetric and positive
-    semidefinite by construction.  Its repr names the factor and forms
-    nothing; ``dataclasses.replace`` does not apply to it.
+    spectral routines read a Gram of this class from ``path_edges``, or
+    a reduction's from A's chain table, and never form it.  It is
+    symmetric and positive semidefinite by construction.  Its repr
+    names the factor and forms nothing; ``dataclasses.replace`` does
+    not apply to it.
     """
 
     factor: RowOracleMatrix

@@ -1,36 +1,34 @@
 """Exact determinants and spectra for the structured blocks.
 
-Two independent concerns live here:
+Three concerns live here:
 
+* a reduction's chain table (``_chain_table``), walked once by the
+  audit and carried by the adjacency: its det, and its Gram's
+  lambda_min and least block;
 * integer determinants that certify singularity exactly, with no
   floating point on the value path.  A matrix with at most one entry
-  off the diagonal in each row, as every reduction's augmented
-  adjacency and the path and cycle blocks are, has a closed form: the
-  diagonal product off the cycles of its successor map, times one
-  factor per cycle, the rows on cycles found in numpy by pointer
-  jumping on the rows still out (``_jump``), which then names the
-  cycles by their least rows.  Any other matrix goes through
+  off the diagonal in each row, as the path and cycle blocks are, has
+  a closed form: the diagonal product off the cycles of its successor
+  map, times one factor per cycle, the rows on cycles found in numpy
+  by pointer jumping on the rows still out (``_jump``), which then
+  names the cycles by their least rows.  Any other matrix goes through
   fraction-free elimination confined to the band of its reverse
   Cuthill-McKee order.  The dense elimination and the two
   enumerations both routes are checked against live with the tests,
   in ``tests/oracles.py``;
-* eigenvalue machinery for the symmetric Gram matrices the reductions
-  produce, including the closed-form spectrum of the path block and the
-  tridiagonal fast path.  A direct sum of path blocks (every
-  reduction's Gram) is recognised from exact integer tests on its
-  diagonal and its +-1 edges.  A Gram held as its factor A gives them
-  from A's column counts and two-entry rows, without forming A^T A,
-  and any other matrix from its CSR arrays, where a row of more than 3
-  entries is refused at once; one count reads the degrees and
-  neighbour sums of either source.  lambda_min is the closed form of
-  its longest path of each kind, and the bottom eigenvector the closed
-  form of one block that attains it, in the path order of the walk.
-  The paths are read in numpy by walking every one in from its ends to
-  the far end, one step of all walkers at a time.  Any other matrix
-  is materialized, up to DENSE_CAP rows, for one dense ``eigh`` of its
-  bottom eigenpair and one Cholesky factorization whose existence
-  certifies the matrix positive semidefinite up to a margin at the
-  scale of rounding in ||A||.
+* eigenvalue machinery for symmetric Gram matrices, including the
+  closed-form spectrum of the path block and the tridiagonal fast
+  path.  A direct sum of path blocks is recognised from exact integer
+  tests on its diagonal and its +-1 edges: a Gram held as its factor A
+  gives them from A's column counts and two-entry rows, without
+  forming A^T A, and any other matrix from its CSR arrays.  lambda_min
+  is the closed form of its longest path of each kind, and the bottom
+  eigenvector the closed form of one block that attains it.  The paths
+  are walked in numpy from their ends until their walkers meet.  Any
+  other matrix is materialized, up to DENSE_CAP rows, for one dense
+  ``eigh`` of its bottom eigenpair and one Cholesky factorization
+  whose existence certifies the matrix positive semidefinite up to a
+  margin at the scale of rounding in ||A||.
 
 Each function imports the scipy routines it calls when it runs, and the
 module imports none: ``eigh_tridiagonal`` loads with the first
@@ -261,7 +259,7 @@ def _successor_det(matrix: RowOracleMatrix) -> int | None:
               * prod over cycles C of (prod_C D - (-1)^|C| prod_C c),
     a k-cycle's permutation having sign (-1)^(k-1).  Every reduction's
     augmented adjacency has this form (its self-loops, its successor
-    arcs and the one back edge), and so do the path and cycle blocks.
+    arcs and the one back edge), read from its chain table instead.
 
     The successors are read from each row's first and last column, a
     block of rows at a time (``_row_blocks``), into one array of the index
@@ -269,15 +267,15 @@ def _successor_det(matrix: RowOracleMatrix) -> int | None:
     row.  An empty row gives 0 at once.  Before any labelling, the rows
     with no diagonal entry are walked forward together for up to
     log2(dim) steps: if one reaches a row with no successor, every term
-    of det A has a zero factor, so det A = 0.  That decides every
-    rejecting reduction, whose start row lies on a path.  Otherwise
-    ``_jump`` finds the rows whose walk never ends, behind ``_prune``,
-    and a zero diagonal entry among the others again gives 0.  Those
-    rows lie on cycles when succ permutes them; where a walk runs into
-    a cycle from outside it, A is left to ``det_bareiss_sparse`` (None).
-    ``_jump`` names the cycles by the least position on each, on that
-    permutation alone, a few rows on a reduction.  The products are
-    exact Python integers over the entries other than 1.
+    of det A has a zero factor, so det A = 0, as on a rejecting
+    reduction, whose start row lies on a path.  Otherwise ``_jump``
+    finds the rows whose walk never ends, behind ``_prune``, and a zero
+    diagonal entry among the others again gives 0.  Those rows lie on
+    cycles when succ permutes them; where a walk runs into a cycle from
+    outside it, A is left to ``det_bareiss_sparse`` (None).  ``_jump``
+    names the cycles by the least position on each, on that permutation
+    alone.  The products are exact Python integers over the entries
+    other than 1.
     """
     indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
     dim = matrix.dim
@@ -346,14 +344,16 @@ def _successor_det(matrix: RowOracleMatrix) -> int | None:
 def det_exact(matrix: RowOracleMatrix | np.ndarray) -> int:
     """Exact integer determinant; an array is wrapped by ``from_dense`` first.
 
-    A matrix with at most one entry off the diagonal in each row, every
-    reduction's augmented adjacency among them, takes the closed form
-    of ``_successor_det``, in numpy alone.  Any other takes
-    ``det_bareiss_sparse``: banded fraction-free elimination in the
-    reverse Cuthill-McKee order.
+    A reduction's adjacency carries its det in its chain table
+    (``_chain_table``).  Any other matrix with at most one entry off the
+    diagonal in each row takes the closed form of ``_successor_det``, in
+    numpy alone, and any other ``det_bareiss_sparse``: banded
+    fraction-free elimination in the reverse Cuthill-McKee order.
     """
     if not isinstance(matrix, RowOracleMatrix):
         matrix = from_dense(matrix)
+    if matrix._chains is not None:
+        return matrix._chains.det
     det = _successor_det(matrix)
     return det_bareiss_sparse(matrix) if det is None else det
 
@@ -552,28 +552,25 @@ Report = Callable[[np.ndarray, np.ndarray, "np.ndarray | int", np.ndarray], None
 def _path_forest(
     degree: np.ndarray, near: np.ndarray, report: Report
 ) -> Callable[[int, int, int], np.ndarray] | None:
-    """The paths of a graph of degree <= 2, each walked in from its ends to the far one; None on a cycle.
+    """The paths of a graph of degree <= 2, each walked in from its ends until its walkers meet; None on a cycle.
 
     ``degree`` counts each vertex's edges and ``near`` holds the sum of
     its neighbours, wrapping in the index dtype.  Each path of two or
-    more vertices is handed to ``report(first, last, size, least)`` in
+    more vertices goes to ``report(first, last, size, least)`` in
     batches: its ends ``first`` < ``last``, its vertex count (an array,
-    or one int for the whole batch) and its least vertex.  An end's
-    neighbour sum is its one neighbour, so the ends are read a block of
-    vertices at a time (``_row_blocks``): an end whose neighbour is an
-    end is a path of two vertices, and every other path sends one
-    walker in from each end.  Each step moves all walkers at once: the
-    next vertex is the neighbour sum less the vertex a walker came from.
-    A walker that reaches an end has its path's size, and its running
-    minimum the path's least vertex; of the two walkers on a path, the
-    one from the lesser end reports it.  A path of ell vertices thus
-    takes ell - 2 steps, each a few numpy calls on the walkers still
-    out, so the longest path sets the number of steps.  The walks never
-    enter a cycle or a repeated edge, which have no end, so the edges
-    the paths account for fall short of all of them exactly when one is
-    there.  Returns ``order(end, other, size)``, which lists the
-    vertices of the path between the ends ``end`` and ``other`` from
-    ``end`` on, by the same walk in Python.
+    or one int for the batch) and its least vertex.  The ends are read
+    a block of vertices at a time (``_row_blocks``); a path of three or
+    more sends a walker in from each end, all stepping at once to the
+    neighbour sum less the vertex they came from, each marking where it
+    stands after k steps 1 + k % 2 (its end at k = -1).  A path's two
+    walkers step until the next vertex bears the other's mark: its
+    current vertex (an even path) or the one before (odd), told apart
+    by parity, and meet on the middle edge or vertex; a path of ell
+    vertices takes about ell / 2 steps.  The walks never enter a cycle
+    or a repeated edge, which have no end, so the edges the paths
+    account for fall short of all of them exactly when one is there.
+    Returns ``order(end, other, size)``, the path's vertices from
+    ``end`` to ``other`` by the same walk in Python.
     """
     n = len(degree)
     m = int(degree.sum(dtype=np.int64)) // 2
@@ -595,30 +592,31 @@ def _path_forest(
     del first
     start, cur = np.concatenate(starts), np.concatenate(curs)
     del starts, curs
-    found = []  # (first, last, size, least) of the paths the walkers finish
-    prev, low, ell = start, np.minimum(start, cur), 2
+    seen = np.zeros(n, dtype=np.int8)
+    seen[start], seen[cur] = 2, 1
+    found = []  # (first, last, size, least) of the paths whose walkers meet
+    prev, low, step = start.copy(), np.minimum(start, cur), 1
     while len(cur):
-        prev, cur = cur, near[cur] - prev
+        ahead = np.subtract(near[cur], prev, out=prev)
+        mark = seen[ahead]
+        if np.count_nonzero(mark):
+            met = np.flatnonzero(mark)
+            odd = mark[met] == 1 + step % 2  # the partner stood there a step before its vertex
+            pairing = np.argsort(np.where(odd, cur[met], np.minimum(cur[met], ahead[met])))
+            one, two = met[pairing[0::2]], met[pairing[1::2]]
+            size = (2 * step + 2 - odd[pairing[0::2]]).astype(near.dtype)
+            found.append((np.minimum(start[one], start[two]), np.maximum(start[one], start[two]),
+                          size, np.minimum(low[one], low[two])))
+            covered += int(np.sum(size, dtype=np.int64)) - len(size)
+            go = mark == 0
+            start, cur, ahead, low = start[go], cur[go], ahead[go], low[go]
+        seen[ahead] = 1 + step % 2
+        prev, cur = cur, ahead
         np.minimum(low, cur, out=low)
-        ell += 1
-        done = degree[cur] == 1
-        if done.any():
-            keep = np.flatnonzero(done & (start < cur))
-            found.append((start[keep], cur[keep], ell, low[keep]))
-            # One walker array at a time, each by mask: no index list is built.
-            done = ~done
-            start = start[done]
-            prev = prev[done]
-            cur = cur[done]
-            low = low[done]
-    del prev, low
+        step += 1
+    del prev, low, seen
     if found:
-        first, last, size, least = zip(*found)
-        count = [len(part) for part in first]
-        size = np.repeat(np.array(size, dtype=near.dtype), count)
-        report(np.concatenate(first), np.concatenate(last), size, np.concatenate(least))
-        covered += int(np.sum(size, dtype=np.int64)) - sum(count)
-    del found
+        report(*(np.concatenate(part) for part in zip(*found)))
     if covered != m:
         return None  # some edge lies on no path
 
@@ -633,52 +631,91 @@ def _path_forest(
 
 @dataclass(frozen=True)
 class _LeastPath:
-    """The block of a recognised path sum that attains its lambda_min, before it is ordered.
+    """The block of a path sum that attains its lambda_min, before it is written.
 
-    ``kind`` names the block's closed form: "vertex" (an isolated
-    vertex), "constant" (a path with both ends 1), "cos" (one end 1) or
-    "sin" (no end 1).  ``order()`` lists the block's vertices in path
-    order from the end its closed form is counted from (for "cos" the
-    end whose diagonal is 1, else the lesser end), or the vertex itself.
-    ``diag`` is the matrix's diagonal, ``edges(rows)`` gives the edges
-    (u, v) of a slice of its rows afresh, and ``couplings(rows, picked)``
-    the +-1 couplings of the edges ``picked`` among them.
+    ``kind`` names its closed form: "vertex" (isolated), "constant"
+    (both ends 1), "cos" (one end 1) or "sin" (none).  ``block()`` gives
+    its vertices in path order from the end the closed form counts from
+    (for "cos" the end at 1, else the lesser end), the diagonal along
+    them, and its edges (u, v) with their +-1 couplings, in int64.
     """
 
     lam: float
     kind: str
-    diag: np.ndarray
-    edges: Edges
-    couplings: Couplings
-    order: Callable[[], np.ndarray]
+    block: Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
+
+
+# A chosen path: (size, least vertex, one end, the other end, the end its block is ordered from).
+_Path = tuple[int, int, int, int, int]
+
+def _fold(chosen: dict[int, _Path], n: int, one_a, one_b, a, b, size, least) -> None:
+    """Fold a batch of paths into ``chosen``: of each kind the longest, on ties the least vertex.
+
+    Path i has ends a[i] and b[i] (at 1 where ``one_a``, ``one_b``),
+    size[i] vertices (or one int) and least vertex least[i] < n; its
+    kind is its ends at 1, its block ordered from the end at 1 of a
+    "cos" path, else from the lesser end.  Any batching chooses alike.
+    """
+    ends = one_a.astype(np.int8) + one_b
+    if not np.isscalar(size):  # keep the longest of each kind; a Laplacian's lambda is 0 at any length
+        longest = np.zeros(3, dtype=size.dtype)
+        np.maximum.at(longest, ends, size)
+        longest[2] = 0
+        keep = np.flatnonzero(size >= longest[ends])
+        ends, one_a, a, b, size, least = (x[keep] for x in (ends, one_a, a, b, size, least))
+    lowest = np.full(3, n, dtype=least.dtype)  # ufunc.at is fast on one dtype
+    np.minimum.at(lowest, ends, least)
+    for kind in np.flatnonzero(lowest < n).tolist():
+        # Of the kind's paths, the one with the least vertex: no two share one.
+        p = int(np.argmax(least == lowest[kind]))
+        a_p, b_p = int(a[p]), int(b[p])
+        end = (a_p if one_a[p] else b_p) if kind == 1 else min(a_p, b_p)
+        path = (int(size) if np.isscalar(size) else int(size[p]), int(lowest[kind]), a_p, b_p, end)
+        held = chosen.get(kind, path)
+        if (0 if kind == 2 else -path[0], path[1]) <= (0 if kind == 2 else -held[0], held[1]):
+            chosen[kind] = path
+
+
+def _least_block(chosen: dict[int, _Path], vertex: tuple[int, int] | None,
+                 path: Callable[[float, str, _Path], _LeastPath]) -> _LeastPath:
+    """The block attaining lambda_min of a path sum, from ``_fold``'s paths and the least isolated (diagonal, vertex).
+
+    ``path(lam, kind, chosen path)`` makes a path's block.  A path of
+    ell >= 2 vertices has least eigenvalue
+      0 with both ends 1 (the path Laplacian),
+      4 sin^2(pi / (2 (2 ell + 1))) with one end 1 (the path Gram),
+      4 sin^2(pi / (2 (ell + 1))) with no end 1 (tridiag(-1, 2, -1)),
+    and an isolated vertex its diagonal; ties go to the vertex, then "cos".
+    """
+    if 2 in chosen:
+        return path(0.0, "constant", chosen[2])
+    candidates = []
+    if vertex is not None:
+        d, v = vertex
+        candidates.append(_LeastPath(float(d), "vertex",
+                                     lambda: (np.array([v]), np.array([d]), *[np.zeros(0, np.int64)] * 3)))
+    for kind, ends in (("cos", 1), ("sin", 0)):
+        if ends in chosen:
+            ell = chosen[ends][0]
+            lam = min_eigenvalue_bound(ell) if ends else _chain_floor(ell + 1)
+            candidates.append(path(lam, kind, chosen[ends]))
+    return min(candidates, key=lambda c: c.lam)
 
 
 def _path_forest_bottom(diag: np.ndarray, edges: Edges, couplings: Couplings) -> _LeastPath | None:
     """lambda_min of the symmetric matrix with this diagonal and +-1 edges (u, v), if a path sum.
 
-    ``edges`` and ``couplings`` read the edges and their couplings, as
-    ``_LeastPath`` says.  One pass over the edges, a block of rows at a
-    time, counts each vertex's degree and sums its neighbours, in the
-    edges' index dtype.  The degrees go straight into int8 by
-    ``np.add.at`` with an int8 one, which copies no endpoint array where
-    ``bincount`` would copy each to intp; a source must keep every
-    degree below 128, which no int8 count then wraps.  No vertex may
-    have more than two neighbours, and the edges must form a forest of
-    paths (``_path_forest``).  A degree-2 (interior) vertex has diagonal
-    2, a degree-1 (end) vertex diagonal 1 or 2, and an isolated vertex
-    diagonal d >= 0.  The signs do not matter: on a tree a diagonal +-1
-    similarity flips any edge.
-    A path of ell >= 2 vertices then has least eigenvalue
-      0 with both ends 1 (the path Laplacian),
-      4 sin^2(pi / (2 (2 ell + 1))) with one end 1 (the path Gram),
-      4 sin^2(pi / (2 (ell + 1))) with no end 1 (tridiag(-1, 2, -1)),
-    and an isolated vertex d.  Every block is positive semidefinite, so
-    passing the tests is the certification, and only the longest path
-    of each kind is evaluated; of equal paths, the one with the least
-    vertex, and of the Laplacians, whose lambda is 0 at any length, the
-    one with the least vertex.  Each batch the walk reports is folded
-    into that choice at once, so no array over all paths is kept.  None
-    when a test fails.
+    ``edges(rows)`` gives the edges (u, v) of a slice of rows afresh,
+    ``couplings(rows, picked)`` the couplings of those ``picked``.  One
+    pass over the edges, a block of rows at a time, counts each vertex's
+    degree straight into int8 by ``np.add.at`` (no intp copy, as
+    ``bincount`` makes; a source keeps every degree below 128) and sums
+    its neighbours in the edges' index dtype.  No vertex may have more
+    than two neighbours, the edges must form a forest of paths
+    (``_path_forest``), an interior vertex has diagonal 2, an end 1 or
+    2 and an isolated one d >= 0; the signs do not matter on a tree.
+    Every block is then positive semidefinite, so passing the tests is
+    the certification.  None when a test fails.
     """
     n = len(diag)
     degree = np.zeros(n, dtype=np.int8)
@@ -694,68 +731,180 @@ def _path_forest_bottom(diag: np.ndarray, edges: Edges, couplings: Couplings) ->
     # An end's diagonal is 1 or 2, an interior one 2, an isolated one d >= 0.
     if np.any(diag < degree) or np.any((diag > 2) & (degree > 0)):
         return None
-    chosen: dict[int, tuple[int, int, int, int]] = {}  # ends at 1 -> (size, least, first, last)
+    chosen: dict[int, _Path] = {}
 
     def report(first, last, size, least) -> None:
-        ends = (diag[first] == 1).astype(np.int8) + (diag[last] == 1)
-        if not np.isscalar(size):  # keep the longest of each kind; a Laplacian's lambda is 0 at any length
-            longest = np.zeros(3, dtype=size.dtype)
-            np.maximum.at(longest, ends, size)
-            longest[2] = 0
-            keep = np.flatnonzero(size >= longest[ends])
-            ends, first, last, size, least = ends[keep], first[keep], last[keep], size[keep], least[keep]
-        lowest = np.full(3, len(diag), dtype=least.dtype)  # ufunc.at is fast on one dtype
-        np.minimum.at(lowest, ends, least)
-        for kind in np.flatnonzero(lowest < len(diag)).tolist():
-            # Of the kind's paths, the one with the least vertex: no two share one.
-            p = int(np.argmax(least == lowest[kind]))
-            path = (int(size) if np.isscalar(size) else int(size[p]), int(lowest[kind]),
-                    int(first[p]), int(last[p]))
-            held = chosen.get(kind, path)
-            if (0 if kind == 2 else -path[0], path[1]) <= (0 if kind == 2 else -held[0], held[1]):
-                chosen[kind] = path
+        _fold(chosen, n, diag[first] == 1, diag[last] == 1, first, last, size, least)
 
     order = _path_forest(degree, near, report)
     if order is None:  # a component holds a cycle, or a repeated edge
         return None
 
-    def block(lam: float, kind: str, path: tuple[int, int, int, int]) -> _LeastPath:
-        ell, _, first, last = path
-        start = last if diag[last] < diag[first] else first
-        return _LeastPath(lam, kind, diag, edges, couplings,
-                          lambda: order(start, first + last - start, ell))
+    def block(path: np.ndarray):
+        # The block is a whole component, so its edges are those with u on it.
+        # They are read a block of rows at a time, as the recogniser read them.
+        on_block = np.zeros(n, dtype=bool)
+        on_block[path] = True
+        u, v, coupling = ([np.zeros(0, np.int64)] for _ in range(3))
+        for part in _row_blocks(n):
+            ends = edges(part)
+            picked = np.flatnonzero(on_block[ends[0]])
+            if len(picked):
+                u.append(ends[0][picked])
+                v.append(ends[1][picked])
+                coupling.append(couplings(part, picked))
+        return path, diag[path], np.concatenate(u), np.concatenate(v), np.concatenate(coupling)
 
-    if 2 in chosen:
-        return block(0.0, "constant", chosen[2])
-    candidates = []
+    def path(lam: float, kind: str, pick: _Path) -> _LeastPath:
+        ell, _, a, b, end = pick
+        return _LeastPath(lam, kind, lambda: block(order(end, a + b - end, ell)))
+
     isolated = degree == 0  # masks, not index arrays: a third of a reduction's vertices
+    vertex = None
     if isolated.any():
-        vertex = int(np.argmax(isolated & (diag == diag[isolated].min())))
-        candidates.append(_LeastPath(float(diag[vertex]), "vertex", diag, edges, couplings,
-                                     lambda: np.array([vertex])))
-    for kind, ends in (("cos", 1), ("sin", 0)):
-        if ends in chosen:
-            ell = chosen[ends][0]
-            lam = min_eigenvalue_bound(ell) if ends else _chain_floor(ell + 1)
-            candidates.append(block(lam, kind, chosen[ends]))
-    return min(candidates, key=lambda c: c.lam)
+        v = int(np.argmax(isolated & (diag == diag[isolated].min())))
+        vertex = (diag[v], v)
+    return _least_block(chosen, vertex, path)
+
+
+@dataclass(frozen=True)
+class _Chains:
+    """What ``_chain_table`` keeps of a reduction's chains; no array.
+
+    ``covered`` counts the vertices on chains, ``det`` is det A, and
+    ``paths`` and ``vertex`` are ``_fold``'s choice for A^T A, each
+    path's ends its chain's head and tail.  ``cut`` is the start's
+    successor (-1 for none) and ``accept`` the accept row.
+    """
+
+    covered: int
+    det: int
+    cut: int
+    accept: int
+    paths: dict[int, _Path]
+    vertex: tuple[int, int] | None
+
+    def bottom(self, adjacency: RowOracleMatrix) -> _LeastPath:
+        """The least block of A^T A, A the adjacency that carries this table, ordered by a walk of A's rows."""
+
+        def path(lam: float, kind: str, pick: _Path) -> _LeastPath:
+            ell, _, head, tail, end = pick
+
+            def block():
+                chain = [head]
+                for _ in range(ell - 1):  # row v holds v and its successor
+                    at = int(adjacency.indptr[chain[-1]])
+                    chain.append(int(adjacency.indices[at]) + int(adjacency.indices[at + 1]) - chain[-1])
+                order = np.array(chain if end == head else chain[::-1], dtype=np.intp)
+                along = np.full(ell, 2, dtype=np.int64)
+                ends = 1 + (head == self.cut), 2 - (tail == self.accept)
+                along[[0, -1]] = ends if end == head else ends[::-1]
+                return order, along, order[:-1], order[1:], np.ones(ell - 1, dtype=np.int64)
+
+            return _LeastPath(lam, kind, block)
+
+        return _least_block(self.paths, self.vertex, path)
+
+
+def _chain_table(succ: np.ndarray, start: int = -1, accept: int = -1) -> _Chains | None:
+    """The chains of a successor map (-1: halts) cut at ``start``, walked from their heads; None if not injective.
+
+    A of ``rtm.augmented_adjacency`` has rows {v, succ v}, the start row
+    {succ start} and the accept row {start}, so A^T A couples v with
+    succ v except the start, at diagonal (v != accept) + [v is hit]:
+    its paths are the chains cut there, the heads at 1 but the cut (the
+    start's successor) at 2, the tails at 2 but the accept at 1.  A
+    start that is hit, or -1, cuts nothing.  One mask of the hit
+    vertices tells injectivity and the heads; the start and each head
+    that halts stand alone, every other head sends a walker, and all
+    step at once until they halt.  Halted chains go to ``_fold`` in
+    batches of ``_ROW_BLOCK`` or more.  The cut's walker stays first:
+    where it halts at the accept after k vertices, det A = (-1)^k.
+    """
+    dim = len(succ)
+    hit = np.zeros(dim + 1, dtype=bool)
+    hit[succ] = True  # a halting -1 lands on the spare last slot
+    alone = succ < 0
+    if np.count_nonzero(hit[:-1]) < dim - np.count_nonzero(alone):
+        return None
+    start = start if start >= 0 and not hit[start] else -1
+    cut = int(succ[start]) if start >= 0 else -1
+    walk = np.logical_not(hit[:-1], out=hit[:-1])
+    alone &= walk
+    walk ^= alone
+    if start >= 0:
+        walk[start], alone[start] = False, True
+    covered, vertex = int(np.count_nonzero(alone)), None  # each alone at 1, or the accept at 0
+    if covered:
+        vertex = (0, accept) if accept >= 0 and alone[accept] else (1, int(np.argmax(alone)))
+    head = np.flatnonzero(walk)  # intp, which numpy gathers by fastest
+    del hit, walk, alone
+    cur = succ[head]
+    head = head.astype(succ.dtype)
+    det, tracking = 0, cut >= 0 and succ[cut] >= 0
+    if tracking:
+        head, cur = np.insert(head, 0, cut), np.insert(cur, 0, succ[cut])
+    elif cut >= 0:
+        det, covered = -int(cut == accept), covered + 1
+        vertex = min(vertex or (2, cut), (2 - (cut == accept), cut))
+    paths: dict[int, _Path] = {}
+    halted = []  # (heads, tails, size, least vertices) of chains not yet folded
+
+    def fold() -> None:  # one batch as it is, with its one size; several joined
+        first, last, size, least = halted[0]
+        if len(halted) > 1:
+            first, last, size, least = zip(*halted)
+            size = np.repeat(np.array(size, dtype=succ.dtype), [len(part) for part in first])
+            first, last, least = (np.concatenate(part) for part in (first, last, least))
+        halted.clear()
+        _fold(paths, dim, first != cut, last == accept, first, last, size, least)
+
+    low, size = np.minimum(head, cur), 2
+    while len(cur):
+        ahead = succ.take(cur)
+        stop = ahead < 0
+        count = np.count_nonzero(stop)
+        if count:
+            if tracking and stop[0]:
+                det, tracking = (-1) ** size if cur[0] == accept else 0, False
+            # Two index lists, not six masks: take on an intp index is the fastest split.
+            done, going = np.flatnonzero(stop), np.flatnonzero(~stop)
+            first, head = head.take(done), head.take(going)
+            last, cur = cur.take(done), ahead.take(going)
+            least, low = low.take(done), low.take(going)
+            del ahead, stop, done, going
+            halted.append((first, last, size, least))
+            covered += size * count
+            if sum(len(part[0]) for part in halted) >= _ROW_BLOCK:
+                fold()
+        else:
+            cur = ahead
+        np.minimum(low, cur, out=low)
+        size += 1
+    if halted:
+        fold()
+    return _Chains(covered, det, cut, accept, paths, vertex)
 
 
 def _path_sum_bottom(matrix: RowOracleMatrix) -> _LeastPath | None:
     """lambda_min of a symmetric integer A that is a direct sum of path blocks, and a block attaining it; None for any other A.
 
-    The form is read from exact integer tests (``_path_forest_bottom``)
+    A reduction's Gram is read from its adjacency's chain table.  Any
+    other form is read from exact integer tests (``_path_forest_bottom``)
     on one of two edge sources.  A Gram held as its factor gives its
-    diagonal and edges from the factor (``GramOracle.path_edges``), each
-    vertex a column of at most two entries and so of at most two edges.
-    Any other row oracle, and a Gram whose factor does not fix the
-    reading, is read from its CSR arrays once they are checked to equal
-    their transpose (``_symmetric_csr``).  A row of more than 3 entries
-    has more than two neighbours, so it gives None at once, which also
-    keeps every degree below int8's range.  Every off-diagonal entry
-    must then be +-1, and the edges are the entries above the diagonal.
+    diagonal and edges from the factor (``GramOracle.path_edges``),
+    each vertex a column of at most two entries and so of at most two
+    edges.  Any other row oracle, and a Gram whose factor does not fix
+    the reading, is read from its CSR arrays once they are checked to
+    equal their transpose (``_symmetric_csr``).  A row of more than 3
+    entries has more than two neighbours, so it gives None at once,
+    which also keeps every degree below int8's range.  Every
+    off-diagonal entry must then be +-1, and the edges are the entries
+    above the diagonal.
     """
     if isinstance(matrix, GramOracle):
+        if matrix.factor._chains is not None:
+            return matrix.factor._chains.bottom(matrix.factor)
         source = matrix.path_edges()
         least = None if source is None else _path_forest_bottom(*source)
         if least is not None:
@@ -789,12 +938,12 @@ def _path_witness(least: _LeastPath, matrix: RowOracleMatrix) -> tuple[np.ndarra
     """The least block's rows (ascending), the block, and its unit eigenvector at least.lam, in closed form.
 
     A path sum's component holds its diagonal and its own edges'
-    couplings, so the block needs none of the matrix's arrays; each
-    row's columns come out sorted, the rows are renumbered 0..ell - 1,
-    and the declared d and k carry over.  Along the path order of
-    ``least.order()``, j = 0 .. ell - 1, the eigenvector with every
-    coupling -1 is (Yueh 2005; Strang and MacNamara, SIAM Review 56,
-    2014)
+    couplings (``least.block``), so the block needs none of the
+    matrix's arrays; each row's columns come out sorted, the rows are
+    renumbered 0..ell - 1, and the declared d and k carry over.  Along
+    the path order of ``least.block()``, j = 0 .. ell - 1, the
+    eigenvector with every coupling -1 is (Yueh 2005; Strang and
+    MacNamara, SIAM Review 56, 2014)
       1                              with both ends 1,
       cos((j + 1/2) pi / (2 ell + 1)) counted from the end that is 1,
       sin((j + 1) pi / (ell + 1))     with no end 1,
@@ -802,25 +951,10 @@ def _path_witness(least: _LeastPath, matrix: RowOracleMatrix) -> tuple[np.ndarra
     the gathered couplings, carry it to the block's own: diag(s) A
     diag(s) has every coupling -1.
     """
-    order = least.order()
-    rows = np.sort(order)
-    ell = len(rows)
-    on_block = np.zeros(len(least.diag), dtype=bool)
-    on_block[rows] = True
-    # The block is a whole component, so its edges are those with u on it.
-    # They are read a block of rows at a time, as the recogniser read them.
-    none = np.zeros(0, dtype=np.int64)
-    u, v, coupling = [none], [none], [none]
-    for part in _row_blocks(len(least.diag)):
-        ends = least.edges(part)
-        picked = np.flatnonzero(on_block[ends[0]])
-        if len(picked):
-            u.append(ends[0][picked])
-            v.append(ends[1][picked])
-            coupling.append(least.couplings(part, picked))
-    u, v = np.searchsorted(rows, np.concatenate(u)), np.searchsorted(rows, np.concatenate(v))
-    coupling = np.concatenate(coupling)
-    diag = least.diag[rows]
+    order, along, u, v, coupling = least.block()
+    rank = np.argsort(order)
+    rows, diag, ell = order[rank], along[rank], len(order)
+    u, v = np.searchsorted(rows, u), np.searchsorted(rows, v)
     loops = np.flatnonzero(diag)
     row, col = np.concatenate((loops, u, v)), np.concatenate((loops, v, u))
     entries = np.lexsort((col, row))
@@ -840,8 +974,7 @@ def _path_witness(least: _LeastPath, matrix: RowOracleMatrix) -> tuple[np.ndarra
         phi = np.cos((j + 0.5) * (pi / (2 * ell + 1)))
     else:
         phi = np.sin((j + 1) * (pi / (ell + 1)))
-    position = np.empty(ell, dtype=np.int64)  # each local row's place on the path
-    position[np.searchsorted(rows, order)] = j
+    position = rank  # each local row's place on the path
     step = np.empty(ell - 1, dtype=np.int64)  # each edge's coupling, at its nearer place
     step[np.minimum(position[u], position[v])] = coupling
     signs = np.cumprod(np.concatenate(([1], -step)))
@@ -888,15 +1021,14 @@ def bottom_eigenpair(matrix: RowOracleMatrix) -> tuple[float, np.ndarray, float]
 
     The symmetry check is exact on the integer entries; a Gram held as
     its factor (``GramOracle``) is symmetric by construction and is read
-    from the factor, never formed.  A direct sum of path blocks, the
-    form of every reversible machine's reduction Gram, is recognised by
-    ``_path_sum_bottom`` and answered in closed
-    form: lambda_min is ``min_eigenvalue_sparse``'s, bit for bit, and
-    the eigenvector is the closed form of one block that attains it
-    (``_path_witness``), zero elsewhere.  No dense matrix is built,
-    and the cost is O(dim + nnz).  On a rejecting reduction's Gram
-    lambda_min is exactly 0.0 and the witness a signed constant on a
-    path, whose residual is exactly 0.
+    from the factor, never formed.  A direct sum of path blocks (a
+    reduction's Gram is read from its chain table) is recognised by
+    ``_path_sum_bottom`` and answered in closed form: lambda_min is
+    ``min_eigenvalue_sparse``'s, bit for bit, and the eigenvector the
+    closed form of one block that attains it (``_path_witness``), zero
+    elsewhere.  No dense matrix is built, and the cost is O(dim + nnz).
+    On a rejecting reduction's Gram lambda_min is exactly 0.0 and the
+    witness a signed constant on a path, whose residual is exactly 0.
 
     Any other matrix is materialized, and refused with
     ResourceLimitError above DENSE_CAP rows before its dim^2 array is
@@ -922,7 +1054,7 @@ def min_eigenvalue_sparse(matrix: RowOracleMatrix) -> float:
     """Least eigenvalue of a large symmetric PSD oracle matrix, exact in form or certified.
 
     The symmetry check is ``bottom_eigenpair``'s.  A direct sum of path
-    blocks, the form of every reversible machine's reduction Gram, is
+    blocks (a reduction's Gram is read from its chain table) is
     recognised from its diagonal and edges and answered in closed form
     (``_path_sum_bottom``) in O(dim + nnz), at any dim: a rejecting
     reduction's singular Gram gives exactly 0.0, and no block is ordered

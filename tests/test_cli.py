@@ -890,3 +890,35 @@ def test_reduce_refuses_routes_that_disagree(monkeypatch, capsys, x, line):
     monkeypatch.setattr(rtm, "simulate", flipped)
     assert cli.main(["reduce", "--machine", "unary_counter", "--input", x]) == 1
     assert capsys.readouterr() == ("", f"gaplab: routes disagree: {line}\n")
+
+
+def _lying(monkeypatch, owner, name: str, lie) -> None:
+    """Patch owner.name so that it answers ``lie`` of what it would have answered."""
+    honest = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args, **kwargs: lie(honest(*args, **kwargs)))
+
+
+@pytest.mark.parametrize("x, line", [("11", "det -1 but simulate rejects"),
+                                     ("1", "det 0 but simulate accepts")])
+def test_verify_refuses_a_simulation_that_lies(monkeypatch, capsys, x, line):
+    _lying(monkeypatch, rtm, "simulate", lambda run: dataclasses.replace(run, accepted=not run.accepted))
+    assert cli.main(["verify", "--machine", "unary_counter", "--input", x]) == 1
+    assert capsys.readouterr() == ("", f"gaplab: routes disagree: {line}\n")
+
+
+@pytest.mark.parametrize("x, line", [("11", "det 0 but simulate accepts"),
+                                     ("1", "det 1 but simulate rejects")])
+def test_verify_refuses_a_determinant_that_lies(monkeypatch, capsys, x, line):
+    _lying(monkeypatch, spectral, "det_exact", lambda det: int(det == 0))
+    assert cli.main(["verify", "--machine", "unary_counter", "--input", x]) == 1
+    assert capsys.readouterr() == ("", f"gaplab: routes disagree: {line}\n")
+
+
+@pytest.mark.parametrize("x, line", [("11", "decision YES but simulate accepts"),
+                                     ("1", "decision NO but simulate rejects")])
+def test_verify_refuses_a_decision_that_lies(monkeypatch, capsys, x, line):
+    flip = {"YES": "NO", "NO": "YES"}
+    _lying(monkeypatch, protocols, "decide_gapped",
+           lambda result: dataclasses.replace(result, decision=flip[result.decision]))
+    assert cli.main(["verify", "--machine", "unary_counter", "--input", x]) == 1
+    assert capsys.readouterr() == ("", f"gaplab: routes disagree: {line}\n")

@@ -531,8 +531,8 @@ def _chain(dim: int) -> np.ndarray:
 def test_audit_matches_full_rounds_pointer_jumping(succ):
     machine = _bare_machine(len(succ))
     # validate's int64 array, and the reduction's, narrowed to the index dtype
-    report, narrow = (rtm._audit(machine, succ.astype(dtype)) for dtype in (np.int64, np.int32))
-    assert narrow == report
+    (report, chains), narrow = (rtm._audit(machine, succ.astype(dtype)) for dtype in (np.int64, np.int32))
+    assert narrow == (report, chains)
     collision, cycle = oracles.audit_witnesses(succ)
     issues = []
     if collision is not None:
@@ -543,4 +543,119 @@ def test_audit_matches_full_rounds_pointer_jumping(succ):
         issues.append(f"configuration graph has a cycle of length {len(cycle)} through {start}")
     assert report.issues == tuple(issues)
     assert report.collision == _configs(machine, collision)
+    assert report.cycle == _configs(machine, cycle)
+
+
+@st.composite
+def cut_chains(draw):
+    """(succ, start, accept): injective acyclic maps on up to 10^4 vertices, chains of up to 3,000.
+
+    A shuffled order is cut into chains; the start is a head, the accept
+    a tail, on the start's own chain half the time (an accepting run).
+    """
+    dim = draw(st.integers(2, 10_000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    longest = draw(st.integers(1, 3_000))
+    order = rng.permutation(dim)
+    succ = np.full(dim, -1, dtype=draw(st.sampled_from([np.int32, np.int64])))
+    lo = 0
+    while lo < dim:
+        part = order[lo : lo + int(rng.integers(1, longest + 1))]
+        succ[part[:-1]] = part[1:]
+        lo += len(part)
+    hit = np.zeros(dim, dtype=bool)
+    hit[succ[succ >= 0]] = True
+    start = int(rng.choice(np.flatnonzero(~hit)))
+    tail = start
+    while succ[tail] >= 0:
+        tail = int(succ[tail])
+    if tail != start and draw(st.booleans()):
+        return succ, start, tail
+    return succ, start, int(rng.choice(np.setdiff1d(np.flatnonzero(succ < 0), [start])))
+
+
+def _plain_chains(succ: np.ndarray, start: int, accept: int):
+    """(covered, det, paths, vertex) of ``spectral._chain_table``, by walking each chain in Python."""
+    nxt = succ.tolist()
+    hit = [False] * len(nxt)
+    for v in nxt:
+        if v >= 0:
+            hit[v] = True
+    cut = nxt[start]
+    diag = lambda v: (v != accept) + hit[v]  # noqa: E731
+    covered, det, paths, vertex = 0, 0, {}, None
+    for head in [v for v in range(len(nxt)) if not hit[v]] + ([cut] if cut >= 0 else []):
+        chain = [head]
+        while chain[-1] != start and nxt[chain[-1]] >= 0:
+            chain.append(nxt[chain[-1]])
+        covered += len(chain)
+        if head == cut:
+            det = (-1) ** len(chain) if chain[-1] == accept else 0
+        if len(chain) == 1:
+            vertex = min(vertex or (3, 0), (diag(head), head))
+            continue
+        tail = chain[-1]
+        kind = (diag(head) == 1) + (diag(tail) == 1)
+        end = (head if diag(head) == 1 else tail) if kind == 1 else min(head, tail)
+        path = (len(chain), min(chain), head, tail, end)
+        held = paths.get(kind, path)
+        if (0 if kind == 2 else -path[0], path[1]) <= (0 if kind == 2 else -held[0], held[1]):
+            paths[kind] = path
+    return covered, det, paths, vertex
+
+
+@settings(max_examples=40, deadline=None)
+@given(cut_chains())
+@example((np.array([-1, -1]), 0, 1))  # the start halts: an empty start row
+@example((np.array([1, -1]), 0, 1))  # the start steps straight onto the accept
+@example((np.array([-1, 0]), 1, 0))  # ... which is the least isolated vertex
+@example((np.array([1, 2, -1, -1]), 0, 3))  # the accept alone: an isolated vertex at 0
+@example((np.array([1, -1, 3, -1]), 2, 1))  # the accept's chain has both ends at 1
+def test_chain_table_reads_what_the_arrays_read(drawn):
+    # The table of a cut successor map answers det, lambda_min and the
+    # witness exactly as the closed form and the factor's edges read the
+    # same adjacency, and its chains are those a plain walk finds.
+    succ, start, accept = drawn
+    table = sp._chain_table(succ, start, accept)
+    assert (table.covered, table.det, table.paths, table.vertex) == _plain_chains(succ, start, accept)
+    assert table.covered == len(succ)
+    arrays = rtm._adjacency_arrays(succ, start, accept)
+    plain, carried = so._ones(*arrays), so._ones(*arrays, chains=table)
+    assert sp.det_exact(carried) == sp._successor_det(plain) == table.det
+    read, fast = so.ata_oracle(plain), so.ata_oracle(carried)
+    want, got = sp._bottom_block_eigenpair(read), sp._bottom_block_eigenpair(fast)
+    assert sp.min_eigenvalue_sparse(fast).hex() == sp.min_eigenvalue_sparse(read).hex() == want.lam.hex()
+    assert got.lam.hex() == want.lam.hex() and np.array_equal(got.rows, want.rows)
+    for part in ("indptr", "indices", "data"):
+        mine, theirs = getattr(got.block, part), getattr(want.block, part)
+        assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs), part
+    assert got.psi.tobytes() == want.psi.tobytes() and got.residual.hex() == want.residual.hex()
+    assert "_product" not in vars(fast)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cut_chains(), st.data())
+def test_a_cycle_leaves_the_chains_short_and_is_named_as_before(drawn, data):
+    # Closing one chain into a cycle keeps the map injective: its vertices
+    # have no head, so the walk covers fewer than all, and the audit names
+    # the loop that pointer jumping from the least endless vertex finds.
+    succ, _, _ = drawn
+    succ = succ[: data.draw(st.integers(2, 1_500))].copy()
+    succ[succ >= len(succ)] = -1
+    ends = np.flatnonzero(succ < 0)
+    tail = int(data.draw(st.sampled_from(ends.tolist())))
+    hit = np.zeros(len(succ), dtype=bool)
+    hit[succ[succ >= 0]] = True
+    head = tail
+    while True:  # walk back to the tail's head
+        before = np.flatnonzero(succ == head)
+        if not len(before):
+            break
+        head = int(before[0])
+    succ[tail] = head
+    assert sp._chain_table(succ).covered < len(succ)
+    machine = _bare_machine(len(succ))
+    report, _ = rtm._audit(machine, succ)
+    collision, cycle = oracles.audit_witnesses(succ)
+    assert collision is None and report.collision is None
     assert report.cycle == _configs(machine, cycle)

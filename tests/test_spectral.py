@@ -339,7 +339,8 @@ def test_det_exact_regime_skips_the_banded_kernel(monkeypatch):
 def test_rejecting_reductions_are_decided_before_any_labelling(monkeypatch):
     # The start row has no diagonal entry and, on a rejecting input, a walk
     # that ends; an accepting one's start row lies on the computation cycle,
-    # and only that cycle's rows are labelled.
+    # and only that cycle's rows are labelled.  det_exact reads a reduction
+    # from its chain table, so the closed form is called on the arrays directly.
     calls = []
     jump = sp._jump
 
@@ -350,9 +351,9 @@ def test_rejecting_reductions_are_decided_before_any_labelling(monkeypatch):
 
     monkeypatch.setattr(sp, "_jump", recorded)
     machine = rtm.with_space(rtm.corpus_machine("unary_counter"), 6)
-    assert sp.det_exact(rtm.augmented_adjacency(machine, "1")) == 0
+    assert sp._successor_det(rtm.augmented_adjacency(machine, "1")) == 0
     assert calls == []
-    assert sp.det_exact(rtm.augmented_adjacency(machine, "11")) == -1
+    assert sp._successor_det(rtm.augmented_adjacency(machine, "11")) == -1
     assert calls == [rtm.simulate(machine, "11").steps + 1]
 
 
@@ -1156,3 +1157,27 @@ def test_spectrum_report_rows():
     for _, closed, eigen, abs_err in rows:
         assert abs_err == pytest.approx(abs(closed - eigen), abs=1e-15)
         assert abs_err <= 1e-12
+
+
+def test_a_reduction_is_answered_from_its_chain_table(monkeypatch):
+    # A reduction's determinant, lambda_min and decision come from the chain
+    # table its audit walked: the closed form, the walk of a path sum and the
+    # factor's edge reading are refused, and the answers are theirs bit for bit.
+    machine = rtm.with_space(rtm.corpus_machine("binary_counter"), 6)
+    cases = {}
+    for x in ("#000#", "#000"):
+        instance = rtm.reduce_to_gapped(machine, x)
+        read = so.ata_oracle(so._ones(instance.adjacency.indptr, instance.adjacency.indices))
+        cases[x] = (instance, sp._successor_det(instance.adjacency),
+                    sp.min_eigenvalue_sparse(read).hex(), repr(pr.decide_gapped(read, instance.g)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a reduction left its chain table")
+
+    for owner, name in ((sp, "_successor_det"), (sp, "_path_forest"), (so.GramOracle, "path_edges")):
+        monkeypatch.setattr(owner, name, refuse)
+    for x, (instance, det, lam, decision) in cases.items():
+        assert sp.det_exact(instance.adjacency) == det and (det != 0) == x.endswith("#")
+        assert sp.min_eigenvalue_sparse(instance.gram).hex() == lam
+        assert repr(pr.decide_gapped(instance.gram, instance.g)) == decision
+        assert "_product" not in vars(instance.gram)
