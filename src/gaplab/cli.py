@@ -123,8 +123,11 @@ def _cmd_det(args) -> tuple[dict, int]:
     return payload, EXIT_OK
 
 
-def _routes_agree(machine: rtm.ReversibleTM, x: str, routes: dict[str, tuple[object, bool]]) -> bool:
-    """Whether ``simulate`` accepts; the first route whose (value, accepts) says otherwise is refused in one line."""
+def _routes_agree(machine: rtm.ReversibleTM, x: str, routes: dict[str, tuple[object, bool | None]]) -> bool:
+    """Whether ``simulate`` accepts; the first route whose (value, accepts) says otherwise is refused in one line.
+
+    accepts is None for a value that neither accepts nor rejects, which disagrees either way.
+    """
     accepted = rtm.simulate(machine, x).accepted
     for name, (value, accepts) in routes.items():
         if accepts != accepted:
@@ -169,10 +172,14 @@ def _cmd_verify(args) -> tuple[dict, int]:
             )
         source = args.instance
     result = protocols.decide_gapped(matrix, g)
-    if args.machine is not None:  # the chain table holds det: no further pass
+    if args.machine is not None:  # the chain table holds det and lambda_min: no further pass
         det = spectral.det_exact(instance.adjacency)
+        lam = spectral.min_eigenvalue_sparse(matrix)
+        # lambda_min accepts at or above the floor, rejects at exactly 0, and does neither between.
+        verdict = lam >= spectral.min_eigenvalue_bound(instance.dim) or (None if lam else False)
         _routes_agree(machine, x, {"det": (det, det != 0),
-                                   "decision": (result.decision, result.decision == "NO")})
+                                   "decision": (result.decision, result.decision == "NO"),
+                                   "lambda_min": (lam, verdict)})
     payload = _with_seed(
         args,
         {

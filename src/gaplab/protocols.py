@@ -618,8 +618,8 @@ def decide_gapped(matrix: RowOracleMatrix, g: int) -> GappedDecision:
     products run on that path's rows alone: the same column order and
     the same declared d and k, so t, the Taylor order and each row's
     floating-point sum are those of the whole matrix, whose other rows
-    would only carry zeros.  A reduction's Gram, held as its factor A,
-    is never formed: its block is written from A's chain table, the path
+    would only carry zeros.  A reduction's Gram (``GramOracle``) is
+    never formed: its block is written from A's chain table, the path
     ordered by a walk of A's rows.  The first product
     rounds each row's sum once (``expm_taylor_minus_identity``): its
     products, entries +-1 and 2 times the witness, are exact, and on an
@@ -1129,7 +1129,7 @@ def binary_search_energy(instance, bits: int) -> float:
     whether the Cholesky factorization of H - mu I exists, which it does
     exactly when H - mu I is positive definite; no eigenvalue is
     computed.  A row oracle is H as it stands: its CSR arrays once they
-    are checked symmetric (a Gram held as its factor is its product,
+    are checked symmetric (a reduction's Gram is its product,
     symmetric by construction), with its Gershgorin interval read from
     its rows in exact integers, so no dense copy is made.  Any other
     instance is the matrix ``_hamiltonian`` gives, the legal-clock block

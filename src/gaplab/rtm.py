@@ -65,7 +65,6 @@ from .sparse_oracle import (
     _index_dtype,
     _integer,
     _ones,
-    ata_oracle,
     cycle_adjacency,
     from_dense,
     from_entries,
@@ -467,12 +466,13 @@ def _adjacency_arrays(succ: np.ndarray, s_idx: int, t_idx: int) -> tuple[np.ndar
 class GappedInstance:
     """Matrix decision instance with a certified eigenvalue dichotomy.
 
-    ``gram`` is A^T A for the augmented adjacency A, built on its first
-    read: ``reduce`` takes only A's determinant and forms no Gram.  Its
-    least eigenvalue is exactly 0 when the machine rejects the input and
-    at least 2^-g when it accepts, with g derived from the closed-form
-    bound at this dimension.  A's determinant and the Gram's lambda_min
-    and least block are read from A's chain table.
+    ``gram`` is A^T A for the augmented adjacency A, held as A
+    (``GramOracle``) and never formed by the spectral routines: A's
+    determinant and the Gram's lambda_min and least block are read from
+    A's chain table.  ``reduce`` takes only the determinant and builds
+    no Gram.  Its least eigenvalue is exactly 0 when the machine rejects
+    the input and at least 2^-g when it accepts, with g derived from the
+    closed-form bound at this dimension.
     """
 
     adjacency: RowOracleMatrix
@@ -481,7 +481,7 @@ class GappedInstance:
 
     @cached_property
     def gram(self) -> GramOracle:
-        return ata_oracle(self.adjacency)
+        return GramOracle(self.adjacency)
 
 
 def reduce_to_gapped(machine: ReversibleTM, input_str: str) -> GappedInstance:

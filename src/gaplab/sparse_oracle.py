@@ -11,12 +11,14 @@ stand, in numpy, and so do the row products A x of the witness's
 residual and of the Taylor sum, on rows padded once (``padded``); the
 scipy kernels (determinants, symmetry checks, the energy band) read
 them through ``to_csr``, a scipy CSR matrix on the same buffers.  A
-Gram A^T A is held as its checked factor A (``GramOracle``) and formed
-only when its arrays are read.  Building an oracle and checking it
-take numpy alone; scipy is imported when a CSR view is first asked
-for, by a Gram product or a kernel.  This module reads no files
-(``rtm`` reads instance files).  Dense materialization is a desk-scale
-debugging and ground-truth device, refused above DENSE_CAP rows.
+Gram A^T A is formed at once by ``ata_oracle``, except a reduction's,
+which is held as its factor A (``GramOracle``) and answered from A's
+chain table; its arrays are formed only when read.  Building an
+oracle and checking it take numpy alone; scipy is imported when a CSR
+view is first asked for, by a Gram product or a kernel.  This module
+reads no files (``rtm`` reads instance files).  Dense materialization
+is a desk-scale debugging and ground-truth device, refused above
+DENSE_CAP rows.
 
 Integer-valued oracles stay integer-valued until a spectral operation
 converts them to floats.  No float arithmetic happens in construction
@@ -29,7 +31,7 @@ import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -324,45 +326,47 @@ def from_entries(dim: int, triplets: Iterable[Sequence[int]]) -> RowOracleMatrix
     )
 
 
-class GramOracle(RowOracleMatrix):
-    """The row oracle of A^T A, held as its checked factor A until its arrays are asked for.
+def ata_oracle(matrix: RowOracleMatrix) -> RowOracleMatrix:
+    """Row oracle of A^T A, formed at once, for a +-1 matrix A with at most two nonzeros per column.
 
-    ``factor`` is A, a +-1 matrix with at most two nonzeros per column,
-    and ``column_counts`` those counts in int8, the Gram's diagonal.
-    Construction counts A's columns straight into int8 (``np.add.at``,
-    which copies neither the indices nor a dim-long intp count): a
-    column with more than two nonzeros would put a diagonal entry above
-    the declared bound 2, and is refused in the words of the contract
-    check.  The declared bounds are those of every reduction's Gram:
-    row i touches only columns that share a row of A with column i, so
-    the sparsity is min(dim, 4d) for A's row bound d, and the entry
-    bound is 2, which give every reduction's Gram the evolution time
-    pi/16.  ``indptr``, ``indices``, ``data`` and ``csr`` come
-    from one scipy product A^T A over int64, taken on first access and
-    kept, so every consumer of a row oracle takes this one too.  The
-    spectral routines read a Gram of this class from ``path_edges``, or
-    a reduction's from A's chain table, and never form it.  It is
-    symmetric and positive semidefinite by construction.  Its repr
-    names the factor and forms nothing; ``dataclasses.replace`` does
-    not apply to it.
+    The declared bounds are those of every reduction's Gram: row i
+    touches only columns that share a row of A with column i, so the
+    sparsity is min(dim, 4d) for A's row bound d, and the entry bound
+    is 2, which give every reduction's Gram the evolution time pi/16.
+    scipy's product drops the entries +-1 terms cancel, and a column of
+    more than two nonzeros puts a diagonal entry above the bound 2,
+    which the row contract refuses in its own words.
+    """
+    if matrix.entry_bound_k > 1:
+        raise ContractError("Gram construction requires entries in {-1, 0, 1}")
+    a = to_csr(matrix)
+    gram = (a.T @ a).tocsr()
+    gram.sort_indices()
+    d = min(matrix.dim, 4 * matrix.sparsity_d)
+    return RowOracleMatrix(gram.indptr, gram.indices, gram.data, sparsity_d=d, entry_bound_k=2)
+
+
+class GramOracle(RowOracleMatrix):
+    """A reduction's Gram A^T A, held as its factor A, whose chain table answers for it.
+
+    The spectral routines read lambda_min and the least block from A's
+    chain table (``spectral._chain_table``) and never form the Gram, so
+    construction only refuses a factor that carries none.  The audit
+    that wrote the table proves the Gram's contract: column v of A holds
+    v's self-loop and at most one arc into v, the successor map being
+    injective, and the start's column holds only the back edge, since no
+    rule enters the start state.  ``indptr``, ``indices``, ``data`` and
+    ``csr`` are those of ``ata_oracle(factor)``, formed on first access
+    and kept, for ``energy`` and the tests.  Its repr names the factor
+    and forms nothing; ``dataclasses.replace`` does not apply to it.
     """
 
     factor: RowOracleMatrix
-    column_counts: np.ndarray
 
     def __init__(self, factor: RowOracleMatrix) -> None:
-        if factor.entry_bound_k > 1:
-            raise ContractError("Gram construction requires entries in {-1, 0, 1}")
-        counts = np.zeros(factor.dim, dtype=np.int8)
-        np.add.at(counts, factor.indices, np.int8(1))
-        # A count wraps only in a column of 128 or more entries, and then falls
-        # short, so the total tells.  The first crowded column is the first
-        # Gram row that breaks the bound 2.
-        if counts.max(initial=0) > 2 or counts.sum(dtype=np.int64) != len(factor.indices):
-            crowded = np.bincount(factor.indices, minlength=factor.dim) > 2
-            raise ContractError(f"row {int(crowded.argmax())} exceeds declared bound 2")
+        if factor._chains is None:
+            raise ContractError("a Gram held as its factor needs the factor's chain table")
         object.__setattr__(self, "factor", factor)
-        object.__setattr__(self, "column_counts", counts)
         object.__setattr__(self, "sparsity_d", min(factor.dim, 4 * factor.sparsity_d))
         object.__setattr__(self, "entry_bound_k", 2)
 
@@ -372,13 +376,7 @@ class GramOracle(RowOracleMatrix):
 
     @cached_property
     def _product(self) -> RowOracleMatrix:
-        """A^T A, formed once: scipy's product already drops the entries +-1 terms cancel."""
-        a = to_csr(self.factor)
-        gram = (a.T @ a).tocsr()
-        gram.sort_indices()
-        return RowOracleMatrix(
-            gram.indptr, gram.indices, gram.data, self.sparsity_d, self.entry_bound_k
-        )
+        return ata_oracle(self.factor)
 
     indptr = property(lambda self: self._product.indptr)
     indices = property(lambda self: self._product.indices)
@@ -390,60 +388,6 @@ class GramOracle(RowOracleMatrix):
             f"GramOracle(dim={self.dim}, factor sparsity_d={self.factor.sparsity_d},"
             f" sparsity_d={self.sparsity_d}, entry_bound_k={self.entry_bound_k}, {formed})"
         )
-
-    def path_edges(
-        self,
-    ) -> tuple[
-        np.ndarray,
-        Callable[[slice], tuple[np.ndarray, np.ndarray]],
-        Callable[[slice, np.ndarray], np.ndarray],
-    ] | None:
-        """A^T A as (diagonal, edges, couplings) read from A, or None where A does not fix it.
-
-        The diagonal is A's column counts, and each row of A with two
-        entries, at columns u < v, puts the coupling A[r, u] A[r, v] =
-        +-1 at (u, v) and (v, u).  That is all of A^T A when no row of A
-        has three or more entries (None) and no two rows share both
-        columns; a shared pair comes out as a repeated edge, whose
-        couplings A^T A adds, so a caller must refuse repeated edges.
-        No product, no transpose and no symmetry check is needed.
-        ``edges(rows)`` reads the arrays (u, v) of A's rows ``rows``, a
-        slice, afresh at each call, in A's index dtype, so a caller
-        keeps them only while it needs them and may read them a block
-        of rows at a time.
-        ``couplings(rows, picked)`` forms the int64 couplings of the
-        edges ``picked`` among those of ``rows`` when it is called,
-        which only the writer of a witness block does: lambda_min reads
-        the pattern alone, and A's ``data`` may be a zero-stride view.
-        """
-        f = self.factor
-        if f.sparsity_d > 2 and np.diff(f.indptr).max(initial=0) > 2:
-            return None
-
-        def first(rows: slice) -> np.ndarray:
-            """Where each row of two among ``rows`` starts, in intp, which numpy gathers by fastest."""
-            lo, hi, _ = rows.indices(f.dim)
-            starts = f.indptr[lo:hi + 1]
-            return starts[np.flatnonzero(starts[1:] - starts[:-1] == 2)].astype(np.intp)
-
-        def edges(rows: slice) -> tuple[np.ndarray, np.ndarray]:
-            at = first(rows)
-            return f.indices[at], f.indices[at + 1]
-
-        def couplings(rows: slice, picked: np.ndarray) -> np.ndarray:
-            at = first(rows)[picked]
-            return f.data[at] * f.data[at + 1]
-
-        return self.column_counts, edges, couplings
-
-
-def ata_oracle(matrix: RowOracleMatrix) -> GramOracle:
-    """Row oracle for A^T A, for +-1 matrices with at most two nonzeros per column.
-
-    The checks cost one int8 column count; the product is taken only
-    when the Gram's arrays are first read (``GramOracle``).
-    """
-    return GramOracle(matrix)
 
 
 def path_adjacency(ell: int) -> RowOracleMatrix:

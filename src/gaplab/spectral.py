@@ -19,16 +19,16 @@ Three concerns live here:
 * eigenvalue machinery for symmetric Gram matrices, including the
   closed-form spectrum of the path block and the tridiagonal fast
   path.  A direct sum of path blocks is recognised from exact integer
-  tests on its diagonal and its +-1 edges: a Gram held as its factor A
-  gives them from A's column counts and two-entry rows, without
-  forming A^T A, and any other matrix from its CSR arrays.  lambda_min
-  is the closed form of its longest path of each kind, and the bottom
-  eigenvector the closed form of one block that attains it.  The paths
-  are walked in numpy from their ends until their walkers meet.  Any
-  other matrix is materialized, up to DENSE_CAP rows, for one dense
-  ``eigh`` of its bottom eigenpair and one Cholesky factorization
-  whose existence certifies the matrix positive semidefinite up to a
-  margin at the scale of rounding in ||A||.
+  tests on the diagonal and the +-1 edges of its CSR arrays; a
+  reduction's Gram is read from its factor's chain table instead, and
+  never formed.  lambda_min is the closed form of its longest path of
+  each kind, and the bottom eigenvector the closed form of one block
+  that attains it.  The paths are walked in numpy from their ends
+  until their walkers meet.  Any other matrix is materialized, up to
+  DENSE_CAP rows, for one dense ``eigh`` of its bottom eigenpair and
+  one Cholesky factorization whose existence certifies the matrix
+  positive semidefinite up to a margin at the scale of rounding in
+  ||A||.
 
 Each function imports the scipy routines it calls when it runs, and the
 module imports none: ``eigh_tridiagonal`` loads with the first
@@ -507,9 +507,9 @@ def _symmetric_csr(matrix: RowOracleMatrix) -> csr_matrix:
 
     The CSR arrays are canonical, and so are A^T's after ``tocsr``, so
     equal arrays are equal matrices.  For integer entries the exact test
-    is the same as a float tolerance below one.  A Gram held as its
-    factor is its product A^T A, symmetric by construction, and is
-    returned unchecked.
+    is the same as a float tolerance below one.  A reduction's Gram
+    (``GramOracle``) is its product A^T A, symmetric by construction,
+    and is returned unchecked.
     """
     a = to_csr(matrix)
     if isinstance(matrix, GramOracle):
@@ -544,8 +544,6 @@ def _certified_bottom(matrix: RowOracleMatrix) -> tuple[float, np.ndarray, float
     return lam, psi, residual
 
 
-Edges = Callable[[slice], tuple[np.ndarray, np.ndarray]]
-Couplings = Callable[[slice, np.ndarray], np.ndarray]
 Report = Callable[[np.ndarray, np.ndarray, "np.ndarray | int", np.ndarray], None]
 
 
@@ -566,9 +564,9 @@ def _path_forest(
     walkers step until the next vertex bears the other's mark: its
     current vertex (an even path) or the one before (odd), told apart
     by parity, and meet on the middle edge or vertex; a path of ell
-    vertices takes about ell / 2 steps.  The walks never enter a cycle
-    or a repeated edge, which have no end, so the edges the paths
-    account for fall short of all of them exactly when one is there.
+    vertices takes about ell / 2 steps.  The walks never enter a cycle,
+    which has no end, so the edges the paths account for fall short of
+    all of them exactly when one is there.
     Returns ``order(end, other, size)``, the path's vertices from
     ``end`` to ``other`` by the same walk in Python.
     """
@@ -637,7 +635,7 @@ class _LeastPath:
     (both ends 1), "cos" (one end 1) or "sin" (none).  ``block()`` gives
     its vertices in path order from the end the closed form counts from
     (for "cos" the end at 1, else the lesser end), the diagonal along
-    them, and its edges (u, v) with their +-1 couplings, in int64.
+    them, and its edges (u, v) with their int64 +-1 couplings.
     """
 
     lam: float
@@ -700,71 +698,6 @@ def _least_block(chosen: dict[int, _Path], vertex: tuple[int, int] | None,
             lam = min_eigenvalue_bound(ell) if ends else _chain_floor(ell + 1)
             candidates.append(path(lam, kind, chosen[ends]))
     return min(candidates, key=lambda c: c.lam)
-
-
-def _path_forest_bottom(diag: np.ndarray, edges: Edges, couplings: Couplings) -> _LeastPath | None:
-    """lambda_min of the symmetric matrix with this diagonal and +-1 edges (u, v), if a path sum.
-
-    ``edges(rows)`` gives the edges (u, v) of a slice of rows afresh,
-    ``couplings(rows, picked)`` the couplings of those ``picked``.  One
-    pass over the edges, a block of rows at a time, counts each vertex's
-    degree straight into int8 by ``np.add.at`` (no intp copy, as
-    ``bincount`` makes; a source keeps every degree below 128) and sums
-    its neighbours in the edges' index dtype.  No vertex may have more
-    than two neighbours, the edges must form a forest of paths
-    (``_path_forest``), an interior vertex has diagonal 2, an end 1 or
-    2 and an isolated one d >= 0; the signs do not matter on a tree.
-    Every block is then positive semidefinite, so passing the tests is
-    the certification.  None when a test fails.
-    """
-    n = len(diag)
-    degree = np.zeros(n, dtype=np.int8)
-    near = np.zeros(n, dtype=edges(slice(0, 0))[0].dtype)
-    for part in _row_blocks(n):
-        u, v = edges(part)
-        np.add.at(degree, u, np.int8(1))
-        np.add.at(degree, v, np.int8(1))
-        np.add.at(near, u, v)
-        np.add.at(near, v, u)
-    if degree.max(initial=0) > 2:
-        return None
-    # An end's diagonal is 1 or 2, an interior one 2, an isolated one d >= 0.
-    if np.any(diag < degree) or np.any((diag > 2) & (degree > 0)):
-        return None
-    chosen: dict[int, _Path] = {}
-
-    def report(first, last, size, least) -> None:
-        _fold(chosen, n, diag[first] == 1, diag[last] == 1, first, last, size, least)
-
-    order = _path_forest(degree, near, report)
-    if order is None:  # a component holds a cycle, or a repeated edge
-        return None
-
-    def block(path: np.ndarray):
-        # The block is a whole component, so its edges are those with u on it.
-        # They are read a block of rows at a time, as the recogniser read them.
-        on_block = np.zeros(n, dtype=bool)
-        on_block[path] = True
-        u, v, coupling = ([np.zeros(0, np.int64)] for _ in range(3))
-        for part in _row_blocks(n):
-            ends = edges(part)
-            picked = np.flatnonzero(on_block[ends[0]])
-            if len(picked):
-                u.append(ends[0][picked])
-                v.append(ends[1][picked])
-                coupling.append(couplings(part, picked))
-        return path, diag[path], np.concatenate(u), np.concatenate(v), np.concatenate(coupling)
-
-    def path(lam: float, kind: str, pick: _Path) -> _LeastPath:
-        ell, _, a, b, end = pick
-        return _LeastPath(lam, kind, lambda: block(order(end, a + b - end, ell)))
-
-    isolated = degree == 0  # masks, not index arrays: a third of a reduction's vertices
-    vertex = None
-    if isolated.any():
-        v = int(np.argmax(isolated & (diag == diag[isolated].min())))
-        vertex = (diag[v], v)
-    return _least_block(chosen, vertex, path)
 
 
 @dataclass(frozen=True)
@@ -889,26 +822,23 @@ def _chain_table(succ: np.ndarray, start: int = -1, accept: int = -1) -> _Chains
 def _path_sum_bottom(matrix: RowOracleMatrix) -> _LeastPath | None:
     """lambda_min of a symmetric integer A that is a direct sum of path blocks, and a block attaining it; None for any other A.
 
-    A reduction's Gram is read from its adjacency's chain table.  Any
-    other form is read from exact integer tests (``_path_forest_bottom``)
-    on one of two edge sources.  A Gram held as its factor gives its
-    diagonal and edges from the factor (``GramOracle.path_edges``),
-    each vertex a column of at most two entries and so of at most two
-    edges.  Any other row oracle, and a Gram whose factor does not fix
-    the reading, is read from its CSR arrays once they are checked to
-    equal their transpose (``_symmetric_csr``).  A row of more than 3
-    entries has more than two neighbours, so it gives None at once,
-    which also keeps every degree below int8's range.  Every
-    off-diagonal entry must then be +-1, and the edges are the entries
-    above the diagonal.
+    A reduction's Gram is read from its factor's chain table.  Any other
+    A is read from exact integer tests on its CSR arrays, once they are
+    checked to equal their transpose (``_symmetric_csr``).  A row of
+    more than 3 entries has more than two neighbours, so it gives None
+    at once, which also keeps every degree below int8's range.  Every
+    off-diagonal entry must then be +-1, and the edges (u, v) are the
+    entries above the diagonal.  One pass over them counts each vertex's
+    degree straight into int8 by ``np.add.at`` (no intp copy, as
+    ``bincount`` makes) and sums its neighbours in the index dtype.  No
+    vertex may have more than two neighbours, the edges must form a
+    forest of paths (``_path_forest``), an interior vertex has diagonal
+    2, an end 1 or 2 and an isolated one d >= 0; the signs do not matter
+    on a tree.  Every block is then positive semidefinite, so passing
+    the tests is the certification.
     """
     if isinstance(matrix, GramOracle):
-        if matrix.factor._chains is not None:
-            return matrix.factor._chains.bottom(matrix.factor)
-        source = matrix.path_edges()
-        least = None if source is None else _path_forest_bottom(*source)
-        if least is not None:
-            return least
+        return matrix.factor._chains.bottom(matrix.factor)
     a = _symmetric_csr(matrix)
     indptr, indices, data = a.indptr, a.indices, a.data
     n = len(indptr) - 1
@@ -922,16 +852,44 @@ def _path_sum_bottom(matrix: RowOracleMatrix) -> _LeastPath | None:
     diag = np.zeros(n, dtype=data.dtype)
     diag[row[loop]] = data[loop]
     upper = np.flatnonzero(indices > row)
+    u, v, coupling = row[upper], indices[upper], data[upper]
+    del counts, row, loop, upper
+    degree = np.zeros(n, dtype=np.int8)
+    near = np.zeros(n, dtype=u.dtype)
+    for end, other in ((u, v), (v, u)):
+        np.add.at(degree, end, np.int8(1))
+        np.add.at(near, end, other)
+    if degree.max(initial=0) > 2:
+        return None
+    # An end's diagonal is 1 or 2, an interior one 2, an isolated one d >= 0.
+    if np.any(diag < degree) or np.any((diag > 2) & (degree > 0)):
+        return None
+    chosen: dict[int, _Path] = {}
 
-    def entries(rows: slice) -> np.ndarray:
-        lo, hi, _ = rows.indices(n)
-        return upper[slice(*np.searchsorted(upper, (indptr[lo], indptr[hi])))]
+    def report(first, last, size, least) -> None:
+        _fold(chosen, n, diag[first] == 1, diag[last] == 1, first, last, size, least)
 
-    def edges(rows: slice) -> tuple[np.ndarray, np.ndarray]:
-        at = entries(rows)
-        return row[at], indices[at]
+    order = _path_forest(degree, near, report)
+    if order is None:  # a component holds a cycle
+        return None
 
-    return _path_forest_bottom(diag, edges, lambda rows, picked: data[entries(rows)[picked]])
+    def block(path: np.ndarray):
+        # The block is a whole component, so its edges are those with u on it.
+        on_block = np.zeros(n, dtype=bool)
+        on_block[path] = True
+        picked = np.flatnonzero(on_block[u])
+        return path, diag[path], u[picked], v[picked], coupling[picked]
+
+    def path(lam: float, kind: str, pick: _Path) -> _LeastPath:
+        ell, _, a, b, end = pick
+        return _LeastPath(lam, kind, lambda: block(order(end, a + b - end, ell)))
+
+    isolated = degree == 0  # a mask, not an index array
+    vertex = None
+    if isolated.any():
+        lone = int(np.argmax(isolated & (diag == diag[isolated].min())))
+        vertex = (diag[lone], lone)
+    return _least_block(chosen, vertex, path)
 
 
 def _path_witness(least: _LeastPath, matrix: RowOracleMatrix) -> tuple[np.ndarray, RowOracleMatrix, np.ndarray]:
@@ -1005,7 +963,7 @@ def _bottom_block_eigenpair(matrix: RowOracleMatrix) -> _BlockEigenpair:
     sum rounded once (``_rounded_once_products``): A psi is exactly 0
     off a connected component, so that is the whole residual.  The
     block is written from the recogniser's edges (``_path_witness``),
-    so a Gram held as its factor is never formed.
+    so a reduction's Gram is never formed.
     """
     least = _path_sum_bottom(matrix)
     if least is None:
@@ -1019,9 +977,9 @@ def _bottom_block_eigenpair(matrix: RowOracleMatrix) -> _BlockEigenpair:
 def bottom_eigenpair(matrix: RowOracleMatrix) -> tuple[float, np.ndarray, float]:
     """(lambda_min, unit eigenvector, ||A psi - lambda psi||) of a sparse PSD matrix.
 
-    The symmetry check is exact on the integer entries; a Gram held as
-    its factor (``GramOracle``) is symmetric by construction and is read
-    from the factor, never formed.  A direct sum of path blocks (a
+    The symmetry check is exact on the integer entries; a reduction's
+    Gram (``GramOracle``) is symmetric by construction and is read from
+    its factor's chain table, never formed.  A direct sum of path blocks (a
     reduction's Gram is read from its chain table) is recognised by
     ``_path_sum_bottom`` and answered in closed form: lambda_min is
     ``min_eigenvalue_sparse``'s, bit for bit, and the eigenvector the

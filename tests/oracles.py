@@ -32,8 +32,8 @@ the desk-scale sizes the tests use.
   stepping the machine or from a successor array, against
   ``from_entries``, the structured blocks, ``augmented_adjacency``,
   ``_adjacency_arrays`` and ``ata_oracle``; a Gram's formed arrays
-  rebuilt from triplets, whose reading a Gram held as its factor must
-  equal, and the principal rows of a component cut from CSR slices,
+  rebuilt from triplets, whose reading a reduction's chain table and a
+  formed Gram must equal, and the principal rows of a component cut from CSR slices,
   against the least block the spectral routines write from a path
   sum's edges;
 * clock Hamiltonians: the dense 2^(n+T) sum of a compiled instance's
@@ -75,7 +75,7 @@ from gaplab.simulator import (
     run_circuit,
 )
 from gaplab import spectral
-from gaplab.sparse_oracle import GramOracle, RowOracleMatrix, _index_arrays, from_entries, to_csr
+from gaplab.sparse_oracle import RowOracleMatrix, _index_arrays, from_entries, to_csr
 from gaplab.spectral import gram_bands
 
 
@@ -148,19 +148,20 @@ def explicit_gram(gram: RowOracleMatrix) -> RowOracleMatrix:
     """A Gram's formed arrays as a plain row oracle, built from their (i, j, value) triplets.
 
     The spectral routines read it from its CSR arrays, as they read any
-    matrix that is not held as its factor.
+    matrix but a reduction's Gram, which they read from its chain table.
     """
     a = to_csr(gram).tocoo()
     return from_entries(gram.dim, zip(a.row.tolist(), a.col.tolist(), a.data.tolist()))
 
 
-def assert_factor_reading_is_explicit(gram: GramOracle) -> None:
-    """A Gram held as its factor reads as its formed arrays do, bit for bit.
+def assert_reading_is_explicit(gram: RowOracleMatrix) -> None:
+    """A Gram reads as its formed arrays rebuilt from triplets do, bit for bit.
 
     lambda_min, the least block's rows and arrays, the witness and its
     residual equal those of ``explicit_gram(gram)``, and the block
-    equals ``principal_rows`` of the formed arrays.  The product is
-    formed exactly when the factor does not fix a path sum.
+    equals ``principal_rows`` of the formed arrays.  A reduction's Gram
+    is read from its chain table, which forms no product, before its
+    arrays are formed for the comparison.
     """
 
     def bits(x) -> bytes:
@@ -168,9 +169,7 @@ def assert_factor_reading_is_explicit(gram: GramOracle) -> None:
 
     lam = spectral.min_eigenvalue_sparse(gram)
     pair = spectral._bottom_block_eigenpair(gram)
-    edges = gram.path_edges()
-    unread = edges is None or spectral._path_forest_bottom(*edges) is None
-    assert ("_product" in vars(gram)) == unread
+    assert "_product" not in vars(gram)
     explicit = explicit_gram(gram)
     want = spectral._bottom_block_eigenpair(explicit)
     assert bits(lam) == bits(pair.lam) == bits(want.lam)

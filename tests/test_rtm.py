@@ -292,7 +292,7 @@ def test_every_reduction_stage_stays_within_the_adjacency_indices(x):
     machine = rtm.with_space(rtm.corpus_machine(_SPACE_7_JOBS[x]), 7)
     _reduction_job(machine, x)
     stages = [(rtm, "successors"), (rtm, "_audit"), (rtm, "_adjacency_arrays"), (rtm, "_ones"),
-              (so.RowOracleMatrix, "__post_init__"), (rtm, "ata_oracle"), (sp, "det_exact"),
+              (so.RowOracleMatrix, "__post_init__"), (rtm, "GramOracle"), (sp, "det_exact"),
               (sp, "min_eigenvalue_sparse")]
     (instance, det, _, accepted), transients = oracles.traced_stages(
         lambda: _reduction_job(machine, x), stages)
@@ -324,7 +324,7 @@ def test_long_chains_are_read_by_the_walk(space, x):
     # witness are those of the formed Gram.
     machine = rtm.with_space(rtm.corpus_machine("binary_counter"), space)
     gram = rtm.reduce_to_gapped(machine, x).gram
-    oracles.assert_factor_reading_is_explicit(gram)  # before the oracle below forms the product
+    oracles.assert_reading_is_explicit(gram)
     lam = sp.min_eigenvalue_sparse(gram)
     exact = oracles.path_sum_bottom(gram)
     assert abs(lam - exact) <= 4 * np.finfo(np.float64).eps * exact
@@ -463,12 +463,12 @@ def test_random_machine_reduction(machine):
 @given(random_machines())
 @example(rtm.with_space(rtm.corpus_machine("binary_nonmax"), 3))
 @example(_ONE_CELL)
-def test_random_reduction_grams_read_from_their_factor_as_when_formed(machine):
+def test_random_reduction_grams_read_from_their_chain_table_as_when_formed(machine):
     if not rtm.validate(machine).ok:
         return
     for n in range(machine.space):
         for x in map("".join, itertools.product(machine.alphabet, repeat=n)):
-            oracles.assert_factor_reading_is_explicit(rtm.reduce_to_gapped(machine, x).gram)
+            oracles.assert_reading_is_explicit(rtm.reduce_to_gapped(machine, x).gram)
 
 
 @pytest.mark.parametrize(
@@ -613,7 +613,7 @@ def _plain_chains(succ: np.ndarray, start: int, accept: int):
 @example((np.array([1, -1, 3, -1]), 2, 1))  # the accept's chain has both ends at 1
 def test_chain_table_reads_what_the_arrays_read(drawn):
     # The table of a cut successor map answers det, lambda_min and the
-    # witness exactly as the closed form and the factor's edges read the
+    # witness exactly as the closed form and the formed Gram read the
     # same adjacency, and its chains are those a plain walk finds.
     succ, start, accept = drawn
     table = sp._chain_table(succ, start, accept)
@@ -622,7 +622,7 @@ def test_chain_table_reads_what_the_arrays_read(drawn):
     arrays = rtm._adjacency_arrays(succ, start, accept)
     plain, carried = so._ones(*arrays), so._ones(*arrays, chains=table)
     assert sp.det_exact(carried) == sp._successor_det(plain) == table.det
-    read, fast = so.ata_oracle(plain), so.ata_oracle(carried)
+    read, fast = so.ata_oracle(plain), so.GramOracle(carried)
     want, got = sp._bottom_block_eigenpair(read), sp._bottom_block_eigenpair(fast)
     assert sp.min_eigenvalue_sparse(fast).hex() == sp.min_eigenvalue_sparse(read).hex() == want.lam.hex()
     assert got.lam.hex() == want.lam.hex() and np.array_equal(got.rows, want.rows)

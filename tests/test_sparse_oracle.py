@@ -128,13 +128,19 @@ def test_ata_oracle_refuses_a_column_an_int8_count_would_wrap(rows):
 
 
 def test_gram_repr_names_its_factor_and_forms_nothing():
-    gram = so.ata_oracle(so.path_adjacency(5))
+    gram = rtm.reduce_to_gapped(rtm.with_space(rtm.corpus_machine("unary_counter"), 2), "1").gram
     assert repr(gram) == (
-        "GramOracle(dim=5, factor sparsity_d=2, sparsity_d=5, entry_bound_k=2, not formed)"
+        "GramOracle(dim=90, factor sparsity_d=2, sparsity_d=8, entry_bound_k=2, not formed)"
     )
     assert "_product" not in vars(gram)
     so.to_csr(gram)
     assert repr(gram).endswith(", formed)")
+
+
+def test_a_gram_held_as_its_factor_needs_its_chain_table():
+    with pytest.raises(ContractError, match="chain table"):
+        so.GramOracle(so.path_adjacency(5))
+    assert type(so.ata_oracle(so.path_adjacency(5))) is so.RowOracleMatrix
 
 
 def test_row_contract_names_the_first_offending_row():
@@ -424,7 +430,7 @@ def test_pattern_data_reads_as_a_contiguous_copy_of_ones(make):
             bits(residual),
             repr(pr.decide_gapped(gram, g)),
         )
-        # The readings above never form the product; its arrays come last.
+        # The product's arrays come last, as the Gram's formed arrays.
         formed = tuple((part.dtype, part.tobytes()) for part in (gram.indptr, gram.indices, gram.data))
         return read + formed + (sp.det_exact(gram),)
 

@@ -123,7 +123,7 @@ def permuted_block_triangular(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(permuted_block_triangular())
-def test_det_sparse_block_triangular_split(arr):
+def test_det_bareiss_sparse_on_permuted_block_triangular_matrices(arr):
     oracle = so.from_dense(arr)
     det = sp.det_bareiss_sparse(oracle)
     assert det == oracles.det_bareiss(oracle)
@@ -169,7 +169,7 @@ def transversal_splits(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(transversal_splits())
-def test_det_split_on_known_transversals(split):
+def test_det_on_known_transversals_takes_bareiss_only_off_the_successor_form(split):
     a, _, _ = split
     oracle = so.from_dense(a)
     calls = []
@@ -1093,8 +1093,11 @@ def signed_factors(draw, max_ell=8):
 @example(so.from_dense(np.array([[1, 1, 0], [1, -1, 0], [0, 0, -1]])))  # a pair that cancels
 @example(so.from_dense(np.array([[1, 1, 0], [-1, -1, 0], [0, 0, 1]])))  # a repeated pair
 @example(so.from_dense(np.array([[1, -1, 1], [0, 1, 0], [0, 0, 1]])))  # a row of three
-def test_signed_factor_grams_read_from_their_factor_as_when_formed(factor):
-    oracles.assert_factor_reading_is_explicit(so.ata_oracle(factor))
+def test_signed_factor_grams_are_formed_as_their_dense_product(factor):
+    gram = so.ata_oracle(factor)
+    dense = so.materialize(factor)
+    np.testing.assert_array_equal(so.materialize(gram), dense.T @ dense)
+    oracles.assert_reading_is_explicit(gram)
 
 
 _NEAR_MISSES = {
@@ -1162,7 +1165,7 @@ def test_spectrum_report_rows():
 def test_a_reduction_is_answered_from_its_chain_table(monkeypatch):
     # A reduction's determinant, lambda_min and decision come from the chain
     # table its audit walked: the closed form, the walk of a path sum and the
-    # factor's edge reading are refused, and the answers are theirs bit for bit.
+    # CSR reading are refused, and the answers are theirs bit for bit.
     machine = rtm.with_space(rtm.corpus_machine("binary_counter"), 6)
     cases = {}
     for x in ("#000#", "#000"):
@@ -1174,7 +1177,7 @@ def test_a_reduction_is_answered_from_its_chain_table(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a reduction left its chain table")
 
-    for owner, name in ((sp, "_successor_det"), (sp, "_path_forest"), (so.GramOracle, "path_edges")):
+    for owner, name in ((sp, "_successor_det"), (sp, "_path_forest"), (sp, "_symmetric_csr")):
         monkeypatch.setattr(owner, name, refuse)
     for x, (instance, det, lam, decision) in cases.items():
         assert sp.det_exact(instance.adjacency) == det and (det != 0) == x.endswith("#")
