@@ -430,7 +430,6 @@ def test_pattern_data_reads_as_a_contiguous_copy_of_ones(make):
             bits(residual),
             repr(pr.decide_gapped(gram, g)),
         )
-        # The product's arrays come last, as the Gram's formed arrays.
         formed = tuple((part.dtype, part.tobytes()) for part in (gram.indptr, gram.indices, gram.data))
         return read + formed + (sp.det_exact(gram),)
 
