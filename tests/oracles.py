@@ -33,9 +33,9 @@ the desk-scale sizes the tests use.
   ``from_entries``, the structured blocks, ``augmented_adjacency``,
   ``_adjacency_arrays`` and ``ata_oracle``; a Gram's formed arrays
   rebuilt from triplets, whose reading a reduction's chain table and a
-  formed Gram must equal, and the principal rows of a component cut from CSR slices,
-  against the least block the spectral routines write from a path
-  sum's edges;
+  formed Gram must equal, and the principal rows of a component cut
+  from CSR slices, against the least block the spectral routines write
+  from a path sum's edges;
 * clock Hamiltonians: the dense 2^(n+T) sum of a compiled instance's
   terms and its least eigenvalue, and the indices of the legal clock
   strings in it, against the legal-clock block that ``ground_energy``

@@ -924,15 +924,12 @@ def test_verify_refuses_a_decision_that_lies(monkeypatch, capsys, x, line):
     assert capsys.readouterr() == ("", f"gaplab: routes disagree: {line}\n")
 
 
-@pytest.mark.parametrize("x, lie, verdict", [("11", lambda lam: 0.0, "simulate accepts"),
-                                             ("1", lambda lam: 1.0, "simulate rejects"),
-                                             ("11", lambda lam: 2.0**-60, "simulate accepts"),
-                                             ("1", lambda lam: 2.0**-60, "simulate rejects")])
-def test_verify_refuses_a_lambda_min_off_the_floor_dichotomy(monkeypatch, capsys, x, lie, verdict):
+@pytest.mark.parametrize("x, lam, verdict", [("11", 0.0, "accepts"), ("1", 1.0, "rejects"),
+                                             ("11", 2.0**-60, "accepts"), ("1", 2.0**-60, "rejects")])
+def test_verify_refuses_a_lambda_min_off_the_floor_dichotomy(monkeypatch, capsys, x, lam, verdict):
     # lambda_min must be at least min_eigenvalue_bound(dim) when the machine
     # accepts and exactly 0 when it rejects; a value strictly between the two
     # disagrees with either answer.
-    _lying(monkeypatch, spectral, "min_eigenvalue_sparse", lie)
+    _lying(monkeypatch, spectral, "min_eigenvalue_sparse", lambda _: lam)
     assert cli.main(["verify", "--machine", "unary_counter", "--input", x]) == 1
-    lam = lie(None)
-    assert capsys.readouterr() == ("", f"gaplab: routes disagree: lambda_min {lam} but {verdict}\n")
+    assert capsys.readouterr() == ("", f"gaplab: routes disagree: lambda_min {lam} but simulate {verdict}\n")
