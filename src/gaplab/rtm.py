@@ -27,8 +27,8 @@ configurations would silently zero out every determinant).  Injectivity
 is read from a mask of the targets hit; an injective map is acyclic
 exactly when its chains, walked from their heads, cover every
 configuration (``spectral._chain_table``, kept by the reduction as its
-adjacency's chain table).  Pointer jumping (``spectral._jump``, behind
-``spectral._prune``) only names a cycle's witness.
+adjacency's chain table).  Pointer jumping (``spectral._endless``)
+only names a cycle's witness.
 
 The reduction emits the augmented adjacency matrix of the configuration
 graph: successor edges, a back edge from the canonical accepting
@@ -70,7 +70,7 @@ from .sparse_oracle import (
     from_entries,
     path_adjacency,
 )
-from .spectral import _Chains, _chain_table, _jump, _prune, min_eigenvalue_bound
+from .spectral import _Chains, _chain_table, _endless, min_eigenvalue_bound
 
 MOVES = {"L": -1, "S": 0, "R": 1}
 
@@ -364,16 +364,9 @@ def _audit(machine: ReversibleTM, succ: np.ndarray, start: int = -1,
             f"share successor {config(target[k])}"
         )
 
-    # A cycle's witness: the configurations whose walk never reaches the sink
-    # at index dim, by pointer jumping in one array of the index dtype.
+    # A cycle's witness: from the least configuration whose walk never halts.
     if chains is None or chains.covered < dim:
-        jump = np.empty(dim + 1, dtype=_index_dtype(dim, 0))
-        jump[:-1], jump[-1] = succ, dim
-        # Read as unsigned, a halting -1 is the largest value, so it clips to dim.
-        unsigned = jump.view(jump.dtype.str.replace("i", "u"))
-        np.minimum(unsigned, dim, out=unsigned)
-        out = _jump(jump, _prune(jump))
-        del jump
+        out = _endless(succ)
         if len(out):
             path: dict[int, int] = {}
             v = int(out[0])
@@ -472,12 +465,18 @@ class GappedInstance:
     A's chain table.  ``reduce`` takes only the determinant and builds
     no Gram.  Its least eigenvalue is exactly 0 when the machine rejects
     the input and at least 2^-g when it accepts, with g derived from the
-    closed-form bound at this dimension.
+    closed-form bound at A's dimension.
     """
 
     adjacency: RowOracleMatrix
-    dim: int
-    g: int
+
+    @property
+    def dim(self) -> int:
+        return self.adjacency.dim
+
+    @cached_property
+    def g(self) -> int:
+        return ceil(-log2(min_eigenvalue_bound(self.dim)))
 
     @cached_property
     def gram(self) -> GramOracle:
@@ -486,10 +485,7 @@ class GappedInstance:
 
 def reduce_to_gapped(machine: ReversibleTM, input_str: str) -> GappedInstance:
     """Machine + input -> Gram oracle with a 0-vs-2^-g eigenvalue promise."""
-    adjacency = augmented_adjacency(machine, input_str)
-    bound = min_eigenvalue_bound(machine.dim)
-    g = ceil(-log2(bound))
-    return GappedInstance(adjacency=adjacency, dim=machine.dim, g=g)
+    return GappedInstance(augmented_adjacency(machine, input_str))
 
 
 # ---------------------------------------------------------------------------

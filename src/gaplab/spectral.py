@@ -10,8 +10,8 @@ Three concerns live here:
   off the diagonal in each row, as the path and cycle blocks are, has
   a closed form: the diagonal product off the cycles of its successor
   map, times one factor per cycle, the rows on cycles found in numpy
-  by pointer jumping on the rows still out (``_jump``), which then
-  names the cycles by their least rows.  Any other matrix goes through
+  by pointer jumping (``_endless``), which then names the cycles by
+  their least rows (``_jump``).  Any other matrix goes through
   fraction-free elimination confined to the band of its reverse
   Cuthill-McKee order.  The dense elimination and the two
   enumerations both routes are checked against live with the tests,
@@ -51,6 +51,7 @@ from .errors import ContractError
 from .sparse_oracle import (
     GramOracle,
     RowOracleMatrix,
+    _index_dtype,
     _rounded_once_products,
     from_dense,
     materialize,
@@ -71,18 +72,9 @@ SYMMETRY_TOL = 1e-12
 # within 0.25 eps ||A||_1 below lambda.
 CHOLESKY_MARGIN = 64
 
-# Where a dim-long step would hold several arrays of its own, the rows
-# are read in blocks of _ROW_BLOCK rows, or in 64 blocks where that is
-# more: a block's temporaries stay near a 64th of such an array or a few
-# tens of kilobytes, and the blocks' own calls a few dozen per read.
+# _chain_table folds its halted chains in batches of at least this many:
+# a batch's arrays stay a few tens of kilobytes, and its folds few.
 _ROW_BLOCK = 2**13
-
-
-def _row_blocks(dim: int):
-    """Consecutive slices of max(_ROW_BLOCK, ceil(dim / 64)) rows, the last shorter, that cover range(dim)."""
-    size = max(_ROW_BLOCK, -(-dim // 64))
-    for lo in range(0, dim, size):
-        yield slice(lo, min(lo + size, dim))
 
 
 # ---------------------------------------------------------------------------
@@ -230,22 +222,20 @@ def _jump(succ: np.ndarray, out: np.ndarray, least: np.ndarray | None = None) ->
     return out
 
 
-def _prune(jump: np.ndarray) -> np.ndarray:
-    """Send each entry of ``_jump``'s map whose walk ends within two steps to the sink; return the others.
+def _endless(succ: np.ndarray) -> np.ndarray:
+    """The entries of a successor map (-1: halts) whose walk never halts, ascending.
 
-    The others, ascending, are all ``_jump`` must move: a map of short
-    walks pays a few rounds on a few entries, not log2(len) on all.
+    The map is copied into ``_jump``'s form, in the index dtype, with
+    every halting entry sent to a sink past the last, and ``_jump``
+    walks the entries that do not halt at once.
     """
-    sink = len(jump) - 1
-    moving = jump != sink
-    far = moving[jump[:-1]]
-    far &= moving[:-1]  # the walk lasts three steps or more
-    del moving
-    pruned = jump[:-1]  # sent to the sink by arithmetic, which is faster than a masked write
-    pruned -= sink
-    pruned *= far
-    pruned += sink
-    return np.flatnonzero(far)
+    sink = len(succ)
+    jump = np.empty(sink + 1, dtype=_index_dtype(sink, 0))
+    jump[:-1], jump[-1] = succ, sink
+    # Read as unsigned, a halting -1 is the largest value, so it clips to the sink.
+    unsigned = jump.view(jump.dtype.str.replace("i", "u"))
+    np.minimum(unsigned, sink, out=unsigned)
+    return _jump(jump, np.flatnonzero(jump[:-1] != sink))
 
 
 def _successor_det(matrix: RowOracleMatrix) -> int | None:
@@ -261,21 +251,15 @@ def _successor_det(matrix: RowOracleMatrix) -> int | None:
     augmented adjacency has this form (its self-loops, its successor
     arcs and the one back edge), read from its chain table instead.
 
-    The successors are read from each row's first and last column, a
-    block of rows at a time (``_row_blocks``), into one array of the index
-    dtype that sends a row with no successor to a sink past the last
-    row.  An empty row gives 0 at once.  Before any labelling, the rows
-    with no diagonal entry are walked forward together for up to
-    log2(dim) steps: if one reaches a row with no successor, every term
-    of det A has a zero factor, so det A = 0, as on a rejecting
-    reduction, whose start row lies on a path.  Otherwise ``_jump``
-    finds the rows whose walk never ends, behind ``_prune``, and a zero
-    diagonal entry among the others again gives 0.  Those rows lie on
-    cycles when succ permutes them; where a walk runs into a cycle from
-    outside it, A is left to ``det_bareiss_sparse`` (None).  ``_jump``
-    names the cycles by the least position on each, on that permutation
-    alone.  The products are exact Python integers over the entries
-    other than 1.
+    The successors are read from each row's first and last column, -1
+    for a row with no successor, and an empty row gives 0 at once.
+    ``_endless`` finds the rows whose walk never ends, and a zero
+    diagonal entry among the others gives 0: every term of det A has a
+    zero factor.  Those rows lie on cycles when succ permutes them;
+    where a walk runs into a cycle from outside it, A is left to
+    ``det_bareiss_sparse`` (None).  ``_jump`` names the cycles by the
+    least position on each, on that permutation alone.  The products
+    are exact Python integers over the entries other than 1.
     """
     indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
     dim = matrix.dim
@@ -285,31 +269,21 @@ def _successor_det(matrix: RowOracleMatrix) -> int | None:
     if spare.min() == 0:
         return 0
     del spare
-    succ = np.empty(dim + 1, dtype=indices.dtype)
-    succ[dim] = dim
-    loop = np.empty(dim, dtype=bool)
-    for part in _row_blocks(dim):
-        rows = np.arange(part.start, part.stop, dtype=indices.dtype)
-        first, last = indices[indptr[:-1][part]], indices[indptr[1:][part] - 1]
-        at_first = first == rows
-        np.logical_or(at_first, last == rows, out=loop[part])
-        if not np.all(loop[part] | (first == last)):
-            return None  # a row with two entries off the diagonal
-        other = np.where(at_first, last, first)  # the column that is not the row's own
-        succ[part] = np.where(other == rows, dim, other)
+    rows = np.arange(dim, dtype=indices.dtype)
+    first, last = indices[indptr[:-1]], indices[indptr[1:] - 1]
+    at_first = first == rows
+    loop = at_first | (last == rows)
+    if not np.all(loop | (first == last)):
+        return None  # a row with two entries off the diagonal
     zeros = np.flatnonzero(~loop)
     del loop
-    walker, back = zeros, False
-    for _ in range(dim.bit_length()):
-        walker = succ[walker]
-        if np.any(walker == dim):
-            return 0
-        back = np.array_equal(walker, zeros)
-        if back:
-            break  # every walker is back: all lie on cycles
-    cycle = _jump(succ, _prune(succ))
+    succ = np.where(at_first, last, first)  # the column that is not the row's own
+    del first, last, at_first
+    succ[succ == rows] = -1
+    del rows
+    cycle = _endless(succ)
     del succ
-    if not back and not np.all(np.isin(zeros, cycle)):
+    if not np.all(np.isin(zeros, cycle)):
         return 0
     det = 1
     special = np.flatnonzero(data != 1)
@@ -556,8 +530,7 @@ def _path_forest(
     its neighbours, wrapping in the index dtype.  Each path of two or
     more vertices goes to ``report(first, last, size, least)`` in
     batches: its ends ``first`` < ``last``, its vertex count (an array,
-    or one int for the batch) and its least vertex.  The ends are read
-    a block of vertices at a time (``_row_blocks``); a path of three or
+    or one int for the batch) and its least vertex.  A path of three or
     more sends a walker in from each end, all stepping at once to the
     neighbour sum less the vertex they came from, each marking where it
     stands after k steps 1 + k % 2 (its end at k = -1).  A path's two
@@ -572,24 +545,15 @@ def _path_forest(
     """
     n = len(degree)
     m = int(degree.sum(dtype=np.int64)) // 2
-    pairs, starts, curs = [], [], []
-    for part in _row_blocks(n):
-        end = np.flatnonzero(degree[part] == 1) + part.start
-        other = near[end].astype(np.intp)  # intp, which numpy gathers by fastest
-        pair = degree[other] == 1
-        pairs.append(end[np.flatnonzero(pair & (end < other))].astype(near.dtype))
-        # Each path of three or more vertices has two walkers and is reported by one.
-        walker = np.flatnonzero(~pair)
-        starts.append(end[walker].astype(near.dtype))
-        curs.append(other[walker].astype(near.dtype))
-    del end, other, pair, walker
-    first = np.concatenate(pairs)
-    del pairs
+    end = np.flatnonzero(degree == 1).astype(near.dtype)
+    other = near[end]
+    pair = degree[other] == 1
+    first = end[pair & (end < other)]
     report(first, near[first], 2, first)
     covered = len(first)  # the edges on the paths reported so far
-    del first
-    start, cur = np.concatenate(starts), np.concatenate(curs)
-    del starts, curs
+    # Each path of three or more vertices has two walkers and is reported by one.
+    start, cur = end[~pair], other[~pair]
+    del end, other, pair, first
     seen = np.zeros(n, dtype=np.int8)
     seen[start], seen[cur] = 2, 1
     found = []  # (first, last, size, least) of the paths whose walkers meet
@@ -826,38 +790,35 @@ def _path_sum_bottom(matrix: RowOracleMatrix) -> _LeastPath | None:
     A is read from exact integer tests on its CSR arrays, once they are
     checked to equal their transpose (``_symmetric_csr``).  A row of
     more than 3 entries has more than two neighbours, so it gives None
-    at once, which also keeps every degree below int8's range.  Every
-    off-diagonal entry must then be +-1, and the edges (u, v) are the
-    entries above the diagonal.  One pass over them counts each vertex's
-    degree straight into int8 by ``np.add.at`` (no intp copy, as
-    ``bincount`` makes) and sums its neighbours in the index dtype.  No
-    vertex may have more than two neighbours, the edges must form a
-    forest of paths (``_path_forest``), an interior vertex has diagonal
-    2, an end 1 or 2 and an isolated one d >= 0; the signs do not matter
-    on a tree.  Every block is then positive semidefinite, so passing
-    the tests is the certification.
+    at once.  Every off-diagonal entry must then be +-1, and the edges
+    (u, v) are the entries above the diagonal.  A vertex's degree is
+    its row length less its diagonal entry, and its neighbours are
+    summed in the index dtype.  No vertex may have more than two
+    neighbours, the edges must form a forest of paths (``_path_forest``),
+    an interior vertex has diagonal 2, an end 1 or 2 and an isolated one
+    d >= 0; the signs do not matter on a tree.  Every block is then
+    positive semidefinite, so passing the tests is the certification.
     """
     if isinstance(matrix, GramOracle):
         return matrix.factor._chains.bottom(matrix.factor)
     a = _symmetric_csr(matrix)
     indptr, indices, data = a.indptr, a.indices, a.data
     n = len(indptr) - 1
-    counts = np.diff(indptr)
-    if counts.max(initial=0) > 3:
+    degree = np.diff(indptr)
+    if degree.max(initial=0) > 3:
         return None
-    row = np.repeat(np.arange(n, dtype=indices.dtype), counts)
+    row = np.repeat(np.arange(n, dtype=indices.dtype), degree)
     loop = indices == row
     if np.any(np.abs(data[~loop]) != 1):
         return None
     diag = np.zeros(n, dtype=data.dtype)
     diag[row[loop]] = data[loop]
+    degree -= diag != 0  # entries are nonzero, so a row's diagonal entry is one when stored
     upper = np.flatnonzero(indices > row)
     u, v, coupling = row[upper], indices[upper], data[upper]
-    del counts, row, loop, upper
-    degree = np.zeros(n, dtype=np.int8)
+    del row, loop, upper
     near = np.zeros(n, dtype=u.dtype)
     for end, other in ((u, v), (v, u)):
-        np.add.at(degree, end, np.int8(1))
         np.add.at(near, end, other)
     if degree.max(initial=0) > 2:
         return None
@@ -977,10 +938,9 @@ def _bottom_block_eigenpair(matrix: RowOracleMatrix) -> _BlockEigenpair:
 def bottom_eigenpair(matrix: RowOracleMatrix) -> tuple[float, np.ndarray, float]:
     """(lambda_min, unit eigenvector, ||A psi - lambda psi||) of a sparse PSD matrix.
 
-    The symmetry check is exact on the integer entries; a reduction's
-    Gram (``GramOracle``) is symmetric by construction and is read from
-    its factor's chain table, never formed.  A direct sum of path blocks (a
-    reduction's Gram is read from its chain table) is recognised by
+    The symmetry check is exact on the integer entries.  A direct sum of
+    path blocks (a reduction's Gram, ``GramOracle``, is read from its
+    factor's chain table, never formed) is recognised by
     ``_path_sum_bottom`` and answered in closed form: lambda_min is
     ``min_eigenvalue_sparse``'s, bit for bit, and the eigenvector the
     closed form of one block that attains it (``_path_witness``), zero

@@ -177,6 +177,15 @@ _MACHINE = _corpus_spec("unary_counter")
         ({**_MACHINE, "transitions": [["start", 0, "acc", "0", "S"]]}, "'transitions'"),
         ([_MACHINE], "JSON object"),
         ({**_MACHINE, "space": True}, "'space'"),
+        # Well-typed files that no machine can be built from.
+        ({**_MACHINE, "transitions": _MACHINE["transitions"] + [["start", "0", "acc", "1", "S"]]},
+         "duplicate transition for (start, 0)"),
+        ({**_MACHINE, "transitions": [["start", "0", "acc", "0", "U"]]}, "move must be one of"),
+        ({**_MACHINE, "states": _MACHINE["states"] + ["back"]}, "duplicate state names"),
+        ({**_MACHINE, "accept": "start"}, "start and accept states must differ"),
+        ({**_MACHINE, "blank": "Z"}, "blank symbol must be in the alphabet"),
+        ({**_MACHINE, "transitions": [["start", "0", "nowhere", "0", "S"]]}, "references unknown state"),
+        ({**_MACHINE, "transitions": [["start", "0", "acc", "Z", "S"]]}, "references unknown symbol"),
     ],
 )
 @pytest.mark.parametrize("command", ["reduce", "verify", "det"])
@@ -359,17 +368,23 @@ def test_verify_matrix_instance_needs_a_gap_exponent(tmp_path, capsys):
     assert "requires --gap-exponent" in capsys.readouterr().err
 
 
-def test_reduce_payload_matches_library(capsys):
+@pytest.mark.parametrize("x, accepts", [("11", "true"), ("1", "false")])
+def test_reduce_payload_matches_library(capsys, x, accepts):
     code, out = run_cli(capsys, "reduce", "--machine", "unary_counter",
-                        "--input", "11")
+                        "--input", x)
     assert code == 0
     payload = json.loads(out)
     machine = rtm.corpus_machine("unary_counter")
-    instance = rtm.reduce_to_gapped(machine, "11")
+    instance = rtm.reduce_to_gapped(machine, x)
     assert payload["dim"] == instance.dim
     assert payload["gap_exponent"] == instance.g
     assert payload["det"] == spectral.det_exact(instance.adjacency)
-    assert payload["accepts"] is True
+    assert json.dumps(payload["accepts"]) == accepts
+    # CSV spells the boolean as JSON does.
+    code, out = run_cli(capsys, "reduce", "--machine", "unary_counter",
+                        "--input", x, "--format", "csv")
+    assert code == 0
+    assert out == ",".join(payload) + f"\nunary_counter,{x},4,1620,21,{payload['det']},{accepts}\n"
 
 
 def test_verify_instance_matches_library(tmp_path, capsys):

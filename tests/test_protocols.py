@@ -527,6 +527,7 @@ def test_complementary_arcs_cover_the_register(bits, m, near, hair, w):
     width = round(w * (n // 2 - 1))
     total = pr._arc_mass(phi, width, bits) + pr._arc_mass(0.5 - phi, n // 2 - width - 1, bits)
     assert total == pytest.approx(1.0, abs=1e-13)
+    assert pr._arc_mass(phi, n // 2, bits) == 1.0  # an arc over the whole register
 
 
 def test_crossing_register_cuts_are_refused():

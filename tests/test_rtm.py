@@ -2,6 +2,8 @@
 
 import itertools
 import json
+import re
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -356,6 +358,9 @@ def test_reduction_gap_exponent():
     assert instance.dim == 1620
     assert instance.g == 21
     assert 2.0 ** -instance.g <= sp.min_eigenvalue_bound(instance.dim)
+    # dim and g are read from the adjacency, so no two fields can disagree with it.
+    small = rtm.GappedInstance(rtm.augmented_adjacency(rtm.with_space(rtm.corpus_machine("unary_counter"), 2), "1"))
+    assert (small.dim, small.g) == (90, 12)
 
 
 def test_reduction_eigenvalue_dichotomy():
@@ -366,6 +371,25 @@ def test_reduction_eigenvalue_dichotomy():
     lam_reject = sp.min_eigenvalue_sparse(reject.gram)
     assert lam_accept >= 2.0 ** -accept.g
     assert abs(lam_reject) < 1e-10
+
+
+def _rule(machine, move):
+    """The machine with its rule on (start, blank) moving the head by ``move``."""
+    return {**machine.transitions, (machine.start, machine.blank): (machine.start, machine.blank, move)}
+
+
+@pytest.mark.parametrize(
+    "build, refusal",
+    [
+        (lambda m: replace(m, transitions=_rule(m, 2)), "has move 2, want -1/0/+1"),
+        (lambda m: replace(m, transitions=_rule(m, -3)), "has move -3, want -1/0/+1"),
+        (lambda m: rtm.corpus_machine("no_such_machine"), "no corpus machine named 'no_such_machine'"),
+    ],
+)
+def test_refusals_no_machine_file_reaches(build, refusal):
+    # A file's moves are L, S or R, and a file is not looked up in the corpus.
+    with pytest.raises(ValueError, match=re.escape(refusal)):
+        build(rtm.corpus_machine("unary_counter"))
 
 
 def test_reduction_rejects_invalid_machine():

@@ -117,6 +117,8 @@ def test_ata_oracle_refuses_crowded_columns_and_drops_cancelled_entries():
     np.testing.assert_array_equal(so.materialize(gram), a.T @ a)
     assert np.count_nonzero(gram.data) == len(gram.data) == 3
     assert (gram.sparsity_d, gram.entry_bound_k) == (3, 2)
+    with pytest.raises(ContractError, match="requires entries in"):
+        so.ata_oracle(so.from_dense(np.array([[1, 0], [-2, 1]])))
 
 
 @pytest.mark.parametrize("rows", [258, 300])
