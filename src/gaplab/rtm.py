@@ -36,7 +36,7 @@ configuration to the start configuration, and self-loops on every other
 vertex.  Its determinant is +-1 when the machine reaches the canonical
 accepting configuration and 0 otherwise, and the Gram matrix A^T A then
 has least eigenvalue either 0 or bounded below by the closed-form gap
-at that dimension.
+at that dimension.  The matrix is its successor array and chain table.
 
 Accepting runs must end at one canonical configuration: accept state,
 head on cell 0, input tape restored.  Halting anywhere else counts as
@@ -60,11 +60,10 @@ from .errors import ContractError, ResourceLimitError
 from .sparse_oracle import (
     GramOracle,
     RowOracleMatrix,
+    SuccessorAdjacency,
     _field,
-    _index_arrays,
     _index_dtype,
     _integer,
-    _ones,
     cycle_adjacency,
     from_dense,
     from_entries,
@@ -390,7 +389,7 @@ def _audit(machine: ReversibleTM, succ: np.ndarray, start: int = -1,
     ), chains
 
 
-def augmented_adjacency(machine: ReversibleTM, input_str: str) -> RowOracleMatrix:
+def augmented_adjacency(machine: ReversibleTM, input_str: str) -> SuccessorAdjacency:
     """Adjacency oracle whose determinant decides acceptance.
 
     Row i carries the successor edge of configuration i plus a
@@ -402,7 +401,7 @@ def augmented_adjacency(machine: ReversibleTM, input_str: str) -> RowOracleMatri
     +-1.  Rows stay 0/1 with at most two entries and columns carry at
     most two ones, so the Gram construction applies downstream.  A
     machine that fails ``validate`` is refused with ContractError.  The
-    oracle carries the audit's chain table (``spectral._chain_table``).
+    oracle (``SuccessorAdjacency``) forms its CSR rows only when read.
     """
     s_idx = encode_configuration(machine, start_configuration(machine, input_str))
     t_idx = encode_configuration(machine, accept_configuration(machine, input_str))
@@ -412,63 +411,23 @@ def augmented_adjacency(machine: ReversibleTM, input_str: str) -> RowOracleMatri
         raise ContractError(
             f"machine {machine.name!r} failed validation: " + "; ".join(report.issues)
         )
-    arrays = _adjacency_arrays(succ, s_idx, t_idx)
-    del succ
-    return _ones(*arrays, chains=chains)
-
-
-def _adjacency_arrays(succ: np.ndarray, s_idx: int, t_idx: int) -> tuple[np.ndarray, np.ndarray]:
-    """(indptr, indices) of ``augmented_adjacency`` for an audited (acyclic) successor array.
-
-    Row i holds i and its successor, so it counts 1 + (succ >= 0); the
-    start row drops the self-loop and may be empty, and the accept row
-    is the back edge alone.  Two scatters write min(succ, i) into each
-    row's first slot and then max(succ, i) into its last, so a halting
-    row's one slot ends at i.  The start row takes neither, since an
-    empty one would write into its neighbours' slots.  Each column is
-    computed in place in a fresh array of the row indices, dropped
-    before the next, and the last slots are read from ``indptr``
-    itself, lowered by one and restored; so the one dim-long temporary
-    is that array, in the index dtype.
-    """
-    moves = succ >= 0
-    counts = moves.view(np.int8) + np.int8(1)
-    counts[s_idx], counts[t_idx] = moves[s_idx], 1
-    del moves
-    indptr, indices = _index_arrays(counts)
-    del counts
-    parts = (slice(0, s_idx), slice(s_idx + 1, None))
-    column = np.arange(len(succ), dtype=indices.dtype)
-    np.minimum(succ, column, out=column)
-    for part in parts:
-        indices[indptr[:-1][part]] = column[part]
-    del column
-    column = np.arange(len(succ), dtype=indices.dtype)
-    np.maximum(succ, column, out=column)
-    indptr[1:] -= 1  # each row's last slot
-    for part in parts:
-        indices[indptr[1:][part]] = column[part]
-    indptr[1:] += 1
-    del column
-    indices[indptr[s_idx]:indptr[s_idx + 1]] = succ[s_idx]
-    indices[indptr[t_idx]] = s_idx
-    return indptr, indices
+    return SuccessorAdjacency(succ, s_idx, t_idx, chains)
 
 
 @dataclass(frozen=True)
 class GappedInstance:
     """Matrix decision instance with a certified eigenvalue dichotomy.
 
-    ``gram`` is A^T A for the augmented adjacency A, held as A
-    (``GramOracle``) and never formed by the spectral routines: A's
-    determinant and the Gram's lambda_min and least block are read from
-    A's chain table.  ``reduce`` takes only the determinant and builds
+    ``gram`` is A^T A for the augmented adjacency A (a
+    ``SuccessorAdjacency``), held as A (``GramOracle``); the spectral
+    routines form neither: A's determinant and the Gram's lambda_min
+    and least block are read from A's chain table.  ``reduce`` takes only the determinant and builds
     no Gram.  Its least eigenvalue is exactly 0 when the machine rejects
     the input and at least 2^-g when it accepts, with g derived from the
     closed-form bound at A's dimension.
     """
 
-    adjacency: RowOracleMatrix
+    adjacency: SuccessorAdjacency
 
     @property
     def dim(self) -> int:

@@ -11,14 +11,14 @@ stand, in numpy, and so do the row products A x of the witness's
 residual and of the Taylor sum, on rows padded once (``padded``); the
 scipy kernels (determinants, symmetry checks, the energy band) read
 them through ``to_csr``, a scipy CSR matrix on the same buffers.  A
-Gram A^T A is formed at once by ``ata_oracle``, except a reduction's,
-which is held as its factor A (``GramOracle``) and answered from A's
-chain table; its arrays are formed only when read.  Building an
-oracle and checking it take numpy alone; scipy is imported when a CSR
-view is first asked for, by a Gram product or a kernel.  This module
-reads no files (``rtm`` reads instance files).  Dense materialization
-is a desk-scale debugging and ground-truth device, refused above
-DENSE_CAP rows.
+Gram A^T A is formed at once by ``ata_oracle``.  A reduction's A is
+held as its successor array (``SuccessorAdjacency``) and its Gram as A
+(``GramOracle``), both answered from A's chain table; their arrays are
+formed only when read.  Building an oracle and checking it take numpy
+alone; scipy is imported when a CSR view is first asked for, by a Gram
+product or a kernel.  This module reads no files (``rtm`` reads
+instance files).  Dense materialization is a desk-scale debugging and
+ground-truth device, refused above DENSE_CAP rows.
 
 Integer-valued oracles stay integer-valued until a spectral operation
 converts them to floats.  No float arithmetic happens in construction
@@ -72,7 +72,6 @@ class RowOracleMatrix:
     data: np.ndarray
     sparsity_d: int
     entry_bound_k: int
-    _chains = None  # a reduction's adjacency's ``spectral._chain_table``, set by ``_ones``
 
     def __post_init__(self) -> None:
         vals, d, k = self.data, self.sparsity_d, self.entry_bound_k
@@ -233,8 +232,8 @@ def materialize(matrix: RowOracleMatrix, dtype: type = np.int64) -> np.ndarray:
     return dense
 
 
-def _ones(indptr: np.ndarray, indices: np.ndarray, chains=None) -> RowOracleMatrix:
-    """0/1 row oracle with a one at each listed column, at most two per row, carrying ``chains``.
+def _ones(indptr: np.ndarray, indices: np.ndarray) -> RowOracleMatrix:
+    """0/1 row oracle with a one at each listed column, at most two per row.
 
     ``data`` is one int64 one broadcast to every entry: a read-only,
     zero-stride view, so the oracle keeps its index arrays and no
@@ -242,9 +241,7 @@ def _ones(indptr: np.ndarray, indices: np.ndarray, chains=None) -> RowOracleMatr
     contract checks it like any other.
     """
     ones = np.broadcast_to(np.int64(1), (len(indices),))
-    matrix = RowOracleMatrix(indptr, indices, ones, sparsity_d=2, entry_bound_k=1)
-    object.__setattr__(matrix, "_chains", chains)
-    return matrix
+    return RowOracleMatrix(indptr, indices, ones, sparsity_d=2, entry_bound_k=1)
 
 
 def _index_arrays(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -259,6 +256,44 @@ def _index_arrays(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     indptr[1:] = counts
     np.cumsum(indptr[1:], out=indptr[1:])  # in place: no cast copy of narrow counts
     return indptr, np.empty(nnz, dtype=index)
+
+
+def _adjacency_arrays(succ: np.ndarray, s_idx: int, t_idx: int) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices) of a reduction's augmented adjacency, from its audited (acyclic) successor array.
+
+    Row i holds i and its successor, so it counts 1 + (succ >= 0); the
+    start row drops the self-loop and may be empty, and the accept row
+    is the back edge alone.  Two scatters write min(succ, i) into each
+    row's first slot and then max(succ, i) into its last, so a halting
+    row's one slot ends at i.  The start row takes neither, since an
+    empty one would write into its neighbours' slots.  Each column is
+    computed in place in a fresh array of the row indices, dropped
+    before the next, and the last slots are read from ``indptr``
+    itself, lowered by one and restored; so the one dim-long temporary
+    is that array, in the index dtype.
+    """
+    moves = succ >= 0
+    counts = moves.view(np.int8) + np.int8(1)
+    counts[s_idx], counts[t_idx] = moves[s_idx], 1
+    del moves
+    indptr, indices = _index_arrays(counts)
+    del counts
+    parts = (slice(0, s_idx), slice(s_idx + 1, None))
+    column = np.arange(len(succ), dtype=indices.dtype)
+    np.minimum(succ, column, out=column)
+    for part in parts:
+        indices[indptr[:-1][part]] = column[part]
+    del column
+    column = np.arange(len(succ), dtype=indices.dtype)
+    np.maximum(succ, column, out=column)
+    indptr[1:] -= 1  # each row's last slot
+    for part in parts:
+        indices[indptr[1:][part]] = column[part]
+    indptr[1:] += 1
+    del column
+    indices[indptr[s_idx]:indptr[s_idx + 1]] = succ[s_idx]
+    indices[indptr[t_idx]] = s_idx
+    return indptr, indices
 
 
 def from_dense(dense: np.ndarray) -> RowOracleMatrix:
@@ -346,25 +381,66 @@ def ata_oracle(matrix: RowOracleMatrix) -> RowOracleMatrix:
     return RowOracleMatrix(gram.indptr, gram.indices, gram.data, sparsity_d=d, entry_bound_k=2)
 
 
+class SuccessorAdjacency(RowOracleMatrix):
+    """A reduction's augmented adjacency A, held as its audited successor array, whose chain table answers for it.
+
+    ``succ`` is every configuration's successor (-1: halts) and
+    ``chains`` the table the audit walked from it, cut at ``start``
+    (``spectral._chain_table``), from which det A and the Gram's
+    lambda_min and least block are read.  Row i is {i, succ i}, the
+    start's {succ start} and the accept's {start}.  ``indptr``,
+    ``indices``, ``data`` and ``csr`` are those of
+    ``_ones(*_adjacency_arrays(succ, start, accept))``, formed and
+    checked on first access and kept, for ``energy`` and the tests.
+    Its repr forms nothing; ``dataclasses.replace`` does not apply.
+    """
+
+    succ: np.ndarray
+    start: int
+    accept: int
+    chains: object  # spectral._Chains
+
+    def __init__(self, succ: np.ndarray, start: int, accept: int, chains) -> None:
+        vars(self).update({"succ": succ, "start": start, "accept": accept, "chains": chains,
+                           "sparsity_d": 2, "entry_bound_k": 1})  # past the frozen fields' __setattr__
+
+    @property
+    def dim(self) -> int:
+        return len(self.succ)
+
+    @cached_property
+    def _rows(self) -> RowOracleMatrix:
+        return _ones(*_adjacency_arrays(self.succ, self.start, self.accept))
+
+    indptr = property(lambda self: self._rows.indptr)
+    indices = property(lambda self: self._rows.indices)
+    data = property(lambda self: self._rows.data)
+
+    def __repr__(self) -> str:
+        formed = "formed" if "_rows" in vars(self) else "not formed"
+        return f"SuccessorAdjacency(dim={self.dim}, start={self.start}, accept={self.accept}, {formed})"
+
+
 class GramOracle(RowOracleMatrix):
     """A reduction's Gram A^T A, held as its factor A, whose chain table answers for it.
 
     The spectral routines read lambda_min and the least block from A's
     chain table (``spectral._chain_table``) and never form the Gram, so
-    construction only refuses a factor that carries none.  The audit
-    that wrote the table proves the Gram's contract: column v of A holds
-    v's self-loop and at most one arc into v, the successor map being
-    injective, and the start's column holds only the back edge, since no
-    rule enters the start state.  ``indptr``, ``indices``, ``data`` and
+    construction only refuses a factor that carries none: any but a
+    ``SuccessorAdjacency``.  The audit that wrote the table proves the
+    Gram's contract: column v of A holds v's self-loop and at most one
+    arc into v, the successor map being injective, and the start's
+    column holds only the back edge, since no rule enters the start
+    state.  ``indptr``, ``indices``, ``data`` and
     ``csr`` are those of ``ata_oracle(factor)``, formed on first access
     and kept, for ``energy`` and the tests.  Its repr names the factor
     and forms nothing; ``dataclasses.replace`` does not apply to it.
     """
 
-    factor: RowOracleMatrix
+    factor: SuccessorAdjacency
 
-    def __init__(self, factor: RowOracleMatrix) -> None:
-        if factor._chains is None:
+    def __init__(self, factor: SuccessorAdjacency) -> None:
+        if not isinstance(factor, SuccessorAdjacency):
             raise ContractError("a Gram held as its factor needs the factor's chain table")
         object.__setattr__(self, "factor", factor)
         object.__setattr__(self, "sparsity_d", min(factor.dim, 4 * factor.sparsity_d))

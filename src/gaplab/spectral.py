@@ -3,8 +3,8 @@
 Three concerns live here:
 
 * a reduction's chain table (``_chain_table``), walked once by the
-  audit and carried by the adjacency: its det, and its Gram's
-  lambda_min and least block;
+  audit and carried by its successor array (``SuccessorAdjacency``):
+  its det, and its Gram's lambda_min and least block;
 * integer determinants that certify singularity exactly, with no
   floating point on the value path.  A matrix with at most one entry
   off the diagonal in each row, as the path and cycle blocks are, has
@@ -51,6 +51,7 @@ from .errors import ContractError
 from .sparse_oracle import (
     GramOracle,
     RowOracleMatrix,
+    SuccessorAdjacency,
     _index_dtype,
     _rounded_once_products,
     from_dense,
@@ -318,16 +319,17 @@ def _successor_det(matrix: RowOracleMatrix) -> int | None:
 def det_exact(matrix: RowOracleMatrix | np.ndarray) -> int:
     """Exact integer determinant; an array is wrapped by ``from_dense`` first.
 
-    A reduction's adjacency carries its det in its chain table
-    (``_chain_table``).  Any other matrix with at most one entry off the
-    diagonal in each row takes the closed form of ``_successor_det``, in
-    numpy alone, and any other ``det_bareiss_sparse``: banded
-    fraction-free elimination in the reverse Cuthill-McKee order.
+    A reduction's adjacency (``SuccessorAdjacency``) carries its det in
+    its chain table (``_chain_table``).  Any other matrix with at most
+    one entry off the diagonal in each row takes the closed form of
+    ``_successor_det``, in numpy alone, and any other
+    ``det_bareiss_sparse``: banded fraction-free elimination in the
+    reverse Cuthill-McKee order.
     """
     if not isinstance(matrix, RowOracleMatrix):
         matrix = from_dense(matrix)
-    if matrix._chains is not None:
-        return matrix._chains.det
+    if isinstance(matrix, SuccessorAdjacency):
+        return matrix.chains.det
     det = _successor_det(matrix)
     return det_bareiss_sparse(matrix) if det is None else det
 
@@ -681,17 +683,16 @@ class _Chains:
     paths: dict[int, _Path]
     vertex: tuple[int, int] | None
 
-    def bottom(self, adjacency: RowOracleMatrix) -> _LeastPath:
-        """The least block of A^T A, A the adjacency that carries this table, ordered by a walk of A's rows."""
+    def bottom(self, succ: np.ndarray) -> _LeastPath:
+        """The least block of A^T A, A the adjacency of the successor array ``succ`` this table was walked from, ordered by a walk of ``succ``."""
 
         def path(lam: float, kind: str, pick: _Path) -> _LeastPath:
             ell, _, head, tail, end = pick
 
             def block():
                 chain = [head]
-                for _ in range(ell - 1):  # row v holds v and its successor
-                    at = int(adjacency.indptr[chain[-1]])
-                    chain.append(int(adjacency.indices[at]) + int(adjacency.indices[at + 1]) - chain[-1])
+                for _ in range(ell - 1):  # a chain steps along succ from its head
+                    chain.append(int(succ[chain[-1]]))
                 order = np.array(chain if end == head else chain[::-1], dtype=np.intp)
                 along = np.full(ell, 2, dtype=np.int64)
                 ends = 1 + (head == self.cut), 2 - (tail == self.accept)
@@ -800,7 +801,7 @@ def _path_sum_bottom(matrix: RowOracleMatrix) -> _LeastPath | None:
     positive semidefinite, so passing the tests is the certification.
     """
     if isinstance(matrix, GramOracle):
-        return matrix.factor._chains.bottom(matrix.factor)
+        return matrix.factor.chains.bottom(matrix.factor.succ)
     a = _symmetric_csr(matrix)
     indptr, indices, data = a.indptr, a.indices, a.data
     n = len(indptr) - 1

@@ -30,8 +30,8 @@ the desk-scale sizes the tests use.
   oracles before they were written as arrays, and the augmented
   adjacency assembled triplet by triplet from its definition, by
   stepping the machine or from a successor array, against
-  ``from_entries``, the structured blocks, ``augmented_adjacency``,
-  ``_adjacency_arrays`` and ``ata_oracle``; a Gram's formed arrays
+  ``from_entries``, the structured blocks, ``augmented_adjacency``'s
+  rows, ``_adjacency_arrays`` and ``ata_oracle``; a Gram's formed arrays
   rebuilt from triplets, whose reading a reduction's chain table and a
   formed Gram must equal, and the principal rows of a component cut
   from CSR slices, against the least block the spectral routines write
@@ -214,7 +214,7 @@ def successor_adjacency(succ: np.ndarray, s_idx: int, t_idx: int) -> tuple[np.nd
     A self-loop on every row but the start's, and the successor edge
     (where one exists) on every row but the accept's, whose row holds
     only the back edge (accept, start); assembled through scipy's COO
-    route, against ``rtm._adjacency_arrays``.
+    route, against ``sparse_oracle._adjacency_arrays``.
     """
     entries = {(t_idx, s_idx)}
     for i, j in enumerate(succ.tolist()):

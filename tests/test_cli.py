@@ -796,6 +796,35 @@ def test_reduce_and_verify_at_space_10_never_form_the_gram(monkeypatch, capsys):
     assert code == 0 and json.loads(out)["decision"] == "NO"
 
 
+def test_a_reduction_forms_no_rows_but_energy_does(capsys, monkeypatch):
+    # reduce, verify and det answer from the chain table, so the adjacency's
+    # CSR rows are never formed; energy bisects the formed Gram, whose
+    # product reads them, and they are formed once.
+    monkeypatch.chdir(GOLDEN_DIR)
+    arrays, formed = sparse_oracle._adjacency_arrays, []
+
+    def refuse(*args):
+        raise AssertionError("the adjacency's rows were formed")
+
+    monkeypatch.setattr(sparse_oracle, "_adjacency_arrays", refuse)
+    machine = ["--machine", "unary_counter", "--space", "3", "--input", "11"]
+    for name, argv in (("reduce_unary_counter_11", ["reduce", "--machine", "unary_counter", "--input", "11"]),
+                       ("verify_unary_counter_11", ["verify", *machine, "--gap-exponent", "12"]),
+                       ("verify_unary_counter_11_default", ["verify", "--machine", "unary_counter",
+                                                            "--input", "11"])):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0 and out.encode() == (GOLDEN_DIR / f"{name}.out").read_bytes(), name
+    code, out = run_cli(capsys, "det", "--instance", "rtm_unary_counter_11.json")
+    assert code == 0 and json.loads(out)["det"] == -1
+    code, out = run_cli(capsys, "verify", "--instance", "rtm_unary_counter_11.json")
+    assert code == 0 and json.loads(out)["decision"] == "NO"
+    monkeypatch.setattr(sparse_oracle, "_adjacency_arrays",
+                        lambda *args: formed.append(args) or arrays(*args))
+    code, out = run_cli(capsys, "energy", "--instance", "rtm_unary_counter_11.json")
+    assert code == 0 and len(formed) == 1
+    assert out.encode() == (GOLDEN_DIR / "energy_rtm_unary_counter_11.out").read_bytes()
+
+
 def test_det_writes_a_determinant_past_the_default_digit_limit(tmp_path, capsys):
     # det 3^9100 has 4,342 digits, past Python's default limit of 4,300 for int-to-str.
     path = tmp_path / "threes.json"

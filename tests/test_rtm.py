@@ -220,11 +220,59 @@ def test_adjacency_arrays_match_the_definition(succ):
         for s_idx in range(len(succ)):
             if s_idx == t_idx:
                 continue
-            got = rtm._adjacency_arrays(succ, s_idx, t_idx)
+            got = so._adjacency_arrays(succ, s_idx, t_idx)
             want = oracles.successor_adjacency(succ, s_idx, t_idx)
             for mine, theirs in zip(got, want):
                 assert mine.dtype == theirs.dtype, (s_idx, t_idx)
                 assert np.array_equal(mine, theirs), (succ, s_idx, t_idx)
+
+
+def _formed_rows(adjacency: so.SuccessorAdjacency) -> tuple[tuple, int]:
+    """(indptr, indices, data, csr, padded) as reading them gives, and how many row-contract checks ran."""
+    check, checks = so.RowOracleMatrix.__post_init__, []
+
+    def counted(matrix):
+        checks.append(matrix)
+        check(matrix)
+
+    so.RowOracleMatrix.__post_init__ = counted
+    try:
+        rows = (adjacency.indptr, adjacency.indices, adjacency.data, so.to_csr(adjacency), adjacency.padded)
+    finally:
+        so.RowOracleMatrix.__post_init__ = check
+    return rows, len(checks)
+
+
+def _assert_rows_formed_as_the_eager_ones(adjacency: so.SuccessorAdjacency) -> None:
+    # The rows come on first read, checked once and kept, and they are the
+    # eager arrays bit for bit: values, dtypes and data's zero stride.
+    eager = so._ones(*so._adjacency_arrays(adjacency.succ, adjacency.start, adjacency.accept))
+    assert "_rows" not in vars(adjacency) and repr(adjacency).endswith(", not formed)")
+    (indptr, indices, data, csr, _), checks = _formed_rows(adjacency)
+    assert checks == 1 and repr(adjacency).endswith(", formed)")
+    for mine, theirs in ((indptr, eager.indptr), (indices, eager.indices)):
+        assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+    assert data.dtype == eager.data.dtype == np.int64
+    assert data.strides == eager.data.strides == (0,) and data.shape == eager.data.shape
+    assert np.shares_memory(csr.indices, indices) and np.array_equal(csr.data, eager.data)
+    assert (adjacency.dim, adjacency.sparsity_d, adjacency.entry_bound_k) == (eager.dim, 2, 1)
+    assert _formed_rows(adjacency)[1] == 0
+
+
+@pytest.mark.parametrize("name", rtm.corpus_names())
+def test_a_reduction_forms_its_rows_as_the_eager_arrays(name):
+    kinds = set()
+    for space in range(2, 6):
+        machine = rtm.with_space(rtm.corpus_machine(name), space)
+        alphabet = [a for a in machine.alphabet if a != machine.blank]
+        by_outcome = {}
+        for length in range(space):
+            for x in map("".join, itertools.product(alphabet, repeat=length)):
+                by_outcome.setdefault(rtm.simulate(machine, x).accepted, x)
+        kinds |= set(by_outcome)
+        for x in by_outcome.values():
+            _assert_rows_formed_as_the_eager_ones(rtm.augmented_adjacency(machine, x))
+    assert kinds == {True, False}, name  # an accepting and a rejecting input
 
 
 def test_adjacency_arrays_peak_memory_stays_near_the_result():
@@ -235,7 +283,7 @@ def test_adjacency_arrays_peak_memory_stays_near_the_result():
         for config in (rtm.start_configuration, rtm.accept_configuration)
     )
     (indptr, indices), peak = oracles.traced_peak(
-        lambda: rtm._adjacency_arrays(succ, s_idx, t_idx)
+        lambda: so._adjacency_arrays(succ, s_idx, t_idx)
     )
     result = indptr.nbytes + indices.nbytes
     assert peak <= 1.7 * result, (peak, result)
@@ -254,6 +302,18 @@ def _space_7_reduction() -> rtm.GappedInstance:
 
 def _index_bytes(matrix: so.RowOracleMatrix) -> int:
     return matrix.indptr.nbytes + matrix.indices.nbytes
+
+
+def _unformed_index_bytes(adjacency: so.SuccessorAdjacency) -> int:
+    """The index bytes a reduction's adjacency takes once formed, from dim and nnz alone.
+
+    Row i holds i and its successor: 2 dim entries less one per halting
+    row, less the start's self-loop; the accept's back edge replaces its
+    self-loop, and it halts.  Nothing is formed.
+    """
+    dim = adjacency.dim
+    nnz = 2 * dim - int(np.count_nonzero(adjacency.succ < 0)) - 1
+    return (dim + 1 + nnz) * np.dtype(so._index_dtype(dim, nnz)).itemsize
 
 
 def test_det_peak_memory_stays_near_the_adjacency_indices():
@@ -289,18 +349,20 @@ _SPACE_7_JOBS = {"11": "unary_counter", "1": "unary_counter",
 @pytest.mark.parametrize("x", list(_SPACE_7_JOBS))
 def test_every_reduction_stage_stays_within_the_adjacency_indices(x):
     # Each stage's traced transient, above what it keeps, is at most the
-    # adjacency's index bytes; so is the contract check's inside _ones, and
-    # lambda_min's on binary_counter's long chains too (0.88x measured).
+    # adjacency's index bytes, computed without forming them; the audit's is
+    # the largest (0.85x measured).  The rows are never formed: the arrays,
+    # _ones and the row contract do not run in a reduction job.
     machine = rtm.with_space(rtm.corpus_machine(_SPACE_7_JOBS[x]), 7)
     _reduction_job(machine, x)
-    stages = [(rtm, "successors"), (rtm, "_audit"), (rtm, "_adjacency_arrays"), (rtm, "_ones"),
-              (so.RowOracleMatrix, "__post_init__"), (rtm, "GramOracle"), (sp, "det_exact"),
+    stages = [(rtm, "successors"), (rtm, "_audit"), (rtm, "GramOracle"), (sp, "det_exact"),
               (sp, "min_eigenvalue_sparse")]
+    unformed = [(so, "_adjacency_arrays"), (so, "_ones"), (so.RowOracleMatrix, "__post_init__")]
     (instance, det, _, accepted), transients = oracles.traced_stages(
-        lambda: _reduction_job(machine, x), stages)
+        lambda: _reduction_job(machine, x), stages + unformed)
     assert (det != 0) == accepted == x.endswith(("11", "#"))
     assert sorted(transients) == sorted(name for _, name in stages)
-    budget = _index_bytes(instance.adjacency)
+    assert "_rows" not in vars(instance.adjacency)
+    budget = _unformed_index_bytes(instance.adjacency)
     over = {name: max(peaks) / budget for name, peaks in transients.items() if max(peaks) > budget}
     assert not over, over
 
@@ -308,15 +370,19 @@ def test_every_reduction_stage_stays_within_the_adjacency_indices(x):
 @pytest.mark.parametrize("x", list(_SPACE_7_JOBS))
 def test_a_reduction_job_peaks_below_its_high_water_mark(x):
     # The whole job's heap high-water mark at space 7, everything it holds at
-    # once: 2.07x the adjacency's index bytes on unary_counter and 1.99x on
-    # binary_counter, whose lambda_min stage walks its long chains to the end.
+    # once: 1.26x the adjacency's index bytes on unary_counter and 0.96x on
+    # binary_counter, the reference computed from dim and nnz, since the
+    # job never forms the rows.
     machine = rtm.with_space(rtm.corpus_machine(_SPACE_7_JOBS[x]), 7)
     _reduction_job(machine, x)
     (instance, *_), peak = oracles.traced_peak(lambda: _reduction_job(machine, x))
+    reference = _unformed_index_bytes(instance.adjacency)
     if machine.name == "unary_counter":
         assert peak <= 1.7 * 2**20, peak
     else:
-        assert peak <= 2.4 * _index_bytes(instance.adjacency), peak
+        assert peak <= 2.4 * reference, peak
+    assert "_rows" not in vars(instance.adjacency)
+    assert reference == _index_bytes(instance.adjacency)  # the rows, formed after the trace
 
 
 @pytest.mark.parametrize("space, x", [(6, "#000#"), (6, "#000"), (7, "#0000#"), (7, "#0000")])
@@ -638,13 +704,14 @@ def _plain_chains(succ: np.ndarray, start: int, accept: int):
 def test_chain_table_reads_what_the_arrays_read(drawn):
     # The table of a cut successor map answers det, lambda_min and the
     # witness exactly as the closed form and the formed Gram read the
-    # same adjacency, and its chains are those a plain walk finds.
+    # same adjacency, and its chains are those a plain walk finds; the
+    # adjacency's rows, formed last, are the eager arrays.
     succ, start, accept = drawn
     table = sp._chain_table(succ, start, accept)
     assert (table.covered, table.det, table.paths, table.vertex) == _plain_chains(succ, start, accept)
     assert table.covered == len(succ)
-    arrays = rtm._adjacency_arrays(succ, start, accept)
-    plain, carried = so._ones(*arrays), so._ones(*arrays, chains=table)
+    plain = so._ones(*so._adjacency_arrays(succ, start, accept))
+    carried = so.SuccessorAdjacency(succ, start, accept, table)
     assert sp.det_exact(carried) == sp._successor_det(plain) == table.det
     read, fast = so.ata_oracle(plain), so.GramOracle(carried)
     want, got = sp._bottom_block_eigenpair(read), sp._bottom_block_eigenpair(fast)
@@ -655,6 +722,7 @@ def test_chain_table_reads_what_the_arrays_read(drawn):
         assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs), part
     assert got.psi.tobytes() == want.psi.tobytes() and got.residual.hex() == want.residual.hex()
     assert "_product" not in vars(fast)
+    _assert_rows_formed_as_the_eager_ones(carried)  # none formed until now
 
 
 @settings(max_examples=40, deadline=None)
