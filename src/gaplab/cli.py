@@ -403,7 +403,9 @@ def _config_refusal(flags: dict[str, argparse.Action], command: str, key: str, v
 def _resolve(args, parser: argparse.ArgumentParser) -> None:
     """Apply config-file values, then defaults, then check required flags.
 
-    A config file that cannot be read, is not JSON or is not an object
+    ``verify`` takes a machine (--machine, --input, --space) or an
+    --instance file, and refuses both, from flags or config alike.  A
+    config file that cannot be read, is not JSON or is not an object
     raises ConfigurationError or OSError.  A key that sets no flag of
     the command, or a value its flag would not accept, ends the run
     with one line and exit code 2, as a bad flag does.
@@ -443,8 +445,12 @@ def _resolve(args, parser: argparse.ArgumentParser) -> None:
     elif args.command == "verify":
         if args.machine is None and args.instance is None:
             parser.error("verify requires --machine/--input or --instance")
-        if args.machine is not None:
+        if args.instance is None:
             require("input")
+        else:
+            clash = [f"--{name}" for name in ("machine", "input", "space") if getattr(args, name) is not None]
+            if clash:
+                parser.error(f"verify --instance takes no {', '.join(clash)}")
     elif args.command == "amplify":
         require("p")
 

@@ -618,9 +618,10 @@ def decide_gapped(matrix: RowOracleMatrix, g: int) -> GappedDecision:
     products run on that path's rows alone: the same column order and
     the same declared d and k, so t, the Taylor order and each row's
     floating-point sum are those of the whole matrix, whose other rows
-    would only carry zeros.  A reduction's Gram (``GramOracle``) is
-    never formed: its block is written from A's chain table, the path
-    ordered by a walk of the successor array.  The first product
+    would only carry zeros.  A reduction's Gram
+    (``spectral.GramOracle``) is never formed: its block is written
+    from A's chain table, the path ordered by a walk of the successor
+    array.  The first product
     rounds each row's sum once (``expm_taylor_minus_identity``): its
     products, entries +-1 and 2 times the witness, are exact, and on an
     eigenvector it cancels to about lambda / ||A|| of its terms, which

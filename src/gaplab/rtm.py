@@ -26,8 +26,8 @@ cycles anywhere in configuration space (a stray 2-cycle among unreachable
 configurations would silently zero out every determinant).  Injectivity
 is read from a mask of the targets hit; an injective map is acyclic
 exactly when its chains, walked from their heads, cover every
-configuration (``spectral._chain_table``, kept by the reduction as its
-adjacency's chain table).  Pointer jumping (``spectral._endless``)
+configuration (``spectral._chain_table``, whose record the reduction
+keeps as its adjacency).  Pointer jumping (``spectral._endless``)
 only names a cycle's witness.
 
 The reduction emits the augmented adjacency matrix of the configuration
@@ -36,7 +36,9 @@ configuration to the start configuration, and self-loops on every other
 vertex.  Its determinant is +-1 when the machine reaches the canonical
 accepting configuration and 0 otherwise, and the Gram matrix A^T A then
 has least eigenvalue either 0 or bounded below by the closed-form gap
-at that dimension.  The matrix is its successor array and chain table.
+at that dimension.  The matrix is one record of its successor array
+and chain table (``spectral.SuccessorAdjacency``), and its Gram is held
+as that record (``spectral.GramOracle``).
 
 Accepting runs must end at one canonical configuration: accept state,
 head on cell 0, input tape restored.  Halting anywhere else counts as
@@ -58,9 +60,7 @@ import numpy as np
 
 from .errors import ContractError, ResourceLimitError
 from .sparse_oracle import (
-    GramOracle,
     RowOracleMatrix,
-    SuccessorAdjacency,
     _field,
     _index_dtype,
     _integer,
@@ -69,7 +69,7 @@ from .sparse_oracle import (
     from_entries,
     path_adjacency,
 )
-from .spectral import _Chains, _chain_table, _endless, min_eigenvalue_bound
+from .spectral import GramOracle, SuccessorAdjacency, _chain_table, _endless, min_eigenvalue_bound
 
 MOVES = {"L": -1, "S": 0, "R": 1}
 
@@ -325,13 +325,14 @@ def validate(machine: ReversibleTM) -> ValidationReport:
 
 
 def _audit(machine: ReversibleTM, succ: np.ndarray, start: int = -1,
-           accept: int = -1) -> tuple[ValidationReport, _Chains | None]:
+           accept: int = -1) -> tuple[ValidationReport, SuccessorAdjacency | None]:
     """validate, on an already computed successor array, and its chain table cut at ``start``.
 
     The witnesses are the ones a sweep in index order meets first: the
     colliding pair whose later member is smallest, and the loop reached
     from the smallest configuration that never halts.  The chain table
-    (``spectral._chain_table``, cut at ``start``) comes back too.
+    (``spectral._chain_table``, cut at ``start``) comes back too: on a
+    valid machine, the record a reduction keeps as its adjacency.
     """
     issues: list[str] = []
     collision: tuple[Configuration, Configuration] | None = None
@@ -401,29 +402,32 @@ def augmented_adjacency(machine: ReversibleTM, input_str: str) -> SuccessorAdjac
     +-1.  Rows stay 0/1 with at most two entries and columns carry at
     most two ones, so the Gram construction applies downstream.  A
     machine that fails ``validate`` is refused with ContractError.  The
-    oracle (``SuccessorAdjacency``) forms its CSR rows only when read.
+    matrix is the audit's record (``spectral.SuccessorAdjacency``): the
+    successor array and its chain table; no row is formed.
     """
     s_idx = encode_configuration(machine, start_configuration(machine, input_str))
     t_idx = encode_configuration(machine, accept_configuration(machine, input_str))
     succ = successors(machine)
-    report, chains = _audit(machine, succ, s_idx, t_idx)
+    report, adjacency = _audit(machine, succ, s_idx, t_idx)
     if not report.ok:
         raise ContractError(
             f"machine {machine.name!r} failed validation: " + "; ".join(report.issues)
         )
-    return SuccessorAdjacency(succ, s_idx, t_idx, chains)
+    return adjacency
 
 
 @dataclass(frozen=True)
 class GappedInstance:
     """Matrix decision instance with a certified eigenvalue dichotomy.
 
-    ``gram`` is A^T A for the augmented adjacency A (a
-    ``SuccessorAdjacency``), held as A (``GramOracle``); the spectral
-    routines form neither: A's determinant and the Gram's lambda_min
-    and least block are read from A's chain table.  ``reduce`` takes only the determinant and builds
-    no Gram.  Its least eigenvalue is exactly 0 when the machine rejects
-    the input and at least 2^-g when it accepts, with g derived from the
+    ``adjacency`` is the augmented adjacency A, the audit's record of
+    its successor array and chain table (``spectral.SuccessorAdjacency``),
+    and ``gram`` is A^T A held as A (``spectral.GramOracle``); the
+    spectral routines form neither: A's determinant and the Gram's
+    lambda_min and least block are read from A's chain table.
+    ``reduce`` takes only the determinant and builds no Gram.  Its
+    least eigenvalue is exactly 0 when the machine rejects the input
+    and at least 2^-g when it accepts, with g derived from the
     closed-form bound at A's dimension.
     """
 
@@ -557,7 +561,7 @@ def reduction_input(spec: dict, base: str):
     return machine, x
 
 
-def load_instance(source: str | os.PathLike | dict) -> RowOracleMatrix:
+def load_instance(source: str | os.PathLike | dict) -> RowOracleMatrix | SuccessorAdjacency:
     """Load a matrix instance from JSON (path or already-parsed dict).
 
     Formats:

@@ -11,14 +11,15 @@ stand, in numpy, and so do the row products A x of the witness's
 residual and of the Taylor sum, on rows padded once (``padded``); the
 scipy kernels (determinants, symmetry checks, the energy band) read
 them through ``to_csr``, a scipy CSR matrix on the same buffers.  A
-Gram A^T A is formed at once by ``ata_oracle``.  A reduction's A is
-held as its successor array (``SuccessorAdjacency``) and its Gram as A
-(``GramOracle``), both answered from A's chain table; their arrays are
-formed only when read.  Building an oracle and checking it take numpy
-alone; scipy is imported when a CSR view is first asked for, by a Gram
-product or a kernel.  This module reads no files (``rtm`` reads
-instance files).  Dense materialization is a desk-scale debugging and
-ground-truth device, refused above DENSE_CAP rows.
+Gram A^T A is formed at once by ``ata_oracle``, and a reduction's
+adjacency from its successor array by ``_adjacency_arrays``; the
+reduction itself is held in ``spectral`` (``SuccessorAdjacency`` and
+``GramOracle``), which forms those arrays only when a Gram's rows are
+read.  Building an oracle and checking it take numpy alone; scipy is
+imported when a CSR view is first asked for, by a Gram product or a
+kernel.  This module reads no files (``rtm`` reads instance files).
+Dense materialization is a desk-scale debugging and ground-truth
+device, refused above DENSE_CAP rows.
 
 Integer-valued oracles stay integer-valued until a spectral operation
 converts them to floats.  No float arithmetic happens in construction
@@ -379,91 +380,6 @@ def ata_oracle(matrix: RowOracleMatrix) -> RowOracleMatrix:
     gram.sort_indices()
     d = min(matrix.dim, 4 * matrix.sparsity_d)
     return RowOracleMatrix(gram.indptr, gram.indices, gram.data, sparsity_d=d, entry_bound_k=2)
-
-
-class SuccessorAdjacency(RowOracleMatrix):
-    """A reduction's augmented adjacency A, held as its audited successor array, whose chain table answers for it.
-
-    ``succ`` is every configuration's successor (-1: halts) and
-    ``chains`` the table the audit walked from it, cut at ``start``
-    (``spectral._chain_table``), from which det A and the Gram's
-    lambda_min and least block are read.  Row i is {i, succ i}, the
-    start's {succ start} and the accept's {start}.  ``indptr``,
-    ``indices``, ``data`` and ``csr`` are those of
-    ``_ones(*_adjacency_arrays(succ, start, accept))``, formed and
-    checked on first access and kept, for ``energy`` and the tests.
-    Its repr forms nothing; ``dataclasses.replace`` does not apply.
-    """
-
-    succ: np.ndarray
-    start: int
-    accept: int
-    chains: object  # spectral._Chains
-
-    def __init__(self, succ: np.ndarray, start: int, accept: int, chains) -> None:
-        vars(self).update({"succ": succ, "start": start, "accept": accept, "chains": chains,
-                           "sparsity_d": 2, "entry_bound_k": 1})  # past the frozen fields' __setattr__
-
-    @property
-    def dim(self) -> int:
-        return len(self.succ)
-
-    @cached_property
-    def _rows(self) -> RowOracleMatrix:
-        return _ones(*_adjacency_arrays(self.succ, self.start, self.accept))
-
-    indptr = property(lambda self: self._rows.indptr)
-    indices = property(lambda self: self._rows.indices)
-    data = property(lambda self: self._rows.data)
-
-    def __repr__(self) -> str:
-        formed = "formed" if "_rows" in vars(self) else "not formed"
-        return f"SuccessorAdjacency(dim={self.dim}, start={self.start}, accept={self.accept}, {formed})"
-
-
-class GramOracle(RowOracleMatrix):
-    """A reduction's Gram A^T A, held as its factor A, whose chain table answers for it.
-
-    The spectral routines read lambda_min and the least block from A's
-    chain table (``spectral._chain_table``) and never form the Gram, so
-    construction only refuses a factor that carries none: any but a
-    ``SuccessorAdjacency``.  The audit that wrote the table proves the
-    Gram's contract: column v of A holds v's self-loop and at most one
-    arc into v, the successor map being injective, and the start's
-    column holds only the back edge, since no rule enters the start
-    state.  ``indptr``, ``indices``, ``data`` and
-    ``csr`` are those of ``ata_oracle(factor)``, formed on first access
-    and kept, for ``energy`` and the tests.  Its repr names the factor
-    and forms nothing; ``dataclasses.replace`` does not apply to it.
-    """
-
-    factor: SuccessorAdjacency
-
-    def __init__(self, factor: SuccessorAdjacency) -> None:
-        if not isinstance(factor, SuccessorAdjacency):
-            raise ContractError("a Gram held as its factor needs the factor's chain table")
-        object.__setattr__(self, "factor", factor)
-        object.__setattr__(self, "sparsity_d", min(factor.dim, 4 * factor.sparsity_d))
-        object.__setattr__(self, "entry_bound_k", 2)
-
-    @property
-    def dim(self) -> int:
-        return self.factor.dim
-
-    @cached_property
-    def _product(self) -> RowOracleMatrix:
-        return ata_oracle(self.factor)
-
-    indptr = property(lambda self: self._product.indptr)
-    indices = property(lambda self: self._product.indices)
-    data = property(lambda self: self._product.data)
-
-    def __repr__(self) -> str:
-        formed = "formed" if "_product" in vars(self) else "not formed"
-        return (
-            f"GramOracle(dim={self.dim}, factor sparsity_d={self.factor.sparsity_d},"
-            f" sparsity_d={self.sparsity_d}, entry_bound_k={self.entry_bound_k}, {formed})"
-        )
 
 
 def path_adjacency(ell: int) -> RowOracleMatrix:

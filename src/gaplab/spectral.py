@@ -2,9 +2,12 @@
 
 Three concerns live here:
 
-* a reduction's chain table (``_chain_table``), walked once by the
-  audit and carried by its successor array (``SuccessorAdjacency``):
-  its det, and its Gram's lambda_min and least block;
+* a reduction, held here alone: its adjacency is one frozen record
+  (``SuccessorAdjacency``) of the audited successor array and the
+  chain table walked from it once (``_chain_table``), which answers
+  its det and its Gram's lambda_min and least block; its Gram
+  (``GramOracle``) is held as that record and forms its rows only
+  when they are read;
 * integer determinants that certify singularity exactly, with no
   floating point on the value path.  A matrix with at most one entry
   off the diagonal in each row, as the path and cycle blocks are, has
@@ -41,7 +44,8 @@ its Gram loads no scipy at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass, field
+from functools import cached_property
 from math import pi, prod, sin
 from typing import TYPE_CHECKING, Callable
 
@@ -49,11 +53,12 @@ import numpy as np
 
 from .errors import ContractError
 from .sparse_oracle import (
-    GramOracle,
     RowOracleMatrix,
-    SuccessorAdjacency,
+    _adjacency_arrays,
     _index_dtype,
+    _ones,
     _rounded_once_products,
+    ata_oracle,
     from_dense,
     materialize,
     norm_bound,
@@ -316,7 +321,7 @@ def _successor_det(matrix: RowOracleMatrix) -> int | None:
     return det
 
 
-def det_exact(matrix: RowOracleMatrix | np.ndarray) -> int:
+def det_exact(matrix: SuccessorAdjacency | RowOracleMatrix | np.ndarray) -> int:
     """Exact integer determinant; an array is wrapped by ``from_dense`` first.
 
     A reduction's adjacency (``SuccessorAdjacency``) carries its det in
@@ -326,10 +331,10 @@ def det_exact(matrix: RowOracleMatrix | np.ndarray) -> int:
     ``det_bareiss_sparse``: banded fraction-free elimination in the
     reverse Cuthill-McKee order.
     """
+    if isinstance(matrix, SuccessorAdjacency):
+        return matrix.det
     if not isinstance(matrix, RowOracleMatrix):
         matrix = from_dense(matrix)
-    if isinstance(matrix, SuccessorAdjacency):
-        return matrix.chains.det
     det = _successor_det(matrix)
     return det_bareiss_sparse(matrix) if det is None else det
 
@@ -666,25 +671,37 @@ def _least_block(chosen: dict[int, _Path], vertex: tuple[int, int] | None,
     return min(candidates, key=lambda c: c.lam)
 
 
-@dataclass(frozen=True)
-class _Chains:
-    """What ``_chain_table`` keeps of a reduction's chains; no array.
+@dataclass(frozen=True, eq=False)
+class SuccessorAdjacency:
+    """A reduction's augmented adjacency A: its audited successor array and the chain table walked from it.
 
-    ``covered`` counts the vertices on chains, ``det`` is det A, and
-    ``paths`` and ``vertex`` are ``_fold``'s choice for A^T A, each
-    path's ends its chain's head and tail.  ``cut`` is the start's
-    successor (-1 for none) and ``accept`` the accept row.
+    ``succ`` holds every configuration's successor (-1: halts); A's row
+    i is {i, succ i}, the ``start`` row {succ start} and the ``accept``
+    row {start}.  ``_chain_table`` writes the rest: ``covered`` counts
+    the vertices on chains, ``det`` is det A, ``cut`` is the start's
+    successor (-1 for none), and ``paths`` and ``vertex`` are
+    ``_fold``'s choice for A^T A, each path's ends its chain's head and
+    tail.  No row of A is formed: ``det_exact`` reads ``det``, and a
+    Gram (``GramOracle``) reads ``bottom()``.  Equality is identity, and
+    the repr leaves out ``succ``.
     """
 
+    succ: np.ndarray = field(repr=False)
+    start: int
+    accept: int
     covered: int
     det: int
     cut: int
-    accept: int
     paths: dict[int, _Path]
     vertex: tuple[int, int] | None
 
-    def bottom(self, succ: np.ndarray) -> _LeastPath:
-        """The least block of A^T A, A the adjacency of the successor array ``succ`` this table was walked from, ordered by a walk of ``succ``."""
+    @property
+    def dim(self) -> int:
+        return len(self.succ)
+
+    def bottom(self) -> _LeastPath:
+        """The least block of A^T A, its path ordered by a walk of ``succ``."""
+        succ = self.succ
 
         def path(lam: float, kind: str, pick: _Path) -> _LeastPath:
             ell, _, head, tail, end = pick
@@ -704,20 +721,22 @@ class _Chains:
         return _least_block(self.paths, self.vertex, path)
 
 
-def _chain_table(succ: np.ndarray, start: int = -1, accept: int = -1) -> _Chains | None:
-    """The chains of a successor map (-1: halts) cut at ``start``, walked from their heads; None if not injective.
+def _chain_table(succ: np.ndarray, start: int = -1, accept: int = -1) -> SuccessorAdjacency | None:
+    """The adjacency of a successor map (-1: halts), its chains cut at ``start`` and walked from their heads; None if not injective.
 
-    A of ``rtm.augmented_adjacency`` has rows {v, succ v}, the start row
-    {succ start} and the accept row {start}, so A^T A couples v with
-    succ v except the start, at diagonal (v != accept) + [v is hit]:
-    its paths are the chains cut there, the heads at 1 but the cut (the
-    start's successor) at 2, the tails at 2 but the accept at 1.  A
-    start that is hit, or -1, cuts nothing.  One mask of the hit
-    vertices tells injectivity and the heads; the start and each head
-    that halts stand alone, every other head sends a walker, and all
-    step at once until they halt.  Halted chains go to ``_fold`` in
-    batches of ``_ROW_BLOCK`` or more.  The cut's walker stays first:
-    where it halts at the accept after k vertices, det A = (-1)^k.
+    The audit (``rtm._audit``) walks it once, and a valid machine's
+    record is its reduction's adjacency (``rtm.augmented_adjacency``).
+    A has rows {v, succ v}, the start row {succ start} and the accept
+    row {start}, so A^T A couples v with succ v except the start, at
+    diagonal (v != accept) + [v is hit]: its paths are the chains cut
+    there, the heads at 1 but the cut (the start's successor) at 2,
+    the tails at 2 but the accept at 1.  A start that is hit, or -1,
+    cuts nothing.  One mask of the hit vertices tells injectivity and
+    the heads; the start and each head that halts stand alone, every
+    other head sends a walker, and all step at once until they halt.
+    Halted chains go to ``_fold`` in batches of ``_ROW_BLOCK`` or more.
+    The cut's walker stays first: where it halts at the accept after k
+    vertices, det A = (-1)^k.
     """
     dim = len(succ)
     hit = np.zeros(dim + 1, dtype=bool)
@@ -725,12 +744,12 @@ def _chain_table(succ: np.ndarray, start: int = -1, accept: int = -1) -> _Chains
     alone = succ < 0
     if np.count_nonzero(hit[:-1]) < dim - np.count_nonzero(alone):
         return None
-    start = start if start >= 0 and not hit[start] else -1
-    cut = int(succ[start]) if start >= 0 else -1
+    cuts = start >= 0 and not hit[start]
+    cut = int(succ[start]) if cuts else -1
     walk = np.logical_not(hit[:-1], out=hit[:-1])
     alone &= walk
     walk ^= alone
-    if start >= 0:
+    if cuts:
         walk[start], alone[start] = False, True
     covered, vertex = int(np.count_nonzero(alone)), None  # each alone at 1, or the accept at 0
     if covered:
@@ -781,7 +800,55 @@ def _chain_table(succ: np.ndarray, start: int = -1, accept: int = -1) -> _Chains
         size += 1
     if halted:
         fold()
-    return _Chains(covered, det, cut, accept, paths, vertex)
+    return SuccessorAdjacency(succ, start, accept, int(covered), det, cut, paths, vertex)
+
+
+class GramOracle(RowOracleMatrix):
+    """A reduction's Gram A^T A, held as its factor A (``SuccessorAdjacency``), whose chain table answers for it.
+
+    The spectral routines read lambda_min and the least block from the
+    factor (``bottom``) and never form the Gram, so construction only
+    refuses any other factor.  The audit that wrote the table proves the
+    Gram's contract: column v of A holds v's self-loop and at most one
+    arc into v, the successor map being injective, and the start's
+    column holds only the back edge, since no rule enters the start
+    state.  ``indptr``, ``indices``, ``data`` and ``csr`` are those of
+    ``ata_oracle(_ones(*_adjacency_arrays(succ, start, accept)))``,
+    formed on first access and kept, for ``energy`` and the tests.  No
+    attribute can be assigned; ``dataclasses.replace`` does not apply.
+    """
+
+    factor: SuccessorAdjacency
+
+    def __init__(self, factor: SuccessorAdjacency) -> None:
+        if not isinstance(factor, SuccessorAdjacency):
+            raise ContractError("a Gram held as its factor needs the factor's chain table")
+        object.__setattr__(self, "factor", factor)
+        object.__setattr__(self, "sparsity_d", min(factor.dim, 4 * 2))  # A's rows hold at most two
+        object.__setattr__(self, "entry_bound_k", 2)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    @property
+    def dim(self) -> int:
+        return self.factor.dim
+
+    @cached_property
+    def _product(self) -> RowOracleMatrix:
+        a = self.factor
+        return ata_oracle(_ones(*_adjacency_arrays(a.succ, a.start, a.accept)))
+
+    indptr = property(lambda self: self._product.indptr)
+    indices = property(lambda self: self._product.indices)
+    data = property(lambda self: self._product.data)
+
+    def __repr__(self) -> str:
+        formed = "formed" if "_product" in vars(self) else "not formed"
+        return (
+            f"GramOracle(dim={self.dim}, start={self.factor.start}, accept={self.factor.accept},"
+            f" sparsity_d={self.sparsity_d}, entry_bound_k={self.entry_bound_k}, {formed})"
+        )
 
 
 def _path_sum_bottom(matrix: RowOracleMatrix) -> _LeastPath | None:
@@ -801,7 +868,7 @@ def _path_sum_bottom(matrix: RowOracleMatrix) -> _LeastPath | None:
     positive semidefinite, so passing the tests is the certification.
     """
     if isinstance(matrix, GramOracle):
-        return matrix.factor.chains.bottom(matrix.factor.succ)
+        return matrix.factor.bottom()
     a = _symmetric_csr(matrix)
     indptr, indices, data = a.indptr, a.indices, a.data
     n = len(indptr) - 1

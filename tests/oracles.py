@@ -30,12 +30,13 @@ the desk-scale sizes the tests use.
   oracles before they were written as arrays, and the augmented
   adjacency assembled triplet by triplet from its definition, by
   stepping the machine or from a successor array, against
-  ``from_entries``, the structured blocks, ``augmented_adjacency``'s
-  rows, ``_adjacency_arrays`` and ``ata_oracle``; a Gram's formed arrays
-  rebuilt from triplets, whose reading a reduction's chain table and a
-  formed Gram must equal, and the principal rows of a component cut
-  from CSR slices, against the least block the spectral routines write
-  from a path sum's edges;
+  ``from_entries``, the structured blocks, ``_adjacency_arrays`` and
+  ``ata_oracle``; a reduction's adjacency formed as rows at once
+  (``adjacency_rows``), for the routes its chain table replaced; a
+  Gram's formed arrays rebuilt from triplets, whose reading a
+  reduction's chain table and a formed Gram must equal, and the
+  principal rows of a component cut from CSR slices, against the least
+  block the spectral routines write from a path sum's edges;
 * clock Hamiltonians: the dense 2^(n+T) sum of a compiled instance's
   terms and its least eigenvalue, and the indices of the legal clock
   strings in it, against the legal-clock block that ``ground_energy``
@@ -75,7 +76,7 @@ from gaplab.simulator import (
     run_circuit,
 )
 from gaplab import spectral
-from gaplab.sparse_oracle import RowOracleMatrix, _index_arrays, from_entries, to_csr
+from gaplab.sparse_oracle import RowOracleMatrix, _adjacency_arrays, _index_arrays, _ones, from_entries, to_csr
 from gaplab.spectral import gram_bands
 
 
@@ -206,6 +207,16 @@ def adjacency_triplets(machine: ReversibleTM, input_str: str) -> list[tuple[int,
         if nxt is not None:
             entries.add((i, rtm.encode_configuration(machine, nxt)))
     return sorted((i, j, 1) for i, j in entries)
+
+
+def adjacency_rows(adjacency: spectral.SuccessorAdjacency) -> RowOracleMatrix:
+    """A reduction's adjacency as a row oracle, formed at once: the rows its Gram's product reads.
+
+    The reduction itself forms none: ``det_exact`` and the Gram read its
+    chain table.  These are the routes it no longer takes, the closed
+    form of ``_successor_det`` and the CSR reading, fed the same matrix.
+    """
+    return _ones(*_adjacency_arrays(adjacency.succ, adjacency.start, adjacency.accept))
 
 
 def successor_adjacency(succ: np.ndarray, s_idx: int, t_idx: int) -> tuple[np.ndarray, np.ndarray]:

@@ -12,9 +12,10 @@ Python and numpy versions it was written under.
 
 Every case also checks the answers against the routes a reduction no
 longer takes: the table's det against ``spectral._successor_det`` on
-the adjacency's rows, and, up to ``EXPLICIT_ROWS`` rows, lambda_min,
-the block, psi and the residual against those read from the Gram's
-formed arrays rebuilt from triplets (``oracles.explicit_gram``).
+the adjacency's rows (``oracles.adjacency_rows``), and, up to
+``EXPLICIT_ROWS`` rows, lambda_min, the block, psi and the residual
+against those read from the Gram's formed arrays rebuilt from triplets
+(``oracles.explicit_gram``).
 
     PYTHONPATH=src python tests/sweep.py           # write sweep_digests.json
     PYTHONPATH=src python tests/sweep.py --check   # compare; exit 1 naming the first difference
@@ -73,7 +74,7 @@ def case_digest(machine: rtm.ReversibleTM, x: str) -> str:
     pair = spectral._bottom_block_eigenpair(gram)
     decision = repr(protocols.decide_gapped(gram, min(instance.g, 37)))
     where = f"{machine.name} space {machine.space} input {x!r}"
-    assert spectral._successor_det(adjacency) == det, f"{where}: det"
+    assert spectral._successor_det(oracles.adjacency_rows(adjacency)) == det, f"{where}: det"
     assert pair.lam.hex() == lam.hex(), f"{where}: lambda_min"
     parts = [str(det).encode(), lam.hex().encode(), *_block_parts(pair), decision.encode()]
     if instance.dim <= EXPLICIT_ROWS:

@@ -80,6 +80,27 @@ def test_det_has_no_method_flag():
     assert exc.value.code == 2
 
 
+def _verify_refusal(capsys, argv) -> str:
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["verify", *argv])
+    assert exit_info.value.code == cli.EXIT_USAGE
+    return capsys.readouterr().err.splitlines()[-1]
+
+
+def test_verify_refuses_an_instance_beside_machine_flags(capsys):
+    # Each flag alone is valid; together verify would decide one and drop the other.
+    refusal = _verify_refusal(capsys, ["--instance", "path3.json", "--input", "11", "--gap-exponent", "5"])
+    assert refusal == "gaplab: error: verify --instance takes no --input"
+
+
+def test_verify_refuses_an_instance_beside_a_config_space(tmp_path, capsys):
+    # The check runs once the config file is applied.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"space": 4}))
+    refusal = _verify_refusal(capsys, ["--instance", "path3.json", "--config", str(config)])
+    assert refusal == "gaplab: error: verify --instance takes no --space"
+
+
 def test_contract_violation_is_runtime_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"dim": 2, "rows": [[0, 1], [0, 0]]}))
@@ -734,16 +755,16 @@ _GRAM_COUNT_RUN = """
 import contextlib, io, json
 
 import gaplab.cli
-from gaplab import sparse_oracle
+from gaplab import spectral
 
 built = []
-construct = sparse_oracle.GramOracle.__init__
+construct = spectral.GramOracle.__init__
 
 def counted(self, factor):
     built.append(factor.dim)
     construct(self, factor)
 
-sparse_oracle.GramOracle.__init__ = counted
+spectral.GramOracle.__init__ = counted
 machine = ["--machine", "unary_counter", "--space", "4", "--input", "11"]
 counts = {}
 for command in ("reduce", "verify"):
@@ -770,7 +791,7 @@ def _refuse_the_gram_product(monkeypatch):
     def refuse(self):
         raise AssertionError("A^T A was formed")
 
-    monkeypatch.setattr(sparse_oracle.GramOracle, "_product", property(refuse))
+    monkeypatch.setattr(spectral.GramOracle, "_product", property(refuse))
 
 
 def test_a_reduction_at_space_8_never_forms_its_gram(monkeypatch, capsys):
@@ -801,12 +822,12 @@ def test_a_reduction_forms_no_rows_but_energy_does(capsys, monkeypatch):
     # CSR rows are never formed; energy bisects the formed Gram, whose
     # product reads them, and they are formed once.
     monkeypatch.chdir(GOLDEN_DIR)
-    arrays, formed = sparse_oracle._adjacency_arrays, []
+    arrays, formed = spectral._adjacency_arrays, []
 
     def refuse(*args):
         raise AssertionError("the adjacency's rows were formed")
 
-    monkeypatch.setattr(sparse_oracle, "_adjacency_arrays", refuse)
+    monkeypatch.setattr(spectral, "_adjacency_arrays", refuse)
     machine = ["--machine", "unary_counter", "--space", "3", "--input", "11"]
     for name, argv in (("reduce_unary_counter_11", ["reduce", "--machine", "unary_counter", "--input", "11"]),
                        ("verify_unary_counter_11", ["verify", *machine, "--gap-exponent", "12"]),
@@ -818,7 +839,7 @@ def test_a_reduction_forms_no_rows_but_energy_does(capsys, monkeypatch):
     assert code == 0 and json.loads(out)["det"] == -1
     code, out = run_cli(capsys, "verify", "--instance", "rtm_unary_counter_11.json")
     assert code == 0 and json.loads(out)["decision"] == "NO"
-    monkeypatch.setattr(sparse_oracle, "_adjacency_arrays",
+    monkeypatch.setattr(spectral, "_adjacency_arrays",
                         lambda *args: formed.append(args) or arrays(*args))
     code, out = run_cli(capsys, "energy", "--instance", "rtm_unary_counter_11.json")
     assert code == 0 and len(formed) == 1

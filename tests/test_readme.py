@@ -1,4 +1,4 @@
-"""Every gaplab command in the README's sh blocks runs and exits 0, and every name it cites exists."""
+"""Every gaplab command in the README's sh blocks runs and exits 0, its python blocks run, and every name it cites exists."""
 
 import importlib.util
 import re
@@ -19,6 +19,14 @@ def test_readme_commands_exit_zero(tmp_path):
     assert results, "the README documents no gaplab command"
     failed = {r["command"]: (r["exit"], r["stderr"]) for r in results if r["exit"] != 0}
     assert not failed
+
+
+def test_readme_python_blocks_run():
+    # The library example reads the reduction's public fields, so a change to them must keep it working.
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    assert blocks, "the README holds no python block"
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
 
 
 def test_readme_names_what_exists():

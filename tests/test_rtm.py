@@ -3,7 +3,7 @@
 import itertools
 import json
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from importlib import resources
 
 import numpy as np
@@ -158,7 +158,7 @@ def test_validate_flags_cycles():
 
 def test_augmented_adjacency_row_structure():
     machine = rtm.corpus_machine("unary_counter")
-    adjacency = rtm.augmented_adjacency(machine, "11")
+    adjacency = oracles.adjacency_rows(rtm.augmented_adjacency(machine, "11"))
     s_idx = rtm.encode_configuration(machine, rtm.start_configuration(machine, "11"))
     t_idx = rtm.encode_configuration(machine, rtm.accept_configuration(machine, "11"))
     # Accepting row holds exactly the back edge.
@@ -189,7 +189,7 @@ def test_augmented_adjacency_row_structure():
                     by_outcome.setdefault(rtm.simulate(machine, x).accepted, x)
             for accepted, x in by_outcome.items():
                 kinds.add(accepted)
-                got = so.to_csr(rtm.augmented_adjacency(machine, x))
+                got = so.to_csr(oracles.adjacency_rows(rtm.augmented_adjacency(machine, x)))
                 want = oracles.coo_csr(machine.dim, oracles.adjacency_triplets(machine, x))
                 for part in ("indptr", "indices", "data"):
                     assert np.array_equal(getattr(got, part), getattr(want, part)), (
@@ -227,7 +227,7 @@ def test_adjacency_arrays_match_the_definition(succ):
                 assert np.array_equal(mine, theirs), (succ, s_idx, t_idx)
 
 
-def _formed_rows(adjacency: so.SuccessorAdjacency) -> tuple[tuple, int]:
+def _formed_rows(gram: sp.GramOracle) -> tuple[tuple, int]:
     """(indptr, indices, data, csr, padded) as reading them gives, and how many row-contract checks ran."""
     check, checks = so.RowOracleMatrix.__post_init__, []
 
@@ -237,26 +237,26 @@ def _formed_rows(adjacency: so.SuccessorAdjacency) -> tuple[tuple, int]:
 
     so.RowOracleMatrix.__post_init__ = counted
     try:
-        rows = (adjacency.indptr, adjacency.indices, adjacency.data, so.to_csr(adjacency), adjacency.padded)
+        rows = (gram.indptr, gram.indices, gram.data, so.to_csr(gram), gram.padded)
     finally:
         so.RowOracleMatrix.__post_init__ = check
     return rows, len(checks)
 
 
-def _assert_rows_formed_as_the_eager_ones(adjacency: so.SuccessorAdjacency) -> None:
-    # The rows come on first read, checked once and kept, and they are the
-    # eager arrays bit for bit: values, dtypes and data's zero stride.
-    eager = so._ones(*so._adjacency_arrays(adjacency.succ, adjacency.start, adjacency.accept))
-    assert "_rows" not in vars(adjacency) and repr(adjacency).endswith(", not formed)")
-    (indptr, indices, data, csr, _), checks = _formed_rows(adjacency)
-    assert checks == 1 and repr(adjacency).endswith(", formed)")
-    for mine, theirs in ((indptr, eager.indptr), (indices, eager.indices)):
+def _assert_rows_formed_as_the_eager_ones(gram: sp.GramOracle) -> None:
+    # A reduction's Gram forms its rows on first read, the adjacency's and
+    # then the product's, each checked once, and keeps them; they are the
+    # eager arrays bit for bit, values and dtypes.
+    eager = so.ata_oracle(oracles.adjacency_rows(gram.factor))
+    assert "_product" not in vars(gram) and repr(gram).endswith(", not formed)")
+    (indptr, indices, data, csr, _), checks = _formed_rows(gram)
+    assert checks == 2 and repr(gram).endswith(", formed)")
+    for mine, theirs in ((indptr, eager.indptr), (indices, eager.indices), (data, eager.data)):
         assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
-    assert data.dtype == eager.data.dtype == np.int64
-    assert data.strides == eager.data.strides == (0,) and data.shape == eager.data.shape
-    assert np.shares_memory(csr.indices, indices) and np.array_equal(csr.data, eager.data)
-    assert (adjacency.dim, adjacency.sparsity_d, adjacency.entry_bound_k) == (eager.dim, 2, 1)
-    assert _formed_rows(adjacency)[1] == 0
+    assert data.dtype == np.int64
+    assert np.shares_memory(csr.indices, indices) and np.shares_memory(csr.data, data)
+    assert (gram.dim, gram.sparsity_d, gram.entry_bound_k) == (eager.dim, eager.sparsity_d, 2)
+    assert _formed_rows(gram)[1] == 0
 
 
 @pytest.mark.parametrize("name", rtm.corpus_names())
@@ -271,7 +271,7 @@ def test_a_reduction_forms_its_rows_as_the_eager_arrays(name):
                 by_outcome.setdefault(rtm.simulate(machine, x).accepted, x)
         kinds |= set(by_outcome)
         for x in by_outcome.values():
-            _assert_rows_formed_as_the_eager_ones(rtm.augmented_adjacency(machine, x))
+            _assert_rows_formed_as_the_eager_ones(rtm.reduce_to_gapped(machine, x).gram)
     assert kinds == {True, False}, name  # an accepting and a rejecting input
 
 
@@ -290,21 +290,15 @@ def test_adjacency_arrays_peak_memory_stays_near_the_result():
 
 
 def _space_7_reduction() -> rtm.GappedInstance:
-    """``unary_counter`` on 11 at space 7, the instance the memory guards trace.
-
-    The adjacency's data must be zero-stride: ``nbytes`` reports nnz x 8
-    on such a view, so only the stride shows that no ones are stored.
-    """
-    instance = rtm.reduce_to_gapped(rtm.with_space(rtm.corpus_machine("unary_counter"), 7), "11")
-    assert instance.adjacency.data.strides == (0,)
-    return instance
+    """``unary_counter`` on 11 at space 7, the instance the memory guards trace."""
+    return rtm.reduce_to_gapped(rtm.with_space(rtm.corpus_machine("unary_counter"), 7), "11")
 
 
 def _index_bytes(matrix: so.RowOracleMatrix) -> int:
     return matrix.indptr.nbytes + matrix.indices.nbytes
 
 
-def _unformed_index_bytes(adjacency: so.SuccessorAdjacency) -> int:
+def _unformed_index_bytes(adjacency: sp.SuccessorAdjacency) -> int:
     """The index bytes a reduction's adjacency takes once formed, from dim and nnz alone.
 
     Row i holds i and its successor: 2 dim entries less one per halting
@@ -320,8 +314,9 @@ def test_det_peak_memory_stays_near_the_adjacency_indices():
     adjacency = _space_7_reduction().adjacency
     sp.det_exact(adjacency)  # a warm-up call, untraced; the numpy route imports nothing
     det, peak = oracles.traced_peak(lambda: sp.det_exact(adjacency))
+    budget = _unformed_index_bytes(adjacency)
     assert det == -1
-    assert peak <= _index_bytes(adjacency), (peak, _index_bytes(adjacency))
+    assert peak <= budget, (peak, budget)
 
 
 def test_lambda_min_peak_memory_stays_near_the_adjacency_indices():
@@ -329,7 +324,8 @@ def test_lambda_min_peak_memory_stays_near_the_adjacency_indices():
     sp.min_eigenvalue_sparse(instance.gram)
     lam, peak = oracles.traced_peak(lambda: sp.min_eigenvalue_sparse(instance.gram))
     assert lam >= 2.0 ** -instance.g
-    assert peak <= _index_bytes(instance.adjacency), (peak, _index_bytes(instance.adjacency))
+    budget = _unformed_index_bytes(instance.adjacency)
+    assert peak <= budget, (peak, budget)
 
 
 def _reduction_job(machine: rtm.ReversibleTM, x: str):
@@ -350,18 +346,18 @@ _SPACE_7_JOBS = {"11": "unary_counter", "1": "unary_counter",
 def test_every_reduction_stage_stays_within_the_adjacency_indices(x):
     # Each stage's traced transient, above what it keeps, is at most the
     # adjacency's index bytes, computed without forming them; the audit's is
-    # the largest (0.85x measured).  The rows are never formed: the arrays,
-    # _ones and the row contract do not run in a reduction job.
+    # the largest (0.85x measured).  No row is formed: the arrays, _ones
+    # and the row contract do not run in a reduction job.
     machine = rtm.with_space(rtm.corpus_machine(_SPACE_7_JOBS[x]), 7)
     _reduction_job(machine, x)
     stages = [(rtm, "successors"), (rtm, "_audit"), (rtm, "GramOracle"), (sp, "det_exact"),
               (sp, "min_eigenvalue_sparse")]
-    unformed = [(so, "_adjacency_arrays"), (so, "_ones"), (so.RowOracleMatrix, "__post_init__")]
+    unformed = [(sp, "_adjacency_arrays"), (sp, "_ones"), (so.RowOracleMatrix, "__post_init__")]
     (instance, det, _, accepted), transients = oracles.traced_stages(
         lambda: _reduction_job(machine, x), stages + unformed)
     assert (det != 0) == accepted == x.endswith(("11", "#"))
     assert sorted(transients) == sorted(name for _, name in stages)
-    assert "_rows" not in vars(instance.adjacency)
+    assert "_product" not in vars(instance.gram)
     budget = _unformed_index_bytes(instance.adjacency)
     over = {name: max(peaks) / budget for name, peaks in transients.items() if max(peaks) > budget}
     assert not over, over
@@ -381,8 +377,8 @@ def test_a_reduction_job_peaks_below_its_high_water_mark(x):
         assert peak <= 1.7 * 2**20, peak
     else:
         assert peak <= 2.4 * reference, peak
-    assert "_rows" not in vars(instance.adjacency)
-    assert reference == _index_bytes(instance.adjacency)  # the rows, formed after the trace
+    assert "_product" not in vars(instance.gram)
+    assert reference == _index_bytes(oracles.adjacency_rows(instance.adjacency))  # formed after the trace
 
 
 @pytest.mark.parametrize("space, x", [(6, "#000#"), (6, "#000"), (7, "#0000#"), (7, "#0000")])
@@ -427,6 +423,21 @@ def test_reduction_gap_exponent():
     # dim and g are read from the adjacency, so no two fields can disagree with it.
     small = rtm.GappedInstance(rtm.augmented_adjacency(rtm.with_space(rtm.corpus_machine("unary_counter"), 2), "1"))
     assert (small.dim, small.g) == (90, 12)
+
+
+def test_a_reduction_refuses_assignment():
+    # The chain table answers for the successor array it was walked from, so
+    # neither the adjacency nor the Gram held as it takes a new one.
+    instance = rtm.reduce_to_gapped(rtm.corpus_machine("unary_counter"), "11")
+    adjacency, gram = instance.adjacency, instance.gram
+    for owner, name, value in ((adjacency, "start", 3), (adjacency, "succ", adjacency.succ.copy()),
+                               (gram, "factor", adjacency)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(owner, name, value)
+    assert gram.factor is adjacency and adjacency.start != 3
+    assert type(adjacency.covered) is int and type(adjacency.det) is int
+    assert (adjacency.covered, adjacency.det) == (instance.dim, -1)
+    assert "succ" not in repr(adjacency) and repr(adjacency).startswith("SuccessorAdjacency(start=")
 
 
 def test_reduction_eigenvalue_dichotomy():
@@ -622,7 +633,11 @@ def test_audit_matches_full_rounds_pointer_jumping(succ):
     machine = _bare_machine(len(succ))
     # validate's int64 array, and the reduction's, narrowed to the index dtype
     (report, chains), narrow = (rtm._audit(machine, succ.astype(dtype)) for dtype in (np.int64, np.int32))
-    assert narrow == (report, chains)
+
+    def answers(table):  # a record's equality is identity
+        return None if table is None else (table.covered, table.det, table.cut, table.paths, table.vertex)
+
+    assert (narrow[0], answers(narrow[1])) == (report, answers(chains))
     collision, cycle = oracles.audit_witnesses(succ)
     issues = []
     if collision is not None:
@@ -705,15 +720,15 @@ def test_chain_table_reads_what_the_arrays_read(drawn):
     # The table of a cut successor map answers det, lambda_min and the
     # witness exactly as the closed form and the formed Gram read the
     # same adjacency, and its chains are those a plain walk finds; the
-    # adjacency's rows, formed last, are the eager arrays.
+    # Gram's rows, formed last, are the eager arrays.
     succ, start, accept = drawn
     table = sp._chain_table(succ, start, accept)
     assert (table.covered, table.det, table.paths, table.vertex) == _plain_chains(succ, start, accept)
+    assert table.succ is succ and (table.start, table.accept) == (start, accept)
     assert table.covered == len(succ)
-    plain = so._ones(*so._adjacency_arrays(succ, start, accept))
-    carried = so.SuccessorAdjacency(succ, start, accept, table)
-    assert sp.det_exact(carried) == sp._successor_det(plain) == table.det
-    read, fast = so.ata_oracle(plain), so.GramOracle(carried)
+    plain = oracles.adjacency_rows(table)
+    assert sp.det_exact(table) == sp._successor_det(plain) == table.det
+    read, fast = so.ata_oracle(plain), sp.GramOracle(table)
     want, got = sp._bottom_block_eigenpair(read), sp._bottom_block_eigenpair(fast)
     assert sp.min_eigenvalue_sparse(fast).hex() == sp.min_eigenvalue_sparse(read).hex() == want.lam.hex()
     assert got.lam.hex() == want.lam.hex() and np.array_equal(got.rows, want.rows)
@@ -721,8 +736,7 @@ def test_chain_table_reads_what_the_arrays_read(drawn):
         mine, theirs = getattr(got.block, part), getattr(want.block, part)
         assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs), part
     assert got.psi.tobytes() == want.psi.tobytes() and got.residual.hex() == want.residual.hex()
-    assert "_product" not in vars(fast)
-    _assert_rows_formed_as_the_eager_ones(carried)  # none formed until now
+    _assert_rows_formed_as_the_eager_ones(fast)  # none formed until now
 
 
 @settings(max_examples=40, deadline=None)

@@ -340,7 +340,7 @@ def test_rejecting_reductions_are_decided_before_any_labelling(monkeypatch):
     # The start row has no diagonal entry and, on a rejecting input, a walk
     # that ends; an accepting one's start row lies on the computation cycle,
     # and only that cycle's rows are labelled.  det_exact reads a reduction
-    # from its chain table, so the closed form is called on the arrays directly.
+    # from its chain table, so the closed form is called on its rows, formed at once.
     calls = []
     jump = sp._jump
 
@@ -351,9 +351,9 @@ def test_rejecting_reductions_are_decided_before_any_labelling(monkeypatch):
 
     monkeypatch.setattr(sp, "_jump", recorded)
     machine = rtm.with_space(rtm.corpus_machine("unary_counter"), 6)
-    assert sp._successor_det(rtm.augmented_adjacency(machine, "1")) == 0
+    assert sp._successor_det(oracles.adjacency_rows(rtm.augmented_adjacency(machine, "1"))) == 0
     assert calls == []
-    assert sp._successor_det(rtm.augmented_adjacency(machine, "11")) == -1
+    assert sp._successor_det(oracles.adjacency_rows(rtm.augmented_adjacency(machine, "11"))) == -1
     assert calls == [rtm.simulate(machine, "11").steps + 1]
 
 
@@ -1170,8 +1170,9 @@ def test_a_reduction_is_answered_from_its_chain_table(monkeypatch):
     cases = {}
     for x in ("#000#", "#000"):
         instance = rtm.reduce_to_gapped(machine, x)
-        read = so.ata_oracle(so._ones(instance.adjacency.indptr, instance.adjacency.indices))
-        cases[x] = (instance, sp._successor_det(instance.adjacency),
+        rows = oracles.adjacency_rows(instance.adjacency)
+        read = so.ata_oracle(rows)
+        cases[x] = (instance, sp._successor_det(rows),
                     sp.min_eigenvalue_sparse(read).hex(), repr(pr.decide_gapped(read, instance.g)))
 
     def refuse(*args, **kwargs):
