@@ -21,7 +21,6 @@ from .sparse_oracle import (
     materialize,
     norm_bound,
     path_adjacency,
-    to_csr,
 )
 from .spectral import (
     SpectrumReport,

@@ -12,8 +12,9 @@ checked as its flag would be, so an unknown key, a value of another
 JSON type or one outside the flag's choices is a usage error.
 
 Exit codes: 0 success, 1 contract/resource/configuration violation or
-failed allocation (one line on stderr), 2 usage, 3 promise violation
-reported by an amplification run (the report is still written).
+failed allocation (one line on stderr), 2 usage, 3 promise violation:
+reported by an amplification run (the report is still written), or a
+reduction that ``verify`` refuses (one line on stderr, no report).
 """
 
 from __future__ import annotations
@@ -31,6 +32,11 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_USAGE = 2
 EXIT_PROMISE = 3
+
+
+class _PromiseViolation(Exception):
+    """An instance outside the promise its command decides: one line on stderr and EXIT_PROMISE."""
+
 
 DEFAULTS: dict[str, dict] = {
     "spectrum": {"kind": "path", "index_form": "odd", "format": "csv"},
@@ -123,23 +129,22 @@ def _cmd_det(args) -> tuple[dict, int]:
     return payload, EXIT_OK
 
 
-def _routes_agree(machine: rtm.ReversibleTM, x: str, routes: dict[str, tuple[object, bool | None]]) -> bool:
-    """Whether ``simulate`` accepts; the first route whose (value, accepts) says otherwise is refused in one line.
+def _routes_agree(accepted: bool, routes: dict[str, tuple[object, bool | None]]) -> None:
+    """Refuse in one line the first route whose (value, accepts) disagrees with ``simulate``'s ``accepted``.
 
     accepts is None for a value that neither accepts nor rejects, which disagrees either way.
     """
-    accepted = rtm.simulate(machine, x).accepted
     for name, (value, accepts) in routes.items():
         if accepts != accepted:
             raise ContractError(f"routes disagree: {name} {value} but simulate {'accepts' if accepted else 'rejects'}")
-    return accepted
 
 
 def _cmd_reduce(args) -> tuple[dict, int]:
     machine, x = _machine_and_input(args)
     instance = rtm.reduce_to_gapped(machine, x)
     det = spectral.det_exact(instance.adjacency)
-    accepted = _routes_agree(machine, x, {"det": (det, det != 0)})
+    accepted = rtm.simulate(machine, x).accepted
+    _routes_agree(accepted, {"det": (det, det != 0)})
     payload = _with_seed(
         args,
         {
@@ -159,27 +164,29 @@ def _cmd_verify(args) -> tuple[dict, int]:
     if args.machine is not None:
         machine, x = _machine_and_input(args)
         instance = rtm.reduce_to_gapped(machine, x)
-        matrix = instance.gram
-        g = args.gap_exponent if args.gap_exponent is not None else instance.g
-        source = machine.name or args.machine
-    else:
-        matrix, certified_g = rtm.load_gapped_instance(args.instance)
-        g = args.gap_exponent if args.gap_exponent is not None else certified_g
-        if g is None:
-            raise ConfigurationError(
-                "verify --instance requires --gap-exponent unless the file "
-                "describes a machine reduction"
-            )
-        source = args.instance
-    result = protocols.decide_gapped(matrix, g)
-    if args.machine is not None:  # the chain table holds det and lambda_min: no further pass
-        det = spectral.det_exact(instance.adjacency)
-        lam = spectral.min_eigenvalue_sparse(matrix)
+        matrix, certified_g, source = instance.gram, instance.g, machine.name or args.machine
+        # The chain table holds det and lambda_min: no further pass.
+        det, lam = spectral.det_exact(instance.adjacency), spectral.min_eigenvalue_sparse(matrix)
         # lambda_min accepts at or above the floor, rejects at exactly 0, and does neither between.
         verdict = lam >= spectral.min_eigenvalue_bound(instance.dim) or (None if lam else False)
-        _routes_agree(machine, x, {"det": (det, det != 0),
-                                   "decision": (result.decision, result.decision == "NO"),
-                                   "lambda_min": (lam, verdict)})
+        accepted = rtm.simulate(machine, x).accepted
+        _routes_agree(accepted, {"det": (det, det != 0), "lambda_min": (lam, verdict)})
+    else:
+        matrix, certified_g = rtm.load_gapped_instance(args.instance)
+        source = args.instance
+        if certified_g is not None:  # a machine reduction, read from its chain table
+            lam = spectral.min_eigenvalue_sparse(matrix)
+    g = args.gap_exponent if args.gap_exponent is not None else certified_g
+    if g is None:
+        raise ConfigurationError(
+            "verify --instance requires --gap-exponent unless the file "
+            "describes a machine reduction"
+        )
+    result = protocols.decide_gapped(matrix, g)  # refuses a g it cannot read first
+    if certified_g is not None and 0 < lam < 2.0**-g:
+        raise _PromiseViolation(f"promise violated: lambda_min {lam!r} is neither 0 nor at least 2^-{g}")
+    if args.machine is not None:
+        _routes_agree(accepted, {"decision": (result.decision, result.decision == "NO")})
     payload = _with_seed(
         args,
         {
@@ -269,7 +276,7 @@ def _cmd_energy(args) -> tuple[dict, int]:
     else:  # read from the path, so a machine path resolves against the file's directory
         # A machine reduction is read as its Gram, as `verify --instance` reads it,
         # and checked against its closed-form lambda_min instead of a dense solve;
-        # the bisection reads the oracle's own rows either way.
+        # the bisection forms the Gram's rows (`GramOracle.rows`), the one reader that does.
         instance, g = rtm.load_gapped_instance(args.instance)
         if g is None:
             truth = protocols.ground_energy(sparse_oracle.materialize(instance))
@@ -472,9 +479,9 @@ def main(argv: Sequence[str] | None = None) -> int:
                 fh.write(text)
         else:
             sys.stdout.write(text)
-    except (ValueError, ResourceLimitError, MemoryError, OSError) as exc:
+    except (ValueError, ResourceLimitError, MemoryError, OSError, _PromiseViolation) as exc:
         print(f"gaplab: {str(exc) or type(exc).__name__}", file=sys.stderr)
-        return EXIT_ERROR
+        return EXIT_PROMISE if isinstance(exc, _PromiseViolation) else EXIT_ERROR
     return code
 
 

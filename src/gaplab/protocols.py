@@ -51,7 +51,7 @@ from .sparse_oracle import (
     materialize,
     norm_bound,
 )
-from .spectral import _bottom_block_eigenpair, _rcm_band, _require_hermitian, _symmetric_csr
+from .spectral import GramOracle, _bottom_block_eigenpair, _rcm_band, _require_hermitian, _symmetric_csr
 from .simulator import (
     DENSE_QUBIT_CAP,
     QuantumCircuit,
@@ -525,7 +525,7 @@ class GappedParams:
         return max(1e-8, 2.5 * self.epsilon)
 
 
-def gapped_params(matrix: RowOracleMatrix, g: int) -> GappedParams:
+def gapped_params(matrix: RowOracleMatrix | GramOracle, g: int) -> GappedParams:
     """Evolution time, error budget, and analytic bounds for gap exponent g.
 
     evo_time t = pi/(entry bound k * sparsity d) keeps ||A|| t <= pi, and
@@ -604,7 +604,7 @@ class GappedDecision:
     taylor_order: int
 
 
-def decide_gapped(matrix: RowOracleMatrix, g: int) -> GappedDecision:
+def decide_gapped(matrix: RowOracleMatrix | GramOracle, g: int) -> GappedDecision:
     """Decide lambda_min = 0 versus >= 2^-g with the honest prover.
 
     The witness is the bottom eigenvector (``bottom_eigenpair``), the
@@ -619,9 +619,10 @@ def decide_gapped(matrix: RowOracleMatrix, g: int) -> GappedDecision:
     the same declared d and k, so t, the Taylor order and each row's
     floating-point sum are those of the whole matrix, whose other rows
     would only carry zeros.  A reduction's Gram
-    (``spectral.GramOracle``) is never formed: its block is written
-    from A's chain table, the path ordered by a walk of the successor
-    array.  The first product
+    (``spectral.GramOracle``) is a record of its factor A with the
+    declared d and k, not a row oracle, and is never formed: its block
+    is written from A's chain table, the path ordered by a walk of the
+    successor array.  The first product
     rounds each row's sum once (``expm_taylor_minus_identity``): its
     products, entries +-1 and 2 times the witness, are exact, and on an
     eigenvector it cancels to about lambda / ||A|| of its terms, which
@@ -1130,9 +1131,10 @@ def binary_search_energy(instance, bits: int) -> float:
     whether the Cholesky factorization of H - mu I exists, which it does
     exactly when H - mu I is positive definite; no eigenvalue is
     computed.  A row oracle is H as it stands: its CSR arrays once they
-    are checked symmetric (a reduction's Gram is its product,
-    symmetric by construction), with its Gershgorin interval read from
-    its rows in exact integers, so no dense copy is made.  Any other
+    are checked symmetric, with its Gershgorin interval read from its
+    rows in exact integers, so no dense copy is made.  A reduction's
+    Gram (``GramOracle``) is its formed rows (``rows()``), A^T A,
+    symmetric by construction and taken unchecked.  Any other
     instance is the matrix ``_hamiltonian`` gives, the legal-clock block
     for a compiled clock instance.  The factorization is banded: H is
     taken once into the reverse Cuthill-McKee order of its pattern, a
@@ -1148,8 +1150,8 @@ def binary_search_energy(instance, bits: int) -> float:
 
     if bits < 1 or bits > ENERGY_BITS_CAP:
         raise ContractError(f"bits must be in 1..{ENERGY_BITS_CAP}, got {bits}")
-    if isinstance(instance, RowOracleMatrix):
-        h = _symmetric_csr(instance)
+    if isinstance(instance, (GramOracle, RowOracleMatrix)):
+        h = instance.rows().csr if isinstance(instance, GramOracle) else _symmetric_csr(instance)
         diag = h.diagonal()
         sums = np.concatenate(([0], np.cumsum(np.abs(h.data))))  # |h|'s row sums as differences
         radii = sums[h.indptr[1:]] - sums[h.indptr[:-1]] - np.abs(diag)

@@ -37,8 +37,10 @@ vertex.  Its determinant is +-1 when the machine reaches the canonical
 accepting configuration and 0 otherwise, and the Gram matrix A^T A then
 has least eigenvalue either 0 or bounded below by the closed-form gap
 at that dimension.  The matrix is one record of its successor array
-and chain table (``spectral.SuccessorAdjacency``), and its Gram is held
-as that record (``spectral.GramOracle``).
+and chain table (``spectral.SuccessorAdjacency``), and its Gram is a
+record of that one (``spectral.GramOracle``); neither is a row oracle,
+and only ``GramOracle.rows()`` forms CSR rows from them.  Every command
+reads an instance file through ``load_instance``.
 
 Accepting runs must end at one canonical configuration: accept state,
 head on cell 0, input tape restored.  Halting anywhere else counts as
@@ -422,9 +424,10 @@ class GappedInstance:
 
     ``adjacency`` is the augmented adjacency A, the audit's record of
     its successor array and chain table (``spectral.SuccessorAdjacency``),
-    and ``gram`` is A^T A held as A (``spectral.GramOracle``); the
-    spectral routines form neither: A's determinant and the Gram's
-    lambda_min and least block are read from A's chain table.
+    and ``gram`` is A^T A held as A (``spectral.GramOracle``), a record
+    and no row oracle; the spectral routines form neither: A's
+    determinant and the Gram's determinant, lambda_min and least block
+    are read from A's chain table.
     ``reduce`` takes only the determinant and builds no Gram.  Its
     least eigenvalue is exactly 0 when the machine rejects the input
     and at least 2^-g when it accepts, with g derived from the
@@ -530,18 +533,6 @@ def corpus_machine(name: str) -> ReversibleTM:
     return machine_from_dict(json.loads(path.read_text(encoding="utf-8")))
 
 
-def _read_spec(source: str | os.PathLike | dict) -> tuple[dict, str]:
-    """Parsed instance description and the directory its paths are relative to."""
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as fh:
-            spec, base = json.load(fh), os.path.dirname(os.path.abspath(source))
-    else:
-        spec, base = source, os.getcwd()
-    if not isinstance(spec, dict):
-        raise ContractError(f"an instance is a JSON object, got {type(spec).__name__}")
-    return spec, base
-
-
 def reduction_input(spec: dict, base: str):
     """Machine and input string of a {"kind": "rtm"} description.
 
@@ -574,9 +565,20 @@ def load_instance(source: str | os.PathLike | dict) -> RowOracleMatrix | Success
 
     Every number (values, indices, dim, ell, space) must be a JSON
     integer, ``machine`` and ``input`` strings, and a ``rows`` matrix
-    N x N; a missing key or anything else is a ContractError.
+    N x N; a missing key, a description that names more than one of
+    ``rows``, ``entries`` and ``kind``, or anything else is a
+    ContractError.  Every command reads instance files through here.
     """
-    spec, base = _read_spec(source)
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, "r", encoding="utf-8") as fh:
+            spec, base = json.load(fh), os.path.dirname(os.path.abspath(source))
+    else:
+        spec, base = source, os.getcwd()
+    if not isinstance(spec, dict):
+        raise ContractError(f"an instance is a JSON object, got {type(spec).__name__}")
+    shapes = [key for key in ("rows", "entries", "kind") if key in spec]
+    if len(shapes) > 1:
+        raise ContractError(f"an instance names one of 'rows', 'entries' and 'kind', got {shapes}")
     if "rows" in spec:
         rows = _field(spec, "rows", list)
         dim = _field(spec, "dim", int) if "dim" in spec else len(rows)
@@ -606,15 +608,16 @@ def load_instance(source: str | os.PathLike | dict) -> RowOracleMatrix | Success
 
 def load_gapped_instance(
     source: str | os.PathLike | dict,
-) -> tuple[RowOracleMatrix, int | None]:
-    """The matrix ``verify`` decides from an instance file, with its certified g.
+) -> tuple[RowOracleMatrix | GramOracle, int | None]:
+    """The matrix ``verify`` and ``energy`` decide from an instance file, with its certified g.
 
-    A machine reduction yields the Gram A^T A of its augmented adjacency
-    and the reduction's own gap exponent; every other shape yields the
-    matrix ``load_instance`` reads and no gap exponent.
+    The file is read by ``load_instance``.  A machine reduction's
+    adjacency yields its Gram A^T A and the reduction's own gap
+    exponent (``GappedInstance``); every other matrix is yielded as it
+    is read, with no gap exponent.
     """
-    spec, base = _read_spec(source)
-    if spec.get("kind") == "rtm":
-        instance = reduce_to_gapped(*reduction_input(spec, base))
+    matrix = load_instance(source)
+    if isinstance(matrix, SuccessorAdjacency):
+        instance = GappedInstance(matrix)
         return instance.gram, instance.g
-    return load_instance(spec), None
+    return matrix, None

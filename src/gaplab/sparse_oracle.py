@@ -10,14 +10,14 @@ evolution time.  The path-sum recogniser reads the arrays as they
 stand, in numpy, and so do the row products A x of the witness's
 residual and of the Taylor sum, on rows padded once (``padded``); the
 scipy kernels (determinants, symmetry checks, the energy band) read
-them through ``to_csr``, a scipy CSR matrix on the same buffers.  A
-Gram A^T A is formed at once by ``ata_oracle``, and a reduction's
-adjacency from its successor array by ``_adjacency_arrays``; the
-reduction itself is held in ``spectral`` (``SuccessorAdjacency`` and
-``GramOracle``), which forms those arrays only when a Gram's rows are
-read.  Building an oracle and checking it take numpy alone; scipy is
-imported when a CSR view is first asked for, by a Gram product or a
-kernel.  This module reads no files (``rtm`` reads instance files).
+them through ``csr``, a scipy CSR matrix on the same buffers.  A Gram
+A^T A is formed at once by ``ata_oracle``, and a reduction's adjacency
+from its successor array by ``_adjacency_arrays``.  The reduction
+itself is held in ``spectral`` as records that are no row oracles
+(``SuccessorAdjacency`` and ``GramOracle``); only ``GramOracle.rows()``
+forms these arrays from it.  Building an oracle and checking it take
+numpy alone; scipy is imported when a CSR view is first asked for, by
+a Gram product or a kernel.  This module reads no files (``rtm`` reads instance files).
 Dense materialization is a desk-scale debugging and ground-truth
 device, refused above DENSE_CAP rows.
 
@@ -64,8 +64,8 @@ class RowOracleMatrix:
     ``sparsity_d`` entries, sorted by column, nonzero and at most
     ``entry_bound_k`` in magnitude.  Construction checks all of it and
     raises ContractError naming the first offending row.  The arrays
-    are shared by every caller of ``to_csr``, which must not modify
-    them in place.  Equality is identity.
+    are shared by every reader of ``csr``, which must not modify them
+    in place.  Equality is identity.
     """
 
     indptr: np.ndarray
@@ -211,11 +211,6 @@ def _rounded_once_sums(table: np.ndarray) -> np.ndarray:
 def _rounded_once_products(matrix: RowOracleMatrix, x: np.ndarray) -> np.ndarray:
     """A x for a vector or column block x, each row's sum rounded once (``_rounded_once_sums``)."""
     return _rounded_once_sums(_product_table(matrix.padded, x))
-
-
-def to_csr(matrix: RowOracleMatrix) -> csr_matrix:
-    """The oracle's CSR matrix, a view on its arrays: the form every full pass reads."""
-    return matrix.csr
 
 
 def norm_bound(matrix: RowOracleMatrix) -> int:
@@ -375,7 +370,7 @@ def ata_oracle(matrix: RowOracleMatrix) -> RowOracleMatrix:
     """
     if matrix.entry_bound_k > 1:
         raise ContractError("Gram construction requires entries in {-1, 0, 1}")
-    a = to_csr(matrix)
+    a = matrix.csr
     gram = (a.T @ a).tocsr()
     gram.sort_indices()
     d = min(matrix.dim, 4 * matrix.sparsity_d)

@@ -5,9 +5,9 @@ Three concerns live here:
 * a reduction, held here alone: its adjacency is one frozen record
   (``SuccessorAdjacency``) of the audited successor array and the
   chain table walked from it once (``_chain_table``), which answers
-  its det and its Gram's lambda_min and least block; its Gram
-  (``GramOracle``) is held as that record and forms its rows only
-  when they are read;
+  its det and its Gram's det, lambda_min and least block; its Gram
+  (``GramOracle``) is a frozen record of that one, not a row oracle,
+  and forms its rows only when ``rows()`` is called;
 * integer determinants that certify singularity exactly, with no
   floating point on the value path.  A matrix with at most one entry
   off the diagonal in each row, as the path and cycle blocks are, has
@@ -44,8 +44,7 @@ its Gram loads no scipy at all.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field
 from math import pi, prod, sin
 from typing import TYPE_CHECKING, Callable
 
@@ -62,7 +61,6 @@ from .sparse_oracle import (
     from_dense,
     materialize,
     norm_bound,
-    to_csr,
 )
 
 if TYPE_CHECKING:
@@ -189,10 +187,10 @@ def det_bareiss_sparse(matrix: RowOracleMatrix) -> int:
     reading A's rows through the order.  Only the order uses scipy;
     every value is an exact Python integer.  ``det_exact`` sends here
     only the matrices its closed form (``_successor_det``) leaves: a
-    Gram, or any matrix with a row of two entries off the diagonal or a
-    successor walk that enters a cycle from outside it.
+    formed Gram, or any matrix with a row of two entries off the
+    diagonal or a successor walk that enters a cycle from outside it.
     """
-    a = to_csr(matrix)
+    a = matrix.csr
     perm, col, lo = _rcm(a, (abs(a) + abs(a.T)).tocsr())[:3]  # the offsets, freed here
     return _banded_bareiss(a, perm, col, lo)
 
@@ -321,18 +319,21 @@ def _successor_det(matrix: RowOracleMatrix) -> int | None:
     return det
 
 
-def det_exact(matrix: SuccessorAdjacency | RowOracleMatrix | np.ndarray) -> int:
+def det_exact(matrix: SuccessorAdjacency | GramOracle | RowOracleMatrix | np.ndarray) -> int:
     """Exact integer determinant; an array is wrapped by ``from_dense`` first.
 
     A reduction's adjacency (``SuccessorAdjacency``) carries its det in
-    its chain table (``_chain_table``).  Any other matrix with at most
-    one entry off the diagonal in each row takes the closed form of
+    its chain table (``_chain_table``), and its Gram (``GramOracle``)
+    the square of it: det A^T A = (det A)^2.  Any other matrix with at
+    most one entry off the diagonal in each row takes the closed form of
     ``_successor_det``, in numpy alone, and any other
     ``det_bareiss_sparse``: banded fraction-free elimination in the
     reverse Cuthill-McKee order.
     """
     if isinstance(matrix, SuccessorAdjacency):
         return matrix.det
+    if isinstance(matrix, GramOracle):
+        return matrix.factor.det**2
     if not isinstance(matrix, RowOracleMatrix):
         matrix = from_dense(matrix)
     det = _successor_det(matrix)
@@ -488,13 +489,9 @@ def _symmetric_csr(matrix: RowOracleMatrix) -> csr_matrix:
 
     The CSR arrays are canonical, and so are A^T's after ``tocsr``, so
     equal arrays are equal matrices.  For integer entries the exact test
-    is the same as a float tolerance below one.  A reduction's Gram
-    (``GramOracle``) is its product A^T A, symmetric by construction,
-    and is returned unchecked.
+    is the same as a float tolerance below one.
     """
-    a = to_csr(matrix)
-    if isinstance(matrix, GramOracle):
-        return a
+    a = matrix.csr
     t = a.T.tocsr()
     if not all(np.array_equal(getattr(a, part), getattr(t, part))
                for part in ("indptr", "indices", "data")):
@@ -682,8 +679,8 @@ class SuccessorAdjacency:
     successor (-1 for none), and ``paths`` and ``vertex`` are
     ``_fold``'s choice for A^T A, each path's ends its chain's head and
     tail.  No row of A is formed: ``det_exact`` reads ``det``, and a
-    Gram (``GramOracle``) reads ``bottom()``.  Equality is identity, and
-    the repr leaves out ``succ``.
+    Gram (``GramOracle``) reads ``det`` and ``bottom()``.  Equality is
+    identity, and the repr leaves out ``succ``.
     """
 
     succ: np.ndarray = field(repr=False)
@@ -803,55 +800,44 @@ def _chain_table(succ: np.ndarray, start: int = -1, accept: int = -1) -> Success
     return SuccessorAdjacency(succ, start, accept, int(covered), det, cut, paths, vertex)
 
 
-class GramOracle(RowOracleMatrix):
+@dataclass(frozen=True, eq=False)
+class GramOracle:
     """A reduction's Gram A^T A, held as its factor A (``SuccessorAdjacency``), whose chain table answers for it.
 
     The spectral routines read lambda_min and the least block from the
-    factor (``bottom``) and never form the Gram, so construction only
-    refuses any other factor.  The audit that wrote the table proves the
-    Gram's contract: column v of A holds v's self-loop and at most one
-    arc into v, the successor map being injective, and the start's
-    column holds only the back edge, since no rule enters the start
-    state.  ``indptr``, ``indices``, ``data`` and ``csr`` are those of
-    ``ata_oracle(_ones(*_adjacency_arrays(succ, start, accept)))``,
-    formed on first access and kept, for ``energy`` and the tests.  No
-    attribute can be assigned; ``dataclasses.replace`` does not apply.
+    factor (``bottom``), and ``det_exact`` reads (det A)^2, so nothing
+    forms the Gram; construction only refuses any other factor.  The
+    audit that wrote the table proves the Gram's contract: column v of
+    A holds v's self-loop and at most one arc into v, the successor map
+    being injective, and the start's column holds only the back edge,
+    since no rule enters the start state: so ``sparsity_d`` and
+    ``entry_bound_k`` bound its rows.  ``rows()`` forms the Gram as a
+    row oracle, anew on each call, for ``energy`` and the tests.
+    Equality is identity.
     """
 
     factor: SuccessorAdjacency
+    entry_bound_k = 2  # a column of A holds at most two ones
 
-    def __init__(self, factor: SuccessorAdjacency) -> None:
-        if not isinstance(factor, SuccessorAdjacency):
+    def __post_init__(self) -> None:
+        if not isinstance(self.factor, SuccessorAdjacency):
             raise ContractError("a Gram held as its factor needs the factor's chain table")
-        object.__setattr__(self, "factor", factor)
-        object.__setattr__(self, "sparsity_d", min(factor.dim, 4 * 2))  # A's rows hold at most two
-        object.__setattr__(self, "entry_bound_k", 2)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     @property
     def dim(self) -> int:
         return self.factor.dim
 
-    @cached_property
-    def _product(self) -> RowOracleMatrix:
+    @property
+    def sparsity_d(self) -> int:
+        return min(self.factor.dim, 4 * 2)  # A's rows hold at most two
+
+    def rows(self) -> RowOracleMatrix:
+        """A^T A as a row oracle: ``ata_oracle`` of A's CSR rows, written from ``succ``."""
         a = self.factor
         return ata_oracle(_ones(*_adjacency_arrays(a.succ, a.start, a.accept)))
 
-    indptr = property(lambda self: self._product.indptr)
-    indices = property(lambda self: self._product.indices)
-    data = property(lambda self: self._product.data)
 
-    def __repr__(self) -> str:
-        formed = "formed" if "_product" in vars(self) else "not formed"
-        return (
-            f"GramOracle(dim={self.dim}, start={self.factor.start}, accept={self.factor.accept},"
-            f" sparsity_d={self.sparsity_d}, entry_bound_k={self.entry_bound_k}, {formed})"
-        )
-
-
-def _path_sum_bottom(matrix: RowOracleMatrix) -> _LeastPath | None:
+def _path_sum_bottom(matrix: RowOracleMatrix | GramOracle) -> _LeastPath | None:
     """lambda_min of a symmetric integer A that is a direct sum of path blocks, and a block attaining it; None for any other A.
 
     A reduction's Gram is read from its factor's chain table.  Any other
@@ -921,7 +907,7 @@ def _path_sum_bottom(matrix: RowOracleMatrix) -> _LeastPath | None:
     return _least_block(chosen, vertex, path)
 
 
-def _path_witness(least: _LeastPath, matrix: RowOracleMatrix) -> tuple[np.ndarray, RowOracleMatrix, np.ndarray]:
+def _path_witness(least: _LeastPath, matrix: RowOracleMatrix | GramOracle) -> tuple[np.ndarray, RowOracleMatrix, np.ndarray]:
     """The least block's rows (ascending), the block, and its unit eigenvector at least.lam, in closed form.
 
     A path sum's component holds its diagonal and its own edges'
@@ -985,14 +971,14 @@ class _BlockEigenpair:
     rows: np.ndarray | None
 
 
-def _bottom_block_eigenpair(matrix: RowOracleMatrix) -> _BlockEigenpair:
+def _bottom_block_eigenpair(matrix: RowOracleMatrix | GramOracle) -> _BlockEigenpair:
     """``bottom_eigenpair`` on the least block of a path sum, or on the whole matrix otherwise.
 
     On a path sum the residual is taken on the block's rows, each row's
     sum rounded once (``_rounded_once_products``): A psi is exactly 0
     off a connected component, so that is the whole residual.  The
-    block is written from the recogniser's edges (``_path_witness``),
-    so a reduction's Gram is never formed.
+    block is written from the recogniser's edges or the chain table
+    (``_path_witness``), so a reduction's Gram is never formed.
     """
     least = _path_sum_bottom(matrix)
     if least is None:
@@ -1003,16 +989,16 @@ def _bottom_block_eigenpair(matrix: RowOracleMatrix) -> _BlockEigenpair:
     return _BlockEigenpair(least.lam, psi, residual, block, rows)
 
 
-def bottom_eigenpair(matrix: RowOracleMatrix) -> tuple[float, np.ndarray, float]:
+def bottom_eigenpair(matrix: RowOracleMatrix | GramOracle) -> tuple[float, np.ndarray, float]:
     """(lambda_min, unit eigenvector, ||A psi - lambda psi||) of a sparse PSD matrix.
 
-    The symmetry check is exact on the integer entries.  A direct sum of
-    path blocks (a reduction's Gram, ``GramOracle``, is read from its
-    factor's chain table, never formed) is recognised by
-    ``_path_sum_bottom`` and answered in closed form: lambda_min is
-    ``min_eigenvalue_sparse``'s, bit for bit, and the eigenvector the
-    closed form of one block that attains it (``_path_witness``), zero
-    elsewhere.  No dense matrix is built, and the cost is O(dim + nnz).
+    A reduction's Gram (``GramOracle``) is read from its factor's chain
+    table, and no row of it is formed.  On a row oracle the symmetry
+    check is exact on the integer entries, and a direct sum of path
+    blocks is recognised by ``_path_sum_bottom``.  Either is answered
+    in closed form: lambda_min is ``min_eigenvalue_sparse``'s, bit for
+    bit, and the eigenvector the closed form of one block that attains
+    it (``_path_witness``), zero elsewhere.  No dense matrix is built, and the cost is O(dim + nnz).
     On a rejecting reduction's Gram lambda_min is exactly 0.0 and the
     witness a signed constant on a path, whose residual is exactly 0.
 
@@ -1036,15 +1022,16 @@ def bottom_eigenpair(matrix: RowOracleMatrix) -> tuple[float, np.ndarray, float]
     return pair.lam, psi, pair.residual
 
 
-def min_eigenvalue_sparse(matrix: RowOracleMatrix) -> float:
+def min_eigenvalue_sparse(matrix: RowOracleMatrix | GramOracle) -> float:
     """Least eigenvalue of a large symmetric PSD oracle matrix, exact in form or certified.
 
-    The symmetry check is ``bottom_eigenpair``'s.  A direct sum of path
-    blocks (a reduction's Gram is read from its chain table) is
-    recognised from its diagonal and edges and answered in closed form
-    (``_path_sum_bottom``) in O(dim + nnz), at any dim: a rejecting
-    reduction's singular Gram gives exactly 0.0, and no block is ordered
-    and no eigenvector is written.  Any other matrix takes
+    The symmetry check is ``bottom_eigenpair``'s.  A reduction's Gram
+    (``GramOracle``) is read from its factor's chain table, and a direct
+    sum of path blocks is recognised from its diagonal and edges; both
+    are answered in closed form (``_path_sum_bottom``) in O(dim + nnz),
+    at any dim: a rejecting reduction's singular Gram gives exactly
+    0.0, and no block is ordered and no eigenvector is written.  Any
+    other matrix takes
     ``bottom_eigenpair``'s dense route, so the value equals
     ``bottom_eigenpair(matrix)[0]`` bit for bit, and an indefinite
     matrix or one above DENSE_CAP rows is refused alike.

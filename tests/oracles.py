@@ -52,6 +52,7 @@ from __future__ import annotations
 import tracemalloc
 from math import sqrt
 from typing import Callable
+from unittest import mock
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -76,7 +77,7 @@ from gaplab.simulator import (
     run_circuit,
 )
 from gaplab import spectral
-from gaplab.sparse_oracle import RowOracleMatrix, _adjacency_arrays, _index_arrays, _ones, from_entries, to_csr
+from gaplab.sparse_oracle import RowOracleMatrix, _adjacency_arrays, _index_arrays, _ones, from_entries
 from gaplab.spectral import gram_bands
 
 
@@ -91,7 +92,7 @@ def row(matrix: RowOracleMatrix, i: int) -> list[Entry]:
     """Nonzero entries of row i as (column, value) pairs, sorted by column."""
     if not 0 <= i < matrix.dim:
         raise IndexError(f"row index {i} out of range for dim {matrix.dim}")
-    a = to_csr(matrix)
+    a = matrix.csr
     lo, hi = a.indptr[i], a.indptr[i + 1]
     return list(zip(a.indices[lo:hi].tolist(), a.data[lo:hi].tolist()))
 
@@ -145,32 +146,37 @@ def principal_rows(matrix: RowOracleMatrix, rows: np.ndarray) -> RowOracleMatrix
     )
 
 
-def explicit_gram(gram: RowOracleMatrix) -> RowOracleMatrix:
-    """A Gram's formed arrays as a plain row oracle, built from their (i, j, value) triplets.
+def formed(matrix: RowOracleMatrix | spectral.GramOracle) -> RowOracleMatrix:
+    """The matrix as a row oracle: a reduction's Gram formed by its ``rows()``, any other as it is."""
+    return matrix.rows() if isinstance(matrix, spectral.GramOracle) else matrix
+
+
+def explicit_gram(gram: RowOracleMatrix | spectral.GramOracle) -> RowOracleMatrix:
+    """A Gram's formed arrays (a reduction's: ``rows()``) as a plain row oracle, built from their (i, j, value) triplets.
 
     The spectral routines read it from its CSR arrays, as they read any
     matrix but a reduction's Gram, which they read from its chain table.
     """
-    a = to_csr(gram).tocoo()
+    a = formed(gram).csr.tocoo()
     return from_entries(gram.dim, zip(a.row.tolist(), a.col.tolist(), a.data.tolist()))
 
 
-def assert_reading_is_explicit(gram: RowOracleMatrix) -> None:
+def assert_reading_is_explicit(gram: RowOracleMatrix | spectral.GramOracle) -> None:
     """A Gram reads as its formed arrays rebuilt from triplets do, bit for bit.
 
     lambda_min, the least block's rows and arrays, the witness and its
     residual equal those of ``explicit_gram(gram)``, and the block
     equals ``principal_rows`` of the formed arrays.  A reduction's Gram
-    is read from its chain table, which forms no product, before its
-    arrays are formed for the comparison.
+    is read from its chain table, with ``GramOracle.rows`` refused, before
+    its arrays are formed for the comparison.
     """
 
     def bits(x) -> bytes:
         return np.asarray(x, dtype=np.float64).tobytes()
 
-    lam = spectral.min_eigenvalue_sparse(gram)
-    pair = spectral._bottom_block_eigenpair(gram)
-    assert "_product" not in vars(gram)
+    with mock.patch.object(spectral.GramOracle, "rows", side_effect=AssertionError("rows formed")):
+        lam = spectral.min_eigenvalue_sparse(gram)
+        pair = spectral._bottom_block_eigenpair(gram)
     explicit = explicit_gram(gram)
     want = spectral._bottom_block_eigenpair(explicit)
     assert bits(lam) == bits(pair.lam) == bits(want.lam)
@@ -336,7 +342,7 @@ def det_cycle_cover(matrix: RowOracleMatrix) -> int:
     the smallest uncovered vertex, so runtime is bounded by the number
     of covers rather than n!, but the dimension cap still applies.
     """
-    a = to_csr(matrix).toarray().tolist()
+    a = matrix.csr.toarray().tolist()
     n = len(a)
     if n > ENUMERATION_CAP:
         raise ResourceLimitError(
@@ -382,7 +388,7 @@ def det_permutation_expansion(matrix: RowOracleMatrix) -> int:
     the transposition sequence sorting the permutation.  Independent of
     the cycle-cover bookkeeping above.
     """
-    a = to_csr(matrix).toarray().tolist()
+    a = matrix.csr.toarray().tolist()
     n = len(a)
     if n > ENUMERATION_CAP:
         raise ResourceLimitError(
@@ -415,7 +421,7 @@ def det_bareiss(matrix: RowOracleMatrix) -> int:
     are skipped outright, which makes the sweep near-quadratic on the
     almost-triangular matrices the reductions emit.
     """
-    a = to_csr(matrix).toarray().tolist()
+    a = matrix.csr.toarray().tolist()
     n = len(a)
     if n == 0:
         return 1
@@ -522,7 +528,7 @@ def path_sum_bottom(matrix: RowOracleMatrix):
     """
     import mpmath
 
-    a = to_csr(matrix)
+    a = matrix.csr
     n = a.shape[0]
     ptr, cols, vals = a.indptr.tolist(), a.indices.tolist(), a.data.tolist()
     diag, neighbours = [0] * n, [[] for _ in range(n)]

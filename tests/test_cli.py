@@ -381,6 +381,36 @@ def test_verify_instance_decides_the_gram_of_a_machine_reduction(tmp_path, capsy
     assert from_file["decision"] == "NO"  # the machine accepts "11"
 
 
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_verify_refuses_a_reduction_inside_its_promise_gap(tmp_path, capsys, g):
+    # lambda_min 0.081 accepts, yet lies below 2^-g for g <= 3: neither side
+    # of the promise, so both routes exit 3 with one line and no report.
+    path = tmp_path / "rtm.json"
+    path.write_text(json.dumps({"kind": "rtm", "machine": "unary_counter", "input": "11", "space": 3}))
+    machine = ["--machine", "unary_counter", "--space", "3", "--input", "11"]
+    lam = spectral.min_eigenvalue_sparse(rtm.load_gapped_instance(path)[0])
+    assert 2.0**-4 < lam < 2.0**-3
+    for argv in (["--instance", str(path)], machine):
+        assert cli.main(["verify", *argv, "--gap-exponent", str(g)]) == cli.EXIT_PROMISE
+        line = f"gaplab: promise violated: lambda_min {lam!r} is neither 0 nor at least 2^-{g}\n"
+        assert capsys.readouterr() == ("", line)
+    for argv in (["--instance", str(path)], machine):
+        code, out = run_cli(capsys, "verify", *argv, "--gap-exponent", "4")
+        assert code == 0 and json.loads(out)["decision"] == "NO"
+
+
+def test_every_command_refuses_an_instance_of_two_shapes(tmp_path, capsys):
+    # One reader for every command: a file naming both "rows" and "kind" is
+    # neither the 2 x 2 matrix nor the machine reduction.
+    path = tmp_path / "both.json"
+    path.write_text(json.dumps({"kind": "rtm", "machine": "unary_counter", "input": "11",
+                                "space": 3, "rows": [[1, 0], [0, 1]]}))
+    line = "gaplab: an instance names one of 'rows', 'entries' and 'kind', got ['rows', 'kind']\n"
+    for argv in (["det"], ["verify"], ["verify", "--gap-exponent", "2"], ["energy"]):
+        assert cli.main([*argv, "--instance", str(path)]) == 1
+        assert capsys.readouterr() == ("", line)
+
+
 def test_verify_matrix_instance_needs_a_gap_exponent(tmp_path, capsys):
     path = tmp_path / "gram.json"
     path.write_text(json.dumps({"dim": 2, "rows": [[2, 1], [1, 1]]}))
@@ -500,7 +530,7 @@ def test_energy_instance_reads_the_gram_of_a_machine_reduction(tmp_path, capsys)
     payload = json.loads(out)
     machine = rtm.with_space(rtm.corpus_machine("unary_counter"), 3)
     gram = rtm.reduce_to_gapped(machine, "11").gram
-    want = protocols.ground_energy(gram.csr.toarray().astype(float))
+    want = protocols.ground_energy(gram.rows().csr.toarray().astype(float))
     assert payload["eigensolver"] == pytest.approx(want, abs=1e-12)
     assert payload["abs_err"] <= 2.0 ** -30
 
@@ -787,15 +817,15 @@ def test_reduce_builds_no_gram_and_verify_builds_one():
     assert json.loads(result.stdout) == {"reduce": 0, "verify": 1}
 
 
-def _refuse_the_gram_product(monkeypatch):
+def _refuse_the_gram_rows(monkeypatch):
     def refuse(self):
         raise AssertionError("A^T A was formed")
 
-    monkeypatch.setattr(spectral.GramOracle, "_product", property(refuse))
+    monkeypatch.setattr(spectral.GramOracle, "rows", refuse)
 
 
 def test_a_reduction_at_space_8_never_forms_its_gram(monkeypatch, capsys):
-    _refuse_the_gram_product(monkeypatch)
+    _refuse_the_gram_rows(monkeypatch)
     machine = rtm.with_space(rtm.corpus_machine("unary_counter"), 8)
     for x, accepts in (("11", True), ("1", False)):
         instance = rtm.reduce_to_gapped(machine, x)
@@ -808,13 +838,17 @@ def test_a_reduction_at_space_8_never_forms_its_gram(monkeypatch, capsys):
         assert code == 0 and json.loads(out)["accepts"] == accepts
 
 
-def test_reduce_and_verify_at_space_10_never_form_the_gram(monkeypatch, capsys):
-    _refuse_the_gram_product(monkeypatch)
+def test_reduce_and_verify_at_space_10_never_form_the_gram(tmp_path, monkeypatch, capsys):
+    _refuse_the_gram_rows(monkeypatch)
     machine = ["--machine", "unary_counter", "--space", "10", "--input", "11"]
     code, out = run_cli(capsys, "reduce", *machine)
     assert code == 0 and json.loads(out)["dim"] == 2_952_450
     code, out = run_cli(capsys, "verify", *machine, "--gap-exponent", "37")
     assert code == 0 and json.loads(out)["decision"] == "NO"
+    path = tmp_path / "rtm.json"
+    path.write_text(json.dumps({"kind": "rtm", "machine": "unary_counter", "input": "11", "space": 10}))
+    code, from_file = run_cli(capsys, "verify", "--instance", str(path), "--gap-exponent", "37")
+    assert code == 0 and json.loads(from_file)["decision"] == "NO"
 
 
 def test_a_reduction_forms_no_rows_but_energy_does(capsys, monkeypatch):

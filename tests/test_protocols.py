@@ -605,8 +605,8 @@ def test_decide_gapped_on_long_chains():
     path = so.ata_oracle(so.path_adjacency(200000))  # lambda_min 6.2e-11
     assert pr.decide_gapped(path, 35).decision == "NO"
     ones = so.from_dense(np.ones((2, 2), dtype=np.int64))
-    longer = so.to_csr(so.ata_oracle(so.path_adjacency(300000)))  # lambda_min 2.7e-11
-    both = block_diag([longer, so.to_csr(ones)], format="csr", dtype=np.int64)
+    longer = so.ata_oracle(so.path_adjacency(300000)).csr  # lambda_min 2.7e-11
+    both = block_diag([longer, ones.csr], format="csr", dtype=np.int64)
     singular = so.RowOracleMatrix(both.indptr, both.indices, both.data, 3, 2)
     assert pr.decide_gapped(singular, 37).decision == "YES"
 
@@ -662,10 +662,11 @@ def test_decide_gapped_matches_dense_oracle():
         instance = rtm.reduce_to_gapped(machine, x)
         cases.append((instance.gram, 12, instance.g, accepts))
     for matrix, g, certified_g, accepts in cases:
-        # Dense reference: materialize + eigh + dense Taylor + one_bit_pe.
+        # Dense reference: materialize + eigh + dense Taylor + one_bit_pe, on the formed rows.
         params = pr.gapped_params(matrix, g)
-        lams, vecs = np.linalg.eigh(so.materialize(matrix))
-        u = oracles.expm_taylor(matrix, params.evo_time, params.taylor_order)
+        rows = oracles.formed(matrix)
+        lams, vecs = np.linalg.eigh(so.materialize(rows))
+        u = oracles.expm_taylor(rows, params.evo_time, params.taylor_order)
         dense_acceptance = oracles.one_bit_pe(u, vecs[:, 0], unitarity_tol=params.unitarity_tol)
         dense_decision = "YES" if dense_acceptance > params.midpoint else "NO"
         got = pr.decide_gapped(matrix, g)
@@ -675,9 +676,9 @@ def test_decide_gapped_matches_dense_oracle():
         # U psi from the Taylor loop against Al-Mohy--Higham on the same witness.
         _, psi, _ = sp.bottom_eigenpair(matrix)
         taylor = psi + sim.expm_taylor_minus_identity(
-            matrix, params.evo_time, params.taylor_order, psi
+            rows, params.evo_time, params.taylor_order, psi
         )
-        reference = expm_multiply(-1j * params.evo_time * so.to_csr(matrix), psi)
+        reference = expm_multiply(-1j * params.evo_time * rows.csr, psi)
         assert np.linalg.norm(taylor - reference) <= params.epsilon
 
         # At the instance's own certified g the read is the eigenvalue law.
@@ -725,7 +726,7 @@ def test_closed_form_read_against_60_digits():
         for name, space, x in cases:
             gram = rtm.reduce_to_gapped(rtm.with_space(rtm.corpus_machine(name), space), x).gram
             got = pr.decide_gapped(gram, 12)
-            y = oracles.path_sum_bottom(gram) * mpmath.mpf(got.evo_time)
+            y = oracles.path_sum_bottom(gram.rows()) * mpmath.mpf(got.evo_time)
             v = mpmath.fsum((-1j * y) ** k / mpmath.factorial(k) for k in range(1, got.taylor_order + 1))
             assert got.decision == "NO"
             assert abs(got.rejection - abs(v) ** 2 / 4) <= 4 * eps * abs(v) ** 2 / 4
@@ -1227,7 +1228,7 @@ def _energy_oracles():
 
 def test_binary_search_energy_reads_a_row_oracle_as_its_dense_copy_reads():
     for matrix in _energy_oracles():
-        dense = so.materialize(matrix)
+        dense = so.materialize(oracles.formed(matrix))
         assert pr.binary_search_energy(matrix, 40) == pr.binary_search_energy(dense, 40)
     with pytest.raises(ContractError, match="not symmetric"):
         pr.binary_search_energy(so.from_dense(np.array([[1, 1], [0, 1]])), 10)

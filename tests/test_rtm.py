@@ -189,7 +189,7 @@ def test_augmented_adjacency_row_structure():
                     by_outcome.setdefault(rtm.simulate(machine, x).accepted, x)
             for accepted, x in by_outcome.items():
                 kinds.add(accepted)
-                got = so.to_csr(oracles.adjacency_rows(rtm.augmented_adjacency(machine, x)))
+                got = oracles.adjacency_rows(rtm.augmented_adjacency(machine, x)).csr
                 want = oracles.coo_csr(machine.dim, oracles.adjacency_triplets(machine, x))
                 for part in ("indptr", "indices", "data"):
                     assert np.array_equal(getattr(got, part), getattr(want, part)), (
@@ -227,8 +227,8 @@ def test_adjacency_arrays_match_the_definition(succ):
                 assert np.array_equal(mine, theirs), (succ, s_idx, t_idx)
 
 
-def _formed_rows(gram: sp.GramOracle) -> tuple[tuple, int]:
-    """(indptr, indices, data, csr, padded) as reading them gives, and how many row-contract checks ran."""
+def _formed_rows(gram: sp.GramOracle) -> tuple[so.RowOracleMatrix, int]:
+    """``gram.rows()``, and how many row-contract checks forming it ran."""
     check, checks = so.RowOracleMatrix.__post_init__, []
 
     def counted(matrix):
@@ -237,26 +237,26 @@ def _formed_rows(gram: sp.GramOracle) -> tuple[tuple, int]:
 
     so.RowOracleMatrix.__post_init__ = counted
     try:
-        rows = (gram.indptr, gram.indices, gram.data, so.to_csr(gram), gram.padded)
+        rows = gram.rows()
     finally:
         so.RowOracleMatrix.__post_init__ = check
     return rows, len(checks)
 
 
 def _assert_rows_formed_as_the_eager_ones(gram: sp.GramOracle) -> None:
-    # A reduction's Gram forms its rows on first read, the adjacency's and
-    # then the product's, each checked once, and keeps them; they are the
-    # eager arrays bit for bit, values and dtypes.
+    # A reduction's Gram forms its rows when they are asked for, the
+    # adjacency's and then the product's, each checked once; they are the
+    # eager arrays bit for bit, values and dtypes, under the Gram's d and k.
     eager = so.ata_oracle(oracles.adjacency_rows(gram.factor))
-    assert "_product" not in vars(gram) and repr(gram).endswith(", not formed)")
-    (indptr, indices, data, csr, _), checks = _formed_rows(gram)
-    assert checks == 2 and repr(gram).endswith(", formed)")
-    for mine, theirs in ((indptr, eager.indptr), (indices, eager.indices), (data, eager.data)):
+    rows, checks = _formed_rows(gram)
+    assert checks == 2
+    for part in ("indptr", "indices", "data"):
+        mine, theirs = getattr(rows, part), getattr(eager, part)
         assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
-    assert data.dtype == np.int64
-    assert np.shares_memory(csr.indices, indices) and np.shares_memory(csr.data, data)
+    assert rows.data.dtype == np.int64
+    assert np.shares_memory(rows.csr.indices, rows.indices) and np.shares_memory(rows.csr.data, rows.data)
     assert (gram.dim, gram.sparsity_d, gram.entry_bound_k) == (eager.dim, eager.sparsity_d, 2)
-    assert _formed_rows(gram)[1] == 0
+    assert (rows.dim, rows.sparsity_d, rows.entry_bound_k) == (eager.dim, eager.sparsity_d, 2)
 
 
 @pytest.mark.parametrize("name", rtm.corpus_names())
@@ -357,7 +357,6 @@ def test_every_reduction_stage_stays_within_the_adjacency_indices(x):
         lambda: _reduction_job(machine, x), stages + unformed)
     assert (det != 0) == accepted == x.endswith(("11", "#"))
     assert sorted(transients) == sorted(name for _, name in stages)
-    assert "_product" not in vars(instance.gram)
     budget = _unformed_index_bytes(instance.adjacency)
     over = {name: max(peaks) / budget for name, peaks in transients.items() if max(peaks) > budget}
     assert not over, over
@@ -377,7 +376,6 @@ def test_a_reduction_job_peaks_below_its_high_water_mark(x):
         assert peak <= 1.7 * 2**20, peak
     else:
         assert peak <= 2.4 * reference, peak
-    assert "_product" not in vars(instance.gram)
     assert reference == _index_bytes(oracles.adjacency_rows(instance.adjacency))  # formed after the trace
 
 
@@ -390,16 +388,17 @@ def test_long_chains_are_read_by_the_walk(space, x):
     gram = rtm.reduce_to_gapped(machine, x).gram
     oracles.assert_reading_is_explicit(gram)
     lam = sp.min_eigenvalue_sparse(gram)
-    exact = oracles.path_sum_bottom(gram)
+    exact = oracles.path_sum_bottom(gram.rows())
     assert abs(lam - exact) <= 4 * np.finfo(np.float64).eps * exact
 
 
 def test_det_of_a_gram_stays_within_its_measured_peak():
-    # A Gram has rows of three entries, so it leaves the closed form for
-    # banded elimination, whose Python lists set the peak: 15.8 times the
-    # Gram's index bytes, measured.  The guard holds that route there.
-    gram = _space_7_reduction().gram
-    sp.det_exact(gram)  # forms the product and imports scipy, untraced
+    # A formed Gram has rows of three entries, so it leaves the closed form
+    # for banded elimination, whose Python lists set the peak: 15.8 times
+    # the Gram's index bytes, measured.  The guard holds that route there;
+    # a reduction's Gram itself reads (det A)^2 from its record.
+    gram = _space_7_reduction().gram.rows()
+    sp.det_exact(gram)  # imports scipy, untraced
     det, peak = oracles.traced_peak(lambda: sp.det_exact(gram))
     assert det == 1
     assert peak <= 17 * _index_bytes(gram), (peak, _index_bytes(gram))
@@ -547,12 +546,15 @@ def test_random_machine_reduction(machine):
             instance = rtm.reduce_to_gapped(machine, x)
             det = sp.det_exact(instance.adjacency)
             accepted = rtm.simulate(machine, x).accepted
+            rows = instance.gram.rows()
+            # det A^T A = (det A)^2, read from the record and by elimination on the formed rows.
+            assert sp.det_exact(instance.gram) == sp.det_exact(rows) == det**2
             if machine.dim <= 256:  # every two-symbol machine and the small three-symbol ones
-                lam = np.linalg.eigvalsh(so.materialize(instance.gram).astype(float))[0]
+                lam = np.linalg.eigvalsh(so.materialize(rows).astype(float))[0]
             else:  # up to 1,296 configurations: the 50-digit walk of every path
-                lam = float(oracles.path_sum_bottom(instance.gram))
+                lam = float(oracles.path_sum_bottom(rows))
             # Every reduction Gram is a direct sum of paths, read in closed form.
-            assert sp._path_sum_bottom(oracles.explicit_gram(instance.gram)).lam == pytest.approx(lam, abs=1e-12)
+            assert sp._path_sum_bottom(oracles.explicit_gram(rows)).lam == pytest.approx(lam, abs=1e-12)
             read_zero = pr.decide_gapped(instance.gram, instance.g).decision == "YES"
             assert det in (-1, 0, 1)
             assert (det != 0) == accepted == (lam >= floor) == (not read_zero)
@@ -720,7 +722,7 @@ def test_chain_table_reads_what_the_arrays_read(drawn):
     # The table of a cut successor map answers det, lambda_min and the
     # witness exactly as the closed form and the formed Gram read the
     # same adjacency, and its chains are those a plain walk finds; the
-    # Gram's rows, formed last, are the eager arrays.
+    # Gram's formed rows are the eager arrays.
     succ, start, accept = drawn
     table = sp._chain_table(succ, start, accept)
     assert (table.covered, table.det, table.paths, table.vertex) == _plain_chains(succ, start, accept)
@@ -736,7 +738,7 @@ def test_chain_table_reads_what_the_arrays_read(drawn):
         mine, theirs = getattr(got.block, part), getattr(want.block, part)
         assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs), part
     assert got.psi.tobytes() == want.psi.tobytes() and got.residual.hex() == want.residual.hex()
-    _assert_rows_formed_as_the_eager_ones(fast)  # none formed until now
+    _assert_rows_formed_as_the_eager_ones(fast)
 
 
 @settings(max_examples=40, deadline=None)

@@ -186,7 +186,7 @@ def test_norm_upper_bound_reads_the_csr_arrays():
     for n in [1, 1, 2, 3] + list(rng.integers(1, 40, size=40)):
         dense = rng.integers(-9, 10, size=(n, n)) * (rng.random((n, n)) < 0.3)
         matrix = so.from_dense(dense)
-        magnitude = abs(so.to_csr(matrix))
+        magnitude = abs(matrix.csr)
         want = float(math.sqrt(magnitude.sum(axis=0).max() * magnitude.sum(axis=1).max()))
         assert sim._norm_upper_bound(matrix) == want
 
@@ -223,7 +223,7 @@ def test_first_product_rounds_each_row_once():
 
 def _scipy_taylor_minus_identity(matrix, evo_time, order, x):
     """The Taylor sum with scipy's CSR product for every term after the first."""
-    a = so.to_csr(matrix).astype(np.float64)
+    a = matrix.csr.astype(np.float64)
     w, total = x, np.zeros(x.shape, dtype=complex)
     for k in range(1, order + 1):
         w = (so._rounded_once_products(matrix, w) if k == 1 else a @ w) * (evo_time / k)
@@ -240,7 +240,7 @@ def test_plain_products_are_scipys_csr_row_loop_bit_for_bit():
         n = int(rng.integers(1, 30))
         dense = rng.integers(-9, 10, size=(n, n)) * (rng.random((n, n)) < rng.random())
         matrix = so.from_dense(dense)
-        a = so.to_csr(matrix).astype(np.float64)
+        a = matrix.csr.astype(np.float64)
         rows = so._padded_rows(matrix)
         x = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, size=n)
         x[rng.random(n) < 0.2] = -0.0

@@ -129,14 +129,14 @@ def test_ata_oracle_refuses_a_column_an_int8_count_would_wrap(rows):
         so.ata_oracle(factor)
 
 
-def test_gram_repr_names_its_factor_and_forms_nothing():
+def test_a_reduction_gram_is_a_record_that_forms_its_rows_on_request():
     gram = rtm.reduce_to_gapped(rtm.with_space(rtm.corpus_machine("unary_counter"), 2), "1").gram
-    assert repr(gram) == (
-        "GramOracle(dim=90, start=10, accept=14, sparsity_d=8, entry_bound_k=2, not formed)"
-    )
-    assert "_product" not in vars(gram)
-    so.to_csr(gram)
-    assert repr(gram).endswith(", formed)")
+    assert not isinstance(gram, so.RowOracleMatrix) and not hasattr(gram, "indptr")
+    assert repr(gram).startswith("GramOracle(factor=SuccessorAdjacency(start=10, accept=14,")
+    assert (gram.dim, gram.sparsity_d, gram.entry_bound_k) == (90, 8, 2)
+    first, second = gram.rows(), gram.rows()
+    assert type(first) is so.RowOracleMatrix and first is not second  # formed anew, not kept
+    assert (first.dim, first.sparsity_d, first.entry_bound_k) == (90, 8, 2)
 
 
 def test_a_gram_held_as_its_factor_needs_its_chain_table():
@@ -170,9 +170,9 @@ def test_constructor_requires_an_int64_csr_matrix():
             so.RowOracleMatrix(bad_indptr, cols, np.ones(2, dtype=np.int64), 3, 1)
 
 
-def test_to_csr_returns_the_stored_matrix():
+def test_csr_is_one_view_kept_on_the_oracle():
     a = so.path_adjacency(5)
-    assert so.to_csr(a) is a.csr
+    assert a.csr is a.csr
     assert a.dim == 5
     np.testing.assert_array_equal(so.materialize(a), a.csr.toarray())
 
@@ -199,8 +199,8 @@ def test_principal_rows_cut_a_component():
     from scipy.sparse.csgraph import connected_components
 
     machine = rtm.with_space(rtm.corpus_machine("unary_counter"), 4)
-    gram = rtm.reduce_to_gapped(machine, "11").gram
-    a = so.to_csr(gram)
+    gram = rtm.reduce_to_gapped(machine, "11").gram.rows()
+    a = gram.csr
     count, labels = connected_components(a, directed=False)
     sizes = np.bincount(labels)
     for component in [int(sizes.argmax()), int(sizes.argmin()), *range(0, count, 97)]:
@@ -250,10 +250,10 @@ def test_from_entries_rejects_out_of_range():
         so.from_entries(2, [(0, 2, 1)])
 
 
-def test_to_csr_matches_materialize():
+def test_csr_matches_materialize():
     a = so.path_adjacency(6)
     np.testing.assert_array_equal(
-        so.to_csr(a).toarray(), so.materialize(a)
+        a.csr.toarray(), so.materialize(a)
     )
 
 
@@ -327,8 +327,8 @@ def test_load_instance_rejects_rows_that_miss_the_declared_dim():
 
 
 def _assert_view_of(oracle, reference):
-    """to_csr(oracle) wraps the oracle's arrays and equals ``reference`` in values and dtypes."""
-    view = so.to_csr(oracle)
+    """oracle.csr wraps the oracle's arrays and equals ``reference`` in values and dtypes."""
+    view = oracle.csr
     for part in ("indptr", "indices", "data"):
         mine, want = getattr(view, part), getattr(reference, part)
         # scipy keeps a view of each array (an empty one holds no memory to share)
@@ -372,7 +372,7 @@ def test_reduction_arrays_are_the_coo_route_without_a_copy(space):
     for x in ("11", "1"):
         instance = rtm.reduce_to_gapped(machine, x)
         adjacency = oracles.coo_csr(instance.dim, oracles.adjacency_triplets(machine, x))
-        _assert_view_of(instance.gram, oracles.coo_gram(adjacency))
+        _assert_view_of(instance.gram.rows(), oracles.coo_gram(adjacency))
 
 
 def test_oracle_keeps_index_arrays_in_scipys_dtype():
@@ -392,7 +392,7 @@ def test_oracle_keeps_index_arrays_in_scipys_dtype():
 
 
 def _reduction_adjacency(x: str) -> so.RowOracleMatrix:
-    """The pattern a reduction's Gram forms its rows from (``spectral.GramOracle``), formed at once."""
+    """The pattern a reduction's Gram forms its rows from (``spectral.GramOracle.rows``), formed at once."""
     instance = rtm.reduce_to_gapped(rtm.with_space(rtm.corpus_machine("unary_counter"), 4), x)
     return oracles.adjacency_rows(instance.gram.factor)
 
@@ -409,7 +409,7 @@ def test_pattern_data_reads_as_a_contiguous_copy_of_ones(make):
     adjacency = make()
     assert adjacency.data.strides == (0,)
     with pytest.raises(ValueError):
-        so.to_csr(adjacency).data[0] = 2
+        adjacency.csr.data[0] = 2
     copy = so.RowOracleMatrix(
         adjacency.indptr, adjacency.indices, np.ones(len(adjacency.indices), dtype=np.int64),
         adjacency.sparsity_d, adjacency.entry_bound_k,

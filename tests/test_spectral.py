@@ -627,8 +627,8 @@ def _path_gram_beside(ell: int, block: np.ndarray) -> so.RowOracleMatrix:
     """The path Gram of size ell, then a small dense block."""
     from scipy.sparse import block_diag
 
-    path = so.to_csr(so.ata_oracle(so.path_adjacency(ell)))
-    both = block_diag([path, so.to_csr(so.from_dense(block))], format="csr", dtype=np.int64)
+    path = so.ata_oracle(so.path_adjacency(ell)).csr
+    both = block_diag([path, so.from_dense(block).csr], format="csr", dtype=np.int64)
     return so.RowOracleMatrix(both.indptr, both.indices, both.data, 3, max(2, int(block.max())))
 
 
@@ -678,7 +678,7 @@ def _path_laplacian(k: int) -> np.ndarray:
 
 def test_bottom_eigenpair_beyond_bandwidth_one():
     for dense in _beyond_bandwidth_one():
-        a = so.to_csr(so.from_dense(dense))
+        a = so.from_dense(dense).csr
         _, _, lo, _ = sp._rcm(a, a)
         assert lo > 1
         _check_bottom_eigenpair(_shuffled(dense, 3))
@@ -714,14 +714,14 @@ def test_rcm_band_is_the_permuted_lower_triangle_bit_for_bit():
     from scipy.sparse import csr_matrix
 
     grams = [
-        rtm.reduce_to_gapped(rtm.with_space(rtm.corpus_machine("unary_counter"), space), x).gram
+        rtm.reduce_to_gapped(rtm.with_space(rtm.corpus_machine("unary_counter"), space), x).gram.rows()
         for space in (3, 4, 5, 6)
         for x in ("11", "1")
     ]
     outside_path_sums = [so.from_dense(_shuffled(dense, seed))
                          for dense in _beyond_bandwidth_one() for seed in (0, 3)]
     for gram in grams + outside_path_sums:
-        a = so.to_csr(gram)
+        a = gram.csr
         band, perm = sp._rcm_band(a)
         reference, reference_perm = _band_by_permuting(a.astype(np.float64))
         assert np.array_equal(perm, reference_perm)
@@ -750,7 +750,7 @@ def test_every_corpus_reduction_gram_has_a_tridiagonal_rcm_band():
             letters = [a for a in machine.alphabet if a != machine.blank]
             for n in range(min(space, 2 if space == 6 else 3)):
                 for x in map("".join, itertools.product(letters, repeat=n)):
-                    band, _ = sp._rcm_band(so.to_csr(rtm.reduce_to_gapped(machine, x).gram))
+                    band, _ = sp._rcm_band(rtm.reduce_to_gapped(machine, x).gram.rows().csr)
                     assert band.shape[0] == 2, (name, space, x)
 
 
@@ -855,7 +855,7 @@ def test_min_eigenvalue_sparse_reads_reductions_in_closed_form(monkeypatch):
                 else:
                     assert lam >= sp.min_eigenvalue_bound(instance.dim)
                 # Two independent routes: the closed form and a 50-digit path walk.
-                exact = oracles.path_sum_bottom(instance.gram)
+                exact = oracles.path_sum_bottom(instance.gram.rows())
                 assert abs(lam - exact) <= 4 * eps * exact
                 decided.add((name, det != 0))
     assert len(decided) == 6  # every machine accepted and rejected
@@ -1014,7 +1014,7 @@ def _check_closed_form_witness(gram: so.RowOracleMatrix, monkeypatch) -> None:
         assert lam == pair.lam == sp.min_eigenvalue_sparse(gram)
     _check_bottom_eigenpair(dense, (lam, psi, residual))
     assert np.array_equal(psi[pair.rows], pair.psi) and np.count_nonzero(psi) <= len(pair.rows)
-    a = so.to_csr(gram)
+    a = gram.csr
     _, labels = connected_components(a, directed=False)
     assert len(set(labels[pair.rows].tolist())) == 1
     assert np.count_nonzero(labels == labels[pair.rows[0]]) == len(pair.rows)
@@ -1059,7 +1059,7 @@ def test_block_residual_is_the_full_residual_on_reductions():
             for x in (x for x in inputs if len(x) < space):
                 gram = rtm.reduce_to_gapped(machine, x).gram
                 lam, psi, residual = sp.bottom_eigenpair(gram)
-                full = so._rounded_once_products(gram, psi) - lam * psi
+                full = so._rounded_once_products(gram.rows(), psi) - lam * psi
                 assert residual == float(np.linalg.norm(full)) < 1e-15
 
 
@@ -1076,7 +1076,7 @@ def signed_factors(draw, max_ell=8):
     blocks = st.tuples(st.booleans(), st.integers(1, max_ell))
     for cyclic, ell in draw(st.lists(blocks, min_size=1, max_size=4)):
         block = so.cycle_adjacency(ell) if cyclic and ell >= 3 else so.path_adjacency(ell)
-        a = so.to_csr(block).tocoo()
+        a = block.csr.tocoo()
         entries += zip((a.row + start).tolist(), (a.col + start).tolist())
         start += ell
     for i, j in draw(st.lists(st.tuples(st.integers(0, start - 1), st.integers(0, start - 1)),
@@ -1178,10 +1178,10 @@ def test_a_reduction_is_answered_from_its_chain_table(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a reduction left its chain table")
 
-    for owner, name in ((sp, "_successor_det"), (sp, "_path_forest"), (sp, "_symmetric_csr")):
+    for owner, name in ((sp, "_successor_det"), (sp, "_path_forest"), (sp, "_symmetric_csr"),
+                        (sp.GramOracle, "rows")):
         monkeypatch.setattr(owner, name, refuse)
     for x, (instance, det, lam, decision) in cases.items():
         assert sp.det_exact(instance.adjacency) == det and (det != 0) == x.endswith("#")
         assert sp.min_eigenvalue_sparse(instance.gram).hex() == lam
         assert repr(pr.decide_gapped(instance.gram, instance.g)) == decision
-        assert "_product" not in vars(instance.gram)
