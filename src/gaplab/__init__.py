@@ -11,7 +11,7 @@ promise gaps and compiles verifiers into clock Hamiltonians
 (protocols).  The cli module drives batch experiments over all of it.
 """
 
-from .errors import ConfigurationError, ContractError, ResourceLimitError
+from .errors import ConfigurationError, ContractError, PromiseViolation, ResourceLimitError
 from .sparse_oracle import (
     RowOracleMatrix,
     ata_oracle,

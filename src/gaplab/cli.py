@@ -14,7 +14,8 @@ JSON type or one outside the flag's choices is a usage error.
 Exit codes: 0 success, 1 contract/resource/configuration violation or
 failed allocation (one line on stderr), 2 usage, 3 promise violation:
 reported by an amplification run (the report is still written), or a
-reduction that ``verify`` refuses (one line on stderr, no report).
+reduction that ``decide_gapped`` refuses with ``PromiseViolation``
+(one line on stderr, no report).
 """
 
 from __future__ import annotations
@@ -26,16 +27,12 @@ import sys
 from typing import Sequence
 
 from . import protocols, rtm, sparse_oracle, spectral
-from .errors import ConfigurationError, ContractError, ResourceLimitError
+from .errors import ConfigurationError, ContractError, PromiseViolation, ResourceLimitError
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_USAGE = 2
 EXIT_PROMISE = 3
-
-
-class _PromiseViolation(Exception):
-    """An instance outside the promise its command decides: one line on stderr and EXIT_PROMISE."""
 
 
 DEFAULTS: dict[str, dict] = {
@@ -174,17 +171,13 @@ def _cmd_verify(args) -> tuple[dict, int]:
     else:
         matrix, certified_g = rtm.load_gapped_instance(args.instance)
         source = args.instance
-        if certified_g is not None:  # a machine reduction, read from its chain table
-            lam = spectral.min_eigenvalue_sparse(matrix)
     g = args.gap_exponent if args.gap_exponent is not None else certified_g
     if g is None:
         raise ConfigurationError(
             "verify --instance requires --gap-exponent unless the file "
             "describes a machine reduction"
         )
-    result = protocols.decide_gapped(matrix, g)  # refuses a g it cannot read first
-    if certified_g is not None and 0 < lam < 2.0**-g:
-        raise _PromiseViolation(f"promise violated: lambda_min {lam!r} is neither 0 nor at least 2^-{g}")
+    result = protocols.decide_gapped(matrix, g)  # refuses a g it cannot read, then a broken promise
     if args.machine is not None:
         _routes_agree(accepted, {"decision": (result.decision, result.decision == "NO")})
     payload = _with_seed(
@@ -479,9 +472,9 @@ def main(argv: Sequence[str] | None = None) -> int:
                 fh.write(text)
         else:
             sys.stdout.write(text)
-    except (ValueError, ResourceLimitError, MemoryError, OSError, _PromiseViolation) as exc:
+    except (ValueError, ResourceLimitError, MemoryError, OSError) as exc:
         print(f"gaplab: {str(exc) or type(exc).__name__}", file=sys.stderr)
-        return EXIT_PROMISE if isinstance(exc, _PromiseViolation) else EXIT_ERROR
+        return EXIT_PROMISE if isinstance(exc, PromiseViolation) else EXIT_ERROR
     return code
 
 

@@ -3,7 +3,8 @@
 The error taxonomy is deliberately small:
 
 * ``ContractError`` -- a documented pre- or postcondition of an operation
-  was violated by the caller or by constructed data.
+  was violated by the caller or by constructed data; ``PromiseViolation``
+  when that is an instance outside the promise the operation decides.
 * ``ResourceLimitError`` -- an operation would exceed a desk-scale cap
   (dense materialization size, permutation-expansion dimension, ...).
 * ``ConfigurationError`` -- requested experiment parameters are outside
@@ -26,3 +27,7 @@ class ResourceLimitError(RuntimeError):
 
 class ConfigurationError(ValueError):
     """Experiment parameters are outside the supported numeric range."""
+
+
+class PromiseViolation(ContractError):
+    """An instance outside the promise its decision presumes (the CLI exits 3)."""

@@ -42,7 +42,7 @@ from math import acos, ceil, comb, cos, exp, floor, log, log1p, log2, pi, sin, s
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractError, ResourceLimitError
+from .errors import ConfigurationError, ContractError, PromiseViolation, ResourceLimitError
 from .sparse_oracle import (
     DENSE_CAP,
     RowOracleMatrix,
@@ -642,6 +642,9 @@ def decide_gapped(matrix: RowOracleMatrix | GramOracle, g: int) -> GappedDecisio
     which the 0 versus 2^-g promise presumes; an indefinite instance
     raises ContractError, and a larger one ResourceLimitError.
 
+    A reduction's Gram, whose lambda_min is a closed form, raises
+    PromiseViolation before any read if 0 < lambda_min < 2^-g.
+
     The decision is read on the rejection side: YES (lambda_min = 0)
     when the rejection falls below the midpoint of epsilon and
     rejection_floor; the reported separation is the distance to the far
@@ -652,6 +655,8 @@ def decide_gapped(matrix: RowOracleMatrix | GramOracle, g: int) -> GappedDecisio
         pair = _bottom_block_eigenpair(matrix)
     except ContractError as exc:
         raise ContractError(f"verify needs a positive semidefinite instance: {exc}") from exc
+    if isinstance(matrix, GramOracle) and 0 < pair.lam < 2.0**-g:
+        raise PromiseViolation(f"promise violated: lambda_min {pair.lam!r} is neither 0 nor at least 2^-{g}")
     if pair.residual > 2.0**-g / 8:
         raise ContractError(
             f"witness eigen-residual {pair.residual:.3e} exceeds 2^-g/8 = {2.0**-g / 8:.3e}"

@@ -55,7 +55,6 @@ import json
 import os
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from importlib import resources
 from math import ceil, log2
 
 import numpy as np
@@ -74,6 +73,8 @@ from .sparse_oracle import (
 from .spectral import GramOracle, SuccessorAdjacency, _chain_table, _endless, min_eigenvalue_bound
 
 MOVES = {"L": -1, "S": 0, "R": 1}
+
+_CORPUS = os.path.join(os.path.dirname(__file__), "corpus")  # the bundled machines, opened by path
 
 
 @dataclass(frozen=True)
@@ -190,37 +191,37 @@ def successors(machine: ReversibleTM) -> np.ndarray:
     """Successor index of every configuration (in the index dtype, -1 where it halts).
 
     The vectorized ``step``.  With index i = q + |Q|(h + S * tape), a
-    step moves i by (q2 - q) + |Q| * move + |Q| * S * (a2 - a) * |A|^h,
-    which depends on the head h, the symbol a under it and the state q
-    alone; so does halting (no rule, or the head leaves the tape).  The
-    (S * |A|, |Q|) table of those offsets, indexed by a + |A| * h, holds
-    -(dim + 1) where the machine halts.  One gather through the
-    (|A|^S, S) key of every tape and head, two broadcast adds of the
-    index's parts and one clip at -1 give the array, every dim-long
-    step in the index dtype (``_index_dtype(dim, 0)``), which holds
-    every offset and index.  At space 8 of ``unary_counter`` the traced
-    peak is about 1.4 times the array.  A dim beyond int64 is refused.
+    step goes to q2 + |Q| (h + move) + |Q| S (tape + (a2 - a) |A|^h):
+    all but |Q| S tape depends on the head h, the symbol a under it and
+    the state q alone, and so does halting (no rule, or the head leaves
+    the tape).  The (S * |A|, |Q|) table of those parts, indexed by
+    a + |A| * h, holds -(dim + 1) where the machine halts.  One ``take``
+    of its rows through the (|A|^S, S) intp key of every tape's symbol
+    and head, one broadcast add of the tape part and one clip at -1 give
+    the array in the index dtype (``_index_dtype(dim, 0)``), which holds
+    every entry.  The key is written digit by digit, each a broadcast
+    of |A| values; an int32 key would be copied to intp by ``take``.  At
+    space 8 of ``unary_counter`` the traced peak is about 1.4 times the
+    array.  A dim beyond int64 is refused.
     """
     if machine.dim > np.iinfo(np.int64).max:
         raise ResourceLimitError(f"dim {machine.dim} exceeds the int64 index range")
     nq, na, space = len(machine.states), len(machine.alphabet), machine.space
     rules = [machine.transitions.get((q, a)) for q in machine.states for a in machine.alphabet]
-    table = np.array(  # new state (-1: no rule), written symbol, move
-        [(-1, 0, 0) if r is None else (machine._qidx[r[0]], machine._aidx[r[1]], r[2])
-         for r in rules],
-        dtype=np.int64,
-    )
-    index = _index_dtype(machine.dim, 0)
+    table = np.array([(-1, 0, 0) if r is None else (machine._qidx[r[0]], machine._aidx[r[1]], r[2])
+                      for r in rules], dtype=np.int64)  # new state (-1: no rule), written symbol, move
     state2, written, move = table.reshape(nq, na, 3).transpose(2, 1, 0)  # (symbol, state)
-    head = np.arange(space, dtype=index)
-    symbol = np.arange(na, dtype=np.int64)[:, None]
-    h = head[:, None, None]  # the table's axes: head, symbol, state
-    delta = (state2 - np.arange(nq)) + nq * move + nq * space * (written - symbol) * na**h
-    delta[(state2 < 0) | (h + move < 0) | (h + move >= space)] = -machine.dim - 1
-    tape = np.arange(na**space, dtype=index)[:, None]
-    out = delta.astype(index).reshape(space * na, nq)[tape // na**head % na + na * head]
-    out += np.arange(nq, dtype=index)
-    out += nq * (head + space * tape)[:, :, None]
+    h = np.arange(space)[:, None, None]  # the table's axes: head, symbol, state
+    moved = h + move
+    target = state2 + nq * moved + nq * space * (written - np.arange(na)[:, None]) * na**h
+    target[(state2 < 0) | (moved < 0) | (moved >= space)] = -machine.dim - 1
+    key = np.empty((na,) * space + (space,), dtype=np.intp)  # table row a + |A| h of each tape and head h
+    for cell in range(space):
+        key[..., cell] = np.arange(na * cell, na * (cell + 1)).reshape(-1, *[1] * cell)
+    index = _index_dtype(machine.dim, 0)
+    out = target.astype(index).reshape(space * na, nq).take(key.reshape(-1, space), axis=0)
+    del key  # before the tape part's temporaries
+    out += (nq * space * np.arange(na**space)).astype(index)[:, None, None]
     np.maximum(out, -1, out=out)  # every halting entry lies at or below -2
     return out.reshape(-1)
 
@@ -515,22 +516,21 @@ def corpus_names() -> list[str]:
     The corpus directory also carries hand-checked trace fixtures, so
     membership is decided by content, not extension.
     """
-    pkg = resources.files(__package__) / "corpus"
     names = []
-    for p in pkg.iterdir():
-        if not p.name.endswith(".json"):
-            continue
-        if "transitions" in json.loads(p.read_text(encoding="utf-8")):
-            names.append(p.name[: -len(".json")])
+    for file in os.listdir(_CORPUS):
+        if file.endswith(".json"):
+            with open(os.path.join(_CORPUS, file), encoding="utf-8") as fh:
+                if "transitions" in json.load(fh):
+                    names.append(file[: -len(".json")])
     return sorted(names)
 
 
 def corpus_machine(name: str) -> ReversibleTM:
     """Load a bundled machine by name."""
-    path = resources.files(__package__) / "corpus" / f"{name}.json"
-    if not path.is_file():
+    path = os.path.join(_CORPUS, f"{name}.json")
+    if not os.path.isfile(path):
         raise ValueError(f"no corpus machine named {name!r}; have {corpus_names()}")
-    return machine_from_dict(json.loads(path.read_text(encoding="utf-8")))
+    return load_machine(path)
 
 
 def reduction_input(spec: dict, base: str):

@@ -76,10 +76,6 @@ SYMMETRY_TOL = 1e-12
 # within 0.25 eps ||A||_1 below lambda.
 CHOLESKY_MARGIN = 64
 
-# _chain_table folds its halted chains in batches of at least this many:
-# a batch's arrays stay a few tens of kilobytes, and its folds few.
-_ROW_BLOCK = 2**13
-
 
 # ---------------------------------------------------------------------------
 # exact determinants
@@ -731,9 +727,11 @@ def _chain_table(succ: np.ndarray, start: int = -1, accept: int = -1) -> Success
     cuts nothing.  One mask of the hit vertices tells injectivity and
     the heads; the start and each head that halts stand alone, every
     other head sends a walker, and all step at once until they halt.
-    Halted chains go to ``_fold`` in batches of ``_ROW_BLOCK`` or more.
-    The cut's walker stays first: where it halts at the accept after k
-    vertices, det A = (-1)^k.
+    The cut's walker goes first: where it halts at the accept after k
+    vertices, det A = (-1)^k.  Every chain but the cut's and the
+    accept's has one end at 1, and the chains that halt in one round
+    share a size, so ``_fold`` reads those two chains as they halt and
+    then the last round that halts any other, which holds the longest.
     """
     dim = len(succ)
     hit = np.zeros(dim + 1, dtype=bool)
@@ -743,6 +741,7 @@ def _chain_table(succ: np.ndarray, start: int = -1, accept: int = -1) -> Success
         return None
     cuts = start >= 0 and not hit[start]
     cut = int(succ[start]) if cuts else -1
+    waiting = accept >= 0 and accept != cut and bool(hit[accept] & alone[accept])  # the accept ends a chain
     walk = np.logical_not(hit[:-1], out=hit[:-1])
     alone &= walk
     walk ^= alone
@@ -751,52 +750,49 @@ def _chain_table(succ: np.ndarray, start: int = -1, accept: int = -1) -> Success
     covered, vertex = int(np.count_nonzero(alone)), None  # each alone at 1, or the accept at 0
     if covered:
         vertex = (0, accept) if accept >= 0 and alone[accept] else (1, int(np.argmax(alone)))
-    head = np.flatnonzero(walk)  # intp, which numpy gathers by fastest
-    del hit, walk, alone
-    cur = succ[head]
-    head = head.astype(succ.dtype)
     det, tracking = 0, cut >= 0 and succ[cut] >= 0
-    if tracking:
-        head, cur = np.insert(head, 0, cut), np.insert(cur, 0, succ[cut])
-    elif cut >= 0:
+    if cut >= 0 and not tracking:
         det, covered = -int(cut == accept), covered + 1
         vertex = min(vertex or (2, cut), (2 - (cut == accept), cut))
+    head = walk.nonzero()[0]  # intp, which numpy gathers by fastest
+    del hit, walk, alone
+    if tracking:
+        head = np.concatenate(([cut], head))
+    cur = succ[head]
+    head = head.astype(succ.dtype)
     paths: dict[int, _Path] = {}
-    halted = []  # (heads, tails, size, least vertices) of chains not yet folded
-
-    def fold() -> None:  # one batch as it is, with its one size; several joined
-        first, last, size, least = halted[0]
-        if len(halted) > 1:
-            first, last, size, least = zip(*halted)
-            size = np.repeat(np.array(size, dtype=succ.dtype), [len(part) for part in first])
-            first, last, least = (np.concatenate(part) for part in (first, last, least))
-        halted.clear()
-        _fold(paths, dim, first != cut, last == accept, first, last, size, least)
-
+    latest = None  # the last chains to halt in a round that halts any but the cut's and the accept's
     low, size = np.minimum(head, cur), 2
     while len(cur):
         ahead = succ.take(cur)
         stop = ahead < 0
         count = np.count_nonzero(stop)
         if count:
+            own = []  # the places of the cut's and the accept's chains among those halting
             if tracking and stop[0]:
                 det, tracking = (-1) ** size if cur[0] == accept else 0, False
+                waiting = waiting and cur[0] != accept
+                own.append(0)
             # Two index lists, not six masks: take on an intp index is the fastest split.
-            done, going = np.flatnonzero(stop), np.flatnonzero(~stop)
+            done, going = stop.nonzero()[0], (~stop).nonzero()[0]
             first, head = head.take(done), head.take(going)
             last, cur = cur.take(done), ahead.take(going)
             least, low = low.take(done), low.take(going)
             del ahead, stop, done, going
-            halted.append((first, last, size, least))
+            if waiting and accept in last:
+                waiting = False
+                own.append(int(np.argmax(last == accept)))
+            if own:
+                _fold(paths, dim, first[own] != cut, last[own] == accept, first[own], last[own], size, least[own])
+            if count > len(own):
+                latest = first, last, size, least
             covered += size * count
-            if sum(len(part[0]) for part in halted) >= _ROW_BLOCK:
-                fold()
         else:
             cur = ahead
         np.minimum(low, cur, out=low)
         size += 1
-    if halted:
-        fold()
+    if latest is not None:
+        _fold(paths, dim, latest[0] != cut, latest[1] == accept, *latest)
     return SuccessorAdjacency(succ, start, accept, int(covered), det, cut, paths, vertex)
 
 

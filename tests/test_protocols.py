@@ -17,7 +17,7 @@ from gaplab import rtm
 from gaplab import simulator as sim
 from gaplab import sparse_oracle as so
 from gaplab import spectral as sp
-from gaplab.errors import ConfigurationError, ContractError, ResourceLimitError
+from gaplab.errors import ConfigurationError, ContractError, PromiseViolation, ResourceLimitError
 
 import oracles
 
@@ -708,6 +708,21 @@ def test_decide_gapped_refuses_a_doctored_closed_form(monkeypatch):
             pr.decide_gapped(gram, 12)
     monkeypatch.setattr(sp, "_path_sum_bottom", recognise)
     assert pr.decide_gapped(gram, 12) == honest
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_decide_gapped_refuses_a_reduction_inside_its_promise_gap(g):
+    # Space 3 on "11": the chain table's lambda_min 0.081 is neither 0 nor
+    # at least 2^-g for g <= 3.  Only a reduction's record is held to the
+    # promise: its formed rows are decided as any row oracle is.
+    gram = rtm.reduce_to_gapped(rtm.with_space(rtm.corpus_machine("unary_counter"), 3), "11").gram
+    lam = sp.min_eigenvalue_sparse(gram)
+    assert 2.0**-4 < lam < 2.0**-3
+    with pytest.raises(PromiseViolation, match=rf"lambda_min {lam!r} is neither 0 nor at least 2\^-{g}$"):
+        pr.decide_gapped(gram, g)
+    assert issubclass(PromiseViolation, ContractError)
+    assert pr.decide_gapped(gram.rows(), g).decision == "YES"
+    assert pr.decide_gapped(gram, 4).decision == "NO"
 
 
 def test_closed_form_read_against_60_digits():

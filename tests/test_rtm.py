@@ -590,7 +590,7 @@ def test_successors_peak_memory_stays_near_the_result():
     machine = rtm.with_space(rtm.corpus_machine("unary_counter"), 8)
     assert machine.dim == 262_440
     succ, peak = oracles.traced_peak(lambda: rtm.successors(machine))
-    assert peak < 2 * succ.nbytes, (peak, succ.nbytes)
+    assert peak < 1.5 * succ.nbytes, (peak, succ.nbytes)
 
 
 def _bare_machine(dim: int) -> rtm.ReversibleTM:
@@ -718,6 +718,12 @@ def _plain_chains(succ: np.ndarray, start: int, accept: int):
 @example((np.array([-1, 0]), 1, 0))  # ... which is the least isolated vertex
 @example((np.array([1, 2, -1, -1]), 0, 3))  # the accept alone: an isolated vertex at 0
 @example((np.array([1, -1, 3, -1]), 2, 1))  # the accept's chain has both ends at 1
+# The cut's chain ends at the accept, in a round with one other chain of its length ...
+@example((np.array([1, 2, -1, 4, -1]), 0, 2))
+@example((np.array([1, -1, 3, 4, -1]), 2, 4))  # ... which holds the least vertex
+@example((np.array([1, -1, 3, 4, -1, -1]), 5, 4))  # the accept's chain is the longest, alone
+@example((np.array([1, 2, 3, -1, 5, -1, 7, -1]), 0, 5))  # the cut's chain is the longest, alone
+@example((np.array([1, 2, 3, -1, 5, 6, -1, 8, -1]), 0, 6))  # the longest are the cut's and the accept's
 def test_chain_table_reads_what_the_arrays_read(drawn):
     # The table of a cut successor map answers det, lambda_min and the
     # witness exactly as the closed form and the formed Gram read the
