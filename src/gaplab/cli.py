@@ -269,7 +269,7 @@ def _cmd_energy(args) -> tuple[dict, int]:
     else:  # read from the path, so a machine path resolves against the file's directory
         # A machine reduction is read as its Gram, as `verify --instance` reads it,
         # and checked against its closed-form lambda_min instead of a dense solve;
-        # the bisection forms the Gram's rows (`GramOracle.rows`), the one reader that does.
+        # the bisection factors the blocks of its chain table (`GramOracle.band`).
         instance, g = rtm.load_gapped_instance(args.instance)
         if g is None:
             truth = protocols.ground_energy(sparse_oracle.materialize(instance))

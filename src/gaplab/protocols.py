@@ -1135,41 +1135,44 @@ def binary_search_energy(instance, bits: int) -> float:
     Each step asks whether lambda_min(H) > mu, and answers it by
     whether the Cholesky factorization of H - mu I exists, which it does
     exactly when H - mu I is positive definite; no eigenvalue is
-    computed.  A row oracle is H as it stands: its CSR arrays once they
-    are checked symmetric, with its Gershgorin interval read from its
-    rows in exact integers, so no dense copy is made.  A reduction's
-    Gram (``GramOracle``) is its formed rows (``rows()``), A^T A,
-    symmetric by construction and taken unchecked.  Any other
-    instance is the matrix ``_hamiltonian`` gives, the legal-clock block
-    for a compiled clock instance.  The factorization is banded: H is
-    taken once into the reverse Cuthill-McKee order of its pattern, a
-    permutation similarity that leaves definiteness alone.  Its band is
-    a few entries wide on the clock Hamiltonians and one on the corpus
-    reductions' Grams, so a step costs O(dim * band^2) rather than
-    O(dim^3), and each step factors one reused work array in place.
-    The bracket starts as the Gershgorin interval, halves each step,
-    and the midpoint of the final bracket is returned.
+    computed.  A reduction's Gram (``GramOracle``) is never formed: its
+    ``band()`` holds the blocks of its chain table that decide every
+    threshold test, and its Gershgorin interval.  A row oracle is H as
+    it stands: its CSR arrays once they are checked symmetric, with its
+    Gershgorin interval read from its rows in exact integers, so no
+    dense copy is made.  Any other instance is the matrix
+    ``_hamiltonian`` gives, the legal-clock block for a compiled clock
+    instance.  Either is taken once into the reverse Cuthill-McKee order
+    of its pattern, a permutation similarity that leaves definiteness
+    alone.  Its band is a few entries wide on the clock Hamiltonians, so
+    a step costs O(dim * band^2) rather than O(dim^3); a Gram's is one
+    entry wide and as long as its few blocks.  Each step factors one
+    reused work array in place.  The bracket starts as the Gershgorin
+    interval, halves each step, and the midpoint of the final bracket
+    is returned.
     """
     from scipy.linalg import cholesky_banded
     from scipy.sparse import csr_matrix
 
     if bits < 1 or bits > ENERGY_BITS_CAP:
         raise ContractError(f"bits must be in 1..{ENERGY_BITS_CAP}, got {bits}")
-    if isinstance(instance, (GramOracle, RowOracleMatrix)):
-        h = instance.rows().csr if isinstance(instance, GramOracle) else _symmetric_csr(instance)
+    if isinstance(instance, GramOracle):
+        band, lo, hi = instance.band()
+    elif isinstance(instance, RowOracleMatrix):
+        h = _symmetric_csr(instance)
         diag = h.diagonal()
         sums = np.concatenate(([0], np.cumsum(np.abs(h.data))))  # |h|'s row sums as differences
         radii = sums[h.indptr[1:]] - sums[h.indptr[:-1]] - np.abs(diag)
         lo, hi = float(np.min(diag - radii)), float(np.max(diag + radii))
         del diag, sums, radii  # dim- and nnz-long, freed before the band is built
+        band, _ = _rcm_band(h)
     else:
         dense = _hamiltonian(instance)
         herm = (dense + dense.conj().T) / 2
         radii = np.sum(np.abs(herm), axis=1) - np.abs(np.diag(herm))
         lo = float(np.min(np.diag(herm).real - radii))
         hi = float(np.max(np.diag(herm).real + radii))
-        h = csr_matrix(herm)
-    band, _ = _rcm_band(h)
+        band, _ = _rcm_band(csr_matrix(herm))
     work = np.empty_like(band)
     target = 2.0**-bits
     while hi - lo > target:

@@ -39,8 +39,8 @@ has least eigenvalue either 0 or bounded below by the closed-form gap
 at that dimension.  The matrix is one record of its successor array
 and chain table (``spectral.SuccessorAdjacency``), and its Gram is a
 record of that one (``spectral.GramOracle``); neither is a row oracle,
-and only ``GramOracle.rows()`` forms CSR rows from them.  Every command
-reads an instance file through ``load_instance``.
+and no command forms CSR rows from them, ``energy`` included.  Every
+command reads an instance file through ``load_instance``.
 
 Accepting runs must end at one canonical configuration: accept state,
 head on cell 0, input tape restored.  Halting anywhere else counts as
@@ -536,14 +536,15 @@ def corpus_machine(name: str) -> ReversibleTM:
 def reduction_input(spec: dict, base: str):
     """Machine and input string of a {"kind": "rtm"} description.
 
-    ``machine`` is a machine file's path relative to ``base`` when one
-    exists there, and otherwise a corpus name; ``space``, if given,
-    replaces the machine's tape size.
+    ``machine`` is a machine file's path relative to ``base`` when a
+    file is there, and otherwise a corpus name, so a directory of that
+    name does not shadow it; ``space``, if given, replaces the
+    machine's tape size.
     """
     machine_ref = _field(spec, "machine", str)
     x = _field(spec, "input", str)
     candidate = os.path.join(base, machine_ref)
-    if os.path.exists(candidate):
+    if os.path.isfile(candidate):
         machine = load_machine(candidate)
     else:
         machine = corpus_machine(machine_ref)

@@ -11,15 +11,14 @@ stand, in numpy, and so do the row products A x of the witness's
 residual and of the Taylor sum, on rows padded once (``padded``); the
 scipy kernels (determinants, symmetry checks, the energy band) read
 them through ``csr``, a scipy CSR matrix on the same buffers.  A Gram
-A^T A is formed at once by ``ata_oracle``, and a reduction's adjacency
-from its successor array by ``_adjacency_arrays``.  The reduction
-itself is held in ``spectral`` as records that are no row oracles
-(``SuccessorAdjacency`` and ``GramOracle``); only ``GramOracle.rows()``
-forms these arrays from it.  Building an oracle and checking it take
-numpy alone; scipy is imported when a CSR view is first asked for, by
-a Gram product or a kernel.  This module reads no files (``rtm`` reads instance files).
-Dense materialization is a desk-scale debugging and ground-truth
-device, refused above DENSE_CAP rows.
+A^T A of a row oracle is formed at once by ``ata_oracle``.  A reduction
+is held in ``spectral`` as records that are no row oracles
+(``SuccessorAdjacency`` and ``GramOracle``), and nothing in the package
+forms its rows.  Building an oracle and checking it take numpy alone;
+scipy is imported when a CSR view is first asked for, by a Gram
+product or a kernel.  This module reads no files (``rtm`` reads
+instance files).  Dense materialization is a desk-scale debugging
+and ground-truth device, refused above DENSE_CAP rows.
 
 Integer-valued oracles stay integer-valued until a spectral operation
 converts them to floats.  No float arithmetic happens in construction
@@ -238,58 +237,6 @@ def _ones(indptr: np.ndarray, indices: np.ndarray) -> RowOracleMatrix:
     """
     ones = np.broadcast_to(np.int64(1), (len(indices),))
     return RowOracleMatrix(indptr, indices, ones, sparsity_d=2, entry_bound_k=1)
-
-
-def _index_arrays(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``indptr`` for per-row entry counts and an unfilled ``indices`` to write into.
-
-    Both come in the oracle's index dtype, so a producer that fills
-    ``indices`` hands the constructor arrays it keeps as they are.
-    """
-    dim, nnz = len(counts), int(counts.sum())
-    index = _index_dtype(dim, nnz)
-    indptr = np.zeros(dim + 1, dtype=index)
-    indptr[1:] = counts
-    np.cumsum(indptr[1:], out=indptr[1:])  # in place: no cast copy of narrow counts
-    return indptr, np.empty(nnz, dtype=index)
-
-
-def _adjacency_arrays(succ: np.ndarray, s_idx: int, t_idx: int) -> tuple[np.ndarray, np.ndarray]:
-    """(indptr, indices) of a reduction's augmented adjacency, from its audited (acyclic) successor array.
-
-    Row i holds i and its successor, so it counts 1 + (succ >= 0); the
-    start row drops the self-loop and may be empty, and the accept row
-    is the back edge alone.  Two scatters write min(succ, i) into each
-    row's first slot and then max(succ, i) into its last, so a halting
-    row's one slot ends at i.  The start row takes neither, since an
-    empty one would write into its neighbours' slots.  Each column is
-    computed in place in a fresh array of the row indices, dropped
-    before the next, and the last slots are read from ``indptr``
-    itself, lowered by one and restored; so the one dim-long temporary
-    is that array, in the index dtype.
-    """
-    moves = succ >= 0
-    counts = moves.view(np.int8) + np.int8(1)
-    counts[s_idx], counts[t_idx] = moves[s_idx], 1
-    del moves
-    indptr, indices = _index_arrays(counts)
-    del counts
-    parts = (slice(0, s_idx), slice(s_idx + 1, None))
-    column = np.arange(len(succ), dtype=indices.dtype)
-    np.minimum(succ, column, out=column)
-    for part in parts:
-        indices[indptr[:-1][part]] = column[part]
-    del column
-    column = np.arange(len(succ), dtype=indices.dtype)
-    np.maximum(succ, column, out=column)
-    indptr[1:] -= 1  # each row's last slot
-    for part in parts:
-        indices[indptr[1:][part]] = column[part]
-    indptr[1:] += 1
-    del column
-    indices[indptr[s_idx]:indptr[s_idx + 1]] = succ[s_idx]
-    indices[indptr[t_idx]] = s_idx
-    return indptr, indices
 
 
 def from_dense(dense: np.ndarray) -> RowOracleMatrix:

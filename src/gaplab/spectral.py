@@ -5,9 +5,10 @@ Three concerns live here:
 * a reduction, held here alone: its adjacency is one frozen record
   (``SuccessorAdjacency``) of the audited successor array and the
   chain table walked from it once (``_chain_table``), which answers
-  its det and its Gram's det, lambda_min and least block; its Gram
-  (``GramOracle``) is a frozen record of that one, not a row oracle,
-  and forms its rows only when ``rows()`` is called;
+  its det and its Gram's det, lambda_min, least block and the blocks
+  the energy bisection factors; its Gram (``GramOracle``) is a frozen
+  record of that one, not a row oracle, and no rows of either are
+  formed;
 * integer determinants that certify singularity exactly, with no
   floating point on the value path.  A matrix with at most one entry
   off the diagonal in each row, as the path and cycle blocks are, has
@@ -53,11 +54,8 @@ import numpy as np
 from .errors import ContractError
 from .sparse_oracle import (
     RowOracleMatrix,
-    _adjacency_arrays,
     _index_dtype,
-    _ones,
     _rounded_once_products,
-    ata_oracle,
     from_dense,
     materialize,
     norm_bound,
@@ -692,21 +690,27 @@ class SuccessorAdjacency:
     def dim(self) -> int:
         return len(self.succ)
 
+    def diagonal(self, pick: _Path) -> np.ndarray:
+        """A^T A's diagonal along a path of ``paths`` from its head: 1 + [head is the cut], 2, ..., 2, 2 - [tail is the accept]."""
+        ell, _, head, tail, _ = pick
+        along = np.full(ell, 2, dtype=np.int64)
+        along[[0, -1]] = 1 + (head == self.cut), 2 - (tail == self.accept)
+        return along
+
     def bottom(self) -> _LeastPath:
         """The least block of A^T A, its path ordered by a walk of ``succ``."""
         succ = self.succ
 
         def path(lam: float, kind: str, pick: _Path) -> _LeastPath:
-            ell, _, head, tail, end = pick
+            ell, _, head, _, end = pick
 
             def block():
                 chain = [head]
                 for _ in range(ell - 1):  # a chain steps along succ from its head
                     chain.append(int(succ[chain[-1]]))
                 order = np.array(chain if end == head else chain[::-1], dtype=np.intp)
-                along = np.full(ell, 2, dtype=np.int64)
-                ends = 1 + (head == self.cut), 2 - (tail == self.accept)
-                along[[0, -1]] = ends if end == head else ends[::-1]
+                along = self.diagonal(pick)
+                along = along if end == head else along[::-1]
                 return order, along, order[:-1], order[1:], np.ones(ell - 1, dtype=np.int64)
 
             return _LeastPath(lam, kind, block)
@@ -801,15 +805,15 @@ class GramOracle:
     """A reduction's Gram A^T A, held as its factor A (``SuccessorAdjacency``), whose chain table answers for it.
 
     The spectral routines read lambda_min and the least block from the
-    factor (``bottom``), and ``det_exact`` reads (det A)^2, so nothing
-    forms the Gram; construction only refuses any other factor.  The
-    audit that wrote the table proves the Gram's contract: column v of
-    A holds v's self-loop and at most one arc into v, the successor map
-    being injective, and the start's column holds only the back edge,
-    since no rule enters the start state: so ``sparsity_d`` and
-    ``entry_bound_k`` bound its rows.  ``rows()`` forms the Gram as a
-    row oracle, anew on each call, for ``energy`` and the tests.
-    Equality is identity.
+    factor (``bottom``), ``det_exact`` reads (det A)^2, and the energy
+    bisection factors the blocks ``band()`` lays out from the same
+    table, so nothing forms the Gram; construction only refuses any
+    other factor.  The audit that wrote the table proves the Gram's
+    contract: column v of A holds v's self-loop and at most one arc
+    into v, the successor map being injective, and the start's column
+    holds only the back edge, since no rule enters the start state: so
+    ``sparsity_d`` and ``entry_bound_k`` bound its rows.  Equality is
+    identity.
     """
 
     factor: SuccessorAdjacency
@@ -827,10 +831,40 @@ class GramOracle:
     def sparsity_d(self) -> int:
         return min(self.factor.dim, 4 * 2)  # A's rows hold at most two
 
-    def rows(self) -> RowOracleMatrix:
-        """A^T A as a row oracle: ``ata_oracle`` of A's CSR rows, written from ``succ``."""
+    def band(self) -> tuple[np.ndarray, float, float]:
+        """The blocks that decide A^T A's threshold tests, as one LAPACK band, and the Gram's Gershgorin interval.
+
+        A^T A - mu I is positive definite iff each component is.  Any
+        path is, up to reversal, a principal submatrix of the longest of
+        its kind, which the factor's ``paths`` holds (a kind with both
+        ends or none at 1 has one path, the accept's chain or the
+        cut's), so by Cauchy interlacing it passes whenever that one
+        does; an isolated vertex passes whenever the least (``vertex``)
+        does.  So these blocks decide every threshold test the whole
+        Gram decides.  The band holds them one after another, uncoupled,
+        each path tridiagonal in chain order (``diagonal``, couplings
+        +1), in the float64 lower storage ``cholesky_banded`` reads.
+
+        The interval is the whole Gram's: a path's end discs depend on
+        its kind alone, its inner ones ([0, 4]) on its length, and the
+        least isolated diagonal is the least isolated disc.  No isolated
+        diagonal exceeds 2, which every path's end discs reach, so only
+        a Gram with no path needs its greatest: it is then diagonal, the
+        start at 1 (the back edge) and the cut, if any, at 2 (its own
+        row and the start's) unless it is the accept.
+        """
         a = self.factor
-        return ata_oracle(_ones(*_adjacency_arrays(a.succ, a.start, a.accept)))
+        blocks = [a.diagonal(pick) for pick in a.paths.values()]
+        if a.vertex is not None:
+            blocks.append(np.array([a.vertex[0]], dtype=np.int64))
+        diag = np.concatenate(blocks)
+        band = np.zeros((2, len(diag)), order="F")
+        band[0] = diag
+        band[1, :-1] = 1.0
+        band[1, np.cumsum([len(b) for b in blocks]) - 1] = 0.0  # no coupling past a block's last row
+        radii = band[1] + np.concatenate(([0.0], band[1, :-1]))
+        top = 1 + (a.cut >= 0 and a.cut != a.accept)
+        return band, float(np.min(diag - radii)), float(max(np.max(diag + radii), top))
 
 
 def _path_sum_bottom(matrix: RowOracleMatrix | GramOracle) -> _LeastPath | None:

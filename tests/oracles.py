@@ -30,13 +30,15 @@ the desk-scale sizes the tests use.
   oracles before they were written as arrays, and the augmented
   adjacency assembled triplet by triplet from its definition, by
   stepping the machine or from a successor array, against
-  ``from_entries``, the structured blocks, ``_adjacency_arrays`` and
+  ``from_entries``, the structured blocks, ``adjacency_arrays`` and
   ``ata_oracle``; a reduction's adjacency formed as rows at once
-  (``adjacency_rows``), for the routes its chain table replaced; a
-  Gram's formed arrays rebuilt from triplets, whose reading a
-  reduction's chain table and a formed Gram must equal, and the
-  principal rows of a component cut from CSR slices, against the least
-  block the spectral routines write from a path sum's edges;
+  (``adjacency_arrays``, ``adjacency_rows``) and its Gram by
+  ``ata_oracle`` of them (``formed``), for the routes its chain table
+  replaced, which the package no longer has; a Gram's formed arrays
+  rebuilt from triplets, whose reading a reduction's chain table and a
+  formed Gram must equal, and the principal rows of a component cut
+  from CSR slices, against the least block the spectral routines write
+  from a path sum's edges;
 * clock Hamiltonians: the dense 2^(n+T) sum of a compiled instance's
   terms and its least eigenvalue, and the indices of the legal clock
   strings in it, against the legal-clock block that ``ground_energy``
@@ -52,7 +54,6 @@ from __future__ import annotations
 import tracemalloc
 from math import sqrt
 from typing import Callable
-from unittest import mock
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -77,7 +78,7 @@ from gaplab.simulator import (
     run_circuit,
 )
 from gaplab import spectral
-from gaplab.sparse_oracle import RowOracleMatrix, _adjacency_arrays, _index_arrays, _ones, from_entries
+from gaplab.sparse_oracle import RowOracleMatrix, _index_dtype, _ones, ata_oracle, from_entries
 from gaplab.spectral import gram_bands
 
 
@@ -131,7 +132,7 @@ def principal_rows(matrix: RowOracleMatrix, rows: np.ndarray) -> RowOracleMatrix
     """
     starts = matrix.indptr[rows]
     counts = matrix.indptr[rows + 1] - starts
-    indptr, _ = _index_arrays(counts)
+    indptr, _ = index_arrays(counts)
     entries = np.repeat(starts - indptr[:-1], counts) + np.arange(indptr[-1])
     cols = matrix.indices[entries]
     local = np.searchsorted(rows, cols)
@@ -147,12 +148,14 @@ def principal_rows(matrix: RowOracleMatrix, rows: np.ndarray) -> RowOracleMatrix
 
 
 def formed(matrix: RowOracleMatrix | spectral.GramOracle) -> RowOracleMatrix:
-    """The matrix as a row oracle: a reduction's Gram formed by its ``rows()``, any other as it is."""
-    return matrix.rows() if isinstance(matrix, spectral.GramOracle) else matrix
+    """The matrix as a row oracle: a reduction's Gram formed by ``ata_oracle`` of its factor's rows, any other as it is."""
+    if isinstance(matrix, spectral.GramOracle):
+        return ata_oracle(adjacency_rows(matrix.factor))
+    return matrix
 
 
 def explicit_gram(gram: RowOracleMatrix | spectral.GramOracle) -> RowOracleMatrix:
-    """A Gram's formed arrays (a reduction's: ``rows()``) as a plain row oracle, built from their (i, j, value) triplets.
+    """A Gram's formed arrays (``formed``) as a plain row oracle, built from their (i, j, value) triplets.
 
     The spectral routines read it from its CSR arrays, as they read any
     matrix but a reduction's Gram, which they read from its chain table.
@@ -167,16 +170,15 @@ def assert_reading_is_explicit(gram: RowOracleMatrix | spectral.GramOracle) -> N
     lambda_min, the least block's rows and arrays, the witness and its
     residual equal those of ``explicit_gram(gram)``, and the block
     equals ``principal_rows`` of the formed arrays.  A reduction's Gram
-    is read from its chain table, with ``GramOracle.rows`` refused, before
-    its arrays are formed for the comparison.
+    is read from its chain table, which is all the package holds of it,
+    before its arrays are formed here for the comparison.
     """
 
     def bits(x) -> bytes:
         return np.asarray(x, dtype=np.float64).tobytes()
 
-    with mock.patch.object(spectral.GramOracle, "rows", side_effect=AssertionError("rows formed")):
-        lam = spectral.min_eigenvalue_sparse(gram)
-        pair = spectral._bottom_block_eigenpair(gram)
+    lam = spectral.min_eigenvalue_sparse(gram)
+    pair = spectral._bottom_block_eigenpair(gram)
     explicit = explicit_gram(gram)
     want = spectral._bottom_block_eigenpair(explicit)
     assert bits(lam) == bits(pair.lam) == bits(want.lam)
@@ -215,6 +217,58 @@ def adjacency_triplets(machine: ReversibleTM, input_str: str) -> list[tuple[int,
     return sorted((i, j, 1) for i, j in entries)
 
 
+def index_arrays(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``indptr`` for per-row entry counts and an unfilled ``indices`` to write into.
+
+    Both come in the oracle's index dtype, so a producer that fills
+    ``indices`` hands the constructor arrays it keeps as they are.
+    """
+    dim, nnz = len(counts), int(counts.sum())
+    index = _index_dtype(dim, nnz)
+    indptr = np.zeros(dim + 1, dtype=index)
+    indptr[1:] = counts
+    np.cumsum(indptr[1:], out=indptr[1:])  # in place: no cast copy of narrow counts
+    return indptr, np.empty(nnz, dtype=index)
+
+
+def adjacency_arrays(succ: np.ndarray, s_idx: int, t_idx: int) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices) of a reduction's augmented adjacency, from its audited (acyclic) successor array.
+
+    Row i holds i and its successor, so it counts 1 + (succ >= 0); the
+    start row drops the self-loop and may be empty, and the accept row
+    is the back edge alone.  Two scatters write min(succ, i) into each
+    row's first slot and then max(succ, i) into its last, so a halting
+    row's one slot ends at i.  The start row takes neither, since an
+    empty one would write into its neighbours' slots.  Each column is
+    computed in place in a fresh array of the row indices, dropped
+    before the next, and the last slots are read from ``indptr``
+    itself, lowered by one and restored; so the one dim-long temporary
+    is that array, in the index dtype.
+    """
+    moves = succ >= 0
+    counts = moves.view(np.int8) + np.int8(1)
+    counts[s_idx], counts[t_idx] = moves[s_idx], 1
+    del moves
+    indptr, indices = index_arrays(counts)
+    del counts
+    parts = (slice(0, s_idx), slice(s_idx + 1, None))
+    column = np.arange(len(succ), dtype=indices.dtype)
+    np.minimum(succ, column, out=column)
+    for part in parts:
+        indices[indptr[:-1][part]] = column[part]
+    del column
+    column = np.arange(len(succ), dtype=indices.dtype)
+    np.maximum(succ, column, out=column)
+    indptr[1:] -= 1  # each row's last slot
+    for part in parts:
+        indices[indptr[1:][part]] = column[part]
+    indptr[1:] += 1
+    del column
+    indices[indptr[s_idx]:indptr[s_idx + 1]] = succ[s_idx]
+    indices[indptr[t_idx]] = s_idx
+    return indptr, indices
+
+
 def adjacency_rows(adjacency: spectral.SuccessorAdjacency) -> RowOracleMatrix:
     """A reduction's adjacency as a row oracle, formed at once: the rows its Gram's product reads.
 
@@ -222,7 +276,7 @@ def adjacency_rows(adjacency: spectral.SuccessorAdjacency) -> RowOracleMatrix:
     chain table.  These are the routes it no longer takes, the closed
     form of ``_successor_det`` and the CSR reading, fed the same matrix.
     """
-    return _ones(*_adjacency_arrays(adjacency.succ, adjacency.start, adjacency.accept))
+    return _ones(*adjacency_arrays(adjacency.succ, adjacency.start, adjacency.accept))
 
 
 def successor_adjacency(succ: np.ndarray, s_idx: int, t_idx: int) -> tuple[np.ndarray, np.ndarray]:
@@ -231,7 +285,7 @@ def successor_adjacency(succ: np.ndarray, s_idx: int, t_idx: int) -> tuple[np.nd
     A self-loop on every row but the start's, and the successor edge
     (where one exists) on every row but the accept's, whose row holds
     only the back edge (accept, start); assembled through scipy's COO
-    route, against ``sparse_oracle._adjacency_arrays``.
+    route, against ``adjacency_arrays``.
     """
     entries = {(t_idx, s_idx)}
     for i, j in enumerate(succ.tolist()):

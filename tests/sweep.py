@@ -15,7 +15,9 @@ longer takes: the table's det against ``spectral._successor_det`` on
 the adjacency's rows (``oracles.adjacency_rows``), and, up to
 ``EXPLICIT_ROWS`` rows, lambda_min, the block, psi and the residual
 against those read from the Gram's formed arrays rebuilt from triplets
-(``oracles.explicit_gram``).
+(``oracles.explicit_gram``), and the energy bisection at 20, 30 and 40
+bits, bit for bit, against the bisection of the formed Gram
+(``oracles.formed``).  Neither check enters the digests.
 
     PYTHONPATH=src python tests/sweep.py           # write sweep_digests.json
     PYTHONPATH=src python tests/sweep.py --check   # compare; exit 1 naming the first difference
@@ -78,10 +80,14 @@ def case_digest(machine: rtm.ReversibleTM, x: str) -> str:
     assert pair.lam.hex() == lam.hex(), f"{where}: lambda_min"
     parts = [str(det).encode(), lam.hex().encode(), *_block_parts(pair), decision.encode()]
     if instance.dim <= EXPLICIT_ROWS:
-        explicit = oracles.explicit_gram(gram)
+        rows = oracles.formed(gram)
+        explicit = oracles.explicit_gram(rows)
         want = spectral._bottom_block_eigenpair(explicit)
         assert spectral.min_eigenvalue_sparse(explicit).hex() == lam.hex(), f"{where}: explicit lambda_min"
         assert _block_parts(want) == _block_parts(pair), f"{where}: explicit block"
+        for bits in (20, 30, 40):
+            energy = protocols.binary_search_energy(gram, bits)
+            assert energy == protocols.binary_search_energy(rows, bits), f"{where}: energy at {bits} bits"
     return hashlib.sha256(b"\0".join(parts)).hexdigest()
 
 

@@ -64,7 +64,7 @@ def test_criterion_3_reduction_correctness():
             assert det in (0, 1, -1)
             assert (det != 0) == accepted
             # Gram entries stay in {0, 1, 2} (spot-checked rows).
-            rows = instance.gram.rows()
+            rows = oracles.formed(instance.gram)
             for i in range(0, instance.dim, max(1, instance.dim // 64)):
                 for _, value in oracles.row(rows, i):
                     assert value in (1, 2)

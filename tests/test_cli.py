@@ -530,26 +530,38 @@ def test_energy_instance_reads_the_gram_of_a_machine_reduction(tmp_path, capsys)
     payload = json.loads(out)
     machine = rtm.with_space(rtm.corpus_machine("unary_counter"), 3)
     gram = rtm.reduce_to_gapped(machine, "11").gram
-    want = protocols.ground_energy(gram.rows().csr.toarray().astype(float))
+    want = protocols.ground_energy(oracles.formed(gram).csr.toarray().astype(float))
     assert payload["eigensolver"] == pytest.approx(want, abs=1e-12)
     assert payload["abs_err"] <= 2.0 ** -30
 
 
-@pytest.mark.parametrize("space", [6, 7])  # dims 21,870 and 76,545, over DENSE_CAP
+@pytest.mark.parametrize("space, name", [
+    pytest.param(6, "unary_counter", id="6"),  # dims 21,870 and 76,545, over DENSE_CAP
+    pytest.param(7, "unary_counter", id="7"),
+    pytest.param(9, "unary_counter", id="9-unary_counter"),  # dims 885,735 and 1,062,882
+    pytest.param(9, "binary_counter", id="9-binary_counter"),
+])
 def test_energy_bisects_a_machine_reduction_past_the_dense_cap(tmp_path, capsys, monkeypatch,
-                                                               space):
+                                                               space, name):
+    # The bisection factors the chain table's few blocks, so the whole command,
+    # the reduction included, peaks at 10-14 traced bytes a configuration
+    # (measured); forming the Gram and its RCM band took about 100.
+    from scipy.linalg import cholesky_banded  # noqa: F401  imported before any trace
+
     def refused(*args, **kwargs):
         raise AssertionError("materialize called")
 
     for module in (sparse_oracle, spectral, protocols):
         monkeypatch.setattr(module, "materialize", refused)
-    machine = rtm.with_space(rtm.corpus_machine("unary_counter"), space)
-    for x in ("11", "1"):
+    machine = rtm.with_space(rtm.corpus_machine(name), space)
+    tape = "0" * (space - 3)
+    for x in ("11", "1") if name == "unary_counter" else (f"#{tape}#", f"#{tape}"):
         path = tmp_path / f"rtm_{x}.json"
-        path.write_text(json.dumps({"kind": "rtm", "machine": "unary_counter", "input": x,
-                                    "space": space}))
-        code, out = run_cli(capsys, "energy", "--instance", str(path), "--bits", "30")
+        path.write_text(json.dumps({"kind": "rtm", "machine": name, "input": x, "space": space}))
+        (code, out), peak = oracles.traced_peak(
+            lambda: run_cli(capsys, "energy", "--instance", str(path), "--bits", "30"))
         assert code == 0
+        assert peak < 24 * machine.dim, peak
         payload = json.loads(out)
         lam = spectral.min_eigenvalue_sparse(rtm.reduce_to_gapped(machine, x).gram)
         assert payload["eigensolver"] == lam
@@ -818,10 +830,10 @@ def test_reduce_builds_no_gram_and_verify_builds_one():
 
 
 def _refuse_the_gram_rows(monkeypatch):
-    def refuse(self):
+    def refuse(*args, **kwargs):
         raise AssertionError("A^T A was formed")
 
-    monkeypatch.setattr(spectral.GramOracle, "rows", refuse)
+    monkeypatch.setattr(sparse_oracle, "ata_oracle", refuse)
 
 
 def test_a_reduction_at_space_8_never_forms_its_gram(monkeypatch, capsys):
@@ -851,17 +863,24 @@ def test_reduce_and_verify_at_space_10_never_form_the_gram(tmp_path, monkeypatch
     assert code == 0 and json.loads(from_file)["decision"] == "NO"
 
 
-def test_a_reduction_forms_no_rows_but_energy_does(capsys, monkeypatch):
-    # reduce, verify and det answer from the chain table, so the adjacency's
-    # CSR rows are never formed; energy bisects the formed Gram, whose
-    # product reads them, and they are formed once.
+def test_a_reduction_forms_no_rows_not_even_for_energy(capsys, monkeypatch):
+    # reduce, verify, det and energy answer from the chain table, so neither
+    # the Gram's product nor an RCM band is built; energy and det build no
+    # row oracle at all (verify's witness block is one).
     monkeypatch.chdir(GOLDEN_DIR)
-    arrays, formed = spectral._adjacency_arrays, []
 
-    def refuse(*args):
-        raise AssertionError("the adjacency's rows were formed")
+    def refuse(*args, **kwargs):
+        raise AssertionError("a reduction's rows were formed")
 
-    monkeypatch.setattr(spectral, "_adjacency_arrays", refuse)
+    for owner in (spectral, protocols):  # protocols holds _rcm_band by name
+        monkeypatch.setattr(owner, "_rcm_band", refuse)
+    monkeypatch.setattr(sparse_oracle, "ata_oracle", refuse)
+    with monkeypatch.context() as patch:
+        patch.setattr(sparse_oracle.RowOracleMatrix, "__post_init__", refuse)
+        code, out = run_cli(capsys, "energy", "--instance", "rtm_unary_counter_11.json")
+        assert code == 0 and out.encode() == (GOLDEN_DIR / "energy_rtm_unary_counter_11.out").read_bytes()
+        code, out = run_cli(capsys, "det", "--instance", "rtm_unary_counter_11.json")
+        assert code == 0 and json.loads(out)["det"] == -1
     machine = ["--machine", "unary_counter", "--space", "3", "--input", "11"]
     for name, argv in (("reduce_unary_counter_11", ["reduce", "--machine", "unary_counter", "--input", "11"]),
                        ("verify_unary_counter_11", ["verify", *machine, "--gap-exponent", "12"]),
@@ -869,15 +888,21 @@ def test_a_reduction_forms_no_rows_but_energy_does(capsys, monkeypatch):
                                                             "--input", "11"])):
         code, out = run_cli(capsys, *argv)
         assert code == 0 and out.encode() == (GOLDEN_DIR / f"{name}.out").read_bytes(), name
-    code, out = run_cli(capsys, "det", "--instance", "rtm_unary_counter_11.json")
-    assert code == 0 and json.loads(out)["det"] == -1
     code, out = run_cli(capsys, "verify", "--instance", "rtm_unary_counter_11.json")
     assert code == 0 and json.loads(out)["decision"] == "NO"
-    monkeypatch.setattr(spectral, "_adjacency_arrays",
-                        lambda *args: formed.append(args) or arrays(*args))
-    code, out = run_cli(capsys, "energy", "--instance", "rtm_unary_counter_11.json")
-    assert code == 0 and len(formed) == 1
-    assert out.encode() == (GOLDEN_DIR / "energy_rtm_unary_counter_11.out").read_bytes()
+
+
+def test_a_directory_named_like_a_corpus_machine_does_not_shadow_it(tmp_path, capsys, monkeypatch):
+    # A machine name is a file beside the instance (or in the working
+    # directory) when one is there; a directory of that name is not one.
+    (tmp_path / "unary_counter").mkdir()
+    monkeypatch.chdir(tmp_path)
+    code, out = run_cli(capsys, "reduce", "--machine", "unary_counter", "--input", "11")
+    assert code == 0 and out.encode() == (GOLDEN_DIR / "reduce_unary_counter_11.out").read_bytes()
+    (tmp_path / "rtm.json").write_bytes((GOLDEN_DIR / "rtm_unary_counter_11.json").read_bytes())
+    code, out = run_cli(capsys, "energy", "--instance", "rtm.json")
+    want = (GOLDEN_DIR / "energy_rtm_unary_counter_11.out").read_text()
+    assert code == 0 and out == want.replace("rtm_unary_counter_11.json", "rtm.json")
 
 
 def test_det_writes_a_determinant_past_the_default_digit_limit(tmp_path, capsys):

@@ -721,7 +721,7 @@ def test_decide_gapped_refuses_a_reduction_inside_its_promise_gap(g):
     with pytest.raises(PromiseViolation, match=rf"lambda_min {lam!r} is neither 0 nor at least 2\^-{g}$"):
         pr.decide_gapped(gram, g)
     assert issubclass(PromiseViolation, ContractError)
-    assert pr.decide_gapped(gram.rows(), g).decision == "YES"
+    assert pr.decide_gapped(oracles.formed(gram), g).decision == "YES"
     assert pr.decide_gapped(gram, 4).decision == "NO"
 
 
@@ -741,7 +741,7 @@ def test_closed_form_read_against_60_digits():
         for name, space, x in cases:
             gram = rtm.reduce_to_gapped(rtm.with_space(rtm.corpus_machine(name), space), x).gram
             got = pr.decide_gapped(gram, 12)
-            y = oracles.path_sum_bottom(gram.rows()) * mpmath.mpf(got.evo_time)
+            y = oracles.path_sum_bottom(oracles.formed(gram)) * mpmath.mpf(got.evo_time)
             v = mpmath.fsum((-1j * y) ** k / mpmath.factorial(k) for k in range(1, got.taylor_order + 1))
             assert got.decision == "NO"
             assert abs(got.rejection - abs(v) ** 2 / 4) <= 4 * eps * abs(v) ** 2 / 4

@@ -220,47 +220,25 @@ def test_adjacency_arrays_match_the_definition(succ):
         for s_idx in range(len(succ)):
             if s_idx == t_idx:
                 continue
-            got = so._adjacency_arrays(succ, s_idx, t_idx)
+            got = oracles.adjacency_arrays(succ, s_idx, t_idx)
             want = oracles.successor_adjacency(succ, s_idx, t_idx)
             for mine, theirs in zip(got, want):
                 assert mine.dtype == theirs.dtype, (s_idx, t_idx)
                 assert np.array_equal(mine, theirs), (succ, s_idx, t_idx)
 
 
-def _formed_rows(gram: sp.GramOracle) -> tuple[so.RowOracleMatrix, int]:
-    """``gram.rows()``, and how many row-contract checks forming it ran."""
-    check, checks = so.RowOracleMatrix.__post_init__, []
-
-    def counted(matrix):
-        checks.append(matrix)
-        check(matrix)
-
-    so.RowOracleMatrix.__post_init__ = counted
-    try:
-        rows = gram.rows()
-    finally:
-        so.RowOracleMatrix.__post_init__ = check
-    return rows, len(checks)
-
-
-def _assert_rows_formed_as_the_eager_ones(gram: sp.GramOracle) -> None:
-    # A reduction's Gram forms its rows when they are asked for, the
-    # adjacency's and then the product's, each checked once; they are the
-    # eager arrays bit for bit, values and dtypes, under the Gram's d and k.
-    eager = so.ata_oracle(oracles.adjacency_rows(gram.factor))
-    rows, checks = _formed_rows(gram)
-    assert checks == 2
-    for part in ("indptr", "indices", "data"):
-        mine, theirs = getattr(rows, part), getattr(eager, part)
-        assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
-    assert rows.data.dtype == np.int64
-    assert np.shares_memory(rows.csr.indices, rows.indices) and np.shares_memory(rows.csr.data, rows.data)
-    assert (gram.dim, gram.sparsity_d, gram.entry_bound_k) == (eager.dim, eager.sparsity_d, 2)
-    assert (rows.dim, rows.sparsity_d, rows.entry_bound_k) == (eager.dim, eager.sparsity_d, 2)
+def _assert_bisected_as_when_formed(gram: sp.GramOracle) -> None:
+    """``binary_search_energy`` reads the Gram as its formed rows, bit for bit, at 20, 30 and 40 bits."""
+    rows = oracles.formed(gram)
+    for bits in (20, 30, 40):
+        assert pr.binary_search_energy(gram, bits) == pr.binary_search_energy(rows, bits), bits
 
 
 @pytest.mark.parametrize("name", rtm.corpus_names())
-def test_a_reduction_forms_its_rows_as_the_eager_arrays(name):
+def test_energy_bisects_a_reduction_as_its_formed_gram_does(name):
+    # The bisection of a reduction's Gram reads its chain table's blocks; on
+    # an accepting and a rejecting input at spaces 2-5 it brackets the same
+    # bits as the bisection of the formed Gram, from the same interval.
     kinds = set()
     for space in range(2, 6):
         machine = rtm.with_space(rtm.corpus_machine(name), space)
@@ -271,7 +249,7 @@ def test_a_reduction_forms_its_rows_as_the_eager_arrays(name):
                 by_outcome.setdefault(rtm.simulate(machine, x).accepted, x)
         kinds |= set(by_outcome)
         for x in by_outcome.values():
-            _assert_rows_formed_as_the_eager_ones(rtm.reduce_to_gapped(machine, x).gram)
+            _assert_bisected_as_when_formed(rtm.reduce_to_gapped(machine, x).gram)
     assert kinds == {True, False}, name  # an accepting and a rejecting input
 
 
@@ -283,7 +261,7 @@ def test_adjacency_arrays_peak_memory_stays_near_the_result():
         for config in (rtm.start_configuration, rtm.accept_configuration)
     )
     (indptr, indices), peak = oracles.traced_peak(
-        lambda: so._adjacency_arrays(succ, s_idx, t_idx)
+        lambda: oracles.adjacency_arrays(succ, s_idx, t_idx)
     )
     result = indptr.nbytes + indices.nbytes
     assert peak <= 1.7 * result, (peak, result)
@@ -346,13 +324,13 @@ _SPACE_7_JOBS = {"11": "unary_counter", "1": "unary_counter",
 def test_every_reduction_stage_stays_within_the_adjacency_indices(x):
     # Each stage's traced transient, above what it keeps, is at most the
     # adjacency's index bytes, computed without forming them; the audit's is
-    # the largest (0.85x measured).  No row is formed: the arrays, _ones
-    # and the row contract do not run in a reduction job.
+    # the largest (0.85x measured).  No row is formed: the Gram product and
+    # the row contract do not run in a reduction job.
     machine = rtm.with_space(rtm.corpus_machine(_SPACE_7_JOBS[x]), 7)
     _reduction_job(machine, x)
     stages = [(rtm, "successors"), (rtm, "_audit"), (rtm, "GramOracle"), (sp, "det_exact"),
               (sp, "min_eigenvalue_sparse")]
-    unformed = [(sp, "_adjacency_arrays"), (sp, "_ones"), (so.RowOracleMatrix, "__post_init__")]
+    unformed = [(so, "ata_oracle"), (so.RowOracleMatrix, "__post_init__")]
     (instance, det, _, accepted), transients = oracles.traced_stages(
         lambda: _reduction_job(machine, x), stages + unformed)
     assert (det != 0) == accepted == x.endswith(("11", "#"))
@@ -388,7 +366,7 @@ def test_long_chains_are_read_by_the_walk(space, x):
     gram = rtm.reduce_to_gapped(machine, x).gram
     oracles.assert_reading_is_explicit(gram)
     lam = sp.min_eigenvalue_sparse(gram)
-    exact = oracles.path_sum_bottom(gram.rows())
+    exact = oracles.path_sum_bottom(oracles.formed(gram))
     assert abs(lam - exact) <= 4 * np.finfo(np.float64).eps * exact
 
 
@@ -397,7 +375,7 @@ def test_det_of_a_gram_stays_within_its_measured_peak():
     # for banded elimination, whose Python lists set the peak: 15.8 times
     # the Gram's index bytes, measured.  The guard holds that route there;
     # a reduction's Gram itself reads (det A)^2 from its record.
-    gram = _space_7_reduction().gram.rows()
+    gram = oracles.formed(_space_7_reduction().gram)
     sp.det_exact(gram)  # imports scipy, untraced
     det, peak = oracles.traced_peak(lambda: sp.det_exact(gram))
     assert det == 1
@@ -546,7 +524,7 @@ def test_random_machine_reduction(machine):
             instance = rtm.reduce_to_gapped(machine, x)
             det = sp.det_exact(instance.adjacency)
             accepted = rtm.simulate(machine, x).accepted
-            rows = instance.gram.rows()
+            rows = oracles.formed(instance.gram)
             # det A^T A = (det A)^2, read from the record and by elimination on the formed rows.
             assert sp.det_exact(instance.gram) == sp.det_exact(rows) == det**2
             if machine.dim <= 256:  # every two-symbol machine and the small three-symbol ones
@@ -562,16 +540,28 @@ def test_random_machine_reduction(machine):
                 assert abs(lam) < 1e-10
 
 
+# One step from the start into a state with no rules, and no other move: a
+# diagonal Gram, the accept at 0, the start at 1 and the cut at 2.
+_ONE_STEP = rtm.machine_from_dict({
+    "name": "one_step", "states": ["s", "acc", "p"], "start": "s", "accept": "acc",
+    "alphabet": ["0", "1"], "blank": "0", "space": 1, "transitions": [["s", "0", "p", "1", "S"]],
+})
+
+
 @settings(max_examples=60, deadline=None)
 @given(random_machines())
 @example(rtm.with_space(rtm.corpus_machine("binary_nonmax"), 3))
 @example(_ONE_CELL)
+@example(_ONE_STEP)
 def test_random_reduction_grams_read_from_their_chain_table_as_when_formed(machine):
+    # lambda_min, the least block and the energy bisection, each bit for bit.
     if not rtm.validate(machine).ok:
         return
     for n in range(machine.space):
         for x in map("".join, itertools.product(machine.alphabet, repeat=n)):
-            oracles.assert_reading_is_explicit(rtm.reduce_to_gapped(machine, x).gram)
+            gram = rtm.reduce_to_gapped(machine, x).gram
+            oracles.assert_reading_is_explicit(gram)
+            _assert_bisected_as_when_formed(gram)
 
 
 @pytest.mark.parametrize(
@@ -728,7 +718,7 @@ def test_chain_table_reads_what_the_arrays_read(drawn):
     # The table of a cut successor map answers det, lambda_min and the
     # witness exactly as the closed form and the formed Gram read the
     # same adjacency, and its chains are those a plain walk finds; the
-    # Gram's formed rows are the eager arrays.
+    # Gram bisects as its formed rows do.
     succ, start, accept = drawn
     table = sp._chain_table(succ, start, accept)
     assert (table.covered, table.det, table.paths, table.vertex) == _plain_chains(succ, start, accept)
@@ -744,7 +734,7 @@ def test_chain_table_reads_what_the_arrays_read(drawn):
         mine, theirs = getattr(got.block, part), getattr(want.block, part)
         assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs), part
     assert got.psi.tobytes() == want.psi.tobytes() and got.residual.hex() == want.residual.hex()
-    _assert_rows_formed_as_the_eager_ones(fast)
+    _assert_bisected_as_when_formed(fast)
 
 
 @settings(max_examples=40, deadline=None)

@@ -129,14 +129,14 @@ def test_ata_oracle_refuses_a_column_an_int8_count_would_wrap(rows):
         so.ata_oracle(factor)
 
 
-def test_a_reduction_gram_is_a_record_that_forms_its_rows_on_request():
+def test_a_reduction_gram_is_a_record_with_no_rows():
     gram = rtm.reduce_to_gapped(rtm.with_space(rtm.corpus_machine("unary_counter"), 2), "1").gram
-    assert not isinstance(gram, so.RowOracleMatrix) and not hasattr(gram, "indptr")
+    assert not isinstance(gram, so.RowOracleMatrix)
+    assert not any(hasattr(gram, name) for name in ("indptr", "csr", "rows"))
     assert repr(gram).startswith("GramOracle(factor=SuccessorAdjacency(start=10, accept=14,")
     assert (gram.dim, gram.sparsity_d, gram.entry_bound_k) == (90, 8, 2)
-    first, second = gram.rows(), gram.rows()
-    assert type(first) is so.RowOracleMatrix and first is not second  # formed anew, not kept
-    assert (first.dim, first.sparsity_d, first.entry_bound_k) == (90, 8, 2)
+    rows = oracles.formed(gram)
+    assert (rows.dim, rows.sparsity_d, rows.entry_bound_k) == (90, 8, 2)
 
 
 def test_a_gram_held_as_its_factor_needs_its_chain_table():
@@ -199,7 +199,7 @@ def test_principal_rows_cut_a_component():
     from scipy.sparse.csgraph import connected_components
 
     machine = rtm.with_space(rtm.corpus_machine("unary_counter"), 4)
-    gram = rtm.reduce_to_gapped(machine, "11").gram.rows()
+    gram = oracles.formed(rtm.reduce_to_gapped(machine, "11").gram)
     a = gram.csr
     count, labels = connected_components(a, directed=False)
     sizes = np.bincount(labels)
@@ -372,7 +372,7 @@ def test_reduction_arrays_are_the_coo_route_without_a_copy(space):
     for x in ("11", "1"):
         instance = rtm.reduce_to_gapped(machine, x)
         adjacency = oracles.coo_csr(instance.dim, oracles.adjacency_triplets(machine, x))
-        _assert_view_of(instance.gram.rows(), oracles.coo_gram(adjacency))
+        _assert_view_of(oracles.formed(instance.gram), oracles.coo_gram(adjacency))
 
 
 def test_oracle_keeps_index_arrays_in_scipys_dtype():

@@ -714,7 +714,7 @@ def test_rcm_band_is_the_permuted_lower_triangle_bit_for_bit():
     from scipy.sparse import csr_matrix
 
     grams = [
-        rtm.reduce_to_gapped(rtm.with_space(rtm.corpus_machine("unary_counter"), space), x).gram.rows()
+        oracles.formed(rtm.reduce_to_gapped(rtm.with_space(rtm.corpus_machine("unary_counter"), space), x).gram)
         for space in (3, 4, 5, 6)
         for x in ("11", "1")
     ]
@@ -741,8 +741,9 @@ def test_rcm_band_is_the_permuted_lower_triangle_bit_for_bit():
     assert band.dtype == np.complex128 and band.tobytes() == reference.tobytes()
 
 
-def test_every_corpus_reduction_gram_has_a_tridiagonal_rcm_band():
-    # What the energy bisection factors: one subdiagonal, so each step is O(dim).
+def test_every_corpus_reduction_gram_band_starts_from_its_gershgorin_interval():
+    # What the energy bisection factors: the chain table's few blocks, one
+    # subdiagonal, whose interval is the formed Gram's, read from its rows.
     # Every input of up to two symbols at spaces 2-5, and of up to one at space 6.
     for name in rtm.corpus_names():
         for space in range(2, 7):
@@ -750,8 +751,12 @@ def test_every_corpus_reduction_gram_has_a_tridiagonal_rcm_band():
             letters = [a for a in machine.alphabet if a != machine.blank]
             for n in range(min(space, 2 if space == 6 else 3)):
                 for x in map("".join, itertools.product(letters, repeat=n)):
-                    band, _ = sp._rcm_band(rtm.reduce_to_gapped(machine, x).gram.rows().csr)
-                    assert band.shape[0] == 2, (name, space, x)
+                    gram = rtm.reduce_to_gapped(machine, x).gram
+                    band, lo, hi = gram.band()
+                    a = oracles.formed(gram).csr
+                    radii = np.asarray(abs(a).sum(axis=1)).ravel() - a.diagonal()
+                    assert (lo, hi) == (np.min(a.diagonal() - radii), np.max(a.diagonal() + radii))
+                    assert band.shape[0] == 2 and band.shape[1] < gram.dim, (name, space, x)
 
 
 def test_dense_cap_refuses_before_the_matrix_is_built(monkeypatch):
@@ -855,7 +860,7 @@ def test_min_eigenvalue_sparse_reads_reductions_in_closed_form(monkeypatch):
                 else:
                     assert lam >= sp.min_eigenvalue_bound(instance.dim)
                 # Two independent routes: the closed form and a 50-digit path walk.
-                exact = oracles.path_sum_bottom(instance.gram.rows())
+                exact = oracles.path_sum_bottom(oracles.formed(instance.gram))
                 assert abs(lam - exact) <= 4 * eps * exact
                 decided.add((name, det != 0))
     assert len(decided) == 6  # every machine accepted and rejected
@@ -1059,7 +1064,7 @@ def test_block_residual_is_the_full_residual_on_reductions():
             for x in (x for x in inputs if len(x) < space):
                 gram = rtm.reduce_to_gapped(machine, x).gram
                 lam, psi, residual = sp.bottom_eigenpair(gram)
-                full = so._rounded_once_products(gram.rows(), psi) - lam * psi
+                full = so._rounded_once_products(oracles.formed(gram), psi) - lam * psi
                 assert residual == float(np.linalg.norm(full)) < 1e-15
 
 
@@ -1163,25 +1168,27 @@ def test_spectrum_report_rows():
 
 
 def test_a_reduction_is_answered_from_its_chain_table(monkeypatch):
-    # A reduction's determinant, lambda_min and decision come from the chain
-    # table its audit walked: the closed form, the walk of a path sum and the
-    # CSR reading are refused, and the answers are theirs bit for bit.
+    # A reduction's determinant, lambda_min, decision and energy come from the
+    # chain table its audit walked: the closed form, the walk of a path sum,
+    # the CSR reading and its band are refused, and the answers are theirs bit
+    # for bit.
     machine = rtm.with_space(rtm.corpus_machine("binary_counter"), 6)
     cases = {}
     for x in ("#000#", "#000"):
         instance = rtm.reduce_to_gapped(machine, x)
         rows = oracles.adjacency_rows(instance.adjacency)
         read = so.ata_oracle(rows)
-        cases[x] = (instance, sp._successor_det(rows),
-                    sp.min_eigenvalue_sparse(read).hex(), repr(pr.decide_gapped(read, instance.g)))
+        cases[x] = (instance, sp._successor_det(rows), sp.min_eigenvalue_sparse(read).hex(),
+                    repr(pr.decide_gapped(read, instance.g)), pr.binary_search_energy(read, 40))
 
     def refuse(*args, **kwargs):
         raise AssertionError("a reduction left its chain table")
 
     for owner, name in ((sp, "_successor_det"), (sp, "_path_forest"), (sp, "_symmetric_csr"),
-                        (sp.GramOracle, "rows")):
+                        (pr, "_symmetric_csr"), (pr, "_rcm_band")):
         monkeypatch.setattr(owner, name, refuse)
-    for x, (instance, det, lam, decision) in cases.items():
+    for x, (instance, det, lam, decision, energy) in cases.items():
         assert sp.det_exact(instance.adjacency) == det and (det != 0) == x.endswith("#")
         assert sp.min_eigenvalue_sparse(instance.gram).hex() == lam
         assert repr(pr.decide_gapped(instance.gram, instance.g)) == decision
+        assert pr.binary_search_energy(instance.gram, 40) == energy
