@@ -14,7 +14,6 @@ promise gaps and compiles verifiers into clock Hamiltonians
 from .errors import ConfigurationError, ContractError, PromiseViolation, ResourceLimitError
 from .sparse_oracle import (
     RowOracleMatrix,
-    ata_oracle,
     cycle_adjacency,
     from_dense,
     from_entries,
@@ -23,6 +22,7 @@ from .sparse_oracle import (
     path_adjacency,
 )
 from .spectral import (
+    GappedInstance,
     SpectrumReport,
     closed_form_eigenvalues,
     det_bareiss_sparse,
@@ -34,7 +34,6 @@ from .spectral import (
 )
 from .rtm import (
     Configuration,
-    GappedInstance,
     ReversibleTM,
     augmented_adjacency,
     corpus_machine,

@@ -161,7 +161,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
     if args.machine is not None:
         machine, x = _machine_and_input(args)
         instance = rtm.reduce_to_gapped(machine, x)
-        matrix, certified_g, source = instance.gram, instance.g, machine.name or args.machine
+        matrix, certified_g, source = instance, instance.g, machine.name or args.machine
         # The chain table holds det and lambda_min: no further pass.
         det, lam = spectral.det_exact(instance.adjacency), spectral.min_eigenvalue_sparse(matrix)
         # lambda_min accepts at or above the floor, rejects at exactly 0, and does neither between.
@@ -269,7 +269,7 @@ def _cmd_energy(args) -> tuple[dict, int]:
     else:  # read from the path, so a machine path resolves against the file's directory
         # A machine reduction is read as its Gram, as `verify --instance` reads it,
         # and checked against its closed-form lambda_min instead of a dense solve;
-        # the bisection factors the blocks of its chain table (`GramOracle.band`).
+        # the bisection factors the blocks of its chain table (`SuccessorAdjacency.band`).
         instance, g = rtm.load_gapped_instance(args.instance)
         if g is None:
             truth = protocols.ground_energy(sparse_oracle.materialize(instance))

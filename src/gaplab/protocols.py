@@ -51,7 +51,7 @@ from .sparse_oracle import (
     materialize,
     norm_bound,
 )
-from .spectral import GramOracle, _bottom_block_eigenpair, _rcm_band, _require_hermitian, _symmetric_csr
+from .spectral import GappedInstance, _bottom_block_eigenpair, _rcm_band, _require_hermitian, _symmetric_csr
 from .simulator import (
     DENSE_QUBIT_CAP,
     QuantumCircuit,
@@ -525,7 +525,7 @@ class GappedParams:
         return max(1e-8, 2.5 * self.epsilon)
 
 
-def gapped_params(matrix: RowOracleMatrix | GramOracle, g: int) -> GappedParams:
+def gapped_params(matrix: RowOracleMatrix | GappedInstance, g: int) -> GappedParams:
     """Evolution time, error budget, and analytic bounds for gap exponent g.
 
     evo_time t = pi/(entry bound k * sparsity d) keeps ||A|| t <= pi, and
@@ -604,7 +604,7 @@ class GappedDecision:
     taylor_order: int
 
 
-def decide_gapped(matrix: RowOracleMatrix | GramOracle, g: int) -> GappedDecision:
+def decide_gapped(matrix: RowOracleMatrix | GappedInstance, g: int) -> GappedDecision:
     """Decide lambda_min = 0 versus >= 2^-g with the honest prover.
 
     The witness is the bottom eigenvector (``bottom_eigenpair``), the
@@ -618,9 +618,10 @@ def decide_gapped(matrix: RowOracleMatrix | GramOracle, g: int) -> GappedDecisio
     products run on that path's rows alone: the same column order and
     the same declared d and k, so t, the Taylor order and each row's
     floating-point sum are those of the whole matrix, whose other rows
-    would only carry zeros.  A reduction's Gram
-    (``spectral.GramOracle``) is a record of its factor A with the
-    declared d and k, not a row oracle, and is never formed: its block
+    would only carry zeros.  A reduction's gapped instance
+    (``spectral.GappedInstance``), which is its Gram, is a record of its
+    factor A with the declared d and k, not a row oracle, and is never
+    formed: its block
     is written from A's chain table, the path ordered by a walk of the
     successor array.  The first product
     rounds each row's sum once (``expm_taylor_minus_identity``): its
@@ -655,7 +656,7 @@ def decide_gapped(matrix: RowOracleMatrix | GramOracle, g: int) -> GappedDecisio
         pair = _bottom_block_eigenpair(matrix)
     except ContractError as exc:
         raise ContractError(f"verify needs a positive semidefinite instance: {exc}") from exc
-    if isinstance(matrix, GramOracle) and 0 < pair.lam < 2.0**-g:
+    if isinstance(matrix, GappedInstance) and 0 < pair.lam < 2.0**-g:
         raise PromiseViolation(f"promise violated: lambda_min {pair.lam!r} is neither 0 nor at least 2^-{g}")
     if pair.residual > 2.0**-g / 8:
         raise ContractError(
@@ -1135,12 +1136,12 @@ def binary_search_energy(instance, bits: int) -> float:
     Each step asks whether lambda_min(H) > mu, and answers it by
     whether the Cholesky factorization of H - mu I exists, which it does
     exactly when H - mu I is positive definite; no eigenvalue is
-    computed.  A reduction's Gram (``GramOracle``) is never formed: its
-    ``band()`` holds the blocks of its chain table that decide every
-    threshold test, and its Gershgorin interval.  A row oracle is H as
-    it stands: its CSR arrays once they are checked symmetric, with its
-    Gershgorin interval read from its rows in exact integers, so no
-    dense copy is made.  Any other instance is the matrix
+    computed.  A reduction's Gram (``GappedInstance``) is never formed:
+    its adjacency's ``band()`` holds the blocks of its chain table that
+    decide every threshold test, and the Gram's Gershgorin interval.
+    A row oracle is H as it stands: its CSR arrays once they are checked
+    symmetric, with its Gershgorin interval read from its rows in exact
+    integers, so no dense copy is made.  Any other instance is the matrix
     ``_hamiltonian`` gives, the legal-clock block for a compiled clock
     instance.  Either is taken once into the reverse Cuthill-McKee order
     of its pattern, a permutation similarity that leaves definiteness
@@ -1156,8 +1157,8 @@ def binary_search_energy(instance, bits: int) -> float:
 
     if bits < 1 or bits > ENERGY_BITS_CAP:
         raise ContractError(f"bits must be in 1..{ENERGY_BITS_CAP}, got {bits}")
-    if isinstance(instance, GramOracle):
-        band, lo, hi = instance.band()
+    if isinstance(instance, GappedInstance):
+        band, lo, hi = instance.adjacency.band()
     elif isinstance(instance, RowOracleMatrix):
         h = _symmetric_csr(instance)
         diag = h.diagonal()

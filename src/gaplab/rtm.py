@@ -37,9 +37,10 @@ vertex.  Its determinant is +-1 when the machine reaches the canonical
 accepting configuration and 0 otherwise, and the Gram matrix A^T A then
 has least eigenvalue either 0 or bounded below by the closed-form gap
 at that dimension.  The matrix is one record of its successor array
-and chain table (``spectral.SuccessorAdjacency``), and its Gram is a
-record of that one (``spectral.GramOracle``); neither is a row oracle,
-and no command forms CSR rows from them, ``energy`` included.  Every
+and chain table (``spectral.SuccessorAdjacency``), and the gapped
+instance, which is its Gram, a record of that one
+(``spectral.GappedInstance``); neither is a row oracle, and no command
+forms CSR rows from them, ``energy`` included.  Every
 command reads an instance file through ``load_instance``.
 
 Accepting runs must end at one canonical configuration: accept state,
@@ -54,8 +55,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field, replace
-from functools import cached_property
-from math import ceil, log2
 
 import numpy as np
 
@@ -70,7 +69,7 @@ from .sparse_oracle import (
     from_entries,
     path_adjacency,
 )
-from .spectral import GramOracle, SuccessorAdjacency, _chain_table, _endless, min_eigenvalue_bound
+from .spectral import GappedInstance, SuccessorAdjacency, _chain_table, _endless
 
 MOVES = {"L": -1, "S": 0, "R": 1}
 
@@ -419,39 +418,8 @@ def augmented_adjacency(machine: ReversibleTM, input_str: str) -> SuccessorAdjac
     return adjacency
 
 
-@dataclass(frozen=True)
-class GappedInstance:
-    """Matrix decision instance with a certified eigenvalue dichotomy.
-
-    ``adjacency`` is the augmented adjacency A, the audit's record of
-    its successor array and chain table (``spectral.SuccessorAdjacency``),
-    and ``gram`` is A^T A held as A (``spectral.GramOracle``), a record
-    and no row oracle; the spectral routines form neither: A's
-    determinant and the Gram's determinant, lambda_min and least block
-    are read from A's chain table.
-    ``reduce`` takes only the determinant and builds no Gram.  Its
-    least eigenvalue is exactly 0 when the machine rejects the input
-    and at least 2^-g when it accepts, with g derived from the
-    closed-form bound at A's dimension.
-    """
-
-    adjacency: SuccessorAdjacency
-
-    @property
-    def dim(self) -> int:
-        return self.adjacency.dim
-
-    @cached_property
-    def g(self) -> int:
-        return ceil(-log2(min_eigenvalue_bound(self.dim)))
-
-    @cached_property
-    def gram(self) -> GramOracle:
-        return GramOracle(self.adjacency)
-
-
 def reduce_to_gapped(machine: ReversibleTM, input_str: str) -> GappedInstance:
-    """Machine + input -> Gram oracle with a 0-vs-2^-g eigenvalue promise."""
+    """Machine + input -> the Gram A^T A with a 0-vs-2^-g eigenvalue promise (``spectral.GappedInstance``)."""
     return GappedInstance(augmented_adjacency(machine, input_str))
 
 
@@ -565,10 +533,10 @@ def load_instance(source: str | os.PathLike | dict) -> RowOracleMatrix | Success
                                                       (its augmented adjacency)
 
     Every number (values, indices, dim, ell, space) must be a JSON
-    integer, ``machine`` and ``input`` strings, and a ``rows`` matrix
-    N x N; a missing key, a description that names more than one of
-    ``rows``, ``entries`` and ``kind``, or anything else is a
-    ContractError.  Every command reads instance files through here.
+    integer, ``machine`` and ``input`` strings, N at least 1 and a
+    ``rows`` matrix N x N; a missing key, a description that names more
+    than one of ``rows``, ``entries`` and ``kind``, or anything else is
+    a ContractError.  Every command reads instance files through here.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8") as fh:
@@ -582,6 +550,8 @@ def load_instance(source: str | os.PathLike | dict) -> RowOracleMatrix | Success
         raise ContractError(f"an instance names one of 'rows', 'entries' and 'kind', got {shapes}")
     if "rows" in spec:
         rows = _field(spec, "rows", list)
+        if not rows:
+            raise ContractError("'rows' must hold at least one row")
         dim = _field(spec, "dim", int) if "dim" in spec else len(rows)
         if len(rows) != dim:
             raise ContractError(f"instance declares dim {dim} but has {len(rows)} rows")
@@ -592,6 +562,8 @@ def load_instance(source: str | os.PathLike | dict) -> RowOracleMatrix | Success
         return from_dense(np.array(values, dtype=np.int64))
     if "entries" in spec:
         dim, entries = _field(spec, "dim", int), _field(spec, "entries", list)
+        if dim < 1:
+            raise ContractError(f"'dim' must be at least 1, got {dim}")
         for t in entries:
             if not isinstance(t, list) or len(t) != 3:
                 raise ContractError(f"'entries' must hold [i, j, value] triplets, got {t!r}")
@@ -609,16 +581,16 @@ def load_instance(source: str | os.PathLike | dict) -> RowOracleMatrix | Success
 
 def load_gapped_instance(
     source: str | os.PathLike | dict,
-) -> tuple[RowOracleMatrix | GramOracle, int | None]:
+) -> tuple[RowOracleMatrix | GappedInstance, int | None]:
     """The matrix ``verify`` and ``energy`` decide from an instance file, with its certified g.
 
     The file is read by ``load_instance``.  A machine reduction's
-    adjacency yields its Gram A^T A and the reduction's own gap
-    exponent (``GappedInstance``); every other matrix is yielded as it
-    is read, with no gap exponent.
+    adjacency yields its gapped instance, which is its Gram A^T A
+    (``GappedInstance``), and the instance's own gap exponent; every
+    other matrix is yielded as it is read, with no gap exponent.
     """
     matrix = load_instance(source)
     if isinstance(matrix, SuccessorAdjacency):
         instance = GappedInstance(matrix)
-        return instance.gram, instance.g
+        return instance, instance.g
     return matrix, None

@@ -10,19 +10,17 @@ evolution time.  The path-sum recogniser reads the arrays as they
 stand, in numpy, and so do the row products A x of the witness's
 residual and of the Taylor sum, on rows padded once (``padded``); the
 scipy kernels (determinants, symmetry checks, the energy band) read
-them through ``csr``, a scipy CSR matrix on the same buffers.  A Gram
-A^T A of a row oracle is formed at once by ``ata_oracle``.  A reduction
-is held in ``spectral`` as records that are no row oracles
-(``SuccessorAdjacency`` and ``GramOracle``), and nothing in the package
-forms its rows.  Building an oracle and checking it take numpy alone;
-scipy is imported when a CSR view is first asked for, by a Gram
-product or a kernel.  This module reads no files (``rtm`` reads
+them through ``csr``, a scipy CSR matrix on the same buffers.  A
+reduction is held in ``spectral`` as records that are no row oracles
+(``SuccessorAdjacency`` and ``GappedInstance``), and nothing in the
+package forms its rows or its Gram.  Building an oracle and checking it
+take numpy alone; scipy is imported when a CSR view is first asked for,
+by a kernel.  This module reads no files (``rtm`` reads
 instance files).  Dense materialization is a desk-scale debugging
 and ground-truth device, refused above DENSE_CAP rows.
 
 Integer-valued oracles stay integer-valued until a spectral operation
-converts them to floats.  No float arithmetic happens in construction
-or Gram-matrix assembly.
+converts them to floats.  No float arithmetic happens in construction.
 """
 
 from __future__ import annotations
@@ -302,26 +300,6 @@ def from_entries(dim: int, triplets: Iterable[Sequence[int]]) -> RowOracleMatrix
         sparsity_d=max(int(counts.max(initial=0)), 1),
         entry_bound_k=max(int(np.abs(v).max(initial=0)), 1),
     )
-
-
-def ata_oracle(matrix: RowOracleMatrix) -> RowOracleMatrix:
-    """Row oracle of A^T A, formed at once, for a +-1 matrix A with at most two nonzeros per column.
-
-    The declared bounds are those of every reduction's Gram: row i
-    touches only columns that share a row of A with column i, so the
-    sparsity is min(dim, 4d) for A's row bound d, and the entry bound
-    is 2, which give every reduction's Gram the evolution time pi/16.
-    scipy's product drops the entries +-1 terms cancel, and a column of
-    more than two nonzeros puts a diagonal entry above the bound 2,
-    which the row contract refuses in its own words.
-    """
-    if matrix.entry_bound_k > 1:
-        raise ContractError("Gram construction requires entries in {-1, 0, 1}")
-    a = matrix.csr
-    gram = (a.T @ a).tocsr()
-    gram.sort_indices()
-    d = min(matrix.dim, 4 * matrix.sparsity_d)
-    return RowOracleMatrix(gram.indptr, gram.indices, gram.data, sparsity_d=d, entry_bound_k=2)
 
 
 def path_adjacency(ell: int) -> RowOracleMatrix:

@@ -6,9 +6,9 @@ Three concerns live here:
   (``SuccessorAdjacency``) of the audited successor array and the
   chain table walked from it once (``_chain_table``), which answers
   its det and its Gram's det, lambda_min, least block and the blocks
-  the energy bisection factors; its Gram (``GramOracle``) is a frozen
-  record of that one, not a row oracle, and no rows of either are
-  formed;
+  the energy bisection factors; the reduction's gapped instance
+  (``GappedInstance``) is a frozen record of that one and is its Gram,
+  not a row oracle, and no rows of either are formed;
 * integer determinants that certify singularity exactly, with no
   floating point on the value path.  A matrix with at most one entry
   off the diagonal in each row, as the path and cycle blocks are, has
@@ -46,7 +46,8 @@ its Gram loads no scipy at all.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import pi, prod, sin
+from functools import cached_property
+from math import ceil, log2, pi, prod, sin
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -313,11 +314,11 @@ def _successor_det(matrix: RowOracleMatrix) -> int | None:
     return det
 
 
-def det_exact(matrix: SuccessorAdjacency | GramOracle | RowOracleMatrix | np.ndarray) -> int:
+def det_exact(matrix: SuccessorAdjacency | GappedInstance | RowOracleMatrix | np.ndarray) -> int:
     """Exact integer determinant; an array is wrapped by ``from_dense`` first.
 
     A reduction's adjacency (``SuccessorAdjacency``) carries its det in
-    its chain table (``_chain_table``), and its Gram (``GramOracle``)
+    its chain table (``_chain_table``), and its Gram (``GappedInstance``)
     the square of it: det A^T A = (det A)^2.  Any other matrix with at
     most one entry off the diagonal in each row takes the closed form of
     ``_successor_det``, in numpy alone, and any other
@@ -326,8 +327,8 @@ def det_exact(matrix: SuccessorAdjacency | GramOracle | RowOracleMatrix | np.nda
     """
     if isinstance(matrix, SuccessorAdjacency):
         return matrix.det
-    if isinstance(matrix, GramOracle):
-        return matrix.factor.det**2
+    if isinstance(matrix, GappedInstance):
+        return matrix.adjacency.det**2
     if not isinstance(matrix, RowOracleMatrix):
         matrix = from_dense(matrix)
     det = _successor_det(matrix)
@@ -672,9 +673,9 @@ class SuccessorAdjacency:
     the vertices on chains, ``det`` is det A, ``cut`` is the start's
     successor (-1 for none), and ``paths`` and ``vertex`` are
     ``_fold``'s choice for A^T A, each path's ends its chain's head and
-    tail.  No row of A is formed: ``det_exact`` reads ``det``, and a
-    Gram (``GramOracle``) reads ``det`` and ``bottom()``.  Equality is
-    identity, and the repr leaves out ``succ``.
+    tail.  No row of A is formed: ``det_exact`` reads ``det``, and its
+    Gram (``GappedInstance``) reads ``det``, ``bottom()`` and
+    ``band()``.  Equality is identity, and the repr leaves out ``succ``.
     """
 
     succ: np.ndarray = field(repr=False)
@@ -716,6 +717,39 @@ class SuccessorAdjacency:
             return _LeastPath(lam, kind, block)
 
         return _least_block(self.paths, self.vertex, path)
+
+    def band(self) -> tuple[np.ndarray, float, float]:
+        """The blocks that decide A^T A's threshold tests, as one LAPACK band, and the Gram's Gershgorin interval.
+
+        A^T A - mu I is positive definite iff each component is.  Any
+        path is, up to reversal, a principal submatrix of the longest of
+        its kind, which ``paths`` holds (a kind with both ends or none
+        at 1 has one path, the accept's chain or the cut's), so by
+        Cauchy interlacing it passes whenever that one does; an
+        isolated vertex passes whenever the least (``vertex``) does.  So
+        these blocks decide every threshold test the whole Gram decides.  The band holds them one after another, uncoupled,
+        each path tridiagonal in chain order (``diagonal``, couplings
+        +1), in the float64 lower storage ``cholesky_banded`` reads.
+
+        The interval is the whole Gram's: a path's end discs depend on
+        its kind alone, its inner ones ([0, 4]) on its length, and the
+        least isolated diagonal is the least isolated disc.  No isolated
+        diagonal exceeds 2, which every path's end discs reach, so only
+        a Gram with no path needs its greatest: it is then diagonal, the
+        start at 1 (the back edge) and the cut, if any, at 2 (its own
+        row and the start's) unless it is the accept.
+        """
+        blocks = [self.diagonal(pick) for pick in self.paths.values()]
+        if self.vertex is not None:
+            blocks.append(np.array([self.vertex[0]], dtype=np.int64))
+        diag = np.concatenate(blocks)
+        band = np.zeros((2, len(diag)), order="F")
+        band[0] = diag
+        band[1, :-1] = 1.0
+        band[1, np.cumsum([len(b) for b in blocks]) - 1] = 0.0  # no coupling past a block's last row
+        radii = band[1] + np.concatenate(([0.0], band[1, :-1]))
+        top = 1 + (self.cut >= 0 and self.cut != self.accept)
+        return band, float(np.min(diag - radii)), float(max(np.max(diag + radii), top))
 
 
 def _chain_table(succ: np.ndarray, start: int = -1, accept: int = -1) -> SuccessorAdjacency | None:
@@ -800,74 +834,56 @@ def _chain_table(succ: np.ndarray, start: int = -1, accept: int = -1) -> Success
     return SuccessorAdjacency(succ, start, accept, int(covered), det, cut, paths, vertex)
 
 
-@dataclass(frozen=True, eq=False)
-class GramOracle:
-    """A reduction's Gram A^T A, held as its factor A (``SuccessorAdjacency``), whose chain table answers for it.
+@dataclass(frozen=True)
+class GappedInstance:
+    """A reduction's promise problem, lambda_min(A^T A) = 0 or >= 2^-g, and so its Gram A^T A, held as A.
 
-    The spectral routines read lambda_min and the least block from the
-    factor (``bottom``), ``det_exact`` reads (det A)^2, and the energy
-    bisection factors the blocks ``band()`` lays out from the same
-    table, so nothing forms the Gram; construction only refuses any
-    other factor.  The audit that wrote the table proves the Gram's
+    ``adjacency`` is A (``SuccessorAdjacency``), whose chain table
+    answers for the Gram: the spectral routines read lambda_min and the
+    least block from it (``bottom``), ``det_exact`` reads (det A)^2, and
+    the energy bisection factors the blocks its ``band()`` lays out, so
+    nothing forms the Gram; construction only refuses any other
+    adjacency.  The audit that wrote the table proves the Gram's
     contract: column v of A holds v's self-loop and at most one arc
     into v, the successor map being injective, and the start's column
     holds only the back edge, since no rule enters the start state: so
-    ``sparsity_d`` and ``entry_bound_k`` bound its rows.  Equality is
-    identity.
+    ``sparsity_d`` and ``entry_bound_k`` bound its rows.  lambda_min is
+    exactly 0 when the machine rejects the input and at least 2^-g when
+    it accepts, g derived from the closed-form bound at A's dimension.
     """
 
-    factor: SuccessorAdjacency
+    adjacency: SuccessorAdjacency
     entry_bound_k = 2  # a column of A holds at most two ones
 
     def __post_init__(self) -> None:
-        if not isinstance(self.factor, SuccessorAdjacency):
+        if not isinstance(self.adjacency, SuccessorAdjacency):
             raise ContractError("a Gram held as its factor needs the factor's chain table")
 
     @property
     def dim(self) -> int:
-        return self.factor.dim
+        return self.adjacency.dim
 
     @property
     def sparsity_d(self) -> int:
-        return min(self.factor.dim, 4 * 2)  # A's rows hold at most two
+        return min(self.dim, 4 * 2)  # A's rows hold at most two
 
-    def band(self) -> tuple[np.ndarray, float, float]:
-        """The blocks that decide A^T A's threshold tests, as one LAPACK band, and the Gram's Gershgorin interval.
+    @cached_property
+    def g(self) -> int:
+        return ceil(-log2(min_eigenvalue_bound(self.dim)))
 
-        A^T A - mu I is positive definite iff each component is.  Any
-        path is, up to reversal, a principal submatrix of the longest of
-        its kind, which the factor's ``paths`` holds (a kind with both
-        ends or none at 1 has one path, the accept's chain or the
-        cut's), so by Cauchy interlacing it passes whenever that one
-        does; an isolated vertex passes whenever the least (``vertex``)
-        does.  So these blocks decide every threshold test the whole
-        Gram decides.  The band holds them one after another, uncoupled,
-        each path tridiagonal in chain order (``diagonal``, couplings
-        +1), in the float64 lower storage ``cholesky_banded`` reads.
+    @property
+    def gram(self) -> GappedInstance:
+        """The instance itself, which is its Gram.
 
-        The interval is the whole Gram's: a path's end discs depend on
-        its kind alone, its inner ones ([0, 4]) on its length, and the
-        least isolated diagonal is the least isolated disc.  No isolated
-        diagonal exceeds 2, which every path's end discs reach, so only
-        a Gram with no path needs its greatest: it is then diagonal, the
-        start at 1 (the back edge) and the cut, if any, at 2 (its own
-        row and the start's) unless it is the accept.
+        Kept only because the benchmark's job bodies
+        (``benchmark/workloads.py``) pass ``instance.gram`` to
+        ``min_eigenvalue_sparse`` and ``decide_gapped``; it goes once
+        they pass the instance (ROADMAP item 5).
         """
-        a = self.factor
-        blocks = [a.diagonal(pick) for pick in a.paths.values()]
-        if a.vertex is not None:
-            blocks.append(np.array([a.vertex[0]], dtype=np.int64))
-        diag = np.concatenate(blocks)
-        band = np.zeros((2, len(diag)), order="F")
-        band[0] = diag
-        band[1, :-1] = 1.0
-        band[1, np.cumsum([len(b) for b in blocks]) - 1] = 0.0  # no coupling past a block's last row
-        radii = band[1] + np.concatenate(([0.0], band[1, :-1]))
-        top = 1 + (a.cut >= 0 and a.cut != a.accept)
-        return band, float(np.min(diag - radii)), float(max(np.max(diag + radii), top))
+        return self
 
 
-def _path_sum_bottom(matrix: RowOracleMatrix | GramOracle) -> _LeastPath | None:
+def _path_sum_bottom(matrix: RowOracleMatrix | GappedInstance) -> _LeastPath | None:
     """lambda_min of a symmetric integer A that is a direct sum of path blocks, and a block attaining it; None for any other A.
 
     A reduction's Gram is read from its factor's chain table.  Any other
@@ -883,8 +899,8 @@ def _path_sum_bottom(matrix: RowOracleMatrix | GramOracle) -> _LeastPath | None:
     d >= 0; the signs do not matter on a tree.  Every block is then
     positive semidefinite, so passing the tests is the certification.
     """
-    if isinstance(matrix, GramOracle):
-        return matrix.factor.bottom()
+    if isinstance(matrix, GappedInstance):
+        return matrix.adjacency.bottom()
     a = _symmetric_csr(matrix)
     indptr, indices, data = a.indptr, a.indices, a.data
     n = len(indptr) - 1
@@ -937,7 +953,7 @@ def _path_sum_bottom(matrix: RowOracleMatrix | GramOracle) -> _LeastPath | None:
     return _least_block(chosen, vertex, path)
 
 
-def _path_witness(least: _LeastPath, matrix: RowOracleMatrix | GramOracle) -> tuple[np.ndarray, RowOracleMatrix, np.ndarray]:
+def _path_witness(least: _LeastPath, matrix: RowOracleMatrix | GappedInstance) -> tuple[np.ndarray, RowOracleMatrix, np.ndarray]:
     """The least block's rows (ascending), the block, and its unit eigenvector at least.lam, in closed form.
 
     A path sum's component holds its diagonal and its own edges'
@@ -1001,7 +1017,7 @@ class _BlockEigenpair:
     rows: np.ndarray | None
 
 
-def _bottom_block_eigenpair(matrix: RowOracleMatrix | GramOracle) -> _BlockEigenpair:
+def _bottom_block_eigenpair(matrix: RowOracleMatrix | GappedInstance) -> _BlockEigenpair:
     """``bottom_eigenpair`` on the least block of a path sum, or on the whole matrix otherwise.
 
     On a path sum the residual is taken on the block's rows, each row's
@@ -1019,11 +1035,11 @@ def _bottom_block_eigenpair(matrix: RowOracleMatrix | GramOracle) -> _BlockEigen
     return _BlockEigenpair(least.lam, psi, residual, block, rows)
 
 
-def bottom_eigenpair(matrix: RowOracleMatrix | GramOracle) -> tuple[float, np.ndarray, float]:
+def bottom_eigenpair(matrix: RowOracleMatrix | GappedInstance) -> tuple[float, np.ndarray, float]:
     """(lambda_min, unit eigenvector, ||A psi - lambda psi||) of a sparse PSD matrix.
 
-    A reduction's Gram (``GramOracle``) is read from its factor's chain
-    table, and no row of it is formed.  On a row oracle the symmetry
+    A reduction's Gram (``GappedInstance``) is read from its factor's
+    chain table, and no row of it is formed.  On a row oracle the symmetry
     check is exact on the integer entries, and a direct sum of path
     blocks is recognised by ``_path_sum_bottom``.  Either is answered
     in closed form: lambda_min is ``min_eigenvalue_sparse``'s, bit for
@@ -1052,11 +1068,11 @@ def bottom_eigenpair(matrix: RowOracleMatrix | GramOracle) -> tuple[float, np.nd
     return pair.lam, psi, pair.residual
 
 
-def min_eigenvalue_sparse(matrix: RowOracleMatrix | GramOracle) -> float:
+def min_eigenvalue_sparse(matrix: RowOracleMatrix | GappedInstance) -> float:
     """Least eigenvalue of a large symmetric PSD oracle matrix, exact in form or certified.
 
     The symmetry check is ``bottom_eigenpair``'s.  A reduction's Gram
-    (``GramOracle``) is read from its factor's chain table, and a direct
+    (``GappedInstance``) is read from its factor's chain table, and a direct
     sum of path blocks is recognised from its diagonal and edges; both
     are answered in closed form (``_path_sum_bottom``) in O(dim + nnz),
     at any dim: a rejecting reduction's singular Gram gives exactly

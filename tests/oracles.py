@@ -31,7 +31,8 @@ the desk-scale sizes the tests use.
   adjacency assembled triplet by triplet from its definition, by
   stepping the machine or from a successor array, against
   ``from_entries``, the structured blocks, ``adjacency_arrays`` and
-  ``ata_oracle``; a reduction's adjacency formed as rows at once
+  ``ata_oracle``, the Gram A^T A of a +-1 row oracle formed at once by
+  scipy's product; a reduction's adjacency formed as rows at once
   (``adjacency_arrays``, ``adjacency_rows``) and its Gram by
   ``ata_oracle`` of them (``formed``), for the routes its chain table
   replaced, which the package no longer has; a Gram's formed arrays
@@ -78,7 +79,7 @@ from gaplab.simulator import (
     run_circuit,
 )
 from gaplab import spectral
-from gaplab.sparse_oracle import RowOracleMatrix, _index_dtype, _ones, ata_oracle, from_entries
+from gaplab.sparse_oracle import RowOracleMatrix, _index_dtype, _ones, from_entries
 from gaplab.spectral import gram_bands
 
 
@@ -147,14 +148,34 @@ def principal_rows(matrix: RowOracleMatrix, rows: np.ndarray) -> RowOracleMatrix
     )
 
 
-def formed(matrix: RowOracleMatrix | spectral.GramOracle) -> RowOracleMatrix:
-    """The matrix as a row oracle: a reduction's Gram formed by ``ata_oracle`` of its factor's rows, any other as it is."""
-    if isinstance(matrix, spectral.GramOracle):
-        return ata_oracle(adjacency_rows(matrix.factor))
+def ata_oracle(matrix: RowOracleMatrix) -> RowOracleMatrix:
+    """Row oracle of A^T A, formed at once, for a +-1 matrix A with at most two nonzeros per column.
+
+    The declared bounds are those of every reduction's Gram: row i
+    touches only columns that share a row of A with column i, so the
+    sparsity is min(dim, 4d) for A's row bound d, and the entry bound
+    is 2, which give every reduction's Gram the evolution time pi/16.
+    scipy's product drops the entries +-1 terms cancel, and a column of
+    more than two nonzeros puts a diagonal entry above the bound 2,
+    which the row contract refuses in its own words.
+    """
+    if matrix.entry_bound_k > 1:
+        raise ContractError("Gram construction requires entries in {-1, 0, 1}")
+    a = matrix.csr
+    gram = (a.T @ a).tocsr()
+    gram.sort_indices()
+    d = min(matrix.dim, 4 * matrix.sparsity_d)
+    return RowOracleMatrix(gram.indptr, gram.indices, gram.data, sparsity_d=d, entry_bound_k=2)
+
+
+def formed(matrix: RowOracleMatrix | spectral.GappedInstance) -> RowOracleMatrix:
+    """The matrix as a row oracle: a reduction's Gram formed by ``ata_oracle`` of its adjacency's rows, any other as it is."""
+    if isinstance(matrix, spectral.GappedInstance):
+        return ata_oracle(adjacency_rows(matrix.adjacency))
     return matrix
 
 
-def explicit_gram(gram: RowOracleMatrix | spectral.GramOracle) -> RowOracleMatrix:
+def explicit_gram(gram: RowOracleMatrix | spectral.GappedInstance) -> RowOracleMatrix:
     """A Gram's formed arrays (``formed``) as a plain row oracle, built from their (i, j, value) triplets.
 
     The spectral routines read it from its CSR arrays, as they read any
@@ -164,7 +185,7 @@ def explicit_gram(gram: RowOracleMatrix | spectral.GramOracle) -> RowOracleMatri
     return from_entries(gram.dim, zip(a.row.tolist(), a.col.tolist(), a.data.tolist()))
 
 
-def assert_reading_is_explicit(gram: RowOracleMatrix | spectral.GramOracle) -> None:
+def assert_reading_is_explicit(gram: RowOracleMatrix | spectral.GappedInstance) -> None:
     """A Gram reads as its formed arrays rebuilt from triplets do, bit for bit.
 
     lambda_min, the least block's rows and arrays, the witness and its

@@ -92,7 +92,7 @@ def test_criterion_5_gapped_verification():
     # Per-eigenvector one-bit phase estimation against the cosine law.
     worst = 0.0
     for ell in (2, 4, 8, 16):
-        gram = so.materialize(so.ata_oracle(so.path_adjacency(ell))).astype(float)
+        gram = so.materialize(oracles.ata_oracle(so.path_adjacency(ell))).astype(float)
         t = math.pi / 4  # matrix norm <= 4, so norm * t <= pi
         u = sim.expm_exact(gram, t)
         lams, vecs = np.linalg.eigh(gram)
@@ -213,7 +213,7 @@ def test_criterion_9_taylor_error_scaling():
     from mpmath import sqrt as mp_sqrt
 
     mp.dps = 60
-    arr = so.materialize(so.ata_oracle(so.path_adjacency(8)))
+    arr = so.materialize(oracles.ata_oracle(so.path_adjacency(8)))
     t = mp.pi / 4
     x = math.pi  # matrix one-norm is 4, so ||A|| t <= 4 t = pi
     scaled = mp.matrix(8)

@@ -153,6 +153,10 @@ def test_non_integer_instance_is_runtime_error(tmp_path, capsys):
         ({"dim": 2, "entries": [[0, 0, 2**63]]}, "'entries'"),
         ({"rows": [[2**63, 0], [0, 1]]}, "'rows'"),
         ({"dim": 2**63, "entries": [[0, 0, 1]]}, "'dim'"),
+        # No matrix: a negative or zero dim, and no rows.
+        ({"dim": -1, "entries": []}, "'dim'"),
+        ({"dim": 0, "entries": []}, "'dim'"),
+        ({"rows": []}, "'rows'"),
     ],
 )
 @pytest.mark.parametrize("command", ["det", "verify"])
@@ -793,20 +797,20 @@ def test_amplify_kitaev_verify_reduce_and_det_load_no_scipy(tmp_path):
     assert loaded == {step: [] for step in loaded}
 
 
-_GRAM_COUNT_RUN = """
+_GRAM_READ_RUN = """
 import contextlib, io, json
 
 import gaplab.cli
 from gaplab import spectral
 
 built = []
-construct = spectral.GramOracle.__init__
+bottom = spectral.SuccessorAdjacency.bottom
 
-def counted(self, factor):
-    built.append(factor.dim)
-    construct(self, factor)
+def counted(self):
+    built.append(self.dim)
+    return bottom(self)
 
-spectral.GramOracle.__init__ = counted
+spectral.SuccessorAdjacency.bottom = counted
 machine = ["--machine", "unary_counter", "--space", "4", "--input", "11"]
 counts = {}
 for command in ("reduce", "verify"):
@@ -818,22 +822,25 @@ print(json.dumps(counts))
 """
 
 
-def test_reduce_builds_no_gram_and_verify_builds_one():
+def test_reduce_reads_no_gram_and_verify_reads_its_least_block_twice():
+    # The instance is the Gram, so what counts is a read of its least block
+    # from the chain table (``SuccessorAdjacency.bottom``): verify reads it
+    # for its lambda_min route check and in ``decide_gapped``; reduce never.
     # A fresh interpreter, so that no Gram read earlier in the process counts.
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     result = subprocess.run(
-        [sys.executable, "-c", _GRAM_COUNT_RUN],
+        [sys.executable, "-c", _GRAM_READ_RUN],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
     )
-    assert json.loads(result.stdout) == {"reduce": 0, "verify": 1}
+    assert json.loads(result.stdout) == {"reduce": 0, "verify": 2}
 
 
 def _refuse_the_gram_rows(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("A^T A was formed")
 
-    monkeypatch.setattr(sparse_oracle, "ata_oracle", refuse)
+    monkeypatch.setattr(oracles, "ata_oracle", refuse)
 
 
 def test_a_reduction_at_space_8_never_forms_its_gram(monkeypatch, capsys):
@@ -874,7 +881,7 @@ def test_a_reduction_forms_no_rows_not_even_for_energy(capsys, monkeypatch):
 
     for owner in (spectral, protocols):  # protocols holds _rcm_band by name
         monkeypatch.setattr(owner, "_rcm_band", refuse)
-    monkeypatch.setattr(sparse_oracle, "ata_oracle", refuse)
+    monkeypatch.setattr(oracles, "ata_oracle", refuse)
     with monkeypatch.context() as patch:
         patch.setattr(sparse_oracle.RowOracleMatrix, "__post_init__", refuse)
         code, out = run_cli(capsys, "energy", "--instance", "rtm_unary_counter_11.json")

@@ -602,10 +602,10 @@ def test_decide_gapped_on_long_chains():
     # few times 1e-11, because the eigen-residual check asks for 2^-g/8.
     from scipy.sparse import block_diag
 
-    path = so.ata_oracle(so.path_adjacency(200000))  # lambda_min 6.2e-11
+    path = oracles.ata_oracle(so.path_adjacency(200000))  # lambda_min 6.2e-11
     assert pr.decide_gapped(path, 35).decision == "NO"
     ones = so.from_dense(np.ones((2, 2), dtype=np.int64))
-    longer = so.ata_oracle(so.path_adjacency(300000)).csr  # lambda_min 2.7e-11
+    longer = oracles.ata_oracle(so.path_adjacency(300000)).csr  # lambda_min 2.7e-11
     both = block_diag([longer, ones.csr], format="csr", dtype=np.int64)
     singular = so.RowOracleMatrix(both.indptr, both.indices, both.data, 3, 2)
     assert pr.decide_gapped(singular, 37).decision == "YES"

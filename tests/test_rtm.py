@@ -227,7 +227,7 @@ def test_adjacency_arrays_match_the_definition(succ):
                 assert np.array_equal(mine, theirs), (succ, s_idx, t_idx)
 
 
-def _assert_bisected_as_when_formed(gram: sp.GramOracle) -> None:
+def _assert_bisected_as_when_formed(gram: sp.GappedInstance) -> None:
     """``binary_search_energy`` reads the Gram as its formed rows, bit for bit, at 20, 30 and 40 bits."""
     rows = oracles.formed(gram)
     for bits in (20, 30, 40):
@@ -328,9 +328,9 @@ def test_every_reduction_stage_stays_within_the_adjacency_indices(x):
     # the row contract do not run in a reduction job.
     machine = rtm.with_space(rtm.corpus_machine(_SPACE_7_JOBS[x]), 7)
     _reduction_job(machine, x)
-    stages = [(rtm, "successors"), (rtm, "_audit"), (rtm, "GramOracle"), (sp, "det_exact"),
+    stages = [(rtm, "successors"), (rtm, "_audit"), (rtm, "GappedInstance"), (sp, "det_exact"),
               (sp, "min_eigenvalue_sparse")]
-    unformed = [(so, "ata_oracle"), (so.RowOracleMatrix, "__post_init__")]
+    unformed = [(oracles, "ata_oracle"), (so.RowOracleMatrix, "__post_init__")]
     (instance, det, _, accepted), transients = oracles.traced_stages(
         lambda: _reduction_job(machine, x), stages + unformed)
     assert (det != 0) == accepted == x.endswith(("11", "#"))
@@ -404,14 +404,14 @@ def test_reduction_gap_exponent():
 
 def test_a_reduction_refuses_assignment():
     # The chain table answers for the successor array it was walked from, so
-    # neither the adjacency nor the Gram held as it takes a new one.
+    # neither the adjacency nor the instance, its Gram held as it, takes a new one.
     instance = rtm.reduce_to_gapped(rtm.corpus_machine("unary_counter"), "11")
-    adjacency, gram = instance.adjacency, instance.gram
+    adjacency = instance.adjacency
     for owner, name, value in ((adjacency, "start", 3), (adjacency, "succ", adjacency.succ.copy()),
-                               (gram, "factor", adjacency)):
+                               (instance, "adjacency", adjacency)):
         with pytest.raises(FrozenInstanceError):
             setattr(owner, name, value)
-    assert gram.factor is adjacency and adjacency.start != 3
+    assert instance.gram is instance and instance.adjacency is adjacency and adjacency.start != 3
     assert type(adjacency.covered) is int and type(adjacency.det) is int
     assert (adjacency.covered, adjacency.det) == (instance.dim, -1)
     assert "succ" not in repr(adjacency) and repr(adjacency).startswith("SuccessorAdjacency(start=")
@@ -726,7 +726,7 @@ def test_chain_table_reads_what_the_arrays_read(drawn):
     assert table.covered == len(succ)
     plain = oracles.adjacency_rows(table)
     assert sp.det_exact(table) == sp._successor_det(plain) == table.det
-    read, fast = so.ata_oracle(plain), sp.GramOracle(table)
+    read, fast = oracles.ata_oracle(plain), sp.GappedInstance(table)
     want, got = sp._bottom_block_eigenpair(read), sp._bottom_block_eigenpair(fast)
     assert sp.min_eigenvalue_sparse(fast).hex() == sp.min_eigenvalue_sparse(read).hex() == want.lam.hex()
     assert got.lam.hex() == want.lam.hex() and np.array_equal(got.rows, want.rows)

@@ -147,7 +147,7 @@ def test_measure_probability():
 
 
 def _gram_8():
-    return so.ata_oracle(so.path_adjacency(8))
+    return oracles.ata_oracle(so.path_adjacency(8))
 
 
 def _gram_8_dense():

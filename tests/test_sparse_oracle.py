@@ -32,13 +32,13 @@ def test_cycle_adjacency_materialize():
 
 
 def test_gram_of_path_block():
-    gram = so.ata_oracle(so.path_adjacency(2))
+    gram = oracles.ata_oracle(so.path_adjacency(2))
     dm = so.materialize(gram)
     np.testing.assert_array_equal(dm, [[2, 1], [1, 1]])
 
 
 def test_gram_of_cycle_block():
-    dm = so.materialize(so.ata_oracle(so.cycle_adjacency(3)))
+    dm = so.materialize(oracles.ata_oracle(so.cycle_adjacency(3)))
     np.testing.assert_array_equal(dm, [[1, 1, 0], [1, 2, 0], [0, 0, 1]])
 
 
@@ -52,7 +52,7 @@ def test_gram_matches_dense_product():
             for i in rng.choice(n, size=int(rng.integers(0, 3)), replace=False):
                 arr[i, j] = 1
         oracle = so.from_dense(arr)
-        got = so.materialize(so.ata_oracle(oracle))
+        got = so.materialize(oracles.ata_oracle(oracle))
         np.testing.assert_array_equal(got, arr.T @ arr)
 
 
@@ -110,15 +110,15 @@ def test_ata_oracle_refuses_crowded_columns_and_drops_cancelled_entries():
     # Column 1 holds three nonzeros, so the Gram's diagonal entry 3 breaks its bound 2.
     crowded = so.from_dense(np.array([[1, -1, 0], [0, 1, 1], [1, -1, 0]]))
     with pytest.raises(ContractError, match="row 1 exceeds declared bound 2"):
-        so.ata_oracle(crowded)
+        oracles.ata_oracle(crowded)
     # Columns 0 and 1 share rows 0 and 1, where +-1 products cancel to zero.
     a = np.array([[1, 1, 0], [1, -1, 0], [0, 0, -1]])
-    gram = so.ata_oracle(so.from_dense(a))
+    gram = oracles.ata_oracle(so.from_dense(a))
     np.testing.assert_array_equal(so.materialize(gram), a.T @ a)
     assert np.count_nonzero(gram.data) == len(gram.data) == 3
     assert (gram.sparsity_d, gram.entry_bound_k) == (3, 2)
     with pytest.raises(ContractError, match="requires entries in"):
-        so.ata_oracle(so.from_dense(np.array([[1, 0], [-2, 1]])))
+        oracles.ata_oracle(so.from_dense(np.array([[1, 0], [-2, 1]])))
 
 
 @pytest.mark.parametrize("rows", [258, 300])
@@ -126,14 +126,14 @@ def test_ata_oracle_refuses_a_column_an_int8_count_would_wrap(rows):
     # An int8 counter would read 258 entries as 2 and 300 as 44.
     factor = so.from_entries(rows, [(i, 0, (-1) ** i) for i in range(rows)])
     with pytest.raises(ContractError, match="row 0 exceeds declared bound 2"):
-        so.ata_oracle(factor)
+        oracles.ata_oracle(factor)
 
 
 def test_a_reduction_gram_is_a_record_with_no_rows():
     gram = rtm.reduce_to_gapped(rtm.with_space(rtm.corpus_machine("unary_counter"), 2), "1").gram
     assert not isinstance(gram, so.RowOracleMatrix)
     assert not any(hasattr(gram, name) for name in ("indptr", "csr", "rows"))
-    assert repr(gram).startswith("GramOracle(factor=SuccessorAdjacency(start=10, accept=14,")
+    assert repr(gram).startswith("GappedInstance(adjacency=SuccessorAdjacency(start=10, accept=14,")
     assert (gram.dim, gram.sparsity_d, gram.entry_bound_k) == (90, 8, 2)
     rows = oracles.formed(gram)
     assert (rows.dim, rows.sparsity_d, rows.entry_bound_k) == (90, 8, 2)
@@ -141,8 +141,8 @@ def test_a_reduction_gram_is_a_record_with_no_rows():
 
 def test_a_gram_held_as_its_factor_needs_its_chain_table():
     with pytest.raises(ContractError, match="chain table"):
-        sp.GramOracle(so.path_adjacency(5))
-    assert type(so.ata_oracle(so.path_adjacency(5))) is so.RowOracleMatrix
+        sp.GappedInstance(so.path_adjacency(5))
+    assert type(oracles.ata_oracle(so.path_adjacency(5))) is so.RowOracleMatrix
 
 
 def test_row_contract_names_the_first_offending_row():
@@ -357,13 +357,13 @@ def test_blocks_are_the_coo_route_without_a_copy():
         triplets = [(0, 0, 1)] + [(i, j, 1) for i in range(1, ell) for j in (i - 1, i)]
         _assert_view_of(so.path_adjacency(ell), oracles.coo_csr(ell, triplets))
         gram = oracles.coo_gram(oracles.coo_csr(ell, triplets))
-        _assert_view_of(so.ata_oracle(so.path_adjacency(ell)), gram)
+        _assert_view_of(oracles.ata_oracle(so.path_adjacency(ell)), gram)
     for ell in range(3, 12):
         triplets = [(0, ell - 1, 1), (ell - 1, ell - 2, 1)]
         triplets += [(i, j, 1) for i in range(1, ell - 1) for j in (i - 1, i)]
         _assert_view_of(so.cycle_adjacency(ell), oracles.coo_csr(ell, triplets))
         gram = oracles.coo_gram(oracles.coo_csr(ell, triplets))
-        _assert_view_of(so.ata_oracle(so.cycle_adjacency(ell)), gram)
+        _assert_view_of(oracles.ata_oracle(so.cycle_adjacency(ell)), gram)
 
 
 @pytest.mark.parametrize("space", [3, 4, 5, 6])
@@ -392,9 +392,9 @@ def test_oracle_keeps_index_arrays_in_scipys_dtype():
 
 
 def _reduction_adjacency(x: str) -> so.RowOracleMatrix:
-    """The pattern a reduction's Gram forms its rows from (``spectral.GramOracle.rows``), formed at once."""
+    """The pattern a reduction's Gram is formed from (``oracles.formed``): its adjacency's rows, formed at once."""
     instance = rtm.reduce_to_gapped(rtm.with_space(rtm.corpus_machine("unary_counter"), 4), x)
-    return oracles.adjacency_rows(instance.gram.factor)
+    return oracles.adjacency_rows(instance.adjacency)
 
 
 @pytest.mark.parametrize("make", [
@@ -419,7 +419,7 @@ def test_pattern_data_reads_as_a_contiguous_copy_of_ones(make):
         return np.asarray(x, dtype=np.float64).tobytes()
 
     def readings(oracle: so.RowOracleMatrix) -> tuple:
-        gram = so.ata_oracle(oracle)
+        gram = oracles.ata_oracle(oracle)
         g = ceil(-log2(sp.min_eigenvalue_bound(oracle.dim)))
         lam, psi, residual = sp.bottom_eigenpair(gram)
         read = (

@@ -42,7 +42,7 @@ def test_det_sparse_handles_pivot_growth():
     # Pivots above 1 exercise the fraction-free rescaling of untouched rows.
     gram = so.from_dense(np.array([[2, 1], [1, 1]]))
     assert sp.det_bareiss_sparse(gram) == 1
-    big = so.ata_oracle(so.path_adjacency(40))
+    big = oracles.ata_oracle(so.path_adjacency(40))
     assert sp.det_bareiss_sparse(big) == 1
 
 
@@ -332,7 +332,7 @@ def test_det_exact_regime_skips_the_banded_kernel(monkeypatch):
         assert abs(det) == (1 if accepted else 0)
         assert calls == []
     # The kernel still runs on what the closed form leaves: a Gram has rows of three entries.
-    assert sp.det_exact(so.ata_oracle(so.path_adjacency(5))) == 1
+    assert sp.det_exact(oracles.ata_oracle(so.path_adjacency(5))) == 1
     assert calls == [(5, 5)]
 
 
@@ -528,7 +528,7 @@ def test_structured_cycle_block():
 def test_structured_equals_gram_of_adjacency():
     for ell in (1, 2, 3, 5, 12, 32):
         left = oracles.structured_matrix("path", ell)
-        right = so.materialize(so.ata_oracle(so.path_adjacency(ell)))
+        right = so.materialize(oracles.ata_oracle(so.path_adjacency(ell)))
         np.testing.assert_array_equal(left, right)
 
 
@@ -568,14 +568,14 @@ def test_min_eigenvalue_banded_matches_dense():
 
 
 def test_min_eigenvalue_sparse_matches_dense():
-    gram = so.ata_oracle(so.path_adjacency(50))
+    gram = oracles.ata_oracle(so.path_adjacency(50))
     sparse = sp.min_eigenvalue_sparse(gram)
     dense = np.linalg.eigvalsh(so.materialize(gram).astype(float))[0]
     assert sparse == pytest.approx(dense, abs=1e-9)
 
 
 def test_bottom_eigenpair_matches_dense_and_certifies_psd():
-    for gram in (so.ata_oracle(so.path_adjacency(50)), so.ata_oracle(so.cycle_adjacency(40))):
+    for gram in (oracles.ata_oracle(so.path_adjacency(50)), oracles.ata_oracle(so.cycle_adjacency(40))):
         lam, psi, residual = sp.bottom_eigenpair(gram)
         dense = so.materialize(gram).astype(float)
         assert lam == pytest.approx(np.linalg.eigvalsh(dense)[0], abs=1e-12)
@@ -627,7 +627,7 @@ def _path_gram_beside(ell: int, block: np.ndarray) -> so.RowOracleMatrix:
     """The path Gram of size ell, then a small dense block."""
     from scipy.sparse import block_diag
 
-    path = so.ata_oracle(so.path_adjacency(ell)).csr
+    path = oracles.ata_oracle(so.path_adjacency(ell)).csr
     both = block_diag([path, so.from_dense(block).csr], format="csr", dtype=np.int64)
     return so.RowOracleMatrix(both.indptr, both.indices, both.data, 3, max(2, int(block.max())))
 
@@ -752,7 +752,7 @@ def test_every_corpus_reduction_gram_band_starts_from_its_gershgorin_interval():
             for n in range(min(space, 2 if space == 6 else 3)):
                 for x in map("".join, itertools.product(letters, repeat=n)):
                     gram = rtm.reduce_to_gapped(machine, x).gram
-                    band, lo, hi = gram.band()
+                    band, lo, hi = gram.adjacency.band()
                     a = oracles.formed(gram).csr
                     radii = np.asarray(abs(a).sum(axis=1)).ravel() - a.diagonal()
                     assert (lo, hi) == (np.min(a.diagonal() - radii), np.max(a.diagonal() + radii))
@@ -764,7 +764,7 @@ def test_dense_cap_refuses_before_the_matrix_is_built(monkeypatch):
     # Gram of 20,000 beside [[3, 2], [2, 3]] (dim 20,002, over DENSE_CAP).
     small = so.from_dense(_shuffled(_beyond_bandwidth_one()[2], 3))
     large = _path_gram_beside(20000, _DOUBLED + np.eye(2, dtype=np.int64))
-    path = so.ata_oracle(so.path_adjacency(20000))
+    path = oracles.ata_oracle(so.path_adjacency(20000))
     assert so.DENSE_CAP < large.dim
     zeros = np.zeros
 
@@ -987,7 +987,7 @@ def test_a_million_vertex_path_is_walked_to_its_end(monkeypatch):
         raise AssertionError("a path is walked, not jumped")
 
     monkeypatch.setattr(sp, "_jump", refuse)
-    gram = so.ata_oracle(so.path_adjacency(10**6))
+    gram = oracles.ata_oracle(so.path_adjacency(10**6))
     assert sp.min_eigenvalue_sparse(gram) == sp.min_eigenvalue_bound(10**6)
     assert pr.decide_gapped(gram, 30).decision == "YES"
 
@@ -1099,7 +1099,7 @@ def signed_factors(draw, max_ell=8):
 @example(so.from_dense(np.array([[1, 1, 0], [-1, -1, 0], [0, 0, 1]])))  # a repeated pair
 @example(so.from_dense(np.array([[1, -1, 1], [0, 1, 0], [0, 0, 1]])))  # a row of three
 def test_signed_factor_grams_are_formed_as_their_dense_product(factor):
-    gram = so.ata_oracle(factor)
+    gram = oracles.ata_oracle(factor)
     dense = so.materialize(factor)
     np.testing.assert_array_equal(so.materialize(gram), dense.T @ dense)
     oracles.assert_reading_is_explicit(gram)
@@ -1177,7 +1177,7 @@ def test_a_reduction_is_answered_from_its_chain_table(monkeypatch):
     for x in ("#000#", "#000"):
         instance = rtm.reduce_to_gapped(machine, x)
         rows = oracles.adjacency_rows(instance.adjacency)
-        read = so.ata_oracle(rows)
+        read = oracles.ata_oracle(rows)
         cases[x] = (instance, sp._successor_det(rows), sp.min_eigenvalue_sparse(read).hex(),
                     repr(pr.decide_gapped(read, instance.g)), pr.binary_search_energy(read, 40))
 
