@@ -615,15 +615,13 @@ def decide_gapped(matrix: RowOracleMatrix | GappedInstance, g: int) -> GappedDec
 
     On a direct sum of paths, every reduction's Gram, the witness is the
     closed-form eigenvector of one path that attains lambda_min, and the
-    products run on that path's rows alone: the same column order and
-    the same declared d and k, so t, the Taylor order and each row's
-    floating-point sum are those of the whole matrix, whose other rows
-    would only carry zeros.  A reduction's gapped instance
-    (``spectral.GappedInstance``), which is its Gram, is a record of its
-    factor A with the declared d and k, not a row oracle, and is never
-    formed: its block
-    is written from A's chain table, the path ordered by a walk of the
-    successor array.  The first product
+    products run on that path's rows alone, in the same column order
+    under the matrix's declared d and k, so t, the Taylor order and each
+    row's floating-point sum are those of the whole matrix, whose other
+    rows would only carry zeros.  The path's padded rows are written
+    from its closed form (``spectral._path_witness``); a reduction's
+    Gram (``spectral.GappedInstance``), a record of its factor A's chain
+    table, is never formed.  The first product
     rounds each row's sum once (``expm_taylor_minus_identity``): its
     products, entries +-1 and 2 times the witness, are exact, and on an
     eigenvector it cancels to about lambda / ||A|| of its terms, which
@@ -643,7 +641,7 @@ def decide_gapped(matrix: RowOracleMatrix | GappedInstance, g: int) -> GappedDec
     which the 0 versus 2^-g promise presumes; an indefinite instance
     raises ContractError, and a larger one ResourceLimitError.
 
-    A reduction's Gram, whose lambda_min is a closed form, raises
+    A path sum, whose lambda_min is a closed form, raises
     PromiseViolation before any read if 0 < lambda_min < 2^-g.
 
     The decision is read on the rejection side: YES (lambda_min = 0)
@@ -656,7 +654,7 @@ def decide_gapped(matrix: RowOracleMatrix | GappedInstance, g: int) -> GappedDec
         pair = _bottom_block_eigenpair(matrix)
     except ContractError as exc:
         raise ContractError(f"verify needs a positive semidefinite instance: {exc}") from exc
-    if isinstance(matrix, GappedInstance) and 0 < pair.lam < 2.0**-g:
+    if pair.rows is not None and 0 < pair.lam < 2.0**-g:
         raise PromiseViolation(f"promise violated: lambda_min {pair.lam!r} is neither 0 nor at least 2^-{g}")
     if pair.residual > 2.0**-g / 8:
         raise ContractError(

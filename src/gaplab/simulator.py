@@ -12,22 +12,24 @@ significant.
 The exponential e^{-iAt} comes in two flavors: spectral decomposition
 of a dense Hermitian array (``expm_exact``, the ground truth) and the
 truncated Taylor sum, whose analytic tail bound is what the gapped
-verifier budgets against.  The Taylor sum reads A as a RowOracleMatrix
-and has one loop, ``expm_taylor_minus_identity``, which applies it to a
-vector or column block with one product per term, on the padded rows
-``sparse_oracle`` keeps; ``phase_read`` applies it to its witness alone.
+verifier budgets against.  The Taylor sum reads A as padded rows
+(``sparse_oracle.PaddedRows``) and has one loop,
+``expm_taylor_minus_identity``, which applies it to a vector or column
+block with one product per term; ``phase_read`` applies it to its
+witness alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from math import comb, exp, factorial, lgamma, log, pi, sqrt
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ContractError, ResourceLimitError
-from .sparse_oracle import RowOracleMatrix, _product_table, _row_sums, _rounded_once_sums
+from .sparse_oracle import PaddedRows, RowOracleMatrix, _products_into, _row_sums, _rounded_once_sums
 from .spectral import _require_hermitian
 
 MAX_QUBITS = 20
@@ -38,7 +40,8 @@ NORM_TOL = 1e-12
 MAX_TAYLOR_ORDER = 1000
 
 _INV_SQRT2 = 1.0 / sqrt(2.0)
-_MINUS_I_POWERS = (1, -1j, -1, 1j)  # (-i)^k by k mod 4
+# (-i)^q v adds v to the real (0) or the imaginary (1) part, by q mod 4, with this sign.
+_QUARTER_TURNS = ((0, np.add), (1, np.subtract), (0, np.subtract), (1, np.add))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -178,8 +181,9 @@ def taylor_tail_bound(x: float, order: int) -> float:
     return exp((order + 1) * log(x) - lgamma(order + 2) + x)
 
 
+@cache
 def taylor_order(x: float, target_error: float) -> int:
-    """Smallest truncation order, at most MAX_TAYLOR_ORDER, whose tail bound meets the target."""
+    """Smallest truncation order, at most MAX_TAYLOR_ORDER, whose tail bound meets the target; cached."""
     if target_error <= 0:
         raise ValueError("target error must be positive")
     for k in range(1, MAX_TAYLOR_ORDER + 1):
@@ -188,22 +192,20 @@ def taylor_order(x: float, target_error: float) -> int:
     raise ValueError(f"no order up to {MAX_TAYLOR_ORDER} reaches error {target_error}")
 
 
-def _norm_upper_bound(matrix: RowOracleMatrix) -> float:
+def _norm_upper_bound(matrix: RowOracleMatrix | PaddedRows) -> float:
     """Upper bound on the spectral norm: sqrt of (1-norm times inf-norm).
 
-    Both norms come straight from the CSR arrays: row sums of |a_ij| as
-    differences of one int64 running sum, column sums by ``bincount``,
-    exact while they stay below 2^53.
+    Both norms come from the padded rows: row sums of |a_ij| down the
+    slots, column sums by ``bincount``, exact integer sums below 2^53.
     """
-    magnitude = np.abs(matrix.data)
-    running = np.concatenate(([0], np.cumsum(magnitude)))
-    rows = running[matrix.indptr[1:]] - running[matrix.indptr[:-1]]
-    cols = np.bincount(matrix.indices, weights=magnitude, minlength=matrix.dim)
-    return float(sqrt(int(cols.max()) * int(rows.max())))
+    rows = matrix.padded
+    magnitude = np.abs(rows.entries)
+    cols = np.bincount(rows.columns.ravel(), weights=magnitude.ravel(), minlength=rows.dim + 1)
+    return float(sqrt(int(cols[:-1].max()) * int(magnitude.sum(axis=0).max())))
 
 
 def expm_taylor_minus_identity(
-    matrix: RowOracleMatrix, evo_time: float, order: int, x: np.ndarray
+    matrix: RowOracleMatrix | PaddedRows, evo_time: float, order: int, x: np.ndarray
 ) -> np.ndarray:
     """(U_K - I) x for the degree-``order`` Taylor sum U_K of e^{-i A t}.
 
@@ -212,7 +214,8 @@ def expm_taylor_minus_identity(
     itself is never formed.  Term k is (-i)^k w_k with w_k = (t/k) A w_{k-1}
     and w_0 = x, so a real x stays real through the recurrence and the
     powers of -i enter only when the terms are summed.  Every product
-    reads the oracle's own arrays, padded once (``RowOracleMatrix.padded``).
+    reads A's padded rows (``matrix.padded``) into one table, allocated
+    once with the buffer that holds w_k above the zero the pads read.
 
     The first product sums each row by ``_rounded_once_sums``.  That
     product carries the read's cancellation: on an eigenvector at a
@@ -231,15 +234,28 @@ def expm_taylor_minus_identity(
         raise ValueError("evolution time must be nonnegative")
     if _norm_upper_bound(matrix) * evo_time > pi * (1 + 1e-9):
         raise ContractError("||A|| * evo_time exceeds pi")
-    rows = matrix.padded
-    w = np.asarray(x)
-    total = np.zeros(w.shape, dtype=complex)
+    rows, x = matrix.padded, np.asarray(x)
+    padded = np.zeros((rows.dim + 1,) + x.shape[1:], dtype=np.result_type(np.float64, x))
+    w = padded[:-1]
+    w[...] = x
+    table = np.empty(rows.columns.shape + x.shape[1:], dtype=padded.dtype)
+    total = np.zeros(x.shape, dtype=complex)
+    into = (total.real, total.imag)
+    parts = (w.real, w.imag) if w.dtype.kind == "c" else (w,)  # w = a + i b: i = (-i)^-1, so b turns once less
     for k in range(1, order + 1):
-        w = (_rounded_once_sums if k == 1 else _row_sums)(_product_table(rows, w)) * (evo_time / k)
-        total += _MINUS_I_POWERS[k % 4] * w
+        _products_into(table, rows, padded)
+        if k == 1:
+            w[...] = _rounded_once_sums(table)
+        else:
+            _row_sums(table, out=w)
+        w *= evo_time / k
+        for j, part in enumerate(parts):  # total never holds -0.0, so these are (-i)^k w's bits
+            at, add = _QUARTER_TURNS[(k - j) % 4]
+            add(into[at], part, out=into[at])
     return total
 
 
+@cache
 def taylor_unitarity_defect(x: float, order: int) -> float:
     """Certified bound on sup over |y| <= x of | |p(y)|^2 - 1 |, p the degree-K Taylor sum of e^{-iy}.
 
@@ -249,7 +265,7 @@ def taylor_unitarity_defect(x: float, order: int) -> float:
     even polynomial that agrees with |e^{-iy}|^2 = 1 through degree K;
     by the partial alternating binomial sum, its coefficient of y^j for
     even j in (K, 2K] is +-2 C(j-1, K)/j!, and odd ones vanish.  The
-    bound is the sum of the coefficient magnitudes times x^j.
+    bound is the sum of the coefficient magnitudes times x^j; cached.
     """
     if x < 0:
         raise ValueError("x must be nonnegative")
@@ -265,7 +281,7 @@ def taylor_unitarity_defect(x: float, order: int) -> float:
 
 
 def phase_read(
-    matrix: RowOracleMatrix, evo_time: float, order: int, psi: np.ndarray,
+    matrix: RowOracleMatrix | PaddedRows, evo_time: float, order: int, psi: np.ndarray,
     unitarity_tol: float = 1e-8
 ) -> tuple[float, float]:
     """(outcome-0, outcome-1) probabilities of one-bit phase estimation of U_K on psi.

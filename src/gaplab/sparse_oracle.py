@@ -7,8 +7,8 @@ declares for them: at most ``sparsity_d`` entries per row, each at most
 when the oracle is constructed; from then on the declared bounds, not
 the entries, set downstream parameters such as the verifier's
 evolution time.  The path-sum recogniser reads the arrays as they
-stand, in numpy, and so do the row products A x of the witness's
-residual and of the Taylor sum, on rows padded once (``padded``); the
+stand, in numpy; the row products A x of the witness's residual and of
+the Taylor sum read them padded once (``PaddedRows``); the
 scipy kernels (determinants, symmetry checks, the energy band) read
 them through ``csr``, a scipy CSR matrix on the same buffers.  A
 reduction is held in ``spectral`` as records that are no row oracles
@@ -29,7 +29,7 @@ import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -140,21 +140,38 @@ class RowOracleMatrix:
         return view
 
     @cached_property
-    def padded(self) -> tuple[np.ndarray, np.ndarray]:
+    def padded(self) -> PaddedRows:
         """``_padded_rows``, built once: the witness's residual and its phase read both take them."""
         return _padded_rows(self)
 
 
-def _padded_rows(matrix: RowOracleMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """The oracle's rows padded to one length, row i down column i: (columns, float64 entries).
+class PaddedRows(NamedTuple):
+    """A matrix's rows padded to one width: row i is column i of two C-contiguous (width, dim) arrays.
 
-    Each row keeps its entries in column order; a padding slot has
-    entry 0 at column dim, which ``_product_table`` reads as a zero
-    appended to x, so every padded product is exactly +0.0.
+    ``columns`` (intp, which numpy gathers by without a copy) and
+    ``entries`` (float64) keep each row's entries in column order; a pad
+    is entry 0 at column dim, read as a zero appended to x, so a padded
+    product is exactly +0.0.  ``_padded_rows`` and
+    ``spectral._path_witness`` write it; ``padded`` is the record
+    itself, so the products take a row oracle or a record.
     """
+
+    columns: np.ndarray
+    entries: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.columns.shape[1]
+
+    @property
+    def padded(self) -> PaddedRows:
+        return self
+
+
+def _padded_rows(matrix: RowOracleMatrix) -> PaddedRows:
+    """The oracle's rows as a ``PaddedRows`` record, as wide as its longest row (at least 1)."""
     counts = np.diff(matrix.indptr)
     dim = len(counts)
-    # intp: numpy gathers by it without a converted copy of the index.
     columns = np.full((max(int(counts.max()), 1), dim), dim, dtype=np.intp)
     entries = np.zeros(columns.shape)
     starts = matrix.indptr[:-1].astype(np.intp)
@@ -162,28 +179,35 @@ def _padded_rows(matrix: RowOracleMatrix) -> tuple[np.ndarray, np.ndarray]:
         rows = np.flatnonzero(counts > slot)
         at = starts[rows] + slot
         column[rows], entry[rows] = matrix.indices[at], matrix.data[at]
-    return columns, entries
+    return PaddedRows(columns, entries)
 
 
-def _product_table(rows: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
-    """The products a_ij x_j of the padded ``rows`` for a vector or column block x.
+def _product_table(rows: PaddedRows, x: np.ndarray) -> np.ndarray:
+    """The products a_ij x_j of ``rows`` for a vector or column block x (``_products_into``)."""
+    padded = np.zeros((rows.dim + 1,) + x.shape[1:], dtype=np.result_type(np.float64, x))
+    padded[:-1] = x
+    return _products_into(np.empty(rows.columns.shape + x.shape[1:], dtype=padded.dtype), rows, padded)
+
+
+def _products_into(table: np.ndarray, rows: PaddedRows, padded: np.ndarray) -> np.ndarray:
+    """``table`` overwritten with the products a_ij x_j, x being ``padded`` but its last row, a zero.
 
     A product is the float64 entry times x_j, as in a float64 CSR
     product; the columns of a block ride along a trailing axis.
     """
-    columns, entries = rows
-    padded = np.concatenate((x, np.zeros((1,) + x.shape[1:], dtype=x.dtype)))
-    table = np.take(padded, columns, axis=0).astype(np.result_type(np.float64, x), copy=False)
-    table *= entries.reshape(entries.shape + (1,) * (x.ndim - 1))  # x_j a_ij, the same bits
+    padded.take(rows.columns, 0, table, "clip")  # no column is out of range; clip writes unbuffered
+    table *= rows.entries.reshape(rows.entries.shape + (1,) * (padded.ndim - 1))  # x_j a_ij, the same bits
     return table
 
 
-def _row_sums(table: np.ndarray) -> np.ndarray:
-    """Each row's products added in column order onto 0: bit for bit scipy's CSR row loop."""
-    total = np.zeros(table.shape[1:], dtype=table.dtype)
-    for term in table:
-        total += term
-    return total
+def _row_sums(table: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Each row's products added in column order onto 0, into ``out`` if given: bit for bit scipy's CSR row loop.
+
+    numpy adds the slots one after another, as the table's first axis is
+    outermost in memory; it would add pairwise only along an inner axis,
+    which it reduces only when dim is 1, and then there is one slot.
+    """
+    return np.add.reduce(table, axis=0, initial=0, out=out)
 
 
 def _rounded_once_sums(table: np.ndarray) -> np.ndarray:
@@ -205,7 +229,7 @@ def _rounded_once_sums(table: np.ndarray) -> np.ndarray:
     return total + error
 
 
-def _rounded_once_products(matrix: RowOracleMatrix, x: np.ndarray) -> np.ndarray:
+def _rounded_once_products(matrix: RowOracleMatrix | PaddedRows, x: np.ndarray) -> np.ndarray:
     """A x for a vector or column block x, each row's sum rounded once (``_rounded_once_sums``)."""
     return _rounded_once_sums(_product_table(matrix.padded, x))
 

@@ -54,6 +54,7 @@ import numpy as np
 
 from .errors import ContractError
 from .sparse_oracle import (
+    PaddedRows,
     RowOracleMatrix,
     _index_dtype,
     _rounded_once_products,
@@ -598,12 +599,12 @@ class _LeastPath:
     (both ends 1), "cos" (one end 1) or "sin" (none).  ``block()`` gives
     its vertices in path order from the end the closed form counts from
     (for "cos" the end at 1, else the lesser end), the diagonal along
-    them, and its edges (u, v) with their int64 +-1 couplings.
+    them, and the int64 +-1 coupling of each step along them.
     """
 
     lam: float
     kind: str
-    block: Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
+    block: Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 # A chosen path: (size, least vertex, one end, the other end, the end its block is ordered from).
@@ -654,7 +655,7 @@ def _least_block(chosen: dict[int, _Path], vertex: tuple[int, int] | None,
     if vertex is not None:
         d, v = vertex
         candidates.append(_LeastPath(float(d), "vertex",
-                                     lambda: (np.array([v]), np.array([d]), *[np.zeros(0, np.int64)] * 3)))
+                                     lambda: (np.array([v]), np.array([d]), np.zeros(0, np.int64))))
     for kind, ends in (("cos", 1), ("sin", 0)):
         if ends in chosen:
             ell = chosen[ends][0]
@@ -712,7 +713,7 @@ class SuccessorAdjacency:
                 order = np.array(chain if end == head else chain[::-1], dtype=np.intp)
                 along = self.diagonal(pick)
                 along = along if end == head else along[::-1]
-                return order, along, order[:-1], order[1:], np.ones(ell - 1, dtype=np.int64)
+                return order, along, np.ones(ell - 1, dtype=np.int64)
 
             return _LeastPath(lam, kind, block)
 
@@ -935,11 +936,13 @@ def _path_sum_bottom(matrix: RowOracleMatrix | GappedInstance) -> _LeastPath | N
         return None
 
     def block(path: np.ndarray):
-        # The block is a whole component, so its edges are those with u on it.
-        on_block = np.zeros(n, dtype=bool)
-        on_block[path] = True
-        picked = np.flatnonzero(on_block[u])
-        return path, diag[path], u[picked], v[picked], coupling[picked]
+        # A whole component: its edges are those with u on it.
+        place = np.full(n, -1)
+        place[path] = np.arange(len(path))
+        on = place[u] >= 0
+        step = np.empty(len(path) - 1, np.int64)  # at each edge's nearer place
+        step[np.minimum(place[u[on]], place[v[on]])] = coupling[on]
+        return path, diag[path], step
 
     def path(lam: float, kind: str, pick: _Path) -> _LeastPath:
         ell, _, a, b, end = pick
@@ -953,51 +956,48 @@ def _path_sum_bottom(matrix: RowOracleMatrix | GappedInstance) -> _LeastPath | N
     return _least_block(chosen, vertex, path)
 
 
-def _path_witness(least: _LeastPath, matrix: RowOracleMatrix | GappedInstance) -> tuple[np.ndarray, RowOracleMatrix, np.ndarray]:
-    """The least block's rows (ascending), the block, and its unit eigenvector at least.lam, in closed form.
+def _path_witness(least: _LeastPath) -> tuple[np.ndarray, PaddedRows, np.ndarray]:
+    """The least block's rows (ascending), its padded rows, and its unit eigenvector at least.lam, in closed form.
 
-    A path sum's component holds its diagonal and its own edges'
-    couplings (``least.block``), so the block needs none of the
-    matrix's arrays; each row's columns come out sorted, the rows are
-    renumbered 0..ell - 1, and the declared d and k carry over.  Along
-    the path order of ``least.block()``, j = 0 .. ell - 1, the
+    A path sum's component holds its diagonal and its own couplings, so
+    the block needs none of the matrix's arrays.  Its rows, renumbered
+    0..ell - 1, hold their two path neighbours and, where the diagonal
+    is nonzero, themselves, by column, padded as ``_padded_rows`` pads.
+    Along the path order of ``least.block()``, j = 0 .. ell - 1, the
     eigenvector with every coupling -1 is (Yueh 2005; Strang and
     MacNamara, SIAM Review 56, 2014)
       1                              with both ends 1,
       cos((j + 1/2) pi / (2 ell + 1)) counted from the end that is 1,
       sin((j + 1) pi / (ell + 1))     with no end 1,
     and the signs s_{j+1} = -a_{j, j+1} s_j, one cumulative product of
-    the gathered couplings, carry it to the block's own: diag(s) A
-    diag(s) has every coupling -1.
+    the couplings, carry it to the block's own: diag(s) A diag(s) has
+    every coupling -1.
     """
-    order, along, u, v, coupling = least.block()
-    rank = np.argsort(order)
-    rows, diag, ell = order[rank], along[rank], len(order)
-    u, v = np.searchsorted(rows, u), np.searchsorted(rows, v)
-    loops = np.flatnonzero(diag)
-    row, col = np.concatenate((loops, u, v)), np.concatenate((loops, v, u))
-    entries = np.lexsort((col, row))
-    block = RowOracleMatrix(
-        np.concatenate(([0], np.cumsum(np.bincount(row, minlength=ell)))),
-        col[entries],
-        np.concatenate((diag[loops], coupling, coupling), dtype=np.int64)[entries],
-        sparsity_d=matrix.sparsity_d,
-        entry_bound_k=matrix.entry_bound_k,
-    )
+    order, along, step = least.block()
+    ell, j = len(order), np.arange(len(order))
+    rank = np.argsort(order)  # each row's place on the path
+    rows = order[rank]
+    local = np.full(ell + 2, ell, dtype=np.intp)  # each place's row, between two pads
+    local[rank + 1] = j
+    values = np.zeros(2 * ell + 1)  # each place's diagonal between its couplings
+    values[1::2], values[2:-1:2] = along, step
+    near = np.arange(3)[:, None]  # before, at and after a row's place
+    columns, entries = local[rank + near], values[2 * rank + near]
+    columns[1, entries[1] == 0] = ell
+    slot = np.argsort(columns, axis=0)  # a pad, at column ell, sorts last
+    columns, entries = columns[slot, j], entries[slot, j]
+    width = max(int(np.count_nonzero(columns.min(axis=1) < ell)), 1)
+    block = PaddedRows(columns[:width], entries[:width])
     if least.kind == "vertex":
         return rows, block, np.ones(1)
-    j = np.arange(ell)
     if least.kind == "constant":
         phi = np.ones(ell)
     elif least.kind == "cos":
         phi = np.cos((j + 0.5) * (pi / (2 * ell + 1)))
     else:
         phi = np.sin((j + 1) * (pi / (ell + 1)))
-    position = rank  # each local row's place on the path
-    step = np.empty(ell - 1, dtype=np.int64)  # each edge's coupling, at its nearer place
-    step[np.minimum(position[u], position[v])] = coupling
     signs = np.cumprod(np.concatenate(([1], -step)))
-    psi = (signs * phi)[position]
+    psi = (signs * phi)[rank]
     return rows, block, psi / np.linalg.norm(psi)
 
 
@@ -1013,7 +1013,7 @@ class _BlockEigenpair:
     lam: float
     psi: np.ndarray
     residual: float
-    block: RowOracleMatrix
+    block: PaddedRows
     rows: np.ndarray | None
 
 
@@ -1023,13 +1023,13 @@ def _bottom_block_eigenpair(matrix: RowOracleMatrix | GappedInstance) -> _BlockE
     On a path sum the residual is taken on the block's rows, each row's
     sum rounded once (``_rounded_once_products``): A psi is exactly 0
     off a connected component, so that is the whole residual.  The
-    block is written from the recogniser's edges or the chain table
-    (``_path_witness``), so a reduction's Gram is never formed.
+    block's padded rows are written from the recogniser's path or the
+    chain table (``_path_witness``); no row oracle is built.
     """
     least = _path_sum_bottom(matrix)
     if least is None:
-        return _BlockEigenpair(*_certified_bottom(matrix), block=matrix, rows=None)
-    rows, block, psi = _path_witness(least, matrix)
+        return _BlockEigenpair(*_certified_bottom(matrix), block=matrix.padded, rows=None)
+    rows, block, psi = _path_witness(least)
     product = _rounded_once_products(block, psi)
     residual = float(np.linalg.norm(product - least.lam * psi))
     return _BlockEigenpair(least.lam, psi, residual, block, rows)

@@ -79,7 +79,7 @@ from gaplab.simulator import (
     run_circuit,
 )
 from gaplab import spectral
-from gaplab.sparse_oracle import RowOracleMatrix, _index_dtype, _ones, from_entries
+from gaplab.sparse_oracle import PaddedRows, RowOracleMatrix, _index_dtype, _ones, from_entries
 from gaplab.spectral import gram_bands
 
 
@@ -148,6 +148,31 @@ def principal_rows(matrix: RowOracleMatrix, rows: np.ndarray) -> RowOracleMatrix
     )
 
 
+def unpadded(rows: PaddedRows, sparsity_d: int, entry_bound_k: int) -> RowOracleMatrix:
+    """The row oracle of padded rows, their pads dropped, under the declared d and k.
+
+    The record's own layout is asserted first: C-contiguous intp
+    columns and float64 entries of one (width, dim) shape, each row's
+    pads (column dim, entry 0) after its entries, and integer entries.
+    The row contract then checks the rest, as it checked the block
+    ``spectral._path_witness`` once built as a row oracle.
+    """
+    columns, entries = rows.columns, rows.entries
+    assert columns.dtype == np.intp and entries.dtype == np.float64
+    assert columns.shape == entries.shape and columns.flags.c_contiguous and entries.flags.c_contiguous
+    keep = columns != rows.dim
+    assert not np.any(keep[1:] & ~keep[:-1]) and not np.any(entries[~keep])
+    data = entries.T[keep.T]
+    assert np.array_equal(data, np.round(data))
+    return RowOracleMatrix(
+        np.concatenate(([0], np.cumsum(np.count_nonzero(keep, axis=0)))),
+        columns.T[keep.T],
+        data.astype(np.int64),
+        sparsity_d=sparsity_d,
+        entry_bound_k=entry_bound_k,
+    )
+
+
 def ata_oracle(matrix: RowOracleMatrix) -> RowOracleMatrix:
     """Row oracle of A^T A, formed at once, for a +-1 matrix A with at most two nonzeros per column.
 
@@ -206,13 +231,14 @@ def assert_reading_is_explicit(gram: RowOracleMatrix | spectral.GappedInstance) 
     assert bits(spectral.min_eigenvalue_sparse(explicit)) == bits(lam)
     assert (pair.rows is None) == (want.rows is None)
     assert pair.rows is None or np.array_equal(pair.rows, want.rows)
-    cut = want.block if want.rows is None else principal_rows(explicit, want.rows)
+    cut = explicit if want.rows is None else principal_rows(explicit, want.rows)
+    mine = unpadded(pair.block, gram.sparsity_d, gram.entry_bound_k)
+    theirs = unpadded(want.block, explicit.sparsity_d, explicit.entry_bound_k)
     for part in ("indptr", "indices", "data"):
-        mine, theirs = getattr(pair.block, part), getattr(want.block, part)
-        assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs), part
-        assert theirs.dtype == getattr(cut, part).dtype
-        assert np.array_equal(theirs, getattr(cut, part)), part
-    assert (pair.block.sparsity_d, pair.block.entry_bound_k) == (gram.sparsity_d, gram.entry_bound_k)
+        a, b = getattr(mine, part), getattr(theirs, part)
+        assert a.dtype == b.dtype and np.array_equal(a, b), part
+        assert b.dtype == getattr(cut, part).dtype
+        assert np.array_equal(b, getattr(cut, part)), part
     assert bits(pair.psi) == bits(want.psi)
     assert bits(pair.residual) == bits(want.residual)
 

@@ -3,7 +3,8 @@
 For each corpus machine at each space of ``SPACES``, and each input over
 its alphabet of length at most min(4, space - 1), a case reduces the
 machine and hashes what the reduction answers: det, lambda_min's hex,
-the least block's rows and arrays (dtype and bytes), the witness psi's
+the least block's rows and CSR arrays (dtype and bytes; the padded rows
+with their pads dropped, ``oracles.unpadded``), the witness psi's
 bytes, its residual's hex and ``repr(decide_gapped(gram, min(g, 37)))``.
 Each (machine, space) gets one SHA-256 over its cases' digests, kept in
 ``sweep_digests.json`` with each case's first eight hex digits, so a
@@ -60,9 +61,10 @@ def inputs(machine: rtm.ReversibleTM) -> list[str]:
             for word in itertools.product(machine.alphabet, repeat=n)]
 
 
-def _block_parts(pair) -> list[bytes]:
-    """The least block's rows, arrays, witness and residual, as the bytes a case hashes."""
-    arrays = [pair.rows] + [getattr(pair.block, part) for part in ("indptr", "indices", "data")]
+def _block_parts(pair, gram) -> list[bytes]:
+    """The least block's rows, CSR arrays (``oracles.unpadded`` under the Gram's d and k), witness and residual, as the bytes a case hashes."""
+    block = oracles.unpadded(pair.block, gram.sparsity_d, gram.entry_bound_k)
+    arrays = [pair.rows] + [getattr(block, part) for part in ("indptr", "indices", "data")]
     parts = [f"{a.dtype.str}:".encode() + a.tobytes() for a in arrays]
     return parts + [pair.psi.tobytes(), pair.residual.hex().encode()]
 
@@ -78,13 +80,13 @@ def case_digest(machine: rtm.ReversibleTM, x: str) -> str:
     where = f"{machine.name} space {machine.space} input {x!r}"
     assert spectral._successor_det(oracles.adjacency_rows(adjacency)) == det, f"{where}: det"
     assert pair.lam.hex() == lam.hex(), f"{where}: lambda_min"
-    parts = [str(det).encode(), lam.hex().encode(), *_block_parts(pair), decision.encode()]
+    parts = [str(det).encode(), lam.hex().encode(), *_block_parts(pair, gram), decision.encode()]
     if instance.dim <= EXPLICIT_ROWS:
         rows = oracles.formed(gram)
         explicit = oracles.explicit_gram(rows)
         want = spectral._bottom_block_eigenpair(explicit)
         assert spectral.min_eigenvalue_sparse(explicit).hex() == lam.hex(), f"{where}: explicit lambda_min"
-        assert _block_parts(want) == _block_parts(pair), f"{where}: explicit block"
+        assert _block_parts(want, explicit) == _block_parts(pair, gram), f"{where}: explicit block"
         for bits in (20, 30, 40):
             energy = protocols.binary_search_energy(gram, bits)
             assert energy == protocols.binary_search_energy(rows, bits), f"{where}: energy at {bits} bits"

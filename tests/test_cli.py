@@ -403,6 +403,23 @@ def test_verify_refuses_a_reduction_inside_its_promise_gap(tmp_path, capsys, g):
         assert code == 0 and json.loads(out)["decision"] == "NO"
 
 
+def test_verify_refuses_an_explicit_path_sum_inside_its_promise_gap(tmp_path, capsys):
+    # The path Gram of 200 vertices written out entry by entry: its lambda_min
+    # 6.14e-5 is a closed form, as a reduction's is, and lies inside the gap
+    # of g = 10 to 13, so verify exits 3 with one line rather than print YES.
+    gram = oracles.ata_oracle(sparse_oracle.path_adjacency(200)).csr.tocoo()
+    path = tmp_path / "path200.json"
+    entries = np.stack([gram.row, gram.col, gram.data], axis=1).tolist()
+    path.write_text(json.dumps({"dim": 200, "entries": entries}))
+    lam = spectral.min_eigenvalue_sparse(rtm.load_gapped_instance(path)[0])
+    assert 2.0**-14 < lam < 2.0**-13
+    assert cli.main(["verify", "--instance", str(path), "--gap-exponent", "10"]) == cli.EXIT_PROMISE
+    line = f"gaplab: promise violated: lambda_min {lam!r} is neither 0 nor at least 2^-10\n"
+    assert capsys.readouterr() == ("", line)
+    code, out = run_cli(capsys, "verify", "--instance", str(path), "--gap-exponent", "14")
+    assert code == 0 and json.loads(out)["decision"] == "NO"
+
+
 def test_every_command_refuses_an_instance_of_two_shapes(tmp_path, capsys):
     # One reader for every command: a file naming both "rows" and "kind" is
     # neither the 2 x 2 matrix nor the machine reduction.
@@ -836,15 +853,17 @@ def test_reduce_reads_no_gram_and_verify_reads_its_least_block_twice():
     assert json.loads(result.stdout) == {"reduce": 0, "verify": 2}
 
 
-def _refuse_the_gram_rows(monkeypatch):
+def _refuse_row_oracles(monkeypatch):
+    # A reduction's Gram is its chain table and its witness block is written as
+    # padded rows, so neither A^T A nor any other row oracle is built.
     def refuse(*args, **kwargs):
-        raise AssertionError("A^T A was formed")
+        raise AssertionError("a row oracle was built")
 
-    monkeypatch.setattr(oracles, "ata_oracle", refuse)
+    monkeypatch.setattr(sparse_oracle.RowOracleMatrix, "__post_init__", refuse)
 
 
 def test_a_reduction_at_space_8_never_forms_its_gram(monkeypatch, capsys):
-    _refuse_the_gram_rows(monkeypatch)
+    _refuse_row_oracles(monkeypatch)
     machine = rtm.with_space(rtm.corpus_machine("unary_counter"), 8)
     for x, accepts in (("11", True), ("1", False)):
         instance = rtm.reduce_to_gapped(machine, x)
@@ -858,7 +877,7 @@ def test_a_reduction_at_space_8_never_forms_its_gram(monkeypatch, capsys):
 
 
 def test_reduce_and_verify_at_space_10_never_form_the_gram(tmp_path, monkeypatch, capsys):
-    _refuse_the_gram_rows(monkeypatch)
+    _refuse_row_oracles(monkeypatch)
     machine = ["--machine", "unary_counter", "--space", "10", "--input", "11"]
     code, out = run_cli(capsys, "reduce", *machine)
     assert code == 0 and json.loads(out)["dim"] == 2_952_450
@@ -872,8 +891,8 @@ def test_reduce_and_verify_at_space_10_never_form_the_gram(tmp_path, monkeypatch
 
 def test_a_reduction_forms_no_rows_not_even_for_energy(capsys, monkeypatch):
     # reduce, verify, det and energy answer from the chain table, so neither
-    # the Gram's product nor an RCM band is built; energy and det build no
-    # row oracle at all (verify's witness block is one).
+    # the Gram's product nor an RCM band is built, nor any row oracle: verify's
+    # witness block is written as padded rows.
     monkeypatch.chdir(GOLDEN_DIR)
 
     def refuse(*args, **kwargs):
@@ -881,13 +900,11 @@ def test_a_reduction_forms_no_rows_not_even_for_energy(capsys, monkeypatch):
 
     for owner in (spectral, protocols):  # protocols holds _rcm_band by name
         monkeypatch.setattr(owner, "_rcm_band", refuse)
-    monkeypatch.setattr(oracles, "ata_oracle", refuse)
-    with monkeypatch.context() as patch:
-        patch.setattr(sparse_oracle.RowOracleMatrix, "__post_init__", refuse)
-        code, out = run_cli(capsys, "energy", "--instance", "rtm_unary_counter_11.json")
-        assert code == 0 and out.encode() == (GOLDEN_DIR / "energy_rtm_unary_counter_11.out").read_bytes()
-        code, out = run_cli(capsys, "det", "--instance", "rtm_unary_counter_11.json")
-        assert code == 0 and json.loads(out)["det"] == -1
+    monkeypatch.setattr(sparse_oracle.RowOracleMatrix, "__post_init__", refuse)
+    code, out = run_cli(capsys, "energy", "--instance", "rtm_unary_counter_11.json")
+    assert code == 0 and out.encode() == (GOLDEN_DIR / "energy_rtm_unary_counter_11.out").read_bytes()
+    code, out = run_cli(capsys, "det", "--instance", "rtm_unary_counter_11.json")
+    assert code == 0 and json.loads(out)["det"] == -1
     machine = ["--machine", "unary_counter", "--space", "3", "--input", "11"]
     for name, argv in (("reduce_unary_counter_11", ["reduce", "--machine", "unary_counter", "--input", "11"]),
                        ("verify_unary_counter_11", ["verify", *machine, "--gap-exponent", "12"]),

@@ -613,7 +613,9 @@ def test_decide_gapped_on_long_chains():
 
 @pytest.mark.parametrize("x", ["11", "1"])
 def test_decide_gapped_pads_the_witness_block_once(monkeypatch, x):
-    # The witness's residual and its phase read take the same padded rows.
+    # A reduction's witness block is written as padded rows (``_path_witness``),
+    # so no row oracle's rows are padded; a dense-route instance, a triangle's
+    # Laplacian, pads its own rows once for its phase read.
     calls = []
     pad = so._padded_rows
 
@@ -624,7 +626,11 @@ def test_decide_gapped_pads_the_witness_block_once(monkeypatch, x):
     monkeypatch.setattr(so, "_padded_rows", recorded)
     instance = rtm.reduce_to_gapped(rtm.with_space(rtm.corpus_machine("unary_counter"), 5), x)
     assert pr.decide_gapped(instance.gram, instance.g).decision == ("NO" if x == "11" else "YES")
-    assert len(calls) == 1
+    assert calls == []
+    triangle = so.from_dense(3 * np.eye(3, dtype=np.int64) - 1)
+    assert sp._path_sum_bottom(triangle) is None
+    assert pr.decide_gapped(triangle, 12).decision == "YES"
+    assert calls == [3]
 
 
 def test_gapped_verifier_acceptance_matches_decision():
@@ -713,15 +719,16 @@ def test_decide_gapped_refuses_a_doctored_closed_form(monkeypatch):
 @pytest.mark.parametrize("g", [1, 2, 3])
 def test_decide_gapped_refuses_a_reduction_inside_its_promise_gap(g):
     # Space 3 on "11": the chain table's lambda_min 0.081 is neither 0 nor
-    # at least 2^-g for g <= 3.  Only a reduction's record is held to the
-    # promise: its formed rows are decided as any row oracle is.
+    # at least 2^-g for g <= 3.  Its formed rows are a path sum, whose
+    # lambda_min is the same closed form, so they are refused alike.
     gram = rtm.reduce_to_gapped(rtm.with_space(rtm.corpus_machine("unary_counter"), 3), "11").gram
     lam = sp.min_eigenvalue_sparse(gram)
     assert 2.0**-4 < lam < 2.0**-3
     with pytest.raises(PromiseViolation, match=rf"lambda_min {lam!r} is neither 0 nor at least 2\^-{g}$"):
         pr.decide_gapped(gram, g)
     assert issubclass(PromiseViolation, ContractError)
-    assert pr.decide_gapped(oracles.formed(gram), g).decision == "YES"
+    with pytest.raises(PromiseViolation, match=rf"lambda_min {lam!r} is neither 0 nor at least 2\^-{g}$"):
+        pr.decide_gapped(oracles.formed(gram), g)
     assert pr.decide_gapped(gram, 4).decision == "NO"
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from gaplab import protocols as pr
 from gaplab import rtm, sparse_oracle as so
 from gaplab import spectral as sp
-from gaplab.errors import ContractError, ResourceLimitError
+from gaplab.errors import ContractError, PromiseViolation, ResourceLimitError
 
 import oracles
 
@@ -983,13 +983,17 @@ def test_path_forest_reads_what_connected_components_reads(graph):
 def test_a_million_vertex_path_is_walked_to_its_end(monkeypatch):
     # One path of 10^6 vertices: its two walkers step to the far ends, no
     # pointer jumping runs, and lambda_min and the decision are the closed form's.
+    # lambda_min = 2^-38.6 lies inside the gap of g = 30, so the decision is a
+    # refusal, once the witness is written, not a bare YES.
     def refuse(*args, **kwargs):
         raise AssertionError("a path is walked, not jumped")
 
     monkeypatch.setattr(sp, "_jump", refuse)
     gram = oracles.ata_oracle(so.path_adjacency(10**6))
-    assert sp.min_eigenvalue_sparse(gram) == sp.min_eigenvalue_bound(10**6)
-    assert pr.decide_gapped(gram, 30).decision == "YES"
+    lam = sp.min_eigenvalue_sparse(gram)
+    assert lam == sp.min_eigenvalue_bound(10**6) < 2.0**-30
+    with pytest.raises(PromiseViolation, match=rf"lambda_min {lam!r} is neither 0 nor at least 2\^-30$"):
+        pr.decide_gapped(gram, 30)
 
 
 def _check_closed_form_witness(gram: so.RowOracleMatrix, monkeypatch) -> None:
@@ -1066,6 +1070,44 @@ def test_block_residual_is_the_full_residual_on_reductions():
                 lam, psi, residual = sp.bottom_eigenpair(gram)
                 full = so._rounded_once_products(oracles.formed(gram), psi) - lam * psi
                 assert residual == float(np.linalg.norm(full)) < 1e-15
+
+
+def _assert_padded_as_formed(gram, pair) -> None:
+    """The padded rows ``_path_witness`` wrote are ``_padded_rows`` of the block cut from ``gram``'s formed rows.
+
+    Array for array, bit for bit, with the same dtypes, shapes and
+    C-contiguity.
+    """
+    want = so._padded_rows(oracles.principal_rows(oracles.formed(gram), pair.rows))
+    for part in ("columns", "entries"):
+        mine, theirs = getattr(pair.block, part), getattr(want, part)
+        assert (mine.dtype, mine.shape) == (theirs.dtype, theirs.shape), part
+        assert mine.flags.c_contiguous and theirs.flags.c_contiguous, part
+        assert mine.tobytes() == theirs.tobytes(), part
+
+
+@settings(max_examples=200, deadline=None)
+@given(shuffled_path_sums(max_ell=40))
+@example(_path_sum([(1, 1, 1, 0), (4, 2, 2, 0)], 0))  # an isolated zero diagonal: one pad
+@example(_path_sum([(1, 2, 2, 2)], 1))  # an isolated 2 alone: one row of one entry
+@example(_path_sum([(2, 1, 1, 0), (3, 2, 2, 1)], 2))  # a Laplacian of two: rows of two entries
+@example(_path_sum([(9, 1, 2, 0), (9, 2, 1, 0), (5, 2, 2, 2)], 3))  # tied one-end paths
+@example(_path_sum([(6, 2, 2, 0), (2, 2, 2, 1)], 4))  # no end 1
+def test_path_witness_writes_what_padded_rows_pad(gram):
+    # The record written from the least path's closed form is the one padded
+    # from that block's formed rows, on every kind of least block.
+    pair = sp._bottom_block_eigenpair(gram)
+    assert pair.rows is not None
+    _assert_padded_as_formed(gram, pair)
+
+
+def test_path_witness_writes_what_padded_rows_pad_on_reductions():
+    for name, inputs in _CORPUS_INPUTS.items():
+        for space in (3, 4, 5):
+            machine = rtm.with_space(rtm.corpus_machine(name), space)
+            for x in (x for x in inputs if len(x) < space):
+                gram = rtm.reduce_to_gapped(machine, x).gram
+                _assert_padded_as_formed(gram, sp._bottom_block_eigenpair(gram))
 
 
 @st.composite
